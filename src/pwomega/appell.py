@@ -212,13 +212,6 @@ def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N,
     return out.mul_monomial(pref).truncate(N)
 
 
-def complex_to_strings(z, P: int = 53) -> Tuple[str, str]:
-    """(re, im) decimal strings at the requested precision (digits from bits)."""
-    digits = max(1, int(P * 0.3010299957)) + 2
-    z = mp.mpc(z)
-    return mp.nstr(z.real, digits), mp.nstr(z.imag, digits)
-
-
 def _mod1(t: Fraction) -> Fraction:
     t = F(t)
     return t - (t.numerator // t.denominator)

@@ -77,7 +77,17 @@ def contour_derivs(f: Callable, center, radius, orders: Tuple[int, ...],
     """
     radius = mp.mpf(radius)
     tol = mp.mpf(2) ** (-(P + 6))
-    cache: Dict[int, object] = {}
+    cache: Dict[Tuple[int, int], object] = {}
+    roots: Dict[int, list] = {}
+
+    def roots_of_unity(M):
+        # e^(2 pi i j/M); the even entries are the M/2-th roots, so a reused
+        # node is the same point at every M
+        if M not in roots:
+            half = roots.get(M // 2)
+            roots[M] = [half[j // 2] if half is not None and j % 2 == 0
+                        else mp.expjpi(2 * mp.mpf(j) / M) for j in range(M)]
+        return roots[M]
 
     def nodes_vals(M):
         # node j/M equals node (j/2)/(M/2) for even j: doubling reuses values
@@ -85,18 +95,19 @@ def contour_derivs(f: Callable, center, radius, orders: Tuple[int, ...],
             key = _reduce_key(j, M, m_start)
             if key not in cache:
                 jj, MM = key
-                cache[key] = f(center + radius * mp.expjpi(2 * mp.mpf(jj) / MM))
+                cache[key] = f(center + radius * roots_of_unity(MM)[jj])
         return [cache[_reduce_key(j, M, m_start)] for j in range(M)]
 
     prev = None
     M = m_start
     while M <= m_max:
         vals = nodes_vals(M)
+        twiddle = [mp.conj(r) for r in roots_of_unity(M)]
         out = {}
         for m in orders:
             acc = mp.mpc(0)
             for j, val in enumerate(vals):
-                acc += val * mp.expjpi(-2 * mp.mpf(j * m) / M)
+                acc += val * twiddle[j * m % M]
             out[m] = mp.factorial(m) * acc / (M * radius ** m) if m else acc / M
         if prev is not None:
             deltas = {m: abs(out[m] - prev[m]) for m in orders}
@@ -278,27 +289,30 @@ def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool, formal: bool
 
     eta3 = kernels.eta(tau) ** 3
     eta6 = eta3 * eta3
+    plan = kernels.TauPlan(tau)
     w = {g: _w_point(tau, g) for g in (0, 1)}
-    th_w = {g: kernels.theta(w[g], tau) for g in (0, 1)}
     s_pt = {0: tau + mp.mpf(1) / 2, 2: tau + mp.mpf(3) / 2}
-    th_s = {p: kernels.theta(s_pt[p], tau) for p in (0, 2)}
+    # mu(., w) for the quarter points w_0, w_1 (tags 0, 1) and for
+    # w_0 + w_0 = tau + 1/2, w_1 + w_1 = tau + 3/2 (tags 10, 12)
+    mu_plans = {0: plan.mu(w[0]), 1: plan.mu(w[1]),
+                10: plan.mu(s_pt[0]), 12: plan.mu(s_pt[2])}
+    th_w = {g: mu_plans[g].theta_w for g in (0, 1)}
+    th_s = {p: mu_plans[10 + p].theta_w for p in (0, 2)}
 
     # the six contoured functions share theta/mu node values; memoize them
     theta_cache: Dict[complex, object] = {}
     mu_cache: Dict[Tuple[complex, int], object] = {}
-    second_args = {0: s_pt[0], 1: None, 2: s_pt[2]}
 
     def cth(z):
         key = complex(z)
         if key not in theta_cache:
-            theta_cache[key] = kernels.theta(z, tau)
+            theta_cache[key] = plan.theta(z)
         return theta_cache[key]
 
     def cmu(z, tag):
         key = (complex(z), tag)
         if key not in mu_cache:
-            w2 = w[tag] if tag in (0, 1) else second_args[tag - 10]
-            mu_cache[key] = kernels.mu(z, w2, tau)
+            mu_cache[key] = mu_plans[tag](z)
         return mu_cache[key]
 
     def make_fhol(alpha, beta):
@@ -326,7 +340,7 @@ def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool, formal: bool
         p_data[g] = contour_derivs(
             lambda z, gg=g: cth(z) * cmu(z, gg), center, r, orders, P)
 
-    thp_center = kernels.theta_dz(center, tau)
+    thp_center = plan.theta_dz(center)
     Rv = {}
     Rd = {}
 
@@ -486,12 +500,14 @@ def fcal_derivs(tau, P: int = 160, formal: bool = False,
         r = ctx.contour_radius() if ctx is not None else _contour_radius(tau)
         _assert_contour_clear(mp.mpc(0), r, tau)
         q18 = qpow(tau, -F(1, 8))
+        plan = kernels.TauPlan(tau)
+        mu_w0 = plan.mu(w0)
 
         def hol(z):
-            return q18 * mp.expjpi(z) * kernels.theta(z, tau) * kernels.mu(z, w0, tau)
+            return q18 * mp.expjpi(z) * plan.theta(z) * mu_w0(z)
 
         g = contour_derivs(hol, mp.mpc(0), r, (0, 1, 2), P)
-        thp = kernels.theta_dz(0, tau)
+        thp = plan.theta_dz(0)
         R0 = kernels.R(-w0, tau)
         R1 = kernels.R_dz(-w0, tau, formal)
         f0 = Approx(g[0].value, g[0].err)

@@ -83,8 +83,9 @@ def _run_family_identity(family: str, params) -> Dict:
     N = params.get("order", 41)
     out = _series_check([(family, genfun(family, N), genfun(family, N, side="appell"))])
     if out["ok"] and family == "spt":
+        spt = genfun("spt", 22)
         for n in range(1, 21):
-            if genfun("spt", 22)[n] != Cyc8(census("spt", n)):
+            if spt[n] != Cyc8(census("spt", n)):
                 return {"ok": False, "witness": {"part": "census", "n": n}}
     out["worst"] = None
     return out
@@ -324,12 +325,12 @@ def _run_phat_weight1(params) -> Dict:
     worst = 0.0
     wit = None
     with workprec(P):
+        taus = [mp.mpc(*tt) for tt in params.get("taus", DEFAULT_TAUS)]
+        rights = [completion.phat_omega_numeric(tau, P).value for tau in taus]
         for mat in params.get("matrices", GAMMA_MATS):
             M = GroupElement.parse(mat) if isinstance(mat, str) else mat
-            for tt in params.get("taus", DEFAULT_TAUS):
-                tau = mp.mpc(*tt)
+            for tau, right in zip(taus, rights):
                 left = completion.phat_omega_numeric(M.act(tau), P).value
-                right = completion.phat_omega_numeric(tau, P).value
                 res = abs(left - mp.expjpi(mp.mpf(M.c) / 8) * M.jfactor(tau) * right)
                 rel = float(res / max(abs(left), abs(right)))
                 if rel > worst:

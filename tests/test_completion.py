@@ -175,6 +175,14 @@ def test_error_budgets_are_honest():
     assert abs(lo.value - hi.value) < lo.err
     lo1 = completion.hhat1_numeric(TAU, 96)
     assert abs(lo1.value) < lo1.err
+    # the hardest benchmark point: M tau with Im M tau ~ 0.0104, where the
+    # kernel windows, and the recurrences that fill them, are longest
+    with workprec(320):
+        t = GroupElement.parse("1,0,8,1").act(mp.mpc("0.319919", "1.360718"))
+        assert abs(t.imag - mp.mpf("0.0104")) < mp.mpf("0.0001")
+    p192 = completion.phat_omega_numeric(t, 192)
+    p320 = completion.phat_omega_numeric(t, 320)
+    assert abs(p192.value - p320.value) < p192.err
 
 
 def test_f3_dual_route():

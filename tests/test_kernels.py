@@ -1,0 +1,95 @@
+"""Planned theta and mu evaluations (kernels.TauPlan) against the per-term
+bilateral sums they replace: one complex exponential per term, with the
+same windows and the same pole check."""
+
+import pytest
+from mpmath import mp
+
+from pwomega import kernels
+from pwomega.completion import _contour_radius, _w_point
+from pwomega.errors import PoleProximity
+from pwomega.kernels import GUARD, TAIL_GUARD, _halfint_window, qpow, workprec
+
+P = 192
+# the _prim_err allowance: a primitive may differ from the exact sum by this,
+# relative, at working precision P + GUARD
+REL_TOL = mp.mpf(2) ** (-(P + GUARD - 16))
+IM_TAUS = ("1", "0.1", "0.0104")
+
+
+def theta_reference(z, tau, weighted=False):
+    z, tau = mp.mpc(z), mp.mpc(tau)
+    lo, hi = _halfint_window(tau.imag, z.imag)
+    acc = mp.mpc(0)
+    for k in range(lo, hi + 1):
+        n = k + mp.mpf(1) / 2
+        term = mp.expjpi(n * n * tau + 2 * n * (z + mp.mpf(1) / 2))
+        acc += 2 * mp.pi * 1j * n * term if weighted else term
+    return acc
+
+
+def mu_reference(z1, z2, tau):
+    z1, z2, tau = mp.mpc(z1), mp.mpc(z2), mp.mpc(tau)
+    v = tau.imag
+    L = (mp.prec + TAIL_GUARD + 8) * mp.ln(2)
+    A = int(mp.sqrt(L / (mp.pi * v))) + int((abs(z1.imag) + abs(z2.imag)) / v) + 6
+    pole_cut = mp.mpf(2) ** (-(mp.prec - GUARD // 2) / 2)
+    acc = mp.mpc(0)
+    z1_fac = mp.expjpi(2 * z1)
+    for n in range(-A, A + 1):
+        qn = qpow(tau, n)
+        den = 1 - z1_fac * qn
+        if abs(den) < pole_cut * max(1, abs(z1_fac * qn)):
+            raise PoleProximity(f"mu denominator at n={n} has modulus {abs(den)}")
+        acc += (-1) ** n * mp.expjpi(2 * n * z2 + n * (n + 1) * tau) / den
+    return mp.expjpi(z1) / theta_reference(z2, tau) * acc
+
+
+def _contour_points(tau):
+    """Seven of the 128 contour nodes around each removable center."""
+    r = _contour_radius(tau)
+    return [c + r * mp.expjpi(2 * mp.mpf(j) / 128)
+            for c in (mp.mpc(0), tau) for j in (1, 19, 40, 64, 77, 100, 127)]
+
+
+def _close(got, want):
+    return abs(got - want) <= REL_TOL * abs(want)
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS)
+def test_planned_theta_matches_per_term_sum(im_tau):
+    with workprec(P):
+        tau = mp.mpc("0.11", im_tau)
+        plan = kernels.TauPlan(tau)
+        for z in _contour_points(tau) + [_w_point(tau, 1), tau + mp.mpf(3) / 2]:
+            want = theta_reference(z, tau)
+            assert _close(plan.theta(z), want), z
+            assert _close(kernels.theta(z, tau), want), z
+        for z in (mp.mpc(0), tau):
+            assert _close(plan.theta_dz(z), theta_reference(z, tau, weighted=True))
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS)
+def test_planned_mu_matches_per_term_sum(im_tau):
+    with workprec(P):
+        tau = mp.mpc("0.11", im_tau)
+        plan = kernels.TauPlan(tau)
+        for w in (_w_point(tau, 0), tau + mp.mpf(3) / 2):
+            mu_w = plan.mu(w)
+            for z in _contour_points(tau)[::3]:
+                want = mu_reference(z, w, tau)
+                assert _close(mu_w(z), want), (z, w)
+                assert _close(kernels.mu(z, w, tau), want), (z, w)
+
+
+def test_planned_mu_raises_at_denominator_zero():
+    with workprec(P):
+        tau = mp.mpc("0.11", "0.0104")
+        mu_w = kernels.TauPlan(tau).mu(_w_point(tau, 0))
+        for z in (mp.mpc(0), tau, 1 - 2 * tau):
+            with pytest.raises(PoleProximity):
+                mu_reference(z, _w_point(tau, 0), tau)
+            with pytest.raises(PoleProximity):
+                mu_w(z)
+        # a node on the contour stays clear of the poles
+        mu_w(_contour_points(tau)[0])
