@@ -15,7 +15,7 @@ from typing import Tuple
 from mpmath import mp
 
 from . import kernels
-from .classical import TorsionPoint, theta_series_at_torsion
+from .classical import TorsionPoint, _frac_mod1, _isqrt_ceil, theta_series_at_torsion
 from .cyc8 import Cyc8, ONE
 from .errors import SpecializationPole
 from .kernels import GUARD, workprec
@@ -187,12 +187,12 @@ def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N,
     a1, b1, a2, b2 = z1.a, z1.b, z2.a, z2.b
     N = F(N)
     # conservative symmetric n-window: exponents grow like n^2/2 - |a2| n - |n + a1|
-    n_max = 3 + int(2 * (abs(a2) + 2)) + _iceil_sqrt(2 * (N - min(0, _series_floor_bound(a1, a2)) + 4))
-    root_b1 = Cyc8.from_root_of_unity(_mod1(b1))
+    n_max = 3 + int(2 * (abs(a2) + 2)) + _isqrt_ceil(2 * (N - min(0, _series_floor_bound(a1, a2)) + 4))
+    root_b1 = Cyc8.from_root_of_unity(_frac_mod1(b1))
     acc = QSeries.zero(D, N + 8)
     for n in range(-n_max, n_max + 1):
         e0 = F(n * (n + 1), 2) + n * a2
-        coeff = Cyc8((-1) ** n) * Cyc8.from_root_of_unity(_mod1(n * b2))
+        coeff = Cyc8((-1) ** n) * Cyc8.from_root_of_unity(_frac_mod1(n * b2))
         m = n + a1
         if m > 0:
             term = geometric(D, m, N + 8 - e0, root_b1).shift(e0).scale(coeff)
@@ -207,19 +207,9 @@ def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N,
             term = geometric(D, -m, N + 8 - e0 + m, rinv).shift(e0 - m).scale(-(coeff * rinv))
         acc = acc + term.truncate(N + 8)
     theta2 = theta_series_at_torsion(z2, N + 8, D)
-    pref = Monomial(Cyc8.from_root_of_unity(_mod1(b1 / 2)), a1 / 2)
+    pref = Monomial(Cyc8.from_root_of_unity(_frac_mod1(b1 / 2)), a1 / 2)
     out = acc * theta2.invert()
     return out.mul_monomial(pref).truncate(N)
-
-
-def _mod1(t: Fraction) -> Fraction:
-    t = F(t)
-    return t - (t.numerator // t.denominator)
-
-
-def _iceil_sqrt(x) -> int:
-    import math
-    return math.isqrt(max(0, int(x))) + 1
 
 
 def _series_floor_bound(a1: Fraction, a2: Fraction) -> Fraction:

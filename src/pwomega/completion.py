@@ -7,26 +7,27 @@ first two z-derivatives at 0.
 All z-differentiation at the removable points 0 and tau splits each
 quantity into a holomorphic block (differentiated by exponentially convergent
 contour quadrature) and the R-block (differentiated termwise through the
-explicit Wirtinger sums in kernels).  Composite results are returned as
+explicit Wirtinger sums in kernels).  All holomorphic blocks at one center
+share one contour pass: a single node function evaluates theta and mu once
+per node and returns every block's value there, and contour_derivs
+differentiates the components together.  Composite results are returned as
 Approx(value, err) with a conservative absolute-error estimate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from mpmath import mp
 
 from . import kernels
 from .errors import ContourThroughPole, PoleProximity
+from .indefinite import cone_points, pbar_omega_series
 from .kernels import GUARD, qpow, workprec
 
 F = Fraction
-
-DEFAULT_TAUS = ((0.11, 0.93), (-0.23, 1.07), (0.31, 1.49))
 
 
 @dataclass
@@ -36,24 +37,6 @@ class Approx:
 
     def __abs__(self):
         return abs(self.value)
-
-
-@dataclass
-class PhatContext:
-    """Evaluation context for the completed object: point, precision, and the
-    z-differentiation contour (radius defaults to 0.1 min(1, v), node count
-    doubles from m_start until the quadrature stabilizes)."""
-
-    tau: object
-    prec: int = 160
-    radius: Optional[float] = None
-    m_start: int = 64
-
-    def contour_radius(self):
-        return mp.mpf(self.radius) if self.radius is not None else _contour_radius(self.tau)
-
-    def validate(self):
-        _assert_contour_clear(mp.mpc(0), self.contour_radius(), mp.mpc(self.tau))
 
 
 def _prim_err(scale, P: int) -> float:
@@ -67,65 +50,56 @@ def _prim_err(scale, P: int) -> float:
 # ---------------------------------------------------------------------------
 
 def contour_derivs(f: Callable, center, radius, orders: Tuple[int, ...],
-                   P: int, m_start: int = 64, m_max: int = 1024) -> Dict[int, Approx]:
-    """Derivatives f^(m)(center) for m in orders, for f holomorphic on the
+                   P: int, m_max: int = 1024) -> List[Dict[int, Approx]]:
+    """Derivatives g^(m)(center), m in orders, of every component g of the
+    vector-valued f(z) = (g_0(z), g_1(z), ...), each g holomorphic on the
     closed disk, by trapezoidal quadrature on |z - center| = radius.
 
-    Node count doubles (reusing evaluations) until every requested
-    coefficient moves by less than 2^-(P+6) relative, which certifies the
-    exponentially small aliasing error.
+    All components share one pass, and f is called once per node.  The nodes
+    start as the 64th roots of unity; each doubling interleaves the new odd
+    nodes e^(2 pi i (2j+1)/2M) with the old ones, so every value is reused.
+    A component has settled when every requested coefficient moved by less
+    than 2^-(P+6) relative on the last doubling, which certifies the
+    exponentially small aliasing error; the pass stops when all have.
+    Returns one {order: Approx} dict per component.
     """
     radius = mp.mpf(radius)
     tol = mp.mpf(2) ** (-(P + 6))
-    cache: Dict[Tuple[int, int], object] = {}
-    roots: Dict[int, list] = {}
-
-    def roots_of_unity(M):
-        # e^(2 pi i j/M); the even entries are the M/2-th roots, so a reused
-        # node is the same point at every M
-        if M not in roots:
-            half = roots.get(M // 2)
-            roots[M] = [half[j // 2] if half is not None and j % 2 == 0
-                        else mp.expjpi(2 * mp.mpf(j) / M) for j in range(M)]
-        return roots[M]
-
-    def nodes_vals(M):
-        # node j/M equals node (j/2)/(M/2) for even j: doubling reuses values
-        for j in range(M):
-            key = _reduce_key(j, M, m_start)
-            if key not in cache:
-                jj, MM = key
-                cache[key] = f(center + radius * roots_of_unity(MM)[jj])
-        return [cache[_reduce_key(j, M, m_start)] for j in range(M)]
-
+    M = 64
+    roots = [mp.expjpi(2 * mp.mpf(j) / M) for j in range(M)]
+    vals = [f(center + radius * root) for root in roots]
     prev = None
-    M = m_start
-    while M <= m_max:
-        vals = nodes_vals(M)
-        twiddle = [mp.conj(r) for r in roots_of_unity(M)]
-        out = {}
-        for m in orders:
-            acc = mp.mpc(0)
-            for j, val in enumerate(vals):
-                acc += val * twiddle[j * m % M]
-            out[m] = mp.factorial(m) * acc / (M * radius ** m) if m else acc / M
+    while True:
+        twiddle = [mp.conj(root) for root in roots]
+        outs = []
+        for c in range(len(vals[0])):
+            out = {}
+            for m in orders:
+                acc = mp.mpc(0)
+                for j, val in enumerate(vals):
+                    acc += val[c] * twiddle[j * m % M]
+                out[m] = mp.factorial(m) * acc / (M * radius ** m) if m else acc / M
+            outs.append(out)
         if prev is not None:
-            deltas = {m: abs(out[m] - prev[m]) for m in orders}
-            scale = max(max(abs(out[m]) for m in orders), mp.mpf(1))
-            if all(d <= tol * scale for d in deltas.values()):
-                return {m: Approx(out[m], float(deltas[m] + tol * abs(out[m]) + tol))
-                        for m in orders}
-        prev = out
+            settled = True
+            results = []
+            for out, old in zip(outs, prev):
+                deltas = {m: abs(out[m] - old[m]) for m in orders}
+                scale = max(max(abs(out[m]) for m in orders), mp.mpf(1))
+                settled = settled and all(d <= tol * scale for d in deltas.values())
+                results.append({m: Approx(out[m], float(deltas[m] + tol * abs(out[m]) + tol))
+                                for m in orders})
+            if settled:
+                return results
+        if 2 * M > m_max:
+            raise ContourThroughPole(
+                f"contour quadrature did not stabilize by {m_max} nodes (radius {radius})")
+        prev = outs
+        odd = [mp.expjpi(2 * mp.mpf(j) / (2 * M)) for j in range(1, 2 * M, 2)]
+        odd_vals = [f(center + radius * root) for root in odd]
+        roots = [x for pair in zip(roots, odd) for x in pair]
+        vals = [x for pair in zip(vals, odd_vals) for x in pair]
         M *= 2
-    raise ContourThroughPole(
-        f"contour quadrature did not stabilize by {m_max} nodes (radius {radius})")
-
-
-def _reduce_key(j, M, m_start):
-    while j % 2 == 0 and M > m_start:
-        j //= 2
-        M //= 2
-    return (j, M)
 
 
 def _contour_radius(tau):
@@ -168,26 +142,8 @@ def F_cone_numeric(z1, z2, z3, tau, P: int = 113):
             return (-1) ** k * qpow(tau, e) * mp.expjpi(2 * (k * z1 + l * z2 + n * z3))
 
         acc = mp.mpc(0)
-        k = 1
-        while logmag(k, 0, 0) > logeps:
-            l = 0
-            while logmag(k, l, 0) > logeps:
-                n = 0
-                while logmag(k, l, n) > logeps:
-                    acc += term(k, l, n)
-                    n += 1
-                l += 1
-            k += 1
-        k = 0
-        while logmag(k, -1, -1) > logeps:
-            l = -1
-            while logmag(k, l, -1) > logeps:
-                n = -1
-                while logmag(k, l, n) > logeps:
-                    acc += term(k, l, n)
-                    n -= 1
-                l -= 1
-            k -= 1
+        for k, l, n in cone_points(lambda k, l, n: logmag(k, l, n) > logeps):
+            acc += term(k, l, n)
         pref = qpow(tau, -F(1, 8)) * mp.expjpi(-z1 + z2 + z3)
         return +(pref * acc)
 
@@ -282,7 +238,6 @@ def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool, formal: bool
     at center 0 or tau, with holomorphic blocks contour-differentiated and
     R-blocks assembled from closed-form values."""
     tau = mp.mpc(tau)
-    v = tau.imag
     center = mp.mpc(0) if center_kind == "zero" else tau
     r = _contour_radius(tau)
     _assert_contour_clear(center, r, tau)
@@ -290,95 +245,60 @@ def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool, formal: bool
     eta3 = kernels.eta(tau) ** 3
     eta6 = eta3 * eta3
     plan = kernels.TauPlan(tau)
-    w = {g: _w_point(tau, g) for g in (0, 1)}
-    s_pt = {0: tau + mp.mpf(1) / 2, 2: tau + mp.mpf(3) / 2}
-    # mu(., w) for the quarter points w_0, w_1 (tags 0, 1) and for
-    # w_0 + w_0 = tau + 1/2, w_1 + w_1 = tau + 3/2 (tags 10, 12)
-    mu_plans = {0: plan.mu(w[0]), 1: plan.mu(w[1]),
-                10: plan.mu(s_pt[0]), 12: plan.mu(s_pt[2])}
-    th_w = {g: mu_plans[g].theta_w for g in (0, 1)}
-    th_s = {p: mu_plans[10 + p].theta_w for p in (0, 2)}
+    w = [_w_point(tau, g) for g in (0, 1)]
+    # mu(., w_g) and mu(., w_g + w_g), with w_0 + w_0 = tau + 1/2 and
+    # w_1 + w_1 = tau + 3/2
+    mu_w = [plan.mu(w[g]) for g in (0, 1)]
+    mu_ww = [plan.mu(tau + mp.mpf(1) / 2), plan.mu(tau + mp.mpf(3) / 2)]
+    th_w = [m.theta_w for m in mu_w]
+    th_ww = [m.theta_w for m in mu_ww]
+    pairs = [(alpha, beta) for alpha in (0, 1) for beta in (0, 1)]
+    # coefficient of the second term of each holomorphic block
+    c2 = {(a, b): (-eta3 * th_ww[a] / (th_w[a] * th_w[b]) if a == b
+                   else 1j * eta6 / (th_w[a] * th_w[b])) for a, b in pairs}
 
-    # the six contoured functions share theta/mu node values; memoize them
-    theta_cache: Dict[complex, object] = {}
-    mu_cache: Dict[Tuple[complex, int], object] = {}
-
-    def cth(z):
-        key = complex(z)
-        if key not in theta_cache:
-            theta_cache[key] = plan.theta(z)
-        return theta_cache[key]
-
-    def cmu(z, tag):
-        key = (complex(z), tag)
-        if key not in mu_cache:
-            mu_cache[key] = mu_plans[tag](z)
-        return mu_cache[key]
-
-    def make_fhol(alpha, beta):
-        par = (alpha + beta) % 2
-        if par == 0:
-            c2 = -eta3 * th_s[alpha + beta] / (th_w[alpha] * th_w[beta])
-            tag2 = 10 + alpha + beta
-
-            def fhol(z):
-                return (1j * cth(z) * cmu(z, alpha) * cmu(z, beta)
-                        + c2 * cmu(z, tag2))
-        else:
-            c2 = 1j * eta6 / (th_w[alpha] * th_w[beta])
-
-            def fhol(z):
-                return (1j * cth(z) * cmu(z, alpha) * cmu(z, beta)
-                        + c2 * mp.expjpi(-2 * z) / cth(z))
-        return fhol
+    def node(z):
+        # p_g(z) = theta(z) mu(z, w_g), then the four holomorphic blocks
+        th = plan.theta(z)
+        mu = [m(z) for m in mu_w]
+        e = mp.expjpi(-2 * z)
+        return [th * mu[0], th * mu[1]] + [
+            1j * th * mu[a] * mu[b] + (c2[a, b] * mu_ww[a](z) if a == b else c2[a, b] * e / th)
+            for a, b in pairs]
 
     orders = (0, 1) if want_dz else (0,)
+    blocks = contour_derivs(node, center, r, orders, P)
+    p, hol = blocks[:2], dict(zip(pairs, blocks[2:]))
+
+    # R and dR/dz at center - w_g and center - w_g - w_g
+    z_w = [center - w[g] for g in (0, 1)]
+    z_ww = [center - w[g] - w[g] for g in (0, 1)]
+    R_w = [kernels.R(z, tau) for z in z_w]
+    R_ww = [kernels.R(z, tau) for z in z_ww]
+    if want_dz:
+        thp_center = plan.theta_dz(center)
+        Rdz_w = [kernels.R_dz(z, tau, formal) for z in z_w]
+        Rdz_ww = [kernels.R_dz(z, tau, formal) for z in z_ww]
+
     out = {}
-    # p_g(z) = theta(z) mu(z, w_g): value and derivative at the center
-    p_data = {}
-    for g in (0, 1):
-        p_data[g] = contour_derivs(
-            lambda z, gg=g: cth(z) * cmu(z, gg), center, r, orders, P)
-
-    thp_center = plan.theta_dz(center)
-    Rv = {}
-    Rd = {}
-
-    def R_at(pt):
-        key = complex(pt)
-        if key not in Rv:
-            Rv[key] = kernels.R(pt, tau)
-        return Rv[key]
-
-    def Rdz_at(pt):
-        key = complex(pt)
-        if key not in Rd:
-            Rd[key] = kernels.R_dz(pt, tau, formal)
-        return Rd[key]
-
-    for alpha in (0, 1):
-        for beta in (0, 1):
-            par = (alpha + beta) % 2
-            hol = contour_derivs(make_fhol(alpha, beta), center, r, orders, P)
-            pa, pb = p_data[alpha], p_data[beta]
-            za, zb = center - w[alpha], center - w[beta]
-            c_ab = (0 if par == 1
-                    else th_s[alpha + beta] / (th_w[alpha] * th_w[beta]))
-            rstar = (-mp.mpf(1) / 2 * (pa[0].value * R_at(zb) + pb[0].value * R_at(za)))
-            if par == 0:
-                rstar += -0.5j * eta3 * c_ab * R_at(center - w[alpha] - w[beta])
-            err = hol[0].err + pa[0].err + pb[0].err + _prim_err(rstar, P)
-            val = hol[0].value + rstar
-            dval = None
-            if want_dz:
-                drstar = (-mp.mpf(1) / 2 * (pa[1].value * R_at(zb) + pa[0].value * Rdz_at(zb)
-                                            + pb[1].value * R_at(za) + pb[0].value * Rdz_at(za))
-                          - 0.25j * thp_center * R_at(za) * R_at(zb))
-                if par == 0:
-                    drstar += -0.5j * eta3 * c_ab * Rdz_at(center - w[alpha] - w[beta])
-                dval = Approx(hol[1].value + drstar,
-                              hol[1].err + pa[1].err + pb[1].err + _prim_err(drstar, P))
-            out[(alpha, beta)] = (Approx(val, err), dval)
+    for alpha, beta in pairs:
+        h, pa, pb = hol[alpha, beta], p[alpha], p[beta]
+        c_ab = th_ww[alpha] / (th_w[alpha] * th_w[beta]) if alpha == beta else 0
+        rstar = (-mp.mpf(1) / 2 * (pa[0].value * R_w[beta] + pb[0].value * R_w[alpha]))
+        if alpha == beta:
+            rstar += -0.5j * eta3 * c_ab * R_ww[alpha]
+        err = h[0].err + pa[0].err + pb[0].err + _prim_err(rstar, P)
+        val = h[0].value + rstar
+        dval = None
+        if want_dz:
+            drstar = (-mp.mpf(1) / 2 * (pa[1].value * R_w[beta] + pa[0].value * Rdz_w[beta]
+                                        + pb[1].value * R_w[alpha] + pb[0].value * Rdz_w[alpha])
+                      - 0.25j * thp_center * R_w[alpha] * R_w[beta])
+            if alpha == beta:
+                drstar += -0.5j * eta3 * c_ab * Rdz_ww[alpha]
+            dval = Approx(h[1].value + drstar,
+                          h[1].err + pa[1].err + pb[1].err + _prim_err(drstar, P))
+        out[(alpha, beta)] = (Approx(val, err), dval)
     return out
 
 
@@ -482,8 +402,7 @@ def fcal_numeric(z, tau, P: int = 113):
                  * kernels.muhat(z, _w_point(tau, 0), tau))
 
 
-def fcal_derivs(tau, P: int = 160, formal: bool = False,
-                ctx: Optional[PhatContext] = None) -> Tuple[Approx, Approx, Approx]:
+def fcal_derivs(tau, P: int = 160, formal: bool = False) -> Tuple[Approx, Approx, Approx]:
     """(FF(0), FF'(0), FF''(0)): the holomorphic block q^(-1/8) e^(pi i z)
     theta(z) mu(z, w0) is contour-differentiated; the R-block contributes
 
@@ -492,21 +411,19 @@ def fcal_derivs(tau, P: int = 160, formal: bool = False,
 
     using theta(0) = 0 and theta''(0) = 0.
     """
-    if ctx is not None:
-        tau, P = ctx.tau, ctx.prec
     with workprec(P):
         tau = mp.mpc(tau)
         w0 = _w_point(tau, 0)
-        r = ctx.contour_radius() if ctx is not None else _contour_radius(tau)
+        r = _contour_radius(tau)
         _assert_contour_clear(mp.mpc(0), r, tau)
         q18 = qpow(tau, -F(1, 8))
         plan = kernels.TauPlan(tau)
         mu_w0 = plan.mu(w0)
 
         def hol(z):
-            return q18 * mp.expjpi(z) * plan.theta(z) * mu_w0(z)
+            return (q18 * mp.expjpi(z) * plan.theta(z) * mu_w0(z),)
 
-        g = contour_derivs(hol, mp.mpc(0), r, (0, 1, 2), P)
+        g, = contour_derivs(hol, mp.mpc(0), r, (0, 1, 2), P)
         thp = plan.theta_dz(0)
         R0 = kernels.R(-w0, tau)
         R1 = kernels.R_dz(-w0, tau, formal)
@@ -633,8 +550,6 @@ def f2_shadow_closed(tau, P: int = 113):
 def holomorphic_part_numeric(tau, N: int, P: int = 113):
     """P-bar-omega(q) + 1/4 - eta(4 tau)/(2 eta(2 tau)^2), with the series
     summed from its exact coefficients to O(q^N)."""
-    from .indefinite import pbar_omega_series
-
     with workprec(P):
         tau = mp.mpc(tau)
         series = pbar_omega_series(N, method="triple_sum")

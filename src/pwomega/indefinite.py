@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .cyc8 import Cyc8, I, ONE
 from .errors import UnboundedCone, WindowTooSmall
@@ -32,15 +32,36 @@ F = Fraction
 # generic two-cone summation
 # ---------------------------------------------------------------------------
 
+def cone_points(inside: Callable[[int, int, int], bool]) -> Iterator[Tuple[int, int, int]]:
+    """(k, l, n) over cone 1 {k >= 1, l, n >= 0}, then cone 2
+    {k <= 0, l, n <= -1}, while inside(k, l, n) holds.
+
+    Each cone is walked k outermost and n innermost, every coordinate
+    stepping away from the apex ((1, 0, 0) or (0, -1, -1)); a walk along a
+    coordinate stops at its first point outside, so inside must be monotone:
+    once false, false at every point further from the apex.
+    """
+    for apex_k, apex_ln, step in ((1, 0, 1), (0, -1, -1)):
+        k = apex_k
+        while inside(k, apex_ln, apex_ln):
+            l = apex_ln
+            while inside(k, l, apex_ln):
+                n = apex_ln
+                while inside(k, l, n):
+                    yield k, l, n
+                    n += step
+                l += step
+            k += step
+
+
 @dataclass
 class ConeSumSpec:
     """Two-cone triple sum with quadratic exponent Q and termwise weights.
 
     Q(k,l,n) = ckk k^2 + cll l^2 + cnn n^2 + ckl kl + ckn kn + cln ln
                + lk k + ll l + ln n
-    cone 1: k >= k1_min, l >= 0, n >= 0;  cone 2: k <= 0, l <= -1, n <= -1.
-    The term weight is sign_fn(k,l,n) in {+1,-1} and the zeta-exponent is
-    k * zeta_weight.
+    summed over the cones of cone_points.  The term weight is
+    (-1)^(k+l+n) and the zeta-exponent is k * zeta_weight.
     """
 
     ckk: Fraction
@@ -52,18 +73,12 @@ class ConeSumSpec:
     lk: Fraction
     ll: Fraction
     ln: Fraction
-    k1_min: int = 1
     zeta_weight: Fraction = F(1)
-    sign_parity: Tuple[int, int, int] = (1, 1, 1)   # (-1)^(a*k + b*l + c*n)
 
     def q_exp(self, k: int, l: int, n: int) -> Fraction:
         return (self.ckk * k * k + self.cll * l * l + self.cnn * n * n
                 + self.ckl * k * l + self.ckn * k * n + self.cln * l * n
                 + self.lk * k + self.ll * l + self.ln * n)
-
-    def sign(self, k: int, l: int, n: int) -> int:
-        a, b, c = self.sign_parity
-        return -1 if (a * k + b * l + c * n) % 2 else 1
 
     def validate(self):
         """Coercivity sanity check along cone generators and mixed rays."""
@@ -71,7 +86,7 @@ class ConeSumSpec:
         rays2 = [(0, -1, -1), (-1, -1, -1), (-2, -1, -1), (-1, -3, -1),
                  (-1, -1, -3), (0, -1, -3)]
         for g in rays1:
-            vals = [self.q_exp(max(self.k1_min, t * g[0]), t * g[1], t * g[2])
+            vals = [self.q_exp(max(1, t * g[0]), t * g[1], t * g[2])
                     for t in range(1, 13)]
             if vals[-1] <= vals[6] or vals[-1] <= 0:
                 raise UnboundedCone(f"exponent not coercive along cone-1 ray {g}")
@@ -83,8 +98,7 @@ class ConeSumSpec:
 
 
 H_KERNEL_SPEC = ConeSumSpec(ckk=F(1, 2), cll=F(0), cnn=F(0), ckl=F(2), ckn=F(2),
-                            cln=F(4), lk=F(1, 2), ll=F(1), ln=F(1), k1_min=1,
-                            zeta_weight=F(1), sign_parity=(1, 1, 1))
+                            cln=F(4), lk=F(1, 2), ll=F(1), ln=F(1), zeta_weight=F(1))
 
 
 def cone_sum_series(spec: ConeSumSpec, N, D: int = 1, Dz: int = 1,
@@ -99,50 +113,25 @@ def cone_sum_series(spec: ConeSumSpec, N, D: int = 1, Dz: int = 1,
     spec.validate()
     N = F(N)
     terms: List[Tuple[Fraction, Fraction, Cyc8]] = []
-    min_seen = [F(0)]
 
-    def emit(k: int, l: int, n: int):
+    def inside(k: int, l: int, n: int) -> bool:
+        # weights of the form k(1 - q^k) can shift exponents left by |k|
+        pad = abs(k) if weight_fn is not None else 0
+        return spec.q_exp(k, l, n) < N + pad
+
+    for k, l, n in cone_points(inside):
         e = spec.q_exp(k, l, n)
-        min_seen[0] = min(min_seen[0], e)
         assert e >= 0, f"cone term below zero exponent at {(k, l, n)}"
-        s = Cyc8(spec.sign(k, l, n))
+        s = Cyc8(-1 if (k + l + n) % 2 else 1)
         ze = k * spec.zeta_weight
         if weight_fn is None:
             if e < N:
                 terms.append((e, ze, s))
-            return
+            continue
         for de, c in weight_fn(k):
             if e + de < N:
                 terms.append((e + de, ze, s * c))
-
-    # cone 1: k >= k1_min, l, n >= 0 (iteration bounded by monotone growth)
-    k = spec.k1_min
-    while spec.q_exp(k, 0, 0) < N + _weight_pad(weight_fn, k):
-        l = 0
-        while spec.q_exp(k, l, 0) < N + _weight_pad(weight_fn, k):
-            n = 0
-            while spec.q_exp(k, l, n) < N + _weight_pad(weight_fn, k):
-                emit(k, l, n)
-                n += 1
-            l += 1
-        k += 1
-    # cone 2: k <= 0, l, n <= -1
-    k = 0
-    while spec.q_exp(k, -1, -1) < N + _weight_pad(weight_fn, k):
-        l = -1
-        while spec.q_exp(k, l, -1) < N + _weight_pad(weight_fn, k):
-            n = -1
-            while spec.q_exp(k, l, n) < N + _weight_pad(weight_fn, k):
-                emit(k, l, n)
-                n -= 1
-            l -= 1
-        k -= 1
     return JSeries.from_terms(D, Dz, terms, N)
-
-
-def _weight_pad(weight_fn, k) -> Fraction:
-    # weights of the form k(1 - q^k) can shift exponents left by |k|
-    return F(abs(k)) if weight_fn is not None else F(0)
 
 
 def h_kernel_series(N, D: int = 1, Dz: int = 1) -> JSeries:
@@ -326,36 +315,13 @@ def g_equals_sum_of_f_mismatch(N: int):
         else:
             target[key] = s
 
-    def cones(qf):
-        # yields (k, l, n) with qf(k,l,n) < N over both cones
-        k = 1
-        while qf(k, 0, 0) < N:
-            l = 0
-            while qf(k, l, 0) < N:
-                n = 0
-                while qf(k, l, n) < N:
-                    yield k, l, n
-                    n += 1
-                l += 1
-            k += 1
-        k = 0
-        while qf(k, -1, -1) < N:
-            l = -1
-            while qf(k, l, -1) < N:
-                n = -1
-                while qf(k, l, n) < N:
-                    yield k, l, n
-                    n -= 1
-                l -= 1
-            k -= 1
-
     def qg(k, l, n):
         return F(k * (k + 1), 2) + 2 * k * l + 2 * k * n + 4 * l * n
 
     def qf(k, l, n):
         return F(k * (k + 1), 2) + k * l + k * n + l * n
 
-    for k, l, n in cones(qg):
+    for k, l, n in cone_points(lambda k, l, n: qg(k, l, n) < N):
         e = qg(k, l, n) - F(1, 8)
         if e < N:
             add(lhs, ((e * 8).numerator, 2 * k - 1, 4 * l + 1, 4 * n + 1),
@@ -363,7 +329,7 @@ def g_equals_sum_of_f_mismatch(N: int):
     for alpha in (0, 1):
         for beta in (0, 1):
             # i^{-a-b} * (zeta2^{1/4} i^a)(zeta3^{1/4} i^b) = prefactor roots
-            for k, l, n in cones(qf):
+            for k, l, n in cone_points(lambda k, l, n: qf(k, l, n) < N):
                 e = qf(k, l, n) - F(1, 8)
                 if e >= N:
                     continue

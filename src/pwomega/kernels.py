@@ -226,7 +226,7 @@ def sgn_minus_E(sign_n: int, w):
 # ---------------------------------------------------------------------------
 
 def _R_terms(z, tau, d_order, formal=False):
-    """Common core for R and its first/second z-derivatives.
+    """Common core for R (d_order 0) and its first z-derivative (d_order 1).
 
     formal=False differentiates in the Wirtinger sense (the E-factor's
     dependence on y = Im z enters with dy/dz = 1/(2i)); formal=True applies
@@ -252,13 +252,7 @@ def _R_terms(z, tau, d_order, formal=False):
             continue
         dw = mp.sqrt(2 / v)                      # dw/dy
         c1 = -2 * mp.exp(-mp.pi * w * w) * dw    # d/dy of (sgn - E)
-        if d_order == 1:
-            acc += (-2j * mp.pi * n * c0 + inv2i * c1) * phase
-        else:
-            c2 = 4 * mp.pi * w * mp.exp(-mp.pi * w * w) * dw * dw
-            acc += ((-2j * mp.pi * n) ** 2 * c0
-                    + 2 * (-2j * mp.pi * n) * inv2i * c1
-                    + inv2i ** 2 * c2) * phase
+        acc += (-2j * mp.pi * n * c0 + inv2i * c1) * phase
     return acc
 
 

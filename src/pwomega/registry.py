@@ -58,25 +58,29 @@ class VerificationReport:
         return asdict(self)
 
 
-def _series_check(pairs, tolerance=None) -> Dict:
-    """Compare exact series pairs; returns result dict with first witness."""
+def _mismatch_witness(part: str, mm) -> Dict:
+    """Witness of a first mismatch: (exponent, lhs, rhs) from a QSeries or
+    (q_exponent, zeta_exponent, lhs, rhs) from a JSeries."""
+    if len(mm) == 3:
+        exp, ca, cb = mm
+        return {"part": part, "exponent": str(exp), "lhs": str(ca), "rhs": str(cb)}
+    qe, ze, ca, cb = mm
+    return {"part": part, "q_exponent": str(qe), "zeta_exponent": str(ze),
+            "lhs": str(ca), "rhs": str(cb)}
+
+
+def _series_check(pairs) -> Dict:
+    """Compare exact series pairs (any iterable, consumed lazily up to the
+    first mismatch); returns result dict with first witness."""
     for label, a, b in pairs:
         mm = a.first_mismatch(b)
         if mm is not None:
-            if len(mm) == 3:
-                exp, ca, cb = mm
-                return {"ok": False, "witness": {
-                    "part": label, "exponent": str(exp),
-                    "lhs": str(ca), "rhs": str(cb)}}
-            qe, ze, ca, cb = mm
-            return {"ok": False, "witness": {
-                "part": label, "q_exponent": str(qe), "zeta_exponent": str(ze),
-                "lhs": str(ca), "rhs": str(cb)}}
+            return {"ok": False, "witness": _mismatch_witness(label, mm)}
     return {"ok": True, "witness": None}
 
 
 # ---------------------------------------------------------------------------
-# runners (each returns dict: ok, worst, witness)
+# runners (each returns dict: ok, witness and, when numeric, worst)
 # ---------------------------------------------------------------------------
 
 def _run_family_identity(family: str, params) -> Dict:
@@ -87,15 +91,12 @@ def _run_family_identity(family: str, params) -> Dict:
         for n in range(1, 21):
             if spt[n] != Cyc8(census("spt", n)):
                 return {"ok": False, "witness": {"part": "census", "n": n}}
-    out["worst"] = None
     return out
 
 
 def _run_sptg2(params) -> Dict:
     N = params.get("order", 41)
-    out = _series_check([("sptG2-equiv", genfun("spt_g2", N), genfun("sptbar_omega", N))])
-    out["worst"] = None
-    return out
+    return _series_check([("sptG2-equiv", genfun("spt_g2", N), genfun("sptbar_omega", N))])
 
 
 def _run_pwz(params) -> Dict:
@@ -103,18 +104,13 @@ def _run_pwz(params) -> Dict:
     W = params.get("window", 25)
     mm = pwz_identity_mismatch(N, W)
     if mm is not None:
-        qe, ze, ca, cb = mm
-        return {"ok": False, "worst": None, "witness": {
-            "part": "cleared-identity", "q_exponent": str(qe),
-            "zeta_exponent": str(ze), "lhs": str(ca), "rhs": str(cb)}}
+        return {"ok": False, "witness": _mismatch_witness("cleared-identity", mm)}
     for j in (1, 2, 3):
         mm = pwz_coefficient_formula_mismatch(j, min(N, 20))
         if mm is not None:
-            exp, ca, cb = mm
-            return {"ok": False, "worst": None, "witness": {
-                "part": f"coefficient-formula j={j}", "exponent": str(exp),
-                "lhs": str(ca), "rhs": str(cb)}}
-    return {"ok": True, "worst": None, "witness": None}
+            return {"ok": False,
+                    "witness": _mismatch_witness(f"coefficient-formula j={j}", mm)}
+    return {"ok": True, "witness": None}
 
 
 def _run_cor_pwrep(params) -> Dict:
@@ -123,21 +119,17 @@ def _run_cor_pwrep(params) -> Dict:
     b = pbar_omega_series(N, "triple_sum")
     out = _series_check([("definition-vs-triple", a, b)])
     if not out["ok"]:
-        out["worst"] = None
         return out
     c = pbar_omega_series(26, "oracle")
     out = _series_check([("enumeration-oracle", a.truncate(26), c)])
     if not out["ok"]:
-        out["worst"] = None
         return out
     d = pbar_from_dzeta_brackets(min(N, 40))
     out = _series_check([("zeta-bracket-route", d, b.truncate(min(N, 40)).refine(24))])
     if out["ok"]:
         mmg = g_equals_sum_of_f_mismatch(15)
         if mmg is not None:
-            return {"ok": False, "worst": None,
-                    "witness": {"part": "G=sum F", "key": str(mmg[0])}}
-    out["worst"] = None
+            return {"ok": False, "witness": {"part": "G=sum F", "key": str(mmg[0])}}
     return out
 
 
@@ -172,7 +164,6 @@ def _run_theta_shifts(params) -> Dict:
     out = _series_check([("theta(tau+1/2)", lhs1, rhs1),
                          ("theta(tau/2+1/4)", lhs2, rhs2)])
     if not out["ok"]:
-        out["worst"] = None
         return out
     z = TorsionPoint(F(1, 2), F(1, 4))
     for lam in (-1, 0, 1):
@@ -181,7 +172,6 @@ def _run_theta_shifts(params) -> Dict:
                                    theta_series_at_torsion(z.shifted(lam, mu_), 18),
                                    theta_elliptic_shift_reference(z, lam, mu_, 18))])
             if not pair["ok"]:
-                pair["worst"] = None
                 return pair
     worst = 0.0
     with workprec(P):
@@ -250,31 +240,18 @@ def _run_mu_laws(params) -> Dict:
 
 def _run_finite_jtp(params) -> Dict:
     N = params.get("order", 30)
-    for n in range(0, 6):
-        lhs, rhs = finite_jtp_sides(n, N)
-        mm = lhs.first_mismatch(rhs)
-        if mm is not None:
-            qe, ze, ca, cb = mm
-            return {"ok": False, "worst": None, "witness": {
-                "part": f"n={n}", "q_exponent": str(qe), "zeta_exponent": str(ze),
-                "lhs": str(ca), "rhs": str(cb)}}
-    return {"ok": True, "worst": None, "witness": None}
+    return _series_check((f"n={n}", *finite_jtp_sides(n, N)) for n in range(0, 6))
 
 
 def _run_heine(params) -> Dict:
     N = params.get("order", 25)
-    for j in (0, 1, 2):
-        a = Monomial(I, F(2 * j + 1, 2))
-        b = Monomial(-I, F(2 * j + 1, 2))
-        c = Monomial(1, 2 * j + 1)
-        z = Monomial(1, 1)
-        lhs, rhs = heine_sides(a, b, c, z, N)
-        mm = lhs.first_mismatch(rhs)
-        if mm is not None:
-            exp, ca, cb = mm
-            return {"ok": False, "worst": None, "witness": {
-                "part": f"quarter-root family j={j}", "exponent": str(exp),
-                "lhs": str(ca), "rhs": str(cb)}}
+    out = _series_check(
+        (f"quarter-root family j={j}",
+         *heine_sides(Monomial(I, F(2 * j + 1, 2)), Monomial(-I, F(2 * j + 1, 2)),
+                      Monomial(1, 2 * j + 1), Monomial(1, 1), N))
+        for j in (0, 1, 2))
+    if not out["ok"]:
+        return out
     rng = random.Random(4047)
     done = 0
     while done < 3:
@@ -287,10 +264,9 @@ def _run_heine(params) -> Dict:
         lhs, rhs = heine_sides(a, b, c, z, 20)
         mm = lhs.first_mismatch(rhs)
         if mm is not None:
-            return {"ok": False, "worst": None,
-                    "witness": {"part": f"random instance {done}", "exponent": str(mm[0])}}
+            return {"ok": False, "witness": _mismatch_witness(f"random instance {done}", mm)}
         done += 1
-    return {"ok": True, "worst": None, "witness": None}
+    return {"ok": True, "witness": None}
 
 
 def _run_hhat1(params) -> Dict:

@@ -3,7 +3,10 @@
 import json
 
 from pwomega.cli import main
-from pwomega.registry import identity_ids, run_identity
+from pwomega.cyc8 import Cyc8
+from pwomega.jseries import JSeries
+from pwomega.qseries import QSeries
+from pwomega.registry import _series_check, identity_ids, run_identity
 
 
 def run_cli(capsys, *argv):
@@ -121,3 +124,18 @@ def test_registry_exposes_documented_ids():
                 "hhat2-phat", "phat-weight1", "phat-holpart", "phat-lowering",
                 "f2-shadow", "theta-shifts", "mu-laws", "finite-jtp", "heine"}
     assert set(identity_ids()) == expected
+
+
+def test_series_check_witness_keys():
+    q1 = QSeries.from_terms(1, [(0, Cyc8(1)), (2, Cyc8(3))], 5)
+    q2 = QSeries.from_terms(1, [(0, Cyc8(1)), (2, Cyc8(4))], 5)
+    out = _series_check([("same", q1, q1), ("q", q1, q2)])
+    assert out == {"ok": False, "witness": {"part": "q", "exponent": "2",
+                                            "lhs": str(Cyc8(3)), "rhs": str(Cyc8(4))}}
+    j1 = JSeries.from_terms(1, 1, [(1, -2, Cyc8(1))], 5)
+    j2 = JSeries.from_terms(1, 1, [(1, -2, Cyc8(2))], 5)
+    out = _series_check([("j", j1, j2)])
+    assert out == {"ok": False, "witness": {"part": "j", "q_exponent": "1",
+                                            "zeta_exponent": "-2",
+                                            "lhs": str(Cyc8(1)), "rhs": str(Cyc8(2))}}
+    assert _series_check([("q", q1, q1), ("j", j1, j1)]) == {"ok": True, "witness": None}

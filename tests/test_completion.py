@@ -9,7 +9,7 @@ from mpmath import mp
 
 from pwomega import completion, kernels
 from pwomega.classical import EtaQuotient, eta_quotient_series
-from pwomega.errors import PoleProximity
+from pwomega.errors import ContourThroughPole, PoleProximity
 from pwomega.kernels import qpow, workprec
 from pwomega.modular import (GroupElement, dtaubar_fd, lowering_fd,
                              psi_multiplier, power_principal, xi_fd)
@@ -106,15 +106,37 @@ def test_fcal_pole_on_lattice():
         completion.fcal_numeric(0, TAU, P)
 
 
-def test_phat_context_controls_contour():
-    ctx = completion.PhatContext(TAU, prec=128, radius=0.05)
-    ctx.validate()
-    f0a, _, _ = completion.fcal_derivs(TAU, 128)
-    f0b, _, _ = completion.fcal_derivs(None, ctx=ctx)
-    assert abs(f0a.value - f0b.value) < 1e-30
-    from pwomega.errors import ContourThroughPole
+@pytest.mark.parametrize("radius", [0.05, 0.1])
+def test_contour_derivs_components_share_one_pass(radius):
+    # f = (e^z, 1/(z-2)): each component within its own err of the closed form
+    center = mp.mpc("0.3", "-0.2")
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return (mp.exp(z), 1 / (z - 2))
+
+    with workprec(P):
+        exp_d, pole_d = completion.contour_derivs(f, center, radius, (0, 1, 2), P)
+        assert len(calls) == len(set(calls))     # one evaluation per node
+        for m in (0, 1, 2):
+            assert abs(exp_d[m].value - mp.exp(center)) <= exp_d[m].err
+            want = (-1) ** m * mp.factorial(m) / (center - 2) ** (m + 1)
+            assert abs(pole_d[m].value - want) <= pole_d[m].err
+            assert exp_d[m].err < 1e-40 and pole_d[m].err < 1e-40
+
+
+def test_contour_derivs_pole_just_outside_raises():
+    radius = mp.mpf("0.1")
+    with workprec(P):
+        with pytest.raises(ContourThroughPole):
+            completion.contour_derivs(lambda z: (mp.exp(z), 1 / (z - radius * 1.01)),
+                                      mp.mpc(0), radius, (0, 1), P)
+
+
+def test_contour_through_lattice_is_rejected():
     with pytest.raises(ContourThroughPole):
-        completion.PhatContext(TAU, radius=1.2).validate()
+        completion._assert_contour_clear(0, 1.2, TAU)
 
 
 def test_hhat1_vanishes():

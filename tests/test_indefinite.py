@@ -8,7 +8,7 @@ import pytest
 
 from pwomega.cyc8 import Cyc8
 from pwomega.errors import UnboundedCone, WindowTooSmall
-from pwomega.indefinite import (H_KERNEL_SPEC, cone_sum_series,
+from pwomega.indefinite import (H_KERNEL_SPEC, cone_points, cone_sum_series,
                                 weighted_triple_sum, g_equals_sum_of_f_mismatch,
                                 g_half_jseries, h_kernel_series,
                                 pbar_from_dzeta_brackets, pbar_omega_series,
@@ -24,6 +24,26 @@ def test_cone_validation_rejects_unbounded_form():
     bad = replace(H_KERNEL_SPEC, cln=F(-4))
     with pytest.raises(UnboundedCone):
         cone_sum_series(bad, 10)
+
+
+def _in_cone(k, l, n):
+    return (k >= 1 and l >= 0 and n >= 0) or (k <= 0 and l <= -1 and n <= -1)
+
+
+@pytest.mark.parametrize("form, N", [
+    (H_KERNEL_SPEC.q_exp, 20),
+    (lambda k, l, n: F(k * (k + 1), 2) + 2 * k * l + 2 * k * n + 4 * l * n, 15),   # G
+    (lambda k, l, n: F(k * (k + 1), 2) + k * l + k * n + l * n, 15),               # F
+])
+def test_cone_points_match_brute_force(form, N):
+    # on both cones each form is at least max(|k|, |l|, |n|) - 1, so the box
+    # [-N, N]^3 holds every point with exponent below N
+    walked = list(cone_points(lambda k, l, n: form(k, l, n) < N))
+    box = range(-N, N + 1)
+    brute = {(k, l, n) for k in box for l in box for n in box
+             if _in_cone(k, l, n) and form(k, l, n) < N}
+    assert len(walked) == len(set(walked))
+    assert set(walked) == brute
 
 
 def test_empty_truncation_gives_zero_series():
