@@ -233,7 +233,7 @@ def _w_point(tau, g: int):
     return tau / 2 + mp.mpf(1) / 4 + mp.mpf(g) / 2
 
 
-def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool, formal: bool = False):
+def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool):
     """For each (alpha, beta) returns (Fhat(center), dz Fhat(center) or None)
     at center 0 or tau, with holomorphic blocks contour-differentiated and
     R-blocks assembled from closed-form values."""
@@ -277,8 +277,8 @@ def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool, formal: bool
     R_ww = [kernels.R(z, tau) for z in z_ww]
     if want_dz:
         thp_center = plan.theta_dz(center)
-        Rdz_w = [kernels.R_dz(z, tau, formal) for z in z_w]
-        Rdz_ww = [kernels.R_dz(z, tau, formal) for z in z_ww]
+        Rdz_w = [kernels.R_dz(z, tau) for z in z_w]
+        Rdz_ww = [kernels.R_dz(z, tau) for z in z_ww]
 
     out = {}
     for alpha, beta in pairs:
@@ -365,13 +365,13 @@ def hhat1_numeric(tau, P: int = 160) -> Approx:
         return Approx(+val, err)
 
 
-def hhat2_numeric(tau, P: int = 160, formal: bool = False) -> Approx:
+def hhat2_numeric(tau, P: int = 160) -> Approx:
     """H-hat-2 = [d/dzeta H-hat(z)]_{zeta=1}
                - [d/dzeta (q^(-1/2) zeta^{-1} H-hat(z+tau))]_{zeta=1}."""
     with workprec(P):
         tau = mp.mpc(tau)
-        d0 = _fhat_center_data(tau, P, "zero", want_dz=True, formal=formal)
-        dt = _fhat_center_data(tau, P, "tau", want_dz=True, formal=formal)
+        d0 = _fhat_center_data(tau, P, "zero", want_dz=True)
+        dt = _fhat_center_data(tau, P, "tau", want_dz=True)
         two_pi_i = 2j * mp.pi
         h21 = mp.mpc(0)
         h22 = mp.mpc(0)
@@ -402,7 +402,7 @@ def fcal_numeric(z, tau, P: int = 113):
                  * kernels.muhat(z, _w_point(tau, 0), tau))
 
 
-def fcal_derivs(tau, P: int = 160, formal: bool = False) -> Tuple[Approx, Approx, Approx]:
+def fcal_derivs(tau, P: int = 160) -> Tuple[Approx, Approx, Approx]:
     """(FF(0), FF'(0), FF''(0)): the holomorphic block q^(-1/8) e^(pi i z)
     theta(z) mu(z, w0) is contour-differentiated; the R-block contributes
 
@@ -426,7 +426,7 @@ def fcal_derivs(tau, P: int = 160, formal: bool = False) -> Tuple[Approx, Approx
         g, = contour_derivs(hol, mp.mpc(0), r, (0, 1, 2), P)
         thp = plan.theta_dz(0)
         R0 = kernels.R(-w0, tau)
-        R1 = kernels.R_dz(-w0, tau, formal)
+        R1 = kernels.R_dz(-w0, tau)
         f0 = Approx(g[0].value, g[0].err)
         c1 = 0.5j * q18 * thp * R0
         f1 = Approx(g[1].value + c1, g[1].err + _prim_err(c1, P))
@@ -435,7 +435,7 @@ def fcal_derivs(tau, P: int = 160, formal: bool = False) -> Tuple[Approx, Approx
         return f0, f1, f2
 
 
-def phat_omega_numeric(tau, P: int = 160, formal: bool = False) -> Approx:
+def phat_omega_numeric(tau, P: int = 160) -> Approx:
     """The completed weight-1 object
 
         i FF'(0)^2 / (4 pi^2 eta^6)
@@ -443,7 +443,7 @@ def phat_omega_numeric(tau, P: int = 160, formal: bool = False) -> Approx:
     """
     with workprec(P):
         tau = mp.mpc(tau)
-        _, f1, f2 = fcal_derivs(tau, P, formal)
+        _, f1, f2 = fcal_derivs(tau, P)
         eta1 = kernels.eta(tau)
         eta2 = kernels.eta(2 * tau)
         eta4 = kernels.eta(4 * tau)

@@ -204,8 +204,8 @@ def g_half_jseries(N, D: int = 24, Dz: int = 4) -> JSeries:
     as an exact JSeries (integer zeta-powers times the stated prefactor)."""
     kern_order = int(math.ceil(F(N) - F(3, 8)))
     kern = h_kernel_series(kern_order, 1, 1)
-    lifted = JSeries(D, Dz, {k * D: {r * Dz: c for r, c in row.items()}
-                             for k, row in kern.coeff.items()}, kern.order * D)
+    lifted = JSeries(D, Dz, {r * Dz: row.refine(D) for r, row in kern.rows.items()},
+                     kern.order * D)
     return lifted.mul_monomial(Monomial(4 * I, F(3, 8), 0))
 
 
@@ -219,9 +219,9 @@ def pbar_from_dzeta_brackets(N) -> QSeries:
     D = 24
     pad = int(math.isqrt(2 * int(N))) + 6
     s = g_half_jseries(F(N) + pad, D)
-    at_one = s.dzeta_at("one")
+    at_one = s.dzeta_at_one()
     landing = tail_landing_bound(F(N) + pad)
-    at_q = s.dzeta_at("q", tail_landing=(landing * D + _scale38(D)))
+    at_q = s.zeta_dzeta_at_q(tail_landing=(landing * D + _scale38(D)))
     bracket = at_one - at_q
     euler = qpochhammer(D, Monomial(1, 1), None, F(N) + 1)
     pref = Monomial(I * F(1, 4), F(-3, 8))

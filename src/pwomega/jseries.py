@@ -1,42 +1,37 @@
 """q-truncated series whose q-coefficients are finite zeta-Laurent polynomials.
 
-A JSeries on lattices (D, Dz) stores the coefficient of q^(k/D) * zeta^(r/Dz)
-under coeff[k][r].  The q-side carries the same truncation-order contract as
-QSeries; the zeta-side is always finite.  Substituting zeta := 1 (or any
-zeta-free monomial) yields a QSeries, with the truncation order reduced by the
-worst leftward exponent shift the substitution can cause.
+A JSeries on lattices (D, Dz) stores, for each zeta-exponent r/Dz with a
+non-zero coefficient, the QSeries [zeta^(r/Dz)] under rows[r].  Every row
+carries the JSeries' one truncation order, so the q-side has the QSeries
+order contract and all coefficient arithmetic is QSeries arithmetic; the
+zeta-side is always finite.  Substituting zeta := 1 (or any zeta-free
+monomial) yields a QSeries, with the truncation order reduced by the worst
+leftward exponent shift the substitution can cause.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .cyc8 import Cyc8, ONE
 from .errors import LatticeMismatch, PrecisionExhausted
-from .qseries import Monomial, QSeries, _scale
+from .qseries import Monomial, QSeries, _scale, pochhammer_exponents, sum_of_products
 
 Rat = Union[int, Fraction]
 
-DEFAULT_ZLATTICE = 4
-
 
 class JSeries:
-    __slots__ = ("D", "Dz", "coeff", "order")
+    __slots__ = ("D", "Dz", "rows", "order")
 
-    def __init__(self, D: int, Dz: int,
-                 coeff: Optional[Dict[int, Dict[int, Cyc8]]] = None, order: int = 0):
+    def __init__(self, D: int, Dz: int, rows: Optional[Dict[int, QSeries]] = None,
+                 order: int = 0):
+        """rows[r] is the QSeries [zeta^(r/Dz)]; each row's order is order."""
         self.D = D
         self.Dz = Dz
         self.order = order
-        self.coeff: Dict[int, Dict[int, Cyc8]] = {}
-        if coeff:
-            for k, row in coeff.items():
-                if k >= order:
-                    continue
-                clean = {r: c for r, c in row.items() if not c.is_zero()}
-                if clean:
-                    self.coeff[k] = clean
+        self.rows: Dict[int, QSeries] = {r: s for r, s in (rows or {}).items()
+                                         if not s.is_zero()}
 
     # -- constructors ----------------------------------------------------------
 
@@ -46,81 +41,58 @@ class JSeries:
 
     @staticmethod
     def one(D: int, Dz: int, order_exp: Rat) -> "JSeries":
-        return JSeries(D, Dz, {0: {0: ONE}}, _scale(order_exp, D))
+        return JSeries(D, Dz, {0: QSeries.one(D, order_exp)}, _scale(order_exp, D))
 
     @staticmethod
     def from_terms(D: int, Dz: int, terms: Iterable[Tuple[Rat, Rat, Cyc8]],
                    order_exp: Rat) -> "JSeries":
-        order = _scale(order_exp, D)
-        out: Dict[int, Dict[int, Cyc8]] = {}
+        by_row: Dict[int, List[Tuple[Rat, Cyc8]]] = {}
         for qe, ze, c in terms:
-            k = _scale(qe, D)
-            if k >= order:
-                continue
-            r = _scale(ze, Dz)
-            row = out.setdefault(k, {})
-            s = row.get(r, Cyc8(0)) + (c if isinstance(c, Cyc8) else Cyc8(c))
-            if s.is_zero():
-                row.pop(r, None)
-            else:
-                row[r] = s
-        return JSeries(D, Dz, out, order)
+            by_row.setdefault(_scale(ze, Dz), []).append((qe, c))
+        return JSeries(D, Dz, {r: QSeries.from_terms(D, t, order_exp)
+                               for r, t in by_row.items()}, _scale(order_exp, D))
 
     @staticmethod
-    def from_qseries(s: QSeries, Dz: int = DEFAULT_ZLATTICE) -> "JSeries":
-        return JSeries(s.D, Dz, {k: {0: c} for k, c in s.coeff.items()}, s.order)
+    def from_qseries(s: QSeries, Dz: int) -> "JSeries":
+        return JSeries(s.D, Dz, {0: s}, s.order)
 
     # -- inspection --------------------------------------------------------------
 
     def floor_key(self) -> int:
-        return min(self.coeff) if self.coeff else self.order
+        return min((s.floor_key() for s in self.rows.values()), default=self.order)
 
     def order_exp(self) -> Fraction:
         return Fraction(self.order, self.D)
 
     def is_zero(self) -> bool:
-        return not self.coeff
+        return not self.rows
 
     def zeta_support(self) -> Tuple[Fraction, Fraction]:
         """(min, max) zeta-exponent over all stored terms; (0, 0) when empty."""
-        lo = hi = None
-        for row in self.coeff.values():
-            for r in row:
-                lo = r if lo is None or r < lo else lo
-                hi = r if hi is None or r > hi else hi
-        if lo is None:
+        if not self.rows:
             return Fraction(0), Fraction(0)
-        return Fraction(lo, self.Dz), Fraction(hi, self.Dz)
+        return Fraction(min(self.rows), self.Dz), Fraction(max(self.rows), self.Dz)
+
+    def _row(self, r: int) -> QSeries:
+        return self.rows.get(r) or QSeries(self.D, {}, self.order)
 
     def coefficient(self, q_exp: Rat, z_exp: Rat) -> Cyc8:
-        k = _scale(q_exp, self.D)
-        if k >= self.order:
-            raise IndexError("beyond truncation order")
-        return self.coeff.get(k, {}).get(_scale(z_exp, self.Dz), Cyc8(0))
+        return self._row(_scale(z_exp, self.Dz))[q_exp]
 
     def zeta_slice(self, z_exp: Rat) -> QSeries:
         """The QSeries [zeta^z_exp] of this series."""
-        r = _scale(z_exp, self.Dz)
-        out = {}
-        for k, row in self.coeff.items():
-            c = row.get(r)
-            if c is not None:
-                out[k] = c
-        return QSeries(self.D, out, self.order)
+        return self._row(_scale(z_exp, self.Dz))
 
     def first_mismatch(self, other: "JSeries"):
+        """(q-exponent, zeta-exponent, self's, other's coefficient) at the
+        least q-exponent, then least zeta-exponent, where the two differ."""
         self._check(other)
-        common = min(self.order, other.order)
-        keys = {k for k in self.coeff if k < common} | {k for k in other.coeff if k < common}
-        for k in sorted(keys):
-            ra = self.coeff.get(k, {})
-            rb = other.coeff.get(k, {})
-            for r in sorted(set(ra) | set(rb)):
-                a = ra.get(r, Cyc8(0))
-                b = rb.get(r, Cyc8(0))
-                if a != b:
-                    return (Fraction(k, self.D), Fraction(r, self.Dz), a, b)
-        return None
+        found = []
+        for r in self.rows.keys() | other.rows.keys():
+            mm = self._row(r).first_mismatch(other._row(r))
+            if mm is not None:
+                found.append((mm[0], Fraction(r, self.Dz), mm[1], mm[2]))
+        return min(found, key=lambda m: m[:2], default=None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JSeries):
@@ -136,73 +108,46 @@ class JSeries:
     def __add__(self, other: "JSeries") -> "JSeries":
         self._check(other)
         order = min(self.order, other.order)
-        out = {k: dict(row) for k, row in self.coeff.items() if k < order}
-        for k, row in other.coeff.items():
-            if k >= order:
-                continue
-            dst = out.setdefault(k, {})
-            for r, c in row.items():
-                s = dst.get(r, Cyc8(0)) + c
-                if s.is_zero():
-                    dst.pop(r, None)
-                else:
-                    dst[r] = s
-            if not dst:
-                out.pop(k, None)
-        return JSeries(self.D, self.Dz, out, order)
+        return JSeries(self.D, self.Dz,
+                       {r: self._row(r) + other._row(r)
+                        for r in self.rows.keys() | other.rows.keys()}, order)
 
     def __neg__(self) -> "JSeries":
-        return JSeries(self.D, self.Dz,
-                       {k: {r: -c for r, c in row.items()} for k, row in self.coeff.items()},
-                       self.order)
+        return JSeries(self.D, self.Dz, {r: -s for r, s in self.rows.items()}, self.order)
 
     def __sub__(self, other: "JSeries") -> "JSeries":
         return self + (-other)
 
     def scale(self, c) -> "JSeries":
-        c = c if isinstance(c, Cyc8) else Cyc8(c)
-        if c.is_zero():
-            return JSeries(self.D, self.Dz, {}, self.order)
-        return JSeries(self.D, self.Dz,
-                       {k: {r: c * v for r, v in row.items()} for k, row in self.coeff.items()},
+        return JSeries(self.D, self.Dz, {r: s.scale(c) for r, s in self.rows.items()},
                        self.order)
 
     def mul_monomial(self, mono: Monomial) -> "JSeries":
-        dq = _scale(mono.q_exp, self.D)
         dz = _scale(mono.z_exp, self.Dz)
-        out = {}
-        for k, row in self.coeff.items():
-            out[k + dq] = {r + dz: mono.coeff * c for r, c in row.items()}
-        return JSeries(self.D, self.Dz, out, self.order + dq)
+        q_part = Monomial(mono.coeff, mono.q_exp)
+        return JSeries(self.D, self.Dz,
+                       {r + dz: s.mul_monomial(q_part) for r, s in self.rows.items()},
+                       self.order + _scale(mono.q_exp, self.D))
 
     def __mul__(self, other) -> "JSeries":
         if isinstance(other, QSeries):
             other = JSeries.from_qseries(other, self.Dz)
         self._check(other)
+        # the order contract over all rows at once: a per-row-pair order would
+        # certify terms that a product of other rows could still reach
         order = min(self.order + other.floor_key(), other.order + self.floor_key())
-        out: Dict[int, Dict[int, Cyc8]] = {}
-        for ka, rowa in self.coeff.items():
-            for kb, rowb in other.coeff.items():
-                k = ka + kb
-                if k >= order:
-                    continue
-                dst = out.setdefault(k, {})
-                for ra, ca in rowa.items():
-                    for rb, cb in rowb.items():
-                        r = ra + rb
-                        p = ca * cb
-                        s = dst.get(r)
-                        s = p if s is None else s + p
-                        if s.is_zero():
-                            dst.pop(r, None)
-                        else:
-                            dst[r] = s
-        return JSeries(self.D, self.Dz, out, order)
+        pairs: Dict[int, List[Tuple[QSeries, QSeries]]] = {}
+        for ra, a in self.rows.items():
+            for rb, b in other.rows.items():
+                pairs.setdefault(ra + rb, []).append((a, b))
+        return JSeries(self.D, self.Dz,
+                       {r: sum_of_products(self.D, p, order) for r, p in pairs.items()},
+                       order)
 
     def truncate(self, order_exp: Rat) -> "JSeries":
         order = min(self.order, _scale(order_exp, self.D))
         return JSeries(self.D, self.Dz,
-                       {k: row for k, row in self.coeff.items() if k < order}, order)
+                       {r: s.truncate(order_exp) for r, s in self.rows.items()}, order)
 
     # -- substitution -------------------------------------------------------------
 
@@ -223,88 +168,53 @@ class JSeries:
         worst = min(0, min(_scale(zmin * e, self.D), _scale(zmax * e, self.D)))
         return self.order + worst
 
+    def _land(self, val: Monomial, order: int, weighted: bool = False):
+        """The rows with zeta^r := val^r (times r when weighted) summed to a
+        QSeries certified to order, and the keys the rows' least terms land on."""
+        out, floors = QSeries(self.D, {}, order), []
+        for r, s in self.rows.items():
+            rr = Fraction(r, self.Dz)
+            if rr.denominator == 1:
+                vc = val.pow(rr.numerator)
+            elif val.coeff == ONE:
+                # fractional zeta-powers only specialize cleanly at val = q^e
+                vc = Monomial(1, val.q_exp * rr, 0)
+            else:
+                raise LatticeMismatch(
+                    f"cannot substitute a general monomial into zeta^{rr}")
+            moved = s.shift(vc.q_exp).scale(Cyc8(rr) * vc.coeff if weighted else vc.coeff)
+            floors.append(s.floor_key() + _scale(vc.q_exp, self.D))
+            out = out + QSeries(self.D, moved.coeff, order)
+        return out, floors
+
     def substitute(self, val: Monomial, tail_landing: Optional[int] = None) -> QSeries:
         """Replace zeta^r by val^r; val must be zeta-free."""
         if val.z_exp != 0:
             raise LatticeMismatch("substitution value must be zeta-free")
-        order = self._landing_order(val, tail_landing)
-        terms = []
-        for k, row in self.coeff.items():
-            for r, c in row.items():
-                rr = Fraction(r, self.Dz)
-                if rr.denominator == 1:
-                    vc = val.pow(rr.numerator)
-                elif val.coeff == ONE:
-                    # fractional zeta-powers only specialize cleanly at val = q^e
-                    vc = Monomial(1, val.q_exp * rr, 0)
-                else:
-                    raise LatticeMismatch(
-                        f"cannot substitute a general monomial into zeta^{rr}")
-                terms.append((Fraction(k, self.D) + vc.q_exp, vc.coeff * c))
-        if terms and all(_scale(e, self.D) >= order for e, _ in terms):
+        out, floors = self._land(val, self._landing_order(val, tail_landing))
+        if floors and min(floors) >= out.order:
             raise PrecisionExhausted("substitution consumed the whole certified range")
-        return QSeries.from_terms(self.D, terms, Fraction(order, self.D))
+        return out
 
     def dzeta_at_one(self) -> QSeries:
         """[d/dzeta (.)]_{zeta=1}: termwise r * c at the same q-exponent."""
-        terms = []
-        for k, row in self.coeff.items():
-            for r, c in row.items():
-                if r == 0:
-                    continue
-                terms.append((Fraction(k, self.D), Cyc8(Fraction(r, self.Dz)) * c))
-        return QSeries.from_terms(self.D, terms, self.order_exp())
+        return self._land(Monomial(1), self.order, weighted=True)[0]
 
     def zeta_dzeta_at_q(self, tail_landing: Optional[int] = None) -> QSeries:
         """[zeta d/dzeta (.)]_{zeta=q}: termwise r * c * q^(k/D + r)."""
-        order = self._landing_order(Monomial(1, 1, 0), tail_landing)
-        terms = []
-        for k, row in self.coeff.items():
-            for r, c in row.items():
-                if r == 0:
-                    continue
-                rr = Fraction(r, self.Dz)
-                terms.append((Fraction(k, self.D) + rr, Cyc8(rr) * c))
-        return QSeries.from_terms(self.D, terms, Fraction(order, self.D))
-
-    def dzeta_at(self, point: str, tail_landing: Optional[int] = None) -> QSeries:
-        """The two bracket conventions: point="one" gives [d/dzeta]_{zeta=1},
-        point="q" gives [zeta d/dzeta]_{zeta=q}."""
-        if point == "one":
-            return self.dzeta_at_one()
-        if point == "q":
-            return self.zeta_dzeta_at_q(tail_landing)
-        raise ValueError("point must be 'one' or 'q'")
+        q = Monomial(1, 1, 0)
+        return self._land(q, self._landing_order(q, tail_landing), weighted=True)[0]
 
     def __repr__(self):
-        n = sum(len(row) for row in self.coeff.values())
+        n = sum(len(s.coeff) for s in self.rows.values())
         return f"JSeries[D={self.D}, Dz={self.Dz}, O(q^{self.order_exp()}), {n} terms]"
 
 
 def jpochhammer(D: int, Dz: int, base: Monomial, n: Optional[int], order_exp: Rat,
                 step: Rat = 1) -> JSeries:
-    """(a; q^step)_n for a zeta-carrying monomial a, as a JSeries.
-
-    Infinite products require the factor exponents to leave any truncation
-    window, i.e. base.q_exp + j*step -> infinity with step > 0.
-    """
-    from .errors import DivergentProduct
-
-    step = Fraction(step)
-    order = Fraction(order_exp)
-    result = JSeries.one(D, Dz, order)
-    if n == 0:
-        return result
-    if n is None and step <= 0:
-        raise DivergentProduct("infinite product with non-increasing exponents")
-    j = 0
-    while True:
-        if n is not None and j >= n:
-            break
-        e = base.q_exp + j * step
-        if n is None and e >= order:
-            break
-        factor = JSeries.from_terms(D, Dz, [(0, 0, ONE), (e, base.z_exp, -base.coeff)], order)
-        result = result * factor
-        j += 1
+    """(a; q^step)_n for a zeta-carrying monomial a, as a JSeries."""
+    result = JSeries.one(D, Dz, order_exp)
+    for e in pochhammer_exponents(base.q_exp, n, order_exp, step):
+        result = result * JSeries.from_terms(
+            D, Dz, [(0, 0, ONE), (e, base.z_exp, -base.coeff)], order_exp)
     return result

@@ -132,12 +132,7 @@ class QSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.D != other.D:
-            raise LatticeMismatch("comparing series on different lattices")
-        common = min(self.order, other.order)
-        a = {k: c for k, c in self.coeff.items() if k < common}
-        b = {k: c for k, c in other.coeff.items() if k < common}
-        return a == b
+        return self.first_mismatch(other) is None
 
     __hash__ = None   # mutable container semantics
 
@@ -207,20 +202,7 @@ class QSeries:
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)
         order = min(self.order + other.floor_key(), other.order + self.floor_key())
-        out: Dict[int, Cyc8] = {}
-        for ka, ca in self.coeff.items():
-            for kb, cb in other.coeff.items():
-                k = ka + kb
-                if k >= order:
-                    continue
-                s = out.get(k)
-                p = ca * cb
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return QSeries(self.D, out, order)
+        return sum_of_products(self.D, [(self, other)], order)
 
     def truncate(self, order_exp: Rat) -> "QSeries":
         order = min(self.order, _scale(order_exp, self.D))
@@ -285,6 +267,27 @@ class QSeries:
         return f"QSeries[D={self.D}, O(q^{self.order_exp()})]: " + " + ".join(ts) + more
 
 
+def sum_of_products(D: int, pairs: Iterable[Tuple[QSeries, QSeries]],
+                    order: int) -> QSeries:
+    """sum of a * b over the pairs, accumulated in one dictionary and kept
+    below the scaled order (which the caller certifies)."""
+    out: Dict[int, Cyc8] = {}
+    for a, b in pairs:
+        for ka, ca in a.coeff.items():
+            for kb, cb in b.coeff.items():
+                k = ka + kb
+                if k >= order:
+                    continue
+                s = out.get(k)
+                p = ca * cb
+                s = p if s is None else s + p
+                if s.is_zero():
+                    out.pop(k, None)
+                else:
+                    out[k] = s
+    return QSeries(D, out, order)
+
+
 def geometric(D: int, exp: Rat, order_exp: Rat, ratio_coeff=1) -> QSeries:
     """1/(1 - c*q^exp) = sum_k c^k q^(k*exp), requires exp > 0."""
     from .errors import NonExpandableDenominator
@@ -303,32 +306,32 @@ def geometric(D: int, exp: Rat, order_exp: Rat, ratio_coeff=1) -> QSeries:
     return QSeries.from_terms(D, out, order_exp)
 
 
-def qpochhammer(D: int, base: Monomial, n: Optional[int], order_exp: Rat,
-                step: Rat = 1) -> QSeries:
-    """(a; q^step)_n = prod_{j=0}^{n-1} (1 - a*q^(j*step)) truncated at order.
+def pochhammer_exponents(q_exp: Rat, n: Optional[int], order_exp: Rat,
+                         step: Rat = 1) -> Iterable[Fraction]:
+    """The factor exponents q_exp + j*step (j = 0 .. n-1) of (a; q^step)_n.
 
-    n=None means the infinite product; factors that are 1 mod q^order are
+    n=None means the infinite product; its factors that are 1 mod q^order are
     dropped, which requires step > 0 (otherwise the product diverges).
     """
-    if base.z_exp != 0:
-        raise LatticeMismatch("use jseries.jpochhammer for zeta-carrying bases")
     step = Fraction(step)
     order = Fraction(order_exp)
-    result = QSeries.one(D, order)
-    if n == 0:
-        return result
     if n is None and step <= 0:
         raise DivergentProduct("infinite q-Pochhammer with non-increasing exponents")
     j = 0
-    while True:
-        if n is not None and j >= n:
-            break
-        e = base.q_exp + j * step
+    while n is None or j < n:
+        e = q_exp + j * step
         if n is None and e >= order:
-            break
-        factor = QSeries.from_terms(D, [(0, ONE), (e, -base.coeff)], order)
-        result = result * factor
+            return
+        yield e
         j += 1
-        if n is None and j > 8 * (_scale(order, D) + abs(_scale(base.q_exp, D)) + 4):
-            raise DivergentProduct("infinite product failed to terminate")
+
+
+def qpochhammer(D: int, base: Monomial, n: Optional[int], order_exp: Rat,
+                step: Rat = 1) -> QSeries:
+    """(a; q^step)_n = prod_{j=0}^{n-1} (1 - a*q^(j*step)) truncated at order."""
+    if base.z_exp != 0:
+        raise LatticeMismatch("use jseries.jpochhammer for zeta-carrying bases")
+    result = QSeries.one(D, order_exp)
+    for e in pochhammer_exponents(base.q_exp, n, order_exp, step):
+        result = result * QSeries.from_terms(D, [(0, ONE), (e, -base.coeff)], order_exp)
     return result

@@ -7,7 +7,7 @@ import pytest
 
 from pwomega.cyc8 import Cyc8, I, ONE
 from pwomega.errors import (DivergentProduct, LatticeMismatch,
-                            NonInvertibleLeadingTerm)
+                            NonInvertibleLeadingTerm, PrecisionExhausted)
 from pwomega.jseries import JSeries, jpochhammer
 from pwomega.qseries import Monomial, QSeries, geometric, qpochhammer
 
@@ -146,6 +146,15 @@ def test_lattice_mismatch_is_loud():
         b.refine(12)
 
 
+def test_qseries_equality_is_agreement_below_common_order():
+    a = QSeries.from_terms(1, [(0, ONE), (3, Cyc8(2))], 5)
+    assert a == a.truncate(3)
+    assert a != QSeries.from_terms(1, [(0, ONE), (3, Cyc8(3))], 5)
+    assert a != 1
+    with pytest.raises(LatticeMismatch):
+        _ = a == QSeries.one(2, 5)
+
+
 def test_laurent_inversion_shifts_floor():
     # invert(q^{1/24}(1 - q - q^2 + q^5 + ...)) has floor -1/24 and
     # partition-number coefficients: 1/((q)_inf) = sum p(n) q^n
@@ -244,16 +253,16 @@ def test_jsubstitute_zeta_equals_q():
 
 def test_dzeta_at_one_power_rule():
     j = JSeries.from_terms(1, 4, [(0, F(1, 2), ONE)], 5)
-    got = j.dzeta_at("one")
+    got = j.dzeta_at_one()
     assert got[0] == Cyc8(F(1, 2))
     j2 = JSeries.from_terms(1, 4, [(0, 1, ONE), (0, -1, ONE)], 5)
-    assert j2.dzeta_at("one").is_zero()
+    assert j2.dzeta_at_one().is_zero()
 
 
 def test_zeta_dzeta_at_q_power_rule():
     for r in range(-2, 3):
         j = JSeries.from_terms(1, 1, [(0, r, ONE)], 9)
-        got = j.dzeta_at("q")
+        got = j.zeta_dzeta_at_q()
         if r == 0:
             assert got.is_zero()
         else:
@@ -274,6 +283,58 @@ def test_substitution_is_multiplicative():
             lhs = (a * b).substitute(val)
             rhs = a.substitute(val) * b.substitute(val)
             assert lhs == rhs
+
+
+def _jterms(j):
+    return {(F(k, j.D), F(r, j.Dz)): c
+            for r, row in j.rows.items() for k, c in row.coeff.items()}
+
+
+def test_jseries_product_order_and_terms_match_brute_force():
+    # rows with different floors: the order takes the floor over all rows
+    a = JSeries.from_terms(2, 1, [(F(-3, 2), 1, Cyc8(2)), (0, 0, ONE), (1, 0, I),
+                                  (3, -1, Cyc8(-1)), (F(7, 2), 2, ONE)], 5)
+    b = JSeries.from_terms(2, 1, [(-1, 2, ONE), (F(1, 2), 0, Cyc8(3)), (2, -1, I),
+                                  (F(9, 2), 1, Cyc8(-2))], 6)
+    assert (a.floor_key(), b.floor_key()) == (-3, -2)
+    p = a * b
+    assert p.order == min(a.order + b.floor_key(), b.order + a.floor_key()) == 8
+    assert all(row.order == p.order for row in p.rows.values())
+    brute = {}
+    for (qa, za), ca in _jterms(a).items():
+        for (qb, zb), cb in _jterms(b).items():
+            if (qa + qb) * 2 < p.order:
+                key = (qa + qb, za + zb)
+                brute[key] = brute.get(key, Cyc8(0)) + ca * cb
+    assert _jterms(p) == {key: c for key, c in brute.items() if not c.is_zero()}
+
+
+def test_jseries_first_mismatch_is_least_q_then_least_zeta():
+    base = [(0, 0, ONE), (1, 3, ONE), (2, -4, ONE)]
+    a = JSeries.from_terms(1, 1, base, 8)
+    b = JSeries.from_terms(1, 1, base + [(3, -5, ONE), (1, 4, Cyc8(2)), (1, 2, I),
+                                         (2, -6, ONE)], 8)
+    assert a.first_mismatch(b) == (1, 2, Cyc8(0), I)
+    assert b.first_mismatch(a) == (1, 2, I, Cyc8(0))
+    c = JSeries.from_terms(1, 1, base + [(3, -5, ONE), (5, 4, ONE)], 8)
+    assert a.first_mismatch(c) == (3, -5, Cyc8(0), ONE)
+    assert a.first_mismatch(a.truncate(4)) is None
+
+
+def test_substitution_raises_when_nothing_is_certified():
+    q = Monomial(1, 1, 0)
+    # zeta^2 q^3 + zeta q^4 at zeta = q lands at q^5, the certified order
+    j = JSeries.from_terms(1, 1, [(3, 2, ONE), (4, 1, ONE)], 5)
+    with pytest.raises(PrecisionExhausted):
+        j.substitute(q)
+    with pytest.raises(PrecisionExhausted):
+        JSeries.from_terms(1, 1, [(1, 1, ONE)], 10).substitute(q, tail_landing=2)
+    half = JSeries.from_terms(2, 2, [(0, F(1, 2), ONE)], 5)
+    assert half.substitute(Monomial(1, 1, 0)) == QSeries.from_terms(2, [(F(1, 2), ONE)], 5)
+    with pytest.raises(LatticeMismatch):
+        half.substitute(Monomial(2, 1, 0))
+    with pytest.raises(LatticeMismatch):
+        j.substitute(Monomial(1, 0, 1))
 
 
 def test_jpochhammer_matches_qpochhammer_on_zeta_free_base():
