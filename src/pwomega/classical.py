@@ -221,10 +221,19 @@ def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N,
             raise NonExpandableDenominator(
                 f"Heine needs positive q-exponent for {name}, got {mono.q_exp}")
 
+    lhs = _phi21(D, a, b, c, z, N)
+    pref = qpochhammer(D, cb, None, N) * qpochhammer(D, bz, None, N)
+    pref = pref * (qpochhammer(D, c, None, N) * qpochhammer(D, z, None, N)).invert()
+    return lhs, (pref * _phi21(D, abz_c, b, bz, cb, N)).truncate(N)
+
+
+def _phi21(D, a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> QSeries:
+    """sum_{n>=0} (a)_n (b)_n z^n / ((c)_n (q)_n) to O(q^N), for z with
+    positive q-exponent: the n-th term starts at or above n * z.q_exp plus
+    the floors of (a)_n and (b)_n, which ends the sum."""
     neg_pad = _neg_floor_of_poch(a) + _neg_floor_of_poch(b)
-    lhs = QSeries.zero(D, N)
-    an = bn = cn = qn = QSeries.one(D, N)
-    zn = QSeries.one(D, N)
+    out = QSeries.zero(D, N)
+    an = bn = cn = qn = zn = QSeries.one(D, N)
     n = 0
     while n * z.q_exp + neg_pad < F(N):
         if n > 0:
@@ -233,27 +242,9 @@ def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N,
             cn = cn * _factor(D, c, n - 1, N)
             qn = qn * _factor(D, Monomial(1, 1), n - 1, N)
             zn = zn.mul_monomial(z).truncate(N)
-        lhs = lhs + (an * bn * zn * (cn * qn).invert()).truncate(N)
+        out = out + (an * bn * zn * (cn * qn).invert()).truncate(N)
         n += 1
-
-    pref = qpochhammer(D, cb, None, N) * qpochhammer(D, bz, None, N)
-    pref = pref * (qpochhammer(D, c, None, N) * qpochhammer(D, z, None, N)).invert()
-    rhs_sum = QSeries.zero(D, N)
-    un = vn = wn = qn2 = QSeries.one(D, N)
-    cbn = QSeries.one(D, N)
-    neg_pad2 = _neg_floor_of_poch(abz_c) + _neg_floor_of_poch(b)
-    n = 0
-    while n * cb.q_exp + neg_pad2 < F(N):
-        if n > 0:
-            un = un * _factor(D, abz_c, n - 1, N)
-            vn = vn * _factor(D, b, n - 1, N)
-            wn = wn * _factor(D, bz, n - 1, N)
-            qn2 = qn2 * _factor(D, Monomial(1, 1), n - 1, N)
-            cbn = cbn.mul_monomial(cb).truncate(N)
-        rhs_sum = rhs_sum + (un * vn * cbn * (wn * qn2).invert()).truncate(N)
-        n += 1
-    rhs = (pref * rhs_sum).truncate(N)
-    return lhs.truncate(N), rhs
+    return out
 
 
 def _factor(D, mono: Monomial, j: int, N) -> QSeries:

@@ -63,10 +63,6 @@ class StencilThroughSingularity(PwOmegaError):
     """A finite-difference stencil hit a singular point."""
 
 
-class UnboundedCone(PwOmegaError):
-    """A cone summation whose exponent is not bounded below / coercive."""
-
-
 class WindowTooSmall(PwOmegaError):
     """A compared coefficient has zeta-support outside the requested window."""
 

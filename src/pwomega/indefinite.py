@@ -15,21 +15,20 @@ kernel into the weighted sum with weight k (1 - q^k))."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .cyc8 import Cyc8, I, ONE
-from .errors import UnboundedCone, WindowTooSmall
+from .errors import WindowTooSmall
 from .jseries import JSeries
 from .partitions import census, genfun
-from .qseries import Monomial, QSeries, geometric, qpochhammer
+from .qseries import Monomial, QSeries, qpochhammer
 
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# generic two-cone summation
+# the two-cone triple sums
 # ---------------------------------------------------------------------------
 
 def cone_points(inside: Callable[[int, int, int], bool]) -> Iterator[Tuple[int, int, int]]:
@@ -54,89 +53,20 @@ def cone_points(inside: Callable[[int, int, int], bool]) -> Iterator[Tuple[int, 
             k += step
 
 
-@dataclass
-class ConeSumSpec:
-    """Two-cone triple sum with quadratic exponent Q and termwise weights.
-
-    Q(k,l,n) = ckk k^2 + cll l^2 + cnn n^2 + ckl kl + ckn kn + cln ln
-               + lk k + ll l + ln n
-    summed over the cones of cone_points.  The term weight is
-    (-1)^(k+l+n) and the zeta-exponent is k * zeta_weight.
-    """
-
-    ckk: Fraction
-    cll: Fraction
-    cnn: Fraction
-    ckl: Fraction
-    ckn: Fraction
-    cln: Fraction
-    lk: Fraction
-    ll: Fraction
-    ln: Fraction
-    zeta_weight: Fraction = F(1)
-
-    def q_exp(self, k: int, l: int, n: int) -> Fraction:
-        return (self.ckk * k * k + self.cll * l * l + self.cnn * n * n
-                + self.ckl * k * l + self.ckn * k * n + self.cln * l * n
-                + self.lk * k + self.ll * l + self.ln * n)
-
-    def validate(self):
-        """Coercivity sanity check along cone generators and mixed rays."""
-        rays1 = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
-        rays2 = [(0, -1, -1), (-1, -1, -1), (-2, -1, -1), (-1, -3, -1),
-                 (-1, -1, -3), (0, -1, -3)]
-        for g in rays1:
-            vals = [self.q_exp(max(1, t * g[0]), t * g[1], t * g[2])
-                    for t in range(1, 13)]
-            if vals[-1] <= vals[6] or vals[-1] <= 0:
-                raise UnboundedCone(f"exponent not coercive along cone-1 ray {g}")
-        for g in rays2:
-            vals = [self.q_exp(min(0, t * g[0]), min(-1, t * g[1]), min(-1, t * g[2]))
-                    for t in range(1, 13)]
-            if vals[-1] <= vals[6] or vals[-1] <= 0:
-                raise UnboundedCone(f"exponent not coercive along cone-2 ray {g}")
+def cone_exponent(k: int, l: int, n: int) -> int:
+    """Q(k, l, n) = k(k+1)/2 + 2kl + 2kn + 4ln + l + n."""
+    return k * (k + 1) // 2 + 2 * k * l + 2 * k * n + 4 * l * n + l + n
 
 
-H_KERNEL_SPEC = ConeSumSpec(ckk=F(1, 2), cll=F(0), cnn=F(0), ckl=F(2), ckn=F(2),
-                            cln=F(4), lk=F(1, 2), ll=F(1), ln=F(1), zeta_weight=F(1))
-
-
-def cone_sum_series(spec: ConeSumSpec, N, D: int = 1, Dz: int = 1,
-                    weight_fn: Optional[Callable[[int], List[Tuple[Fraction, Cyc8]]]] = None
-                    ) -> JSeries:
-    """Sum the two-cone triple series to O(q^N) as a JSeries in one zeta.
-
-    weight_fn(k) may return a list of (extra q-exponent, coefficient) pairs
-    multiplied onto every term with that k (used for the k (1 - q^k) weight);
-    omitted means the plain kernel.
-    """
-    spec.validate()
+def cone_sum_series(N, D: int = 1, Dz: int = 1) -> JSeries:
+    """sum over both cones of (-1)^(k+l+n) q^Q(k,l,n) zeta^k to O(q^N)."""
     N = F(N)
-    terms: List[Tuple[Fraction, Fraction, Cyc8]] = []
-
-    def inside(k: int, l: int, n: int) -> bool:
-        # weights of the form k(1 - q^k) can shift exponents left by |k|
-        pad = abs(k) if weight_fn is not None else 0
-        return spec.q_exp(k, l, n) < N + pad
-
-    for k, l, n in cone_points(inside):
-        e = spec.q_exp(k, l, n)
+    terms: List[Tuple[int, int, Cyc8]] = []
+    for k, l, n in cone_points(lambda k, l, n: cone_exponent(k, l, n) < N):
+        e = cone_exponent(k, l, n)
         assert e >= 0, f"cone term below zero exponent at {(k, l, n)}"
-        s = Cyc8(-1 if (k + l + n) % 2 else 1)
-        ze = k * spec.zeta_weight
-        if weight_fn is None:
-            if e < N:
-                terms.append((e, ze, s))
-            continue
-        for de, c in weight_fn(k):
-            if e + de < N:
-                terms.append((e + de, ze, s * c))
+        terms.append((e, k, Cyc8(-1 if (k + l + n) % 2 else 1)))
     return JSeries.from_terms(D, Dz, terms, N)
-
-
-def h_kernel_series(N, D: int = 1, Dz: int = 1) -> JSeries:
-    """sum over both cones of (-1)^(k+l+n) q^Q(k,l,n) zeta^k."""
-    return cone_sum_series(H_KERNEL_SPEC, N, D, Dz)
 
 
 def tail_landing_bound(N) -> int:
@@ -170,15 +100,14 @@ def weighted_triple_sum(N, D: int = 1) -> QSeries:
                q^(j(j+1)/2 + 2nj + 2lj + 4nl + n + l)
 
     so that P-bar-omega = -C(q) / (q)_inf^3."""
-    def weight(k: int):
-        if k == 0:
-            return []
-        return [(F(0), Cyc8(k)), (F(k), Cyc8(-k))]
-
-    from dataclasses import replace
-    spec = replace(H_KERNEL_SPEC, zeta_weight=F(0))
-    j = cone_sum_series(spec, N, D, 1, weight_fn=weight)
-    return j.zeta_slice(0)
+    N = F(N)
+    terms: List[Tuple[int, Cyc8]] = []
+    # the weight's q^k term moves cone-2 exponents (k <= 0) down by |k|
+    for k, l, n in cone_points(lambda k, l, n: cone_exponent(k, l, n) < N + abs(k)):
+        e = cone_exponent(k, l, n)
+        w = k * (-1) ** (k + l + n)
+        terms += [(e, Cyc8(w)), (e + k, Cyc8(-w))]
+    return QSeries.from_terms(D, terms, N)
 
 
 def pbar_omega_series(N, method: str = "definition", D: int = 1,
@@ -203,7 +132,7 @@ def g_half_jseries(N, D: int = 24, Dz: int = 4) -> JSeries:
     """zeta^(1/2) G(z, tau+1/2, tau+1/2; tau) = 4 i q^(3/8) * kernel,
     as an exact JSeries (integer zeta-powers times the stated prefactor)."""
     kern_order = int(math.ceil(F(N) - F(3, 8)))
-    kern = h_kernel_series(kern_order, 1, 1)
+    kern = cone_sum_series(kern_order, 1, 1)
     lifted = JSeries(D, Dz, {r * Dz: row.refine(D) for r, row in kern.rows.items()},
                      kern.order * D)
     return lifted.mul_monomial(Monomial(4 * I, F(3, 8), 0))
@@ -353,16 +282,17 @@ def pwz_identity_mismatch(N, W: int = 25):
     return pwz_lhs_cleared(N, W).first_mismatch(pwz_rhs_cleared(N, W))
 
 
-def pwz_coefficient_formula_mismatch(j: int, N):
-    """Check [zeta^j] of the cleared-and-normalized series against
+def pwz_coefficient_formula_mismatch(cleared: JSeries, j: int):
+    """Check [zeta^j] of the cleared series (pwz_lhs_cleared), normalized by
+    1 / (q)_inf, against
 
-        (-1)^j q^(j(j+1)/2) / (q)_inf * sum_{n>=0} i^n q^(n(j+1/2)) / (1 + i q^(j+1/2+n)).
-    """
-    N = F(N)
-    D = 2
-    lhs_full = pwz_lhs_cleared(N, max(25, j + 2))
+        (-1)^j q^(j(j+1)/2) / (q)_inf * sum_{n>=0} i^n q^(n(j+1/2)) / (1 + i q^(j+1/2+n))
+
+    up to the order of the cleared series."""
+    N = cleared.order_exp()
+    D = cleared.D
     euler_inv = qpochhammer(D, Monomial(1, 1), None, N).invert()
-    lhs = lhs_full.zeta_slice(j) * euler_inv
+    lhs = cleared.zeta_slice(j) * euler_inv
 
     terms = []
     n = 0

@@ -148,30 +148,20 @@ def _definition_series(family: str, D: int, N) -> QSeries:
 
 def _appell_series(family: str, D: int, N) -> QSeries:
     """The Appell-Lerch-type representation of the family's series."""
-    if family == "spt":
-        pref = qpochhammer(D, Monomial(1, 1), None, N).invert()
-        s1 = _sum_n_qn_over_1_minus_qn(D, N)
+    if family in ("spt", "spt_omega"):
+        # (q^m; q^m)_inf^-1 (sum_{n>=1} n q^n / (1 - q^n)
+        #     + sum_{n>=1} (-1)^n q^(m n(3n+1)/2) (1 + q^(mn)) / (1 - q^(mn))^2)
+        # with m = 1 for spt and m = 2 for spt_omega
+        m = 1 if family == "spt" else 2
+        pref = qpochhammer(D, Monomial(1, m), None, N, step=m).invert()
         s2 = QSeries.zero(D, N)
         n = 1
-        while F(n * (3 * n + 1), 2) < F(N):
-            e = F(n * (3 * n + 1), 2)
-            block = _geom_sq(D, n, N).shift(e).scale((-1) ** n)
-            block = block + _geom_sq(D, n, N).shift(e + n).scale((-1) ** n)
-            s2 = s2 + block.truncate(N)
+        while F(m * n * (3 * n + 1), 2) < F(N):
+            e = F(m * n * (3 * n + 1), 2)
+            g = _geom_sq(D, m * n, N)
+            s2 = s2 + (g.shift(e) + g.shift(e + m * n)).scale((-1) ** n).truncate(N)
             n += 1
-        return (pref * (s1 + s2)).truncate(N)
-    if family == "spt_omega":
-        pref = qpochhammer(D, Monomial(1, 2), None, N, step=2).invert()
-        s1 = _sum_n_qn_over_1_minus_qn(D, N)
-        s2 = QSeries.zero(D, N)
-        n = 1
-        while n * (3 * n + 1) < F(N):
-            e = F(n * (3 * n + 1))
-            block = _geom_sq(D, 2 * n, N).shift(e).scale((-1) ** n)
-            block = block + _geom_sq(D, 2 * n, N).shift(e + 2 * n).scale((-1) ** n)
-            s2 = s2 + block.truncate(N)
-            n += 1
-        return (pref * (s1 + s2)).truncate(N)
+        return (pref * (_sum_n_qn_over_1_minus_qn(D, N) + s2)).truncate(N)
     if family == "sptbar_omega":
         pref = qpochhammer(D, Monomial(-1, 2), None, N, step=2)
         pref = pref * qpochhammer(D, Monomial(1, 2), None, N, step=2).invert()

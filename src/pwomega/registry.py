@@ -27,7 +27,7 @@ from .cyc8 import Cyc8, I
 from .errors import UnknownIdentity
 from .indefinite import (g_equals_sum_of_f_mismatch, pbar_from_dzeta_brackets,
                          pbar_omega_series, pwz_coefficient_formula_mismatch,
-                         pwz_identity_mismatch)
+                         pwz_lhs_cleared, pwz_rhs_cleared)
 from .kernels import workprec
 from .modular import GroupElement, laplacian_fd, lowering_fd, xi_fd
 from .partitions import census, genfun
@@ -84,7 +84,7 @@ def _series_check(pairs) -> Dict:
 # ---------------------------------------------------------------------------
 
 def _run_family_identity(family: str, params) -> Dict:
-    N = params.get("order", 41)
+    N = params["order"]
     out = _series_check([(family, genfun(family, N), genfun(family, N, side="appell"))])
     if out["ok"] and family == "spt":
         spt = genfun("spt", 22)
@@ -95,18 +95,19 @@ def _run_family_identity(family: str, params) -> Dict:
 
 
 def _run_sptg2(params) -> Dict:
-    N = params.get("order", 41)
+    N = params["order"]
     return _series_check([("sptG2-equiv", genfun("spt_g2", N), genfun("sptbar_omega", N))])
 
 
 def _run_pwz(params) -> Dict:
-    N = params.get("order", 25)
-    W = params.get("window", 25)
-    mm = pwz_identity_mismatch(N, W)
+    N = params["order"]
+    W = params["window"]
+    lhs = pwz_lhs_cleared(N, W)
+    mm = lhs.first_mismatch(pwz_rhs_cleared(N, W))
     if mm is not None:
         return {"ok": False, "witness": _mismatch_witness("cleared-identity", mm)}
     for j in (1, 2, 3):
-        mm = pwz_coefficient_formula_mismatch(j, min(N, 20))
+        mm = pwz_coefficient_formula_mismatch(lhs.truncate(min(N, 20)), j)
         if mm is not None:
             return {"ok": False,
                     "witness": _mismatch_witness(f"coefficient-formula j={j}", mm)}
@@ -114,7 +115,7 @@ def _run_pwz(params) -> Dict:
 
 
 def _run_cor_pwrep(params) -> Dict:
-    N = params.get("order", 61)
+    N = params["order"]
     a = pbar_omega_series(N, "definition")
     b = pbar_omega_series(N, "triple_sum")
     out = _series_check([("definition-vs-triple", a, b)])
@@ -134,7 +135,7 @@ def _run_cor_pwrep(params) -> Dict:
 
 
 def _run_brz(params) -> Dict:
-    P = params.get("prec", DEFAULT_PREC)
+    P = params["prec"]
     tol = params["tolerance"]
     pts = [((0.13, 0.21), (-0.07, 0.11), (0.19, -0.15), (0.11, 0.93)),
            ((0.02, 0.17), (0.23, -0.05), (-0.31, 0.08), (-0.23, 1.07)),
@@ -153,8 +154,8 @@ def _run_brz(params) -> Dict:
 
 
 def _run_theta_shifts(params) -> Dict:
-    N = params.get("order", 30)
-    P = params.get("prec", DEFAULT_PREC)
+    N = params["order"]
+    P = params["prec"]
     tol = params["tolerance"]
     lhs1 = theta_series_at_torsion(TorsionPoint(1, F(1, 2)), N)
     rhs1 = eta_quotient_series(EtaQuotient([(2, 2), (1, -1)], Monomial(-2, F(-1, 2))), N)
@@ -185,7 +186,7 @@ def _run_theta_shifts(params) -> Dict:
 
 
 def _run_mu_laws(params) -> Dict:
-    P = params.get("prec", DEFAULT_PREC)
+    P = params["prec"]
     tol = params["tolerance"] if params.get("tolerance") else 2.0 ** (-P + 10)
     rng = random.Random(20260)
     worst = 0.0
@@ -233,18 +234,18 @@ def _run_mu_laws(params) -> Dict:
         return kernels.muhat(t / 2, t / 2 + mp.mpf(1) / 4, t)
 
     lap = laplacian_fd(h, F(1, 2), mp.mpc(0.13, 1.02), P=min(P, 160))
-    lap_ok = abs(lap) < params.get("laplacian_tolerance", 1e-5)
+    lap_ok = abs(lap) < params["laplacian_tolerance"]
     return {"ok": lap_ok, "worst": worst if lap_ok else float(abs(lap)),
             "witness": None if lap_ok else {"part": "laplacian muhat"}}
 
 
 def _run_finite_jtp(params) -> Dict:
-    N = params.get("order", 30)
+    N = params["order"]
     return _series_check((f"n={n}", *finite_jtp_sides(n, N)) for n in range(0, 6))
 
 
 def _run_heine(params) -> Dict:
-    N = params.get("order", 25)
+    N = params["order"]
     out = _series_check(
         (f"quarter-root family j={j}",
          *heine_sides(Monomial(I, F(2 * j + 1, 2)), Monomial(-I, F(2 * j + 1, 2)),
@@ -270,10 +271,10 @@ def _run_heine(params) -> Dict:
 
 
 def _run_hhat1(params) -> Dict:
-    P = params.get("prec", DEFAULT_PREC)
+    P = params["prec"]
     tol = params["tolerance"]
     worst = 0.0
-    for tt in params.get("taus", EXTPTS):
+    for tt in params["taus"]:
         val = completion.hhat1_numeric(mp.mpc(*tt), P)
         worst = max(worst, float(abs(val.value)))
     return {"ok": worst < tol, "worst": worst,
@@ -281,7 +282,7 @@ def _run_hhat1(params) -> Dict:
 
 
 def _run_hhat2(params) -> Dict:
-    P = params.get("prec", DEFAULT_PREC)
+    P = params["prec"]
     tol = params["tolerance"]
     worst = 0.0
     with workprec(P):
@@ -296,14 +297,14 @@ def _run_hhat2(params) -> Dict:
 
 
 def _run_phat_weight1(params) -> Dict:
-    P = params.get("prec", DEFAULT_PREC)
+    P = params["prec"]
     tol = params["tolerance"]
     worst = 0.0
     wit = None
     with workprec(P):
         taus = [mp.mpc(*tt) for tt in params.get("taus", DEFAULT_TAUS)]
         rights = [completion.phat_omega_numeric(tau, P).value for tau in taus]
-        for mat in params.get("matrices", GAMMA_MATS):
+        for mat in params["matrices"]:
             M = GroupElement.parse(mat) if isinstance(mat, str) else mat
             for tau, right in zip(taus, rights):
                 left = completion.phat_omega_numeric(M.act(tau), P).value
@@ -318,8 +319,8 @@ def _run_phat_holpart(params) -> Dict:
     """Literal decay bound (expected fail: the non-holomorphic remainder
     has a non-decaying v^(-1/2) term); the report carries the
     plateau-subtracted residuals as diagnostics."""
-    P = params.get("prec", 160)
-    N = params.get("order", 120)
+    P = params["prec"]
+    N = params["order"]
     tol = params["tolerance"]
     with workprec(P):
         res = {}
@@ -341,7 +342,7 @@ def _run_phat_holpart(params) -> Dict:
 def _run_phat_lowering(params) -> Dict:
     """The lowering combination in its original form (expected fail), plus
     the closed tau-bar derivative of FF'(0) (passes)."""
-    P = params.get("prec", 160)
+    P = params["prec"]
     tol = params["tolerance"]
     tau = mp.mpc(*params.get("taus", DEFAULT_TAUS)[0])
     with workprec(P):
@@ -365,7 +366,7 @@ def dtaubar_fd_of_fcal1(tau, P) -> float:
 
 
 def _run_f2_shadow(params) -> Dict:
-    P = params.get("prec", 160)
+    P = params["prec"]
     tol = params["tolerance"]
     worst = 0.0
     with workprec(P):

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from pwomega.classical import (EtaQuotient, TorsionPoint,
+from pwomega.classical import (EtaQuotient, TorsionPoint, _phi21,
                                eta_quotient_series, eta_series,
                                finite_jtp_sides, heine_sides,
                                theta_elliptic_shift_reference,
                                theta_series_at_torsion)
 from pwomega.cyc8 import Cyc8, I, ONE
 from pwomega.errors import NonExpandableDenominator, RootOfUnityOutsideCyc8
-from pwomega.qseries import Monomial, QSeries
+from pwomega.qseries import Monomial, QSeries, qpochhammer
 
 F = Fraction
 
@@ -131,6 +131,21 @@ def test_heine_random_monomial_parameters():
         lhs, rhs = heine_sides(a, b, c, z, 20)
         assert lhs.first_mismatch(rhs) is None
         done += 1
+
+
+@pytest.mark.parametrize("a, b, z", [
+    (Monomial(I, F(1, 2)), Monomial(-1, F(3, 2)), Monomial(1, 1)),
+    (Monomial(2, 1), Monomial(1, F(1, 2)), Monomial(-I, F(1, 2))),
+    (Monomial(Cyc8(1, 1), F(3, 2)), Monomial(I, 2), Monomial(1, 2)),
+])
+def test_phi21_with_b_equal_c_is_q_binomial_theorem(a, b, z):
+    # sum (a)_n z^n / (q)_n = (a z)_inf / (z)_inf, independent of the Heine
+    # right-hand side, which runs through the same _phi21 loop
+    N = 15
+    lhs = _phi21(2, a, b, b, z, N)
+    rhs = qpochhammer(2, a * z, None, N) * qpochhammer(2, z, None, N).invert()
+    assert lhs.order_exp() >= N and rhs.order_exp() >= N
+    assert lhs.first_mismatch(rhs) is None
 
 
 def test_heine_rejects_bad_parameters():

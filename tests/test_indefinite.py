@@ -1,29 +1,23 @@
 """Exact indefinite-theta layer: cone sums, the three series routes, the
 cleared double-sum identity, and the quarter-shift decomposition."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from pwomega.cyc8 import Cyc8
-from pwomega.errors import UnboundedCone, WindowTooSmall
-from pwomega.indefinite import (H_KERNEL_SPEC, cone_points, cone_sum_series,
+from pwomega.errors import WindowTooSmall
+from pwomega.indefinite import (cone_exponent, cone_points, cone_sum_series,
                                 weighted_triple_sum, g_equals_sum_of_f_mismatch,
-                                g_half_jseries, h_kernel_series,
+                                g_half_jseries,
                                 pbar_from_dzeta_brackets, pbar_omega_series,
                                 pwz_coefficient_formula_mismatch,
                                 pwz_identity_mismatch, pwz_lhs_cleared,
                                 tail_landing_bound)
 from pwomega.partitions import census
+from pwomega.qseries import Monomial
 
 F = Fraction
-
-
-def test_cone_validation_rejects_unbounded_form():
-    bad = replace(H_KERNEL_SPEC, cln=F(-4))
-    with pytest.raises(UnboundedCone):
-        cone_sum_series(bad, 10)
 
 
 def _in_cone(k, l, n):
@@ -31,7 +25,7 @@ def _in_cone(k, l, n):
 
 
 @pytest.mark.parametrize("form, N", [
-    (H_KERNEL_SPEC.q_exp, 20),
+    (cone_exponent, 20),
     (lambda k, l, n: F(k * (k + 1), 2) + 2 * k * l + 2 * k * n + 4 * l * n, 15),   # G
     (lambda k, l, n: F(k * (k + 1), 2) + k * l + k * n + l * n, 15),               # F
 ])
@@ -47,13 +41,13 @@ def test_cone_points_match_brute_force(form, N):
 
 
 def test_empty_truncation_gives_zero_series():
-    s = cone_sum_series(H_KERNEL_SPEC, 1)
+    s = cone_sum_series(1)
     assert s.is_zero()
 
 
 def test_kernel_minimum_exponents():
     # cone 1 starts at k=1 (exponent 1), cone 2 at k=0, l=n=-1 (exponent 2)
-    s = h_kernel_series(8)
+    s = cone_sum_series(8)
     assert s.coefficient(1, 1) == Cyc8(-1)
     assert s.coefficient(2, 0) == Cyc8(1)
 
@@ -118,7 +112,21 @@ def test_pwz_low_coefficients():
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_pwz_per_coefficient_formula(j):
-    assert pwz_coefficient_formula_mismatch(j, 16) is None
+    assert pwz_coefficient_formula_mismatch(pwz_lhs_cleared(16, 25), j) is None
+
+
+def test_pwz_coefficient_formula_reports_shifted_series():
+    # zeta times the cleared series moves [zeta^(j-1)] into [zeta^j]
+    shifted = pwz_lhs_cleared(10, 25).mul_monomial(Monomial(1, 0, 1))
+    assert pwz_coefficient_formula_mismatch(shifted, 2) is not None
+
+
+def test_pwz_cleared_series_truncates_to_lower_order():
+    # the thm-pwz runner checks the per-j formula on the order-25 series cut at 20
+    cut = pwz_lhs_cleared(25, 25).truncate(20)
+    direct = pwz_lhs_cleared(20, 25)
+    assert cut.order == direct.order
+    assert cut.rows == direct.rows
 
 
 def test_pwz_window_guard():
