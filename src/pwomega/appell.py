@@ -87,47 +87,45 @@ def theta_numeric(z, tau, P: int = 53):
 # closed-form tau-bar derivatives of R at torsion points
 # ---------------------------------------------------------------------------
 
+def _conj_theta(a, b, tau):
+    """a, v = Im tau, e^(-2 pi a^2 v), and theta, d/dz theta at modulus
+    -tau-bar and z = -(a tau-bar + b).  With n over 1/2 + Z and
+    x_n = e^(-pi i n^2 tau-bar - 2 pi i n (a tau-bar + b)),
+
+        sum (-1)^(n-1/2) x_n = -i theta,   sum (-1)^(n-1/2) n x_n = -theta'/(2 pi).
+    """
+    a, b = F(a), F(b)
+    aa = mp.mpf(a.numerator) / a.denominator
+    tb = mp.conj(mp.mpc(tau))
+    plan = kernels.TauPlan(-tb)
+    z = -(aa * tb + mp.mpf(b.numerator) / b.denominator)
+    v = -tb.imag
+    return aa, v, mp.exp(-2 * mp.pi * aa * aa * v), plan.theta(z), plan.theta_dz(z)
+
+
 def dtaubar_R_numeric(a, b, tau, P: int = 53):
     """d/d(tau-bar) of tau -> R(a tau + b; tau):
 
-        (i/sqrt(2v)) e^(-2 pi a^2 v) sum_{n in 1/2+Z} (-1)^(n-1/2) (n+a)
-                                     e^(-pi i n^2 tau-bar - 2 pi i n (a tau-bar + b))
-    """
-    a, b = F(a), F(b)
+        (i/sqrt(2v)) e^(-2 pi a^2 v) sum_{n in 1/2+Z} (-1)^(n+1/2) (n+a) x_n
+        = (i/sqrt(2v)) e^(-2 pi a^2 v) (theta'/(2 pi) + i a theta)
+
+    in the notation of _conj_theta."""
     with workprec(P):
-        tau = mp.mpc(tau)
-        v = tau.imag
-        tb = mp.conj(tau)
-        aa = mp.mpf(a.numerator) / a.denominator
-        bb = mp.mpf(b.numerator) / b.denominator
-        lo, hi = kernels._halfint_window(v, aa * v)
-        acc = mp.mpc(0)
-        for k in range(lo - 2, hi + 3):
-            n = k + mp.mpf(1) / 2
-            acc += (-1) ** (k + 1) * (n + aa) * mp.expjpi(-n * n * tb - 2 * n * (aa * tb + bb))
-        return 1j / mp.sqrt(2 * v) * mp.exp(-2 * mp.pi * aa * aa * v) * acc
+        aa, v, gauss, th, dth = _conj_theta(a, b, tau)
+        return 1j / mp.sqrt(2 * v) * gauss * (dth / (2 * mp.pi) + 1j * aa * th)
 
 
 def dz_dtaubar_R_numeric(a, b, tau, P: int = 53):
     """d/d(tau-bar) of tau -> [d/dz R(z)]_{z = a tau + b}:
 
-        e^(-2 pi a^2 v)/(2 sqrt(2v)) sum (-1)^(n-1/2) (1/v + 4 pi a (a+n))
-                                     e^(-pi i n^2 tau-bar - 2 pi i n (a tau-bar + b))
-    """
-    a, b = F(a), F(b)
+        e^(-2 pi a^2 v)/(2 sqrt(2v)) sum (-1)^(n-1/2) (1/v + 4 pi a (a+n)) x_n
+        = e^(-2 pi a^2 v)/(2 sqrt(2v)) (-i (1/v + 4 pi a^2) theta - 2 a theta')
+
+    in the notation of _conj_theta."""
     with workprec(P):
-        tau = mp.mpc(tau)
-        v = tau.imag
-        tb = mp.conj(tau)
-        aa = mp.mpf(a.numerator) / a.denominator
-        bb = mp.mpf(b.numerator) / b.denominator
-        lo, hi = kernels._halfint_window(v, aa * v)
-        acc = mp.mpc(0)
-        for k in range(lo - 2, hi + 3):
-            n = k + mp.mpf(1) / 2
-            acc += ((-1) ** k * (1 / v + 4 * mp.pi * aa * (aa + n))
-                    * mp.expjpi(-n * n * tb - 2 * n * (aa * tb + bb)))
-        return mp.exp(-2 * mp.pi * aa * aa * v) / (2 * mp.sqrt(2 * v)) * acc
+        aa, v, gauss, th, dth = _conj_theta(a, b, tau)
+        return (gauss / (2 * mp.sqrt(2 * v))
+                * (-1j * (1 / v + 4 * mp.pi * aa * aa) * th - 2 * aa * dth))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from .kernels import GUARD, qpow, workprec
 
 F = Fraction
 
+CONTOUR_MAX_NODES = 1024    # contour_derivs gives up past this many nodes
+
 
 @dataclass
 class Approx:
@@ -50,7 +52,7 @@ def _prim_err(scale, P: int) -> float:
 # ---------------------------------------------------------------------------
 
 def contour_derivs(f: Callable, center, radius, orders: Tuple[int, ...],
-                   P: int, m_max: int = 1024) -> List[Dict[int, Approx]]:
+                   P: int) -> List[Dict[int, Approx]]:
     """Derivatives g^(m)(center), m in orders, of every component g of the
     vector-valued f(z) = (g_0(z), g_1(z), ...), each g holomorphic on the
     closed disk, by trapezoidal quadrature on |z - center| = radius.
@@ -91,9 +93,9 @@ def contour_derivs(f: Callable, center, radius, orders: Tuple[int, ...],
                                 for m in orders})
             if settled:
                 return results
-        if 2 * M > m_max:
-            raise ContourThroughPole(
-                f"contour quadrature did not stabilize by {m_max} nodes (radius {radius})")
+        if 2 * M > CONTOUR_MAX_NODES:
+            raise ContourThroughPole(f"contour quadrature did not stabilize by "
+                                     f"{CONTOUR_MAX_NODES} nodes (radius {radius})")
         prev = outs
         odd = [mp.expjpi(2 * mp.mpf(j) / (2 * M)) for j in range(1, 2 * M, 2)]
         odd_vals = [f(center + radius * root) for root in odd]

@@ -26,6 +26,8 @@ from .qseries import Monomial, QSeries, qpochhammer
 
 F = Fraction
 
+ORACLE_CAP = 25     # the "oracle" route enumerates coefficients n <= ORACLE_CAP
+
 
 # ---------------------------------------------------------------------------
 # the two-cone triple sums
@@ -110,8 +112,7 @@ def weighted_triple_sum(N, D: int = 1) -> QSeries:
     return QSeries.from_terms(D, terms, N)
 
 
-def pbar_omega_series(N, method: str = "definition", D: int = 1,
-                      oracle_cap: int = 25) -> QSeries:
+def pbar_omega_series(N, method: str = "definition", D: int = 1) -> QSeries:
     """P-bar-omega to O(q^N) by "definition", "triple_sum", or "oracle"."""
     if method == "definition":
         return genfun("pbar_omega", N, side="definition", D=D)
@@ -122,7 +123,7 @@ def pbar_omega_series(N, method: str = "definition", D: int = 1,
         euler3 = qpochhammer(D, Monomial(1, 1), None, N).pow(3)
         return -(c * euler3.invert()).truncate(N)
     if method == "oracle":
-        n_top = min(int(N), oracle_cap + 1)
+        n_top = min(int(N), ORACLE_CAP + 1)
         return QSeries.from_terms(D, [(n, Cyc8(census("pbar_omega", n)))
                                       for n in range(1, n_top)], n_top)
     raise ValueError("method must be definition | triple_sum | oracle")
@@ -277,18 +278,13 @@ def _check_window(j: JSeries, W: int):
         raise WindowTooSmall(f"zeta-support [{lo}, {hi}] exceeds window [-{W}, {W}]")
 
 
-def pwz_identity_mismatch(N, W: int = 25):
-    """First mismatching coefficient of the cleared identity, or None."""
-    return pwz_lhs_cleared(N, W).first_mismatch(pwz_rhs_cleared(N, W))
-
-
-def pwz_coefficient_formula_mismatch(cleared: JSeries, j: int):
-    """Check [zeta^j] of the cleared series (pwz_lhs_cleared), normalized by
-    1 / (q)_inf, against
+def pwz_coefficient_formula_sides(cleared: JSeries, j: int) -> Tuple[QSeries, QSeries]:
+    """The two sides of the per-coefficient formula for [zeta^j] of the
+    cleared series (pwz_lhs_cleared), normalized by 1 / (q)_inf:
 
         (-1)^j q^(j(j+1)/2) / (q)_inf * sum_{n>=0} i^n q^(n(j+1/2)) / (1 + i q^(j+1/2+n))
 
-    up to the order of the cleared series."""
+    both to the order of the cleared series."""
     N = cleared.order_exp()
     D = cleared.D
     euler_inv = qpochhammer(D, Monomial(1, 1), None, N).invert()
@@ -306,4 +302,4 @@ def pwz_coefficient_formula_mismatch(cleared: JSeries, j: int):
         n += 1
     rhs = QSeries.from_terms(D, terms, N).scale((-1) ** j).shift(F(j * (j + 1), 2))
     rhs = (rhs * euler_inv).truncate(N)
-    return lhs.truncate(rhs.order_exp()).first_mismatch(rhs)
+    return lhs.truncate(rhs.order_exp()), rhs

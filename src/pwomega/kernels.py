@@ -71,13 +71,14 @@ def eta(tau):
 # theta
 # ---------------------------------------------------------------------------
 
-def _halfint_window(v, y, slack=4):
+def _halfint_window(v, y):
     """Index window (over n = k + 1/2) outside which
-    exp(-pi v n^2 - 2 pi n y) is below the tail cut."""
+    exp(-pi v n^2 - 2 pi n y) is below the tail cut, widened by 4 indices
+    on each side."""
     L = (mp.prec + TAIL_GUARD + 8) * mp.ln(2)
     root = mp.sqrt(y * y + v * L / mp.pi)
-    lo = int(mp.floor((-y - root) / v)) - slack
-    hi = int(mp.ceil((-y + root) / v)) + slack
+    lo = int(mp.floor((-y - root) / v)) - 4
+    hi = int(mp.ceil((-y + root) / v)) + 4
     return lo, hi
 
 

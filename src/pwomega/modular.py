@@ -17,6 +17,7 @@ from typing import Callable
 from mpmath import mp
 
 from .errors import DomainViolation, NotUnimodular, StencilThroughSingularity
+from .kernels import workprec
 
 F = Fraction
 
@@ -234,8 +235,6 @@ def weight_transform_residual(f: Callable, k: Fraction, mult, M: GroupElement,
 
     mult may be a MultiplierValue, a complex number, or a callable M -> value.
     """
-    from .kernels import workprec
-
     with workprec(P):
         tau = mp.mpc(tau)
         left = f(M.act(tau))
@@ -268,41 +267,32 @@ def _dtaubar_fd(f: Callable, tau, h):
     return (du + 1j * dv) / 2
 
 
-def dtaubar_fd(f: Callable, tau, h=None, richardson: bool = True):
-    h = FD_STEP_FIRST if h is None else mp.mpf(h)
-    d1 = _dtaubar_fd(f, tau, h)
-    if not richardson:
-        return d1
-    d2 = _dtaubar_fd(f, tau, h / 2)
+def dtaubar_fd(f: Callable, tau):
+    """d/d(tau-bar) by central differences with one Richardson level."""
+    d1 = _dtaubar_fd(f, tau, FD_STEP_FIRST)
+    d2 = _dtaubar_fd(f, tau, FD_STEP_FIRST / 2)
     return (4 * d2 - d1) / 3
 
 
-def lowering_fd(f: Callable, tau, P: int = 113, h=None):
+def lowering_fd(f: Callable, tau, P: int = 113):
     """L f = -2 i v^2 d/d(tau-bar) f, by central differences (one Richardson)."""
-    from .kernels import workprec
-
     with workprec(P):
         tau = mp.mpc(tau)
-        return -2j * tau.imag ** 2 * dtaubar_fd(f, tau, h)
+        return -2j * tau.imag ** 2 * dtaubar_fd(f, tau)
 
 
-def xi_fd(f: Callable, k: Fraction, tau, P: int = 113, h=None):
+def xi_fd(f: Callable, k: Fraction, tau, P: int = 113):
     """xi_k f = 2 i v^k conj(d/d(tau-bar) f) = v^(k-2) conj(L f)."""
-    from .kernels import workprec
-
     with workprec(P):
         tau = mp.mpc(tau)
-        return 2j * power_principal(tau.imag, F(k)) * mp.conj(dtaubar_fd(f, tau, h))
+        return 2j * power_principal(tau.imag, F(k)) * mp.conj(dtaubar_fd(f, tau))
 
 
-def laplacian_fd(f: Callable, k: Fraction, tau, P: int = 113, h=None):
+def laplacian_fd(f: Callable, k: Fraction, tau, P: int = 113):
     """Weight-k hyperbolic Laplacian by central second differences:
     -v^2 (f_uu + f_vv) + i k v (f_u + i f_v), one Richardson level."""
-    from .kernels import workprec
-
     with workprec(P):
         tau = mp.mpc(tau)
-        h0 = FD_STEP_SECOND if h is None else mp.mpf(h)
 
         def stencil(h):
             try:
@@ -319,6 +309,6 @@ def laplacian_fd(f: Callable, k: Fraction, tau, P: int = 113, h=None):
             kk = mp.mpf(F(k).numerator) / F(k).denominator
             return -v * v * (fuu + fvv) + 1j * kk * v * (fu + 1j * fv)
 
-        d1 = stencil(h0)
-        d2 = stencil(h0 / 2)
+        d1 = stencil(FD_STEP_SECOND)
+        d2 = stencil(FD_STEP_SECOND / 2)
         return (4 * d2 - d1) / 3

@@ -38,7 +38,7 @@ F = Fraction
 # enumeration
 # ---------------------------------------------------------------------------
 
-def census(family: str, n: int, cap: int = ENUMERATION_CAP) -> int:
+def census(family: str, n: int) -> int:
     """Exact count for the family at n, by exhaustive enumeration."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -46,8 +46,8 @@ def census(family: str, n: int, cap: int = ENUMERATION_CAP) -> int:
         raise NoCombinatorialDefinition("spt_g2 is defined by its series only")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ResourceBound(f"enumeration capped at n <= {cap}")
+    if n > ENUMERATION_CAP:
+        raise ResourceBound(f"enumeration capped at n <= {ENUMERATION_CAP}")
 
     if family == "spt":
         return _enumerate(n, constrained=False, weight=lambda m, d: m)

@@ -2,6 +2,11 @@
 default parameters, and a tolerance; runners produce VerificationReport
 records for the CLI and the acceptance suite.
 
+Every verdict is decided in one of two places: _series_check for exact
+series pairs and _residual_check for numeric residuals.  The only criteria
+written out by hand are the G = sum F dictionary comparison, the composite
+criteria of the two pinned identities, and mu-laws' Laplacian stage.
+
 Two registered identities are expected to FAIL with their literal
 tolerances ("phat-holpart" and the original-form lowering combination inside
 "phat-lowering"); their reports carry the corrected-variant residuals as
@@ -26,12 +31,12 @@ from .classical import (EtaQuotient, TorsionPoint, eta_quotient_series,
 from .cyc8 import Cyc8, I
 from .errors import UnknownIdentity
 from .indefinite import (g_equals_sum_of_f_mismatch, pbar_from_dzeta_brackets,
-                         pbar_omega_series, pwz_coefficient_formula_mismatch,
+                         pbar_omega_series, pwz_coefficient_formula_sides,
                          pwz_lhs_cleared, pwz_rhs_cleared)
 from .kernels import workprec
-from .modular import GroupElement, laplacian_fd, lowering_fd, xi_fd
+from .modular import GroupElement, dtaubar_fd, laplacian_fd, lowering_fd, xi_fd
 from .partitions import census, genfun
-from .qseries import Monomial
+from .qseries import Monomial, QSeries
 
 F = Fraction
 
@@ -70,8 +75,9 @@ def _mismatch_witness(part: str, mm) -> Dict:
 
 
 def _series_check(pairs) -> Dict:
-    """Compare exact series pairs (any iterable, consumed lazily up to the
-    first mismatch); returns result dict with first witness."""
+    """Exact verdict over (label, lhs, rhs) series pairs, taken lazily from
+    any iterable: the pairs after the first mismatch are never built.
+    Returns ok and the first mismatch's witness."""
     for label, a, b in pairs:
         mm = a.first_mismatch(b)
         if mm is not None:
@@ -79,19 +85,34 @@ def _series_check(pairs) -> Dict:
     return {"ok": True, "witness": None}
 
 
+def _residual_check(residuals, tol) -> Dict:
+    """Numeric verdict over (residual, witness) pairs: keeps the worst (the
+    first of equal ones) and passes iff worst < tol; a failure carries the
+    worst's witness.  No residuals at all is a failure, not a pass."""
+    worst = wit = None
+    for res, w in residuals:
+        if worst is None or res > worst:
+            worst, wit = res, w
+    if worst is None:
+        return {"ok": False, "worst": None, "witness": {"part": "no residuals"}}
+    ok = worst < tol
+    return {"ok": ok, "worst": worst, "witness": None if ok else wit}
+
+
 # ---------------------------------------------------------------------------
 # runners (each returns dict: ok, witness and, when numeric, worst)
 # ---------------------------------------------------------------------------
 
 def _run_family_identity(family: str, params) -> Dict:
-    N = params["order"]
-    out = _series_check([(family, genfun(family, N), genfun(family, N, side="appell"))])
-    if out["ok"] and family == "spt":
-        spt = genfun("spt", 22)
-        for n in range(1, 21):
-            if spt[n] != Cyc8(census("spt", n)):
-                return {"ok": False, "witness": {"part": "census", "n": n}}
-    return out
+    def pairs():
+        N = params["order"]
+        yield family, genfun(family, N), genfun(family, N, side="appell")
+        if family == "spt":
+            spt = genfun("spt", 22).truncate(21)
+            counts = [(n, Cyc8(census("spt", n))) for n in range(1, 21)]
+            yield "census", spt, QSeries.from_terms(spt.D, counts, 21)
+
+    return _series_check(pairs())
 
 
 def _run_sptg2(params) -> Dict:
@@ -100,33 +121,28 @@ def _run_sptg2(params) -> Dict:
 
 
 def _run_pwz(params) -> Dict:
-    N = params["order"]
-    W = params["window"]
-    lhs = pwz_lhs_cleared(N, W)
-    mm = lhs.first_mismatch(pwz_rhs_cleared(N, W))
-    if mm is not None:
-        return {"ok": False, "witness": _mismatch_witness("cleared-identity", mm)}
-    for j in (1, 2, 3):
-        mm = pwz_coefficient_formula_mismatch(lhs.truncate(min(N, 20)), j)
-        if mm is not None:
-            return {"ok": False,
-                    "witness": _mismatch_witness(f"coefficient-formula j={j}", mm)}
-    return {"ok": True, "witness": None}
+    def pairs():
+        N, W = params["order"], params["window"]
+        lhs = pwz_lhs_cleared(N, W)
+        yield "cleared-identity", lhs, pwz_rhs_cleared(N, W)
+        cut = lhs.truncate(min(N, 20))
+        for j in (1, 2, 3):
+            yield (f"coefficient-formula j={j}", *pwz_coefficient_formula_sides(cut, j))
+
+    return _series_check(pairs())
 
 
 def _run_cor_pwrep(params) -> Dict:
-    N = params["order"]
-    a = pbar_omega_series(N, "definition")
-    b = pbar_omega_series(N, "triple_sum")
-    out = _series_check([("definition-vs-triple", a, b)])
-    if not out["ok"]:
-        return out
-    c = pbar_omega_series(26, "oracle")
-    out = _series_check([("enumeration-oracle", a.truncate(26), c)])
-    if not out["ok"]:
-        return out
-    d = pbar_from_dzeta_brackets(min(N, 40))
-    out = _series_check([("zeta-bracket-route", d, b.truncate(min(N, 40)).refine(24))])
+    def pairs():
+        N = params["order"]
+        a = pbar_omega_series(N, "definition")
+        b = pbar_omega_series(N, "triple_sum")
+        yield "definition-vs-triple", a, b
+        yield "enumeration-oracle", a.truncate(26), pbar_omega_series(26, "oracle")
+        M = min(N, 40)
+        yield "zeta-bracket-route", pbar_from_dzeta_brackets(M), b.truncate(M).refine(24)
+
+    out = _series_check(pairs())
     if out["ok"]:
         mmg = g_equals_sum_of_f_mismatch(15)
         if mmg is not None:
@@ -136,62 +152,58 @@ def _run_cor_pwrep(params) -> Dict:
 
 def _run_brz(params) -> Dict:
     P = params["prec"]
-    tol = params["tolerance"]
     pts = [((0.13, 0.21), (-0.07, 0.11), (0.19, -0.15), (0.11, 0.93)),
            ((0.02, 0.17), (0.23, -0.05), (-0.31, 0.08), (-0.23, 1.07)),
            ((-0.17, 0.12), (0.05, 0.21), (0.13, 0.17), (0.31, 1.49)),
            ((0.29, -0.11), (-0.13, 0.19), (0.07, -0.23), (0.07, 0.84)),
            ((0.11, 0.07), (0.17, 0.13), (-0.23, -0.11), (-0.41, 1.21))]
-    worst = 0.0
+
+    def residuals():
+        for pt in pts:
+            z1, z2, z3, tau = (mp.mpc(*x) for x in pt)
+            a = completion.F_cone_numeric(z1, z2, z3, tau, P)
+            b = completion.F_mu_numeric(z1, z2, z3, tau, P)
+            yield float(abs(a - b)), {"part": "cone-vs-mu"}
+
     with workprec(P):
-        for z1, z2, z3, tt in pts:
-            tau = mp.mpc(*tt)
-            a = completion.F_cone_numeric(mp.mpc(*z1), mp.mpc(*z2), mp.mpc(*z3), tau, P)
-            b = completion.F_mu_numeric(mp.mpc(*z1), mp.mpc(*z2), mp.mpc(*z3), tau, P)
-            worst = max(worst, float(abs(a - b)))
-    return {"ok": worst < tol, "worst": worst,
-            "witness": None if worst < tol else {"part": "cone-vs-mu"}}
+        return _residual_check(residuals(), params["tolerance"])
 
 
 def _run_theta_shifts(params) -> Dict:
-    N = params["order"]
-    P = params["prec"]
-    tol = params["tolerance"]
-    lhs1 = theta_series_at_torsion(TorsionPoint(1, F(1, 2)), N)
-    rhs1 = eta_quotient_series(EtaQuotient([(2, 2), (1, -1)], Monomial(-2, F(-1, 2))), N)
-    lhs2 = theta_series_at_torsion(TorsionPoint(F(1, 2), F(1, 4)), N)
-    rhs2 = eta_quotient_series(
-        EtaQuotient([(2, 2), (4, -1)], Monomial(Cyc8.zeta_pow(-3), F(-1, 8))), N)
-    out = _series_check([("theta(tau+1/2)", lhs1, rhs1),
-                         ("theta(tau/2+1/4)", lhs2, rhs2)])
-    if not out["ok"]:
-        return out
-    z = TorsionPoint(F(1, 2), F(1, 4))
-    for lam in (-1, 0, 1):
-        for mu_ in (-1, 0, 1):
-            pair = _series_check([(f"elliptic({lam},{mu_})",
-                                   theta_series_at_torsion(z.shifted(lam, mu_), 18),
-                                   theta_elliptic_shift_reference(z, lam, mu_, 18))])
-            if not pair["ok"]:
-                return pair
-    worst = 0.0
-    with workprec(P):
+    def pairs():
+        N = params["order"]
+        yield ("theta(tau+1/2)", theta_series_at_torsion(TorsionPoint(1, F(1, 2)), N),
+               eta_quotient_series(EtaQuotient([(2, 2), (1, -1)], Monomial(-2, F(-1, 2))), N))
+        z = TorsionPoint(F(1, 2), F(1, 4))
+        yield ("theta(tau/2+1/4)", theta_series_at_torsion(z, N),
+               eta_quotient_series(EtaQuotient([(2, 2), (4, -1)],
+                                               Monomial(Cyc8.zeta_pow(-3), F(-1, 8))), N))
+        for lam in (-1, 0, 1):
+            for mu_ in (-1, 0, 1):
+                yield (f"elliptic({lam},{mu_})",
+                       theta_series_at_torsion(z.shifted(lam, mu_), 18),
+                       theta_elliptic_shift_reference(z, lam, mu_, 18))
+
+    def residuals():
         for tt in params.get("taus", DEFAULT_TAUS):
             tau = mp.mpc(*tt)
             got = kernels.R(tau + mp.mpf(1) / 2, tau)
             want = 2j * kernels.qpow(tau, F(3, 8))
-            worst = max(worst, float(abs(got - want)))
-    return {"ok": worst < tol, "worst": worst,
-            "witness": None if worst < tol else {"part": "R(tau+1/2)"}}
+            yield float(abs(got - want)), {"part": "R(tau+1/2)"}
+
+    out = _series_check(pairs())
+    if not out["ok"]:
+        return out
+    with workprec(params["prec"]):
+        return _residual_check(residuals(), params["tolerance"])
 
 
 def _run_mu_laws(params) -> Dict:
     P = params["prec"]
-    tol = params["tolerance"] if params.get("tolerance") else 2.0 ** (-P + 10)
-    rng = random.Random(20260)
-    worst = 0.0
-    part = None
-    with workprec(P):
+    tol = params["tolerance"] if params["tolerance"] is not None else 2.0 ** (-P + 10)
+
+    def residuals():
+        rng = random.Random(20260)
         for trial in range(10):
             tau = mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 1.4))
             z1 = mp.mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
@@ -216,18 +228,18 @@ def _run_mu_laws(params) -> Dict:
             }
             scale = max(abs(mh), 1)
             for name, resid in checks.items():
-                rel = float(resid / scale)
-                if rel > worst:
-                    worst, part = rel, name
+                yield float(resid / scale), {"part": name}
         # modular law under S and T at a fixed generic point
         tau0 = mp.mpc(0.13, 1.1)
         z1, z2 = mp.mpc(0.21, 0.12), mp.mpc(-0.11, 0.31)
         for M in (GroupElement(0, -1, 1, 0), GroupElement(1, 1, 0, 1)):
-            rel = mu_hat_transform_check(M, z1, z2, tau0, P)
-            if rel > worst:
-                worst, part = rel, f"muhat-transform {M}"
-    if worst >= tol:
-        return {"ok": False, "worst": worst, "witness": {"part": part}}
+            yield (mu_hat_transform_check(M, z1, z2, tau0, P),
+                   {"part": f"muhat-transform {M}"})
+
+    with workprec(P):
+        out = _residual_check(residuals(), tol)
+    if not out["ok"]:
+        return out
     # harmonicity of muhat at torsion data, weight 1/2 (step-limited)
     def h(t):
         t = mp.mpc(t)
@@ -235,7 +247,7 @@ def _run_mu_laws(params) -> Dict:
 
     lap = laplacian_fd(h, F(1, 2), mp.mpc(0.13, 1.02), P=min(P, 160))
     lap_ok = abs(lap) < params["laplacian_tolerance"]
-    return {"ok": lap_ok, "worst": worst if lap_ok else float(abs(lap)),
+    return {"ok": lap_ok, "worst": out["worst"] if lap_ok else float(abs(lap)),
             "witness": None if lap_ok else {"part": "laplacian muhat"}}
 
 
@@ -245,63 +257,53 @@ def _run_finite_jtp(params) -> Dict:
 
 
 def _run_heine(params) -> Dict:
-    N = params["order"]
-    out = _series_check(
-        (f"quarter-root family j={j}",
-         *heine_sides(Monomial(I, F(2 * j + 1, 2)), Monomial(-I, F(2 * j + 1, 2)),
-                      Monomial(1, 2 * j + 1), Monomial(1, 1), N))
-        for j in (0, 1, 2))
-    if not out["ok"]:
-        return out
-    rng = random.Random(4047)
-    done = 0
-    while done < 3:
-        a = Monomial(Cyc8(rng.randint(-2, 2), rng.randint(-1, 1)), F(rng.randint(1, 4), 2))
-        b = Monomial(Cyc8(rng.randint(-2, 2), 0, rng.randint(-1, 1)), F(rng.randint(1, 4), 2))
-        if a.coeff.is_zero() or b.coeff.is_zero():
-            continue
-        c = Monomial(1, F(rng.randint(1, 4), 2) + b.q_exp)
-        z = Monomial(1, rng.randint(1, 2))
-        lhs, rhs = heine_sides(a, b, c, z, 20)
-        mm = lhs.first_mismatch(rhs)
-        if mm is not None:
-            return {"ok": False, "witness": _mismatch_witness(f"random instance {done}", mm)}
-        done += 1
-    return {"ok": True, "witness": None}
+    def pairs():
+        N = params["order"]
+        for j in (0, 1, 2):
+            yield (f"quarter-root family j={j}",
+                   *heine_sides(Monomial(I, F(2 * j + 1, 2)), Monomial(-I, F(2 * j + 1, 2)),
+                                Monomial(1, 2 * j + 1), Monomial(1, 1), N))
+        rng = random.Random(4047)
+        done = 0
+        while done < 3:
+            a = Monomial(Cyc8(rng.randint(-2, 2), rng.randint(-1, 1)), F(rng.randint(1, 4), 2))
+            b = Monomial(Cyc8(rng.randint(-2, 2), 0, rng.randint(-1, 1)), F(rng.randint(1, 4), 2))
+            if a.coeff.is_zero() or b.coeff.is_zero():
+                continue
+            c = Monomial(1, F(rng.randint(1, 4), 2) + b.q_exp)
+            z = Monomial(1, rng.randint(1, 2))
+            yield (f"random instance {done}", *heine_sides(a, b, c, z, 20))
+            done += 1
+
+    return _series_check(pairs())
 
 
 def _run_hhat1(params) -> Dict:
     P = params["prec"]
-    tol = params["tolerance"]
-    worst = 0.0
-    for tt in params["taus"]:
-        val = completion.hhat1_numeric(mp.mpc(*tt), P)
-        worst = max(worst, float(abs(val.value)))
-    return {"ok": worst < tol, "worst": worst,
-            "witness": None if worst < tol else {"part": "hhat1"}}
+    return _residual_check(
+        ((float(abs(completion.hhat1_numeric(mp.mpc(*tt), P).value)), {"part": "hhat1"})
+         for tt in params["taus"]), params["tolerance"])
 
 
 def _run_hhat2(params) -> Dict:
     P = params["prec"]
-    tol = params["tolerance"]
-    worst = 0.0
-    with workprec(P):
+
+    def residuals():
         for tt in params.get("taus", DEFAULT_TAUS):
             tau = mp.mpc(*tt)
             h2 = completion.hhat2_numeric(tau, P)
             ph = completion.phat_omega_numeric(tau, P)
-            diff = abs(h2.value + 4j * kernels.eta(tau) ** 3 * ph.value)
-            worst = max(worst, float(diff))
-    return {"ok": worst < tol, "worst": worst,
-            "witness": None if worst < tol else {"part": "hhat2 vs -4i eta^3 phat"}}
+            yield (float(abs(h2.value + 4j * kernels.eta(tau) ** 3 * ph.value)),
+                   {"part": "hhat2 vs -4i eta^3 phat"})
+
+    with workprec(P):
+        return _residual_check(residuals(), params["tolerance"])
 
 
 def _run_phat_weight1(params) -> Dict:
     P = params["prec"]
-    tol = params["tolerance"]
-    worst = 0.0
-    wit = None
-    with workprec(P):
+
+    def residuals():
         taus = [mp.mpc(*tt) for tt in params.get("taus", DEFAULT_TAUS)]
         rights = [completion.phat_omega_numeric(tau, P).value for tau in taus]
         for mat in params["matrices"]:
@@ -309,10 +311,11 @@ def _run_phat_weight1(params) -> Dict:
             for tau, right in zip(taus, rights):
                 left = completion.phat_omega_numeric(M.act(tau), P).value
                 res = abs(left - mp.expjpi(mp.mpf(M.c) / 8) * M.jfactor(tau) * right)
-                rel = float(res / max(abs(left), abs(right)))
-                if rel > worst:
-                    worst, wit = rel, {"matrix": str(M), "tau": str(tau)}
-    return {"ok": worst < tol, "worst": worst, "witness": None if worst < tol else wit}
+                yield (float(res / max(abs(left), abs(right))),
+                       {"matrix": str(M), "tau": str(tau)})
+
+    with workprec(P):
+        return _residual_check(residuals(), params["tolerance"])
 
 
 def _run_phat_holpart(params) -> Dict:
@@ -349,7 +352,8 @@ def _run_phat_lowering(params) -> Dict:
         Lfd = lowering_fd(lambda t: completion.phat_omega_numeric(t, P).value, tau, P)
         printed = float(abs(Lfd - completion.lowering_rhs(tau, P)))
         corrected = float(abs(Lfd - completion.lowering_rhs(tau, P, corrected=True)))
-        d435 = dtaubar_fd_of_fcal1(tau, P)
+        d = dtaubar_fd(lambda t: completion.fcal_derivs(t, P)[1].value, tau)
+        d435 = float(abs(d - completion.dtaubar_fcal1_closed(tau, P)))
     ok = printed < tol and d435 < tol
     return {"ok": ok, "worst": max(printed, d435),
             "witness": {"part": "original-form lowering combination",
@@ -358,24 +362,17 @@ def _run_phat_lowering(params) -> Dict:
                         "dtaubar_fcal1_residual": d435}}
 
 
-def dtaubar_fd_of_fcal1(tau, P) -> float:
-    from .modular import dtaubar_fd
-    with workprec(P):
-        d = dtaubar_fd(lambda t: completion.fcal_derivs(t, P)[1].value, mp.mpc(tau))
-        return float(abs(d - completion.dtaubar_fcal1_closed(tau, P)))
-
-
 def _run_f2_shadow(params) -> Dict:
     P = params["prec"]
-    tol = params["tolerance"]
-    worst = 0.0
-    with workprec(P):
+
+    def residuals():
         for tt in params.get("taus", DEFAULT_TAUS)[:2]:
             tau = mp.mpc(*tt)
             xi = xi_fd(lambda t: completion.f_family_numeric(2, t, P), F(1, 2), tau, P)
-            worst = max(worst, float(abs(xi - completion.f2_shadow_closed(tau, P))))
-    return {"ok": worst < tol, "worst": worst,
-            "witness": None if worst < tol else {"part": "xi_{1/2}(f2)"}}
+            yield float(abs(xi - completion.f2_shadow_closed(tau, P))), {"part": "xi_{1/2}(f2)"}
+
+    with workprec(P):
+        return _residual_check(residuals(), params["tolerance"])
 
 
 # ---------------------------------------------------------------------------

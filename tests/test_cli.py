@@ -6,7 +6,7 @@ from pwomega.cli import main
 from pwomega.cyc8 import Cyc8
 from pwomega.jseries import JSeries
 from pwomega.qseries import QSeries
-from pwomega.registry import _series_check, identity_ids, run_identity
+from pwomega.registry import _residual_check, _series_check, identity_ids, run_identity
 
 
 def run_cli(capsys, *argv):
@@ -139,3 +139,45 @@ def test_series_check_witness_keys():
                                             "zeta_exponent": "-2",
                                             "lhs": str(Cyc8(1)), "rhs": str(Cyc8(2))}}
     assert _series_check([("q", q1, q1), ("j", j1, j1)]) == {"ok": True, "witness": None}
+
+
+def test_series_check_builds_no_pair_after_a_mismatch():
+    q1 = QSeries.from_terms(1, [(0, Cyc8(1))], 5)
+    q2 = QSeries.from_terms(1, [(0, Cyc8(2))], 5)
+
+    def pairs():
+        yield "same", q1, q1
+        yield "differ", q1, q2
+        raise AssertionError("a pair was built after the first mismatch")
+
+    assert _series_check(pairs())["witness"]["part"] == "differ"
+
+
+def test_residual_check_fails_at_the_tolerance():
+    assert _residual_check([(1e-3, {"part": "a"})], 1e-3)["ok"] is False
+    assert _residual_check([(1e-3, {"part": "a"})], 2e-3) == {"ok": True, "worst": 1e-3,
+                                                               "witness": None}
+
+
+def test_residual_check_witness_is_the_worst():
+    out = _residual_check([(1.0, {"part": "a"}), (3.0, {"part": "b"}),
+                           (2.0, {"part": "c"})], 0.5)
+    assert out == {"ok": False, "worst": 3.0, "witness": {"part": "b"}}
+
+
+def test_no_residuals_is_a_failure(tmp_path, capsys):
+    assert _residual_check([], 1.0) == {"ok": False, "worst": None,
+                                        "witness": {"part": "no residuals"}}
+    assert run_identity("hhat1-zero", {"taus": []}).status == "fail"
+    cfg = tmp_path / "empty-taus.cfg"
+    cfg.write_text("taus =\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "run", "hhat1-zero")
+    assert code == 1
+    report = json.loads(out)
+    assert report["worst_residual"] is None
+    assert report["witness"] == {"part": "no residuals"}
+
+
+def test_mu_laws_zero_tolerance_fails():
+    # a tolerance of 0 is a tolerance, not "use the default 2^(10 - prec)"
+    assert run_identity("mu-laws", {"tolerance": 0.0}).status == "fail"

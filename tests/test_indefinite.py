@@ -11,9 +11,8 @@ from pwomega.indefinite import (cone_exponent, cone_points, cone_sum_series,
                                 weighted_triple_sum, g_equals_sum_of_f_mismatch,
                                 g_half_jseries,
                                 pbar_from_dzeta_brackets, pbar_omega_series,
-                                pwz_coefficient_formula_mismatch,
-                                pwz_identity_mismatch, pwz_lhs_cleared,
-                                tail_landing_bound)
+                                pwz_coefficient_formula_sides, pwz_lhs_cleared,
+                                pwz_rhs_cleared, tail_landing_bound)
 from pwomega.partitions import census
 from pwomega.qseries import Monomial
 
@@ -101,7 +100,7 @@ def test_g_half_jseries_prefactor():
 
 
 def test_pwz_cleared_identity():
-    assert pwz_identity_mismatch(15) is None
+    assert pwz_lhs_cleared(15, 25).first_mismatch(pwz_rhs_cleared(15, 25)) is None
 
 
 def test_pwz_low_coefficients():
@@ -112,13 +111,15 @@ def test_pwz_low_coefficients():
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_pwz_per_coefficient_formula(j):
-    assert pwz_coefficient_formula_mismatch(pwz_lhs_cleared(16, 25), j) is None
+    lhs, rhs = pwz_coefficient_formula_sides(pwz_lhs_cleared(16, 25), j)
+    assert lhs.first_mismatch(rhs) is None
 
 
 def test_pwz_coefficient_formula_reports_shifted_series():
     # zeta times the cleared series moves [zeta^(j-1)] into [zeta^j]
     shifted = pwz_lhs_cleared(10, 25).mul_monomial(Monomial(1, 0, 1))
-    assert pwz_coefficient_formula_mismatch(shifted, 2) is not None
+    lhs, rhs = pwz_coefficient_formula_sides(shifted, 2)
+    assert lhs.first_mismatch(rhs) is not None
 
 
 def test_pwz_cleared_series_truncates_to_lower_order():
@@ -131,7 +132,7 @@ def test_pwz_cleared_series_truncates_to_lower_order():
 
 def test_pwz_window_guard():
     with pytest.raises(WindowTooSmall):
-        pwz_identity_mismatch(15, W=2)
+        pwz_lhs_cleared(15, 2)
 
 
 def test_g_decomposition_into_quarter_shifts():

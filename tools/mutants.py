@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Mutation gate: each entry below is a deliberate one-line bug together with
+the test files that must catch it.
+
+For every entry the script copies src/, tests/ and pyproject.toml into a
+fresh temporary directory, replaces the entry's text (which must occur exactly
+once in its file), runs the named test files there with pytest, and counts the
+mutant as killed when pytest fails.  It prints one line per mutant and the
+survivors, and exits 1 when any mutant survives.  Run it from any directory
+on a tree whose own tests pass:
+
+    python tools/mutants.py
+
+It takes no options and is not part of the tier-1 test run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file, old text, new text, test files that must fail)
+MUTANTS = [
+    ("src/pwomega/indefinite.py",
+     "cone_exponent(k, l, n) < N + abs(k))", "cone_exponent(k, l, n) < N)",
+     ["tests/test_indefinite.py"]),
+    ("src/pwomega/classical.py",
+     "an = an * _factor(D, a, n - 1, N)", "an = an * _factor(D, a, n, N)",
+     ["tests/test_classical.py"]),
+    ("src/pwomega/partitions.py",
+     "g.shift(e + m * n)", "g.shift(e + n)",
+     ["tests/test_partitions.py"]),
+    ("src/pwomega/kernels.py",
+     "self.plan.qpow(len(cneg) - 1)", "self.plan.qpow(len(cneg))",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/registry.py",
+     "mm = a.first_mismatch(b)", "mm = None",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/registry.py",
+     "res > worst", "res < worst",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/registry.py",
+     "ok = worst < tol", "ok = worst <= tol",
+     ["tests/test_cli.py"]),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run_mutant(path: str, old: str, new: str, tests) -> bool:
+    """True when the named tests fail on the mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="pwomega-mutant-") as tmp:
+        tmp = Path(tmp)
+        _copy_tree(tmp)
+        target = tmp / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"{path}: {old!r} occurs {text.count(old)} times, expected once")
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run([sys.executable, "-c", "import pwomega; print(pwomega.__file__)"],
+                               cwd=tmp, env=env, capture_output=True, text=True).stdout.strip()
+        if not where.startswith(str(tmp)):
+            raise SystemExit(f"the mutated copy imports pwomega from {where!r}")
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x",
+                               "-p", "no:cacheprovider", *tests],
+                              cwd=tmp, env=env, capture_output=True, text=True)
+        return proc.returncode != 0
+
+
+def main() -> int:
+    survivors = []
+    for path, old, new, tests in MUTANTS:
+        t0 = time.perf_counter()
+        killed = run_mutant(path, old, new, tests)
+        label = f"{path}: {old!r} -> {new!r}"
+        print(f"{'killed  ' if killed else 'SURVIVED'} {time.perf_counter() - t0:6.1f}s  {label}",
+              flush=True)
+        if not killed:
+            survivors.append(label)
+    print(f"{len(survivors)} survivors of {len(MUTANTS)} mutants")
+    for label in survivors:
+        print(f"  survivor: {label}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
