@@ -249,11 +249,9 @@ def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool):
     plan = kernels.TauPlan(tau)
     w = [_w_point(tau, g) for g in (0, 1)]
     # mu(., w_g) and mu(., w_g + w_g), with w_0 + w_0 = tau + 1/2 and
-    # w_1 + w_1 = tau + 3/2
-    mu_w = [plan.mu(w[g]) for g in (0, 1)]
-    mu_ww = [plan.mu(tau + mp.mpf(1) / 2), plan.mu(tau + mp.mpf(3) / 2)]
-    th_w = [m.theta_w for m in mu_w]
-    th_ww = [m.theta_w for m in mu_ww]
+    # w_1 + w_1 = tau + 3/2, in one bundle
+    mus = plan.mu(w[0], w[1], tau + mp.mpf(1) / 2, tau + mp.mpf(3) / 2)
+    th_w, th_ww = mus.theta_w[:2], mus.theta_w[2:]
     pairs = [(alpha, beta) for alpha in (0, 1) for beta in (0, 1)]
     # coefficient of the second term of each holomorphic block
     c2 = {(a, b): (-eta3 * th_ww[a] / (th_w[a] * th_w[b]) if a == b
@@ -262,10 +260,10 @@ def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool):
     def node(z):
         # p_g(z) = theta(z) mu(z, w_g), then the four holomorphic blocks
         th = plan.theta(z)
-        mu = [m(z) for m in mu_w]
+        mu = mus(z)
         e = mp.expjpi(-2 * z)
         return [th * mu[0], th * mu[1]] + [
-            1j * th * mu[a] * mu[b] + (c2[a, b] * mu_ww[a](z) if a == b else c2[a, b] * e / th)
+            1j * th * mu[a] * mu[b] + (c2[a, b] * mu[2 + a] if a == b else c2[a, b] * e / th)
             for a, b in pairs]
 
     orders = (0, 1) if want_dz else (0,)
@@ -275,12 +273,10 @@ def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool):
     # R and dR/dz at center - w_g and center - w_g - w_g
     z_w = [center - w[g] for g in (0, 1)]
     z_ww = [center - w[g] - w[g] for g in (0, 1)]
-    R_w = [kernels.R(z, tau) for z in z_w]
-    R_ww = [kernels.R(z, tau) for z in z_ww]
+    R_w, Rdz_w = zip(*(kernels._R_terms(z, tau) for z in z_w))
+    R_ww, Rdz_ww = zip(*(kernels._R_terms(z, tau) for z in z_ww))
     if want_dz:
         thp_center = plan.theta_dz(center)
-        Rdz_w = [kernels.R_dz(z, tau) for z in z_w]
-        Rdz_ww = [kernels.R_dz(z, tau) for z in z_ww]
 
     out = {}
     for alpha, beta in pairs:
@@ -423,12 +419,11 @@ def fcal_derivs(tau, P: int = 160) -> Tuple[Approx, Approx, Approx]:
         mu_w0 = plan.mu(w0)
 
         def hol(z):
-            return (q18 * mp.expjpi(z) * plan.theta(z) * mu_w0(z),)
+            return (q18 * mp.expjpi(z) * plan.theta(z) * mu_w0(z)[0],)
 
         g, = contour_derivs(hol, mp.mpc(0), r, (0, 1, 2), P)
         thp = plan.theta_dz(0)
-        R0 = kernels.R(-w0, tau)
-        R1 = kernels.R_dz(-w0, tau)
+        R0, R1 = kernels._R_terms(-w0, tau)
         f0 = Approx(g[0].value, g[0].err)
         c1 = 0.5j * q18 * thp * R0
         f1 = Approx(g[1].value + c1, g[1].err + _prim_err(c1, P))

@@ -9,38 +9,66 @@ Conventions:
   * R and its z-derivatives treat z as a real-analytic variable: the
     derivative is the Wirtinger d/dz, with the E-factor's dependence on
     y = Im z entering through dy/dz = 1/(2i).
-  * theta and mu are evaluated through a per-tau plan (TauPlan, MuPlan):
-    the factors of each term that depend on tau alone (theta's
-    e^(pi i n^2 tau + pi i n), the powers q^n, and mu's numerators for a
-    fixed second argument) are built once per tau by multiplicative ratio
-    recurrence, and a point costs two exponentials plus, per term, one
-    multiply-add (theta, by Horner's rule) or one multiply, divide and pole
-    check (mu).  theta(z, tau) and mu(z1, z2, tau) are one-point uses of a
-    plan, so each bilateral sum has one implementation.
-  * rounding: the k-th recurrence factor carries a relative error of about
-    k^2/2 ulps; weighted by the Gaussian decay e^(-pi v k^2) of the terms
-    this is at most about 1/(2 pi e v) ulps of the largest term (6 ulps at
-    v = 0.0104).  The composite layer's primitive allowance, 2^16 ulps of
-    the working precision (completion._prim_err), covers it, and the tests
-    check the composite budgets against precision doubling at v = 0.0104.
+  * theta and mu are evaluated through a per-tau plan (TauPlan, MuPlan)
+    whose inner loops run on Gaussian integers, the way mpmath's own series
+    loops (libelefun) do: a complex x is held as the integer pair
+    (floor(2^W Re x), floor(2^W Im x)) with W = prec + FIXED_GUARD, and a
+    product is four integer multiplies and a shift right by W.  The tau-only
+    tables (q^m, theta's Gaussian weights q^(j(j-1)/2), mu's numerators) are
+    built once per plan by ratio recurrence in fixed point; the few
+    exponentials a point needs are taken at W bits; each sum is converted
+    to an mpc once.  theta(z, tau) and mu(z1, z2, tau) are one-point uses of
+    a plan, so each bilateral sum has one implementation.
+  * cost per node: theta, two exponentials and one division at W bits, then
+    one fixed-point complex multiply-add per term; a mu bundle (every second
+    argument w used at that node), one exponential and one division at W
+    bits, then per term one fixed-point denominator, one integer reciprocal
+    and one squared-modulus pole check shared by the bundle, plus one
+    complex multiply-add per w.
+  * boundedness: theta is anchored at its largest term k* = floor(-Im z/v)
+    and summed outward on each side by Horner's rule in a ratio of modulus
+    at most 1 (one pass over the whole window would close with the factor
+    e^(pi i (2 lo + 1) z), which at Im z = v/2, v = 1.36 scales the
+    accumulated rounding by about 1e20).  mu's terms with n = -k < 0 are
+    rewritten as zeta^-1 (-c_-k q^k)/(1 - zeta^-1 q^k), so every numerator
+    and every t q^m in a denominator has modulus at most about 1 for the
+    points the contour passes use (|Im z|, |Im w| <= 1.1 v).  Farther out,
+    mu's terms shrink with 1/max(|zeta|, |zeta^-1 q|) while the rounding of
+    a reciprocal does not, so the bound below grows by about 9 bits per
+    unit of Im z outside [0, v] (2^11 ulps of the working precision at
+    Im z = -2, v = 0.5).
+  * rounding, in units of 2^-W: converting an exponential taken at W bits
+    costs at most 3, a fixed-point product at most 2, and the recurrences
+    put at most about 5m + 5/(pi v) on a table entry of index m.  A side of
+    N terms therefore accumulates at most about N (2N + 5/(pi v) + 20)
+    units relative to its largest term (for mu: after dividing each term by
+    its denominator, the conditioning every evaluation of the sum shares).
+    At v = 0.0104 and prec = 248 a side has N <= 83 terms, which gives at
+    most 2^16 units per window, i.e. 2^-(prec+8) relative: below one unit
+    of the working precision and 2^24 times inside the composite layer's
+    primitive allowance of 2^16 ulps (completion._prim_err).  Against
+    per-term sums at 100 more bits, at nodes around 0 and tau and at the
+    four w's of the F-hat pass, theta, theta' and mu are within 4 ulps of
+    the working precision for Im tau in {1.36, 0.93, 0.1, 0.0104}.
 """
 
 from __future__ import annotations
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .errors import PoleProximity, PrecisionUnreachable
 
 GUARD = 56          # extra working bits used by public wrappers
 TAIL_GUARD = 10     # tail cut at 2^-(prec+TAIL_GUARD) * max_term
+# fixed-point bits below the working precision: a window's rounding stays
+# under 2^17 units of 2^-W for Im tau >= 0.009 (module docstring), 7 bits
+# short of one unit of the working precision
+FIXED_GUARD = 24
 
 
 def workprec(P: int):
     return mp.workprec(P + GUARD)
-
-
-def _eps():
-    return mp.mpf(2) ** (-(mp.prec + TAIL_GUARD))
 
 
 def qpow(tau, e):
@@ -58,13 +86,33 @@ def eta(tau):
     v = tau.imag
     if v <= 0:
         raise PrecisionUnreachable("eta needs Im(tau) > 0")
-    eps = _eps()
-    # |q|^(k(3k-1)/2) < eps  once  pi*v*k^2 > prec*ln2 roughly
+    # |q|^(k(3k-1)/2) is below the tail cut once pi*v*k^2 > prec*ln2 roughly
     kmax = int(mp.sqrt((mp.prec + TAIL_GUARD + 8) * mp.ln(2) / (3 * mp.pi * v))) + 3
     acc = mp.mpc(1)
     for k in range(1, kmax + 1):
         acc += (-1) ** k * (qpow(tau, k * (3 * k - 1) // 2) + qpow(tau, k * (3 * k + 1) // 2))
     return qpow(tau, mp.mpf(1) / 24) * acc
+
+
+# ---------------------------------------------------------------------------
+# fixed-point Gaussian integers
+# ---------------------------------------------------------------------------
+
+def _fix(x, W: int):
+    """The Gaussian integer (floor(2^W Re x), floor(2^W Im x)) of an mpc."""
+    re, im = x._mpc_
+    return to_fixed(re, W), to_fixed(im, W)
+
+
+def _mul(a, b, W: int):
+    """Product of two Gaussian integers at scale 2^W, at scale 2^W."""
+    (ar, ai), (br, bi) = a, b
+    return (ar * br - ai * bi) >> W, (ar * bi + ai * br) >> W
+
+
+def _to_mpc(x, e: int):
+    """The Gaussian integer x at scale 2^e as an mpc at the working precision."""
+    return mp.mpc(mp.mpf((x[0], -e)), mp.mpf((x[1], -e)))
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +132,13 @@ def _halfint_window(v, y):
 
 class TauPlan:
     """The factors of the theta and mu sums that depend on tau alone, built
-    once per tau and shared by every point evaluated through the plan.
+    once per tau in fixed point at W = prec + FIXED_GUARD bits and shared by
+    every point evaluated through the plan.
 
-    theta's coefficients a_k = e^(pi i n^2 tau + pi i n), n = k + 1/2, start
-    from a_0 = i q^(1/8) and follow the ratio a_(k+1)/a_k = -q^(k+1); the
-    reflection n -> -n gives a_(-1-k) = -a_k.  The powers q^m and q^-m come
-    from repeated multiplication.  Tables grow on demand, so each point is
-    summed over exactly its own tail-cut window.
+    The tables are the powers q^m and the Gaussian weights
+    g_j = q^(j(j-1)/2), m, j >= 0, from g_(j+1) = g_j q^j; all have modulus at
+    most 1.  They grow on demand, so each point is summed over exactly its
+    own tail-cut window.
 
     A plan computes at the working precision in effect when it is built and
     must be used at that precision; it lives no longer than the evaluation
@@ -101,42 +149,65 @@ class TauPlan:
         tau = mp.mpc(tau)
         if tau.imag <= 0:
             raise PrecisionUnreachable("theta needs Im(tau) > 0")
-        self.v = tau.imag
-        self._qpos = [mp.mpc(1), mp.expjpi(2 * tau)]     # q^m, m >= 0
-        self._qneg = [mp.mpc(1), mp.expjpi(-2 * tau)]    # q^-m, m >= 0
-        a0 = 1j * mp.expjpi(tau / 4)
-        self._apos = [a0]                                # a_k, k >= 0
-        self._aneg = [-a0]                               # a_(-1-k), k >= 0
+        self.tau, self.v = tau, tau.imag
+        self.prec = mp.prec
+        self.W = W = mp.prec + FIXED_GUARD
+        # the z- and w-independent part of a mu window
+        self._mu_A0 = int(mp.sqrt((mp.prec + TAIL_GUARD + 8) * mp.ln(2) / (mp.pi * self.v)))
+        with mp.workprec(W):
+            self._q_mpc = mp.expjpi(2 * tau)
+        self._q = [(1 << W, 0), _fix(self._q_mpc, W)]     # q^m
+        self._g = [(1 << W, 0), (1 << W, 0)]             # q^(j(j-1)/2)
 
-    def qpow(self, m: int):
-        """q^m for integer m."""
-        table = self._qpos if m >= 0 else self._qneg
-        m = abs(m)
-        while len(table) <= m:
-            table.append(table[-1] * table[1])
-        return table[m]
+    def _qpowers(self, m: int):
+        """The table q^0 .. q^m (at least)."""
+        Q, W = self._q, self.W
+        while len(Q) <= m:
+            Q.append(_mul(Q[-1], Q[1], W))
+        return Q
 
-    def _theta_coeffs(self, lo, hi):
-        """a_k for k = hi, hi-1, ..., lo."""
-        apos, aneg = self._apos, self._aneg
-        while len(apos) <= max(hi, -1 - lo):
-            apos.append(-apos[-1] * self.qpow(len(apos)))
-            aneg.append(-apos[-1])
-        desc = apos[max(lo, 0):hi + 1][::-1] if hi >= 0 else []
-        if lo < 0:
-            desc += aneg[max(0, -1 - hi):-lo]
-        return desc
+    def _gauss(self, j: int):
+        """The table g_0 .. g_j (at least)."""
+        g = self._g
+        Q = self._qpowers(j)
+        while len(g) <= j:
+            g.append(_mul(g[-1], Q[len(g) - 1], self.W))
+        return g
 
     def _halfint_sum(self, z, weighted):
-        """sum over k in z's window of a_k e^(2 pi i n z), times n if
-        weighted, by Horner's rule in x = e^(2 pi i z)."""
+        """sum over k in z's window of T_k = a_k e^(2 pi i n z), n = k + 1/2,
+        times 2n if weighted.
+
+        With k* = floor(-Im z / v), the term of largest modulus up to one
+        index, T_(k*+j) = T_k* a^j g_j and T_(k*-j) = T_k* b^j g_j, where
+        a = -q^(k*+1) e^(2 pi i z) and b = -q^(-k*) e^(-2 pi i z) both have
+        modulus at most 1; each side is summed by Horner's rule in a or b."""
         z = mp.mpc(z)
         lo, hi = _halfint_window(self.v, z.imag)
-        x = mp.expjpi(2 * z)
-        acc = mp.mpc(0)
-        for k, a in zip(range(hi, lo - 1, -1), self._theta_coeffs(lo, hi)):
-            acc = acc * x + (a * (k + mp.mpf(1) / 2) if weighted else a)
-        return acc * mp.expjpi((2 * lo + 1) * z)
+        k0 = int(mp.floor(-z.imag / self.v))
+        W, tau = self.W, self.tau
+        with mp.workprec(W):
+            n0 = mp.mpf(2 * k0 + 1) / 2
+            peak = mp.expjpi(n0 * (n0 * tau + 2 * z + 1))
+            a = -mp.expjpi(2 * ((k0 + 1) * tau + z))
+            a, b = _fix(a, W), _fix(self._q_mpc / a, W)
+        g = self._gauss(max(hi - k0, k0 - lo))
+        total = [0, 0]
+        for ratio, J, step in ((a, hi - k0, 2), (b, k0 - lo, -2)):
+            ar, ai = ratio
+            sr = si = 0
+            for j in range(J, -1, -1):
+                gr, gi = g[j]
+                if weighted:
+                    wt = 2 * k0 + 1 + step * j
+                    gr, gi = wt * gr, wt * gi
+                sr, si = ((sr * ar - si * ai) >> W) + gr, ((sr * ai + si * ar) >> W) + gi
+            total[0] += sr
+            total[1] += si
+        # the peak term was summed by both sides
+        wt0 = 2 * k0 + 1 if weighted else 1
+        total[0] -= wt0 << W
+        return peak * _to_mpc(total, W)
 
     def theta(self, z):
         """Jacobi theta: sum over n in 1/2+Z of e^(pi i n^2 tau + 2 pi i n (z+1/2))."""
@@ -144,54 +215,97 @@ class TauPlan:
 
     def theta_dz(self, z):
         """d/dz of theta (holomorphic derivative)."""
-        return 2j * mp.pi * self._halfint_sum(z, True)
+        return 1j * mp.pi * self._halfint_sum(z, True)
 
-    def mu(self, w) -> "MuPlan":
-        """The plan of z -> mu(z, w; tau) for this tau and a fixed w."""
-        return MuPlan(self, w)
+    def mu(self, *ws) -> "MuPlan":
+        """The plan of z -> [mu(z, w; tau) for w in ws] for this tau."""
+        return MuPlan(self, ws)
 
 
 class MuPlan:
-    """mu(., w; tau) for a fixed second argument w: theta(w) and the
-    numerators c_n = (-1)^n e^(2 pi i n w) q^(n(n+1)/2) are computed once,
-    c_(n+1) = -e^(2 pi i w) q^(n+1) c_n for n >= 0 and
-    c_(n-1) = -e^(-2 pi i w) q^(-n) c_n for n <= 0."""
+    """mu(., w; tau) for a bundle of second arguments w, summed in one pass
+    per point: the denominators, their reciprocals and the pole check are
+    shared by every w.
 
-    def __init__(self, plan: TauPlan, w):
+    The numerators c_n = (-1)^n e^(2 pi i n w) q^(n(n+1)/2) follow
+    c_(n+1) = -e^(2 pi i w) q^(n+1) c_n and c_(n-1) = -e^(-2 pi i w) q^(-n) c_n.
+    A term with n = -k < 0 is rewritten as
+
+        c_-k / (1 - zeta q^-k) = zeta^-1 (-c_-k q^k) / (1 - zeta^-1 q^k),
+
+    so both sides of the sum have the form N_m / (1 - t q^m), m >= 0, with
+    t = zeta or zeta^-1 and every N_m, q^m of modulus at most about 1."""
+
+    def __init__(self, plan: TauPlan, ws):
         self.plan = plan
-        self.w = mp.mpc(w)
-        self.theta_w = plan.theta(self.w)
-        self._ratio = (-mp.expjpi(2 * self.w), -mp.expjpi(-2 * self.w))
-        self._cpos = [mp.mpc(1)]    # c_n, n >= 0
-        self._cneg = [mp.mpc(1)]    # c_-n, n >= 0
+        self.ws = [mp.mpc(w) for w in ws]
+        self.theta_w = [plan.theta(w) for w in self.ws]
+        W = plan.W
+        with mp.workprec(W):
+            self._up = [_fix(-mp.expjpi(2 * w), W) for w in self.ws]
+            self._down = [_fix(-mp.expjpi(-2 * w), W) for w in self.ws]
+        one = [(1 << W, 0)] * len(self.ws)
+        self._cpos = [one]    # [c_n for each w], n >= 0
+        self._cneg = [one]    # [c_-k for each w], k >= 0
+        self._neg = [None]    # [-c_-k q^k for each w], k >= 1
+        self._wy = max(abs(w.imag) for w in self.ws)
 
     def _numerators(self, A):
-        """c_n for n = -A .. A."""
-        cpos, cneg = self._cpos, self._cneg
-        up, down = self._ratio
+        """Grow the numerator rows through index A."""
+        W = self.plan.W
+        Q = self.plan._qpowers(A)
+        cpos, cneg, neg = self._cpos, self._cneg, self._neg
         while len(cpos) <= A:
-            cpos.append(cpos[-1] * up * self.plan.qpow(len(cpos)))
+            m = len(cpos)
+            cpos.append([_mul(_mul(c, u, W), Q[m], W) for c, u in zip(cpos[-1], self._up)])
         while len(cneg) <= A:
-            cneg.append(cneg[-1] * down * self.plan.qpow(len(cneg) - 1))
-        return cneg[A:0:-1] + cpos[:A + 1]
+            k = len(cneg)
+            cneg.append([_mul(_mul(c, d, W), Q[k - 1], W) for c, d in zip(cneg[-1], self._down)])
+            neg.append([(-r, -i) for r, i in (_mul(c, Q[k], W) for c in cneg[-1])])
 
-    def __call__(self, z1):
-        """mu(z1, w; tau) by its defining bilateral sum."""
-        z1 = mp.mpc(z1)
+    def __call__(self, z):
+        """[mu(z, w; tau) for each w of the bundle] by the defining
+        bilateral sum, each summed over n = -A .. A for the widest window."""
+        z = mp.mpc(z)
         plan = self.plan
-        v = plan.v
-        L = (mp.prec + TAIL_GUARD + 8) * mp.ln(2)
-        A = int(mp.sqrt(L / (mp.pi * v))) + int((abs(z1.imag) + abs(self.w.imag)) / v) + 6
-        pole_cut = mp.mpf(2) ** (-(mp.prec - GUARD // 2) / 2)
-        z1_fac = mp.expjpi(2 * z1)
-        acc = mp.mpc(0)
-        for n, c in zip(range(-A, A + 1), self._numerators(A)):
-            t = z1_fac * plan.qpow(n)
-            den = 1 - t
-            if abs(den) < pole_cut * max(1, abs(t)):
-                raise PoleProximity(f"mu denominator at n={n} has modulus {abs(den)}")
-            acc += c / den
-        return mp.expjpi(z1) / self.theta_w * acc
+        W = plan.W
+        A = plan._mu_A0 + int((abs(z.imag) + self._wy) / plan.v) + 6
+        self._numerators(A)
+        with mp.workprec(W):
+            h = mp.expjpi(z)
+            zeta = h * h
+            zinv = 1 / zeta
+        pos = self._side(_fix(zeta, W), self._cpos, 0, A, 1)
+        neg = self._side(_fix(zinv, W), self._neg, 1, A, -1)
+        return [h / th * (_to_mpc(p, 2 * W) + zinv * _to_mpc(n, 2 * W))
+                for th, p, n in zip(self.theta_w, pos, neg)]
+
+    def _side(self, t, rows, m0, A, sign):
+        """[sum over m0 <= m <= A of rows[m][i] / (1 - t q^m) for each w_i],
+        as Gaussian integers at scale 2^(2W); raises PoleProximity when a
+        denominator is below 2^(-(prec-28)/2) max(1, |t q^m|)."""
+        W = self.plan.W
+        Q = self.plan._qpowers(A)
+        s = self.plan.prec - GUARD // 2
+        one, one2, num = 1 << W, 1 << (2 * W), 1 << (3 * W)
+        near = 1 << (2 * W + 2 - s)      # |den|^2 2^s >= 4 rules out a pole
+        tr0, ti0 = t
+        sums = [[0, 0] for _ in self.ws]
+        for m in range(m0, A + 1):
+            qr, qi = Q[m]
+            tr = (tr0 * qr - ti0 * qi) >> W
+            ti = (tr0 * qi + ti0 * qr) >> W
+            dr, di = one - tr, -ti
+            M = dr * dr + di * di
+            if M < near and (M << s) < max(one2, tr * tr + ti * ti):
+                raise PoleProximity(f"mu denominator at n={sign * m} has modulus "
+                                    f"{mp.sqrt(mp.mpf(M)) / 2 ** W}")
+            k = num // M
+            rr, ri = (dr * k) >> W, -(di * k) >> W        # 1/(1 - t q^m)
+            for acc, (cr, ci) in zip(sums, rows[m]):
+                acc[0] += cr * rr - ci * ri
+                acc[1] += cr * ri + ci * rr
+        return sums
 
 
 def theta(z, tau):
@@ -226,8 +340,8 @@ def sgn_minus_E(sign_n: int, w):
 # R and its z-derivatives
 # ---------------------------------------------------------------------------
 
-def _R_terms(z, tau, d_order, formal=False):
-    """Common core for R (d_order 0) and its first z-derivative (d_order 1).
+def _R_terms(z, tau, formal=False):
+    """R(z) and its first z-derivative, from one pass over the terms.
 
     formal=False differentiates in the Wirtinger sense (the E-factor's
     dependence on y = Im z enters with dy/dz = 1/(2i)); formal=True applies
@@ -240,31 +354,30 @@ def _R_terms(z, tau, d_order, formal=False):
         raise PrecisionUnreachable("R needs Im(tau) > 0")
     s2v = mp.sqrt(2 * v)
     lo, hi = _halfint_window(v, -y)   # zeta^{-n}: the hump sits at +y/v
-    acc = mp.mpc(0)
-    inv2i = 0 if formal else 1 / (2j)
+    # R = sum t_n, t_n = (sgn(n) - E(w_n)) phase_n; the power rule gives
+    # -2 pi i sum n t_n, and the E-factor's y-dependence adds
+    # (1/(2i)) d/dy (sgn - E) = i sqrt(2/v) e^(-pi w^2) per term
+    r, rn, rw = mp.mpc(0), mp.mpc(0), mp.mpc(0)
     for k in range(lo, hi + 1):
         n = k + mp.mpf(1) / 2
-        sign_n = 1 if n > 0 else -1
         w = (n + y / v) * s2v
-        c0 = sgn_minus_E(sign_n, w)
         phase = (-1) ** k * mp.expjpi(-n * n * tau - 2 * n * z)
-        if d_order == 0:
-            acc += c0 * phase
-            continue
-        dw = mp.sqrt(2 / v)                      # dw/dy
-        c1 = -2 * mp.exp(-mp.pi * w * w) * dw    # d/dy of (sgn - E)
-        acc += (-2j * mp.pi * n * c0 + inv2i * c1) * phase
-    return acc
+        t = sgn_minus_E(1 if n > 0 else -1, w) * phase
+        r += t
+        rn += n * t
+        if not formal:
+            rw += mp.exp(-mp.pi * w * w) * phase
+    return r, -2j * mp.pi * rn + 1j * mp.sqrt(2 / v) * rw
 
 
 def R(z, tau):
     """Zwegers' non-holomorphic R-function."""
-    return _R_terms(z, tau, 0)
+    return _R_terms(z, tau)[0]
 
 
 def R_dz(z, tau, formal=False):
     """d/dz of R: Wirtinger by default, power-rule-only with formal=True."""
-    return _R_terms(z, tau, 1, formal)
+    return _R_terms(z, tau, formal)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +386,7 @@ def R_dz(z, tau, formal=False):
 
 def mu(z1, z2, tau):
     """Appell-Lerch mu(z1, z2; tau) by its defining bilateral sum."""
-    return TauPlan(tau).mu(z2)(z1)
+    return TauPlan(tau).mu(z2)(z1)[0]
 
 
 def muhat(z1, z2, tau):

@@ -1,6 +1,6 @@
-"""Planned theta and mu evaluations (kernels.TauPlan) against the per-term
-bilateral sums they replace: one complex exponential per term, with the
-same windows and the same pole check."""
+"""Planned theta and mu evaluations (kernels.TauPlan, fixed point) against
+per-term bilateral sums in mpmath: one complex exponential per term, with
+the same windows and the same pole check."""
 
 import pytest
 from mpmath import mp
@@ -14,7 +14,7 @@ P = 192
 # the _prim_err allowance: a primitive may differ from the exact sum by this,
 # relative, at working precision P + GUARD
 REL_TOL = mp.mpf(2) ** (-(P + GUARD - 16))
-IM_TAUS = ("1", "0.1", "0.0104")
+IM_TAUS = ("1.36", "1", "0.1", "0.0104")
 
 
 def theta_reference(z, tau, weighted=False):
@@ -56,15 +56,21 @@ def _close(got, want):
     return abs(got - want) <= REL_TOL * abs(want)
 
 
+def _w_points(tau):
+    """The four second arguments of the F-hat contour pass."""
+    return [_w_point(tau, 0), _w_point(tau, 1), tau + mp.mpf(1) / 2, tau + mp.mpf(3) / 2]
+
+
 @pytest.mark.parametrize("im_tau", IM_TAUS)
 def test_planned_theta_matches_per_term_sum(im_tau):
     with workprec(P):
         tau = mp.mpc("0.11", im_tau)
         plan = kernels.TauPlan(tau)
-        for z in _contour_points(tau) + [_w_point(tau, 1), tau + mp.mpf(3) / 2]:
+        for z in _contour_points(tau) + _w_points(tau):
             want = theta_reference(z, tau)
             assert _close(plan.theta(z), want), z
             assert _close(kernels.theta(z, tau), want), z
+            assert _close(plan.theta_dz(z), theta_reference(z, tau, weighted=True)), z
         for z in (mp.mpc(0), tau):
             assert _close(plan.theta_dz(z), theta_reference(z, tau, weighted=True))
 
@@ -78,18 +84,45 @@ def test_planned_mu_matches_per_term_sum(im_tau):
             mu_w = plan.mu(w)
             for z in _contour_points(tau)[::3]:
                 want = mu_reference(z, w, tau)
-                assert _close(mu_w(z), want), (z, w)
+                got, = mu_w(z)
+                assert _close(got, want), (z, w)
                 assert _close(kernels.mu(z, w, tau), want), (z, w)
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS)
+def test_mu_bundle_matches_one_point_mu(im_tau):
+    with workprec(P):
+        tau = mp.mpc("0.11", im_tau)
+        ws = _w_points(tau)
+        bundle = kernels.TauPlan(tau).mu(*ws)
+        for z in _contour_points(tau)[::2]:
+            for got, w in zip(bundle(z), ws):
+                assert _close(got, kernels.mu(z, w, tau)), (z, w)
 
 
 def test_planned_mu_raises_at_denominator_zero():
     with workprec(P):
         tau = mp.mpc("0.11", "0.0104")
-        mu_w = kernels.TauPlan(tau).mu(_w_point(tau, 0))
+        plan = kernels.TauPlan(tau)
+        mu_w = plan.mu(_w_point(tau, 0))
+        bundle = plan.mu(*_w_points(tau))
         for z in (mp.mpc(0), tau, 1 - 2 * tau):
             with pytest.raises(PoleProximity):
                 mu_reference(z, _w_point(tau, 0), tau)
-            with pytest.raises(PoleProximity):
-                mu_w(z)
+            for planned in (mu_w, bundle):
+                with pytest.raises(PoleProximity):
+                    planned(z)
         # a node on the contour stays clear of the poles
         mu_w(_contour_points(tau)[0])
+        bundle(_contour_points(tau)[0])
+        # the cut is |1 - zeta| < 2^(-(prec - GUARD/2)/2): z = x/(2 pi) times
+        # the cut, with |1 - zeta| ~ 2 pi z, raises below it and not above it
+        cut = mp.mpf(2) ** (-(mp.prec - GUARD // 2) / 2)
+        for x, raises in (("0.7", True), ("1.4", False)):
+            z = mp.mpf(x) * cut / (2 * mp.pi)
+            for planned in (lambda: mu_reference(z, _w_point(tau, 0), tau), lambda: mu_w(z)):
+                if raises:
+                    with pytest.raises(PoleProximity):
+                        planned()
+                else:
+                    planned()

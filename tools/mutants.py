@@ -38,7 +38,19 @@ MUTANTS = [
      "g.shift(e + m * n)", "g.shift(e + n)",
      ["tests/test_partitions.py"]),
     ("src/pwomega/kernels.py",
-     "self.plan.qpow(len(cneg) - 1)", "self.plan.qpow(len(cneg))",
+     "Q[k - 1], W)", "Q[k], W)",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "tr = (tr0 * qr - ti0 * qi) >> W", "tr = (tr0 * qr - ti0 * qi) >> (W - 1)",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "(M << s) < max(", "M < max(",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "_mul(c, Q[k], W)", "_mul(_mul(c, Q[k], W), Q[1], W)",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "k0 = int(mp.floor(-z.imag / self.v))", "k0 = int(mp.floor(-z.imag / self.v)) + 40",
      ["tests/test_kernels.py"]),
     ("src/pwomega/registry.py",
      "mm = a.first_mismatch(b)", "mm = None",
