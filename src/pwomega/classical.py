@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .cyc8 import Cyc8, ONE
+from .cyc8 import Cyc8
 from .errors import (LatticeMismatch, NonExpandableDenominator,
                      RootOfUnityOutsideCyc8)
 from .jseries import JSeries, jpochhammer
-from .qseries import DEFAULT_LATTICE, Monomial, QSeries, qpochhammer
+from .qseries import (DEFAULT_LATTICE, Monomial, QSeries, over_factor,
+                      over_qpochhammer, qpochhammer, times_factor)
 
 F = Fraction
 Rat = Union[int, Fraction]
@@ -174,14 +175,15 @@ def finite_jtp_sides(n: int, N, D: int = 1, Dz: int = 1) -> Tuple[JSeries, JSeri
         (zeta; q)_n (zeta^{-1} q; q)_n / (q)_{2n}
             = sum_{j=-n}^{n} (-1)^j zeta^j q^(j(j-1)/2) / ((q)_{n-j} (q)_{n+j})
     """
+    q = Monomial(1, 1)
     lhs = jpochhammer(D, Dz, Monomial(1, 0, 1), n, N)
     lhs = lhs * jpochhammer(D, Dz, Monomial(1, 1, -1), n, N)
-    lhs = lhs * qpochhammer(D, Monomial(1, 1), 2 * n, N).invert()
+    lhs = lhs.map_rows(lambda row: over_qpochhammer(row, q, 2 * n))
 
     rhs = JSeries.zero(D, Dz, N)
     for j in range(-n, n + 1):
-        t = qpochhammer(D, Monomial(1, 1), n - j, N).invert()
-        t = t * qpochhammer(D, Monomial(1, 1), n + j, N).invert()
+        t = over_qpochhammer(QSeries.one(D, N), q, n - j)
+        t = over_qpochhammer(t, q, n + j)
         e = F(j * (j - 1), 2)
         rhs = rhs + JSeries.from_qseries(t, Dz).mul_monomial(
             Monomial(Cyc8((-1) ** j), e, j)).truncate(N)
@@ -223,30 +225,33 @@ def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N,
 
     lhs = _phi21(D, a, b, c, z, N)
     pref = qpochhammer(D, cb, None, N) * qpochhammer(D, bz, None, N)
-    pref = pref * (qpochhammer(D, c, None, N) * qpochhammer(D, z, None, N)).invert()
+    pref = over_qpochhammer(over_qpochhammer(pref, c, None), z, None)
     return lhs, (pref * _phi21(D, abz_c, b, bz, cb, N)).truncate(N)
 
 
 def _phi21(D, a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> QSeries:
     """sum_{n>=0} (a)_n (b)_n z^n / ((c)_n (q)_n) to O(q^N), for z with
     positive q-exponent: the n-th term starts at or above n * z.q_exp plus
-    the floors of (a)_n and (b)_n, which ends the sum."""
+    the floors of (a)_n and (b)_n, which ends the sum.
+
+    The ratio (a)_n (b)_n / ((c)_n (q)_n) is carried from n - 1 to n by two
+    binomial products and two binomial quotients, O(N) each.  A factor with
+    exponent e < 0 is a monomial q^e times a binomial, so the ratio is
+    certified to N plus the floors of (a)_n and (b)_n minus the floor of
+    (c)_n, the order the full products and the inverse of (c)_n (q)_n give."""
     neg_pad = _neg_floor_of_poch(a) + _neg_floor_of_poch(b)
     out = QSeries.zero(D, N)
-    an = bn = cn = qn = zn = QSeries.one(D, N)
+    ratio = QSeries.one(D, N)
+    zn = Monomial(1)
     n = 0
     while n * z.q_exp + neg_pad < F(N):
         if n > 0:
-            an = an * _factor(D, a, n - 1, N)
-            bn = bn * _factor(D, b, n - 1, N)
-            cn = cn * _factor(D, c, n - 1, N)
-            qn = qn * _factor(D, Monomial(1, 1), n - 1, N)
-            zn = zn.mul_monomial(z).truncate(N)
-        out = out + (an * bn * zn * (cn * qn).invert()).truncate(N)
+            ratio = times_factor(ratio, a.coeff, a.q_exp + n - 1)
+            ratio = times_factor(ratio, b.coeff, b.q_exp + n - 1)
+            ratio = over_factor(ratio, c.coeff, c.q_exp + n - 1)
+            ratio = ratio.div_binomial(-1, n)
+            zn = zn * z
+        out = out + ratio.mul_monomial(zn).truncate(min(F(N), ratio.order_exp()))
         n += 1
     return out
 
-
-def _factor(D, mono: Monomial, j: int, N) -> QSeries:
-    """(1 - mono * q^j) as a series."""
-    return QSeries.from_terms(D, [(0, ONE), (mono.q_exp + j, -mono.coeff)], N)

@@ -4,14 +4,37 @@ Elements are stored as c0 + c1*z + c2*z^2 + c3*z^3 with z = zeta8 = e^(pi*i/4)
 and z^4 = -1, coefficients exact rationals.  z^2 plays the role of i, so the
 field contains every root of unity of order dividing 8.  This is the
 coefficient ring of all formal series in the package.
+
+Each component is a Python int whenever it is integral and a Fraction only
+when it is not (an inverse of a non-unit, a 1/4 prefactor); an integral
+Fraction is always stored as its int.  Almost every coefficient the series
+code builds lies in Z[zeta8], so its arithmetic is plain int arithmetic, and
+equality, hashing and text form do not depend on how a value was produced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 Rat = Union[int, Fraction]
+
+
+def _canonical(x) -> Rat:
+    """x as an exact rational: an int when integral, else a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def mul4(a, b) -> Tuple[Rat, Rat, Rat, Rat]:
+    """Components of the product of two component 4-tuples: the
+    convolution reduced by zeta^4 = -1."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
 
 
 class Cyc8:
@@ -20,10 +43,10 @@ class Cyc8:
     __slots__ = ("c0", "c1", "c2", "c3")
 
     def __init__(self, c0: Rat = 0, c1: Rat = 0, c2: Rat = 0, c3: Rat = 0):
-        self.c0 = Fraction(c0)
-        self.c1 = Fraction(c1)
-        self.c2 = Fraction(c2)
-        self.c3 = Fraction(c3)
+        self.c0 = c0 if type(c0) is int else _canonical(c0)
+        self.c1 = c1 if type(c1) is int else _canonical(c1)
+        self.c2 = c2 if type(c2) is int else _canonical(c2)
+        self.c3 = c3 if type(c3) is int else _canonical(c3)
 
     # -- constructors ---------------------------------------------------------
 
@@ -64,6 +87,9 @@ class Cyc8:
     def is_rational(self) -> bool:
         return not (self.c1 or self.c2 or self.c3)
 
+    def components(self) -> Tuple[Rat, Rat, Rat, Rat]:
+        return self.c0, self.c1, self.c2, self.c3
+
     # -- ring operations ---------------------------------------------------------
 
     def __add__(self, other: "Cyc8") -> "Cyc8":
@@ -91,15 +117,7 @@ class Cyc8:
         if other.is_rational():
             b = other.c0
             return Cyc8(self.c0 * b, self.c1 * b, self.c2 * b, self.c3 * b)
-        a0, a1, a2, a3 = self.c0, self.c1, self.c2, self.c3
-        b0, b1, b2, b3 = other.c0, other.c1, other.c2, other.c3
-        # convolution reduced by zeta^4 = -1
-        return Cyc8(
-            a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
-            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
-            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-        )
+        return Cyc8(*mul4(self.components(), other.components()))
 
     __rmul__ = __mul__
 
@@ -137,10 +155,10 @@ class Cyc8:
             other = Cyc8(other)
         if not isinstance(other, Cyc8):
             return NotImplemented
-        return (self.c0, self.c1, self.c2, self.c3) == (other.c0, other.c1, other.c2, other.c3)
+        return self.components() == other.components()
 
     def __hash__(self):
-        return hash((self.c0, self.c1, self.c2, self.c3))
+        return hash(self.components())
 
     # -- conversions ---------------------------------------------------------------
 

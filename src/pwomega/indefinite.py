@@ -22,7 +22,7 @@ from .cyc8 import Cyc8, I, ONE
 from .errors import WindowTooSmall
 from .jseries import JSeries
 from .partitions import census, genfun
-from .qseries import Monomial, QSeries, qpochhammer
+from .qseries import Monomial, QSeries, over_qpochhammer, qpochhammer
 
 F = Fraction
 
@@ -120,8 +120,9 @@ def pbar_omega_series(N, method: str = "definition", D: int = 1) -> QSeries:
         if F(N) <= 1:
             return QSeries.zero(D, N)   # the series starts at q^1
         c = weighted_triple_sum(N, D)
-        euler3 = qpochhammer(D, Monomial(1, 1), None, N).pow(3)
-        return -(c * euler3.invert()).truncate(N)
+        for _ in range(3):
+            c = over_qpochhammer(c, Monomial(1, 1), None)
+        return -c.truncate(N)
     if method == "oracle":
         n_top = min(int(N), ORACLE_CAP + 1)
         return QSeries.from_terms(D, [(n, Cyc8(census("pbar_omega", n)))
@@ -153,9 +154,9 @@ def pbar_from_dzeta_brackets(N) -> QSeries:
     landing = tail_landing_bound(F(N) + pad)
     at_q = s.zeta_dzeta_at_q(tail_landing=(landing * D + _scale38(D)))
     bracket = at_one - at_q
-    euler = qpochhammer(D, Monomial(1, 1), None, F(N) + 1)
-    pref = Monomial(I * F(1, 4), F(-3, 8))
-    out = bracket.mul_monomial(pref) * euler.pow(3).invert()
+    out = bracket.mul_monomial(Monomial(I * F(1, 4), F(-3, 8)))
+    for _ in range(3):
+        out = over_qpochhammer(out, Monomial(1, 1), None)
     return out.truncate(N)
 
 
@@ -176,24 +177,19 @@ def pwz_lhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
     """
     N = F(N)
     euler = qpochhammer(D, Monomial(1, 1), None, N)
-    minus_q_odd_inf = qpochhammer(D, Monomial(-1, 1), None, N, step=2)
-    pref = JSeries.from_qseries((euler * euler) * minus_q_odd_inf.invert(), Dz)
+    pref = over_qpochhammer(euler * euler, Monomial(-1, 1), None, step=2)
 
     acc = JSeries.zero(D, Dz, N)
-    zz = JSeries.one(D, Dz, N)          # (zeta, zeta^{-1} q)_n
-    modd = QSeries.one(D, N)            # (-q; q^2)_n
-    e2n = QSeries.one(D, N)             # (q)_{2n}
+    ratio = JSeries.one(D, Dz, N)       # (zeta, zeta^{-1} q)_n (-q; q^2)_n / (q)_{2n}
     n = 1
     while F(n) < N:
-        zz = zz * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n - 1, 1, -ONE)], N)
-        zz = zz * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n, -1, -ONE)], N)
-        modd = modd * QSeries.from_terms(D, [(0, ONE), (2 * n - 1, ONE)], N)
-        e2n = e2n * QSeries.from_terms(D, [(0, ONE), (2 * n - 1, -ONE)], N)
-        e2n = e2n * QSeries.from_terms(D, [(0, ONE), (2 * n, -ONE)], N)
-        term = (zz * (modd * e2n.invert())).mul_monomial(Monomial(1, n, 0))
-        acc = acc + term.truncate(N)
+        ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n - 1, 1, -ONE)], N)
+        ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n, -1, -ONE)], N)
+        ratio = ratio.map_rows(lambda row: row.mul_binomial(1, 2 * n - 1)
+                               .div_binomial(-1, 2 * n - 1).div_binomial(-1, 2 * n))
+        acc = acc + ratio.mul_monomial(Monomial(1, n, 0)).truncate(N)
         n += 1
-    out = pref * acc
+    out = acc * pref
     _check_window(out, W)
     return out.truncate(N)
 
@@ -287,8 +283,8 @@ def pwz_coefficient_formula_sides(cleared: JSeries, j: int) -> Tuple[QSeries, QS
     both to the order of the cleared series."""
     N = cleared.order_exp()
     D = cleared.D
-    euler_inv = qpochhammer(D, Monomial(1, 1), None, N).invert()
-    lhs = cleared.zeta_slice(j) * euler_inv
+    q = Monomial(1, 1)
+    lhs = over_qpochhammer(cleared.zeta_slice(j), q, None)
 
     terms = []
     n = 0
@@ -301,5 +297,5 @@ def pwz_coefficient_formula_sides(cleared: JSeries, j: int) -> Tuple[QSeries, QS
             k += 1
         n += 1
     rhs = QSeries.from_terms(D, terms, N).scale((-1) ** j).shift(F(j * (j + 1), 2))
-    rhs = (rhs * euler_inv).truncate(N)
+    rhs = over_qpochhammer(rhs, q, None).truncate(N)
     return lhs.truncate(rhs.order_exp()), rhs

@@ -144,6 +144,11 @@ class JSeries:
                        {r: sum_of_products(self.D, p, order) for r, p in pairs.items()},
                        order)
 
+    def map_rows(self, fn) -> "JSeries":
+        """Apply a QSeries map that keeps the order (a binomial product or
+        quotient, say) to every row."""
+        return JSeries(self.D, self.Dz, {r: fn(s) for r, s in self.rows.items()}, self.order)
+
     def truncate(self, order_exp: Rat) -> "JSeries":
         order = min(self.order, _scale(order_exp, self.D))
         return JSeries(self.D, self.Dz,

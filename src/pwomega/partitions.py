@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .cyc8 import Cyc8
+from .cyc8 import Cyc8, ONE
 from .errors import NoCombinatorialDefinition, ResourceBound
-from .qseries import Monomial, QSeries, geometric, qpochhammer
+from .qseries import Monomial, QSeries, geometric, over_qpochhammer, qpochhammer
 
 FAMILIES = ("spt", "p_omega", "spt_omega", "pbar_omega", "sptbar_omega", "spt_g2")
 
@@ -110,37 +110,55 @@ def _geom_sq(D: int, exp, N) -> QSeries:
 
 
 def _definition_series(family: str, D: int, N) -> QSeries:
-    """The smallest-part-indexed q-factorial sum defining the family."""
+    """The smallest-part-indexed q-factorial sum defining the family,
+
+        sum_{n>=1} q^n R_n / (1-q^n)^p   with
+
+      spt              p=2  R_n = 1/(q^{n+1};q)_inf
+      p_omega          p=1  R_n = 1/((q^{n+1};q)_n (q^{2n+2};q^2)_inf)
+      spt_omega        p=2  the same R_n
+      pbar_omega       p=1  R_n = (-q^{n+1};q)_n (-q^{2n+2};q^2)_inf /
+                                  ((q^{n+1};q)_n (q^{2n+2};q^2)_inf)
+      sptbar_omega     p=2  the same R_n
+      spt_g2           p=2  R_n = 1/((q^{n+1};q)_n^2 (q^{2n+2};q^2)_inf (q^{4n+2};q^4)_inf)
+
+    R_0 is built from its products; R_n is R_(n-1) times the binomials
+    1 + c*q^e of R_n / R_(n-1) (lists "up") over those of "down", O(N) each.
+    """
+    one = QSeries.one(D, N)
+    if family == "spt":
+        ratio = over_qpochhammer(one, Monomial(1, 1), None)
+        def steps(n):
+            return [(-1, n)], []
+    elif family in ("p_omega", "spt_omega"):
+        ratio = over_qpochhammer(one, Monomial(1, 2), None, step=2)
+        def steps(n):
+            return [(-1, n)], [(-1, 2 * n - 1)]
+    elif family in ("pbar_omega", "sptbar_omega"):
+        ratio = over_qpochhammer(qpochhammer(D, Monomial(-1, 2), None, N, step=2),
+                                 Monomial(1, 2), None, step=2)
+        def steps(n):
+            return [(1, 2 * n - 1), (-1, n)], [(1, n), (-1, 2 * n - 1)]
+    elif family == "spt_g2":
+        ratio = over_qpochhammer(over_qpochhammer(one, Monomial(1, 2), None, step=2),
+                                 Monomial(1, 2), None, step=4)
+        def steps(n):
+            return ([(-1, n), (-1, n), (-1, 4 * n - 2)],
+                    [(-1, 2 * n - 1), (-1, 2 * n - 1), (-1, 2 * n)])
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    power = 1 if family in ("p_omega", "pbar_omega") else 2
     out = QSeries.zero(D, N)
     n = 1
     while n < F(N):
-        if family == "spt":
-            # q^n/(1-q^n)^2 * 1/(q^{n+1};q)_inf
-            term = _geom_sq(D, n, N).shift(n)
-            term = term * qpochhammer(D, Monomial(1, n + 1), None, N).invert()
-        elif family in ("p_omega", "spt_omega"):
-            # q^n/(1-q^n)^e (q^{n+1};q)_n (q^{2n+2};q^2)_inf, e = 1 or 2
-            base = geometric(D, n, N) if family == "p_omega" else _geom_sq(D, n, N)
-            term = base.shift(n)
-            term = term * qpochhammer(D, Monomial(1, n + 1), n, N).invert()
-            term = term * qpochhammer(D, Monomial(1, 2 * n + 2), None, N, step=2).invert()
-        elif family in ("pbar_omega", "sptbar_omega"):
-            # q^n (-q^{n+1};q)_n (-q^{2n+2};q^2)_inf /
-            #     ((1-q^n)^e (q^{n+1};q)_n (q^{2n+2};q^2)_inf)
-            base = geometric(D, n, N) if family == "pbar_omega" else _geom_sq(D, n, N)
-            term = base.shift(n)
-            term = term * qpochhammer(D, Monomial(-1, n + 1), n, N)
-            term = term * qpochhammer(D, Monomial(-1, 2 * n + 2), None, N, step=2)
-            term = term * qpochhammer(D, Monomial(1, n + 1), n, N).invert()
-            term = term * qpochhammer(D, Monomial(1, 2 * n + 2), None, N, step=2).invert()
-        elif family == "spt_g2":
-            # q^n/((1-q^n)^2 (q^{n+1};q)_n^2 (q^{2n+2};q^2)_inf (q^{4n+2};q^4)_inf)
-            term = _geom_sq(D, n, N).shift(n)
-            term = term * qpochhammer(D, Monomial(1, n + 1), n, N).invert().pow(2)
-            term = term * qpochhammer(D, Monomial(1, 2 * n + 2), None, N, step=2).invert()
-            term = term * qpochhammer(D, Monomial(1, 4 * n + 2), None, N, step=4).invert()
-        else:
-            raise ValueError(f"unknown family {family!r}")
+        up, down = steps(n)
+        for c, e in up:
+            ratio = ratio.mul_binomial(c, e)
+        for c, e in down:
+            ratio = ratio.div_binomial(c, e)
+        term = ratio.shift(n)
+        for _ in range(power):
+            term = term.div_binomial(-1, n)
         out = out + term.truncate(N)
         n += 1
     return out
@@ -153,7 +171,6 @@ def _appell_series(family: str, D: int, N) -> QSeries:
         #     + sum_{n>=1} (-1)^n q^(m n(3n+1)/2) (1 + q^(mn)) / (1 - q^(mn))^2)
         # with m = 1 for spt and m = 2 for spt_omega
         m = 1 if family == "spt" else 2
-        pref = qpochhammer(D, Monomial(1, m), None, N, step=m).invert()
         s2 = QSeries.zero(D, N)
         n = 1
         while F(m * n * (3 * n + 1), 2) < F(N):
@@ -161,24 +178,25 @@ def _appell_series(family: str, D: int, N) -> QSeries:
             g = _geom_sq(D, m * n, N)
             s2 = s2 + (g.shift(e) + g.shift(e + m * n)).scale((-1) ** n).truncate(N)
             n += 1
-        return (pref * (_sum_n_qn_over_1_minus_qn(D, N) + s2)).truncate(N)
+        s = _sum_n_qn_over_1_minus_qn(D, N) + s2
+        return over_qpochhammer(s, Monomial(1, m), None, step=m).truncate(N)
     if family == "sptbar_omega":
-        pref = qpochhammer(D, Monomial(-1, 2), None, N, step=2)
-        pref = pref * qpochhammer(D, Monomial(1, 2), None, N, step=2).invert()
         s1 = _sum_n_qn_over_1_minus_qn(D, N)
         s2 = QSeries.zero(D, N)
         n = 1
         while 2 * n * (n + 1) < F(N):
             s2 = s2 + _geom_sq(D, 2 * n, N).shift(2 * n * (n + 1)).scale(2 * (-1) ** n).truncate(N)
             n += 1
-        return (pref * (s1 + s2)).truncate(N)
+        s = (s1 + s2) * qpochhammer(D, Monomial(-1, 2), None, N, step=2)
+        return over_qpochhammer(s, Monomial(1, 2), None, step=2).truncate(N)
     if family == "p_omega":
         # q * omega(q), omega(q) = sum_{n>=0} q^{2n(n+1)} / (q;q^2)_{n+1}^2
         out = QSeries.zero(D, N)
         n = 0
         while 2 * n * (n + 1) < F(N):
-            t = qpochhammer(D, Monomial(1, 1), n + 1, N, step=2).invert().pow(2)
-            out = out + t.shift(2 * n * (n + 1)).truncate(N)
+            t = QSeries.from_terms(D, [(2 * n * (n + 1), ONE)], N)
+            t = over_qpochhammer(t, Monomial(1, 1), n + 1, step=2)
+            out = out + over_qpochhammer(t, Monomial(1, 1), n + 1, step=2)
             n += 1
         return out.shift(1).truncate(N)
     raise ValueError(f"family {family!r} has no Appell-Lerch side")

@@ -5,16 +5,24 @@ D stores the coefficient of q^(k/D) under the integer key k.  Every series
 carries an explicit truncation order (scaled): coefficients are certified
 exactly for all exponents strictly below order/D and no key >= order is kept.
 All arithmetic propagates the worst-case order; nothing is silently extended.
+
+Representation and cost: one sparse dictionary {key: Cyc8} per series, zero
+coefficients not stored, Cyc8 components ints unless non-integral.  Products
+(sum_of_products), binomial quotients and QSeries.invert work on the
+coefficients' components as plain numbers and build one Cyc8 per output key;
+a rational product or binomial quotient touches one component.  Multiplying or
+dividing by a binomial 1 + c*q^e (e > 0) costs O(N) and keeps the order, so
+q-Pochhammer products and quotients cost O(N) per factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .cyc8 import Cyc8, ONE
+from .cyc8 import Cyc8, ONE, _coerce, mul4
 from .errors import (DivergentProduct, LatticeMismatch,
-                     NonInvertibleLeadingTerm)
+                     NonExpandableDenominator, NonInvertibleLeadingTerm)
 
 Rat = Union[int, Fraction]
 
@@ -219,24 +227,67 @@ class QSeries:
             raise NonInvertibleLeadingTerm("cannot invert the zero series")
         f = self.floor_key()
         n = self.order - f       # available length of the unit part
-        u = {k - f: c for k, c in self.coeff.items()}
-        lead = u[0]
-        lead_inv = lead.inverse()
-        inv: Dict[int, Cyc8] = {0: lead_inv}
-        support = sorted(k for k in u if k > 0)
+        lead_inv = self.coeff[f].inverse()
+        m = (-lead_inv).components()
+        terms = [(k - f, c.components()) for k, c in sorted(self.coeff.items()) if k > f]
+        inv = {0: lead_inv.components()}
         for k in range(1, n):
-            acc = None
-            for j in support:
+            s0 = s1 = s2 = s3 = 0
+            for j, x in terms:
                 if j > k:
                     break
-                c = inv.get(k - j)
-                if c is None:
-                    continue
-                t = u[j] * c
-                acc = t if acc is None else acc + t
-            if acc is not None and not acc.is_zero():
-                inv[k] = -lead_inv * acc
-        return QSeries(self.D, {k - f: c for k, c in inv.items()}, n - f)
+                y = inv.get(k - j)
+                if y is not None:
+                    p0, p1, p2, p3 = mul4(x, y)
+                    s0, s1, s2, s3 = s0 + p0, s1 + p1, s2 + p2, s3 + p3
+            if s0 or s1 or s2 or s3:
+                inv[k] = mul4(m, (s0, s1, s2, s3))
+        return QSeries(self.D, {k - f: Cyc8(*c) for k, c in inv.items()}, n - f)
+
+    def mul_binomial(self, c, exp: Rat) -> "QSeries":
+        """self * (1 + c*q^exp) for exp > 0, at self's order, in O(N)."""
+        e = _scale(exp, self.D)
+        if e <= 0:
+            raise ValueError("binomial exponent must be positive")
+        binomial = QSeries(self.D, {0: ONE, e: _coerce(c)}, e + 1)
+        return sum_of_products(self.D, [(self, binomial)], self.order)
+
+    def div_binomial(self, c, exp: Rat) -> "QSeries":
+        """self / (1 + c*q^exp) for exp > 0, at self's order, in O(N): the
+        quotient t solves t_k = s_k - c*t_(k-e) along each residue class of
+        keys mod e, from the class's least key of self up to the order.
+
+        The recurrence runs on components: component i of c*t_(k-e) collects
+        c_j * t_(k-e),l over j + l = i mod 4, negated when j + l >= 4.  For a
+        rational c only self's non-empty components can become non-zero, so
+        a rational quotient is one scalar recurrence."""
+        e = _scale(exp, self.D)
+        if e <= 0:
+            raise NonExpandableDenominator("binomial exponent must be positive")
+        c = _coerce(c)
+        c_parts = [(j, x) for j, x in enumerate(c.components()) if x]
+        src = _component_tables(self.coeff)
+        t: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
+        live = [i for i in range(4) if src[i]] if c.is_rational() else range(4)
+        # per output component: its source table, its table of t, and the
+        # signed c_j with the table of t they multiply
+        plan = [(src[i], t[i], [(x if j + ((i - j) & 3) >= 4 else -x, t[(i - j) & 3])
+                                for j, x in c_parts]) for i in live]
+        starts: Dict[int, int] = {}
+        for k in sorted(self.coeff):
+            starts.setdefault(k % e, k)
+        for k0 in starts.values():
+            for k in range(k0, self.order, e):
+                p = k - e
+                for s_i, t_i, c_terms in plan:
+                    v = s_i.get(k, 0)
+                    for x, t_l in c_terms:
+                        y = t_l.get(p)
+                        if y:
+                            v += x * y
+                    if v:
+                        t_i[k] = v
+        return _assemble(self.D, t, self.order)
 
     def pow(self, k: int) -> "QSeries":
         if k < 0:
@@ -269,29 +320,57 @@ class QSeries:
 
 def sum_of_products(D: int, pairs: Iterable[Tuple[QSeries, QSeries]],
                     order: int) -> QSeries:
-    """sum of a * b over the pairs, accumulated in one dictionary and kept
-    below the scaled order (which the caller certifies)."""
-    out: Dict[int, Cyc8] = {}
+    """sum of a * b over the pairs, kept below the scaled order (which the
+    caller certifies).
+
+    Each coefficient is split into its components; every pair of non-empty
+    component tables (i of a, j of b) is one scalar convolution into output
+    component (i + j) mod 4, negated when i + j >= 4 (zeta^4 = -1).  All pairs
+    accumulate into the same four tables of plain numbers, and one Cyc8 is
+    built per output key.  A rational product is a single convolution.
+    """
+    tables: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
     for a, b in pairs:
-        for ka, ca in a.coeff.items():
-            for kb, cb in b.coeff.items():
-                k = ka + kb
-                if k >= order:
-                    continue
-                s = out.get(k)
-                p = ca * cb
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-    return QSeries(D, out, order)
+        b_parts = _sorted_components(b.coeff)
+        for i, a_part in _sorted_components(a.coeff):
+            for j, b_part in b_parts:
+                out = tables[(i + j) & 3]
+                sign = -1 if i + j >= 4 else 1
+                for ka, x in a_part:
+                    x = sign * x
+                    room = order - ka
+                    for kb, y in b_part:
+                        if kb >= room:
+                            break
+                        k = ka + kb
+                        out[k] = out.get(k, 0) + x * y
+    return _assemble(D, tables, order)
+
+
+def _component_tables(coeff: Dict[int, Cyc8]) -> List[Dict[int, Rat]]:
+    """The four tables {key: non-zero component i} of a coefficient map."""
+    items = coeff.items()
+    return [{k: c.c0 for k, c in items if c.c0}, {k: c.c1 for k, c in items if c.c1},
+            {k: c.c2 for k, c in items if c.c2}, {k: c.c3 for k, c in items if c.c3}]
+
+
+def _sorted_components(coeff: Dict[int, Cyc8]) -> List[Tuple[int, List[Tuple[int, Rat]]]]:
+    """(i, [(key, component i)] by ascending key) for each non-empty table."""
+    return [(i, sorted(t.items())) for i, t in enumerate(_component_tables(coeff)) if t]
+
+
+def _assemble(D: int, tables, order: int) -> QSeries:
+    """The series whose coefficient at k has components tables[i].get(k, 0)."""
+    t0, t1, t2, t3 = tables
+    if not (t1 or t2 or t3):
+        return QSeries(D, {k: Cyc8(v) for k, v in t0.items() if v}, order)
+    keys = t0.keys() | t1.keys() | t2.keys() | t3.keys()
+    return QSeries(D, {k: Cyc8(t0.get(k, 0), t1.get(k, 0), t2.get(k, 0), t3.get(k, 0))
+                       for k in keys}, order)
 
 
 def geometric(D: int, exp: Rat, order_exp: Rat, ratio_coeff=1) -> QSeries:
     """1/(1 - c*q^exp) = sum_k c^k q^(k*exp), requires exp > 0."""
-    from .errors import NonExpandableDenominator
-
     e = Fraction(exp)
     if e <= 0:
         raise NonExpandableDenominator("denominator exponent must be positive")
@@ -328,10 +407,51 @@ def pochhammer_exponents(q_exp: Rat, n: Optional[int], order_exp: Rat,
 
 def qpochhammer(D: int, base: Monomial, n: Optional[int], order_exp: Rat,
                 step: Rat = 1) -> QSeries:
-    """(a; q^step)_n = prod_{j=0}^{n-1} (1 - a*q^(j*step)) truncated at order."""
+    """(a; q^step)_n = prod_{j=0}^{n-1} (1 - a*q^(j*step)) truncated at order,
+    multiplied in one factor at a time."""
     if base.z_exp != 0:
         raise LatticeMismatch("use jseries.jpochhammer for zeta-carrying bases")
     result = QSeries.one(D, order_exp)
     for e in pochhammer_exponents(base.q_exp, n, order_exp, step):
-        result = result * QSeries.from_terms(D, [(0, ONE), (e, -base.coeff)], order_exp)
+        result = times_factor(result, base.coeff, e)
     return result
+
+
+def times_factor(s: QSeries, a: Cyc8, e: Rat) -> QSeries:
+    """s * (1 - a*q^e) for an exponent of either sign.  For e < 0 the factor
+    is -a*q^e * (1 - a^-1 * q^-e), so the order drops by |e|, as it does in
+    the product with the factor's series."""
+    if e == 0:
+        return s.scale(ONE - a)
+    if e < 0 and not a.is_zero():
+        return times_factor(s, a.inverse(), -e).mul_monomial(Monomial(-a, e))
+    return s.mul_binomial(-a, abs(e))
+
+
+def over_factor(s: QSeries, c: Cyc8, e: Rat) -> QSeries:
+    """s / (1 - c*q^e) for an exponent of either sign.  For e < 0 the factor
+    is -c*q^e * (1 - c^-1 * q^-e), so the order rises by |e|, as it does in
+    the product with the factor's inverse."""
+    if e == 0:
+        if c == ONE:
+            raise NonInvertibleLeadingTerm("division by the zero factor 1 - q^0")
+        return s.scale((ONE - c).inverse())
+    if e < 0 and not c.is_zero():
+        return over_factor(s, c.inverse(), -e).mul_monomial(Monomial((-c).inverse(), -e))
+    return s.div_binomial(-c, abs(e))
+
+
+def over_qpochhammer(s: QSeries, base: Monomial, n: Optional[int],
+                     step: Rat = 1) -> QSeries:
+    """s / (a; q^step)_n, one over_factor per factor (O(N) each).
+
+    For n=None the product stops at the first factor exponent e with
+    floor(s) + e >= order(s): such a factor only changes keys at or past the
+    order.  Each division keeps order(s) - floor(s), so the bound read off s
+    holds for every partial quotient, including for a Laurent s."""
+    if base.z_exp != 0:
+        raise LatticeMismatch("use jseries.jpochhammer for zeta-carrying bases")
+    reach = Fraction(s.order - s.floor_key(), s.D)
+    for e in pochhammer_exponents(base.q_exp, n, reach, step):
+        s = over_factor(s, base.coeff, e)
+    return s

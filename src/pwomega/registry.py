@@ -77,8 +77,13 @@ def _mismatch_witness(part: str, mm) -> Dict:
 def _series_check(pairs) -> Dict:
     """Exact verdict over (label, lhs, rhs) series pairs, taken lazily from
     any iterable: the pairs after the first mismatch are never built.
-    Returns ok and the first mismatch's witness."""
+    Returns ok and the first mismatch's witness.  Two sides truncated at
+    different orders are a mismatch (witness: both orders), since comparing
+    them would check only the shorter one's coefficients."""
     for label, a, b in pairs:
+        if a.order_exp() != b.order_exp():
+            return {"ok": False, "witness": {"part": label, "orders": [
+                str(a.order_exp()), str(b.order_exp())]}}
         mm = a.first_mismatch(b)
         if mm is not None:
             return {"ok": False, "witness": _mismatch_witness(label, mm)}

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwomega.classical import (EtaQuotient, TorsionPoint, _phi21,
+from pwomega.classical import (EtaQuotient, TorsionPoint, _neg_floor_of_poch, _phi21,
                                eta_quotient_series, eta_series,
                                finite_jtp_sides, heine_sides,
                                theta_elliptic_shift_reference,
@@ -146,6 +146,37 @@ def test_phi21_with_b_equal_c_is_q_binomial_theorem(a, b, z):
     rhs = qpochhammer(2, a * z, None, N) * qpochhammer(2, z, None, N).invert()
     assert lhs.order_exp() >= N and rhs.order_exp() >= N
     assert lhs.first_mismatch(rhs) is None
+
+
+def _poch_by_products(D, m: Monomial, n, N):
+    out = QSeries.one(D, N)
+    for j in range(n):
+        out = out * QSeries.from_terms(D, [(0, ONE), (m.q_exp + j, -m.coeff)], N)
+    return out
+
+
+@pytest.mark.parametrize("a, b, c, z, order", [
+    (Monomial(1, F(1, 2)), Monomial(I, 1), Monomial(2, -1), Monomial(1, 1), 10),
+    (Monomial(-1, F(-3, 2)), Monomial(1, 1), Monomial(I, F(-1, 2)), Monomial(1, F(3, 2)),
+     F(17, 2)),
+    (Monomial(3, -1), Monomial(Cyc8(1, 1), F(-1, 2)), Monomial(F(1, 2), -1), Monomial(-I, 1),
+     F(19, 2)),
+])
+def test_phi21_matches_full_products_and_inverse(a, b, c, z, order):
+    # factors with exponent <= 0 in (a)_n, (b)_n and (c)_n: the carried ratio
+    # must have the order and terms of the full products and one inverse
+    D, N = 2, 10
+    out = QSeries.zero(D, N)
+    n = 0
+    while n * z.q_exp + _neg_floor_of_poch(a) + _neg_floor_of_poch(b) < N:
+        num = _poch_by_products(D, a, n, N) * _poch_by_products(D, b, n, N)
+        den = _poch_by_products(D, c, n, N) * _poch_by_products(D, Monomial(1, 1), n, N)
+        zn = QSeries.one(D, N).mul_monomial(z.pow(n)).truncate(N)
+        out = out + (num * zn * den.invert()).truncate(N)
+        n += 1
+    got = _phi21(D, a, b, c, z, N)
+    assert got.order_exp() == out.order_exp() == order
+    assert got.coeff == out.coeff
 
 
 def test_heine_rejects_bad_parameters():

@@ -1,6 +1,7 @@
 """CLI harness: commands, exit codes, report schema, determinism."""
 
 import json
+from fractions import Fraction as F
 
 from pwomega.cli import main
 from pwomega.cyc8 import Cyc8
@@ -139,6 +140,22 @@ def test_series_check_witness_keys():
                                             "zeta_exponent": "-2",
                                             "lhs": str(Cyc8(1)), "rhs": str(Cyc8(2))}}
     assert _series_check([("q", q1, q1), ("j", j1, j1)]) == {"ok": True, "witness": None}
+
+
+def test_series_check_fails_sides_of_different_orders():
+    # == compares only below the common order, so these two are "equal"
+    a, b = QSeries(1, {0: Cyc8(1)}, 0), QSeries(1, {0: Cyc8(2)}, 5)
+    assert a == b
+    out = _series_check([("q", a, b)])
+    assert out == {"ok": False, "witness": {"part": "q", "orders": ["0", "5"]}}
+    j1 = JSeries.from_terms(1, 1, [(0, 1, Cyc8(1)), (4, -1, Cyc8(3))], 3)
+    j2 = JSeries.from_terms(1, 1, [(0, 1, Cyc8(1))], 5)
+    assert j1 == j2
+    out = _series_check([("j", j1, j2)])
+    assert out == {"ok": False, "witness": {"part": "j", "orders": ["3", "5"]}}
+    assert _series_check([("j", j1, j2.truncate(3))]) == {"ok": True, "witness": None}
+    half = QSeries.from_terms(2, [(0, Cyc8(1))], F(5, 2))
+    assert _series_check([("h", half, half.truncate(2))])["witness"]["orders"] == ["5/2", "2"]
 
 
 def test_series_check_builds_no_pair_after_a_mismatch():

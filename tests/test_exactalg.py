@@ -9,7 +9,8 @@ from pwomega.cyc8 import Cyc8, I, ONE
 from pwomega.errors import (DivergentProduct, LatticeMismatch,
                             NonInvertibleLeadingTerm, PrecisionExhausted)
 from pwomega.jseries import JSeries, jpochhammer
-from pwomega.qseries import Monomial, QSeries, geometric, qpochhammer
+from pwomega.qseries import (Monomial, QSeries, geometric, over_qpochhammer, qpochhammer,
+                             sum_of_products)
 
 F = Fraction
 
@@ -65,6 +66,21 @@ def test_text_round_trip():
     assert str(Cyc8(0)) == "0"
 
 
+def test_components_are_ints_unless_non_integral():
+    x = Cyc8(F(4, 2))
+    assert type(x.c0) is int and x.c0 == 2
+    for a, b in ((Cyc8(F(4, 2), F(-6, 3), 0, F(1, 2)), Cyc8(2, -2, 0, F(1, 2))),
+                 (Cyc8(F(1, 2)) + Cyc8(F(1, 2)), ONE),
+                 (Cyc8(F(3, 4), F(1, 4)) * Cyc8(4), Cyc8(3, 1))):
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+        assert [type(c) for c in a.components()] == [type(c) for c in b.components()]
+    assert type(Cyc8(F(1, 2)).c0) is F
+    y = (2 + Cyc8.zeta_pow(1)).inverse()       # norm 17: not in Z[zeta8]
+    assert all(type(c) is F for c in y.components())
+    one = y * (2 + Cyc8.zeta_pow(1))
+    assert one == ONE and all(type(c) is int for c in one.components())
+
+
 def test_embedding_matches_field_structure():
     from mpmath import mp
     with mp.workprec(80):
@@ -86,6 +102,108 @@ def rand_series(rng, D=24, order=96, nterms=6, floor=-12):
         terms[k] = Cyc8(rng.randint(-4, 4), rng.randint(-2, 2),
                         rng.randint(-2, 2), rng.randint(-2, 2))
     return QSeries(D, terms, order)
+
+
+def rand_coeff(rng):
+    """A coefficient that is rational, in Z[zeta8] or non-integral."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Cyc8(rng.choice([-2, -1, 1, 3]))
+    if kind == 1:
+        return Cyc8(*[rng.randint(-3, 3) for _ in range(4)])
+    return Cyc8(*[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4)])
+
+
+def rand_mixed_series(rng, D, order, nterms=8, floor=-10):
+    return QSeries(D, {rng.randint(floor, order - 1): rand_coeff(rng)
+                       for _ in range(nterms)}, order)
+
+
+def naive_sum_of_products(pairs, order):
+    """One Cyc8 product per pair of terms."""
+    out = {}
+    for a, b in pairs:
+        for ka, ca in a.coeff.items():
+            for kb, cb in b.coeff.items():
+                if ka + kb < order:
+                    out[ka + kb] = out.get(ka + kb, Cyc8(0)) + ca * cb
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("D", [1, 2, 24])
+def test_sum_of_products_matches_per_term_products(D):
+    rng = random.Random(D)
+    for _ in range(12):
+        pairs = [(rand_mixed_series(rng, D, rng.randint(5, 40)),
+                  rand_mixed_series(rng, D, rng.randint(5, 40)))
+                 for _ in range(rng.randint(1, 3))]
+        order = rng.randint(-5, 50)
+        got = sum_of_products(D, pairs, order)
+        assert got.order == order
+        assert got.coeff == naive_sum_of_products(pairs, order)
+    # a rational pair alone takes the one-component path
+    a = QSeries(D, {-3: Cyc8(2), 0: ONE, 4: Cyc8(-5)}, 20)
+    b = QSeries(D, {1: Cyc8(3), 2: Cyc8(F(1, 2))}, 20)
+    assert sum_of_products(D, [(a, b)], 9).coeff == naive_sum_of_products([(a, b)], 9)
+
+
+@pytest.mark.parametrize("c", [ONE, Cyc8(-1), Cyc8.zeta_pow(1), I], ids=["1", "-1", "z8", "i"])
+@pytest.mark.parametrize("D, exp", [(1, 1), (2, F(3, 2)), (24, F(9, 24))])
+def test_binomial_multiply_and_divide_match_product_and_invert(D, exp, c):
+    rng = random.Random(D * 7 + 1)
+    for _ in range(6):
+        s = rand_mixed_series(rng, D, rng.randint(20, 70))
+        # the binomial's own order is high enough not to cap the product's
+        top = s.order_exp() - F(min(s.floor_key(), 0), D) + 1
+        binomial = QSeries.from_terms(D, [(0, ONE), (exp, c)], top)
+        want = s * binomial
+        got = s.mul_binomial(c, exp)
+        assert got.order == want.order == s.order
+        assert got.coeff == want.coeff
+        want = s * binomial.invert()
+        got = s.div_binomial(c, exp)
+        assert got.order == want.order == s.order
+        assert got.coeff == want.coeff
+        assert got.mul_binomial(c, exp).coeff == s.coeff
+
+
+def test_binomial_exponent_must_be_positive():
+    from pwomega.errors import NonExpandableDenominator
+    s = QSeries.one(2, 5)
+    with pytest.raises(NonExpandableDenominator):
+        s.div_binomial(ONE, 0)
+    with pytest.raises(ValueError):
+        s.mul_binomial(ONE, F(-1, 2))
+    with pytest.raises(LatticeMismatch):
+        s.div_binomial(ONE, F(1, 3))
+
+
+def test_qpochhammer_with_non_positive_factor_exponents():
+    # (q^-2; q)_3 = (1 - q^-2)(1 - q^-1)(1 - 1) = 0, certified to O(q^(8-3))
+    zero = qpochhammer(1, Monomial(1, -2), 3, 8)
+    assert zero.is_zero() and zero.order_exp() == 5
+    # (2q^-1; q)_3 = (1 - 2q^-1)(1 - 2)(1 - 2q) against the expanded product
+    got = qpochhammer(1, Monomial(2, -1), 3, 8)
+    want = QSeries.from_terms(1, [(-1, Cyc8(2)), (0, Cyc8(-5)), (1, Cyc8(2))], 7)
+    assert got.order_exp() == 7 and got.coeff == want.coeff
+
+
+@pytest.mark.parametrize("base, n, step", [
+    (Monomial(1, 1), None, 1), (Monomial(-1, F(1, 2)), None, F(3, 2)), (Monomial(I, 1), None, 2),
+    (Monomial(2, -1), 3, 1), (Monomial(Cyc8.zeta_pow(1), F(-3, 2)), 4, F(1, 2)),
+])
+def test_over_qpochhammer_matches_product_inverse_on_laurent_series(base, n, step):
+    # floors below 0: for n=None the factors with exponents from the order up
+    # to order - floor still reach keys below the order
+    D = 2
+    rng = random.Random(11)
+    for floor in (-12, -5, 0, 3):
+        s = QSeries(D, {floor: ONE, **rand_mixed_series(rng, D, 16, floor=floor).coeff}, 16)
+        top = s.order_exp() - F(s.floor_key(), D) + 4
+        want = s * qpochhammer(D, base, n, top, step).invert()
+        got = over_qpochhammer(s, base, n, step)
+        assert got.order == want.order
+        assert got.coeff == want.coeff
 
 
 def test_geometric_inverse():

@@ -32,7 +32,7 @@ MUTANTS = [
      "cone_exponent(k, l, n) < N + abs(k))", "cone_exponent(k, l, n) < N)",
      ["tests/test_indefinite.py"]),
     ("src/pwomega/classical.py",
-     "an = an * _factor(D, a, n - 1, N)", "an = an * _factor(D, a, n, N)",
+     "a.q_exp + n - 1)", "a.q_exp + n)",
      ["tests/test_classical.py"]),
     ("src/pwomega/partitions.py",
      "g.shift(e + m * n)", "g.shift(e + n)",
@@ -52,8 +52,26 @@ MUTANTS = [
     ("src/pwomega/kernels.py",
      "k0 = int(mp.floor(-z.imag / self.v))", "k0 = int(mp.floor(-z.imag / self.v)) + 40",
      ["tests/test_kernels.py"]),
+    ("src/pwomega/qseries.py",
+     "sign = -1 if i + j >= 4 else 1", "sign = -1 if i + j > 4 else 1",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "x if j + ((i - j) & 3) >= 4 else -x", "x if j + ((i - j) & 3) > 4 else -x",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "p = k - e\n", "p = k - e + 1\n",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "[(self, binomial)], self.order)", "[(self, binomial)], self.order + e)",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "reach = Fraction(s.order - s.floor_key(), s.D)", "reach = s.order_exp()",
+     ["tests/test_exactalg.py"]),
     ("src/pwomega/registry.py",
      "mm = a.first_mismatch(b)", "mm = None",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/registry.py",
+     "if a.order_exp() != b.order_exp():", "if False:",
      ["tests/test_cli.py"]),
     ("src/pwomega/registry.py",
      "res > worst", "res < worst",
