@@ -214,6 +214,8 @@ def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N,
 
     with monomial parameters.  The analytic constraint |c| < |b| becomes the
     formal requirement that c/b, z, c and b*z all carry positive q-exponent.
+    Both sides are returned to their common certified order, which is below
+    N when a parameter has a negative q-exponent.
     """
     cb = c * b.pow(-1)
     bz = b * z
@@ -226,7 +228,9 @@ def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N,
     lhs = _phi21(D, a, b, c, z, N)
     pref = qpochhammer(D, cb, None, N) * qpochhammer(D, bz, None, N)
     pref = over_qpochhammer(over_qpochhammer(pref, c, None), z, None)
-    return lhs, (pref * _phi21(D, abz_c, b, bz, cb, N)).truncate(N)
+    rhs = pref * _phi21(D, abz_c, b, bz, cb, N)
+    common = min(lhs.order_exp(), rhs.order_exp(), N)
+    return lhs.truncate(common), rhs.truncate(common)
 
 
 def _phi21(D, a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> QSeries:

@@ -5,13 +5,18 @@ mu-hat(z, tau/2 + 1/4), and the completed weight-1 object built from its
 first two z-derivatives at 0.
 
 All z-differentiation at the removable points 0 and tau splits each
-quantity into a holomorphic block (differentiated by exponentially convergent
-contour quadrature) and the R-block (differentiated termwise through the
-explicit Wirtinger sums in kernels).  All holomorphic blocks at one center
-share one contour pass: a single node function evaluates theta and mu once
-per node and returns every block's value there, and contour_derivs
-differentiates the components together.  Composite results are returned as
-Approx(value, err) with a conservative absolute-error estimate.
+quantity into a holomorphic block and the R-block.  A holomorphic block is
+a product of theta, mu and exponentials; each factor's truncated Laurent
+jet at the center comes from one kernel pass (kernels.TauPlan.theta_taylor,
+kernels.MuPlan.laurent), and the block is assembled once at the center in
+jet arithmetic (Jet).  Its coefficients below delta^0 must cancel within
+their rounding budget, which is what removability means numerically.  The
+R-block is differentiated termwise through the explicit Wirtinger sums in
+kernels.  Composite results are returned as Approx(value, err) with a
+conservative absolute-error estimate.
+
+contour_derivs (trapezoidal Cauchy-integral differentiation) is kept as an
+independent route: the tests compare every block's jet with it.
 """
 
 from __future__ import annotations
@@ -23,13 +28,16 @@ from typing import Callable, Dict, List, Tuple
 from mpmath import mp
 
 from . import kernels
-from .errors import ContourThroughPole, PoleProximity
+from .errors import ContourThroughPole, PoleProximity, PrecisionUnreachable
 from .indefinite import cone_points, pbar_omega_series
 from .kernels import GUARD, qpow, workprec
 
 F = Fraction
 
 CONTOUR_MAX_NODES = 1024    # contour_derivs gives up past this many nodes
+# extra bits for the jets at a center, whose pole parts cancel when a block
+# is assembled
+JET_GUARD = 24
 
 
 @dataclass
@@ -48,7 +56,101 @@ def _prim_err(scale, P: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# contour differentiation of holomorphic blocks
+# truncated Laurent jets at a removable center
+# ---------------------------------------------------------------------------
+
+def _conv(a, b, n: int):
+    """The first n coefficients of the product of the series a and b."""
+    return [sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1))
+            for k in range(n)]
+
+
+@dataclass
+class Jet:
+    """The truncated Laurent series sum c[i] delta^(val + i), delta = z -
+    center, of a function at a center: every coefficient through
+    delta^exact is known (len(c) = exact - val + 1), c[i] to within the
+    absolute rounding bound err[i].  Products and sums carry the bounds
+    forward to first order, so a coefficient's bound covers whatever
+    cancelled in it."""
+    val: int
+    exact: int
+    c: List
+    err: List[float]
+
+    @classmethod
+    def kernel(cls, coeffs, val: int, P: int) -> "Jet":
+        """Coefficients of delta^val, delta^(val+1), ... from one kernel
+        pass, each within the primitive allowance _prim_err."""
+        return cls(val, val + len(coeffs) - 1, list(coeffs), [_prim_err(x, P) for x in coeffs])
+
+    @classmethod
+    def exp(cls, a, K: int, P: int) -> "Jet":
+        """e^(a delta) through delta^K."""
+        return cls.kernel([a ** k / mp.factorial(k) for k in range(K + 1)], 0, P)
+
+    def _at(self, k: int):
+        i = k - self.val
+        return (self.c[i], self.err[i]) if 0 <= i < len(self.c) else (0, 0.0)
+
+    def __add__(self, other: "Jet") -> "Jet":
+        val, exact = min(self.val, other.val), min(self.exact, other.exact)
+        terms = [(self._at(k), other._at(k)) for k in range(val, exact + 1)]
+        return Jet(val, exact, [a + b for (a, _), (b, _) in terms],
+                   [ea + eb for (_, ea), (_, eb) in terms])
+
+    def scale(self, s) -> "Jet":
+        return Jet(self.val, self.exact, [s * x for x in self.c],
+                   [float(abs(s)) * e for e in self.err])
+
+    def __mul__(self, other: "Jet") -> "Jet":
+        val = self.val + other.val
+        exact = min(self.exact + other.val, other.exact + self.val)
+        n = exact - val + 1
+        abs_a = [float(abs(x)) for x in self.c]
+        abs_b = [float(abs(x)) for x in other.c]
+        err = [x + y + z for x, y, z in zip(_conv(abs_a, other.err, n),
+                                            _conv(self.err, abs_b, n),
+                                            _conv(self.err, other.err, n))]
+        return Jet(val, exact, _conv(self.c, other.c, n), err)
+
+    def recip(self) -> "Jet":
+        """1/self, from its leading coefficient c[0] != 0."""
+        a = self.c
+        b = [1 / a[0]]
+        for k in range(1, len(a)):
+            b.append(-sum(a[i] * b[k - i] for i in range(1, k + 1)) / a[0])
+        abs_b = [float(abs(x)) for x in b]
+        # d(1/a) = -d(a) / a^2, to first order
+        err = _conv(_conv(abs_b, abs_b, len(b)), self.err, len(b))
+        return Jet(-self.val, self.exact - 2 * self.val, b, err)
+
+    def regular(self, name: str, order: int = 0) -> "Jet":
+        """This jet from delta^order on, after checking that every
+        coefficient below delta^order vanishes within its bound: otherwise
+        the center is not removable for name at this precision, and
+        PrecisionUnreachable names the block and the residue."""
+        for k in range(self.val, order):
+            x, e = self._at(k)
+            if abs(x) > e:
+                raise PrecisionUnreachable(
+                    f"{name}: the delta^{k} coefficient {mp.nstr(abs(x), 5)} exceeds its "
+                    f"rounding budget {e:.3g}")
+        i = max(0, order - self.val)
+        return Jet(self.val + i, self.exact, self.c[i:], self.err[i:])
+
+    def deriv(self, m: int) -> Approx:
+        """The m-th z-derivative at the center, m <= exact."""
+        if m > self.exact:
+            raise ValueError(f"the jet is known through delta^{self.exact}, not delta^{m}")
+        x, e = self._at(m)
+        f = mp.factorial(m)
+        return Approx(f * mp.mpc(x), float(f) * e)
+
+
+# ---------------------------------------------------------------------------
+# contour differentiation of holomorphic blocks (the tests' independent
+# route to the jets' coefficients)
 # ---------------------------------------------------------------------------
 
 def contour_derivs(f: Callable, center, radius, orders: Tuple[int, ...],
@@ -235,68 +337,79 @@ def _w_point(tau, g: int):
     return tau / 2 + mp.mpf(1) / 4 + mp.mpf(g) / 2
 
 
-def _fhat_center_data(tau, P: int, center_kind: str, want_dz: bool):
-    """For each (alpha, beta) returns (Fhat(center), dz Fhat(center) or None)
-    at center 0 or tau, with holomorphic blocks contour-differentiated and
-    R-blocks assembled from closed-form values."""
+def _center_jets(plan, mus, nstar: int, P: int):
+    """At the removable center c = -nstar tau (nstar in (0, -1)): theta's
+    jet from delta^1 on (theta(c) = 0) through delta^3, and the Laurent jet
+    of mu(., w) for each w of the bundle mus, from delta^-1 through
+    delta^1."""
+    theta = Jet.kernel(plan.theta_taylor(-nstar * plan.tau, 3), 0, P).regular("theta", 1)
+    return theta, [Jet.kernel(a, -1, P) for a in mus.laurent(nstar)]
+
+
+def _fhat_blocks(tau, P: int, nstar: int):
+    """The holomorphic blocks of F-hat(z, w_a, w_b) at the center
+    c = -nstar tau as jets through delta^1:
+
+        p_g  = theta(z) mu(z, w_g),                                g = 0, 1
+        h_ab = i theta mu(z, w_a) mu(z, w_b) + c2_ab mu(z, w_a + w_a)  (a = b)
+                                             + c2_ab e^(-2 pi i z) / theta  (a != b)
+
+    Returns (p, h, theta jet, th_w, th_ww, eta^3) with h keyed by (a, b),
+    all computed JET_GUARD bits above the working precision."""
+    with mp.workprec(mp.prec + JET_GUARD):
+        eta3 = kernels.eta(tau) ** 3
+        plan = kernels.TauPlan(tau)
+        w = [_w_point(tau, g) for g in (0, 1)]
+        # mu(., w_g) and mu(., w_g + w_g), with w_0 + w_0 = tau + 1/2 and
+        # w_1 + w_1 = tau + 3/2, in one bundle
+        mus = plan.mu(w[0], w[1], tau + mp.mpf(1) / 2, tau + mp.mpf(3) / 2)
+        th_w, th_ww = mus.theta_w[:2], mus.theta_w[2:]
+        theta, mu = _center_jets(plan, mus, nstar, P)
+        e_over_theta = (Jet.exp(-2j * mp.pi, 3, P).scale(mp.expjpi(2 * nstar * tau))
+                        * theta.recip())
+        p = [(theta * mu[g]).regular(f"theta mu(w{g})") for g in (0, 1)]
+        h = {}
+        for a in (0, 1):
+            for b in (0, 1):
+                if a == b:
+                    second = mu[2 + a].scale(-eta3 * th_ww[a] / (th_w[a] * th_w[b]))
+                else:
+                    second = e_over_theta.scale(1j * eta3 * eta3 / (th_w[a] * th_w[b]))
+                h[a, b] = ((p[a] * mu[b]).scale(1j) + second).regular(f"F-hat block ({a}, {b})")
+        return p, h, theta, th_w, th_ww, eta3
+
+
+def _fhat_center_data(tau, P: int, nstar: int):
+    """For each (alpha, beta), (Fhat(c), dz Fhat(c)) at the center
+    c = -nstar tau: the holomorphic blocks from their jets, the R-blocks
+    from closed-form values."""
     tau = mp.mpc(tau)
-    center = mp.mpc(0) if center_kind == "zero" else tau
-    r = _contour_radius(tau)
-    _assert_contour_clear(center, r, tau)
-
-    eta3 = kernels.eta(tau) ** 3
-    eta6 = eta3 * eta3
-    plan = kernels.TauPlan(tau)
-    w = [_w_point(tau, g) for g in (0, 1)]
-    # mu(., w_g) and mu(., w_g + w_g), with w_0 + w_0 = tau + 1/2 and
-    # w_1 + w_1 = tau + 3/2, in one bundle
-    mus = plan.mu(w[0], w[1], tau + mp.mpf(1) / 2, tau + mp.mpf(3) / 2)
-    th_w, th_ww = mus.theta_w[:2], mus.theta_w[2:]
-    pairs = [(alpha, beta) for alpha in (0, 1) for beta in (0, 1)]
-    # coefficient of the second term of each holomorphic block
-    c2 = {(a, b): (-eta3 * th_ww[a] / (th_w[a] * th_w[b]) if a == b
-                   else 1j * eta6 / (th_w[a] * th_w[b])) for a, b in pairs}
-
-    def node(z):
-        # p_g(z) = theta(z) mu(z, w_g), then the four holomorphic blocks
-        th = plan.theta(z)
-        mu = mus(z)
-        e = mp.expjpi(-2 * z)
-        return [th * mu[0], th * mu[1]] + [
-            1j * th * mu[a] * mu[b] + (c2[a, b] * mu[2 + a] if a == b else c2[a, b] * e / th)
-            for a, b in pairs]
-
-    orders = (0, 1) if want_dz else (0,)
-    blocks = contour_derivs(node, center, r, orders, P)
-    p, hol = blocks[:2], dict(zip(pairs, blocks[2:]))
+    center = -nstar * tau
+    p, hol, theta, th_w, th_ww, eta3 = _fhat_blocks(tau, P, nstar)
+    p = [(jet.deriv(0), jet.deriv(1)) for jet in p]
+    thp_center = theta.deriv(1).value
 
     # R and dR/dz at center - w_g and center - w_g - w_g
-    z_w = [center - w[g] for g in (0, 1)]
-    z_ww = [center - w[g] - w[g] for g in (0, 1)]
-    R_w, Rdz_w = zip(*(kernels._R_terms(z, tau) for z in z_w))
-    R_ww, Rdz_ww = zip(*(kernels._R_terms(z, tau) for z in z_ww))
-    if want_dz:
-        thp_center = plan.theta_dz(center)
+    w = [_w_point(tau, g) for g in (0, 1)]
+    R_w, Rdz_w = zip(*(kernels._R_terms(center - w[g], tau) for g in (0, 1)))
+    R_ww, Rdz_ww = zip(*(kernels._R_terms(center - w[g] - w[g], tau) for g in (0, 1)))
 
     out = {}
-    for alpha, beta in pairs:
-        h, pa, pb = hol[alpha, beta], p[alpha], p[beta]
+    for (alpha, beta), jet in hol.items():
+        h, pa, pb = (jet.deriv(0), jet.deriv(1)), p[alpha], p[beta]
         c_ab = th_ww[alpha] / (th_w[alpha] * th_w[beta]) if alpha == beta else 0
         rstar = (-mp.mpf(1) / 2 * (pa[0].value * R_w[beta] + pb[0].value * R_w[alpha]))
+        drstar = (-mp.mpf(1) / 2 * (pa[1].value * R_w[beta] + pa[0].value * Rdz_w[beta]
+                                    + pb[1].value * R_w[alpha] + pb[0].value * Rdz_w[alpha])
+                  - 0.25j * thp_center * R_w[alpha] * R_w[beta])
         if alpha == beta:
             rstar += -0.5j * eta3 * c_ab * R_ww[alpha]
-        err = h[0].err + pa[0].err + pb[0].err + _prim_err(rstar, P)
-        val = h[0].value + rstar
-        dval = None
-        if want_dz:
-            drstar = (-mp.mpf(1) / 2 * (pa[1].value * R_w[beta] + pa[0].value * Rdz_w[beta]
-                                        + pb[1].value * R_w[alpha] + pb[0].value * Rdz_w[alpha])
-                      - 0.25j * thp_center * R_w[alpha] * R_w[beta])
-            if alpha == beta:
-                drstar += -0.5j * eta3 * c_ab * Rdz_ww[alpha]
-            dval = Approx(h[1].value + drstar,
-                          h[1].err + pa[1].err + pb[1].err + _prim_err(drstar, P))
-        out[(alpha, beta)] = (Approx(val, err), dval)
+            drstar += -0.5j * eta3 * c_ab * Rdz_ww[alpha]
+        val = Approx(h[0].value + rstar,
+                     h[0].err + pa[0].err + pb[0].err + _prim_err(rstar, P))
+        dval = Approx(h[1].value + drstar,
+                      h[1].err + pa[1].err + pb[1].err + _prim_err(drstar, P))
+        out[(alpha, beta)] = (val, dval)
     return out
 
 
@@ -344,8 +457,8 @@ def hhat1_numeric(tau, P: int = 160) -> Approx:
     assembly; the target identity is H-hat-1 = 0."""
     with workprec(P):
         tau = mp.mpc(tau)
-        d0 = _fhat_center_data(tau, P, "zero", want_dz=False)
-        dt = _fhat_center_data(tau, P, "tau", want_dz=False)
+        d0 = _fhat_center_data(tau, P, 0)
+        dt = _fhat_center_data(tau, P, -1)
         h11 = mp.mpc(0)
         h12 = mp.mpc(0)
         err = 0.0
@@ -368,8 +481,8 @@ def hhat2_numeric(tau, P: int = 160) -> Approx:
                - [d/dzeta (q^(-1/2) zeta^{-1} H-hat(z+tau))]_{zeta=1}."""
     with workprec(P):
         tau = mp.mpc(tau)
-        d0 = _fhat_center_data(tau, P, "zero", want_dz=True)
-        dt = _fhat_center_data(tau, P, "tau", want_dz=True)
+        d0 = _fhat_center_data(tau, P, 0)
+        dt = _fhat_center_data(tau, P, -1)
         two_pi_i = 2j * mp.pi
         h21 = mp.mpc(0)
         h22 = mp.mpc(0)
@@ -400,9 +513,21 @@ def fcal_numeric(z, tau, P: int = 113):
                  * kernels.muhat(z, _w_point(tau, 0), tau))
 
 
+def _fcal_block(tau, P: int):
+    """The holomorphic block q^(-1/8) e^(pi i z) theta(z) mu(z, w0) of FF
+    as a jet at 0 through delta^2, and theta's jet there, computed
+    JET_GUARD bits above the working precision."""
+    with mp.workprec(mp.prec + JET_GUARD):
+        plan = kernels.TauPlan(tau)
+        theta, (mu,) = _center_jets(plan, plan.mu(_w_point(tau, 0)), 0, P)
+        block = (Jet.exp(1j * mp.pi, 3, P) * theta * mu).scale(qpow(tau, -F(1, 8)))
+        return block.regular("FF"), theta
+
+
 def fcal_derivs(tau, P: int = 160) -> Tuple[Approx, Approx, Approx]:
     """(FF(0), FF'(0), FF''(0)): the holomorphic block q^(-1/8) e^(pi i z)
-    theta(z) mu(z, w0) is contour-differentiated; the R-block contributes
+    theta(z) mu(z, w0) is differentiated through its jet at 0; the R-block
+    contributes
 
         FF'(0)  += (i/2) q^(-1/8) theta'(0) R(-w0)
         FF''(0) += (i/2) q^(-1/8) (2 pi i theta'(0) R(-w0) + 2 theta'(0) R'(-w0))
@@ -411,25 +536,15 @@ def fcal_derivs(tau, P: int = 160) -> Tuple[Approx, Approx, Approx]:
     """
     with workprec(P):
         tau = mp.mpc(tau)
-        w0 = _w_point(tau, 0)
-        r = _contour_radius(tau)
-        _assert_contour_clear(mp.mpc(0), r, tau)
         q18 = qpow(tau, -F(1, 8))
-        plan = kernels.TauPlan(tau)
-        mu_w0 = plan.mu(w0)
-
-        def hol(z):
-            return (q18 * mp.expjpi(z) * plan.theta(z) * mu_w0(z)[0],)
-
-        g, = contour_derivs(hol, mp.mpc(0), r, (0, 1, 2), P)
-        thp = plan.theta_dz(0)
-        R0, R1 = kernels._R_terms(-w0, tau)
-        f0 = Approx(g[0].value, g[0].err)
+        g, theta = _fcal_block(tau, P)
+        f0, f1, f2 = (g.deriv(m) for m in (0, 1, 2))
+        thp = theta.deriv(1).value
+        R0, R1 = kernels._R_terms(-_w_point(tau, 0), tau)
         c1 = 0.5j * q18 * thp * R0
-        f1 = Approx(g[1].value + c1, g[1].err + _prim_err(c1, P))
         c2 = 0.5j * q18 * (2j * mp.pi * thp * R0 + 2 * thp * R1)
-        f2 = Approx(g[2].value + c2, g[2].err + _prim_err(c2, P))
-        return f0, f1, f2
+        return (f0, Approx(f1.value + c1, f1.err + _prim_err(c1, P)),
+                Approx(f2.value + c2, f2.err + _prim_err(c2, P)))
 
 
 def phat_omega_numeric(tau, P: int = 160) -> Approx:

@@ -95,9 +95,11 @@ class JSeries:
         return min(found, key=lambda m: m[:2], default=None)
 
     def __eq__(self, other) -> bool:
+        """Equal coefficients to one common order; series known to different
+        orders are not equal."""
         if not isinstance(other, JSeries):
             return NotImplemented
-        return self.first_mismatch(other) is None
+        return self.first_mismatch(other) is None and self.order == other.order
 
     # -- arithmetic -----------------------------------------------------------------
 

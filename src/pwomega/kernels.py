@@ -19,24 +19,27 @@ Conventions:
     exponentials a point needs are taken at W bits; each sum is converted
     to an mpc once.  theta(z, tau) and mu(z1, z2, tau) are one-point uses of
     a plan, so each bilateral sum has one implementation.
-  * cost per node: theta, two exponentials and one division at W bits, then
-    one fixed-point complex multiply-add per term; a mu bundle (every second
-    argument w used at that node), one exponential and one division at W
-    bits, then per term one fixed-point denominator, one integer reciprocal
-    and one squared-modulus pole check shared by the bundle, plus one
-    complex multiply-add per w.
+  * cost per point: theta, two exponentials and one division at W bits,
+    then one fixed-point complex multiply-add per term; a mu bundle (every
+    second argument w used at that point), one exponential and two
+    divisions at W bits, then per term one fixed-point denominator, one
+    integer reciprocal and one squared-modulus pole check shared by the
+    bundle, plus one complex multiply-add per w.
+  * jets at the removable centers 0 and tau: theta's pass carries one
+    accumulator per power k <= K of the weight 2n (TauPlan.theta_taylor),
+    and mu's Laurent pass (MuPlan.laurent) adds one shared product and one
+    multiply-add per w and term for the first derivative of each regular
+    term, and the singular term's Laurent part in closed form.
   * boundedness: theta is anchored at its largest term k* = floor(-Im z/v)
     and summed outward on each side by Horner's rule in a ratio of modulus
     at most 1 (one pass over the whole window would close with the factor
     e^(pi i (2 lo + 1) z), which at Im z = v/2, v = 1.36 scales the
-    accumulated rounding by about 1e20).  mu's terms with n = -k < 0 are
-    rewritten as zeta^-1 (-c_-k q^k)/(1 - zeta^-1 q^k), so every numerator
-    and every t q^m in a denominator has modulus at most about 1 for the
-    points the contour passes use (|Im z|, |Im w| <= 1.1 v).  Farther out,
-    mu's terms shrink with 1/max(|zeta|, |zeta^-1 q|) while the rounding of
-    a reciprocal does not, so the bound below grows by about 9 bits per
-    unit of Im z outside [0, v] (2^11 ulps of the working precision at
-    Im z = -2, v = 0.5).
+    accumulated rounding by about 1e20).  mu's sum is split at
+    s = ceil(-Im z / v) (MuPlan), so every t q^m in a denominator has
+    modulus at most 1 for every z and each reciprocal has modulus at least
+    1/2; the numerators are one table c_n whose largest entry is at least
+    |c_0| = 1.  At Im z = -2 and 2, v = 0.5, mu is within 1 ulp of a
+    per-term sum at 100 more bits.
   * rounding, in units of 2^-W: converting an exponential taken at W bits
     costs at most 3, a fixed-point product at most 2, and the recurrences
     put at most about 5m + 5/(pi v) on a table entry of index m.  A side of
@@ -49,7 +52,9 @@ Conventions:
     primitive allowance of 2^16 ulps (completion._prim_err).  Against
     per-term sums at 100 more bits, at nodes around 0 and tau and at the
     four w's of the F-hat pass, theta, theta' and mu are within 4 ulps of
-    the working precision for Im tau in {1.36, 0.93, 0.1, 0.0104}.
+    the working precision for Im tau in {1.36, 0.93, 0.1, 0.0104}; at the
+    centers, theta^(k)/k! (k <= 3) is within 2 ulps of max(1, |value|) and
+    each Laurent coefficient of mu within 7 ulps of its largest one.
 """
 
 from __future__ import annotations
@@ -174,14 +179,15 @@ class TauPlan:
             g.append(_mul(g[-1], Q[len(g) - 1], self.W))
         return g
 
-    def _halfint_sum(self, z, weighted):
-        """sum over k in z's window of T_k = a_k e^(2 pi i n z), n = k + 1/2,
-        times 2n if weighted.
+    def _halfint_sums(self, z, K: int):
+        """[sum over k in z's window of (2n)^j T_k for j = 0..K], where
+        T_k = a_k e^(2 pi i n z), n = k + 1/2.
 
         With k* = floor(-Im z / v), the term of largest modulus up to one
         index, T_(k*+j) = T_k* a^j g_j and T_(k*-j) = T_k* b^j g_j, where
         a = -q^(k*+1) e^(2 pi i z) and b = -q^(-k*) e^(-2 pi i z) both have
-        modulus at most 1; each side is summed by Horner's rule in a or b."""
+        modulus at most 1; each side is summed by Horner's rule in a or b,
+        one accumulator per power of the weight 2n."""
         z = mp.mpc(z)
         lo, hi = _halfint_window(self.v, z.imag)
         k0 = int(mp.floor(-z.imag / self.v))
@@ -192,30 +198,38 @@ class TauPlan:
             a = -mp.expjpi(2 * ((k0 + 1) * tau + z))
             a, b = _fix(a, W), _fix(self._q_mpc / a, W)
         g = self._gauss(max(hi - k0, k0 - lo))
-        total = [0, 0]
-        for ratio, J, step in ((a, hi - k0, 2), (b, k0 - lo, -2)):
-            ar, ai = ratio
-            sr = si = 0
+        totals = [[0, 0] for _ in range(K + 1)]
+        for (ar, ai), J, step in ((a, hi - k0, 2), (b, k0 - lo, -2)):
+            accs = [[0, 0] for _ in range(K + 1)]
             for j in range(J, -1, -1):
                 gr, gi = g[j]
-                if weighted:
-                    wt = 2 * k0 + 1 + step * j
+                wt = 2 * k0 + 1 + step * j
+                for acc in accs:
+                    sr, si = acc
+                    acc[0] = ((sr * ar - si * ai) >> W) + gr
+                    acc[1] = ((sr * ai + si * ar) >> W) + gi
                     gr, gi = wt * gr, wt * gi
-                sr, si = ((sr * ar - si * ai) >> W) + gr, ((sr * ai + si * ar) >> W) + gi
-            total[0] += sr
-            total[1] += si
+            for total, acc in zip(totals, accs):
+                total[0] += acc[0]
+                total[1] += acc[1]
         # the peak term was summed by both sides
-        wt0 = 2 * k0 + 1 if weighted else 1
-        total[0] -= wt0 << W
-        return peak * _to_mpc(total, W)
+        for j, total in enumerate(totals):
+            total[0] -= (2 * k0 + 1) ** j << W
+        return [peak * _to_mpc(total, W) for total in totals]
 
     def theta(self, z):
         """Jacobi theta: sum over n in 1/2+Z of e^(pi i n^2 tau + 2 pi i n (z+1/2))."""
-        return self._halfint_sum(z, False)
+        return self._halfint_sums(z, 0)[0]
 
     def theta_dz(self, z):
         """d/dz of theta (holomorphic derivative)."""
-        return 1j * mp.pi * self._halfint_sum(z, True)
+        return 1j * mp.pi * self._halfint_sums(z, 1)[1]
+
+    def theta_taylor(self, z, K: int):
+        """[theta^(k)(z) / k! for k = 0..K], from one pass over the terms:
+        the k-th derivative weights each term by (2 pi i n)^k."""
+        return [(1j * mp.pi) ** k * s / mp.factorial(k)
+                for k, s in enumerate(self._halfint_sums(z, K))]
 
     def mu(self, *ws) -> "MuPlan":
         """The plan of z -> [mu(z, w; tau) for w in ws] for this tau."""
@@ -229,12 +243,15 @@ class MuPlan:
 
     The numerators c_n = (-1)^n e^(2 pi i n w) q^(n(n+1)/2) follow
     c_(n+1) = -e^(2 pi i w) q^(n+1) c_n and c_(n-1) = -e^(-2 pi i w) q^(-n) c_n.
-    A term with n = -k < 0 is rewritten as
+    The sum is split at s = ceil(-Im z / v), the least n with
+    |zeta q^n| <= 1; since -c_n q^-n = e^(2 pi i w) c_(n-1), a term with
+    n < s is rewritten as
 
-        c_-k / (1 - zeta q^-k) = zeta^-1 (-c_-k q^k) / (1 - zeta^-1 q^k),
+        c_n / (1 - zeta q^n) = zeta^-1 e^(2 pi i w) c_(n-1) / (1 - zeta^-1 q^-n),
 
-    so both sides of the sum have the form N_m / (1 - t q^m), m >= 0, with
-    t = zeta or zeta^-1 and every N_m, q^m of modulus at most about 1."""
+    so both sides of the sum have the form c_(s+m) / (1 - t q^m) or
+    c_(s-2-m) / (1 - t' q^m), m >= 0, with t = zeta q^s and t' = q / t of
+    modulus at most 1 for every z."""
 
     def __init__(self, plan: TauPlan, ws):
         self.plan = plan
@@ -242,26 +259,40 @@ class MuPlan:
         self.theta_w = [plan.theta(w) for w in self.ws]
         W = plan.W
         with mp.workprec(W):
-            self._up = [_fix(-mp.expjpi(2 * w), W) for w in self.ws]
-            self._down = [_fix(-mp.expjpi(-2 * w), W) for w in self.ws]
-        one = [(1 << W, 0)] * len(self.ws)
-        self._cpos = [one]    # [c_n for each w], n >= 0
-        self._cneg = [one]    # [c_-k for each w], k >= 0
-        self._neg = [None]    # [-c_-k q^k for each w], k >= 1
+            self._ew = [mp.expjpi(2 * w) for w in self.ws]
+            self._up = [_fix(-e, W) for e in self._ew]
+            self._down = [_fix(-1 / e, W) for e in self._ew]
+        self._c = [[(1 << W, 0)] * len(self.ws)]     # [c_n for each w], n >= -c0
+        self._c0 = 0
         self._wy = max(abs(w.imag) for w in self.ws)
 
-    def _numerators(self, A):
-        """Grow the numerator rows through index A."""
+    def _numerators(self, lo: int, hi: int):
+        """Grow the numerator table through lo <= n <= hi (lo <= 0 <= hi)."""
         W = self.plan.W
-        Q = self.plan._qpowers(A)
-        cpos, cneg, neg = self._cpos, self._cneg, self._neg
-        while len(cpos) <= A:
-            m = len(cpos)
-            cpos.append([_mul(_mul(c, u, W), Q[m], W) for c, u in zip(cpos[-1], self._up)])
-        while len(cneg) <= A:
-            k = len(cneg)
-            cneg.append([_mul(_mul(c, d, W), Q[k - 1], W) for c, d in zip(cneg[-1], self._down)])
-            neg.append([(-r, -i) for r, i in (_mul(c, Q[k], W) for c in cneg[-1])])
+        Q = self.plan._qpowers(max(hi, -lo))
+        c = self._c
+        while len(c) - self._c0 <= hi:
+            n = len(c) - self._c0
+            c.append([_mul(_mul(x, u, W), Q[n], W) for x, u in zip(c[-1], self._up)])
+        down, row = [], c[0]
+        for n in range(-self._c0, lo, -1):
+            row = [_mul(_mul(x, d, W), Q[-n], W) for x, d in zip(row, self._down)]
+            down.append(row)
+        if down:
+            self._c = down[::-1] + c
+            self._c0 += len(down)
+
+    def _window(self, y):
+        return self.plan._mu_A0 + int((abs(y) + self._wy) / self.plan.v) + 6
+
+    def _sides(self, s: int, A: int, t, tq, m0: int, jet: bool):
+        """Both sides of the sum over -A <= n <= A split at s (see _side),
+        the t-side from m = m0."""
+        self._numerators(-A - 1, A)
+        c, c0 = self._c, self._c0
+        pos = self._side(t, c[c0 + s:c0 + A + 1], m0, s, 1, jet)
+        neg = self._side(tq, c[c0 - A - 1:c0 + s - 1][::-1], 0, s - 1, -1, jet)
+        return pos, neg
 
     def __call__(self, z):
         """[mu(z, w; tau) for each w of the bundle] by the defining
@@ -269,43 +300,89 @@ class MuPlan:
         z = mp.mpc(z)
         plan = self.plan
         W = plan.W
-        A = plan._mu_A0 + int((abs(z.imag) + self._wy) / plan.v) + 6
-        self._numerators(A)
+        s = -int(mp.floor(z.imag / plan.v))
         with mp.workprec(W):
             h = mp.expjpi(z)
-            zeta = h * h
-            zinv = 1 / zeta
-        pos = self._side(_fix(zeta, W), self._cpos, 0, A, 1)
-        neg = self._side(_fix(zinv, W), self._neg, 1, A, -1)
-        return [h / th * (_to_mpc(p, 2 * W) + zinv * _to_mpc(n, 2 * W))
-                for th, p, n in zip(self.theta_w, pos, neg)]
+            zinv = 1 / (h * h)
+            t = h * h * plan._q_mpc ** s
+            tq = plan._q_mpc / t
+        (pos, _), (neg, _) = self._sides(s, self._window(z.imag), _fix(t, W), _fix(tq, W), 0, False)
+        return [h / th * (_to_mpc(p, 2 * W) + zinv * e * _to_mpc(n, 2 * W))
+                for th, e, p, n in zip(self.theta_w, self._ew, pos, neg)]
 
-    def _side(self, t, rows, m0, A, sign):
-        """[sum over m0 <= m <= A of rows[m][i] / (1 - t q^m) for each w_i],
-        as Gaussian integers at scale 2^(2W); raises PoleProximity when a
-        denominator is below 2^(-(prec-28)/2) max(1, |t q^m|)."""
+    def laurent(self, nstar: int):
+        """[[a_-1, a_0, a_1] for each w of the bundle]: the Laurent
+        coefficients of mu(c + delta, w; tau) in delta at its pole
+        c = -nstar tau, nstar in (0, -1), from one pass.
+
+        The pass splits at s = nstar, where t = 1 and t' = q exactly.  The
+        singular term n = nstar (m = 0 on the t-side) is left out of the
+        sum and of its pole check, and enters in closed form,
+        1/(1 - e^x) = -1/x + 1/2 - x/12 + O(x^3) with x = 2 pi i delta; every
+        other term 1/(1 - x_m e^(+-x)) contributes r + (+-x) x_m r^2, with
+        r = 1/(1 - x_m)."""
+        if nstar not in (0, -1):
+            raise ValueError("the Laurent pass is centred at 0 or tau")
+        plan = self.plan
+        W = plan.W
+        c = -nstar * plan.tau
+        (pos, pos1), (neg, neg1) = self._sides(nstar, self._window(c.imag),
+                                              (1 << W, 0), plan._q[1], 1, True)
+        x = 2j * mp.pi
+        hc = mp.expjpi(c)
+        out = []
+        for th, e, p, p1, n, n1, row in zip(self.theta_w, self._ew, pos, pos1, neg, neg1,
+                                            self._c[self._c0 + nstar]):
+            a = _to_mpc(row, W)
+            t_side = [-a / x, _to_mpc(p, 2 * W) + a / 2, x * (_to_mpc(p1, 2 * W) - a / 12)]
+            q_side = [0, _to_mpc(n, 2 * W), -x * _to_mpc(n1, 2 * W)]
+            # mu = e^(pi i z) / theta(w) (t_side + zeta^-1 e^(2 pi i w) q_side)
+            out.append([(hc * u + e / hc * d) / th for u, d in
+                        zip(_times_exp(t_side, 1j * mp.pi), _times_exp(q_side, -1j * mp.pi))])
+        return out
+
+    def _side(self, t, rows, m0: int, n0: int, step: int, jet: bool):
+        """[sum over m0 <= m < len(rows) of rows[m][i] r_m for each w_i] and,
+        with jet, [the same sum of rows[m][i] x_m r_m^2], where x_m = t q^m
+        and r_m = 1/(1 - x_m), as Gaussian integers at scale 2^(2W).  Raises
+        PoleProximity when a denominator is below 2^(-(prec-28)/2)
+        max(1, |x_m|); term m is term n = n0 + step m of the sum."""
         W = self.plan.W
-        Q = self.plan._qpowers(A)
-        s = self.plan.prec - GUARD // 2
+        Q = self.plan._qpowers(len(rows))
+        cut = self.plan.prec - GUARD // 2
         one, one2, num = 1 << W, 1 << (2 * W), 1 << (3 * W)
-        near = 1 << (2 * W + 2 - s)      # |den|^2 2^s >= 4 rules out a pole
+        near = 1 << (2 * W + 2 - cut)      # |den|^2 2^cut >= 4 rules out a pole
         tr0, ti0 = t
         sums = [[0, 0] for _ in self.ws]
-        for m in range(m0, A + 1):
+        sums1 = [[0, 0] for _ in self.ws]
+        for m in range(m0, len(rows)):
             qr, qi = Q[m]
             tr = (tr0 * qr - ti0 * qi) >> W
             ti = (tr0 * qi + ti0 * qr) >> W
             dr, di = one - tr, -ti
             M = dr * dr + di * di
-            if M < near and (M << s) < max(one2, tr * tr + ti * ti):
-                raise PoleProximity(f"mu denominator at n={sign * m} has modulus "
+            if M < near and (M << cut) < max(one2, tr * tr + ti * ti):
+                raise PoleProximity(f"mu denominator at n={n0 + step * m} has modulus "
                                     f"{mp.sqrt(mp.mpf(M)) / 2 ** W}")
             k = num // M
-            rr, ri = (dr * k) >> W, -(di * k) >> W        # 1/(1 - t q^m)
+            rr, ri = (dr * k) >> W, -(di * k) >> W        # 1/(1 - x_m)
             for acc, (cr, ci) in zip(sums, rows[m]):
                 acc[0] += cr * rr - ci * ri
                 acc[1] += cr * ri + ci * rr
-        return sums
+            if jet:
+                # x r^2 = r^2 - r, since x r = r - 1
+                xr, xi = ((rr * rr - ri * ri) >> W) - rr, ((2 * rr * ri) >> W) - ri
+                for acc, (cr, ci) in zip(sums1, rows[m]):
+                    acc[0] += cr * xr - ci * xi
+                    acc[1] += cr * xi + ci * xr
+        return sums, sums1
+
+
+def _times_exp(coeffs, a):
+    """[b_-1, b_0, b_1]: the Laurent coefficients of
+    (coeffs[0]/delta + coeffs[1] + coeffs[2] delta) e^(a delta) through delta^1."""
+    lm, l0, l1 = coeffs
+    return [lm, l0 + a * lm, l1 + a * l0 + a * a / 2 * lm]
 
 
 def theta(z, tau):

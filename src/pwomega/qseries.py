@@ -138,9 +138,11 @@ class QSeries:
         return not self.coeff
 
     def __eq__(self, other) -> bool:
+        """Equal coefficients to one common order; series known to different
+        orders are not equal."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.first_mismatch(other) is None
+        return self.first_mismatch(other) is None and self.order == other.order
 
     __hash__ = None   # mutable container semantics
 

@@ -277,7 +277,7 @@ def _run_heine(params) -> Dict:
                 continue
             c = Monomial(1, F(rng.randint(1, 4), 2) + b.q_exp)
             z = Monomial(1, rng.randint(1, 2))
-            yield (f"random instance {done}", *heine_sides(a, b, c, z, 20))
+            yield (f"random instance {done}", *heine_sides(a, b, c, z, N))
             done += 1
 
     return _series_check(pairs())

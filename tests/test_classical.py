@@ -118,6 +118,15 @@ def test_heine_paper_parameter_family(j):
     assert lhs.first_mismatch(rhs) is None
 
 
+def test_heine_sides_share_one_order():
+    # a = q^-1 lowers the left side's certified order below the right
+    # side's; both come back at the common order, where they agree
+    lhs, rhs = heine_sides(Monomial(1, -1), Monomial(1, F(1, 2)), Monomial(1, 1),
+                           Monomial(1, 1), 12)
+    assert lhs.order_exp() == rhs.order_exp() == 11
+    assert lhs == rhs
+
+
 def test_heine_random_monomial_parameters():
     rng = random.Random(99)
     done = 0

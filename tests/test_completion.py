@@ -9,7 +9,7 @@ from mpmath import mp
 
 from pwomega import completion, kernels
 from pwomega.classical import EtaQuotient, eta_quotient_series
-from pwomega.errors import ContourThroughPole, PoleProximity
+from pwomega.errors import ContourThroughPole, PoleProximity, PrecisionUnreachable
 from pwomega.kernels import qpow, workprec
 from pwomega.modular import (GroupElement, dtaubar_fd, lowering_fd,
                              psi_multiplier, power_principal, xi_fd)
@@ -137,6 +137,82 @@ def test_contour_derivs_pole_just_outside_raises():
 def test_contour_through_lattice_is_rejected():
     with pytest.raises(ContourThroughPole):
         completion._assert_contour_clear(0, 1.2, TAU)
+
+
+def test_jet_products_track_valuation_and_exact_order():
+    J = completion.Jet
+    sin = J(1, 3, [mp.mpf(1), mp.mpf(0), -mp.mpf(1) / 6], [0.0, 0.0, 0.0])   # delta - delta^3/6
+    pole = J(-1, 0, [mp.mpf(1), mp.mpf(2)], [0.0, 1e-30])                      # 1/delta + 2
+    prod = sin * pole
+    # known through delta^min(3 - 1, 0 + 1): (1 + 2 delta + O(delta^2))
+    assert (prod.val, prod.exact) == (0, 1)
+    assert prod.c == [1, 2] and prod.err == [0.0, 1e-30]
+    with pytest.raises(ValueError):
+        prod.deriv(2)
+    inv = sin.recip()                                  # 1/delta + delta/6 + O(delta^2)
+    assert (inv.val, inv.exact) == (-1, 1)
+    assert inv.c[0] == 1 and inv.c[1] == 0 and abs(inv.c[2] - mp.mpf(1) / 6) < 1e-30
+    total = prod + inv
+    assert (total.val, total.exact) == (-1, 1) and total.err == [0.0, 0.0, 1e-30]
+    with pytest.raises(PrecisionUnreachable, match="delta\\^-1"):
+        total.regular("prod + inv")
+    assert prod.regular("prod").deriv(1).value == 2
+
+
+@pytest.mark.parametrize("im_tau", ["1.36", "0.93", "0.1", "0.0104"])
+def test_jets_match_contour_quadrature(im_tau):
+    # every holomorphic block against trapezoidal quadrature of its own
+    # point function, within the quadrature's error estimate
+    with workprec(P):
+        tau = mp.mpc("0.11", im_tau)
+        r = completion._contour_radius(tau)
+        plan = kernels.TauPlan(tau)
+        q18 = qpow(tau, -F(1, 8))
+        mu_w0 = plan.mu(completion._w_point(tau, 0))
+        ff, _ = completion._fcal_block(tau, P)
+        want, = completion.contour_derivs(
+            lambda z: (q18 * mp.expjpi(z) * plan.theta(z) * mu_w0(z)[0],), 0, r, (0, 1, 2), P)
+        for m in (0, 1, 2):
+            assert abs(ff.deriv(m).value - want[m].value) <= want[m].err, ("FF", m)
+
+        eta3 = kernels.eta(tau) ** 3
+        ws = [completion._w_point(tau, 0), completion._w_point(tau, 1),
+              tau + mp.mpf(1) / 2, tau + mp.mpf(3) / 2]
+        mus = plan.mu(*ws)
+        th = mus.theta_w
+
+        def blocks(z):
+            t, mu = plan.theta(z), mus(z)
+            out = [t * mu[0], t * mu[1]]
+            for a in (0, 1):
+                for b in (0, 1):
+                    second = (-eta3 * th[2 + a] / (th[a] * th[b]) * mu[2 + a] if a == b
+                              else 1j * eta3 ** 2 / (th[a] * th[b]) * mp.expjpi(-2 * z) / t)
+                    out.append(1j * t * mu[a] * mu[b] + second)
+            return out
+
+        for nstar in (0, -1):
+            p, h, *_ = completion._fhat_blocks(tau, P, nstar)
+            jets = p + [h[a, b] for a in (0, 1) for b in (0, 1)]
+            wants = completion.contour_derivs(blocks, -nstar * tau, r, (0, 1), P)
+            for i, (jet, want) in enumerate(zip(jets, wants)):
+                for m in (0, 1):
+                    assert abs(jet.deriv(m).value - want[m].value) <= want[m].err, (nstar, i, m)
+
+
+def test_non_removable_block_is_refused():
+    # i theta mu(w_a) mu(w_b) alone keeps a pole at the center; only the
+    # second term of the F-hat block cancels it
+    with workprec(P):
+        plan = kernels.TauPlan(TAU)
+        w = completion._w_point(TAU, 0)
+        for nstar in (0, -1):
+            theta, (mu,) = completion._center_jets(plan, plan.mu(w), nstar, P)
+            assert (theta * mu).regular("theta mu").val == 0
+            with pytest.raises(PrecisionUnreachable, match="theta mu mu"):
+                (theta * mu * mu).regular("theta mu mu")
+            with pytest.raises(PrecisionUnreachable, match="1/theta"):
+                theta.recip().regular("1/theta")
 
 
 def test_hhat1_vanishes():

@@ -17,15 +17,16 @@ REL_TOL = mp.mpf(2) ** (-(P + GUARD - 16))
 IM_TAUS = ("1.36", "1", "0.1", "0.0104")
 
 
-def theta_reference(z, tau, weighted=False):
+def theta_reference(z, tau, order=0):
+    """theta^(order)(z) / order!, term by term."""
     z, tau = mp.mpc(z), mp.mpc(tau)
     lo, hi = _halfint_window(tau.imag, z.imag)
     acc = mp.mpc(0)
     for k in range(lo, hi + 1):
         n = k + mp.mpf(1) / 2
         term = mp.expjpi(n * n * tau + 2 * n * (z + mp.mpf(1) / 2))
-        acc += 2 * mp.pi * 1j * n * term if weighted else term
-    return acc
+        acc += (2 * mp.pi * 1j * n) ** order * term
+    return acc / mp.factorial(order)
 
 
 def mu_reference(z1, z2, tau):
@@ -70,9 +71,16 @@ def test_planned_theta_matches_per_term_sum(im_tau):
             want = theta_reference(z, tau)
             assert _close(plan.theta(z), want), z
             assert _close(kernels.theta(z, tau), want), z
-            assert _close(plan.theta_dz(z), theta_reference(z, tau, weighted=True)), z
+            assert _close(plan.theta_dz(z), theta_reference(z, tau, order=1)), z
         for z in (mp.mpc(0), tau):
-            assert _close(plan.theta_dz(z), theta_reference(z, tau, weighted=True))
+            assert _close(plan.theta_dz(z), theta_reference(z, tau, order=1))
+            # the weighted pass; theta vanishes at 0 and tau, so its k = 0
+            # term is held to the absolute allowance
+            got = plan.theta_taylor(z, 3)
+            assert abs(got[0]) <= REL_TOL
+            for k in (1, 2, 3):
+                want = theta_reference(z, tau, order=k)
+                assert abs(got[k] - want) <= REL_TOL * (abs(want) + 1), (z, k)
 
 
 @pytest.mark.parametrize("im_tau", IM_TAUS)
@@ -126,3 +134,35 @@ def test_planned_mu_raises_at_denominator_zero():
                         planned()
                 else:
                     planned()
+
+
+@pytest.mark.parametrize("z", ["0.3-2j", "0.3+2j"])
+def test_mu_far_from_the_strip_keeps_working_precision(z):
+    # mu's split index follows Im z, so every t q^m in a denominator has
+    # modulus at most 1, even two units of Im z outside the strip
+    args = (mp.mpc(complex(z)), mp.mpc("0.1", "0.2"), mp.mpc("0.1", "0.5"))
+    with mp.workprec(192):
+        got = kernels.mu(*args)
+    with mp.workprec(292):
+        want = mu_reference(*args)
+        assert abs(got - want) < 16 * mp.mpf(2) ** -192 * abs(want)
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS)
+def test_mu_laurent_pass_matches_point_evaluations(im_tau):
+    # from per-term sums at c +- delta, delta ~ 10^-10:
+    # (mu(c+d) + mu(c-d))/2 = a_0 + O(d^2) and
+    # (mu(c+d) - mu(c-d))/2 = a_-1/d + a_1 d + O(d^3)
+    with workprec(P):
+        tau = mp.mpc("0.11", im_tau)
+        ws = _w_points(tau)
+        bundle = kernels.TauPlan(tau).mu(*ws)
+        d = mp.mpc("3e-11", "1e-10")
+        for nstar in (0, -1):
+            c = -nstar * tau
+            for (am, a0, a1), w in zip(bundle.laurent(nstar), ws):
+                plus, minus = mu_reference(c + d, w, tau), mu_reference(c - d, w, tau)
+                tol = mp.mpf(10) ** -12 * (abs(am) + abs(a0) + abs(a1))
+                assert abs((plus - minus) / 2 * d - am) < tol, (nstar, w)
+                assert abs((plus + minus) / 2 - a0) < tol, (nstar, w)
+                assert abs(((plus - minus) / 2 - am / d) / d - a1) < tol, (nstar, w)

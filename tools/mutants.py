@@ -38,20 +38,40 @@ MUTANTS = [
      "g.shift(e + m * n)", "g.shift(e + n)",
      ["tests/test_partitions.py"]),
     ("src/pwomega/kernels.py",
-     "Q[k - 1], W)", "Q[k], W)",
+     "Q[-n], W)", "Q[1 - n], W)",
      ["tests/test_kernels.py"]),
     ("src/pwomega/kernels.py",
      "tr = (tr0 * qr - ti0 * qi) >> W", "tr = (tr0 * qr - ti0 * qi) >> (W - 1)",
      ["tests/test_kernels.py"]),
     ("src/pwomega/kernels.py",
-     "(M << s) < max(", "M < max(",
+     "(M << cut) < max(", "M < max(",
      ["tests/test_kernels.py"]),
     ("src/pwomega/kernels.py",
-     "_mul(c, Q[k], W)", "_mul(_mul(c, Q[k], W), Q[1], W)",
+     "zinv * e * _to_mpc(n, 2 * W)", "zinv * _to_mpc(n, 2 * W)",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "s = -int(mp.floor(z.imag / plan.v))", "s = 0",
      ["tests/test_kernels.py"]),
     ("src/pwomega/kernels.py",
      "k0 = int(mp.floor(-z.imag / self.v))", "k0 = int(mp.floor(-z.imag / self.v)) + 40",
      ["tests/test_kernels.py"]),
+    # the jets at the removable centers
+    ("src/pwomega/kernels.py",
+     "(_to_mpc(p1, 2 * W) - a / 12)", "(_to_mpc(p1, 2 * W) + a / 12)",
+     ["tests/test_kernels.py", "tests/test_completion.py"]),
+    ("src/pwomega/kernels.py",
+     "self._sides(nstar, self._window(c.imag),", "self._sides(0, self._window(c.imag),",
+     ["tests/test_kernels.py", "tests/test_completion.py"]),
+    ("src/pwomega/kernels.py",
+     "xr, xi = ((rr * rr - ri * ri) >> W) - rr,", "xr, xi = ((rr * rr - ri * ri) >> W) + rr,",
+     ["tests/test_kernels.py", "tests/test_completion.py"]),
+    ("src/pwomega/completion.py",
+     "exact = min(self.exact + other.val, other.exact + self.val)",
+     "exact = max(self.exact + other.val, other.exact + self.val)",
+     ["tests/test_completion.py"]),
+    ("src/pwomega/completion.py",
+     "            if abs(x) > e:\n", "            if False:\n",
+     ["tests/test_completion.py"]),
     ("src/pwomega/qseries.py",
      "sign = -1 if i + j >= 4 else 1", "sign = -1 if i + j > 4 else 1",
      ["tests/test_exactalg.py"]),
@@ -67,6 +87,12 @@ MUTANTS = [
     ("src/pwomega/qseries.py",
      "reach = Fraction(s.order - s.floor_key(), s.D)", "reach = s.order_exp()",
      ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "is None and self.order == other.order", "is None",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/classical.py",
+     "common = min(lhs.order_exp(), rhs.order_exp(), N)", "common = N",
+     ["tests/test_classical.py"]),
     ("src/pwomega/registry.py",
      "mm = a.first_mismatch(b)", "mm = None",
      ["tests/test_cli.py"]),
