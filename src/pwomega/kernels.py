@@ -25,6 +25,13 @@ Conventions:
     divisions at W bits, then per term one fixed-point denominator, one
     integer reciprocal and one squared-modulus pole check shared by the
     bundle, plus one complex multiply-add per w.
+  * R (Zwegers' R and its z-derivatives, _R_terms): a window costs seven
+    exponentials at wp = prec + TAIL_GUARD + 2 log2(window) bits (three
+    unit phases, four real Gaussian seeds), then per term one erfc at the
+    bits the term needs, five real mpf products (the m_n and h_n
+    recurrences and erfc times m_n), one fixed-point unit-phase step and
+    two fixed-point complex multiply-adds; eta costs three exponentials and
+    four complex products per pentagonal index.
   * jets at the removable centers 0 and tau: theta's pass carries one
     accumulator per power k <= K of the weight 2n (TauPlan.theta_taylor),
     and mu's Laurent pass (MuPlan.laurent) adds one shared product and one
@@ -59,8 +66,11 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (from_man_exp, ftwo, mpf_erfc, mpf_mul, mpf_sub, round_nearest,
+                          to_fixed)
 
 from .errors import PoleProximity, PrecisionUnreachable
 
@@ -86,17 +96,28 @@ def qpow(tau, e):
 # ---------------------------------------------------------------------------
 
 def eta(tau):
-    """Dedekind eta via the pentagonal-number expansion."""
+    """Dedekind eta via the pentagonal-number expansion, by ratio recurrence:
+    a_k = q^(k(3k-1)/2) follows a_(k+1) = a_k q^(3k+1), the ratio stepping
+    by q^3, and the partner term q^(k(3k+1)/2) is a_k q^k."""
     tau = mp.mpc(tau)
     v = tau.imag
     if v <= 0:
         raise PrecisionUnreachable("eta needs Im(tau) > 0")
     # |q|^(k(3k-1)/2) is below the tail cut once pi*v*k^2 > prec*ln2 roughly
     kmax = int(mp.sqrt((mp.prec + TAIL_GUARD + 8) * mp.ln(2) / (3 * mp.pi * v))) + 3
-    acc = mp.mpc(1)
-    for k in range(1, kmax + 1):
-        acc += (-1) ** k * (qpow(tau, k * (3 * k - 1) // 2) + qpow(tau, k * (3 * k + 1) // 2))
-    return qpow(tau, mp.mpf(1) / 24) * acc
+    # a_k carries about 2k^2 units of the recurrence precision
+    with mp.workprec(mp.prec + 2 * kmax.bit_length() + 2):
+        q = qpow(tau, 1)
+        q3 = qpow(tau, 3)
+        a, ratio, qk = mp.mpc(1), q, mp.mpc(1)
+        acc = mp.mpc(1)
+        for k in range(1, kmax + 1):
+            a *= ratio
+            ratio *= q3
+            qk *= q
+            acc += (-1) ** k * a * (1 + qk)
+        out = qpow(tau, mp.mpf(1) / 24) * acc
+    return +out
 
 
 # ---------------------------------------------------------------------------
@@ -424,27 +445,92 @@ def _R_terms(z, tau, formal=False):
     dependence on y = Im z enters with dy/dz = 1/(2i)); formal=True applies
     the power rule to the zeta-powers only, treating the E-factors as
     constants (the derivative along the real z-direction).
+
+    R = sum over n in 1/2 + Z of t_n = (sgn(n) - E(w_n)) p_n with
+    p_n = (-1)^(n-1/2) e^(-pi i (n^2 tau + 2 n z)) and w_n = (n + a) sqrt(2v),
+    a = y/v.  The phase splits as p_n = m_n e_n into its modulus
+    m_n = e^(pi (n^2 v + 2 n y)) and a unit e_n.  The pass walks outward from
+    n = 1/2 on both sides; e_n (a Gaussian integer at scale 2^W), m_n and
+    h_n = m_n g_n with g_n = e^(-pi w_n^2) (mpf at wp bits) follow ratio
+    recurrences seeded once per window, their ratios stepping by
+    e^(-2 pi i u), e^(2 pi v) and e^(-2 pi v).  With x_n = sqrt(pi) |w_n|,
+    sgn - E is sgn erfc(x_n) when the signs of n and w_n agree and
+    sgn (2 - erfc(x_n)) when they differ, so |t_n| <= B_n with
+    B_n = e^(-pi v (n+a)^2 - pi v a^2) in the first case (erfc(x) <= e^(-x^2))
+    and B_n = 2 e^(pi v (n+a)^2 - pi v a^2) in the second.  Term n's erfc is
+    taken at prec + TAIL_GUARD - floor(log2(B_max/B_n)) bits, at least 53,
+    which holds it to 2^-(prec+TAIL_GUARD) B_max, and the sums are Gaussian
+    integers at about the same absolute scale, 2^-W = 2^-wp B_max within a
+    factor 2.
     """
     z, tau = mp.mpc(z), mp.mpc(tau)
     v, y = tau.imag, z.imag
     if v <= 0:
         raise PrecisionUnreachable("R needs Im(tau) > 0")
-    s2v = mp.sqrt(2 * v)
-    lo, hi = _halfint_window(v, -y)   # zeta^{-n}: the hump sits at +y/v
-    # R = sum t_n, t_n = (sgn(n) - E(w_n)) phase_n; the power rule gives
-    # -2 pi i sum n t_n, and the E-factor's y-dependence adds
-    # (1/(2i)) d/dy (sgn - E) = i sqrt(2/v) e^(-pi w^2) per term
-    r, rn, rw = mp.mpc(0), mp.mpc(0), mp.mpc(0)
+    lo, hi = _halfint_window(v, y)   # B_n peaks at n = -y/v
+    prec = mp.prec
+    # log2(B_n) + pi v a^2 / ln 2 for k = lo .. hi, n = k + 1/2
+    fa, cv = float(y / v), math.pi * float(v) / math.log(2)
+    lbs = []
     for k in range(lo, hi + 1):
-        n = k + mp.mpf(1) / 2
-        w = (n + y / v) * s2v
-        phase = (-1) ** k * mp.expjpi(-n * n * tau - 2 * n * z)
-        t = sgn_minus_E(1 if n > 0 else -1, w) * phase
-        r += t
-        rn += n * t
-        if not formal:
-            rw += mp.exp(-mp.pi * w * w) * phase
-    return r, -2j * mp.pi * rn + 1j * mp.sqrt(2 / v) * rw
+        na = k + 0.5 + fa
+        lbs.append(1 + cv * na * na if (na >= 0) != (k >= 0) else -cv * na * na)
+    top = max(lbs)
+    # a value j steps from its seed carries at most about j^2/2 + 3j + 3
+    # units of 2^-wp (of 2^-W for e_n) from its recurrence
+    wp = prec + TAIL_GUARD + 2 * max(hi, -lo).bit_length()
+    W = wp - math.floor(top - cv * fa * fa)
+    rnd = round_nearest
+    with mp.workprec(wp):
+        C = to_fixed(mp.sqrt(2 * mp.pi * v)._mpf_, W)       # x_n = C |2(n + a)| / 2^(W+1)
+        A2 = to_fixed((2 * y / v)._mpf_, W)                  # 2a at scale 2^W
+        u, x = tau.real, z.real
+        ex, eq = mp.expjpi(-2 * x), mp.expjpi(-2 * u)
+        estep = _fix(eq, W)
+        e0 = _fix(mp.expjpi(-u / 4 - x), W)                  # e_(1/2)
+        ed = _fix(-mp.conj(ex), W)                           # e_(-1/2) / e_(1/2)
+        eu = _fix(-ex * eq, W)                               # e_(3/2) / e_(1/2)
+        mq, my = mp.exp(2 * mp.pi * v), mp.exp(2 * mp.pi * y)
+        m0 = mp.exp(mp.pi * (v / 4 + y))                     # m_(1/2)
+        h0 = mp.exp(-mp.pi * (v / 4 + y + 2 * y * y / v))    # h_(1/2)
+        # per side: first k, stop, step; e, m, h at the first k and their ratios
+        sides = ((0, hi + 1, 1, e0, eu, m0, mq * my, h0, 1 / (mq * my)),
+                 (-1, lo - 1, -1, _mul(e0, ed, W), _mul(ed, estep, W),
+                  m0 / my, mq / my, h0 * my, my / mq))
+        mstep, hstep = mq._mpf_, (1 / mq)._mpf_
+    r0 = r1 = n0 = n1 = w0 = w1 = 0
+    for k0, stop, step, (er, ei), ratio, m, mr, h, hr in sides:
+        m, mr, h, hr = m._mpf_, mr._mpf_, h._mpf_, hr._mpf_
+        for k in range(k0, stop, step):
+            nw = ((2 * k + 1) << W) + A2                    # 2(n + a) at scale 2^W
+            bits = max(53, prec + TAIL_GUARD - int(top - lbs[k - lo]))
+            f = mpf_erfc(from_man_exp((C * abs(nw)) >> (W + 1), -W), bits, rnd)
+            if (nw >= 0) != (k >= 0):
+                f = mpf_sub(ftwo, f, wp, rnd)
+            fm = to_fixed(mpf_mul(f, m), W)                  # |t_n| at scale 2^W
+            if k < 0:
+                fm = -fm
+            tr, ti = (fm * er) >> W, (fm * ei) >> W
+            r0 += tr
+            r1 += ti
+            n0 += (2 * k + 1) * tr
+            n1 += (2 * k + 1) * ti
+            if not formal:
+                hf = to_fixed(h, W)
+                w0 += (hf * er) >> W
+                w1 += (hf * ei) >> W
+                h = mpf_mul(h, hr, wp, rnd)
+                hr = mpf_mul(hr, hstep, wp, rnd)
+            er, ei = _mul((er, ei), ratio, W)
+            ratio = _mul(ratio, estep, W)
+            m = mpf_mul(m, mr, wp, rnd)
+            mr = mpf_mul(mr, mstep, wp, rnd)
+    with mp.workprec(wp):
+        # d/dz: the power rule gives -2 pi i sum n t_n, and the E-factor's
+        # y-dependence adds (1/(2i)) d/dy (sgn - E) = i sqrt(2/v) g_n p_n per term
+        dz = (-1j * mp.pi * _to_mpc((n0, n1), W)
+              + 1j * mp.sqrt(2 / v) * _to_mpc((w0, w1), W))
+    return _to_mpc((r0, r1), W), +dz
 
 
 def R(z, tau):

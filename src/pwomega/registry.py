@@ -155,16 +155,19 @@ def _run_cor_pwrep(params) -> Dict:
     return out
 
 
+# (z1, z2, z3, tau) of the brz-F comparison
+BRZ_POINTS = [((0.13, 0.21), (-0.07, 0.11), (0.19, -0.15), (0.11, 0.93)),
+              ((0.02, 0.17), (0.23, -0.05), (-0.31, 0.08), (-0.23, 1.07)),
+              ((-0.17, 0.12), (0.05, 0.21), (0.13, 0.17), (0.31, 1.49)),
+              ((0.29, -0.11), (-0.13, 0.19), (0.07, -0.23), (0.07, 0.84)),
+              ((0.11, 0.07), (0.17, 0.13), (-0.23, -0.11), (-0.41, 1.21))]
+
+
 def _run_brz(params) -> Dict:
     P = params["prec"]
-    pts = [((0.13, 0.21), (-0.07, 0.11), (0.19, -0.15), (0.11, 0.93)),
-           ((0.02, 0.17), (0.23, -0.05), (-0.31, 0.08), (-0.23, 1.07)),
-           ((-0.17, 0.12), (0.05, 0.21), (0.13, 0.17), (0.31, 1.49)),
-           ((0.29, -0.11), (-0.13, 0.19), (0.07, -0.23), (0.07, 0.84)),
-           ((0.11, 0.07), (0.17, 0.13), (-0.23, -0.11), (-0.41, 1.21))]
 
     def residuals():
-        for pt in pts:
+        for pt in BRZ_POINTS:
             z1, z2, z3, tau = (mp.mpc(*x) for x in pt)
             a = completion.F_cone_numeric(z1, z2, z3, tau, P)
             b = completion.F_mu_numeric(z1, z2, z3, tau, P)
@@ -215,20 +218,22 @@ def _run_mu_laws(params) -> Dict:
             z2 = mp.mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
             if abs(z1) < 0.05 or abs(z2) < 0.05 or abs(z1 - z2) < 0.05:
                 continue
+            # mh comes from kernels.muhat itself, so muhat-minus-mu tests it;
+            # mu(z1, z2) and R(z1) are evaluated once for the checks they share
             mh = kernels.muhat(z1, z2, tau)
+            m12 = kernels.mu(z1, z2, tau)
+            r1 = kernels.R(z1, tau)
             checks = {
-                "mu-symmetry": abs(kernels.mu(z1, z2, tau) - kernels.mu(z2, z1, tau)),
+                "mu-symmetry": abs(m12 - kernels.mu(z2, z1, tau)),
                 "muhat-swap": abs(mh - kernels.muhat(z2, z1, tau)),
                 "muhat-negate": abs(mh - kernels.muhat(-z1, -z2, tau)),
-                "muhat-minus-mu": abs(mh - kernels.mu(z1, z2, tau)
-                                      - 0.5j * kernels.R(z1 - z2, tau)),
-                "R-shift-1": abs(kernels.R(z1 + 1, tau) + kernels.R(z1, tau)),
+                "muhat-minus-mu": abs(mh - m12 - 0.5j * kernels.R(z1 - z2, tau)),
+                "R-shift-1": abs(kernels.R(z1 + 1, tau) + r1),
                 "R-shift-tau": abs(kernels.R(z1 + tau, tau)
-                                   + mp.expjpi(2 * z1) * kernels.qpow(tau, F(1, 2))
-                                   * kernels.R(z1, tau)
+                                   + mp.expjpi(2 * z1) * kernels.qpow(tau, F(1, 2)) * r1
                                    - 2 * mp.expjpi(z1) * kernels.qpow(tau, F(3, 8))),
                 "mu-elliptic": abs(kernels.mu(z1 + tau, z2, tau)
-                                   + mp.expjpi(2 * (z1 - z2) + tau) * kernels.mu(z1, z2, tau)
+                                   + mp.expjpi(2 * (z1 - z2) + tau) * m12
                                    + 1j * mp.expjpi(z1 - z2 + 3 * tau / 4)),
             }
             scale = max(abs(mh), 1)

@@ -10,9 +10,11 @@ from mpmath import mp
 from pwomega import completion, kernels
 from pwomega.classical import EtaQuotient, eta_quotient_series
 from pwomega.errors import ContourThroughPole, PoleProximity, PrecisionUnreachable
+from pwomega.indefinite import cone_points
 from pwomega.kernels import qpow, workprec
 from pwomega.modular import (GroupElement, dtaubar_fd, lowering_fd,
                              psi_multiplier, power_principal, xi_fd)
+from pwomega.registry import BRZ_POINTS
 
 F = Fraction
 P = 160
@@ -24,6 +26,44 @@ def test_cone_vs_mu_representation():
     a = completion.F_cone_numeric(*Z123, TAU, P)
     b = completion.F_mu_numeric(*Z123, TAU, P)
     assert abs(a - b) < 1e-40
+
+
+def F_cone_reference(z1, z2, z3, tau, P):
+    """The cone sum point by point: the cut in mpf, two exponentials per
+    point.  Returns the value and the points summed."""
+    with workprec(P):
+        z1, z2, z3, tau = (mp.mpc(w) for w in (z1, z2, z3, tau))
+        v = tau.imag
+        logeps = -(mp.prec + 10) * mp.ln(2)
+
+        def logmag(k, l, n):
+            q_exp = k * (k + 1) / mp.mpf(2) + k * l + k * n + l * n
+            return -2 * mp.pi * (v * q_exp + k * z1.imag + l * z2.imag + n * z3.imag)
+
+        points, acc = [], mp.mpc(0)
+        for k, l, n in cone_points(lambda k, l, n: logmag(k, l, n) > logeps):
+            e = k * (k + 1) // 2 + k * l + k * n + l * n
+            acc += (-1) ** k * qpow(tau, e) * mp.expjpi(2 * (k * z1 + l * z2 + n * z3))
+            points.append((k, l, n))
+        return +(qpow(tau, -F(1, 8)) * mp.expjpi(-z1 + z2 + z3) * acc), points
+
+
+@pytest.mark.parametrize("pt", BRZ_POINTS)
+def test_cone_walk_matches_per_point_sum(pt, monkeypatch):
+    walked = []
+
+    def recording(inside):
+        for point in cone_points(inside):
+            walked.append(point)
+            yield point
+
+    monkeypatch.setattr(completion, "cone_points", recording)
+    args = [mp.mpc(*x) for x in pt]
+    got = completion.F_cone_numeric(*args, P)
+    want, points = F_cone_reference(*args, P)
+    # the float cut keeps every point the mpf cut keeps
+    assert set(points) <= set(walked)
+    assert abs(got - want) <= mp.mpf(2) ** -P * abs(want)
 
 
 def test_F_symmetry_in_last_arguments():

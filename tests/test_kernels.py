@@ -1,6 +1,8 @@
 """Planned theta and mu evaluations (kernels.TauPlan, fixed point) against
 per-term bilateral sums in mpmath: one complex exponential per term, with
-the same windows and the same pole check."""
+the same windows and the same pole check.  R and eta (ratio recurrences,
+R's erfc at the precision each term needs) against their per-term sums at
+100 more bits."""
 
 import pytest
 from mpmath import mp
@@ -15,6 +17,7 @@ P = 192
 # relative, at working precision P + GUARD
 REL_TOL = mp.mpf(2) ** (-(P + GUARD - 16))
 IM_TAUS = ("1.36", "1", "0.1", "0.0104")
+IM_TAUS_R = ("1.36", "0.93", "0.1", "0.0104")
 
 
 def theta_reference(z, tau, order=0):
@@ -27,6 +30,37 @@ def theta_reference(z, tau, order=0):
         term = mp.expjpi(n * n * tau + 2 * n * (z + mp.mpf(1) / 2))
         acc += (2 * mp.pi * 1j * n) ** order * term
     return acc / mp.factorial(order)
+
+
+def R_reference(z, tau):
+    """[R, its Wirtinger d/dz, its formal d/dz] term by term: one complex
+    exponential, one erf or erfc and one exponential per term, over the
+    kernel's window widened by 2 |Im z| / Im tau + 2 indices on each side."""
+    z, tau = mp.mpc(z), mp.mpc(tau)
+    v, y = tau.imag, z.imag
+    s2v = mp.sqrt(2 * v)
+    lo, hi = _halfint_window(v, y)
+    pad = int(2 * abs(y / v)) + 2
+    r, rn, rw = mp.mpc(0), mp.mpc(0), mp.mpc(0)
+    for k in range(lo - pad, hi + pad + 1):
+        n = k + mp.mpf(1) / 2
+        w = (n + y / v) * s2v
+        phase = (-1) ** k * mp.expjpi(-n * n * tau - 2 * n * z)
+        t = kernels.sgn_minus_E(1 if n > 0 else -1, w) * phase
+        r += t
+        rn += n * t
+        rw += mp.exp(-mp.pi * w * w) * phase
+    return r, -2j * mp.pi * rn + 1j * mp.sqrt(2 / v) * rw, -2j * mp.pi * rn
+
+
+def eta_reference(tau):
+    """The pentagonal-number sum, two qpow calls per k."""
+    tau = mp.mpc(tau)
+    kmax = int(mp.sqrt((mp.prec + TAIL_GUARD + 8) * mp.ln(2) / (3 * mp.pi * tau.imag))) + 3
+    acc = mp.mpc(1)
+    for k in range(1, kmax + 1):
+        acc += (-1) ** k * (qpow(tau, k * (3 * k - 1) // 2) + qpow(tau, k * (3 * k + 1) // 2))
+    return qpow(tau, mp.mpf(1) / 24) * acc
 
 
 def mu_reference(z1, z2, tau):
@@ -166,3 +200,54 @@ def test_mu_laurent_pass_matches_point_evaluations(im_tau):
                 assert abs((plus - minus) / 2 * d - am) < tol, (nstar, w)
                 assert abs((plus + minus) / 2 - a0) < tol, (nstar, w)
                 assert abs(((plus - minus) / 2 - am / d) / d - a1) < tol, (nstar, w)
+
+
+def _R_points(tau):
+    """z on both sides of the sign change of w_(1/2), z with w_(1/2) = 0 and
+    w_(-1/2) = 0 exactly (Im z = -+v/2; -w_0 is the point fcal_derivs uses),
+    and generic z."""
+    v = tau.imag
+    ys = ["0.3", "-0.7", "-0.49", "-0.51", "0.5"]
+    return [mp.mpc("0.17", 0) + 1j * mp.mpf(y) * v for y in ys] + [-_w_point(tau, 0)]
+
+
+def _ulps(got, want):
+    return float(abs(got - want) / (mp.mpf(2) ** -mp.prec * max(1, abs(want))))
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS_R)
+def test_R_matches_per_term_sum(im_tau):
+    # the recurrences and the per-term erfc precision hold every term to
+    # 2^-(prec+TAIL_GUARD) of the largest, so R, R_dz and the formal R_dz
+    # stay within 2 units of the working precision of max(1, |value|)
+    # (measured: at most 0.8); without the guard bits R_dz reaches 8.6
+    tau = mp.mpc("0.11", im_tau)
+    for z in _R_points(tau):
+        with mp.workprec(P + GUARD + 100):
+            want = R_reference(z, tau)
+        with workprec(P):
+            got = (*kernels._R_terms(z, tau), kernels._R_terms(z, tau, formal=True)[1])
+            for g, w in zip(got, want):
+                assert abs(g - w) <= REL_TOL * max(1, abs(w)), (z, g, w)
+                assert _ulps(g, w) <= 2, (z, _ulps(g, w))
+
+
+def test_R_window_follows_its_largest_terms():
+    # |t_n| peaks at n = -Im z / Im tau: two units of Im tau above the strip
+    # the window must reach 12 indices further down than one centred at +Im z / Im tau
+    tau, z = mp.mpc("0.11", "0.5"), mp.mpc("0.2", "3")
+    with mp.workprec(P + GUARD + 100):
+        want = R_reference(z, tau)[0]
+    with workprec(P):
+        assert _ulps(kernels.R(z, tau), want) <= 2
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS_R)
+def test_eta_matches_per_term_sum(im_tau):
+    tau = mp.mpc("0.11", im_tau)
+    with mp.workprec(P + GUARD + 100):
+        want = eta_reference(tau)
+    with workprec(P):
+        got = kernels.eta(tau)
+        assert abs(got - want) <= REL_TOL * abs(want)
+        assert _ulps(got, want) <= 2, _ulps(got, want)

@@ -65,6 +65,19 @@ MUTANTS = [
     ("src/pwomega/kernels.py",
      "xr, xi = ((rr * rr - ri * ri) >> W) - rr,", "xr, xi = ((rr * rr - ri * ri) >> W) + rr,",
      ["tests/test_kernels.py", "tests/test_completion.py"]),
+    # R and eta by ratio recurrence, the cone walk along its lines
+    ("src/pwomega/kernels.py",
+     "bits = max(53, prec + TAIL_GUARD - int(", "bits = max(53, prec - int(",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "eu = _fix(-ex * eq, W)", "eu = _fix(-ex, W)",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "q3 = qpow(tau, 3)", "q3 = qpow(tau, 2)",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/completion.py",
+     "ratio = qp(s * (k + l)) * zs[2]", "ratio = qp(s * (k + l + 1)) * zs[2]",
+     ["tests/test_completion.py"]),
     ("src/pwomega/completion.py",
      "exact = min(self.exact + other.val, other.exact + self.val)",
      "exact = max(self.exact + other.val, other.exact + self.val)",
