@@ -15,8 +15,10 @@ R-block is differentiated termwise through the explicit Wirtinger sums in
 kernels.  Composite results are returned as Approx(value, err) with a
 conservative absolute-error estimate.
 
-contour_derivs (trapezoidal Cauchy-integral differentiation) is kept as an
-independent route: the tests compare every block's jet with it.
+contour_derivs (trapezoidal Cauchy-integral differentiation) has no caller
+here: it is the tests' independent route to every block's jet, with its
+circle geometry in tests/contour_oracle.py.  It stays in the package while
+the benchmark's traced run wraps it by name.
 """
 
 from __future__ import annotations
@@ -205,22 +207,6 @@ def contour_derivs(f: Callable, center, radius, orders: Tuple[int, ...],
         roots = [x for pair in zip(roots, odd) for x in pair]
         vals = [x for pair in zip(vals, odd_vals) for x in pair]
         M *= 2
-
-
-def _contour_radius(tau):
-    return mp.mpf("0.1") * min(mp.mpf(1), mp.mpc(tau).imag)
-
-
-def _assert_contour_clear(center, radius, tau):
-    """The circle must stay away from Z + Z tau (poles of mu, zeros of theta);
-    a lattice point at the center itself (the removable point) is fine."""
-    tau = mp.mpc(tau)
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            d = abs(mp.mpc(center) - (m + n * tau))
-            if 1e-12 < d < 2 * radius:
-                raise ContourThroughPole(
-                    f"lattice point {m}+{n}*tau at distance {d} from contour center")
 
 
 # ---------------------------------------------------------------------------

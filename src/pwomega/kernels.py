@@ -9,59 +9,36 @@ Conventions:
   * R and its z-derivatives treat z as a real-analytic variable: the
     derivative is the Wirtinger d/dz, with the E-factor's dependence on
     y = Im z entering through dy/dz = 1/(2i).
-  * theta and mu are evaluated through a per-tau plan (TauPlan, MuPlan)
-    whose inner loops run on Gaussian integers, the way mpmath's own series
+  * the inner loops run on Gaussian integers, the way mpmath's own series
     loops (libelefun) do: a complex x is held as the integer pair
-    (floor(2^W Re x), floor(2^W Im x)) with W = prec + FIXED_GUARD, and a
-    product is four integer multiplies and a shift right by W.  The tau-only
-    tables (q^m, theta's Gaussian weights q^(j(j-1)/2), mu's numerators) are
-    built once per plan by ratio recurrence in fixed point; the few
-    exponentials a point needs are taken at W bits; each sum is converted
-    to an mpc once.  theta(z, tau) and mu(z1, z2, tau) are one-point uses of
-    a plan, so each bilateral sum has one implementation.
+    (floor(2^W Re x), floor(2^W Im x)), a product is four integer multiplies
+    and a shift right by W, and each sum is converted to an mpc once.
+    theta and mu go through a per-tau plan (TauPlan, MuPlan, W = prec +
+    FIXED_GUARD) whose tau-only tables are built once by ratio recurrence;
+    theta(z, tau) and mu(z1, z2, tau) are one-point uses of a plan, so each
+    bilateral sum has one implementation.
   * cost per point: theta, two exponentials and one division at W bits,
     then one fixed-point complex multiply-add per term; a mu bundle (every
     second argument w used at that point), one exponential and two
     divisions at W bits, then per term one fixed-point denominator, one
     integer reciprocal and one squared-modulus pole check shared by the
-    bundle, plus one complex multiply-add per w.
-  * R (Zwegers' R and its z-derivatives, _R_terms): a window costs seven
-    exponentials at wp = prec + TAIL_GUARD + 2 log2(window) bits (three
-    unit phases, four real Gaussian seeds), then per term one erfc at the
-    bits the term needs, five real mpf products (the m_n and h_n
-    recurrences and erfc times m_n), one fixed-point unit-phase step and
-    two fixed-point complex multiply-adds; eta costs three exponentials and
-    four complex products per pentagonal index.
-  * jets at the removable centers 0 and tau: theta's pass carries one
-    accumulator per power k <= K of the weight 2n (TauPlan.theta_taylor),
-    and mu's Laurent pass (MuPlan.laurent) adds one shared product and one
-    multiply-add per w and term for the first derivative of each regular
-    term, and the singular term's Laurent part in closed form.
-  * boundedness: theta is anchored at its largest term k* = floor(-Im z/v)
-    and summed outward on each side by Horner's rule in a ratio of modulus
-    at most 1 (one pass over the whole window would close with the factor
-    e^(pi i (2 lo + 1) z), which at Im z = v/2, v = 1.36 scales the
-    accumulated rounding by about 1e20).  mu's sum is split at
-    s = ceil(-Im z / v) (MuPlan), so every t q^m in a denominator has
-    modulus at most 1 for every z and each reciprocal has modulus at least
-    1/2; the numerators are one table c_n whose largest entry is at least
-    |c_0| = 1.  At Im z = -2 and 2, v = 0.5, mu is within 1 ulp of a
-    per-term sum at 100 more bits.
-  * rounding, in units of 2^-W: converting an exponential taken at W bits
-    costs at most 3, a fixed-point product at most 2, and the recurrences
-    put at most about 5m + 5/(pi v) on a table entry of index m.  A side of
-    N terms therefore accumulates at most about N (2N + 5/(pi v) + 20)
-    units relative to its largest term (for mu: after dividing each term by
-    its denominator, the conditioning every evaluation of the sum shares).
-    At v = 0.0104 and prec = 248 a side has N <= 83 terms, which gives at
-    most 2^16 units per window, i.e. 2^-(prec+8) relative: below one unit
-    of the working precision and 2^24 times inside the composite layer's
-    primitive allowance of 2^16 ulps (completion._prim_err).  Against
-    per-term sums at 100 more bits, at nodes around 0 and tau and at the
-    four w's of the F-hat pass, theta, theta' and mu are within 4 ulps of
-    the working precision for Im tau in {1.36, 0.93, 0.1, 0.0104}; at the
-    centers, theta^(k)/k! (k <= 3) is within 2 ulps of max(1, |value|) and
-    each Laurent coefficient of mu within 7 ulps of its largest one.
+    bundle, plus one complex multiply-add per w; jets at the centers 0 and
+    tau (TauPlan.theta_taylor, MuPlan.laurent), one more multiply-add per
+    term and derivative.
+  * R (_R_terms): a window costs seven exponentials (three unit phases, four
+    real Gaussian seeds), then per term five mpf products (the m_n and h_n
+    recurrences, erfc times m_n), one fixed-point unit-phase step, two
+    fixed-point complex multiply-adds, and erfc(x_n) at the bits the term
+    needs: for 2 <= x_n below mpmath's asymptotic range a trapezoid sum of
+    about (bits + 12) ln 2 / pi integer divisions on weights built once per
+    window, and an exponential while its pole term counts (ErfcTable, within
+    0.2 ulp of the term's bits); elsewhere mpmath's erfc, which is cheap
+    there.  eta costs two exponentials, then five fixed-point products per
+    pentagonal index.
+  * the rounding bounds of theta, mu, R and eta are derived once, in the
+    README's numerical error policy; each sum stays within a few units of the
+    working precision of its largest term (tests/test_kernels.py measures
+    every kernel against per-term sums at 100 more bits).
 """
 
 from __future__ import annotations
@@ -69,17 +46,18 @@ from __future__ import annotations
 import math
 
 from mpmath import mp
-from mpmath.libmp import (from_man_exp, ftwo, mpf_erfc, mpf_mul, mpf_sub, round_nearest,
-                          to_fixed)
+from mpmath.libmp import (fone, from_man_exp, mpf_div, mpf_erfc, mpf_exp, mpf_mul, mpf_shift,
+                          mpf_sub, round_nearest, to_fixed, to_float)
 
 from .errors import PoleProximity, PrecisionUnreachable
 
 GUARD = 56          # extra working bits used by public wrappers
 TAIL_GUARD = 10     # tail cut at 2^-(prec+TAIL_GUARD) * max_term
 # fixed-point bits below the working precision: a window's rounding stays
-# under 2^17 units of 2^-W for Im tau >= 0.009 (module docstring), 7 bits
-# short of one unit of the working precision
+# under 2^17 units of 2^-W for Im tau >= 0.009 (README, numerical error
+# policy), 7 bits short of one unit of the working precision
 FIXED_GUARD = 24
+ERFC_GUARD = 16     # fixed-point bits of ErfcTable above the bits it serves
 
 
 def workprec(P: int):
@@ -96,27 +74,33 @@ def qpow(tau, e):
 # ---------------------------------------------------------------------------
 
 def eta(tau):
-    """Dedekind eta via the pentagonal-number expansion, by ratio recurrence:
-    a_k = q^(k(3k-1)/2) follows a_(k+1) = a_k q^(3k+1), the ratio stepping
-    by q^3, and the partner term q^(k(3k+1)/2) is a_k q^k."""
+    """Dedekind eta via the pentagonal-number expansion, by ratio recurrence
+    on Gaussian integers: a_k = q^(k(3k-1)/2) follows a_(k+1) = a_k q^(3k+1),
+    the ratio stepping by q^3, and the partner term q^(k(3k+1)/2) is a_k q^k."""
     tau = mp.mpc(tau)
     v = tau.imag
     if v <= 0:
         raise PrecisionUnreachable("eta needs Im(tau) > 0")
     # |q|^(k(3k-1)/2) is below the tail cut once pi*v*k^2 > prec*ln2 roughly
     kmax = int(mp.sqrt((mp.prec + TAIL_GUARD + 8) * mp.ln(2) / (3 * mp.pi * v))) + 3
-    # a_k carries about 2k^2 units of the recurrence precision
-    with mp.workprec(mp.prec + 2 * kmax.bit_length() + 2):
-        q = qpow(tau, 1)
-        q3 = qpow(tau, 3)
-        a, ratio, qk = mp.mpc(1), q, mp.mpc(1)
-        acc = mp.mpc(1)
-        for k in range(1, kmax + 1):
-            a *= ratio
-            ratio *= q3
-            qk *= q
-            acc += (-1) ** k * a * (1 + qk)
-        out = qpow(tau, mp.mpf(1) / 24) * acc
+    # every value has modulus at most 1; a_k and its partner carry at most
+    # about 5k^2 units of 2^-W, so the sum carries under 2 kmax^3
+    W = mp.prec + 3 * kmax.bit_length() + 2
+    with mp.workprec(W):
+        q = _fix(qpow(tau, 1), W)
+    q3 = _mul(_mul(q, q, W), q, W)
+    one = 1 << W
+    # (-1)^k a_k, from the ratio -q^(3k+1)
+    a, ratio, qk = (one, 0), (-q[0], -q[1]), (one, 0)
+    sr, si = one, 0
+    for _ in range(kmax):
+        a = _mul(a, ratio, W)
+        ratio = _mul(ratio, q3, W)
+        qk = _mul(qk, q, W)
+        tr, ti = _mul(a, (one + qk[0], qk[1]), W)
+        sr, si = sr + tr, si + ti
+    with mp.workprec(W):
+        out = qpow(tau, mp.mpf(1) / 24) * _to_mpc((sr, si), W)
     return +out
 
 
@@ -434,9 +418,88 @@ def sgn_minus_E(sign_n: int, w):
     return sign_n - E_func(w)
 
 
+class ErfcTable:
+    """erfc(x) where mpmath's erfc would take 1 - erf(x) at about 1.44 x^2
+    more bits (covers), by the trapezoid rule with step h = pi/c,
+    c = sqrt((bits + 12) ln 2), on (2x/pi) e^(-x^2) int_0^oo e^(-t^2)/(t^2 + x^2) dt
+    (Chiarella & Reichel 1968, Matta & Reichel 1971):
+
+        erfc(x) = (2hx/pi) e^(-x^2) [1/(2x^2) + sum_(k>=1) G_k/(k^2 h^2 + x^2)]
+                  - 2/(e^(2cx) - 1),   G_k = e^(-k^2 h^2).
+
+    The last term is the integrand's pole at t = ix; it is skipped below
+    2^-(bits+16) erfc(x).  What the rule leaves, -e^(-2cx) erfc(c - x) +
+    e^(2cx) erfc(x + c), is about 2 e^(-c^2) = 2^-(bits+11) of erfc(x) for
+    x well below c and under 2^-(bits+3) across the range (x < c + 1.6).  A
+    sum stops at the first G_k < 2^-(bits+4), which bounds its tail by about
+    that much.  The weights are built once, by ratio recurrence in fixed point
+    at F = bits + ERFC_GUARD bits, and serve every bits up to the table's."""
+
+    def __init__(self, bits: int):
+        self.F = F = bits + ERFC_GUARD
+        G = F + 8                                             # the recurrence's scale
+        with mp.workprec(G):
+            h = mp.pi / mp.sqrt((bits + 12) * mp.ln(2))
+            self._hp = to_fixed((2 * h / mp.pi)._mpf_, F)      # 2h/pi
+            self._c2f = float(2 * mp.pi / h)                    # 2c = 2 pi/h
+            self._c2 = to_fixed((2 * mp.pi / h)._mpf_, F)
+            h2 = to_fixed((h * h)._mpf_, F)
+            g = to_fixed(mp.exp(-h * h)._mpf_, G)              # G_1
+        step = (g * g) >> G                                   # e^(-2h^2)
+        ratio = (step * g) >> G                               # G_2 / G_1
+        self._terms, k = [], 1
+        while g >= 1 << (G - bits - 4):
+            self._terms.append((g << (F - 8), k * k * h2))     # G_k at scale 2^(2F)
+            g, ratio = (g * ratio) >> G, (ratio * step) >> G
+            k += 1
+
+    @staticmethod
+    def covers(x_floor: int, bits: int) -> bool:
+        """True when mpmath's erfc at bits would take 1 - erf(x), floor(x) = x_floor."""
+        return x_floor >= 2 and 1.44 * x_floor * x_floor <= bits + 20 + 2 * x_floor.bit_length()
+
+    def erfc_times(self, x, bits: int, m, hm):
+        """erfc(x) m as an mpf, to within 2^-bits relative, for an mpf x the
+        table covers at bits (at most the table's); hm = m e^(-x^2)."""
+        F = self.F
+        X = to_fixed(x, F)
+        X2 = (X * X) >> F
+        s = (1 << (2 * F)) // (2 * X2)
+        stop = 1 << (2 * F - bits - 4)
+        for g, k2 in self._terms:
+            if g < stop:
+                break
+            s += g // (k2 + X2)
+        out = mpf_mul(from_man_exp((((self._hp * X) >> F) * s) >> F, -F), hm)
+        # the pole term is about 2 sqrt(pi) x e^(x^2 - 2 pi x/h) of erfc(x)
+        xf = to_float(x)
+        p = bits + ERFC_GUARD + int(math.log2(3.6 * xf) + (xf - self._c2f) * xf * math.log2(math.e))
+        if p > 0:
+            p = max(p, 24)
+            u = mpf_exp(from_man_exp(-((self._c2 * X) >> F), -F), p)     # e^(-2 pi x/h)
+            pole = mpf_div(mpf_shift(mpf_mul(u, m), 1), mpf_sub(fone, u, p), p)
+            out = mpf_sub(out, pole, F)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # R and its z-derivatives
 # ---------------------------------------------------------------------------
+
+def _R_window(v, y):
+    """R's index window lo..hi (n = k + 1/2) at the working precision and
+    {k: log2 B_n} on it (see _R_terms): each term left out has B_n, and the
+    derivative sum's |2k+1| B_n, below 2^-(prec+TAIL_GUARD) B_max."""
+    lo, hi = _halfint_window(v, y)   # wider than needed; B_n peaks at n = -y/v
+    fa, cv = float(y / v), math.pi * float(v) / math.log(2)
+    lbs = {}
+    for k in range(lo, hi + 1):
+        na = k + 0.5 + fa
+        lbs[k] = 1 + cv * (na * na - fa * fa) if (na >= 0) != (k >= 0) else -cv * (na * na + fa * fa)
+    cut = max(lbs.values()) - mp.prec - TAIL_GUARD
+    kept = [k for k, lb in lbs.items() if lb + math.log2(abs(2 * k + 1)) >= cut]
+    return kept[0], kept[-1], lbs
+
 
 def _R_terms(z, tau, formal=False):
     """R(z) and its first z-derivative, from one pass over the terms.
@@ -448,38 +511,28 @@ def _R_terms(z, tau, formal=False):
 
     R = sum over n in 1/2 + Z of t_n = (sgn(n) - E(w_n)) p_n with
     p_n = (-1)^(n-1/2) e^(-pi i (n^2 tau + 2 n z)) and w_n = (n + a) sqrt(2v),
-    a = y/v.  The phase splits as p_n = m_n e_n into its modulus
-    m_n = e^(pi (n^2 v + 2 n y)) and a unit e_n.  The pass walks outward from
-    n = 1/2 on both sides; e_n (a Gaussian integer at scale 2^W), m_n and
-    h_n = m_n g_n with g_n = e^(-pi w_n^2) (mpf at wp bits) follow ratio
-    recurrences seeded once per window, their ratios stepping by
-    e^(-2 pi i u), e^(2 pi v) and e^(-2 pi v).  With x_n = sqrt(pi) |w_n|,
+    a = y/v.  The pass walks outward from n = 1/2 on both sides; the unit
+    e_n = p_n / m_n (a Gaussian integer at scale 2^W), m_n = |p_n| =
+    e^(pi (n^2 v + 2 n y)) and h_n = m_n e^(-x_n^2), x_n = sqrt(pi) |w_n|
+    (mpf at wp bits), follow ratio recurrences seeded once per window.
     sgn - E is sgn erfc(x_n) when the signs of n and w_n agree and
-    sgn (2 - erfc(x_n)) when they differ, so |t_n| <= B_n with
-    B_n = e^(-pi v (n+a)^2 - pi v a^2) in the first case (erfc(x) <= e^(-x^2))
-    and B_n = 2 e^(pi v (n+a)^2 - pi v a^2) in the second.  Term n's erfc is
-    taken at prec + TAIL_GUARD - floor(log2(B_max/B_n)) bits, at least 53,
-    which holds it to 2^-(prec+TAIL_GUARD) B_max, and the sums are Gaussian
-    integers at about the same absolute scale, 2^-W = 2^-wp B_max within a
-    factor 2.
+    sgn (2 - erfc(x_n)) when they differ, so |t_n| <= B_n =
+    e^(-pi v (n+a)^2 - pi v a^2) in the first case and
+    2 e^(pi v (n+a)^2 - pi v a^2) in the second.  Term n's erfc is taken at
+    prec + TAIL_GUARD - floor(log2(B_max/B_n)) bits, at least 53, which
+    holds it to 2^-(prec+TAIL_GUARD) B_max, the scale of the sums within a
+    factor 2; ErfcTable takes its e^(-x_n^2) m_n from h_n.
     """
     z, tau = mp.mpc(z), mp.mpc(tau)
     v, y = tau.imag, z.imag
     if v <= 0:
         raise PrecisionUnreachable("R needs Im(tau) > 0")
-    lo, hi = _halfint_window(v, y)   # B_n peaks at n = -y/v
-    prec = mp.prec
-    # log2(B_n) + pi v a^2 / ln 2 for k = lo .. hi, n = k + 1/2
-    fa, cv = float(y / v), math.pi * float(v) / math.log(2)
-    lbs = []
-    for k in range(lo, hi + 1):
-        na = k + 0.5 + fa
-        lbs.append(1 + cv * na * na if (na >= 0) != (k >= 0) else -cv * na * na)
-    top = max(lbs)
+    lo, hi, lbs = _R_window(v, y)
+    top, prec = max(lbs.values()), mp.prec
     # a value j steps from its seed carries at most about j^2/2 + 3j + 3
     # units of 2^-wp (of 2^-W for e_n) from its recurrence
     wp = prec + TAIL_GUARD + 2 * max(hi, -lo).bit_length()
-    W = wp - math.floor(top - cv * fa * fa)
+    W = wp - math.floor(top)
     rnd = round_nearest
     with mp.workprec(wp):
         C = to_fixed(mp.sqrt(2 * mp.pi * v)._mpf_, W)       # x_n = C |2(n + a)| / 2^(W+1)
@@ -498,18 +551,22 @@ def _R_terms(z, tau, formal=False):
                  (-1, lo - 1, -1, _mul(e0, ed, W), _mul(ed, estep, W),
                   m0 / my, mq / my, h0 * my, my / mq))
         mstep, hstep = mq._mpf_, (1 / mq)._mpf_
+    erfcs = None       # the trapezoid weights, built for the first term that uses them
     r0 = r1 = n0 = n1 = w0 = w1 = 0
     for k0, stop, step, (er, ei), ratio, m, mr, h, hr in sides:
         m, mr, h, hr = m._mpf_, mr._mpf_, h._mpf_, hr._mpf_
         for k in range(k0, stop, step):
             nw = ((2 * k + 1) << W) + A2                    # 2(n + a) at scale 2^W
-            bits = max(53, prec + TAIL_GUARD - int(top - lbs[k - lo]))
-            f = mpf_erfc(from_man_exp((C * abs(nw)) >> (W + 1), -W), bits, rnd)
+            bits = max(53, prec + TAIL_GUARD - int(top - lbs[k]))
+            X = (C * abs(nw)) >> (W + 1)
+            if ErfcTable.covers(X >> W, bits):
+                erfcs = erfcs or ErfcTable(max(53, prec + TAIL_GUARD))
+                f = erfcs.erfc_times(from_man_exp(X, -W), bits, m, h)
+            else:
+                f = mpf_mul(mpf_erfc(from_man_exp(X, -W), bits, rnd), m)
             if (nw >= 0) != (k >= 0):
-                f = mpf_sub(ftwo, f, wp, rnd)
-            fm = to_fixed(mpf_mul(f, m), W)                  # |t_n| at scale 2^W
-            if k < 0:
-                fm = -fm
+                f = mpf_sub(mpf_shift(m, 1), f, wp, rnd)
+            fm = to_fixed(f, W) if k >= 0 else -to_fixed(f, W)   # t_n / e_n at scale 2^W
             tr, ti = (fm * er) >> W, (fm * ei) >> W
             r0 += tr
             r1 += ti
@@ -519,12 +576,12 @@ def _R_terms(z, tau, formal=False):
                 hf = to_fixed(h, W)
                 w0 += (hf * er) >> W
                 w1 += (hf * ei) >> W
-                h = mpf_mul(h, hr, wp, rnd)
-                hr = mpf_mul(hr, hstep, wp, rnd)
             er, ei = _mul((er, ei), ratio, W)
             ratio = _mul(ratio, estep, W)
             m = mpf_mul(m, mr, wp, rnd)
             mr = mpf_mul(mr, mstep, wp, rnd)
+            h = mpf_mul(h, hr, wp, rnd)
+            hr = mpf_mul(hr, hstep, wp, rnd)
     with mp.workprec(wp):
         # d/dz: the power rule gives -2 pi i sum n t_n, and the E-factor's
         # y-dependence adds (1/(2i)) d/dy (sgn - E) = i sqrt(2/v) g_n p_n per term

@@ -5,6 +5,7 @@ the weight-1 object, and the f-family."""
 from fractions import Fraction
 
 import pytest
+from contour_oracle import assert_contour_clear, contour_radius
 from mpmath import mp
 
 from pwomega import completion, kernels
@@ -176,7 +177,7 @@ def test_contour_derivs_pole_just_outside_raises():
 
 def test_contour_through_lattice_is_rejected():
     with pytest.raises(ContourThroughPole):
-        completion._assert_contour_clear(0, 1.2, TAU)
+        assert_contour_clear(0, 1.2, TAU)
 
 
 def test_jet_products_track_valuation_and_exact_order():
@@ -205,7 +206,7 @@ def test_jets_match_contour_quadrature(im_tau):
     # point function, within the quadrature's error estimate
     with workprec(P):
         tau = mp.mpc("0.11", im_tau)
-        r = completion._contour_radius(tau)
+        r = contour_radius(tau)
         plan = kernels.TauPlan(tau)
         q18 = qpow(tau, -F(1, 8))
         mu_w0 = plan.mu(completion._w_point(tau, 0))

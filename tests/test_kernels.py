@@ -2,13 +2,15 @@
 per-term bilateral sums in mpmath: one complex exponential per term, with
 the same windows and the same pole check.  R and eta (ratio recurrences,
 R's erfc at the precision each term needs) against their per-term sums at
-100 more bits."""
+100 more bits, and R's trapezoid erfc (kernels.ErfcTable) against mpmath's
+erfc at 100 more bits."""
 
 import pytest
+from contour_oracle import contour_radius
 from mpmath import mp
 
-from pwomega import kernels
-from pwomega.completion import _contour_radius, _w_point
+from pwomega import appell, kernels
+from pwomega.completion import _w_point
 from pwomega.errors import PoleProximity
 from pwomega.kernels import GUARD, TAIL_GUARD, _halfint_window, qpow, workprec
 
@@ -82,7 +84,7 @@ def mu_reference(z1, z2, tau):
 
 def _contour_points(tau):
     """Seven of the 128 contour nodes around each removable center."""
-    r = _contour_radius(tau)
+    r = contour_radius(tau)
     return [c + r * mp.expjpi(2 * mp.mpf(j) / 128)
             for c in (mp.mpc(0), tau) for j in (1, 19, 40, 64, 77, 100, 127)]
 
@@ -243,6 +245,31 @@ def test_R_window_follows_its_largest_terms():
 
 
 @pytest.mark.parametrize("im_tau", IM_TAUS_R)
+def test_R_window_ends_at_the_weighted_tail_cut(im_tau):
+    # every term R leaves out has (2k+1) B_n below 2^-(prec+TAIL_GUARD)
+    # B_max, so the derivative sum is cut where R is, and the end terms of
+    # the window reach that cut, so no term is summed below it
+    tau = mp.mpc("0.11", im_tau)
+    v = tau.imag
+
+    def bound(k, a):
+        na = k + mp.mpf(1) / 2 + a
+        if (na >= 0) != (k >= 0):
+            return 2 * mp.exp(mp.pi * v * (na * na - a * a))
+        return mp.exp(-mp.pi * v * (na * na + a * a))
+
+    with workprec(P):
+        for z in _R_points(tau):
+            a = z.imag / v
+            lo, hi, _ = kernels._R_window(v, z.imag)
+            cut = mp.mpf(2) ** -(mp.prec + TAIL_GUARD) * max(bound(k, a) for k in range(lo, hi + 1))
+            for k in [*range(lo - 40, lo), *range(hi + 1, hi + 41)]:
+                assert abs(2 * k + 1) * bound(k, a) < cut, (z, k)
+            for k in (lo, hi):
+                assert abs(2 * k + 1) * bound(k, a) >= cut * (1 - mp.mpf(10) ** -9), (z, k)
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS_R)
 def test_eta_matches_per_term_sum(im_tau):
     tau = mp.mpc("0.11", im_tau)
     with mp.workprec(P + GUARD + 100):
@@ -251,3 +278,46 @@ def test_eta_matches_per_term_sum(im_tau):
         got = kernels.eta(tau)
         assert abs(got - want) <= REL_TOL * abs(want)
         assert _ulps(got, want) <= 2, _ulps(got, want)
+
+
+def _erfc_edges(bits):
+    """x = 2, the largest x the table covers at bits, and points between."""
+    top = 2
+    while kernels.ErfcTable.covers(top + 1, bits):
+        top += 1
+    edge = mp.mpf(top + 1) - mp.mpf(2) ** -40
+    return [mp.mpf(2), mp.mpf(top), edge] + [2 + (edge - 2) * mp.mpf(j) / 7 for j in (1, 3, 5, 6)]
+
+
+@pytest.mark.parametrize("bits", [53, 120, 192, 258, 330])
+def test_erfc_table_matches_mpmath(bits):
+    # the trapezoid sum stays within 1 ulp of the requested bits at both
+    # ends of mpmath's 1 - erf range, x = 2 and 1.44 floor(x)^2 = bits + 20
+    # + 2 mag(x), and between them; R builds one table at its largest bits,
+    # uses it for terms that need fewer, and scales by m_n far from 1
+    assert not kernels.ErfcTable.covers(1, bits) and kernels.ErfcTable.covers(2, bits)
+    for table_bits, m in ((bits, mp.mpf(1)), (330, mp.mpf(10) ** 40)):
+        table = kernels.ErfcTable(table_bits)
+        for x in _erfc_edges(bits):
+            with mp.workprec(bits + 100):
+                want = m * mp.erfc(x)
+                got = mp.mpf(table.erfc_times(x._mpf_, bits, m._mpf_, (m * mp.exp(-x * x))._mpf_))
+                assert abs(got - want) <= mp.mpf(2) ** -bits * want, (table_bits, x)
+
+
+def test_oracles_stay_on_mpmath_erfc(monkeypatch):
+    # R's per-term oracle, sgn_minus_E and appell's N1 sum are the routes R
+    # is checked against, so none of them may reach the trapezoid erfc
+    def refuse(*args):
+        raise AssertionError("the trapezoid erfc was reached")
+
+    monkeypatch.setattr(kernels.ErfcTable, "erfc_times", refuse)
+    tau = mp.mpc("0.11", "0.1")
+    z = _R_points(tau)[0]
+    with workprec(P):
+        with pytest.raises(AssertionError, match="trapezoid"):
+            kernels.R(z, tau)
+        R_reference(z, tau)
+        for sign in (1, -1):
+            kernels.sgn_minus_E(sign, mp.mpf("2.5"))
+        appell.R_quarter_split(tau, P)

@@ -73,7 +73,23 @@ MUTANTS = [
      "eu = _fix(-ex * eq, W)", "eu = _fix(-ex, W)",
      ["tests/test_kernels.py"]),
     ("src/pwomega/kernels.py",
-     "q3 = qpow(tau, 3)", "q3 = qpow(tau, 2)",
+     "q3 = _mul(_mul(q, q, W), q, W)", "q3 = _mul(q, q, W)",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "W = mp.prec + 3 * kmax.bit_length() + 2", "W = mp.prec + 3 * kmax.bit_length() - 14",
+     ["tests/test_kernels.py"]),
+    # R's trapezoid erfc and its window
+    ("src/pwomega/kernels.py",
+     "out = mpf_sub(out, pole, F)", "out = out",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "mp.sqrt((bits + 12) * mp.ln(2))", "mp.sqrt((bits - 8) * mp.ln(2))",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "for g, k2 in self._terms:", "for g, k2 in self._terms[:-2]:",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "lb + math.log2(abs(2 * k + 1)) >= cut", "lb >= cut",
      ["tests/test_kernels.py"]),
     ("src/pwomega/completion.py",
      "ratio = qp(s * (k + l)) * zs[2]", "ratio = qp(s * (k + l + 1)) * zs[2]",
