@@ -18,8 +18,8 @@ from .cyc8 import Cyc8
 from .errors import (LatticeMismatch, NonExpandableDenominator,
                      RootOfUnityOutsideCyc8)
 from .jseries import JSeries, jpochhammer
-from .qseries import (DEFAULT_LATTICE, Monomial, QSeries, over_factor,
-                      over_qpochhammer, qpochhammer, times_factor)
+from .qseries import (DEFAULT_LATTICE, Monomial, QSeries, over_qpochhammer,
+                      pochhammer_factors)
 
 F = Fraction
 Rat = Union[int, Fraction]
@@ -182,8 +182,8 @@ def finite_jtp_sides(n: int, N, D: int = 1, Dz: int = 1) -> Tuple[JSeries, JSeri
 
     rhs = JSeries.zero(D, Dz, N)
     for j in range(-n, n + 1):
-        t = over_qpochhammer(QSeries.one(D, N), q, n - j)
-        t = over_qpochhammer(t, q, n + j)
+        t = QSeries.one(D, N).binomials(pochhammer_factors(q, n - j, N, sign=-1)
+                                        + pochhammer_factors(q, n + j, N, sign=-1))
         e = F(j * (j - 1), 2)
         rhs = rhs + JSeries.from_qseries(t, Dz).mul_monomial(
             Monomial(Cyc8((-1) ** j), e, j)).truncate(N)
@@ -226,8 +226,9 @@ def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N,
                 f"Heine needs positive q-exponent for {name}, got {mono.q_exp}")
 
     lhs = _phi21(D, a, b, c, z, N)
-    pref = qpochhammer(D, cb, None, N) * qpochhammer(D, bz, None, N)
-    pref = over_qpochhammer(over_qpochhammer(pref, c, None), z, None)
+    pref = QSeries.one(D, N).binomials(
+        pochhammer_factors(cb, None, N) + pochhammer_factors(bz, None, N)
+        + pochhammer_factors(c, None, N, sign=-1) + pochhammer_factors(z, None, N, sign=-1))
     rhs = pref * _phi21(D, abz_c, b, bz, cb, N)
     common = min(lhs.order_exp(), rhs.order_exp(), N)
     return lhs.truncate(common), rhs.truncate(common)
@@ -238,11 +239,12 @@ def _phi21(D, a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> QSeries:
     positive q-exponent: the n-th term starts at or above n * z.q_exp plus
     the floors of (a)_n and (b)_n, which ends the sum.
 
-    The ratio (a)_n (b)_n / ((c)_n (q)_n) is carried from n - 1 to n by two
-    binomial products and two binomial quotients, O(N) each.  A factor with
-    exponent e < 0 is a monomial q^e times a binomial, so the ratio is
-    certified to N plus the floors of (a)_n and (b)_n minus the floor of
-    (c)_n, the order the full products and the inverse of (c)_n (q)_n give."""
+    The ratio (a)_n (b)_n / ((c)_n (q)_n) is carried from n - 1 to n by one
+    chain of two binomial products and two binomial quotients, O(N) each.
+    A factor with exponent e < 0 is a monomial q^e times a binomial, so the
+    ratio is certified to N plus the floors of (a)_n and (b)_n minus the
+    floor of (c)_n, the order the full products and the inverse of
+    (c)_n (q)_n give."""
     neg_pad = _neg_floor_of_poch(a) + _neg_floor_of_poch(b)
     out = QSeries.zero(D, N)
     ratio = QSeries.one(D, N)
@@ -250,10 +252,9 @@ def _phi21(D, a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> QSeries:
     n = 0
     while n * z.q_exp + neg_pad < F(N):
         if n > 0:
-            ratio = times_factor(ratio, a.coeff, a.q_exp + n - 1)
-            ratio = times_factor(ratio, b.coeff, b.q_exp + n - 1)
-            ratio = over_factor(ratio, c.coeff, c.q_exp + n - 1)
-            ratio = ratio.div_binomial(-1, n)
+            ratio = ratio.binomials([(-a.coeff, a.q_exp + n - 1, 1),
+                                     (-b.coeff, b.q_exp + n - 1, 1),
+                                     (-c.coeff, c.q_exp + n - 1, -1), (-1, n, -1)])
             zn = zn * z
         out = out + ratio.mul_monomial(zn).truncate(min(F(N), ratio.order_exp()))
         n += 1

@@ -119,9 +119,7 @@ def pbar_omega_series(N, method: str = "definition", D: int = 1) -> QSeries:
     if method == "triple_sum":
         if F(N) <= 1:
             return QSeries.zero(D, N)   # the series starts at q^1
-        c = weighted_triple_sum(N, D)
-        for _ in range(3):
-            c = over_qpochhammer(c, Monomial(1, 1), None)
+        c = over_qpochhammer(weighted_triple_sum(N, D), Monomial(1, 1), None, power=3)
         return -c.truncate(N)
     if method == "oracle":
         n_top = min(int(N), ORACLE_CAP + 1)
@@ -155,9 +153,7 @@ def pbar_from_dzeta_brackets(N) -> QSeries:
     at_q = s.zeta_dzeta_at_q(tail_landing=(landing * D + _scale38(D)))
     bracket = at_one - at_q
     out = bracket.mul_monomial(Monomial(I * F(1, 4), F(-3, 8)))
-    for _ in range(3):
-        out = over_qpochhammer(out, Monomial(1, 1), None)
-    return out.truncate(N)
+    return over_qpochhammer(out, Monomial(1, 1), None, power=3).truncate(N)
 
 
 def _scale38(D: int) -> int:
@@ -185,8 +181,8 @@ def pwz_lhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
     while F(n) < N:
         ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n - 1, 1, -ONE)], N)
         ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n, -1, -ONE)], N)
-        ratio = ratio.map_rows(lambda row: row.mul_binomial(1, 2 * n - 1)
-                               .div_binomial(-1, 2 * n - 1).div_binomial(-1, 2 * n))
+        ratio = ratio.map_rows(lambda row: row.binomials(
+            [(1, 2 * n - 1, 1), (-1, 2 * n - 1, -1), (-1, 2 * n, -1)]))
         acc = acc + ratio.mul_monomial(Monomial(1, n, 0)).truncate(N)
         n += 1
     out = acc * pref

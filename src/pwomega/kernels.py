@@ -427,13 +427,11 @@ class ErfcTable:
         erfc(x) = (2hx/pi) e^(-x^2) [1/(2x^2) + sum_(k>=1) G_k/(k^2 h^2 + x^2)]
                   - 2/(e^(2cx) - 1),   G_k = e^(-k^2 h^2).
 
-    The last term is the integrand's pole at t = ix; it is skipped below
-    2^-(bits+16) erfc(x).  What the rule leaves, -e^(-2cx) erfc(c - x) +
-    e^(2cx) erfc(x + c), is about 2 e^(-c^2) = 2^-(bits+11) of erfc(x) for
-    x well below c and under 2^-(bits+3) across the range (x < c + 1.6).  A
-    sum stops at the first G_k < 2^-(bits+4), which bounds its tail by about
-    that much.  The weights are built once, by ratio recurrence in fixed point
-    at F = bits + ERFC_GUARD bits, and serve every bits up to the table's."""
+    The last term is the integrand's pole at t = ix.  The weights are built
+    once, by ratio recurrence in fixed point at F = bits + ERFC_GUARD bits,
+    and serve every bits up to the table's.  Where the sum and the pole term
+    stop, and what the rule leaves, are stated once, in the README's
+    numerical error policy."""
 
     def __init__(self, bits: int):
         self.F = F = bits + ERFC_GUARD
@@ -488,8 +486,9 @@ class ErfcTable:
 
 def _R_window(v, y):
     """R's index window lo..hi (n = k + 1/2) at the working precision and
-    {k: log2 B_n} on it (see _R_terms): each term left out has B_n, and the
-    derivative sum's |2k+1| B_n, below 2^-(prec+TAIL_GUARD) B_max."""
+    {k: log2 B_n} on it, B_n the a-priori bound on |t_n| of the README's
+    numerical error policy: each term left out has B_n, and the derivative
+    sum's |2k+1| B_n, below 2^-(prec+TAIL_GUARD) B_max."""
     lo, hi = _halfint_window(v, y)   # wider than needed; B_n peaks at n = -y/v
     fa, cv = float(y / v), math.pi * float(v) / math.log(2)
     lbs = {}
@@ -516,12 +515,11 @@ def _R_terms(z, tau, formal=False):
     e^(pi (n^2 v + 2 n y)) and h_n = m_n e^(-x_n^2), x_n = sqrt(pi) |w_n|
     (mpf at wp bits), follow ratio recurrences seeded once per window.
     sgn - E is sgn erfc(x_n) when the signs of n and w_n agree and
-    sgn (2 - erfc(x_n)) when they differ, so |t_n| <= B_n =
-    e^(-pi v (n+a)^2 - pi v a^2) in the first case and
-    2 e^(pi v (n+a)^2 - pi v a^2) in the second.  Term n's erfc is taken at
-    prec + TAIL_GUARD - floor(log2(B_max/B_n)) bits, at least 53, which
-    holds it to 2^-(prec+TAIL_GUARD) B_max, the scale of the sums within a
-    factor 2; ErfcTable takes its e^(-x_n^2) m_n from h_n.
+    sgn (2 - erfc(x_n)) when they differ.  Term n's erfc is taken at
+    prec + TAIL_GUARD - floor(log2(B_max/B_n)) bits, at least 53, with B_n
+    the a-priori bound on |t_n| (_R_window); ErfcTable takes its
+    e^(-x_n^2) m_n from h_n.  The bounds, and the rounding they allow, are
+    derived once, in the README's numerical error policy.
     """
     z, tau = mp.mpc(z), mp.mpc(tau)
     v, y = tau.imag, z.imag

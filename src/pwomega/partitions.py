@@ -123,7 +123,10 @@ def _definition_series(family: str, D: int, N) -> QSeries:
       spt_g2           p=2  R_n = 1/((q^{n+1};q)_n^2 (q^{2n+2};q^2)_inf (q^{4n+2};q^4)_inf)
 
     R_0 is built from its products; R_n is R_(n-1) times the binomials
-    1 + c*q^e of R_n / R_(n-1) (lists "up") over those of "down", O(N) each.
+    1 + c*q^e of R_n / R_(n-1) (lists "up") over those of "down", and the
+    term divides q^n R_n by (1-q^n)^p.  Each is one binomial chain
+    (QSeries.binomials): the series converts to components once and each
+    factor costs O(N).
     """
     one = QSeries.one(D, N)
     if family == "spt":
@@ -152,13 +155,8 @@ def _definition_series(family: str, D: int, N) -> QSeries:
     n = 1
     while n < F(N):
         up, down = steps(n)
-        for c, e in up:
-            ratio = ratio.mul_binomial(c, e)
-        for c, e in down:
-            ratio = ratio.div_binomial(c, e)
-        term = ratio.shift(n)
-        for _ in range(power):
-            term = term.div_binomial(-1, n)
+        ratio = ratio.binomials([(c, e, 1) for c, e in up] + [(c, e, -1) for c, e in down])
+        term = ratio.shift(n).binomials([(-1, n, -1)] * power)
         out = out + term.truncate(N)
         n += 1
     return out

@@ -8,11 +8,13 @@ All arithmetic propagates the worst-case order; nothing is silently extended.
 
 Representation and cost: one sparse dictionary {key: Cyc8} per series, zero
 coefficients not stored, Cyc8 components ints unless non-integral.  Products
-(sum_of_products), binomial quotients and QSeries.invert work on the
+(sum_of_products), binomial chains and QSeries.invert work on the
 coefficients' components as plain numbers and build one Cyc8 per output key;
-a rational product or binomial quotient touches one component.  Multiplying or
-dividing by a binomial 1 + c*q^e (e > 0) costs O(N) and keeps the order, so
-q-Pochhammer products and quotients cost O(N) per factor.
+a rational product or binomial factor touches one component.  A chain of
+binomial factors (1 + c*q^e)^(+-1) (QSeries.binomials) converts the series to
+components once, costs O(N) per factor with e > 0 at the series' order, folds
+the factors with e <= 0 into one monomial, and assembles once; q-Pochhammer
+products and quotients are such chains.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .cyc8 import Cyc8, ONE, _coerce, mul4
+from .cyc8 import Cyc8, ONE, _canonical, _coerce, mul4
 from .errors import (DivergentProduct, LatticeMismatch,
                      NonExpandableDenominator, NonInvertibleLeadingTerm)
 
@@ -30,6 +32,8 @@ DEFAULT_LATTICE = 24
 
 
 def _scale(exp: Rat, D: int) -> int:
+    if type(exp) is int:
+        return exp * D
     e = Fraction(exp) * D
     if e.denominator != 1:
         raise LatticeMismatch(f"exponent {Fraction(exp)} not on the 1/{D} lattice")
@@ -246,50 +250,48 @@ class QSeries:
                 inv[k] = mul4(m, (s0, s1, s2, s3))
         return QSeries(self.D, {k - f: Cyc8(*c) for k, c in inv.items()}, n - f)
 
+    def binomials(self, factors: Iterable[Tuple[object, Rat, int]]) -> "QSeries":
+        """self times (1 + c*q^exp)^sign over the factors (c, exp, sign),
+        sign = +1 or -1, converted to components once and assembled once.
+
+        A factor with exp > 0 is one O(N) step of _binomial_tables at self's
+        order.  The others fold into one monomial applied at the end: exp = 0
+        is the scalar 1 + c, and exp < 0 is c*q^exp times the binomial
+        1 + c^-1 * q^-exp, so a product's order drops by |exp| and a
+        quotient's rises by |exp|, as with the factor's series or its inverse."""
+        tables = _component_tables(self.coeff)
+        coef, shift = ONE, 0
+        for c, exp, sign in factors:
+            c = _coerce(c)
+            if c.is_zero():
+                continue
+            e = _scale(exp, self.D)
+            if e > 0:
+                tables = _binomial_tables(tables, c, e, self.order, sign < 0)
+                continue
+            if e < 0:
+                tables = _binomial_tables(tables, c.inverse(), -e, self.order, sign < 0)
+            mono, k = (c, e) if e < 0 else (ONE + c, 0)
+            if sign < 0:
+                if mono.is_zero():
+                    raise NonInvertibleLeadingTerm("division by the zero factor 1 + c*q^0")
+                mono, k = mono.inverse(), -k
+            coef, shift = coef * mono, shift + k
+        out = _assemble(self.D, tables, self.order)
+        return out if coef == ONE and not shift else QSeries(
+            self.D, {k + shift: coef * v for k, v in out.coeff.items()}, self.order + shift)
+
     def mul_binomial(self, c, exp: Rat) -> "QSeries":
         """self * (1 + c*q^exp) for exp > 0, at self's order, in O(N)."""
-        e = _scale(exp, self.D)
-        if e <= 0:
+        if exp <= 0:
             raise ValueError("binomial exponent must be positive")
-        binomial = QSeries(self.D, {0: ONE, e: _coerce(c)}, e + 1)
-        return sum_of_products(self.D, [(self, binomial)], self.order)
+        return self.binomials([(c, exp, 1)])
 
     def div_binomial(self, c, exp: Rat) -> "QSeries":
-        """self / (1 + c*q^exp) for exp > 0, at self's order, in O(N): the
-        quotient t solves t_k = s_k - c*t_(k-e) along each residue class of
-        keys mod e, from the class's least key of self up to the order.
-
-        The recurrence runs on components: component i of c*t_(k-e) collects
-        c_j * t_(k-e),l over j + l = i mod 4, negated when j + l >= 4.  For a
-        rational c only self's non-empty components can become non-zero, so
-        a rational quotient is one scalar recurrence."""
-        e = _scale(exp, self.D)
-        if e <= 0:
+        """self / (1 + c*q^exp) for exp > 0, at self's order, in O(N)."""
+        if exp <= 0:
             raise NonExpandableDenominator("binomial exponent must be positive")
-        c = _coerce(c)
-        c_parts = [(j, x) for j, x in enumerate(c.components()) if x]
-        src = _component_tables(self.coeff)
-        t: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
-        live = [i for i in range(4) if src[i]] if c.is_rational() else range(4)
-        # per output component: its source table, its table of t, and the
-        # signed c_j with the table of t they multiply
-        plan = [(src[i], t[i], [(x if j + ((i - j) & 3) >= 4 else -x, t[(i - j) & 3])
-                                for j, x in c_parts]) for i in live]
-        starts: Dict[int, int] = {}
-        for k in sorted(self.coeff):
-            starts.setdefault(k % e, k)
-        for k0 in starts.values():
-            for k in range(k0, self.order, e):
-                p = k - e
-                for s_i, t_i, c_terms in plan:
-                    v = s_i.get(k, 0)
-                    for x, t_l in c_terms:
-                        y = t_l.get(p)
-                        if y:
-                            v += x * y
-                    if v:
-                        t_i[k] = v
-        return _assemble(self.D, t, self.order)
+        return self.binomials([(c, exp, -1)])
 
     def pow(self, k: int) -> "QSeries":
         if k < 0:
@@ -361,14 +363,64 @@ def _sorted_components(coeff: Dict[int, Cyc8]) -> List[Tuple[int, List[Tuple[int
     return [(i, sorted(t.items())) for i, t in enumerate(_component_tables(coeff)) if t]
 
 
+def _binomial_tables(tables, c: Cyc8, e: int, order: int, divide: bool):
+    """The component tables of s * (1 + c*q^e), or of s / (1 + c*q^e), from
+    those of s, for e > 0, at s's order, in O(N).
+
+    Component i of c*x collects c_j * x_l over j + l = i mod 4, negated when
+    j + l >= 4 (zeta^4 = -1).  The product is t_k = s_k + c*s_(k-e): c times
+    each stored key of s, added e higher (a cancelled key keeps a zero, which
+    _assemble drops).  The quotient solves t_k = s_k - c*t_(k-e) along each
+    residue class of keys mod e, from the class's least key of s up to the
+    order.  For a rational c only s's non-empty components can become
+    non-zero, so a rational step is one scalar update per component."""
+    c_parts = [(j, x) for j, x in enumerate(c.components()) if x]
+    if not divide:
+        t = [dict(s_l) for s_l in tables]
+        for l, s_l in enumerate(tables):
+            for j, x in c_parts:
+                t_i = t[(j + l) & 3]
+                x = -x if j + l >= 4 else x
+                for k, y in s_l.items():
+                    k += e
+                    if k < order:
+                        t_i[k] = t_i.get(k, 0) + x * y
+        return t
+    t: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
+    live = [i for i in range(4) if tables[i]] if c.is_rational() else range(4)
+    # per output component: its source table, its table of t, and the
+    # signed c_j with the table of t they multiply
+    plan = [(tables[i], t[i], [(x if j + ((i - j) & 3) >= 4 else -x, t[(i - j) & 3])
+                               for j, x in c_parts]) for i in live]
+    # the least key of each residue class: the last one written wins
+    starts = {k % e: k for k in sorted(set().union(*tables), reverse=True)}
+    for k0 in starts.values():
+        for k in range(k0, order, e):
+            p = k - e
+            for s_i, t_i, c_terms in plan:
+                v = s_i.get(k, 0)
+                for x, t_l in c_terms:
+                    y = t_l.get(p)
+                    if y:
+                        v += x * y
+                if v:
+                    t_i[k] = v
+    return t
+
+
 def _assemble(D: int, tables, order: int) -> QSeries:
-    """The series whose coefficient at k has components tables[i].get(k, 0)."""
+    """The series whose coefficient at k has components tables[i].get(k, 0),
+    for tables with keys below the order; zero values are dropped here, so
+    the constructor's filter is not run again."""
     t0, t1, t2, t3 = tables
+    out = QSeries(D, None, order)
     if not (t1 or t2 or t3):
-        return QSeries(D, {k: Cyc8(v) for k, v in t0.items() if v}, order)
-    keys = t0.keys() | t1.keys() | t2.keys() | t3.keys()
-    return QSeries(D, {k: Cyc8(t0.get(k, 0), t1.get(k, 0), t2.get(k, 0), t3.get(k, 0))
-                       for k in keys}, order)
+        out.coeff = {k: Cyc8(v) for k, v in t0.items() if v}
+    else:
+        keys = {k for t in tables for k, v in t.items() if v}
+        out.coeff = {k: Cyc8(t0.get(k, 0), t1.get(k, 0), t2.get(k, 0), t3.get(k, 0))
+                     for k in keys}
+    return out
 
 
 def geometric(D: int, exp: Rat, order_exp: Rat, ratio_coeff=1) -> QSeries:
@@ -388,72 +440,49 @@ def geometric(D: int, exp: Rat, order_exp: Rat, ratio_coeff=1) -> QSeries:
 
 
 def pochhammer_exponents(q_exp: Rat, n: Optional[int], order_exp: Rat,
-                         step: Rat = 1) -> Iterable[Fraction]:
-    """The factor exponents q_exp + j*step (j = 0 .. n-1) of (a; q^step)_n.
+                         step: Rat = 1) -> Iterable[Rat]:
+    """The factor exponents q_exp + j*step (j = 0 .. n-1) of (a; q^step)_n,
+    ints when q_exp and step are integral.
 
     n=None means the infinite product; its factors that are 1 mod q^order are
     dropped, which requires step > 0 (otherwise the product diverges).
     """
-    step = Fraction(step)
-    order = Fraction(order_exp)
+    q_exp, step = _canonical(q_exp), _canonical(step)
     if n is None and step <= 0:
         raise DivergentProduct("infinite q-Pochhammer with non-increasing exponents")
     j = 0
     while n is None or j < n:
         e = q_exp + j * step
-        if n is None and e >= order:
+        if n is None and e >= order_exp:
             return
         yield e
         j += 1
 
 
+def pochhammer_factors(base: Monomial, n: Optional[int], order_exp: Rat,
+                       step: Rat = 1, sign: int = 1) -> List[Tuple[Cyc8, Rat, int]]:
+    """The factors (-a, e, sign) of (a; q^step)_n^sign for QSeries.binomials,
+    one per exponent of pochhammer_exponents."""
+    if base.z_exp != 0:
+        raise LatticeMismatch("use jseries.jpochhammer for zeta-carrying bases")
+    a = -base.coeff
+    return [(a, e, sign) for e in pochhammer_exponents(base.q_exp, n, order_exp, step)]
+
+
 def qpochhammer(D: int, base: Monomial, n: Optional[int], order_exp: Rat,
                 step: Rat = 1) -> QSeries:
     """(a; q^step)_n = prod_{j=0}^{n-1} (1 - a*q^(j*step)) truncated at order,
-    multiplied in one factor at a time."""
-    if base.z_exp != 0:
-        raise LatticeMismatch("use jseries.jpochhammer for zeta-carrying bases")
-    result = QSeries.one(D, order_exp)
-    for e in pochhammer_exponents(base.q_exp, n, order_exp, step):
-        result = times_factor(result, base.coeff, e)
-    return result
-
-
-def times_factor(s: QSeries, a: Cyc8, e: Rat) -> QSeries:
-    """s * (1 - a*q^e) for an exponent of either sign.  For e < 0 the factor
-    is -a*q^e * (1 - a^-1 * q^-e), so the order drops by |e|, as it does in
-    the product with the factor's series."""
-    if e == 0:
-        return s.scale(ONE - a)
-    if e < 0 and not a.is_zero():
-        return times_factor(s, a.inverse(), -e).mul_monomial(Monomial(-a, e))
-    return s.mul_binomial(-a, abs(e))
-
-
-def over_factor(s: QSeries, c: Cyc8, e: Rat) -> QSeries:
-    """s / (1 - c*q^e) for an exponent of either sign.  For e < 0 the factor
-    is -c*q^e * (1 - c^-1 * q^-e), so the order rises by |e|, as it does in
-    the product with the factor's inverse."""
-    if e == 0:
-        if c == ONE:
-            raise NonInvertibleLeadingTerm("division by the zero factor 1 - q^0")
-        return s.scale((ONE - c).inverse())
-    if e < 0 and not c.is_zero():
-        return over_factor(s, c.inverse(), -e).mul_monomial(Monomial((-c).inverse(), -e))
-    return s.div_binomial(-c, abs(e))
+    as one binomial chain."""
+    return QSeries.one(D, order_exp).binomials(pochhammer_factors(base, n, order_exp, step))
 
 
 def over_qpochhammer(s: QSeries, base: Monomial, n: Optional[int],
-                     step: Rat = 1) -> QSeries:
-    """s / (a; q^step)_n, one over_factor per factor (O(N) each).
+                     step: Rat = 1, power: int = 1) -> QSeries:
+    """s / (a; q^step)_n^power as one binomial chain (O(N) per factor).
 
     For n=None the product stops at the first factor exponent e with
     floor(s) + e >= order(s): such a factor only changes keys at or past the
     order.  Each division keeps order(s) - floor(s), so the bound read off s
     holds for every partial quotient, including for a Laurent s."""
-    if base.z_exp != 0:
-        raise LatticeMismatch("use jseries.jpochhammer for zeta-carrying bases")
     reach = Fraction(s.order - s.floor_key(), s.D)
-    for e in pochhammer_exponents(base.q_exp, n, reach, step):
-        s = over_factor(s, base.coeff, e)
-    return s
+    return s.binomials(pochhammer_factors(base, n, reach, step, -1) * power)

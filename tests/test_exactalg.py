@@ -206,6 +206,66 @@ def test_over_qpochhammer_matches_product_inverse_on_laurent_series(base, n, ste
         assert got.coeff == want.coeff
 
 
+def binomial_series(D, c, exp, top):
+    """1 + c*q^exp as an explicit series to O(q^top)."""
+    return QSeries.from_terms(D, [(0, ONE), (exp, c)], top)
+
+
+def chain_reference(s, factors):
+    """s times the factors (c, exp, sign) one series product at a time, each
+    binomial inverted by QSeries.invert for sign -1; its order is high
+    enough not to cap the product's."""
+    for c, exp, sign in factors:
+        top = F(s.order - s.floor_key(), s.D) + abs(exp) + 1
+        b = binomial_series(s.D, c, exp, top)
+        s = s * (b if sign > 0 else b.invert())
+    return s
+
+
+@pytest.mark.parametrize("D", [1, 2, 24])
+def test_binomial_chain_matches_product_and_invert(D):
+    rng = random.Random(100 + D)
+    coeffs = [ONE, Cyc8(-1), Cyc8(3), Cyc8.zeta_pow(1), I, Cyc8(2, 0, -1, 0).inverse()]
+    for _ in range(10):
+        s = rand_mixed_series(rng, D, rng.randint(10, 60), floor=-3 * D)
+        factors = []
+        for _ in range(rng.randint(1, 6)):
+            c = rng.choice(coeffs + [rand_coeff(rng)])
+            # mostly positive exponents; some negative, some zero
+            exp = F(rng.choice([rng.randint(1, 3 * D)] * 4 + [rng.randint(-2 * D, -1), 0]), D)
+            if exp == 0 and (ONE + c).is_zero():
+                continue
+            factors.append((c, exp, rng.choice([1, -1])))
+        got = s.binomials(factors)
+        want = chain_reference(s, factors)
+        assert got.order == want.order
+        assert got.coeff == want.coeff
+
+
+@pytest.mark.parametrize("base, n, step", [
+    (Monomial(2, -2), 5, 1), (Monomial(Cyc8.zeta_pow(1), F(-3, 2)), 6, F(1, 2)),
+    (Monomial(Cyc8(2, 0, -1, 0).inverse(), -1), None, 1), (Monomial(I, F(-1, 2)), 3, F(1, 2)),
+])
+def test_pochhammer_chains_with_negative_and_zero_factor_exponents(base, n, step):
+    # the factors 1 - a*q^e with e <= 0 fold into the chain's one monomial
+    def exps(order_exp):
+        out = [base.q_exp + j * step for j in range(n if n is not None else 40)]
+        return [e for e in out if n is not None or e < order_exp]
+
+    D, N = 2, 9
+    assert min(exps(N)) < 0 and 0 in exps(N)
+    want = chain_reference(QSeries.one(D, N), [(-base.coeff, e, 1) for e in exps(N)])
+    got = qpochhammer(D, base, n, N, step)
+    assert got.order == want.order and got.coeff == want.coeff
+    rng = random.Random(5)
+    for floor in (-6, 0, 3):
+        s = QSeries(D, {floor: ONE, **rand_mixed_series(rng, D, 20, floor=floor).coeff}, 20)
+        reach = F(s.order - s.floor_key(), D)
+        want = chain_reference(s, [(-base.coeff, e, -1) for e in exps(reach)])
+        got = over_qpochhammer(s, base, n, step)
+        assert got.order == want.order and got.coeff == want.coeff
+
+
 def test_geometric_inverse():
     D, N = 1, 30
     one_minus_q = QSeries.from_terms(D, [(0, ONE), (1, Cyc8(-1))], N)

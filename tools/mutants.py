@@ -32,7 +32,7 @@ MUTANTS = [
      "cone_exponent(k, l, n) < N + abs(k))", "cone_exponent(k, l, n) < N)",
      ["tests/test_indefinite.py"]),
     ("src/pwomega/classical.py",
-     "a.q_exp + n - 1)", "a.q_exp + n)",
+     "a.q_exp + n - 1, 1)", "a.q_exp + n, 1)",
      ["tests/test_classical.py"]),
     ("src/pwomega/partitions.py",
      "g.shift(e + m * n)", "g.shift(e + n)",
@@ -111,7 +111,18 @@ MUTANTS = [
      "p = k - e\n", "p = k - e + 1\n",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
-     "[(self, binomial)], self.order)", "[(self, binomial)], self.order + e)",
+     "                    if k < order:\n", "                    if k < order + e:\n",
+     ["tests/test_exactalg.py"]),
+    # the binomial chain: the multiply step's sign, the folded monomial, the
+    # last factor
+    ("src/pwomega/qseries.py",
+     "x = -x if j + l >= 4 else x", "x = x",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "{k + shift: coef * v", "{k - shift: coef * v",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "for c, exp, sign in factors:", "for c, exp, sign in list(factors)[:-1]:",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
      "reach = Fraction(s.order - s.floor_key(), s.D)", "reach = s.order_exp()",
