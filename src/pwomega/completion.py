@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from . import kernels
 from .errors import ContourThroughPole, PoleProximity, PrecisionUnreachable
@@ -220,9 +221,12 @@ def F_cone_numeric(z1, z2, z3, tau, P: int = 113):
     e = k(k+1)/2 + kl + kn + ln, comes from the one before it on its cone
     line: along n (step s = +-1, the cone's direction) the ratio is
     q^(s(k+l)) zeta3^s, and a line starts from the one before it in l or k.
-    The q-powers come from one table and the zetas from three seeds, 20 bits
-    above the working precision, so the rounding a term gathers along its
-    chain of ratios stays below the working precision.  The cut is the
+    The walk runs on Gaussian integers at scale 2^W from one table of
+    q-powers and three zeta seeds.  With |Im z_j| < v/2 every term and every
+    ratio has modulus below 1, so a step adds at most about
+    max |zeta_j| m < e^(pi v) m units of 2^-W to a term (q^m the ratio's
+    q-power), and W = prec + 40 + pi v log2(e) keeps the sum's rounding far
+    below the working precision.  The cut is the
     magnitude test -2 pi (v e + k y1 + l y2 + n y3) > -(prec+10) ln 2 in
     floats with the bound lowered by 1, so float rounding can add points
     next to the cut but never drop one; along each cone direction the left
@@ -235,6 +239,7 @@ def F_cone_numeric(z1, z2, z3, tau, P: int = 113):
                 raise PoleProximity("cone sum needs |Im z_j| < v/2")
         logeps = -(mp.prec + 10) * math.log(2) - 1
         fv, y1, y2, y3 = (float(x) for x in (v, z1.imag, z2.imag, z3.imag))
+        W = mp.prec + 40 + math.ceil(math.pi * fv * math.log2(math.e))
 
         def qexp(k, l, n):
             return k * (k + 1) // 2 + k * l + k * n + l * n
@@ -242,33 +247,42 @@ def F_cone_numeric(z1, z2, z3, tau, P: int = 113):
         def inside(k, l, n):
             return -2 * math.pi * (fv * qexp(k, l, n) + k * y1 + l * y2 + n * y3) > logeps
 
+        def mul(a, b):
+            return (a[0] * b[0] - a[1] * b[1]) >> W, (a[0] * b[1] + a[1] * b[0]) >> W
+
+        def fix(x):
+            return tuple(to_fixed(c, W) for c in x._mpc_)
+
+        with mp.workprec(W):
+            # zeta1^(+-1) enters with the sign (-1)^k of its term
+            zeta, zinv = ([fix(sign * mp.expjpi(2 * t * z))
+                           for sign, z in zip((-1, 1, 1), (z1, z2, z3))] for t in (1, -1))
+            q = fix(qpow(tau, 1))
+        Q = [(1 << W, 0), q]
+
+        def qp(m):
+            while len(Q) <= m:
+                Q.append(mul(Q[-1], q))
+            return Q[m]
+
+        acc0 = acc1 = 0
+        for k, l, n in cone_points(inside):
+            if (k, l, n) in ((1, 0, 0), (0, -1, -1)):      # a cone's apex
+                s, a = (1, 0) if k else (-1, -1)
+                zs = zeta if k else zinv
+                head = line = term = mul(qp(1), zs[0]) if k else mul(mul(qp(1), zs[1]), zs[2])
+            elif l == a and n == a:                         # the next k
+                head = line = term = mul(head, mul(qp(qexp(k, a, a) - qexp(k - s, a, a)), zs[0]))
+            elif n == a:                                    # the next l
+                line = term = mul(line, mul(qp(qexp(k, l, a) - qexp(k, l - s, a)), zs[1]))
+            else:
+                term = mul(term, ratio)
+            if n == a:
+                ratio = mul(qp(s * (k + l)), zs[2])
+            acc0 += term[0]
+            acc1 += term[1]
         with mp.workprec(mp.prec + 20):
-            zeta = [mp.expjpi(2 * z) for z in (z1, z2, z3)]
-            zinv = [1 / x for x in zeta]
-            Q = [mp.mpc(1), qpow(tau, 1)]
-
-            def qp(m):
-                while len(Q) <= m:
-                    Q.append(Q[-1] * Q[1])
-                return Q[m]
-
-            acc = mp.mpc(0)
-            for k, l, n in cone_points(inside):
-                if (k, l, n) in ((1, 0, 0), (0, -1, -1)):      # a cone's apex
-                    s, a = (1, 0) if k else (-1, -1)
-                    zs = zeta if k else zinv
-                    head = line = term = -qp(1) * zs[0] if k else qp(1) * zs[1] * zs[2]
-                elif l == a and n == a:                         # the next k
-                    head *= -qp(qexp(k, a, a) - qexp(k - s, a, a)) * zs[0]
-                    line = term = head
-                elif n == a:                                    # the next l
-                    line *= qp(qexp(k, l, a) - qexp(k, l - s, a)) * zs[1]
-                    term = line
-                else:
-                    term *= ratio
-                if n == a:
-                    ratio = qp(s * (k + l)) * zs[2]
-                acc += term
+            acc = mp.mpc(mp.mpf((acc0, -W)), mp.mpf((acc1, -W)))
         pref = qpow(tau, -F(1, 8)) * mp.expjpi(-z1 + z2 + z3)
         return +(pref * acc)
 
@@ -276,14 +290,16 @@ def F_cone_numeric(z1, z2, z3, tau, P: int = 113):
 def F_mu_numeric(z1, z2, z3, tau, P: int = 113):
     """F via its Appell-Lerch representation:
     i theta(z1) mu(z1,z2) mu(z1,z3) - eta^3 theta(z2+z3)/(theta(z2) theta(z3))
-    * mu(z1, z2+z3); z1 must avoid the lattice (removable singularities)."""
+    * mu(z1, z2+z3); z1 must avoid the lattice (removable singularities).
+    One mu bundle over z2, z3, z2+z3 gives the mu's and the thetas below."""
     with workprec(P):
         z1, z2, z3, tau = (mp.mpc(w) for w in (z1, z2, z3, tau))
-        eta3 = kernels.eta(tau) ** 3
-        t1 = 1j * kernels.theta(z1, tau) * kernels.mu(z1, z2, tau) * kernels.mu(z1, z3, tau)
-        t2 = (eta3 * kernels.theta(z2 + z3, tau)
-              / (kernels.theta(z2, tau) * kernels.theta(z3, tau))
-              * kernels.mu(z1, z2 + z3, tau))
+        plan = kernels.TauPlan(tau)
+        bundle = plan.mu(z2, z3, z2 + z3)
+        m2, m3, m23 = bundle(z1)
+        th2, th3, th23 = bundle.theta_w
+        t1 = 1j * plan.theta(z1) * m2 * m3
+        t2 = kernels.eta(tau) ** 3 * th23 / (th2 * th3) * m23
         return +(t1 - t2)
 
 

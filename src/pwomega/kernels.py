@@ -25,16 +25,14 @@ Conventions:
     bundle, plus one complex multiply-add per w; jets at the centers 0 and
     tau (TauPlan.theta_taylor, MuPlan.laurent), one more multiply-add per
     term and derivative.
-  * R (_R_terms): a window costs seven exponentials (three unit phases, four
-    real Gaussian seeds), then per term five mpf products (the m_n and h_n
-    recurrences, erfc times m_n), one fixed-point unit-phase step, two
-    fixed-point complex multiply-adds, and erfc(x_n) at the bits the term
-    needs: for 2 <= x_n below mpmath's asymptotic range a trapezoid sum of
-    about (bits + 12) ln 2 / pi integer divisions on weights built once per
-    window, and an exponential while its pole term counts (ErfcTable, within
-    0.2 ulp of the term's bits); elsewhere mpmath's erfc, which is cheap
-    there.  eta costs two exponentials, then five fixed-point products per
-    pentagonal index.
+  * R (_R_terms): a window's seeds cost two unit phases and four real
+    exponentials; per term, one fixed-point unit-phase step, two complex
+    multiply-adds, four mpf products for the m_n and h_n recurrences (none
+    on a side's tail, which needs h_n alone, in fixed point), and
+    erfc(x_n) m_n at the bits the term needs: mpmath's below x_n = 2, else
+    ErfcTable's, on weights built once per precision, with an exponential
+    only for the trapezoid's pole term.  eta costs two exponentials, then
+    five fixed-point products per pentagonal index.
   * the rounding bounds of theta, mu, R and eta are derived once, in the
     README's numerical error policy; each sum stays within a few units of the
     working precision of its largest term (tests/test_kernels.py measures
@@ -43,11 +41,13 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 
 from mpmath import mp
-from mpmath.libmp import (fone, from_man_exp, mpf_div, mpf_erfc, mpf_exp, mpf_mul, mpf_shift,
-                          mpf_sub, round_nearest, to_fixed, to_float)
+from mpmath.libmp import (fone, from_man_exp, ftwo, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_erfc,
+                          mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub,
+                          round_nearest, to_fixed)
 
 from .errors import PoleProximity, PrecisionUnreachable
 
@@ -122,7 +122,9 @@ def _mul(a, b, W: int):
 
 def _to_mpc(x, e: int):
     """The Gaussian integer x at scale 2^e as an mpc at the working precision."""
-    return mp.mpc(mp.mpf((x[0], -e)), mp.mpf((x[1], -e)))
+    prec = mp.prec
+    return mp.make_mpc((from_man_exp(x[0], -e, prec, round_nearest),
+                        from_man_exp(x[1], -e, prec, round_nearest)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +135,9 @@ def _halfint_window(v, y):
     """Index window (over n = k + 1/2) outside which
     exp(-pi v n^2 - 2 pi n y) is below the tail cut, widened by 4 indices
     on each side."""
-    L = (mp.prec + TAIL_GUARD + 8) * mp.ln(2)
-    root = mp.sqrt(y * y + v * L / mp.pi)
-    lo = int(mp.floor((-y - root) / v)) - 4
-    hi = int(mp.ceil((-y + root) / v)) + 4
-    return lo, hi
+    v, y = float(v), float(y)
+    root = math.sqrt(y * y + v * (mp.prec + TAIL_GUARD + 8) * math.log(2) / math.pi)
+    return math.floor((-y - root) / v) - 4, math.ceil((-y + root) / v) + 4
 
 
 class TauPlan:
@@ -419,21 +419,21 @@ def sgn_minus_E(sign_n: int, w):
 
 
 class ErfcTable:
-    """erfc(x) where mpmath's erfc would take 1 - erf(x) at about 1.44 x^2
-    more bits (covers), by the trapezoid rule with step h = pi/c,
-    c = sqrt((bits + 12) ln 2), on (2x/pi) e^(-x^2) int_0^oo e^(-t^2)/(t^2 + x^2) dt
-    (Chiarella & Reichel 1968, Matta & Reichel 1971):
+    """erfc(x) m in fixed point for x >= 2, at up to bits, from
+    H = m e^(-x^2).  Where mpmath's erfc would take 1 - erf(x) at about
+    1.44 x^2 more bits (covers), the trapezoid rule with step h = pi/c,
+    c = sqrt((bits + 12) ln 2) (Chiarella & Reichel 1968, Matta & Reichel 1971):
 
         erfc(x) = (2hx/pi) e^(-x^2) [1/(2x^2) + sum_(k>=1) G_k/(k^2 h^2 + x^2)]
-                  - 2/(e^(2cx) - 1),   G_k = e^(-k^2 h^2).
+                  - 2/(e^(2cx) - 1),   G_k = e^(-k^2 h^2),
 
-    The last term is the integrand's pole at t = ix.  The weights are built
-    once, by ratio recurrence in fixed point at F = bits + ERFC_GUARD bits,
-    and serve every bits up to the table's.  Where the sum and the pole term
-    stop, and what the rule leaves, are stated once, in the README's
-    numerical error policy."""
+    the last term being the pole of its integrand; beyond, mpmath's divergent
+    series, e^(-x^2) S(x)/(x sqrt(pi)).  The weights depend on bits alone:
+    erfc_table keeps one table per bits.  Where the sums stop, and what they
+    leave, are stated in the README's numerical error policy."""
 
     def __init__(self, bits: int):
+        self.bits = bits
         self.F = F = bits + ERFC_GUARD
         G = F + 8                                             # the recurrence's scale
         with mp.workprec(G):
@@ -441,6 +441,7 @@ class ErfcTable:
             self._hp = to_fixed((2 * h / mp.pi)._mpf_, F)      # 2h/pi
             self._c2f = float(2 * mp.pi / h)                    # 2c = 2 pi/h
             self._c2 = to_fixed((2 * mp.pi / h)._mpf_, F)
+            self._sqpi = to_fixed(mp.sqrt(mp.pi)._mpf_, F)
             h2 = to_fixed((h * h)._mpf_, F)
             g = to_fixed(mp.exp(-h * h)._mpf_, G)              # G_1
         step = (g * g) >> G                                   # e^(-2h^2)
@@ -456,11 +457,17 @@ class ErfcTable:
         """True when mpmath's erfc at bits would take 1 - erf(x), floor(x) = x_floor."""
         return x_floor >= 2 and 1.44 * x_floor * x_floor <= bits + 20 + 2 * x_floor.bit_length()
 
-    def erfc_times(self, x, bits: int, m, hm):
-        """erfc(x) m as an mpf, to within 2^-bits relative, for an mpf x the
-        table covers at bits (at most the table's); hm = m e^(-x^2)."""
+    def _at(self, X: int, W: int, bits: int) -> int:
+        """x = X / 2^W at scale 2^F, for bits up to the table's."""
+        if bits > self.bits:
+            raise ValueError(f"an erfc table for {self.bits} bits cannot serve {bits}")
+        return X >> (W - self.F) if W >= self.F else X << (self.F - W)
+
+    def erfc_times(self, X: int, W: int, bits: int, m, H: int) -> int:
+        """erfc(x) m at scale 2^W within 2^-bits relative, for x = X / 2^W
+        the table covers at bits, an mpf m and H = m e^(-x^2) at scale 2^W."""
         F = self.F
-        X = to_fixed(x, F)
+        X = self._at(X, W, bits)
         X2 = (X * X) >> F
         s = (1 << (2 * F)) // (2 * X2)
         stop = 1 << (2 * F - bits - 4)
@@ -468,16 +475,37 @@ class ErfcTable:
             if g < stop:
                 break
             s += g // (k2 + X2)
-        out = mpf_mul(from_man_exp((((self._hp * X) >> F) * s) >> F, -F), hm)
+        out = (((((self._hp * X) >> F) * s) >> F) * H) >> F
         # the pole term is about 2 sqrt(pi) x e^(x^2 - 2 pi x/h) of erfc(x)
-        xf = to_float(x)
+        xf = X / (1 << F)
         p = bits + ERFC_GUARD + int(math.log2(3.6 * xf) + (xf - self._c2f) * xf * math.log2(math.e))
         if p > 0:
             p = max(p, 24)
             u = mpf_exp(from_man_exp(-((self._c2 * X) >> F), -F), p)     # e^(-2 pi x/h)
-            pole = mpf_div(mpf_shift(mpf_mul(u, m), 1), mpf_sub(fone, u, p), p)
-            out = mpf_sub(out, pole, F)
+            out -= to_fixed(mpf_div(mpf_shift(mpf_mul(u, m), 1), mpf_sub(fone, u, p), p), W)
         return out
+
+    def asymptotic_times(self, X: int, W: int, bits: int, H: int) -> int:
+        """erfc(x) m at scale 2^W within 2^-bits relative, for x = X / 2^W
+        beyond the table's range at bits and H = m e^(-x^2) at scale 2^W:
+        S(x) = sum_k (-1)^k (2k-1)!!/(2x^2)^k at F bits, stopped as mpmath stops it."""
+        F = bits + ERFC_GUARD
+        X = self._at(X, W, bits) >> (self.F - F)
+        t = (X * X) >> (F - 1)                                # 2x^2
+        s, term, prev, k = 1 << F, 1 << F, 0, 1
+        while True:
+            term = ((term * (2 * k - 1)) << F) // t
+            if k > 4 and term > prev or not term:
+                break
+            s += -term if k & 1 else term
+            prev, k = term, k + 1
+        return (H * s) // ((X * self._sqpi) >> self.F)
+
+
+@functools.lru_cache(maxsize=8)
+def erfc_table(bits: int) -> ErfcTable:
+    """The ErfcTable for bits, kept: a table depends on bits alone."""
+    return ErfcTable(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -511,81 +539,93 @@ def _R_terms(z, tau, formal=False):
     R = sum over n in 1/2 + Z of t_n = (sgn(n) - E(w_n)) p_n with
     p_n = (-1)^(n-1/2) e^(-pi i (n^2 tau + 2 n z)) and w_n = (n + a) sqrt(2v),
     a = y/v.  The pass walks outward from n = 1/2 on both sides; the unit
-    e_n = p_n / m_n (a Gaussian integer at scale 2^W), m_n = |p_n| =
-    e^(pi (n^2 v + 2 n y)) and h_n = m_n e^(-x_n^2), x_n = sqrt(pi) |w_n|
-    (mpf at wp bits), follow ratio recurrences seeded once per window.
-    sgn - E is sgn erfc(x_n) when the signs of n and w_n agree and
-    sgn (2 - erfc(x_n)) when they differ.  Term n's erfc is taken at
+    e_n = p_n / m_n (a Gaussian integer at scale 2^W), m_n = |p_n| and
+    h_n = m_n e^(-x_n^2), x_n = sqrt(pi) |w_n| (mpf at wp bits; h_n alone,
+    in fixed point, on a side's tail), follow ratio recurrences seeded once
+    per window.  sgn - E is sgn erfc(x_n) when the signs of n and w_n agree
+    and sgn (2 - erfc(x_n)) when they differ.  Term n's erfc is taken at
     prec + TAIL_GUARD - floor(log2(B_max/B_n)) bits, at least 53, with B_n
-    the a-priori bound on |t_n| (_R_window); ErfcTable takes its
-    e^(-x_n^2) m_n from h_n.  The bounds, and the rounding they allow, are
-    derived once, in the README's numerical error policy.
+    the a-priori bound on |t_n| (_R_window).  The bounds, and the rounding
+    they allow, are derived once, in the README's numerical error policy.
     """
     z, tau = mp.mpc(z), mp.mpc(tau)
-    v, y = tau.imag, z.imag
-    if v <= 0:
+    if tau.imag <= 0:
         raise PrecisionUnreachable("R needs Im(tau) > 0")
-    lo, hi, lbs = _R_window(v, y)
+    (u, v), (x, y) = tau._mpc_, z._mpc_
+    lo, hi, lbs = _R_window(tau.imag, z.imag)
     top, prec = max(lbs.values()), mp.prec
     # a value j steps from its seed carries at most about j^2/2 + 3j + 3
     # units of 2^-wp (of 2^-W for e_n) from its recurrence
     wp = prec + TAIL_GUARD + 2 * max(hi, -lo).bit_length()
     W = wp - math.floor(top)
     rnd = round_nearest
-    with mp.workprec(wp):
-        C = to_fixed(mp.sqrt(2 * mp.pi * v)._mpf_, W)       # x_n = C |2(n + a)| / 2^(W+1)
-        A2 = to_fixed((2 * y / v)._mpf_, W)                  # 2a at scale 2^W
-        u, x = tau.real, z.real
-        ex, eq = mp.expjpi(-2 * x), mp.expjpi(-2 * u)
-        estep = _fix(eq, W)
-        e0 = _fix(mp.expjpi(-u / 4 - x), W)                  # e_(1/2)
-        ed = _fix(-mp.conj(ex), W)                           # e_(-1/2) / e_(1/2)
-        eu = _fix(-ex * eq, W)                               # e_(3/2) / e_(1/2)
-        mq, my = mp.exp(2 * mp.pi * v), mp.exp(2 * mp.pi * y)
-        m0 = mp.exp(mp.pi * (v / 4 + y))                     # m_(1/2)
-        h0 = mp.exp(-mp.pi * (v / 4 + y + 2 * y * y / v))    # h_(1/2)
-        # per side: first k, stop, step; e, m, h at the first k and their ratios
-        sides = ((0, hi + 1, 1, e0, eu, m0, mq * my, h0, 1 / (mq * my)),
-                 (-1, lo - 1, -1, _mul(e0, ed, W), _mul(ed, estep, W),
-                  m0 / my, mq / my, h0 * my, my / mq))
-        mstep, hstep = mq._mpf_, (1 / mq)._mpf_
-    erfcs = None       # the trapezoid weights, built for the first term that uses them
+    mul, div, add = (functools.partial(f, prec=wp, rnd=rnd) for f in (mpf_mul, mpf_div, mpf_add))
+    # the seeds: real ones at wp bits; the units from e^(-pi i u/4) and
+    # e^(-pi i x) at wp + 8 bits, multiplied out at scale 2^G, G = W + 8
+    G = W + 8
+    pi = mpf_pi(wp)
+    pv, py, a = mul(pi, v), mul(pi, y), div(y, v)
+    C = to_fixed(mpf_sqrt(mpf_shift(pv, 1), wp, rnd), W)    # x_n = C |2(n + a)| / 2^(W+1)
+    A2 = to_fixed(a, W + 1)                                  # 2a at scale 2^W
+    eq, ex = ((to_fixed(c, G), to_fixed(s, G)) for c, s in
+              (mpf_cos_sin_pi(mpf_neg(t), wp + 8) for t in (mpf_shift(u, -2), x)))
+    e0, ex = _mul(eq, ex, G), _mul(ex, ex, G)               # e_(1/2), e^(-2 pi i x)
+    for _ in range(3):
+        eq = _mul(eq, eq, G)                                 # e^(-2 pi i u) at the end
+    ed = (-ex[0], ex[1])                                     # e_(-1/2) / e_(1/2)
+    eu = _mul(ex, (-eq[0], -eq[1]), G)                       # e_(3/2) / e_(1/2)
+    e1, ed = _mul(e0, ed, G), _mul(ed, eq, G)
+    e0, eu, e1, ed, estep = ((r >> 8, i >> 8) for r, i in (e0, eu, e1, ed, eq))
+    l0 = add(mpf_shift(pv, -2), py)                          # log m_(1/2)
+    mq, my, m0, h0 = (mpf_exp(t, wp, rnd) for t in (mpf_shift(pv, 1), mpf_shift(py, 1), l0,
+                                                      mpf_neg(add(l0, mpf_shift(mul(py, a), 1)))))
+    mqy = mul(mq, my)
+    # per side: first k, stop, step; e, m, h at the first k and their ratios
+    sides = ((0, hi + 1, 1, e0, eu, m0, mqy, h0, div(fone, mqy)),
+             (-1, lo - 1, -1, e1, ed, div(m0, my), div(mq, my), mul(h0, my), div(my, mq)))
+    mstep, hstep = mq, div(fone, mq)
+    table = erfc_table(max(53, prec + TAIL_GUARD))
     r0 = r1 = n0 = n1 = w0 = w1 = 0
     for k0, stop, step, (er, ei), ratio, m, mr, h, hr in sides:
-        m, mr, h, hr = m._mpf_, mr._mpf_, h._mpf_, hr._mpf_
+        H = None        # h_n at scale 2^W on the side's tail
         for k in range(k0, stop, step):
             nw = ((2 * k + 1) << W) + A2                    # 2(n + a) at scale 2^W
             bits = max(53, prec + TAIL_GUARD - int(top - lbs[k]))
             X = (C * abs(nw)) >> (W + 1)
-            if ErfcTable.covers(X >> W, bits):
-                erfcs = erfcs or ErfcTable(max(53, prec + TAIL_GUARD))
-                f = erfcs.erfc_times(from_man_exp(X, -W), bits, m, h)
+            xf, hf = X >> W, to_fixed(h, W) if H is None else H
+            if xf < 2:
+                fm = to_fixed(mpf_mul(mpf_erfc(from_man_exp(X, -W), bits, rnd), m), W)
+            elif ErfcTable.covers(xf, bits):
+                fm = table.erfc_times(X, W, bits, m, hf)
             else:
-                f = mpf_mul(mpf_erfc(from_man_exp(X, -W), bits, rnd), m)
+                fm = table.asymptotic_times(X, W, bits, hf)
+                if H is None and (nw >= 0) == (k >= 0):
+                    # x_n only grows from here on and the bits only fall
+                    H, HR, HSTEP = hf, to_fixed(hr, W), to_fixed(hstep, W)
             if (nw >= 0) != (k >= 0):
-                f = mpf_sub(mpf_shift(m, 1), f, wp, rnd)
-            fm = to_fixed(f, W) if k >= 0 else -to_fixed(f, W)   # t_n / e_n at scale 2^W
+                fm = 2 * to_fixed(m, W) - fm
+            if H is None:
+                m, mr, h, hr = mul(m, mr), mul(mr, mstep), mul(h, hr), mul(hr, hstep)
+            else:
+                H, HR = (H * HR) >> W, (HR * HSTEP) >> W
+            if k < 0:
+                fm = -fm                                    # t_n / e_n at scale 2^W
             tr, ti = (fm * er) >> W, (fm * ei) >> W
             r0 += tr
             r1 += ti
             n0 += (2 * k + 1) * tr
             n1 += (2 * k + 1) * ti
             if not formal:
-                hf = to_fixed(h, W)
                 w0 += (hf * er) >> W
                 w1 += (hf * ei) >> W
             er, ei = _mul((er, ei), ratio, W)
             ratio = _mul(ratio, estep, W)
-            m = mpf_mul(m, mr, wp, rnd)
-            mr = mpf_mul(mr, mstep, wp, rnd)
-            h = mpf_mul(h, hr, wp, rnd)
-            hr = mpf_mul(hr, hstep, wp, rnd)
-    with mp.workprec(wp):
-        # d/dz: the power rule gives -2 pi i sum n t_n, and the E-factor's
-        # y-dependence adds (1/(2i)) d/dy (sgn - E) = i sqrt(2/v) g_n p_n per term
-        dz = (-1j * mp.pi * _to_mpc((n0, n1), W)
-              + 1j * mp.sqrt(2 / v) * _to_mpc((w0, w1), W))
-    return _to_mpc((r0, r1), W), +dz
+    # d/dz: the power rule gives -2 pi i sum n t_n = -pi i (n0 + i n1), and
+    # the E-factor's y-dependence adds (1/(2i)) d/dy (sgn - E) = i sqrt(2/v)
+    # g_n p_n per term, i sqrt(2/v) (w0 + i w1); both at scale 2^(2W)
+    PI = to_fixed(pi, W)
+    S = to_fixed(mpf_sqrt(div(ftwo, v), wp, rnd), W)
+    return _to_mpc((r0, r1), W), _to_mpc((PI * n1 - S * w1, S * w0 - PI * n0), 2 * W)
 
 
 def R(z, tau):

@@ -211,7 +211,8 @@ class QSeries:
     def mul_monomial(self, mono: Monomial) -> "QSeries":
         if mono.z_exp != 0:
             raise LatticeMismatch("zeta-carrying monomial on a QSeries")
-        return self.shift(mono.q_exp).scale(mono.coeff)
+        out = self.shift(mono.q_exp)
+        return out if mono.coeff == ONE else out.scale(mono.coeff)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)

@@ -29,6 +29,19 @@ def test_cone_vs_mu_representation():
     assert abs(a - b) < 1e-40
 
 
+@pytest.mark.parametrize("pt", BRZ_POINTS)
+def test_F_mu_numeric_is_the_product_of_public_kernels(pt):
+    # one plan and one mu bundle over z2, z3, z2 + z3 give the F of the
+    # formula's eight one-point kernel calls
+    z1, z2, z3, tau = (mp.mpc(*x) for x in pt)
+    got = completion.F_mu_numeric(z1, z2, z3, tau, P)
+    with workprec(P):
+        th = [kernels.theta(w, tau) for w in (z1, z2, z3, z2 + z3)]
+        want = +(1j * th[0] * kernels.mu(z1, z2, tau) * kernels.mu(z1, z3, tau)
+                 - kernels.eta(tau) ** 3 * th[3] / (th[1] * th[2]) * kernels.mu(z1, z2 + z3, tau))
+        assert abs(got - want) <= mp.mpf(2) ** -(mp.prec - 4) * abs(want)
+
+
 def F_cone_reference(z1, z2, z3, tau, P):
     """The cone sum point by point: the cut in mpf, two exponentials per
     point.  Returns the value and the points summed."""

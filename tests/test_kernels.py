@@ -2,8 +2,8 @@
 per-term bilateral sums in mpmath: one complex exponential per term, with
 the same windows and the same pole check.  R and eta (ratio recurrences,
 R's erfc at the precision each term needs) against their per-term sums at
-100 more bits, and R's trapezoid erfc (kernels.ErfcTable) against mpmath's
-erfc at 100 more bits."""
+100 more bits, and R's trapezoid and asymptotic erfc (kernels.ErfcTable)
+against mpmath's erfc at 100 more bits."""
 
 import pytest
 from contour_oracle import contour_radius
@@ -236,12 +236,18 @@ def test_R_matches_per_term_sum(im_tau):
 
 def test_R_window_follows_its_largest_terms():
     # |t_n| peaks at n = -Im z / Im tau: two units of Im tau above the strip
-    # the window must reach 12 indices further down than one centred at +Im z / Im tau
-    tau, z = mp.mpc("0.11", "0.5"), mp.mpc("0.2", "3")
-    with mp.workprec(P + GUARD + 100):
-        want = R_reference(z, tau)[0]
-    with workprec(P):
-        assert _ulps(kernels.R(z, tau), want) <= 2
+    # the window must reach 12 indices further down than one centred at
+    # +Im z / Im tau; at Im z = 6 every kept term lies between n = 0 and
+    # n = -Im z / Im tau, where sgn(n) and w_n differ, and the outer ones
+    # take the asymptotic erfc on h_n
+    tau = mp.mpc("0.11", "0.5")
+    for z in (mp.mpc("0.2", "3"), mp.mpc("0.2", "6")):
+        with mp.workprec(P + GUARD + 100):
+            want = R_reference(z, tau)
+        with workprec(P):
+            got = (*kernels._R_terms(z, tau), kernels._R_terms(z, tau, formal=True)[1])
+            for g, w in zip(got, want):
+                assert _ulps(g, w) <= 2, (z, g, w)
 
 
 @pytest.mark.parametrize("im_tau", IM_TAUS_R)
@@ -289,35 +295,91 @@ def _erfc_edges(bits):
     return [mp.mpf(2), mp.mpf(top), edge] + [2 + (edge - 2) * mp.mpf(j) / 7 for j in (1, 3, 5, 6)]
 
 
+def _erfc_times(table, x, bits, m):
+    """[m erfc(x) at 100 more bits, the table's erfc(x) m]: the table's inputs
+    and result at a fixed-point scale 2^W that puts at least bits + 20 bits
+    in x and in the value."""
+    with mp.workprec(bits + 100):
+        want = m * mp.erfc(x)
+        W = bits + 20 + max(0, -int(mp.floor(mp.log(want, 2))))
+        X, H = (int(mp.floor(t * mp.mpf(2) ** W)) for t in (x, m * mp.exp(-x * x)))
+        if kernels.ErfcTable.covers(X >> W, bits):
+            got = table.erfc_times(X, W, bits, m._mpf_, H)
+        else:
+            got = table.asymptotic_times(X, W, bits, H)
+        return want, mp.mpf(got) / mp.mpf(2) ** W
+
+
 @pytest.mark.parametrize("bits", [53, 120, 192, 258, 330])
 def test_erfc_table_matches_mpmath(bits):
     # the trapezoid sum stays within 1 ulp of the requested bits at both
     # ends of mpmath's 1 - erf range, x = 2 and 1.44 floor(x)^2 = bits + 20
-    # + 2 mag(x), and between them; R builds one table at its largest bits,
-    # uses it for terms that need fewer, and scales by m_n far from 1
+    # + 2 mag(x), and between them; R takes the table at its largest bits
+    # from the memo, uses it for terms that need fewer, and scales by m_n
+    # far from 1
     assert not kernels.ErfcTable.covers(1, bits) and kernels.ErfcTable.covers(2, bits)
     for table_bits, m in ((bits, mp.mpf(1)), (330, mp.mpf(10) ** 40)):
-        table = kernels.ErfcTable(table_bits)
+        table = kernels.erfc_table(table_bits)
         for x in _erfc_edges(bits):
-            with mp.workprec(bits + 100):
-                want = m * mp.erfc(x)
-                got = mp.mpf(table.erfc_times(x._mpf_, bits, m._mpf_, (m * mp.exp(-x * x))._mpf_))
-                assert abs(got - want) <= mp.mpf(2) ** -bits * want, (table_bits, x)
+            want, got = _erfc_times(table, x, bits, m)
+            assert abs(got - want) <= mp.mpf(2) ** -bits * want, (table_bits, x)
+
+
+@pytest.mark.parametrize("bits", [53, 120, 192, 258, 330])
+def test_erfc_asymptotic_matches_mpmath(bits):
+    # beyond the trapezoid's range the divergent series, on e^(-x^2) m from
+    # the caller, stays within 1 ulp of the requested bits from the first x
+    # the table leaves to it up to x = 40
+    first = 2
+    while kernels.ErfcTable.covers(first, bits):
+        first += 1
+    xs = [mp.mpf(first), mp.mpf(first) + mp.mpf(1) / 3, mp.mpf(first + 1) - mp.mpf(2) ** -40]
+    xs += [mp.mpf(x) + mp.mpf(1) / 7 for x in range(first + 1, 41, 3)]
+    for table_bits, m in ((bits, mp.mpf(1)), (330, mp.mpf(10) ** 40)):
+        table = kernels.erfc_table(table_bits)
+        for x in xs:
+            assert not kernels.ErfcTable.covers(int(x), bits)
+            want, got = _erfc_times(table, x, bits, m)
+            assert abs(got - want) <= mp.mpf(2) ** -bits * want, (table_bits, x)
 
 
 def test_oracles_stay_on_mpmath_erfc(monkeypatch):
     # R's per-term oracle, sgn_minus_E and appell's N1 sum are the routes R
-    # is checked against, so none of them may reach the trapezoid erfc
-    def refuse(*args):
-        raise AssertionError("the trapezoid erfc was reached")
-
-    monkeypatch.setattr(kernels.ErfcTable, "erfc_times", refuse)
+    # is checked against, so none of them may reach the trapezoid erfc or
+    # the asymptotic series on h_n; R reaches both
     tau = mp.mpc("0.11", "0.1")
     z = _R_points(tau)[0]
-    with workprec(P):
-        with pytest.raises(AssertionError, match="trapezoid"):
-            kernels.R(z, tau)
-        R_reference(z, tau)
-        for sign in (1, -1):
-            kernels.sgn_minus_E(sign, mp.mpf("2.5"))
-        appell.R_quarter_split(tau, P)
+    for branch in ("erfc_times", "asymptotic_times"):
+        def refuse(*args):
+            raise AssertionError(f"the table's {branch} was reached")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels.ErfcTable, branch, refuse)
+            with workprec(P):
+                with pytest.raises(AssertionError, match=branch):
+                    kernels.R(z, tau)
+                R_reference(z, tau)
+                for sign in (1, -1):
+                    kernels.sgn_minus_E(sign, mp.mpf("2.5"))
+                    kernels.sgn_minus_E(sign, mp.mpf("9.5"))
+                appell.R_quarter_split(tau, P)
+
+
+def test_erfc_table_memo_keeps_R_bit_identical():
+    # a table depends on its bits alone: R and R_dz at P = 128, then 192,
+    # then 128 again equal their cold-memo values bit for bit, and the
+    # second 128 reuses the first one's table
+    tau = mp.mpc("0.11", "0.1")
+    z = _R_points(tau)[-1]
+
+    def values(prec):
+        with workprec(prec):
+            return kernels.R(z, tau), kernels.R_dz(z, tau)
+
+    cold = {}
+    for prec in (128, 192):
+        kernels.erfc_table.cache_clear()
+        cold[prec] = values(prec)
+    kernels.erfc_table.cache_clear()
+    assert [values(prec) for prec in (128, 192, 128)] == [cold[128], cold[192], cold[128]]
+    assert kernels.erfc_table.cache_info().misses == 2
