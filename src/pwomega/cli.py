@@ -24,7 +24,6 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 def _expand_object(name: str, N: int) -> QSeries:
-    from .appell import mu_torsion_series
     from .classical import (EtaQuotient, TorsionPoint, eta_quotient_series,
                             eta_series, theta_series_at_torsion)
     from .indefinite import pbar_omega_series
@@ -48,6 +47,7 @@ def _expand_object(name: str, N: int) -> QSeries:
     if name == "theta(tau/2+1/4)":
         return theta_series_at_torsion(TorsionPoint(F(1, 2), F(1, 4)), N)
     if name == "mu(tau/2,tau/2+1/4)":
+        from .appell import mu_torsion_series
         return mu_torsion_series(TorsionPoint(F(1, 2), 0),
                                  TorsionPoint(F(1, 2), F(1, 4)), N)
     family = name.replace("-", "_")
@@ -82,8 +82,7 @@ def load_config(path: Optional[str]) -> Dict:
                 if key in ("order", "prec", "jobs", "window"):
                     out[key] = int(val)
                 elif key == "taus":
-                    out["taus"] = [tuple(float(x) for x in pair.split(","))
-                                   for pair in val.split(";") if pair.strip()]
+                    out["taus"] = _parse_taus(p for p in val.split(";") if p.strip())
                 else:
                     raise ValueError(f"unknown config key {key!r}")
     except (OSError, ValueError) as exc:
@@ -95,10 +94,8 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_taus(values: Optional[List[str]]):
-    if not values:
-        return None
-    return [tuple(float(x) for x in v.split(",")) for v in values]
+def _parse_taus(values) -> List:
+    return [tuple(float(x) for x in v.split(",")) for v in values or ()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Identity registry: every verifiable statement gets a stable id, a runner,
 default parameters, and a tolerance; runners produce VerificationReport
-records for the CLI and the acceptance suite.
+records for the CLI and the acceptance suite.  Only the exact layers load
+with this module; each numeric runner imports what it uses from mpmath and the
+numeric modules (kernels, completion, appell, modular) when it first runs.
 
 Every verdict is decided in one of two places: _series_check for exact
 series pairs and _residual_check for numeric residuals.  The only criteria
@@ -21,10 +23,6 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
-from mpmath import mp
-
-from . import completion, kernels
-from .appell import mu_hat_transform_check
 from .classical import (EtaQuotient, TorsionPoint, eta_quotient_series,
                         finite_jtp_sides, heine_sides,
                         theta_elliptic_shift_reference, theta_series_at_torsion)
@@ -33,8 +31,6 @@ from .errors import UnknownIdentity
 from .indefinite import (g_equals_sum_of_f_mismatch, pbar_from_dzeta_brackets,
                          pbar_omega_series, pwz_coefficient_formula_sides,
                          pwz_lhs_cleared, pwz_rhs_cleared)
-from .kernels import workprec
-from .modular import GroupElement, dtaubar_fd, laplacian_fd, lowering_fd, xi_fd
 from .partitions import census, genfun
 from .qseries import Monomial, QSeries
 
@@ -90,10 +86,15 @@ def _series_check(pairs) -> Dict:
     return {"ok": True, "witness": None}
 
 
-def _residual_check(residuals, tol) -> Dict:
+def _residual_check(residuals, tol, prec=None) -> Dict:
     """Numeric verdict over (residual, witness) pairs: keeps the worst (the
     first of equal ones) and passes iff worst < tol; a failure carries the
-    worst's witness.  No residuals at all is a failure, not a pass."""
+    worst's witness.  No residuals at all is a failure, not a pass.  Given
+    prec, the residuals are taken under kernels.workprec(prec)."""
+    if prec is not None:
+        from .kernels import workprec
+        with workprec(prec):
+            return _residual_check(residuals, tol)
     worst = wit = None
     for res, w in residuals:
         if worst is None or res > worst:
@@ -164,20 +165,24 @@ BRZ_POINTS = [((0.13, 0.21), (-0.07, 0.11), (0.19, -0.15), (0.11, 0.93)),
 
 
 def _run_brz(params) -> Dict:
+    from mpmath import mp
+    from .completion import F_cone_numeric, F_mu_numeric
     P = params["prec"]
 
     def residuals():
         for pt in BRZ_POINTS:
             z1, z2, z3, tau = (mp.mpc(*x) for x in pt)
-            a = completion.F_cone_numeric(z1, z2, z3, tau, P)
-            b = completion.F_mu_numeric(z1, z2, z3, tau, P)
+            a = F_cone_numeric(z1, z2, z3, tau, P)
+            b = F_mu_numeric(z1, z2, z3, tau, P)
             yield float(abs(a - b)), {"part": "cone-vs-mu"}
 
-    with workprec(P):
-        return _residual_check(residuals(), params["tolerance"])
+    return _residual_check(residuals(), params["tolerance"], P)
 
 
 def _run_theta_shifts(params) -> Dict:
+    from mpmath import mp
+    from .kernels import R, qpow
+
     def pairs():
         N = params["order"]
         yield ("theta(tau+1/2)", theta_series_at_torsion(TorsionPoint(1, F(1, 2)), N),
@@ -195,18 +200,21 @@ def _run_theta_shifts(params) -> Dict:
     def residuals():
         for tt in params.get("taus", DEFAULT_TAUS):
             tau = mp.mpc(*tt)
-            got = kernels.R(tau + mp.mpf(1) / 2, tau)
-            want = 2j * kernels.qpow(tau, F(3, 8))
+            got = R(tau + mp.mpf(1) / 2, tau)
+            want = 2j * qpow(tau, F(3, 8))
             yield float(abs(got - want)), {"part": "R(tau+1/2)"}
 
     out = _series_check(pairs())
     if not out["ok"]:
         return out
-    with workprec(params["prec"]):
-        return _residual_check(residuals(), params["tolerance"])
+    return _residual_check(residuals(), params["tolerance"], params["prec"])
 
 
 def _run_mu_laws(params) -> Dict:
+    from mpmath import mp
+    from .appell import mu_hat_transform_check
+    from .kernels import R, mu, muhat, qpow
+    from .modular import GroupElement, laplacian_fd
     P = params["prec"]
     tol = params["tolerance"] if params["tolerance"] is not None else 2.0 ** (-P + 10)
 
@@ -220,19 +228,19 @@ def _run_mu_laws(params) -> Dict:
                 continue
             # mh comes from kernels.muhat itself, so muhat-minus-mu tests it;
             # mu(z1, z2) and R(z1) are evaluated once for the checks they share
-            mh = kernels.muhat(z1, z2, tau)
-            m12 = kernels.mu(z1, z2, tau)
-            r1 = kernels.R(z1, tau)
+            mh = muhat(z1, z2, tau)
+            m12 = mu(z1, z2, tau)
+            r1 = R(z1, tau)
             checks = {
-                "mu-symmetry": abs(m12 - kernels.mu(z2, z1, tau)),
-                "muhat-swap": abs(mh - kernels.muhat(z2, z1, tau)),
-                "muhat-negate": abs(mh - kernels.muhat(-z1, -z2, tau)),
-                "muhat-minus-mu": abs(mh - m12 - 0.5j * kernels.R(z1 - z2, tau)),
-                "R-shift-1": abs(kernels.R(z1 + 1, tau) + r1),
-                "R-shift-tau": abs(kernels.R(z1 + tau, tau)
-                                   + mp.expjpi(2 * z1) * kernels.qpow(tau, F(1, 2)) * r1
-                                   - 2 * mp.expjpi(z1) * kernels.qpow(tau, F(3, 8))),
-                "mu-elliptic": abs(kernels.mu(z1 + tau, z2, tau)
+                "mu-symmetry": abs(m12 - mu(z2, z1, tau)),
+                "muhat-swap": abs(mh - muhat(z2, z1, tau)),
+                "muhat-negate": abs(mh - muhat(-z1, -z2, tau)),
+                "muhat-minus-mu": abs(mh - m12 - 0.5j * R(z1 - z2, tau)),
+                "R-shift-1": abs(R(z1 + 1, tau) + r1),
+                "R-shift-tau": abs(R(z1 + tau, tau)
+                                   + mp.expjpi(2 * z1) * qpow(tau, F(1, 2)) * r1
+                                   - 2 * mp.expjpi(z1) * qpow(tau, F(3, 8))),
+                "mu-elliptic": abs(mu(z1 + tau, z2, tau)
                                    + mp.expjpi(2 * (z1 - z2) + tau) * m12
                                    + 1j * mp.expjpi(z1 - z2 + 3 * tau / 4)),
             }
@@ -246,14 +254,13 @@ def _run_mu_laws(params) -> Dict:
             yield (mu_hat_transform_check(M, z1, z2, tau0, P),
                    {"part": f"muhat-transform {M}"})
 
-    with workprec(P):
-        out = _residual_check(residuals(), tol)
+    out = _residual_check(residuals(), tol, P)
     if not out["ok"]:
         return out
     # harmonicity of muhat at torsion data, weight 1/2 (step-limited)
     def h(t):
         t = mp.mpc(t)
-        return kernels.muhat(t / 2, t / 2 + mp.mpf(1) / 4, t)
+        return muhat(t / 2, t / 2 + mp.mpf(1) / 4, t)
 
     lap = laplacian_fd(h, F(1, 2), mp.mpc(0.13, 1.02), P=min(P, 160))
     lap_ok = abs(lap) < params["laplacian_tolerance"]
@@ -289,62 +296,67 @@ def _run_heine(params) -> Dict:
 
 
 def _run_hhat1(params) -> Dict:
-    P = params["prec"]
+    from mpmath import mp
+    from .completion import hhat1_numeric
     return _residual_check(
-        ((float(abs(completion.hhat1_numeric(mp.mpc(*tt), P).value)), {"part": "hhat1"})
+        ((float(abs(hhat1_numeric(mp.mpc(*tt), params["prec"]).value)), {"part": "hhat1"})
          for tt in params["taus"]), params["tolerance"])
 
 
 def _run_hhat2(params) -> Dict:
+    from mpmath import mp
+    from .completion import hhat2_numeric, phat_omega_numeric
+    from .kernels import eta
     P = params["prec"]
 
     def residuals():
         for tt in params.get("taus", DEFAULT_TAUS):
             tau = mp.mpc(*tt)
-            h2 = completion.hhat2_numeric(tau, P)
-            ph = completion.phat_omega_numeric(tau, P)
-            yield (float(abs(h2.value + 4j * kernels.eta(tau) ** 3 * ph.value)),
+            h2 = hhat2_numeric(tau, P)
+            ph = phat_omega_numeric(tau, P)
+            yield (float(abs(h2.value + 4j * eta(tau) ** 3 * ph.value)),
                    {"part": "hhat2 vs -4i eta^3 phat"})
 
-    with workprec(P):
-        return _residual_check(residuals(), params["tolerance"])
+    return _residual_check(residuals(), params["tolerance"], P)
 
 
 def _run_phat_weight1(params) -> Dict:
+    from mpmath import mp
+    from .completion import phat_omega_numeric
+    from .modular import GroupElement
     P = params["prec"]
 
     def residuals():
         taus = [mp.mpc(*tt) for tt in params.get("taus", DEFAULT_TAUS)]
-        rights = [completion.phat_omega_numeric(tau, P).value for tau in taus]
+        rights = [phat_omega_numeric(tau, P).value for tau in taus]
         for mat in params["matrices"]:
             M = GroupElement.parse(mat) if isinstance(mat, str) else mat
             for tau, right in zip(taus, rights):
-                left = completion.phat_omega_numeric(M.act(tau), P).value
+                left = phat_omega_numeric(M.act(tau), P).value
                 res = abs(left - mp.expjpi(mp.mpf(M.c) / 8) * M.jfactor(tau) * right)
                 yield (float(res / max(abs(left), abs(right))),
                        {"matrix": str(M), "tau": str(tau)})
 
-    with workprec(P):
-        return _residual_check(residuals(), params["tolerance"])
+    return _residual_check(residuals(), params["tolerance"], P)
 
 
 def _run_phat_holpart(params) -> Dict:
     """Literal decay bound (expected fail: the non-holomorphic remainder
     has a non-decaying v^(-1/2) term); the report carries the
     plateau-subtracted residuals as diagnostics."""
+    from mpmath import mp
+    from .completion import holomorphic_part_numeric, nonholo_plateau, phat_omega_numeric
+    from .kernels import workprec
     P = params["prec"]
-    N = params["order"]
-    tol = params["tolerance"]
     with workprec(P):
-        res = {}
-        res_corr = {}
+        res, res_corr = {}, {}
         for v in (3, 4):
             tau = mp.mpc(0.3, v)
-            ph = completion.phat_omega_numeric(tau, P).value
-            hol = completion.holomorphic_part_numeric(tau, N, P)
+            ph = phat_omega_numeric(tau, P).value
+            hol = holomorphic_part_numeric(tau, params["order"], P)
             res[v] = float(abs(ph - hol))
-            res_corr[v] = float(abs(ph - completion.nonholo_plateau(tau, P) - hol))
-    ok = res[4] < tol and res[3] > 10 * res[4]
+            res_corr[v] = float(abs(ph - nonholo_plateau(tau, P) - hol))
+    ok = res[4] < params["tolerance"] and res[3] > 10 * res[4]
     plat = {"plateau_subtracted_v3": res_corr[3], "plateau_subtracted_v4": res_corr[4],
             "plateau_decay_ratio": res_corr[3] / res_corr[4]}
     return {"ok": ok, "worst": res[4],
@@ -355,15 +367,19 @@ def _run_phat_holpart(params) -> Dict:
 def _run_phat_lowering(params) -> Dict:
     """The lowering combination in its original form (expected fail), plus
     the closed tau-bar derivative of FF'(0) (passes)."""
+    from mpmath import mp
+    from .completion import dtaubar_fcal1_closed, fcal_derivs, lowering_rhs, phat_omega_numeric
+    from .kernels import workprec
+    from .modular import dtaubar_fd, lowering_fd
     P = params["prec"]
     tol = params["tolerance"]
     tau = mp.mpc(*params.get("taus", DEFAULT_TAUS)[0])
     with workprec(P):
-        Lfd = lowering_fd(lambda t: completion.phat_omega_numeric(t, P).value, tau, P)
-        printed = float(abs(Lfd - completion.lowering_rhs(tau, P)))
-        corrected = float(abs(Lfd - completion.lowering_rhs(tau, P, corrected=True)))
-        d = dtaubar_fd(lambda t: completion.fcal_derivs(t, P)[1].value, tau)
-        d435 = float(abs(d - completion.dtaubar_fcal1_closed(tau, P)))
+        Lfd = lowering_fd(lambda t: phat_omega_numeric(t, P).value, tau, P)
+        printed = float(abs(Lfd - lowering_rhs(tau, P)))
+        corrected = float(abs(Lfd - lowering_rhs(tau, P, corrected=True)))
+        d = dtaubar_fd(lambda t: fcal_derivs(t, P)[1].value, tau)
+        d435 = float(abs(d - dtaubar_fcal1_closed(tau, P)))
     ok = printed < tol and d435 < tol
     return {"ok": ok, "worst": max(printed, d435),
             "witness": {"part": "original-form lowering combination",
@@ -373,16 +389,18 @@ def _run_phat_lowering(params) -> Dict:
 
 
 def _run_f2_shadow(params) -> Dict:
+    from mpmath import mp
+    from .completion import f2_shadow_closed, f_family_numeric
+    from .modular import xi_fd
     P = params["prec"]
 
     def residuals():
         for tt in params.get("taus", DEFAULT_TAUS)[:2]:
             tau = mp.mpc(*tt)
-            xi = xi_fd(lambda t: completion.f_family_numeric(2, t, P), F(1, 2), tau, P)
-            yield float(abs(xi - completion.f2_shadow_closed(tau, P))), {"part": "xi_{1/2}(f2)"}
+            xi = xi_fd(lambda t: f_family_numeric(2, t, P), F(1, 2), tau, P)
+            yield float(abs(xi - f2_shadow_closed(tau, P))), {"part": "xi_{1/2}(f2)"}
 
-    with workprec(P):
-        return _residual_check(residuals(), params["tolerance"])
+    return _residual_check(residuals(), params["tolerance"], P)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """CLI harness: commands, exit codes, report schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 from pwomega.cli import main
 from pwomega.cyc8 import Cyc8
@@ -199,3 +203,32 @@ def test_no_residuals_is_a_failure(tmp_path, capsys):
 def test_mu_laws_zero_tolerance_fails():
     # a tolerance of 0 is a tolerance, not "use the default 2^(10 - prec)"
     assert run_identity("mu-laws", {"tolerance": 0.0}).status == "fail"
+
+
+# Runs in a fresh interpreter: this one has long since imported mpmath.
+BOUNDARY_SCRIPT = """
+import sys
+from pwomega import cli, registry
+exact = [i.id for i in registry.REGISTRY if "prec" not in i.defaults]
+for ident in exact:
+    report = registry.run_identity(ident)
+    assert report.status == "pass", report
+assert cli.main(["list"]) == 0
+assert cli.main(["expand", "pbar-omega", "--order", "20"]) == 0
+numeric = ["mpmath", "pwomega.kernels", "pwomega.completion", "pwomega.appell",
+           "pwomega.modular"]
+loaded = [m for m in numeric if m in sys.modules]
+assert not loaded, f"the exact path loaded {loaded}"
+report = registry.run_identity("brz-F")
+assert report.status == "pass", report
+print("exact identities:", len(exact))
+"""
+
+
+def test_exact_path_imports_no_numeric_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", BOUNDARY_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "exact identities: 9" in proc.stdout

@@ -161,6 +161,20 @@ MUTANTS = [
     ("src/pwomega/registry.py",
      "ok = worst < tol", "ok = worst <= tol",
      ["tests/test_cli.py"]),
+    # the exact path loads no numeric module: neither the registry nor
+    # `expand` of an exact object
+    ("src/pwomega/registry.py",
+     "from .errors import UnknownIdentity\n",
+     "from .errors import UnknownIdentity\nfrom . import kernels\n",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/cli.py",
+     "def _expand_object(name: str, N: int) -> QSeries:\n",
+     "def _expand_object(name: str, N: int) -> QSeries:\n    from .appell import mu_torsion_series\n",
+     ["tests/test_cli.py"]),
+    # numeric residuals taken at the default 53 bits, not at the runner's prec
+    ("src/pwomega/registry.py",
+     "        with workprec(prec):\n", "        if True:\n",
+     ["tests/test_acceptance.py"]),
 ]
 
 
