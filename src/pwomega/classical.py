@@ -17,9 +17,8 @@ from typing import List, Tuple, Union
 from .cyc8 import Cyc8
 from .errors import (LatticeMismatch, NonExpandableDenominator,
                      RootOfUnityOutsideCyc8)
-from .jseries import JSeries, jpochhammer
-from .qseries import (DEFAULT_LATTICE, Monomial, QSeries, over_qpochhammer,
-                      pochhammer_factors)
+from .jseries import JSeries
+from .qseries import DEFAULT_LATTICE, Monomial, QSeries, pochhammer_factors
 
 F = Fraction
 Rat = Union[int, Fraction]
@@ -176,9 +175,11 @@ def finite_jtp_sides(n: int, N, D: int = 1, Dz: int = 1) -> Tuple[JSeries, JSeri
             = sum_{j=-n}^{n} (-1)^j zeta^j q^(j(j-1)/2) / ((q)_{n-j} (q)_{n+j})
     """
     q = Monomial(1, 1)
-    lhs = jpochhammer(D, Dz, Monomial(1, 0, 1), n, N)
-    lhs = lhs * jpochhammer(D, Dz, Monomial(1, 1, -1), n, N)
-    lhs = lhs.map_rows(lambda row: over_qpochhammer(row, q, 2 * n))
+    # one chain: / (1 - q^e) for e <= 2n while there is one row, then
+    # (1 - zeta q^j) and (1 - zeta^-1 q^(j+1)) for j < n
+    lhs = JSeries.one(D, Dz, N).binomials(
+        [(-1, e, 0, -1) for e in range(1, 2 * n + 1)]
+        + [(-1, j, 1, 1) for j in range(n)] + [(-1, j + 1, -1, 1) for j in range(n)])
 
     rhs = JSeries.zero(D, Dz, N)
     for j in range(-n, n + 1):

@@ -22,7 +22,8 @@ from .cyc8 import Cyc8, I, ONE
 from .errors import WindowTooSmall
 from .jseries import JSeries
 from .partitions import census, genfun
-from .qseries import Monomial, QSeries, over_qpochhammer, qpochhammer
+from .qseries import (Monomial, QSeries, _add_shifted, _assemble, _binomial_rows,
+                      _component_tables, _scale, over_qpochhammer, qpochhammer)
 
 F = Fraction
 
@@ -170,50 +171,61 @@ def pwz_lhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
 
         (q)_inf^2 / (-q; q^2)_inf * sum_{n>=1} (zeta, zeta^{-1}q)_n
                                      (-q; q^2)_n q^n / (q)_{2n}.
-    """
+
+    The ratio (zeta, zeta^{-1}q)_n (-q; q^2)_n / (q)_{2n} and the n-sum stay
+    component tables across the whole n-loop (five binomial steps and one
+    shifted add per n); the sum assembles once, for one product by pref."""
     N = F(N)
     euler = qpochhammer(D, Monomial(1, 1), None, N)
     pref = over_qpochhammer(euler * euler, Monomial(-1, 1), None, step=2)
 
-    acc = JSeries.zero(D, Dz, N)
-    ratio = JSeries.one(D, Dz, N)       # (zeta, zeta^{-1} q)_n (-q; q^2)_n / (q)_{2n}
+    order = _scale(N, D)
+    ratio = {0: _component_tables({0: ONE})}
+    acc: Dict[int, tuple] = {}
     n = 1
-    while F(n) < N:
-        ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n - 1, 1, -ONE)], N)
-        ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n, -1, -ONE)], N)
-        ratio = ratio.map_rows(lambda row: row.binomials(
-            [(1, 2 * n - 1, 1), (-1, 2 * n - 1, -1), (-1, 2 * n, -1)]))
-        acc = acc + ratio.mul_monomial(Monomial(1, n, 0)).truncate(N)
+    while n < N:
+        # nothing folds (no exponent < 0, no zeta-free q^0); the ratio only
+        # enters times q^n, so it is kept below order - n*D
+        ratio = _binomial_rows(ratio, [(ONE, (2 * n - 1) * D, 0, 1), (-ONE, (2 * n - 1) * D, 0, -1),
+                                       (-ONE, 2 * n * D, 0, -1), (-ONE, (n - 1) * D, Dz, 1),
+                                       (-ONE, n * D, -Dz, 1)], order - n * D)[0]
+        for r, t in ratio.items():
+            _add_shifted(acc.setdefault(r, ({}, {}, {}, {})), t, [(0, 1)], n * D, order)
         n += 1
-    out = acc * pref
+    out = JSeries(D, Dz, {r: _assemble(D, t, order) for r, t in acc.items()}, order) * pref
     _check_window(out, W)
     return out.truncate(N)
 
 
 def pwz_rhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
     """sum_{j>=1} sum_{n>=0} (-1)^(j+1) i^n (1 - zeta^j)(1 - zeta^{-j} q^j)
-    q^(j(j+1)/2 + n(j+1/2)) / (1 + i q^(j+n+1/2)), geometric denominators."""
+    q^(j(j+1)/2 + n(j+1/2)) / (1 + i q^(j+n+1/2)), geometric denominators.
+
+    Exponents count half-steps h of q^(h/2); each coefficient
+    (-1)^(j+1) i^n (-i)^k (+-1) is zeta8^m, +-1 in one component table."""
     N = F(N)
-    terms: List[Tuple[Fraction, Fraction, Cyc8]] = []
+    top, order = 2 * N, _scale(N, D)
+    key = (lambda h: h * D // 2) if D % 2 == 0 else (lambda h: _scale(F(h, 2), D))
+    rows: Dict[int, tuple] = {}
     j = 1
-    while F(j * (j + 1), 2) < N:
-        base = F(j * (j + 1), 2)
+    while j * (j + 1) < top:
         n = 0
-        while base + n * F(2 * j + 1, 2) < N:
-            e0 = base + n * F(2 * j + 1, 2)
-            c0 = Cyc8((-1) ** (j + 1)) * Cyc8.zeta_pow(2 * n)      # i^n
+        while j * (j + 1) + n * (2 * j + 1) < top:
+            h0 = j * (j + 1) + n * (2 * j + 1)
             k = 0
-            while e0 + k * F(2 * (j + n) + 1, 2) < N:
-                ck = c0 * Cyc8.zeta_pow(-2 * k)                    # (-i)^k
-                e = e0 + k * F(2 * (j + n) + 1, 2)
+            while h0 + k * (2 * (j + n) + 1) < top:
+                h = h0 + k * (2 * (j + n) + 1)
+                m = 4 * (j + 1) + 2 * n - 2 * k
                 # (1 - zeta^j)(1 - zeta^{-j} q^j) = 1 - zeta^j - zeta^{-j}q^j + q^j
-                for dz, dq, sgn in ((0, F(0), 1), (j, F(0), -1), (-j, F(j), -1), (0, F(j), 1)):
-                    if e + dq < N:
-                        terms.append((e + dq, F(dz), ck * Cyc8(sgn)))
+                for dz, dh, dm in ((0, 0, 0), (j, 0, 4), (-j, 2 * j, 4), (0, 2 * j, 0)):
+                    if h + dh < top:
+                        t = rows.setdefault(dz * Dz, ({}, {}, {}, {}))[(m + dm) & 3]
+                        kk = key(h + dh)
+                        t[kk] = t.get(kk, 0) + (-1 if (m + dm) & 4 else 1)
                 k += 1
             n += 1
         j += 1
-    out = JSeries.from_terms(D, Dz, terms, N)
+    out = JSeries(D, Dz, {r: _assemble(D, t, order) for r, t in rows.items()}, order)
     _check_window(out, W)
     return out
 
@@ -225,42 +237,31 @@ def g_equals_sum_of_f_mismatch(N: int):
                       F(z1, z2/2 + alpha/2, z3/2 + beta/2)
 
     with both sides expanded as dictionaries over scaled exponent 4-tuples
-    (q on the 1/8 lattice, z1 on 1/2, z2 and z3 on 1/4).  Returns the first
-    mismatching key or None."""
-    lhs: Dict[Tuple[int, int, int, int], Cyc8] = {}
-    rhs: Dict[Tuple[int, int, int, int], Cyc8] = {}
+    (q on the 1/8 lattice, z1 on 1/2, z2 and z3 on 1/4) with int
+    coefficients.  Returns the first mismatching key, with both sides'
+    coefficients, or None."""
+    lhs: Dict[Tuple[int, int, int, int], int] = {}
+    rhs: Dict[Tuple[int, int, int, int], int] = {}
 
-    def add(target, key, c):
-        s = target.get(key, Cyc8(0)) + c
-        if s.is_zero():
-            target.pop(key, None)
-        else:
-            target[key] = s
+    def qg8(k, l, n):       # 8 * (k(k+1)/2 + 2kl + 2kn + 4ln)
+        return 4 * k * (k + 1) + 16 * (k * l + k * n + 2 * l * n)
 
-    def qg(k, l, n):
-        return F(k * (k + 1), 2) + 2 * k * l + 2 * k * n + 4 * l * n
+    def qf8(k, l, n):       # 8 * (k(k+1)/2 + kl + kn + ln)
+        return 4 * k * (k + 1) + 8 * (k * l + k * n + l * n)
 
-    def qf(k, l, n):
-        return F(k * (k + 1), 2) + k * l + k * n + l * n
-
-    for k, l, n in cone_points(lambda k, l, n: qg(k, l, n) < N):
-        e = qg(k, l, n) - F(1, 8)
-        if e < N:
-            add(lhs, ((e * 8).numerator, 2 * k - 1, 4 * l + 1, 4 * n + 1),
-                Cyc8(4 * (-1) ** k))
+    top = 8 * N
+    for k, l, n in cone_points(lambda k, l, n: qg8(k, l, n) < top):
+        key = (qg8(k, l, n) - 1, 2 * k - 1, 4 * l + 1, 4 * n + 1)
+        lhs[key] = lhs.get(key, 0) + 4 * (-1) ** k
     for alpha in (0, 1):
         for beta in (0, 1):
             # i^{-a-b} * (zeta2^{1/4} i^a)(zeta3^{1/4} i^b) = prefactor roots
-            for k, l, n in cone_points(lambda k, l, n: qf(k, l, n) < N):
-                e = qf(k, l, n) - F(1, 8)
-                if e >= N:
-                    continue
-                c = Cyc8((-1) ** k) * Cyc8((-1) ** (alpha * l + beta * n))
-                key = ((e * 8).numerator, 2 * k - 1, 2 * l + 1, 2 * n + 1)
-                add(rhs, key, c)
+            for k, l, n in cone_points(lambda k, l, n: qf8(k, l, n) < top):
+                key = (qf8(k, l, n) - 1, 2 * k - 1, 2 * l + 1, 2 * n + 1)
+                rhs[key] = rhs.get(key, 0) + (-1) ** (k + alpha * l + beta * n)
     for key in sorted(set(lhs) | set(rhs)):
-        if lhs.get(key, Cyc8(0)) != rhs.get(key, Cyc8(0)):
-            return key, lhs.get(key, Cyc8(0)), rhs.get(key, Cyc8(0))
+        if lhs.get(key, 0) != rhs.get(key, 0):
+            return key, Cyc8(lhs.get(key, 0)), Cyc8(rhs.get(key, 0))
     return None
 
 

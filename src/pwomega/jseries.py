@@ -7,6 +7,10 @@ order contract and all coefficient arithmetic is QSeries arithmetic; the
 zeta-side is always finite.  Substituting zeta := 1 (or any zeta-free
 monomial) yields a QSeries, with the truncation order reduced by the worst
 leftward exponent shift the substitution can cause.
+
+Binomial chains (JSeries.binomials, jpochhammer) run on the rows' component
+tables: a zeta-factor c*q^e*zeta^d adds c*q^e times row r - d into row r.
+indefinite.pwz_lhs_cleared keeps its tables across its n-loop.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .cyc8 import Cyc8, ONE
+from .cyc8 import Cyc8, ONE, _coerce
 from .errors import LatticeMismatch, PrecisionExhausted
-from .qseries import Monomial, QSeries, _scale, pochhammer_exponents, sum_of_products
+from .qseries import (Monomial, QSeries, _assemble, _binomial_rows, _component_tables, _scale,
+                      pochhammer_exponents, sum_of_products)
 
 Rat = Union[int, Fraction]
 
@@ -146,10 +151,17 @@ class JSeries:
                        {r: sum_of_products(self.D, p, order) for r, p in pairs.items()},
                        order)
 
-    def map_rows(self, fn) -> "JSeries":
-        """Apply a QSeries map that keeps the order (a binomial product or
-        quotient, say) to every row."""
-        return JSeries(self.D, self.Dz, {r: fn(s) for r, s in self.rows.items()}, self.order)
+    def binomials(self, factors: Iterable[Tuple[object, Rat, Rat, int]]) -> "JSeries":
+        """self times (1 + c*q^q_exp*zeta^z_exp)^sign over the factors
+        (c, q_exp, z_exp, sign), on component tables converted and assembled
+        once (_binomial_rows); a zeta-quotient raises NonExpandableDenominator."""
+        rows, coef, shift, dshift = _binomial_rows(
+            {r: _component_tables(s.coeff) for r, s in self.rows.items()},
+            [(_coerce(c), _scale(qe, self.D), _scale(ze, self.Dz), sign)
+             for c, qe, ze, sign in factors], self.order)
+        return JSeries(self.D, self.Dz,
+                       {r + dshift: _assemble(self.D, t, self.order, coef, shift)
+                        for r, t in rows.items()}, self.order + shift)
 
     def truncate(self, order_exp: Rat) -> "JSeries":
         order = min(self.order, _scale(order_exp, self.D))
@@ -219,9 +231,7 @@ class JSeries:
 
 def jpochhammer(D: int, Dz: int, base: Monomial, n: Optional[int], order_exp: Rat,
                 step: Rat = 1) -> JSeries:
-    """(a; q^step)_n for a zeta-carrying monomial a, as a JSeries."""
-    result = JSeries.one(D, Dz, order_exp)
-    for e in pochhammer_exponents(base.q_exp, n, order_exp, step):
-        result = result * JSeries.from_terms(
-            D, Dz, [(0, 0, ONE), (e, base.z_exp, -base.coeff)], order_exp)
-    return result
+    """(a; q^step)_n for a zeta-carrying monomial a, as one binomial chain."""
+    return JSeries.one(D, Dz, order_exp).binomials(
+        [(-base.coeff, e, base.z_exp, 1)
+         for e in pochhammer_exponents(base.q_exp, n, order_exp, step)])

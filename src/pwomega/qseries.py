@@ -14,7 +14,8 @@ a rational product or binomial factor touches one component.  A chain of
 binomial factors (1 + c*q^e)^(+-1) (QSeries.binomials) converts the series to
 components once, costs O(N) per factor with e > 0 at the series' order, folds
 the factors with e <= 0 into one monomial, and assembles once; q-Pochhammer
-products and quotients are such chains.
+products and quotients are such chains.  JSeries.binomials runs the same
+chain (_binomial_rows) on tables keyed by zeta-row.
 """
 
 from __future__ import annotations
@@ -112,12 +113,6 @@ class QSeries:
             else:
                 out[k] = c
         return QSeries(D, out, order)
-
-    @staticmethod
-    def monomial(D: int, mono: Monomial, order_exp: Rat) -> "QSeries":
-        if mono.z_exp != 0:
-            raise LatticeMismatch("zeta-carrying monomial cannot become a QSeries")
-        return QSeries.from_terms(D, [(mono.q_exp, mono.coeff)], order_exp)
 
     # -- inspection ------------------------------------------------------------
 
@@ -253,34 +248,17 @@ class QSeries:
 
     def binomials(self, factors: Iterable[Tuple[object, Rat, int]]) -> "QSeries":
         """self times (1 + c*q^exp)^sign over the factors (c, exp, sign),
-        sign = +1 or -1, converted to components once and assembled once.
+        sign = +1 or -1: _binomial_rows on self's one row.
 
         A factor with exp > 0 is one O(N) step of _binomial_tables at self's
         order.  The others fold into one monomial applied at the end: exp = 0
         is the scalar 1 + c, and exp < 0 is c*q^exp times the binomial
         1 + c^-1 * q^-exp, so a product's order drops by |exp| and a
         quotient's rises by |exp|, as with the factor's series or its inverse."""
-        tables = _component_tables(self.coeff)
-        coef, shift = ONE, 0
-        for c, exp, sign in factors:
-            c = _coerce(c)
-            if c.is_zero():
-                continue
-            e = _scale(exp, self.D)
-            if e > 0:
-                tables = _binomial_tables(tables, c, e, self.order, sign < 0)
-                continue
-            if e < 0:
-                tables = _binomial_tables(tables, c.inverse(), -e, self.order, sign < 0)
-            mono, k = (c, e) if e < 0 else (ONE + c, 0)
-            if sign < 0:
-                if mono.is_zero():
-                    raise NonInvertibleLeadingTerm("division by the zero factor 1 + c*q^0")
-                mono, k = mono.inverse(), -k
-            coef, shift = coef * mono, shift + k
-        out = _assemble(self.D, tables, self.order)
-        return out if coef == ONE and not shift else QSeries(
-            self.D, {k + shift: coef * v for k, v in out.coeff.items()}, self.order + shift)
+        rows, coef, shift, _ = _binomial_rows(
+            {0: _component_tables(self.coeff)},
+            [(_coerce(c), _scale(exp, self.D), 0, sign) for c, exp, sign in factors], self.order)
+        return _assemble(self.D, rows[0], self.order, coef, shift)
 
     def mul_binomial(self, c, exp: Rat) -> "QSeries":
         """self * (1 + c*q^exp) for exp > 0, at self's order, in O(N)."""
@@ -364,28 +342,66 @@ def _sorted_components(coeff: Dict[int, Cyc8]) -> List[Tuple[int, List[Tuple[int
     return [(i, sorted(t.items())) for i, t in enumerate(_component_tables(coeff)) if t]
 
 
+def _add_shifted(t, src, c_parts, e: int, order: int):
+    """t += c*q^e * src below the order, on component tables, for c's non-zero
+    components c_parts = [(j, c_j)]: component i of c*x collects c_j * x_l
+    over j + l = i mod 4, negated when j + l >= 4 (zeta^4 = -1)."""
+    for l, s_l in enumerate(src):
+        for j, x in c_parts:
+            t_i = t[(j + l) & 3]
+            x = -x if j + l >= 4 else x
+            for k, y in s_l.items():
+                k += e
+                if k < order:
+                    t_i[k] = t_i.get(k, 0) + x * y
+
+
+def _binomial_rows(rows, factors, order: int):
+    """The factors (c, e, d, sign) = (1 + c*zeta^d*q^e)^sign, scaled int
+    exponents, on component tables keyed by zeta-row, at the order.  Returns
+    the rows and the monomial (coef, e, d) folded from the factors that are
+    no step: e = d = 0 is the scalar 1 + c, and e < 0 is c*zeta^d*q^e times
+    the step 1 + c^-1*zeta^-d*q^-e.  A zeta-free step is _binomial_tables
+    row by row; a zeta-step (d != 0, products only) adds c*q^e times row
+    r - d to row r in place, taking rows away from the side written to."""
+    coef, shift, dshift = ONE, 0, 0
+    for c, e, d, sign in factors:
+        if c.is_zero():
+            continue
+        if d and sign < 0:
+            raise NonExpandableDenominator("1/(1 + c*zeta^d*q^e) is no finite zeta-polynomial")
+        if e < 0 or not (e or d):
+            mono, k, dk = (c, e, d) if e < 0 else (ONE + c, 0, 0)
+            if sign < 0:
+                if mono.is_zero():
+                    raise NonInvertibleLeadingTerm("division by the zero factor 1 + c*q^0")
+                mono, k = mono.inverse(), -k
+            coef, shift, dshift = coef * mono, shift + k, dshift + dk
+            if not e:
+                continue
+            c, e, d = c.inverse(), -e, -d
+        if d:
+            c_parts = [(j, x) for j, x in enumerate(c.components()) if x]
+            for r in sorted(rows, reverse=d > 0):
+                _add_shifted(rows.setdefault(r + d, ({}, {}, {}, {})), rows[r], c_parts, e, order)
+        else:
+            for r, t in rows.items():
+                rows[r] = _binomial_tables(t, c, e, order, sign < 0)
+    return rows, coef, shift, dshift
+
+
 def _binomial_tables(tables, c: Cyc8, e: int, order: int, divide: bool):
     """The component tables of s * (1 + c*q^e), or of s / (1 + c*q^e), from
     those of s, for e > 0, at s's order, in O(N).
 
-    Component i of c*x collects c_j * x_l over j + l = i mod 4, negated when
-    j + l >= 4 (zeta^4 = -1).  The product is t_k = s_k + c*s_(k-e): c times
-    each stored key of s, added e higher (a cancelled key keeps a zero, which
-    _assemble drops).  The quotient solves t_k = s_k - c*t_(k-e) along each
-    residue class of keys mod e, from the class's least key of s up to the
-    order.  For a rational c only s's non-empty components can become
+    The product adds c*q^e*s to a copy of s.  The quotient solves
+    t_k = s_k - c*t_(k-e) along each residue class of keys mod e, from the
+    class's least key of s up to the order.  For a rational c only s's non-empty components can become
     non-zero, so a rational step is one scalar update per component."""
     c_parts = [(j, x) for j, x in enumerate(c.components()) if x]
     if not divide:
         t = [dict(s_l) for s_l in tables]
-        for l, s_l in enumerate(tables):
-            for j, x in c_parts:
-                t_i = t[(j + l) & 3]
-                x = -x if j + l >= 4 else x
-                for k, y in s_l.items():
-                    k += e
-                    if k < order:
-                        t_i[k] = t_i.get(k, 0) + x * y
+        _add_shifted(t, tables, c_parts, e, order)
         return t
     t: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
     live = [i for i in range(4) if tables[i]] if c.is_rational() else range(4)
@@ -409,10 +425,10 @@ def _binomial_tables(tables, c: Cyc8, e: int, order: int, divide: bool):
     return t
 
 
-def _assemble(D: int, tables, order: int) -> QSeries:
+def _assemble(D: int, tables, order: int, coef: Cyc8 = ONE, shift: int = 0) -> QSeries:
     """The series whose coefficient at k has components tables[i].get(k, 0),
-    for tables with keys below the order; zero values are dropped here, so
-    the constructor's filter is not run again."""
+    for tables with keys below the order, times coef*q^(shift/D); zero values
+    are dropped here, so the constructor's filter is not run again."""
     t0, t1, t2, t3 = tables
     out = QSeries(D, None, order)
     if not (t1 or t2 or t3):
@@ -421,7 +437,8 @@ def _assemble(D: int, tables, order: int) -> QSeries:
         keys = {k for t in tables for k, v in t.items() if v}
         out.coeff = {k: Cyc8(t0.get(k, 0), t1.get(k, 0), t2.get(k, 0), t3.get(k, 0))
                      for k in keys}
-    return out
+    return out if coef == ONE and not shift else QSeries(
+        D, {k + shift: coef * v for k, v in out.coeff.items()}, order + shift)
 
 
 def geometric(D: int, exp: Rat, order_exp: Rat, ratio_coeff=1) -> QSeries:

@@ -216,7 +216,9 @@ def _run_mu_laws(params) -> Dict:
     from .kernels import R, mu, muhat, qpow
     from .modular import GroupElement, laplacian_fd
     P = params["prec"]
-    tol = params["tolerance"] if params["tolerance"] is not None else 2.0 ** (-P + 10)
+    if params["tolerance"] is None:
+        params["tolerance"] = 2.0 ** (-P + 10)      # reported as the one applied
+    tol = params["tolerance"]
 
     def residuals():
         rng = random.Random(20260)

@@ -12,7 +12,8 @@ from pwomega.classical import (EtaQuotient, TorsionPoint, _neg_floor_of_poch, _p
                                theta_series_at_torsion)
 from pwomega.cyc8 import Cyc8, I, ONE
 from pwomega.errors import NonExpandableDenominator, RootOfUnityOutsideCyc8
-from pwomega.qseries import Monomial, QSeries, qpochhammer
+from pwomega.jseries import JSeries, jpochhammer
+from pwomega.qseries import Monomial, QSeries, over_qpochhammer, qpochhammer
 
 F = Fraction
 
@@ -96,6 +97,17 @@ def test_finite_jtp_n0_trivial():
 def test_finite_jtp(n, N):
     lhs, rhs = finite_jtp_sides(n, N)
     assert lhs.first_mismatch(rhs) is None
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_finite_jtp_left_chain_matches_pochhammer_products(n):
+    N = 25
+    prod = jpochhammer(1, 1, Monomial(1, 0, 1), n, N) * jpochhammer(1, 1, Monomial(1, 1, -1), n, N)
+    want = JSeries(1, 1, {r: over_qpochhammer(row, Monomial(1, 1), 2 * n)
+                          for r, row in prod.rows.items()}, prod.order)
+    got = finite_jtp_sides(n, N)[0]
+    assert got.order == want.order
+    assert got.rows == want.rows and got == want
 
 
 def test_heine_order_zero_coefficient():

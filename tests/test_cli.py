@@ -202,7 +202,16 @@ def test_no_residuals_is_a_failure(tmp_path, capsys):
 
 def test_mu_laws_zero_tolerance_fails():
     # a tolerance of 0 is a tolerance, not "use the default 2^(10 - prec)"
-    assert run_identity("mu-laws", {"tolerance": 0.0}).status == "fail"
+    rep = run_identity("mu-laws", {"tolerance": 0.0})
+    assert rep.status == "fail"
+    assert rep.tolerance == 0.0 and rep.params["tolerance"] == 0.0
+
+
+def test_mu_laws_reports_the_tolerance_it_applied():
+    rep = run_identity("mu-laws")
+    assert rep.status == "pass"
+    assert rep.tolerance == 2.0 ** -118 and rep.params["tolerance"] == 2.0 ** -118
+    assert rep.to_dict()["tolerance"] == 2.0 ** -118
 
 
 # Runs in a fresh interpreter: this one has long since imported mpmath.

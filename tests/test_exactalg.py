@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from pwomega.cyc8 import Cyc8, I, ONE
-from pwomega.errors import (DivergentProduct, LatticeMismatch,
+from pwomega.errors import (DivergentProduct, LatticeMismatch, NonExpandableDenominator,
                             NonInvertibleLeadingTerm, PrecisionExhausted)
 from pwomega.jseries import JSeries, jpochhammer
-from pwomega.qseries import (Monomial, QSeries, geometric, over_qpochhammer, qpochhammer,
-                             sum_of_products)
+from pwomega.qseries import (Monomial, QSeries, geometric, over_qpochhammer,
+                             pochhammer_exponents, qpochhammer, sum_of_products)
 
 F = Fraction
 
@@ -517,6 +517,67 @@ def test_substitution_raises_when_nothing_is_certified():
         half.substitute(Monomial(2, 1, 0))
     with pytest.raises(LatticeMismatch):
         j.substitute(Monomial(1, 0, 1))
+
+
+def jseries_chain_reference(s, factors):
+    """s times the factors (c, q_exp, z_exp, sign) one JSeries product at a
+    time: a zeta-factor as its two-term JSeries, a zeta-free quotient as the
+    QSeries.invert of its binomial; no factor's order caps the product's."""
+    for c, qe, ze, sign in factors:
+        top = F(s.order - s.floor_key(), s.D) + qe + 1
+        if ze:
+            b = JSeries.from_terms(s.D, s.Dz, [(0, 0, ONE), (qe, ze, c)], top)
+        else:
+            b = binomial_series(s.D, c, qe, top)
+            b = JSeries.from_qseries(b if sign > 0 else b.invert(), s.Dz)
+        s = s * b
+    return s
+
+
+@pytest.mark.parametrize("D, Dz", [(1, 1), (2, 2), (3, 1), (1, 2)])
+def test_jseries_binomials_match_products_of_binomials(D, Dz):
+    rng = random.Random(300 + 10 * D + Dz)
+    coeffs = [Cyc8.zeta_pow(1), I, Cyc8(1, 2, 0, -1), Cyc8(2, 0, -1, 0).inverse()]
+    for _ in range(8):
+        order = rng.randint(8, 14) * D
+        s = JSeries(D, Dz, {r: rand_mixed_series(rng, D, order, nterms=4, floor=-2 * D)
+                            for r in rng.sample(range(-3, 4), 3)}, order)
+        factors = []
+        while len(factors) < 6:
+            c = rng.choice(coeffs + [rand_coeff(rng)])
+            qe = F(rng.randint(0, 3 * D), D)
+            if rng.randrange(3):
+                factors.append((c, qe, rng.choice([-2, -1, 1, 2]), 1))
+            elif not (qe == 0 and (ONE + c).is_zero()):
+                factors.append((c, qe, 0, rng.choice([1, -1])))
+        got = s.binomials(factors)
+        want = jseries_chain_reference(s, factors)
+        assert got.order == want.order
+        assert got.rows == want.rows and got == want
+    with pytest.raises(NonExpandableDenominator):
+        s.binomials([(-1, 1, 0, -1), (I, 1, 1, -1)])
+
+
+def jpochhammer_reference(D, Dz, base, n, order_exp, step=1):
+    """(a; q^step)_n as one JSeries product per factor 1 - a*q^e."""
+    out = JSeries.one(D, Dz, order_exp)
+    for e in pochhammer_exponents(base.q_exp, n, order_exp, step):
+        out = out * JSeries.from_terms(D, Dz, [(0, 0, ONE), (e, base.z_exp, -base.coeff)],
+                                       order_exp)
+    return out
+
+
+@pytest.mark.parametrize("base, n, step", [
+    (Monomial(1, 0, 1), 6, 1), (Monomial(1, 1, -1), None, 1), (Monomial(1, 1, -1), 5, 1),
+    (Monomial(I, F(1, 2), 2), 5, F(1, 2)), (Monomial(I, F(1, 2), 2), None, 1),
+    (Monomial(Cyc8.zeta_pow(1), F(-3, 2), -1), 6, F(1, 2)), (Monomial(3, -2, 1), None, 1),
+])
+def test_jpochhammer_matches_per_factor_products(base, n, step):
+    for D, Dz, N in ((2, 1, 9), (2, 2, 7)):
+        got = jpochhammer(D, Dz, base, n, N, step)
+        want = jpochhammer_reference(D, Dz, base, n, N, step)
+        assert got.order == want.order
+        assert got.rows == want.rows and got == want
 
 
 def test_jpochhammer_matches_qpochhammer_on_zeta_free_base():

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from pwomega.cyc8 import Cyc8
+from pwomega import indefinite
+from pwomega.cyc8 import Cyc8, ONE
 from pwomega.errors import WindowTooSmall
 from pwomega.indefinite import (cone_exponent, cone_points, cone_sum_series,
                                 weighted_triple_sum, g_equals_sum_of_f_mismatch,
@@ -13,8 +14,9 @@ from pwomega.indefinite import (cone_exponent, cone_points, cone_sum_series,
                                 pbar_from_dzeta_brackets, pbar_omega_series,
                                 pwz_coefficient_formula_sides, pwz_lhs_cleared,
                                 pwz_rhs_cleared, tail_landing_bound)
+from pwomega.jseries import JSeries
 from pwomega.partitions import census
-from pwomega.qseries import Monomial
+from pwomega.qseries import Monomial, over_qpochhammer, qpochhammer
 
 F = Fraction
 
@@ -99,6 +101,35 @@ def test_g_half_jseries_prefactor():
     assert s.coefficient(F(11, 8), 1) == Cyc8(0, 0, -4, 0)
 
 
+def pwz_lhs_reference(N, W, D=2, Dz=1):
+    """The cleared series as a sum of series: per n, two JSeries binomial
+    products, the q-binomials row by row and a truncated series add."""
+    N = F(N)
+    euler = qpochhammer(D, Monomial(1, 1), None, N)
+    pref = over_qpochhammer(euler * euler, Monomial(-1, 1), None, step=2)
+    acc, ratio = JSeries.zero(D, Dz, N), JSeries.one(D, Dz, N)
+    n = 1
+    while n < N:
+        ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n - 1, 1, -ONE)], N)
+        ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n, -1, -ONE)], N)
+        ratio = JSeries(D, Dz, {r: row.binomials([(1, 2 * n - 1, 1), (-1, 2 * n - 1, -1),
+                                                  (-1, 2 * n, -1)])
+                                for r, row in ratio.rows.items()}, ratio.order)
+        acc = acc + ratio.mul_monomial(Monomial(1, n, 0)).truncate(N)
+        n += 1
+    out = acc * pref
+    assert max(abs(x) for x in out.zeta_support()) <= W
+    return out.truncate(N)
+
+
+@pytest.mark.parametrize("N, D, Dz", [(25, 2, 1), (12, 4, 2)])
+def test_pwz_lhs_chain_matches_series_construction(N, D, Dz):
+    got = pwz_lhs_cleared(N, 25, D, Dz)
+    want = pwz_lhs_reference(N, 25, D, Dz)
+    assert got.order == want.order
+    assert got.rows == want.rows and got == want
+
+
 def test_pwz_cleared_identity():
     assert pwz_lhs_cleared(15, 25).first_mismatch(pwz_rhs_cleared(15, 25)) is None
 
@@ -145,3 +176,33 @@ def test_weighted_sum_low_terms():
     c = weighted_triple_sum(4)
     assert c[1] == Cyc8(-1)
     assert c[2] == Cyc8(1)
+
+
+def test_g_decomposition_walks_both_cones_and_reports_a_dropped_term(monkeypatch):
+    real, walks = cone_points, []
+
+    def recording(inside):
+        walks.append(list(real(inside)))
+        return iter(walks[-1])
+
+    monkeypatch.setattr(indefinite, "cone_points", recording)
+    assert g_equals_sum_of_f_mismatch(15) is None
+    qg = lambda k, l, n: F(k * (k + 1), 2) + 2 * k * l + 2 * k * n + 4 * l * n
+    qf = lambda k, l, n: F(k * (k + 1), 2) + k * l + k * n + l * n
+    assert walks[0] == list(real(lambda k, l, n: qg(k, l, n) < 15))
+    assert walks[1:] == [list(real(lambda k, l, n: qf(k, l, n) < 15))] * 4
+    assert sum(map(len, walks)) == 560
+
+    seen = []
+
+    def dropping_first_g_term(inside):
+        points = real(inside)
+        if not seen:                # G's walk comes first
+            next(points)
+        seen.append(inside)
+        return points
+
+    # G's first term, q^(1 - 1/8) zeta1^(1/2) (zeta2 zeta3)^(1/4) at (1, 0, 0),
+    # left out: the F side's -4 there is unmatched
+    monkeypatch.setattr(indefinite, "cone_points", dropping_first_g_term)
+    assert g_equals_sum_of_f_mismatch(15) == ((7, 1, 1, 1), Cyc8(0), Cyc8(-4))

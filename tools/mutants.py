@@ -127,7 +127,7 @@ MUTANTS = [
      "p = k - e\n", "p = k - e + 1\n",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
-     "                    if k < order:\n", "                    if k < order + e:\n",
+     "                if k < order:\n", "                if k < order + e:\n",
      ["tests/test_exactalg.py"]),
     # the binomial chain: the multiply step's sign, the folded monomial, the
     # last factor
@@ -138,7 +138,7 @@ MUTANTS = [
      "{k + shift: coef * v", "{k - shift: coef * v",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
-     "for c, exp, sign in factors:", "for c, exp, sign in list(factors)[:-1]:",
+     "for c, e, d, sign in factors:", "for c, e, d, sign in list(factors)[:-1]:",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
      "reach = Fraction(s.order - s.floor_key(), s.D)", "reach = s.order_exp()",
@@ -160,6 +160,37 @@ MUTANTS = [
      ["tests/test_cli.py"]),
     ("src/pwomega/registry.py",
      "ok = worst < tol", "ok = worst <= tol",
+     ["tests/test_cli.py"]),
+    # the zeta-steps of the two-variable chains: the target row, the
+    # q-shift, the order rows are taken in; the cleared pwz series' shifted
+    # add and its ratio's order; G = sum F's and pwz_rhs_cleared's int exponents
+    ("src/pwomega/qseries.py",
+     "rows.setdefault(r + d,", "rows.setdefault(r - d,",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "rows[r], c_parts, e, order)", "rows[r], c_parts, e + 1, order)",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "sorted(rows, reverse=d > 0)", "sorted(rows, reverse=d < 0)",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/indefinite.py",
+     "[(0, 1)], n * D, order)", "[(0, 1)], (n - 1) * D, order)",
+     ["tests/test_indefinite.py"]),
+    ("src/pwomega/indefinite.py",
+     "order - n * D)[0]", "order - (n + 1) * D)[0]",
+     ["tests/test_indefinite.py"]),
+    ("src/pwomega/indefinite.py",
+     "k * n + 2 * l * n)", "k * n + l * n)",
+     ["tests/test_indefinite.py"]),
+    ("src/pwomega/indefinite.py",
+     "(-j, 2 * j, 4)", "(-j, 2 * j - 1, 4)",
+     ["tests/test_indefinite.py"]),
+    # mu-laws reports the default tolerance as null instead of the one applied
+    ("src/pwomega/registry.py",
+     "    if params[\"tolerance\"] is None:\n"
+     "        params[\"tolerance\"] = 2.0 ** (-P + 10)      # reported as the one applied\n"
+     "    tol = params[\"tolerance\"]\n",
+     "    tol = params[\"tolerance\"] if params[\"tolerance\"] is not None else 2.0 ** (-P + 10)\n",
      ["tests/test_cli.py"]),
     # the exact path loads no numeric module: neither the registry nor
     # `expand` of an exact object
