@@ -175,8 +175,7 @@ def finite_jtp_sides(n: int, N, D: int = 1, Dz: int = 1) -> Tuple[JSeries, JSeri
             = sum_{j=-n}^{n} (-1)^j zeta^j q^(j(j-1)/2) / ((q)_{n-j} (q)_{n+j})
     """
     q = Monomial(1, 1)
-    # one chain: / (1 - q^e) for e <= 2n while there is one row, then
-    # (1 - zeta q^j) and (1 - zeta^-1 q^(j+1)) for j < n
+    # one chain: / (q)_2n while there is one row, then (zeta, zeta^-1 q)_n
     lhs = JSeries.one(D, Dz, N).binomials(
         [(-1, e, 0, -1) for e in range(1, 2 * n + 1)]
         + [(-1, j, 1, 1) for j in range(n)] + [(-1, j + 1, -1, 1) for j in range(n)])

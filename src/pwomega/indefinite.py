@@ -19,11 +19,11 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .cyc8 import Cyc8, I, ONE
-from .errors import WindowTooSmall
+from .errors import LatticeMismatch, WindowTooSmall
 from .jseries import JSeries
 from .partitions import census, genfun
-from .qseries import (Monomial, QSeries, _add_shifted, _assemble, _binomial_rows,
-                      _component_tables, _scale, over_qpochhammer, qpochhammer)
+from .qseries import (Monomial, QSeries, _add_root, _add_rows, _binomial_rows, _scale,
+                      over_qpochhammer, qpochhammer)
 
 F = Fraction
 
@@ -180,19 +180,16 @@ def pwz_lhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
     pref = over_qpochhammer(euler * euler, Monomial(-1, 1), None, step=2)
 
     order = _scale(N, D)
-    ratio = {0: _component_tables({0: ONE})}
-    acc: Dict[int, tuple] = {}
-    n = 1
-    while n < N:
+    ratio, acc = {}, {}                 # component tables by zeta-row
+    _add_root(ratio, 0, 0, 0)           # the ratio starts at 1
+    for n in range(1, math.ceil(N)):
         # nothing folds (no exponent < 0, no zeta-free q^0); the ratio only
         # enters times q^n, so it is kept below order - n*D
         ratio = _binomial_rows(ratio, [(ONE, (2 * n - 1) * D, 0, 1), (-ONE, (2 * n - 1) * D, 0, -1),
                                        (-ONE, 2 * n * D, 0, -1), (-ONE, (n - 1) * D, Dz, 1),
                                        (-ONE, n * D, -Dz, 1)], order - n * D)[0]
-        for r, t in ratio.items():
-            _add_shifted(acc.setdefault(r, ({}, {}, {}, {})), t, [(0, 1)], n * D, order)
-        n += 1
-    out = JSeries(D, Dz, {r: _assemble(D, t, order) for r, t in acc.items()}, order) * pref
+        _add_rows(acc, ratio, ONE, n * D, 0, order)
+    out = JSeries._from_tables(D, Dz, order, acc) * pref
     _check_window(out, W)
     return out.truncate(N)
 
@@ -202,30 +199,21 @@ def pwz_rhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
     q^(j(j+1)/2 + n(j+1/2)) / (1 + i q^(j+n+1/2)), geometric denominators.
 
     Exponents count half-steps h of q^(h/2); each coefficient
-    (-1)^(j+1) i^n (-i)^k (+-1) is zeta8^m, +-1 in one component table."""
+    (-1)^(j+1) i^n (-i)^k (+-1) is one root zeta8^m; D must be even."""
+    if D % 2:
+        raise LatticeMismatch(f"q^(n(j+1/2)) is not on the 1/{D} lattice")
     N = F(N)
-    top, order = 2 * N, _scale(N, D)
-    key = (lambda h: h * D // 2) if D % 2 == 0 else (lambda h: _scale(F(h, 2), D))
+    top, order = math.ceil(2 * N), _scale(N, D)     # int h < 2N iff h < top
     rows: Dict[int, tuple] = {}
-    j = 1
-    while j * (j + 1) < top:
-        n = 0
-        while j * (j + 1) + n * (2 * j + 1) < top:
-            h0 = j * (j + 1) + n * (2 * j + 1)
-            k = 0
-            while h0 + k * (2 * (j + n) + 1) < top:
-                h = h0 + k * (2 * (j + n) + 1)
+    for j in range(1, math.isqrt(top) + 1):
+        for n, h0 in enumerate(range(j * (j + 1), top, 2 * j + 1)):
+            for k, h in enumerate(range(h0, top, 2 * (j + n) + 1)):
                 m = 4 * (j + 1) + 2 * n - 2 * k
                 # (1 - zeta^j)(1 - zeta^{-j} q^j) = 1 - zeta^j - zeta^{-j}q^j + q^j
                 for dz, dh, dm in ((0, 0, 0), (j, 0, 4), (-j, 2 * j, 4), (0, 2 * j, 0)):
                     if h + dh < top:
-                        t = rows.setdefault(dz * Dz, ({}, {}, {}, {}))[(m + dm) & 3]
-                        kk = key(h + dh)
-                        t[kk] = t.get(kk, 0) + (-1 if (m + dm) & 4 else 1)
-                k += 1
-            n += 1
-        j += 1
-    out = JSeries(D, Dz, {r: _assemble(D, t, order) for r, t in rows.items()}, order)
+                        _add_root(rows, dz * Dz, (h + dh) * D // 2, m + dm)
+    out = JSeries._from_tables(D, Dz, order, rows)
     _check_window(out, W)
     return out
 
@@ -240,8 +228,7 @@ def g_equals_sum_of_f_mismatch(N: int):
     (q on the 1/8 lattice, z1 on 1/2, z2 and z3 on 1/4) with int
     coefficients.  Returns the first mismatching key, with both sides'
     coefficients, or None."""
-    lhs: Dict[Tuple[int, int, int, int], int] = {}
-    rhs: Dict[Tuple[int, int, int, int], int] = {}
+    lhs, rhs = {}, {}
 
     def qg8(k, l, n):       # 8 * (k(k+1)/2 + 2kl + 2kn + 4ln)
         return 4 * k * (k + 1) + 16 * (k * l + k * n + 2 * l * n)

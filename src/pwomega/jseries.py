@@ -10,7 +10,7 @@ leftward exponent shift the substitution can cause.
 
 Binomial chains (JSeries.binomials, jpochhammer) run on the rows' component
 tables: a zeta-factor c*q^e*zeta^d adds c*q^e times row r - d into row r.
-indefinite.pwz_lhs_cleared keeps its tables across its n-loop.
+indefinite.pwz_lhs_cleared keeps such tables across its n-loop, assembled once.
 """
 
 from __future__ import annotations
@@ -56,6 +56,14 @@ class JSeries:
             by_row.setdefault(_scale(ze, Dz), []).append((qe, c))
         return JSeries(D, Dz, {r: QSeries.from_terms(D, t, order_exp)
                                for r, t in by_row.items()}, _scale(order_exp, D))
+
+    @staticmethod
+    def _from_tables(D: int, Dz: int, order: int, rows, coef: Cyc8 = ONE, shift: int = 0,
+                     dshift: int = 0) -> "JSeries":
+        """Component tables by zeta-row, keys below the scaled order (as from
+        qseries._binomial_rows), assembled times coef*q^(shift/D)*zeta^(dshift/Dz)."""
+        return JSeries(D, Dz, {r + dshift: _assemble(D, t, order, coef, shift)
+                               for r, t in rows.items()}, order + shift)
 
     @staticmethod
     def from_qseries(s: QSeries, Dz: int) -> "JSeries":
@@ -155,13 +163,10 @@ class JSeries:
         """self times (1 + c*q^q_exp*zeta^z_exp)^sign over the factors
         (c, q_exp, z_exp, sign), on component tables converted and assembled
         once (_binomial_rows); a zeta-quotient raises NonExpandableDenominator."""
-        rows, coef, shift, dshift = _binomial_rows(
+        return JSeries._from_tables(self.D, self.Dz, self.order, *_binomial_rows(
             {r: _component_tables(s.coeff) for r, s in self.rows.items()},
             [(_coerce(c), _scale(qe, self.D), _scale(ze, self.Dz), sign)
-             for c, qe, ze, sign in factors], self.order)
-        return JSeries(self.D, self.Dz,
-                       {r + dshift: _assemble(self.D, t, self.order, coef, shift)
-                        for r, t in rows.items()}, self.order + shift)
+             for c, qe, ze, sign in factors], self.order))
 
     def truncate(self, order_exp: Rat) -> "JSeries":
         order = min(self.order, _scale(order_exp, self.D))

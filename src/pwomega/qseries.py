@@ -248,13 +248,10 @@ class QSeries:
 
     def binomials(self, factors: Iterable[Tuple[object, Rat, int]]) -> "QSeries":
         """self times (1 + c*q^exp)^sign over the factors (c, exp, sign),
-        sign = +1 or -1: _binomial_rows on self's one row.
-
-        A factor with exp > 0 is one O(N) step of _binomial_tables at self's
-        order.  The others fold into one monomial applied at the end: exp = 0
-        is the scalar 1 + c, and exp < 0 is c*q^exp times the binomial
-        1 + c^-1 * q^-exp, so a product's order drops by |exp| and a
-        quotient's rises by |exp|, as with the factor's series or its inverse."""
+        sign = +1 or -1: _binomial_rows on self's one row, O(N) per factor
+        with exp > 0 at self's order.  The factors with exp <= 0 fold into one
+        monomial, so a product's order drops by |exp| and a quotient's rises
+        by |exp|, as with the factor's series or its inverse."""
         rows, coef, shift, _ = _binomial_rows(
             {0: _component_tables(self.coeff)},
             [(_coerce(c), _scale(exp, self.D), 0, sign) for c, exp, sign in factors], self.order)
@@ -342,18 +339,29 @@ def _sorted_components(coeff: Dict[int, Cyc8]) -> List[Tuple[int, List[Tuple[int
     return [(i, sorted(t.items())) for i, t in enumerate(_component_tables(coeff)) if t]
 
 
-def _add_shifted(t, src, c_parts, e: int, order: int):
-    """t += c*q^e * src below the order, on component tables, for c's non-zero
-    components c_parts = [(j, c_j)]: component i of c*x collects c_j * x_l
-    over j + l = i mod 4, negated when j + l >= 4 (zeta^4 = -1)."""
-    for l, s_l in enumerate(src):
-        for j, x in c_parts:
-            t_i = t[(j + l) & 3]
-            x = -x if j + l >= 4 else x
-            for k, y in s_l.items():
-                k += e
-                if k < order:
-                    t_i[k] = t_i.get(k, 0) + x * y
+def _add_rows(acc, rows, c: Cyc8, e: int, d: int, order: int):
+    """acc[r + d] += c*q^e*zeta^d * rows[r] below the order, on component
+    tables: component i of c*x collects c_j * x_l over j + l = i mod 4,
+    negated when j + l >= 4 (zeta^4 = -1).  acc may be rows itself: each row
+    is read before it is written, rows taken away from the side written to."""
+    c_parts = [(j, x) for j, x in enumerate(c.components()) if x]
+    for r in sorted(rows, reverse=d > 0):
+        src = [list(s_l.items()) for s_l in rows[r]]
+        t = acc.setdefault(r + d, ({}, {}, {}, {}))
+        for l, s_l in enumerate(src):
+            for j, x in c_parts:
+                t_i = t[(j + l) & 3]
+                x = -x if j + l >= 4 else x
+                for k, y in s_l:
+                    k += e
+                    if k < order:
+                        t_i[k] = t_i.get(k, 0) + x * y
+
+
+def _add_root(rows, r: int, k: int, m: int):
+    """rows[r] += zeta8^m * q^(k/D): component m & 3, negated by m & 4."""
+    t = rows.setdefault(r, ({}, {}, {}, {}))[m & 3]
+    t[k] = t.get(k, 0) + (-1 if m & 4 else 1)
 
 
 def _binomial_rows(rows, factors, order: int):
@@ -361,9 +369,8 @@ def _binomial_rows(rows, factors, order: int):
     exponents, on component tables keyed by zeta-row, at the order.  Returns
     the rows and the monomial (coef, e, d) folded from the factors that are
     no step: e = d = 0 is the scalar 1 + c, and e < 0 is c*zeta^d*q^e times
-    the step 1 + c^-1*zeta^-d*q^-e.  A zeta-free step is _binomial_tables
-    row by row; a zeta-step (d != 0, products only) adds c*q^e times row
-    r - d to row r in place, taking rows away from the side written to."""
+    the step 1 + c^-1*zeta^-d*q^-e.  A product step is _add_rows in place;
+    a quotient (d = 0 only) is _divide_tables row by row."""
     coef, shift, dshift = ONE, 0, 0
     for c, e, d, sign in factors:
         if c.is_zero():
@@ -380,29 +387,21 @@ def _binomial_rows(rows, factors, order: int):
             if not e:
                 continue
             c, e, d = c.inverse(), -e, -d
-        if d:
-            c_parts = [(j, x) for j, x in enumerate(c.components()) if x]
-            for r in sorted(rows, reverse=d > 0):
-                _add_shifted(rows.setdefault(r + d, ({}, {}, {}, {})), rows[r], c_parts, e, order)
+        if sign > 0:
+            _add_rows(rows, rows, c, e, d, order)
         else:
             for r, t in rows.items():
-                rows[r] = _binomial_tables(t, c, e, order, sign < 0)
+                rows[r] = _divide_tables(t, c, e, order)
     return rows, coef, shift, dshift
 
 
-def _binomial_tables(tables, c: Cyc8, e: int, order: int, divide: bool):
-    """The component tables of s * (1 + c*q^e), or of s / (1 + c*q^e), from
-    those of s, for e > 0, at s's order, in O(N).
-
-    The product adds c*q^e*s to a copy of s.  The quotient solves
-    t_k = s_k - c*t_(k-e) along each residue class of keys mod e, from the
-    class's least key of s up to the order.  For a rational c only s's non-empty components can become
-    non-zero, so a rational step is one scalar update per component."""
+def _divide_tables(tables, c: Cyc8, e: int, order: int):
+    """The component tables of s / (1 + c*q^e) from those of s, for e > 0, at
+    s's order, in O(N): t_k = s_k - c*t_(k-e) along each residue class of
+    keys mod e, from the class's least key of s up to the order.  For a
+    rational c only s's non-empty components can become non-zero, so a
+    rational step is one scalar update per component."""
     c_parts = [(j, x) for j, x in enumerate(c.components()) if x]
-    if not divide:
-        t = [dict(s_l) for s_l in tables]
-        _add_shifted(t, tables, c_parts, e, order)
-        return t
     t: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
     live = [i for i in range(4) if tables[i]] if c.is_rational() else range(4)
     # per output component: its source table, its table of t, and the

@@ -7,7 +7,7 @@ import pytest
 
 from pwomega import indefinite
 from pwomega.cyc8 import Cyc8, ONE
-from pwomega.errors import WindowTooSmall
+from pwomega.errors import LatticeMismatch, WindowTooSmall
 from pwomega.indefinite import (cone_exponent, cone_points, cone_sum_series,
                                 weighted_triple_sum, g_equals_sum_of_f_mismatch,
                                 g_half_jseries,
@@ -132,6 +132,14 @@ def test_pwz_lhs_chain_matches_series_construction(N, D, Dz):
 
 def test_pwz_cleared_identity():
     assert pwz_lhs_cleared(15, 25).first_mismatch(pwz_rhs_cleared(15, 25)) is None
+
+
+def test_pwz_rhs_on_a_finer_lattice_and_an_odd_one_refused():
+    # q^(n(j+1/2)) needs an even D; on D = 4, Dz = 2 both sides still agree
+    lhs, rhs = pwz_lhs_cleared(12, 25, 4, 2), pwz_rhs_cleared(12, 25, 4, 2)
+    assert rhs.order == 48 and lhs.first_mismatch(rhs) is None
+    with pytest.raises(LatticeMismatch):
+        pwz_rhs_cleared(12, 25, 3)
 
 
 def test_pwz_low_coefficients():

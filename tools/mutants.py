@@ -165,16 +165,16 @@ MUTANTS = [
     # q-shift, the order rows are taken in; the cleared pwz series' shifted
     # add and its ratio's order; G = sum F's and pwz_rhs_cleared's int exponents
     ("src/pwomega/qseries.py",
-     "rows.setdefault(r + d,", "rows.setdefault(r - d,",
+     "acc.setdefault(r + d,", "acc.setdefault(r - d,",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
-     "rows[r], c_parts, e, order)", "rows[r], c_parts, e + 1, order)",
+     "_add_rows(rows, rows, c, e, d, order)", "_add_rows(rows, rows, c, e + (d != 0), d, order)",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
      "sorted(rows, reverse=d > 0)", "sorted(rows, reverse=d < 0)",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/indefinite.py",
-     "[(0, 1)], n * D, order)", "[(0, 1)], (n - 1) * D, order)",
+     "ONE, n * D, 0, order)", "ONE, (n - 1) * D, 0, order)",
      ["tests/test_indefinite.py"]),
     ("src/pwomega/indefinite.py",
      "order - n * D)[0]", "order - (n + 1) * D)[0]",
