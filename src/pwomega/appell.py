@@ -1,10 +1,10 @@
-"""Zwegers' mu-function machinery: numeric wrappers with explicit precision,
-the exact mu-series at torsion points, the holomorphic/non-holomorphic split
-of R at the quarter points, and the closed-form tau-bar derivatives of R.
+"""Zwegers' mu-function machinery: mu-hat at a given precision, the
+modular-law residuals of mu-hat and theta, the holomorphic/non-holomorphic
+split of R at the quarter points, and the closed-form tau-bar derivatives of R.
 
-Numeric results are accurate to about 2^-P relative to their magnitude; the
-wrappers run at P + GUARD working bits and every bilateral sum truncates its
-Gaussian tail below the working epsilon.
+Every function but mu_hat_numeric computes at the working precision in
+effect, which the caller sets with kernels.workprec; every bilateral sum
+truncates its Gaussian tail below the working epsilon.
 """
 
 from __future__ import annotations
@@ -15,72 +15,44 @@ from typing import Tuple
 from mpmath import mp
 
 from . import kernels
-from .classical import TorsionPoint, _frac_mod1, _isqrt_ceil, theta_series_at_torsion
-from .cyc8 import Cyc8, ONE
-from .errors import SpecializationPole
-from .kernels import GUARD, workprec
+from .cyc8 import Cyc8
+from .kernels import workprec
 from .modular import GroupElement, psi_multiplier
-from .qseries import DEFAULT_LATTICE, Monomial, QSeries, geometric
+from .qseries import Monomial
 
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# numeric wrappers
+# mu-hat and the modular-law residuals
 # ---------------------------------------------------------------------------
 
-def E_numeric(w, P: int = 53):
-    """E(w) = 2 int_0^w exp(-pi t^2) dt, real w, to 2^-P."""
+def mu_hat_numeric(z1, z2, tau, P: int):
+    """mu-hat(z1, z2; tau) under kernels.workprec(P)."""
+    # sets its own precision: the benchmark's warm-up calls it with this signature
     with workprec(P):
-        return +kernels.E_func(mp.mpf(w))
+        return kernels.muhat(z1, z2, tau)
 
 
-def R_numeric(z, tau, P: int = 53):
-    with workprec(P):
-        return +kernels.R(z, tau)
-
-
-def mu_numeric(z1, z2, tau, P: int = 53):
-    with workprec(P):
-        return +kernels.mu(z1, z2, tau)
-
-
-def mu_hat_numeric(z1, z2, tau, P: int = 53):
-    with workprec(P):
-        return +kernels.muhat(z1, z2, tau)
-
-
-def mu_hat_transform_check(M: GroupElement, z1, z2, tau, P: int = 53) -> float:
+def mu_hat_transform_check(M: GroupElement, z1, z2, tau) -> float:
     """Residual of the weight-1/2 modular law for the completed mu."""
-    with workprec(P):
-        z1, z2, tau = mp.mpc(z1), mp.mpc(z2), mp.mpc(tau)
-        j = M.jfactor(tau)
-        left = kernels.muhat(z1 / j, z2 / j, M.act(tau))
-        right = (psi_multiplier(M).pow(-3).value() * mp.sqrt(j)
-                 * mp.expjpi(-M.c * (z1 - z2) ** 2 / j) * kernels.muhat(z1, z2, tau))
-        return float(abs(left - right) / max(abs(left), abs(right)))
+    z1, z2, tau = mp.mpc(z1), mp.mpc(z2), mp.mpc(tau)
+    j = M.jfactor(tau)
+    left = kernels.muhat(z1 / j, z2 / j, M.act(tau))
+    right = (psi_multiplier(M).pow(-3).value() * mp.sqrt(j)
+             * mp.expjpi(-M.c * (z1 - z2) ** 2 / j) * kernels.muhat(z1, z2, tau))
+    return float(abs(left - right) / max(abs(left), abs(right)))
 
 
-def theta_transform_check(M: GroupElement, z, tau, P: int = 53) -> float:
+def theta_transform_check(M: GroupElement, z, tau) -> float:
     """Residual of theta's weight-1/2 law with multiplier psi^3."""
-    with workprec(P):
-        z, tau = mp.mpc(z), mp.mpc(tau)
-        j = M.jfactor(tau)
-        left = kernels.theta(z / j, M.act(tau))
-        right = (psi_multiplier(M).pow(3).value() * mp.sqrt(j)
-                 * mp.expjpi(M.c * z * z / j) * kernels.theta(z, tau))
-        scale = max(abs(left), abs(right), mp.mpf(1))
-        return float(abs(left - right) / scale)
-
-
-def eta_numeric(tau, P: int = 53):
-    with workprec(P):
-        return +kernels.eta(tau)
-
-
-def theta_numeric(z, tau, P: int = 53):
-    with workprec(P):
-        return +kernels.theta(z, tau)
+    z, tau = mp.mpc(z), mp.mpc(tau)
+    j = M.jfactor(tau)
+    left = kernels.theta(z / j, M.act(tau))
+    right = (psi_multiplier(M).pow(3).value() * mp.sqrt(j)
+             * mp.expjpi(M.c * z * z / j) * kernels.theta(z, tau))
+    scale = max(abs(left), abs(right), mp.mpf(1))
+    return float(abs(left - right) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -103,36 +75,34 @@ def _conj_theta(a, b, tau):
     return aa, v, mp.exp(-2 * mp.pi * aa * aa * v), plan.theta(z), plan.theta_dz(z)
 
 
-def dtaubar_R_numeric(a, b, tau, P: int = 53):
+def dtaubar_R_numeric(a, b, tau):
     """d/d(tau-bar) of tau -> R(a tau + b; tau):
 
         (i/sqrt(2v)) e^(-2 pi a^2 v) sum_{n in 1/2+Z} (-1)^(n+1/2) (n+a) x_n
         = (i/sqrt(2v)) e^(-2 pi a^2 v) (theta'/(2 pi) + i a theta)
 
     in the notation of _conj_theta."""
-    with workprec(P):
-        aa, v, gauss, th, dth = _conj_theta(a, b, tau)
-        return 1j / mp.sqrt(2 * v) * gauss * (dth / (2 * mp.pi) + 1j * aa * th)
+    aa, v, gauss, th, dth = _conj_theta(a, b, tau)
+    return 1j / mp.sqrt(2 * v) * gauss * (dth / (2 * mp.pi) + 1j * aa * th)
 
 
-def dz_dtaubar_R_numeric(a, b, tau, P: int = 53):
+def dz_dtaubar_R_numeric(a, b, tau):
     """d/d(tau-bar) of tau -> [d/dz R(z)]_{z = a tau + b}:
 
         e^(-2 pi a^2 v)/(2 sqrt(2v)) sum (-1)^(n-1/2) (1/v + 4 pi a (a+n)) x_n
         = e^(-2 pi a^2 v)/(2 sqrt(2v)) (-i (1/v + 4 pi a^2) theta - 2 a theta')
 
     in the notation of _conj_theta."""
-    with workprec(P):
-        aa, v, gauss, th, dth = _conj_theta(a, b, tau)
-        return (gauss / (2 * mp.sqrt(2 * v))
-                * (-1j * (1 / v + 4 * mp.pi * aa * aa) * th - 2 * aa * dth))
+    aa, v, gauss, th, dth = _conj_theta(a, b, tau)
+    return (gauss / (2 * mp.sqrt(2 * v))
+            * (-1j * (1 / v + 4 * mp.pi * aa * aa) * th - 2 * aa * dth))
 
 
 # ---------------------------------------------------------------------------
 # holomorphic / purely non-holomorphic split of R(tau/2 + 1/4)
 # ---------------------------------------------------------------------------
 
-def R_quarter_split(tau, P: int = 53) -> Tuple[Monomial, "mp.mpc"]:
+def R_quarter_split(tau) -> Tuple[Monomial, "mp.mpc"]:
     """R(tau/2 + 1/4) = e^(pi i/4) q^(1/8) + N1(tau) with N1 purely
     non-holomorphic:
 
@@ -142,78 +112,27 @@ def R_quarter_split(tau, P: int = 53) -> Tuple[Monomial, "mp.mpc"]:
     Returns the holomorphic monomial (exact) and the numeric N1 value.
     """
     holo = Monomial(Cyc8.zeta_pow(1), F(1, 8))
-    with workprec(P):
-        tau = mp.mpc(tau)
-        v = tau.imag
-        s2v = mp.sqrt(2 * v)
-        nmax = int(mp.sqrt((mp.prec + 16) * mp.ln(2) / (2 * mp.pi * v))) + 3
-        acc = mp.mpc(0)
-        for n in range(-nmax, nmax + 1):
-            m = 2 * n + 1
-            sgn = 1 if m > 0 else -1
-            acc += ((-1) ** n * kernels.sgn_minus_E(sgn, m * s2v)
-                    * kernels.qpow(tau, -mp.mpf(m * m) / 2))
-        n1 = mp.expjpi(-mp.mpf(1) / 4) * kernels.qpow(tau, mp.mpf(1) / 8) * acc
-        return holo, +n1
+    tau = mp.mpc(tau)
+    v = tau.imag
+    s2v = mp.sqrt(2 * v)
+    nmax = int(mp.sqrt((mp.prec + 16) * mp.ln(2) / (2 * mp.pi * v))) + 3
+    acc = mp.mpc(0)
+    for n in range(-nmax, nmax + 1):
+        m = 2 * n + 1
+        sgn = 1 if m > 0 else -1
+        acc += ((-1) ** n * kernels.sgn_minus_E(sgn, m * s2v)
+                * kernels.qpow(tau, -mp.mpf(m * m) / 2))
+    n1 = mp.expjpi(-mp.mpf(1) / 4) * kernels.qpow(tau, mp.mpf(1) / 8) * acc
+    return holo, n1
 
 
-def R_holo_split_residual(tau, P: int = 53) -> Tuple[float, float]:
+def R_holo_split_residual(tau) -> Tuple[float, float]:
     """Consistency of the split: residuals of
     R(tau/2+1/4) = holo + N1   and   R(tau/2+3/4) = -i N1 + e^(3 pi i/4) q^(1/8)."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        holo, n1 = R_quarter_split(tau, P)
-        hval = holo.coeff.to_mpc(mp) * kernels.qpow(tau, mp.mpf(1) / 8)
-        r1 = abs(kernels.R(tau / 2 + mp.mpf(1) / 4, tau) - (hval + n1))
-        r2 = abs(kernels.R(tau / 2 + mp.mpf(3) / 4, tau)
-                 - (-1j * n1 + mp.expjpi(mp.mpf(3) / 4) * kernels.qpow(tau, mp.mpf(1) / 8)))
-        return float(r1), float(r2)
-
-
-# ---------------------------------------------------------------------------
-# exact mu at torsion points
-# ---------------------------------------------------------------------------
-
-def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N,
-                      D: int = DEFAULT_LATTICE) -> QSeries:
-    """Exact Laurent-Puiseux expansion of mu(a1 tau + b1, a2 tau + b2; tau).
-
-    Each bilateral-sum denominator 1 - e^(2 pi i b1) q^(n + a1) is expanded
-    formally: geometric when n + a1 > 0, constant when n + a1 = 0 (pole if
-    b1 is integral), and factored through -e^(2 pi i b1) q^(n+a1) otherwise.
-    """
-    a1, b1, a2, b2 = z1.a, z1.b, z2.a, z2.b
-    N = F(N)
-    # conservative symmetric n-window: exponents grow like n^2/2 - |a2| n - |n + a1|
-    n_max = 3 + int(2 * (abs(a2) + 2)) + _isqrt_ceil(2 * (N - min(0, _series_floor_bound(a1, a2)) + 4))
-    root_b1 = Cyc8.from_root_of_unity(_frac_mod1(b1))
-    acc = QSeries.zero(D, N + 8)
-    for n in range(-n_max, n_max + 1):
-        e0 = F(n * (n + 1), 2) + n * a2
-        coeff = Cyc8((-1) ** n) * Cyc8.from_root_of_unity(_frac_mod1(n * b2))
-        m = n + a1
-        if m > 0:
-            term = geometric(D, m, N + 8 - e0, root_b1).shift(e0).scale(coeff)
-        elif m == 0:
-            unit = ONE - root_b1
-            if unit.is_zero():
-                raise SpecializationPole(f"denominator vanishes identically at n={n}")
-            term = QSeries.from_terms(D, [(e0, coeff * unit.inverse())], N + 8)
-        else:
-            # 1/(1 - r q^m) = -r^{-1} q^{-m} / (1 - r^{-1} q^{-m}),  m < 0
-            rinv = root_b1.inverse()
-            term = geometric(D, -m, N + 8 - e0 + m, rinv).shift(e0 - m).scale(-(coeff * rinv))
-        acc = acc + term.truncate(N + 8)
-    theta2 = theta_series_at_torsion(z2, N + 8, D)
-    pref = Monomial(Cyc8.from_root_of_unity(_frac_mod1(b1 / 2)), a1 / 2)
-    out = acc * theta2.invert()
-    return out.mul_monomial(pref).truncate(N)
-
-
-def _series_floor_bound(a1: Fraction, a2: Fraction) -> Fraction:
-    # crude lower bound of the term floors: minimum of n(n+1)/2 + n a2 - max(0, -(n+a1))
-    best = F(0)
-    for n in range(-12, 13):
-        e = F(n * (n + 1), 2) + n * a2 + min(0, n + a1)
-        best = min(best, e)
-    return best
+    tau = mp.mpc(tau)
+    holo, n1 = R_quarter_split(tau)
+    hval = holo.coeff.to_mpc(mp) * kernels.qpow(tau, mp.mpf(1) / 8)
+    r1 = abs(kernels.R(tau / 2 + mp.mpf(1) / 4, tau) - (hval + n1))
+    r2 = abs(kernels.R(tau / 2 + mp.mpf(3) / 4, tau)
+             - (-1j * n1 + mp.expjpi(mp.mpf(3) / 4) * kernels.qpow(tau, mp.mpf(1) / 8)))
+    return float(r1), float(r2)

@@ -1,5 +1,6 @@
-"""Exact Dedekind eta, eta quotients, Jacobi theta at torsion points, and the
-two classical q-series lemmas (finite Jacobi triple product, Heine).
+"""Exact Dedekind eta, eta quotients, Jacobi theta and Appell-Lerch mu at
+torsion points, and the two classical q-series lemmas (finite Jacobi triple
+product, Heine).
 
 Everything here is formal: series live on the fractional q-lattice and the
 coefficients are 8th cyclotomic rationals.  theta specialized at z = a*tau + b
@@ -14,11 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .cyc8 import Cyc8
+from .cyc8 import Cyc8, ONE
 from .errors import (LatticeMismatch, NonExpandableDenominator,
-                     RootOfUnityOutsideCyc8)
+                     RootOfUnityOutsideCyc8, SpecializationPole)
 from .jseries import JSeries
-from .qseries import DEFAULT_LATTICE, Monomial, QSeries, pochhammer_factors
+from .qseries import DEFAULT_LATTICE, Monomial, QSeries, geometric, pochhammer_factors
 
 F = Fraction
 Rat = Union[int, Fraction]
@@ -162,6 +163,55 @@ def theta_elliptic_shift_reference(z: TorsionPoint, lam: int, mu: int, N,
     root = Cyc8.from_root_of_unity(_frac_mod1(F(-lam) * z.b))
     shift = -F(lam * lam, 2) - lam * z.a
     return base.mul_monomial(Monomial(sign * root, shift, 0)).truncate(N)
+
+
+# ---------------------------------------------------------------------------
+# exact mu at torsion points
+# ---------------------------------------------------------------------------
+
+def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N,
+                      D: int = DEFAULT_LATTICE) -> QSeries:
+    """Exact Laurent-Puiseux expansion of mu(a1 tau + b1, a2 tau + b2; tau).
+
+    Each bilateral-sum denominator 1 - e^(2 pi i b1) q^(n + a1) is expanded
+    formally: geometric when n + a1 > 0, constant when n + a1 = 0 (pole if
+    b1 is integral), and factored through -e^(2 pi i b1) q^(n+a1) otherwise.
+    """
+    a1, b1, a2, b2 = z1.a, z1.b, z2.a, z2.b
+    N = F(N)
+    # conservative symmetric n-window: exponents grow like n^2/2 - |a2| n - |n + a1|
+    n_max = 3 + int(2 * (abs(a2) + 2)) + _isqrt_ceil(2 * (N - min(0, _series_floor_bound(a1, a2)) + 4))
+    root_b1 = Cyc8.from_root_of_unity(_frac_mod1(b1))
+    acc = QSeries.zero(D, N + 8)
+    for n in range(-n_max, n_max + 1):
+        e0 = F(n * (n + 1), 2) + n * a2
+        coeff = Cyc8((-1) ** n) * Cyc8.from_root_of_unity(_frac_mod1(n * b2))
+        m = n + a1
+        if m > 0:
+            term = geometric(D, m, N + 8 - e0, root_b1).shift(e0).scale(coeff)
+        elif m == 0:
+            unit = ONE - root_b1
+            if unit.is_zero():
+                raise SpecializationPole(f"denominator vanishes identically at n={n}")
+            term = QSeries.from_terms(D, [(e0, coeff * unit.inverse())], N + 8)
+        else:
+            # 1/(1 - r q^m) = -r^{-1} q^{-m} / (1 - r^{-1} q^{-m}),  m < 0
+            rinv = root_b1.inverse()
+            term = geometric(D, -m, N + 8 - e0 + m, rinv).shift(e0 - m).scale(-(coeff * rinv))
+        acc = acc + term.truncate(N + 8)
+    theta2 = theta_series_at_torsion(z2, N + 8, D)
+    pref = Monomial(Cyc8.from_root_of_unity(_frac_mod1(b1 / 2)), a1 / 2)
+    out = acc * theta2.invert()
+    return out.mul_monomial(pref).truncate(N)
+
+
+def _series_floor_bound(a1: Fraction, a2: Fraction) -> Fraction:
+    # crude lower bound of the term floors: minimum of n(n+1)/2 + n a2 - max(0, -(n+a1))
+    best = F(0)
+    for n in range(-12, 13):
+        e = F(n * (n + 1), 2) + n * a2 + min(0, n + a1)
+        best = min(best, e)
+    return best
 
 
 # ---------------------------------------------------------------------------

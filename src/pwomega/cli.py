@@ -13,7 +13,11 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
+from .classical import (EtaQuotient, TorsionPoint, eta_quotient_series, eta_series,
+                        mu_torsion_series, theta_series_at_torsion)
 from .errors import PwOmegaError, UnknownIdentity, UnknownObject
+from .indefinite import pbar_omega_series
+from .partitions import FAMILIES, genfun
 from .qseries import Monomial, QSeries, qpochhammer
 
 F = Fraction
@@ -23,43 +27,30 @@ F = Fraction
 # expandable named series
 # ---------------------------------------------------------------------------
 
+# name -> builder(N, spec), spec the text after "eta-quotient:"; the families'
+# names also take '-' for '_', except pbar_omega: "pbar-omega" is its triple sum
+EXPANDABLE = {
+    "pbar-omega": lambda N, _: pbar_omega_series(N, "triple_sum"),
+    "pbar-omega-def": lambda N, _: pbar_omega_series(N, "definition"),
+    "eta": lambda N, _: eta_series(N),
+    "eta^3": lambda N, _: eta_series(N).pow(3),
+    "euler": lambda N, _: qpochhammer(1, Monomial(1, 1), None, N),
+    "eta-quotient:<spec>": lambda N, spec: eta_quotient_series(EtaQuotient.parse(spec), N),
+    "theta(tau+1/2)": lambda N, _: theta_series_at_torsion(TorsionPoint(1, F(1, 2)), N),
+    "theta(tau/2+1/4)": lambda N, _: theta_series_at_torsion(TorsionPoint(F(1, 2), F(1, 4)), N),
+    "mu(tau/2,tau/2+1/4)": lambda N, _: mu_torsion_series(
+        TorsionPoint(F(1, 2), 0), TorsionPoint(F(1, 2), F(1, 4)), N),
+    **{family: (lambda N, _, family=family: genfun(family, N)) for family in FAMILIES},
+}
+
+
 def _expand_object(name: str, N: int) -> QSeries:
-    from .classical import (EtaQuotient, TorsionPoint, eta_quotient_series,
-                            eta_series, theta_series_at_torsion)
-    from .indefinite import pbar_omega_series
-    from .partitions import FAMILIES, genfun
-
-    name = name.strip()
-    if name == "pbar-omega":
-        return pbar_omega_series(N, "triple_sum")
-    if name == "pbar-omega-def":
-        return pbar_omega_series(N, "definition")
-    if name == "eta":
-        return eta_series(N)
-    if name == "eta^3":
-        return eta_series(N).pow(3)
-    if name == "euler":
-        return qpochhammer(1, Monomial(1, 1), None, N)
-    if name.startswith("eta-quotient:"):
-        return eta_quotient_series(EtaQuotient.parse(name.split(":", 1)[1]), N)
-    if name == "theta(tau+1/2)":
-        return theta_series_at_torsion(TorsionPoint(1, F(1, 2)), N)
-    if name == "theta(tau/2+1/4)":
-        return theta_series_at_torsion(TorsionPoint(F(1, 2), F(1, 4)), N)
-    if name == "mu(tau/2,tau/2+1/4)":
-        from .appell import mu_torsion_series
-        return mu_torsion_series(TorsionPoint(F(1, 2), 0),
-                                 TorsionPoint(F(1, 2), F(1, 4)), N)
-    family = name.replace("-", "_")
-    if family in FAMILIES:
-        return genfun(family, N)
-    raise UnknownObject(f"no expandable series named {name!r}")
-
-
-EXPANDABLE = ["pbar-omega", "pbar-omega-def", "eta", "eta^3", "euler",
-              "eta-quotient:<spec>", "theta(tau+1/2)", "theta(tau/2+1/4)",
-              "mu(tau/2,tau/2+1/4)", "spt", "p-omega", "spt-omega",
-              "pbar-omega (family)", "sptbar-omega", "spt-g2"]
+    head, colon, spec = name.strip().partition(":")
+    key = f"{head}:<spec>" if colon else head
+    build = EXPANDABLE.get(key) or EXPANDABLE.get(key.replace("-", "_"))
+    if build is None:
+        raise UnknownObject(f"no expandable series named {name.strip()!r}")
+    return build(N, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +58,7 @@ EXPANDABLE = ["pbar-omega", "pbar-omega-def", "eta", "eta^3", "euler",
 # ---------------------------------------------------------------------------
 
 def load_config(path: Optional[str]) -> Dict:
-    """key=value lines; keys: order, prec, jobs, taus (u,v;u,v;...)."""
+    """key=value lines; keys: order, prec, window, taus (u,v;u,v;...)."""
     if not path:
         return {}
     out: Dict = {}
@@ -79,7 +70,7 @@ def load_config(path: Optional[str]) -> Dict:
                     continue
                 key, _, val = line.partition("=")
                 key, val = key.strip(), val.strip().strip('"')
-                if key in ("order", "prec", "jobs", "window"):
+                if key in ("order", "prec", "window"):
                     out[key] = int(val)
                 elif key == "taus":
                     out["taus"] = _parse_taus(p for p in val.split(";") if p.strip())
@@ -122,7 +113,6 @@ def _overrides(args, cfg: Dict) -> Dict:
         out["taus"] = taus
     if getattr(args, "tolerance", None) is not None:
         out["tolerance"] = args.tolerance
-    out.pop("jobs", None)
     return out
 
 
@@ -143,8 +133,7 @@ def cmd_suite(args) -> int:
     from .registry import run_suite
 
     cfg = load_config(args.config)
-    jobs = args.jobs if args.jobs is not None else cfg.get("jobs", 1)
-    reports = run_suite(args.filter, jobs, _overrides(args, cfg))
+    reports = run_suite(args.filter, _overrides(args, cfg))
     ok = True
     for report in reports:
         print(json.dumps(report.to_dict()))
@@ -206,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run the identity suite")
     p_suite.add_argument("--filter", default=None, help="glob on identity ids")
-    p_suite.add_argument("--jobs", type=int, default=None)
     p_suite.add_argument("--order", type=int, default=None)
     p_suite.add_argument("--prec", type=int, default=None)
     p_suite.add_argument("--window", type=int, default=None)

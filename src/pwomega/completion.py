@@ -15,6 +15,10 @@ R-block is differentiated termwise through the explicit Wirtinger sums in
 kernels.  Composite results are returned as Approx(value, err) with a
 conservative absolute-error estimate.
 
+Every function computes at the working precision in effect, which the caller
+sets with kernels.workprec.  Only the jets raise it, by JET_GUARD bits, and
+they read the caller's bits first: the rounding allowances are taken there.
+
 contour_derivs (trapezoidal Cauchy-integral differentiation) has no caller
 here: it is the tests' independent route to every block's jet, with its
 circle geometry in tests/contour_oracle.py.  It stays in the package while
@@ -34,7 +38,7 @@ from mpmath.libmp import to_fixed
 from . import kernels
 from .errors import ContourThroughPole, PoleProximity, PrecisionUnreachable
 from .indefinite import cone_points, pbar_omega_series
-from .kernels import GUARD, qpow, workprec
+from .kernels import GUARD, qpow
 
 F = Fraction
 
@@ -53,10 +57,10 @@ class Approx:
         return abs(self.value)
 
 
-def _prim_err(scale, P: int) -> float:
-    """Coarse absolute-error allowance for one primitive evaluated at
-    working precision P + GUARD."""
-    return float((abs(scale) + 1) * mp.mpf(2) ** (-(P + GUARD - 16)))
+def _prim_err(scale, bits: int) -> float:
+    """Coarse absolute-error allowance for one primitive evaluated at bits
+    working bits."""
+    return float((abs(scale) + 1) * mp.mpf(2) ** (16 - bits))
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +87,15 @@ class Jet:
     err: List[float]
 
     @classmethod
-    def kernel(cls, coeffs, val: int, P: int) -> "Jet":
+    def kernel(cls, coeffs, val: int, bits: int) -> "Jet":
         """Coefficients of delta^val, delta^(val+1), ... from one kernel
-        pass, each within the primitive allowance _prim_err."""
-        return cls(val, val + len(coeffs) - 1, list(coeffs), [_prim_err(x, P) for x in coeffs])
+        pass, each within the primitive allowance _prim_err at bits."""
+        return cls(val, val + len(coeffs) - 1, list(coeffs), [_prim_err(x, bits) for x in coeffs])
 
     @classmethod
-    def exp(cls, a, K: int, P: int) -> "Jet":
+    def exp(cls, a, K: int, bits: int) -> "Jet":
         """e^(a delta) through delta^K."""
-        return cls.kernel([a ** k / mp.factorial(k) for k in range(K + 1)], 0, P)
+        return cls.kernel([a ** k / mp.factorial(k) for k in range(K + 1)], 0, bits)
 
     def _at(self, k: int):
         i = k - self.val
@@ -157,8 +161,8 @@ class Jet:
 # route to the jets' coefficients)
 # ---------------------------------------------------------------------------
 
-def contour_derivs(f: Callable, center, radius, orders: Tuple[int, ...],
-                   P: int) -> List[Dict[int, Approx]]:
+def contour_derivs(f: Callable, center, radius,
+                   orders: Tuple[int, ...]) -> List[Dict[int, Approx]]:
     """Derivatives g^(m)(center), m in orders, of every component g of the
     vector-valued f(z) = (g_0(z), g_1(z), ...), each g holomorphic on the
     closed disk, by trapezoidal quadrature on |z - center| = radius.
@@ -167,12 +171,13 @@ def contour_derivs(f: Callable, center, radius, orders: Tuple[int, ...],
     start as the 64th roots of unity; each doubling interleaves the new odd
     nodes e^(2 pi i (2j+1)/2M) with the old ones, so every value is reused.
     A component has settled when every requested coefficient moved by less
-    than 2^-(P+6) relative on the last doubling, which certifies the
+    than 2^-(P+6) relative on the last doubling, P = prec - GUARD the
+    precision asked of kernels.workprec, which certifies the
     exponentially small aliasing error; the pass stops when all have.
     Returns one {order: Approx} dict per component.
     """
     radius = mp.mpf(radius)
-    tol = mp.mpf(2) ** (-(P + 6))
+    tol = mp.mpf(2) ** (GUARD - 6 - mp.prec)
     M = 64
     roots = [mp.expjpi(2 * mp.mpf(j) / M) for j in range(M)]
     vals = [f(center + radius * root) for root in roots]
@@ -214,7 +219,7 @@ def contour_derivs(f: Callable, center, radius, orders: Tuple[int, ...],
 # the triple cone sum, numerically
 # ---------------------------------------------------------------------------
 
-def F_cone_numeric(z1, z2, z3, tau, P: int = 113):
+def F_cone_numeric(z1, z2, z3, tau):
     """F(z1,z2,z3;tau) by direct two-cone summation; needs |Im z_j| < v/2.
 
     The term T(k,l,n) = (-1)^k q^e zeta1^k zeta2^l zeta3^n,
@@ -231,100 +236,97 @@ def F_cone_numeric(z1, z2, z3, tau, P: int = 113):
     floats with the bound lowered by 1, so float rounding can add points
     next to the cut but never drop one; along each cone direction the left
     side falls by at least pi v per step, so the test stays monotone."""
-    with workprec(P):
-        z1, z2, z3, tau = (mp.mpc(w) for w in (z1, z2, z3, tau))
-        v = tau.imag
-        for z in (z1, z2, z3):
-            if abs(z.imag) >= v / 2:
-                raise PoleProximity("cone sum needs |Im z_j| < v/2")
-        logeps = -(mp.prec + 10) * math.log(2) - 1
-        fv, y1, y2, y3 = (float(x) for x in (v, z1.imag, z2.imag, z3.imag))
-        W = mp.prec + 40 + math.ceil(math.pi * fv * math.log2(math.e))
+    z1, z2, z3, tau = (mp.mpc(w) for w in (z1, z2, z3, tau))
+    v = tau.imag
+    for z in (z1, z2, z3):
+        if abs(z.imag) >= v / 2:
+            raise PoleProximity("cone sum needs |Im z_j| < v/2")
+    logeps = -(mp.prec + 10) * math.log(2) - 1
+    fv, y1, y2, y3 = (float(x) for x in (v, z1.imag, z2.imag, z3.imag))
+    W = mp.prec + 40 + math.ceil(math.pi * fv * math.log2(math.e))
 
-        def qexp(k, l, n):
-            return k * (k + 1) // 2 + k * l + k * n + l * n
+    def qexp(k, l, n):
+        return k * (k + 1) // 2 + k * l + k * n + l * n
 
-        def inside(k, l, n):
-            return -2 * math.pi * (fv * qexp(k, l, n) + k * y1 + l * y2 + n * y3) > logeps
+    def inside(k, l, n):
+        return -2 * math.pi * (fv * qexp(k, l, n) + k * y1 + l * y2 + n * y3) > logeps
 
-        def mul(a, b):
-            return (a[0] * b[0] - a[1] * b[1]) >> W, (a[0] * b[1] + a[1] * b[0]) >> W
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1]) >> W, (a[0] * b[1] + a[1] * b[0]) >> W
 
-        def fix(x):
-            return tuple(to_fixed(c, W) for c in x._mpc_)
+    def fix(x):
+        return tuple(to_fixed(c, W) for c in x._mpc_)
 
-        with mp.workprec(W):
-            # zeta1^(+-1) enters with the sign (-1)^k of its term
-            zeta, zinv = ([fix(sign * mp.expjpi(2 * t * z))
-                           for sign, z in zip((-1, 1, 1), (z1, z2, z3))] for t in (1, -1))
-            q = fix(qpow(tau, 1))
-        Q = [(1 << W, 0), q]
+    with mp.workprec(W):
+        # zeta1^(+-1) enters with the sign (-1)^k of its term
+        zeta, zinv = ([fix(sign * mp.expjpi(2 * t * z))
+                       for sign, z in zip((-1, 1, 1), (z1, z2, z3))] for t in (1, -1))
+        q = fix(qpow(tau, 1))
+    Q = [(1 << W, 0), q]
 
-        def qp(m):
-            while len(Q) <= m:
-                Q.append(mul(Q[-1], q))
-            return Q[m]
+    def qp(m):
+        while len(Q) <= m:
+            Q.append(mul(Q[-1], q))
+        return Q[m]
 
-        acc0 = acc1 = 0
-        for k, l, n in cone_points(inside):
-            if (k, l, n) in ((1, 0, 0), (0, -1, -1)):      # a cone's apex
-                s, a = (1, 0) if k else (-1, -1)
-                zs = zeta if k else zinv
-                head = line = term = mul(qp(1), zs[0]) if k else mul(mul(qp(1), zs[1]), zs[2])
-            elif l == a and n == a:                         # the next k
-                head = line = term = mul(head, mul(qp(qexp(k, a, a) - qexp(k - s, a, a)), zs[0]))
-            elif n == a:                                    # the next l
-                line = term = mul(line, mul(qp(qexp(k, l, a) - qexp(k, l - s, a)), zs[1]))
-            else:
-                term = mul(term, ratio)
-            if n == a:
-                ratio = mul(qp(s * (k + l)), zs[2])
-            acc0 += term[0]
-            acc1 += term[1]
-        with mp.workprec(mp.prec + 20):
-            acc = mp.mpc(mp.mpf((acc0, -W)), mp.mpf((acc1, -W)))
-        pref = qpow(tau, -F(1, 8)) * mp.expjpi(-z1 + z2 + z3)
-        return +(pref * acc)
+    acc0 = acc1 = 0
+    for k, l, n in cone_points(inside):
+        if (k, l, n) in ((1, 0, 0), (0, -1, -1)):      # a cone's apex
+            s, a = (1, 0) if k else (-1, -1)
+            zs = zeta if k else zinv
+            head = line = term = mul(qp(1), zs[0]) if k else mul(mul(qp(1), zs[1]), zs[2])
+        elif l == a and n == a:                         # the next k
+            head = line = term = mul(head, mul(qp(qexp(k, a, a) - qexp(k - s, a, a)), zs[0]))
+        elif n == a:                                    # the next l
+            line = term = mul(line, mul(qp(qexp(k, l, a) - qexp(k, l - s, a)), zs[1]))
+        else:
+            term = mul(term, ratio)
+        if n == a:
+            ratio = mul(qp(s * (k + l)), zs[2])
+        acc0 += term[0]
+        acc1 += term[1]
+    with mp.workprec(mp.prec + 20):
+        acc = mp.mpc(mp.mpf((acc0, -W)), mp.mpf((acc1, -W)))
+    pref = qpow(tau, -F(1, 8)) * mp.expjpi(-z1 + z2 + z3)
+    return pref * acc
 
 
-def F_mu_numeric(z1, z2, z3, tau, P: int = 113):
+def F_mu_numeric(z1, z2, z3, tau):
     """F via its Appell-Lerch representation:
     i theta(z1) mu(z1,z2) mu(z1,z3) - eta^3 theta(z2+z3)/(theta(z2) theta(z3))
     * mu(z1, z2+z3); z1 must avoid the lattice (removable singularities).
     One mu bundle over z2, z3, z2+z3 gives the mu's and the thetas below."""
-    with workprec(P):
-        z1, z2, z3, tau = (mp.mpc(w) for w in (z1, z2, z3, tau))
-        plan = kernels.TauPlan(tau)
-        bundle = plan.mu(z2, z3, z2 + z3)
-        m2, m3, m23 = bundle(z1)
-        th2, th3, th23 = bundle.theta_w
-        t1 = 1j * plan.theta(z1) * m2 * m3
-        t2 = kernels.eta(tau) ** 3 * th23 / (th2 * th3) * m23
-        return +(t1 - t2)
+    z1, z2, z3, tau = (mp.mpc(w) for w in (z1, z2, z3, tau))
+    plan = kernels.TauPlan(tau)
+    bundle = plan.mu(z2, z3, z2 + z3)
+    m2, m3, m23 = bundle(z1)
+    th2, th3, th23 = bundle.theta_w
+    t1 = 1j * plan.theta(z1) * m2 * m3
+    t2 = kernels.eta(tau) ** 3 * th23 / (th2 * th3) * m23
+    return t1 - t2
 
 
 # ---------------------------------------------------------------------------
 # R*: the completion defect of F
 # ---------------------------------------------------------------------------
 
-def Rstar_numeric(z1, z2, z3, tau, P: int = 113):
+def Rstar_numeric(z1, z2, z3, tau):
     """R*(z1,z2,z3;tau) = F-hat - F.  Generic z1 uses the four-term formula;
     z1 = 0 and z1 = tau (removable 0*inf products) use their closed forms."""
-    with workprec(P):
-        z1, z2, z3, tau = (mp.mpc(w) for w in (z1, z2, z3, tau))
-        if z1 == 0:
-            return +_rstar_zero(z2, z3, tau)
-        if z1 == tau:
-            return +_rstar_tau(z2, z3, tau)
-        th1 = kernels.theta(z1, tau)
-        eta3 = kernels.eta(tau) ** 3
-        out = (-mp.mpf(1) / 2 * th1 * kernels.mu(z1, z2, tau) * kernels.R(z1 - z3, tau)
-               - mp.mpf(1) / 2 * th1 * kernels.R(z1 - z2, tau) * kernels.mu(z1, z3, tau)
-               - 0.25j * th1 * kernels.R(z1 - z2, tau) * kernels.R(z1 - z3, tau)
-               - 0.5j * eta3 * kernels.theta(z2 + z3, tau)
-               / (kernels.theta(z2, tau) * kernels.theta(z3, tau))
-               * kernels.R(z1 - z2 - z3, tau))
-        return +out
+    z1, z2, z3, tau = (mp.mpc(w) for w in (z1, z2, z3, tau))
+    if z1 == 0:
+        return _rstar_zero(z2, z3, tau)
+    if z1 == tau:
+        return _rstar_tau(z2, z3, tau)
+    th1 = kernels.theta(z1, tau)
+    eta3 = kernels.eta(tau) ** 3
+    out = (-mp.mpf(1) / 2 * th1 * kernels.mu(z1, z2, tau) * kernels.R(z1 - z3, tau)
+           - mp.mpf(1) / 2 * th1 * kernels.R(z1 - z2, tau) * kernels.mu(z1, z3, tau)
+           - 0.25j * th1 * kernels.R(z1 - z2, tau) * kernels.R(z1 - z3, tau)
+           - 0.5j * eta3 * kernels.theta(z2 + z3, tau)
+           / (kernels.theta(z2, tau) * kernels.theta(z3, tau))
+           * kernels.R(z1 - z2 - z3, tau))
+    return out
 
 
 def _rstar_zero(z2, z3, tau):
@@ -348,22 +350,21 @@ def _rstar_tau(z2, z3, tau):
             * kernels.R(tau - z2 - z3, tau))
 
 
-def rstar_tau_shift_rhs(z2, z3, tau, P: int = 113):
+def rstar_tau_shift_rhs(z2, z3, tau):
     """Right side of the shift law for R*(tau, z2, z3):
 
         -q^(1/2) zeta2^{-1} zeta3^{-1} R*(0,z2,z3)
         + i q^(3/8) zeta2^{-1/2} zeta3^{-1/2} eta^3
           (zeta3^{-1/2}/theta(z3) + zeta2^{-1/2}/theta(z2)
            - theta(z2+z3)/(theta(z2) theta(z3)))."""
-    with workprec(P):
-        z2, z3, tau = (mp.mpc(w) for w in (z2, z3, tau))
-        eta3 = kernels.eta(tau) ** 3
-        th2, th3 = kernels.theta(z2, tau), kernels.theta(z3, tau)
-        a = -qpow(tau, F(1, 2)) * mp.expjpi(-2 * (z2 + z3)) * _rstar_zero(z2, z3, tau)
-        b = (1j * qpow(tau, F(3, 8)) * mp.expjpi(-z2 - z3) * eta3
-             * (mp.expjpi(-z3) / th3 + mp.expjpi(-z2) / th2
-                - kernels.theta(z2 + z3, tau) / (th2 * th3)))
-        return +(a + b)
+    z2, z3, tau = (mp.mpc(w) for w in (z2, z3, tau))
+    eta3 = kernels.eta(tau) ** 3
+    th2, th3 = kernels.theta(z2, tau), kernels.theta(z3, tau)
+    a = -qpow(tau, F(1, 2)) * mp.expjpi(-2 * (z2 + z3)) * _rstar_zero(z2, z3, tau)
+    b = (1j * qpow(tau, F(3, 8)) * mp.expjpi(-z2 - z3) * eta3
+         * (mp.expjpi(-z3) / th3 + mp.expjpi(-z2) / th2
+            - kernels.theta(z2 + z3, tau) / (th2 * th3)))
+    return a + b
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +375,16 @@ def _w_point(tau, g: int):
     return tau / 2 + mp.mpf(1) / 4 + mp.mpf(g) / 2
 
 
-def _center_jets(plan, mus, nstar: int, P: int):
+def _center_jets(plan, mus, nstar: int, bits: int):
     """At the removable center c = -nstar tau (nstar in (0, -1)): theta's
     jet from delta^1 on (theta(c) = 0) through delta^3, and the Laurent jet
     of mu(., w) for each w of the bundle mus, from delta^-1 through
-    delta^1."""
-    theta = Jet.kernel(plan.theta_taylor(-nstar * plan.tau, 3), 0, P).regular("theta", 1)
-    return theta, [Jet.kernel(a, -1, P) for a in mus.laurent(nstar)]
+    delta^1, with the primitive allowances at bits."""
+    theta = Jet.kernel(plan.theta_taylor(-nstar * plan.tau, 3), 0, bits).regular("theta", 1)
+    return theta, [Jet.kernel(a, -1, bits) for a in mus.laurent(nstar)]
 
 
-def _fhat_blocks(tau, P: int, nstar: int):
+def _fhat_blocks(tau, nstar: int):
     """The holomorphic blocks of F-hat(z, w_a, w_b) at the center
     c = -nstar tau as jets through delta^1:
 
@@ -392,8 +393,10 @@ def _fhat_blocks(tau, P: int, nstar: int):
                                              + c2_ab e^(-2 pi i z) / theta  (a != b)
 
     Returns (p, h, theta jet, th_w, th_ww, eta^3) with h keyed by (a, b),
-    all computed JET_GUARD bits above the working precision."""
-    with mp.workprec(mp.prec + JET_GUARD):
+    all computed JET_GUARD bits above the working precision, with the
+    primitive allowances at the working precision."""
+    bits = mp.prec
+    with mp.workprec(bits + JET_GUARD):
         eta3 = kernels.eta(tau) ** 3
         plan = kernels.TauPlan(tau)
         w = [_w_point(tau, g) for g in (0, 1)]
@@ -401,8 +404,8 @@ def _fhat_blocks(tau, P: int, nstar: int):
         # w_1 + w_1 = tau + 3/2, in one bundle
         mus = plan.mu(w[0], w[1], tau + mp.mpf(1) / 2, tau + mp.mpf(3) / 2)
         th_w, th_ww = mus.theta_w[:2], mus.theta_w[2:]
-        theta, mu = _center_jets(plan, mus, nstar, P)
-        e_over_theta = (Jet.exp(-2j * mp.pi, 3, P).scale(mp.expjpi(2 * nstar * tau))
+        theta, mu = _center_jets(plan, mus, nstar, bits)
+        e_over_theta = (Jet.exp(-2j * mp.pi, 3, bits).scale(mp.expjpi(2 * nstar * tau))
                         * theta.recip())
         p = [(theta * mu[g]).regular(f"theta mu(w{g})") for g in (0, 1)]
         h = {}
@@ -416,13 +419,13 @@ def _fhat_blocks(tau, P: int, nstar: int):
         return p, h, theta, th_w, th_ww, eta3
 
 
-def _fhat_center_data(tau, P: int, nstar: int):
+def _fhat_center_data(tau, nstar: int):
     """For each (alpha, beta), (Fhat(c), dz Fhat(c)) at the center
     c = -nstar tau: the holomorphic blocks from their jets, the R-blocks
     from closed-form values."""
     tau = mp.mpc(tau)
     center = -nstar * tau
-    p, hol, theta, th_w, th_ww, eta3 = _fhat_blocks(tau, P, nstar)
+    p, hol, theta, th_w, th_ww, eta3 = _fhat_blocks(tau, nstar)
     p = [(jet.deriv(0), jet.deriv(1)) for jet in p]
     thp_center = theta.deriv(1).value
 
@@ -443,9 +446,9 @@ def _fhat_center_data(tau, P: int, nstar: int):
             rstar += -0.5j * eta3 * c_ab * R_ww[alpha]
             drstar += -0.5j * eta3 * c_ab * Rdz_ww[alpha]
         val = Approx(h[0].value + rstar,
-                     h[0].err + pa[0].err + pb[0].err + _prim_err(rstar, P))
+                     h[0].err + pa[0].err + pb[0].err + _prim_err(rstar, mp.prec))
         dval = Approx(h[1].value + drstar,
-                      h[1].err + pa[1].err + pb[1].err + _prim_err(drstar, P))
+                      h[1].err + pa[1].err + pb[1].err + _prim_err(drstar, mp.prec))
         out[(alpha, beta)] = (val, dval)
     return out
 
@@ -454,27 +457,25 @@ def _fhat_center_data(tau, P: int, nstar: int):
 # H-hat and its two combinations
 # ---------------------------------------------------------------------------
 
-def Fhat_numeric(z1, z2, z3, tau, P: int = 113):
+def Fhat_numeric(z1, z2, z3, tau):
     """F-hat = F (mu-representation) + R*, at generic z1."""
-    with workprec(P):
-        return +(F_mu_numeric(z1, z2, z3, tau, P) + Rstar_numeric(z1, z2, z3, tau, P))
+    return F_mu_numeric(z1, z2, z3, tau) + Rstar_numeric(z1, z2, z3, tau)
 
 
-def Hhat_numeric(z, tau, P: int = 113):
+def Hhat_numeric(z, tau):
     """H-hat(z;tau) = q^(-1/4) zeta sum_{a,b} i^(-a-b)
                       F-hat(z, tau/2+1/4+a/2, tau/2+1/4+b/2)."""
-    with workprec(P):
-        z, tau = mp.mpc(z), mp.mpc(tau)
-        acc = mp.mpc(0)
-        for alpha in (0, 1):
-            for beta in (0, 1):
-                weight = (-1j) ** (alpha + beta)
-                f = _fhat_generic(z, alpha, beta, tau, P)
-                acc += weight * f
-        return +(qpow(tau, -F(1, 4)) * mp.expjpi(2 * z) * acc)
+    z, tau = mp.mpc(z), mp.mpc(tau)
+    acc = mp.mpc(0)
+    for alpha in (0, 1):
+        for beta in (0, 1):
+            weight = (-1j) ** (alpha + beta)
+            f = _fhat_generic(z, alpha, beta, tau)
+            acc += weight * f
+    return qpow(tau, -F(1, 4)) * mp.expjpi(2 * z) * acc
 
 
-def _fhat_generic(z, alpha, beta, tau, P):
+def _fhat_generic(z, alpha, beta, tau):
     """F-hat(z, w_a, w_b) at generic z, with the continuity form of the second
     term when w_a + w_b lies on the lattice (alpha + beta odd)."""
     w_a, w_b = _w_point(tau, alpha), _w_point(tau, beta)
@@ -489,79 +490,78 @@ def _fhat_generic(z, alpha, beta, tau, P):
     return t1 + t2
 
 
-def hhat1_numeric(tau, P: int = 160) -> Approx:
+def hhat1_numeric(tau) -> Approx:
     """H-hat-1 = -(H-hat(0) + q^(-1/2) H-hat(tau)) / 2, via the removable-center
     assembly; the target identity is H-hat-1 = 0."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        d0 = _fhat_center_data(tau, P, 0)
-        dt = _fhat_center_data(tau, P, -1)
-        h11 = mp.mpc(0)
-        h12 = mp.mpc(0)
-        err = 0.0
-        for (alpha, beta), (f0, _) in d0.items():
-            weight = (-1j) ** (alpha + beta)
-            h11 += weight * f0.value
-            err += abs(weight) * f0.err
-        for (alpha, beta), (ft, _) in dt.items():
-            weight = (-1j) ** (alpha + beta)
-            h12 += weight * ft.value
-            err += abs(weight) * ft.err
-        q14 = qpow(tau, F(1, 4))
-        val = -(h11 / q14 + h12 * q14) / 2
-        err *= float(max(abs(q14), abs(1 / q14)))
-        return Approx(+val, err)
+    tau = mp.mpc(tau)
+    d0 = _fhat_center_data(tau, 0)
+    dt = _fhat_center_data(tau, -1)
+    h11 = mp.mpc(0)
+    h12 = mp.mpc(0)
+    err = 0.0
+    for (alpha, beta), (f0, _) in d0.items():
+        weight = (-1j) ** (alpha + beta)
+        h11 += weight * f0.value
+        err += abs(weight) * f0.err
+    for (alpha, beta), (ft, _) in dt.items():
+        weight = (-1j) ** (alpha + beta)
+        h12 += weight * ft.value
+        err += abs(weight) * ft.err
+    q14 = qpow(tau, F(1, 4))
+    val = -(h11 / q14 + h12 * q14) / 2
+    err *= float(max(abs(q14), abs(1 / q14)))
+    return Approx(val, err)
 
 
-def hhat2_numeric(tau, P: int = 160) -> Approx:
+def hhat2_numeric(tau) -> Approx:
     """H-hat-2 = [d/dzeta H-hat(z)]_{zeta=1}
                - [d/dzeta (q^(-1/2) zeta^{-1} H-hat(z+tau))]_{zeta=1}."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        d0 = _fhat_center_data(tau, P, 0)
-        dt = _fhat_center_data(tau, P, -1)
-        two_pi_i = 2j * mp.pi
-        h21 = mp.mpc(0)
-        h22 = mp.mpc(0)
-        err = 0.0
-        for (alpha, beta), (f0, df0) in d0.items():
-            weight = (-1j) ** (alpha + beta)
-            h21 += weight * (f0.value + df0.value / two_pi_i)
-            err += f0.err + df0.err
-        for (alpha, beta), (ft, dft) in dt.items():
-            weight = (-1j) ** (alpha + beta)
-            h22 += weight * dft.value / two_pi_i
-            err += dft.err
-        q14 = qpow(tau, F(1, 4))
-        val = h21 / q14 - h22 * q14
-        err *= float(max(abs(q14), abs(1 / q14)))
-        return Approx(+val, err)
+    tau = mp.mpc(tau)
+    d0 = _fhat_center_data(tau, 0)
+    dt = _fhat_center_data(tau, -1)
+    two_pi_i = 2j * mp.pi
+    h21 = mp.mpc(0)
+    h22 = mp.mpc(0)
+    err = 0.0
+    for (alpha, beta), (f0, df0) in d0.items():
+        weight = (-1j) ** (alpha + beta)
+        h21 += weight * (f0.value + df0.value / two_pi_i)
+        err += f0.err + df0.err
+    for (alpha, beta), (ft, dft) in dt.items():
+        weight = (-1j) ** (alpha + beta)
+        h22 += weight * dft.value / two_pi_i
+        err += dft.err
+    q14 = qpow(tau, F(1, 4))
+    val = h21 / q14 - h22 * q14
+    err *= float(max(abs(q14), abs(1 / q14)))
+    return Approx(val, err)
 
 
 # ---------------------------------------------------------------------------
 # FF(z) and the completed weight-1 object
 # ---------------------------------------------------------------------------
 
-def fcal_numeric(z, tau, P: int = 113):
+def fcal_numeric(z, tau):
     """FF(z;tau) = q^(-1/8) zeta^(1/2) theta(z) mu-hat(z, tau/2 + 1/4)."""
-    with workprec(P):
-        z, tau = mp.mpc(z), mp.mpc(tau)
-        return +(qpow(tau, -F(1, 8)) * mp.expjpi(z) * kernels.theta(z, tau)
-                 * kernels.muhat(z, _w_point(tau, 0), tau))
+    z, tau = mp.mpc(z), mp.mpc(tau)
+    return (qpow(tau, -F(1, 8)) * mp.expjpi(z) * kernels.theta(z, tau)
+             * kernels.muhat(z, _w_point(tau, 0), tau))
 
 
-def _fcal_block(tau, P: int):
+def _fcal_block(tau):
     """The holomorphic block q^(-1/8) e^(pi i z) theta(z) mu(z, w0) of FF
     as a jet at 0 through delta^2, and theta's jet there, computed
-    JET_GUARD bits above the working precision."""
-    with mp.workprec(mp.prec + JET_GUARD):
+    JET_GUARD bits above the working precision, with the primitive
+    allowances at the working precision."""
+    bits = mp.prec
+    with mp.workprec(bits + JET_GUARD):
         plan = kernels.TauPlan(tau)
-        theta, (mu,) = _center_jets(plan, plan.mu(_w_point(tau, 0)), 0, P)
-        block = (Jet.exp(1j * mp.pi, 3, P) * theta * mu).scale(qpow(tau, -F(1, 8)))
+        theta, (mu,) = _center_jets(plan, plan.mu(_w_point(tau, 0)), 0, bits)
+        block = (Jet.exp(1j * mp.pi, 3, bits) * theta * mu).scale(qpow(tau, -F(1, 8)))
         return block.regular("FF"), theta
 
 
-def fcal_derivs(tau, P: int = 160) -> Tuple[Approx, Approx, Approx]:
+def fcal_derivs(tau) -> Tuple[Approx, Approx, Approx]:
     """(FF(0), FF'(0), FF''(0)): the holomorphic block q^(-1/8) e^(pi i z)
     theta(z) mu(z, w0) is differentiated through its jet at 0; the R-block
     contributes
@@ -571,65 +571,62 @@ def fcal_derivs(tau, P: int = 160) -> Tuple[Approx, Approx, Approx]:
 
     using theta(0) = 0 and theta''(0) = 0.
     """
-    with workprec(P):
-        tau = mp.mpc(tau)
-        q18 = qpow(tau, -F(1, 8))
-        g, theta = _fcal_block(tau, P)
-        f0, f1, f2 = (g.deriv(m) for m in (0, 1, 2))
-        thp = theta.deriv(1).value
-        R0, R1 = kernels._R_terms(-_w_point(tau, 0), tau)
-        c1 = 0.5j * q18 * thp * R0
-        c2 = 0.5j * q18 * (2j * mp.pi * thp * R0 + 2 * thp * R1)
-        return (f0, Approx(f1.value + c1, f1.err + _prim_err(c1, P)),
-                Approx(f2.value + c2, f2.err + _prim_err(c2, P)))
+    tau = mp.mpc(tau)
+    q18 = qpow(tau, -F(1, 8))
+    g, theta = _fcal_block(tau)
+    f0, f1, f2 = (g.deriv(m) for m in (0, 1, 2))
+    thp = theta.deriv(1).value
+    R0, R1 = kernels._R_terms(-_w_point(tau, 0), tau)
+    c1 = 0.5j * q18 * thp * R0
+    c2 = 0.5j * q18 * (2j * mp.pi * thp * R0 + 2 * thp * R1)
+    return (f0, Approx(f1.value + c1, f1.err + _prim_err(c1, mp.prec)),
+            Approx(f2.value + c2, f2.err + _prim_err(c2, mp.prec)))
 
 
-def phat_omega_numeric(tau, P: int = 160) -> Approx:
+def phat_omega_numeric(tau) -> Approx:
     """The completed weight-1 object
 
         i FF'(0)^2 / (4 pi^2 eta^6)
         + e^(-pi i/4) eta(4 tau) FF''(0) / (4 pi^2 eta^3 eta(2 tau)^2).
     """
-    with workprec(P):
-        tau = mp.mpc(tau)
-        _, f1, f2 = fcal_derivs(tau, P)
-        eta1 = kernels.eta(tau)
-        eta2 = kernels.eta(2 * tau)
-        eta4 = kernels.eta(4 * tau)
-        pi2 = mp.pi ** 2
-        t1 = 1j * f1.value ** 2 / (4 * pi2 * eta1 ** 6)
-        t2 = (mp.expjpi(-F(1, 4)) * eta4 * f2.value
-              / (4 * pi2 * eta1 ** 3 * eta2 ** 2))
-        err = (2 * abs(f1.value) * f1.err / abs(4 * pi2 * eta1 ** 6)
-               + abs(eta4 / (4 * pi2 * eta1 ** 3 * eta2 ** 2)) * f2.err)
-        return Approx(+(t1 + t2), float(err) + _prim_err(t1 + t2, P))
+    tau = mp.mpc(tau)
+    _, f1, f2 = fcal_derivs(tau)
+    eta1 = kernels.eta(tau)
+    eta2 = kernels.eta(2 * tau)
+    eta4 = kernels.eta(4 * tau)
+    pi2 = mp.pi ** 2
+    t1 = 1j * f1.value ** 2 / (4 * pi2 * eta1 ** 6)
+    t2 = (mp.expjpi(-F(1, 4)) * eta4 * f2.value
+          / (4 * pi2 * eta1 ** 3 * eta2 ** 2))
+    err = (2 * abs(f1.value) * f1.err / abs(4 * pi2 * eta1 ** 6)
+           + abs(eta4 / (4 * pi2 * eta1 ** 3 * eta2 ** 2)) * f2.err)
+    return Approx(t1 + t2, float(err) + _prim_err(t1 + t2, mp.prec))
 
 
 # ---------------------------------------------------------------------------
 # the f-family, the lowering identity, and the closed tau-bar derivative
 # ---------------------------------------------------------------------------
 
-def f_family_numeric(k: int, tau, P: int = 113):
+def f_family_numeric(k: int, tau):
     """f1 = v^(3/2) eta(-4 conj tau)^3, f2 = FF'(0)/eta^3,
     f3 = eta(4 tau)/eta(2 tau)^2,
     f4 = v^(1/2) eta(-2 conj tau)^5 / (eta(-conj tau)^2 eta(-4 conj tau)^2)."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        v = tau.imag
-        tb = mp.conj(tau)
-        if k == 1:
-            return +(v ** mp.mpf(1.5) * kernels.eta(-4 * tb) ** 3)
-        if k == 2:
-            return +(fcal_derivs(tau, P)[1].value / kernels.eta(tau) ** 3)
-        if k == 3:
-            return +(kernels.eta(4 * tau) / kernels.eta(2 * tau) ** 2)
-        if k == 4:
-            return +(mp.sqrt(v) * kernels.eta(-2 * tb) ** 5
-                     / (kernels.eta(-tb) ** 2 * kernels.eta(-4 * tb) ** 2))
-        raise ValueError("k must be 1..4")
+    tau = mp.mpc(tau)
+    v = tau.imag
+    tb = mp.conj(tau)
+    if k == 1:
+        return v ** mp.mpf(1.5) * kernels.eta(-4 * tb) ** 3
+    if k == 2:
+        return fcal_derivs(tau)[1].value / kernels.eta(tau) ** 3
+    if k == 3:
+        return kernels.eta(4 * tau) / kernels.eta(2 * tau) ** 2
+    if k == 4:
+        return (mp.sqrt(v) * kernels.eta(-2 * tb) ** 5
+                 / (kernels.eta(-tb) ** 2 * kernels.eta(-4 * tb) ** 2))
+    raise ValueError("k must be 1..4")
 
 
-def lowering_rhs(tau, P: int = 113, corrected: bool = False):
+def lowering_rhs(tau, corrected: bool = False):
     """Right side of the lowering identity.
 
     corrected=False is the printed combination
@@ -638,32 +635,30 @@ def lowering_rhs(tau, P: int = 113, corrected: bool = False):
     closed tau-bar derivative of FF''(0),
         - 1/(2 sqrt(2) pi) f3 * v^(1/2) eta(-2 conj tau)^2 / eta(-4 conj tau).
     """
-    with workprec(P):
-        tau = mp.mpc(tau)
-        f1 = f_family_numeric(1, tau, P)
-        f2 = f_family_numeric(2, tau, P)
-        f3 = f_family_numeric(3, tau, P)
-        first = mp.expjpi(F(3, 4)) * mp.sqrt(2) / mp.pi * f1 * f2
-        if corrected:
-            tb = mp.conj(tau)
-            g4 = mp.sqrt(tau.imag) * kernels.eta(-2 * tb) ** 2 / kernels.eta(-4 * tb)
-            return +(first - f3 * g4 / (2 * mp.sqrt(2) * mp.pi))
-        f4 = f_family_numeric(4, tau, P)
-        return +(first - mp.expjpi(F(1, 4)) / (2 * mp.sqrt(2) * mp.pi) * f3 * f4)
+    tau = mp.mpc(tau)
+    f1 = f_family_numeric(1, tau)
+    f2 = f_family_numeric(2, tau)
+    f3 = f_family_numeric(3, tau)
+    first = mp.expjpi(F(3, 4)) * mp.sqrt(2) / mp.pi * f1 * f2
+    if corrected:
+        tb = mp.conj(tau)
+        g4 = mp.sqrt(tau.imag) * kernels.eta(-2 * tb) ** 2 / kernels.eta(-4 * tb)
+        return first - f3 * g4 / (2 * mp.sqrt(2) * mp.pi)
+    f4 = f_family_numeric(4, tau)
+    return first - mp.expjpi(F(1, 4)) / (2 * mp.sqrt(2) * mp.pi) * f3 * f4
 
 
-def dtaubar_fcal2_closed(tau, P: int = 113):
+def dtaubar_fcal2_closed(tau):
     """Closed form of d/d(tau-bar) FF''(0) (Wirtinger convention):
     pi e^(-pi i/4) eta^3 v^(-3/2) eta(-2 conj tau)^2 / (sqrt2 eta(-4 conj tau))."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        tb = mp.conj(tau)
-        return +(mp.pi * mp.expjpi(-F(1, 4)) * kernels.eta(tau) ** 3
-                 / (mp.sqrt(2) * tau.imag ** mp.mpf(1.5))
-                 * kernels.eta(-2 * tb) ** 2 / kernels.eta(-4 * tb))
+    tau = mp.mpc(tau)
+    tb = mp.conj(tau)
+    return (mp.pi * mp.expjpi(-F(1, 4)) * kernels.eta(tau) ** 3
+             / (mp.sqrt(2) * tau.imag ** mp.mpf(1.5))
+             * kernels.eta(-2 * tb) ** 2 / kernels.eta(-4 * tb))
 
 
-def nonholo_plateau(tau, P: int = 113):
+def nonholo_plateau(tau):
     """The non-decaying non-holomorphic part of the completed object: the
     difference between the Wirtinger and power-rule-only second derivatives,
 
@@ -671,38 +666,34 @@ def nonholo_plateau(tau, P: int = 113):
             * i q^(-1/8) theta'(0) (R'(-w0) - R'_formal(-w0)),
 
     whose magnitude approaches sqrt(2/v) eta(4 tau)/(2 pi eta(2 tau)^2)."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        w0 = _w_point(tau, 0)
-        delta = kernels.R_dz(-w0, tau) - kernels.R_dz(-w0, tau, formal=True)
-        return +(mp.expjpi(-F(1, 4)) * kernels.eta(4 * tau)
-                 / (4 * mp.pi ** 2 * kernels.eta(tau) ** 3 * kernels.eta(2 * tau) ** 2)
-                 * 1j * qpow(tau, -F(1, 8)) * kernels.theta_dz(0, tau) * delta)
+    tau = mp.mpc(tau)
+    w0 = _w_point(tau, 0)
+    delta = kernels.R_dz(-w0, tau) - kernels.R_dz(-w0, tau, formal=True)
+    return (mp.expjpi(-F(1, 4)) * kernels.eta(4 * tau)
+             / (4 * mp.pi ** 2 * kernels.eta(tau) ** 3 * kernels.eta(2 * tau) ** 2)
+             * 1j * qpow(tau, -F(1, 8)) * kernels.theta_dz(0, tau) * delta)
 
 
-def dtaubar_fcal1_closed(tau, P: int = 113):
+def dtaubar_fcal1_closed(tau):
     """Closed form of d/d(tau-bar) FF'(0):
     pi e^(3 pi i/4) sqrt(2) v^(-1/2) eta(tau)^3 eta(-4 conj tau)^3."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        return +(mp.pi * mp.expjpi(F(3, 4)) * mp.sqrt(2) / mp.sqrt(tau.imag)
-                 * kernels.eta(tau) ** 3 * kernels.eta(-4 * mp.conj(tau)) ** 3)
+    tau = mp.mpc(tau)
+    return (mp.pi * mp.expjpi(F(3, 4)) * mp.sqrt(2) / mp.sqrt(tau.imag)
+             * kernels.eta(tau) ** 3 * kernels.eta(-4 * mp.conj(tau)) ** 3)
 
 
-def f2_shadow_closed(tau, P: int = 113):
+def f2_shadow_closed(tau):
     """2 sqrt(2) e^(-pi i/4) pi eta(4 tau)^3."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        return +(2 * mp.sqrt(2) * mp.expjpi(-F(1, 4)) * mp.pi * kernels.eta(4 * tau) ** 3)
+    tau = mp.mpc(tau)
+    return 2 * mp.sqrt(2) * mp.expjpi(-F(1, 4)) * mp.pi * kernels.eta(4 * tau) ** 3
 
 
-def holomorphic_part_numeric(tau, N: int, P: int = 113):
+def holomorphic_part_numeric(tau, N: int):
     """P-bar-omega(q) + 1/4 - eta(4 tau)/(2 eta(2 tau)^2), with the series
     summed from its exact coefficients to O(q^N)."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        series = pbar_omega_series(N, method="triple_sum")
-        q = qpow(tau, 1)
-        val = series.eval_mpc(mp, q)
-        return +(val + mp.mpf(1) / 4
-                 - kernels.eta(4 * tau) / (2 * kernels.eta(2 * tau) ** 2))
+    tau = mp.mpc(tau)
+    series = pbar_omega_series(N, method="triple_sum")
+    q = qpow(tau, 1)
+    val = series.eval_mpc(mp, q)
+    return (val + mp.mpf(1) / 4
+             - kernels.eta(4 * tau) / (2 * kernels.eta(2 * tau) ** 2))

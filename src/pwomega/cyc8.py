@@ -214,5 +214,4 @@ def _coerce(x) -> Cyc8:
 
 
 ONE = Cyc8(1)
-ZERO = Cyc8(0)
 I = Cyc8.i()

@@ -5,7 +5,9 @@ Conventions:
   * q^x means e^(2 pi i tau x); zeta = e^(2 pi i z); tau = u + i v with v > 0.
   * every function computes at the CURRENT mpmath working precision and
     truncates tails below 2^-(prec+TAIL_GUARD) relative to the largest term,
-    so callers get full working accuracy; public wrappers add GUARD bits.
+    so callers get full working accuracy.  workprec(P), which sets P + GUARD
+    working bits, is the numeric layer's one precision boundary: the
+    registry's numeric runners and the tests open it.
   * R and its z-derivatives treat z as a real-analytic variable: the
     derivative is the Wirtinger d/dz, with the E-factor's dependence on
     y = Im z entering through dy/dz = 1/(2i).
@@ -51,7 +53,7 @@ from mpmath.libmp import (fone, from_man_exp, ftwo, mpf_add, mpf_cos_sin_pi, mpf
 
 from .errors import PoleProximity, PrecisionUnreachable
 
-GUARD = 56          # extra working bits used by public wrappers
+GUARD = 56          # extra working bits that workprec adds
 TAIL_GUARD = 10     # tail cut at 2^-(prec+TAIL_GUARD) * max_term
 # fixed-point bits below the working precision: a window's rounding stays
 # under 2^17 units of 2^-W for Im tau >= 0.009 (README, numerical error
@@ -61,6 +63,7 @@ ERFC_GUARD = 16     # fixed-point bits of ErfcTable above the bits it serves
 
 
 def workprec(P: int):
+    """The context that computes P-bit results, at P + GUARD working bits."""
     return mp.workprec(P + GUARD)
 
 

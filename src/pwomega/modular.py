@@ -17,7 +17,6 @@ from typing import Callable
 from mpmath import mp
 
 from .errors import DomainViolation, NotUnimodular, StencilThroughSingularity
-from .kernels import workprec
 
 F = Fraction
 
@@ -59,7 +58,6 @@ class GroupElement:
                             self.c * other.b + self.d * other.d)
 
 
-IDENT = GroupElement(1, 0, 0, 1)
 T_MAT = GroupElement(1, 1, 0, 1)
 S_MAT = GroupElement(0, -1, 1, 0)
 
@@ -229,24 +227,22 @@ def power_principal(w, k: Fraction):
     return mp.mpc(w) ** m * mp.sqrt(mp.mpc(w))
 
 
-def weight_transform_residual(f: Callable, k: Fraction, mult, M: GroupElement,
-                              tau, P: int = 53) -> float:
+def weight_transform_residual(f: Callable, k: Fraction, mult, M: GroupElement, tau) -> float:
     """|f(M tau) - mult (c tau + d)^k f(tau)| / max(|f(M tau)|, |f(tau)|).
 
     mult may be a MultiplierValue, a complex number, or a callable M -> value.
     """
-    with workprec(P):
-        tau = mp.mpc(tau)
-        left = f(M.act(tau))
-        right = f(tau)
-        m = mult(M) if callable(mult) else mult
-        if isinstance(m, MultiplierValue):
-            m = m.value()
-        rhs = m * power_principal(M.jfactor(tau), k) * right
-        scale = max(abs(left), abs(right))
-        if scale == 0:
-            return 0.0
-        return float(abs(left - rhs) / scale)
+    tau = mp.mpc(tau)
+    left = f(M.act(tau))
+    right = f(tau)
+    m = mult(M) if callable(mult) else mult
+    if isinstance(m, MultiplierValue):
+        m = m.value()
+    rhs = m * power_principal(M.jfactor(tau), k) * right
+    scale = max(abs(left), abs(right))
+    if scale == 0:
+        return 0.0
+    return float(abs(left - rhs) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -274,41 +270,38 @@ def dtaubar_fd(f: Callable, tau):
     return (4 * d2 - d1) / 3
 
 
-def lowering_fd(f: Callable, tau, P: int = 113):
+def lowering_fd(f: Callable, tau):
     """L f = -2 i v^2 d/d(tau-bar) f, by central differences (one Richardson)."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        return -2j * tau.imag ** 2 * dtaubar_fd(f, tau)
+    tau = mp.mpc(tau)
+    return -2j * tau.imag ** 2 * dtaubar_fd(f, tau)
 
 
-def xi_fd(f: Callable, k: Fraction, tau, P: int = 113):
+def xi_fd(f: Callable, k: Fraction, tau):
     """xi_k f = 2 i v^k conj(d/d(tau-bar) f) = v^(k-2) conj(L f)."""
-    with workprec(P):
-        tau = mp.mpc(tau)
-        return 2j * power_principal(tau.imag, F(k)) * mp.conj(dtaubar_fd(f, tau))
+    tau = mp.mpc(tau)
+    return 2j * power_principal(tau.imag, F(k)) * mp.conj(dtaubar_fd(f, tau))
 
 
-def laplacian_fd(f: Callable, k: Fraction, tau, P: int = 113):
+def laplacian_fd(f: Callable, k: Fraction, tau):
     """Weight-k hyperbolic Laplacian by central second differences:
     -v^2 (f_uu + f_vv) + i k v (f_u + i f_v), one Richardson level."""
-    with workprec(P):
-        tau = mp.mpc(tau)
+    tau = mp.mpc(tau)
 
-        def stencil(h):
-            try:
-                fc = f(tau)
-                fu_p, fu_m = f(tau + h), f(tau - h)
-                fv_p, fv_m = f(tau + 1j * h), f(tau - 1j * h)
-            except Exception as exc:
-                raise StencilThroughSingularity(str(exc)) from exc
-            fuu = (fu_p - 2 * fc + fu_m) / h ** 2
-            fvv = (fv_p - 2 * fc + fv_m) / h ** 2
-            fu = (fu_p - fu_m) / (2 * h)
-            fv = (fv_p - fv_m) / (2 * h)
-            v = tau.imag
-            kk = mp.mpf(F(k).numerator) / F(k).denominator
-            return -v * v * (fuu + fvv) + 1j * kk * v * (fu + 1j * fv)
+    def stencil(h):
+        try:
+            fc = f(tau)
+            fu_p, fu_m = f(tau + h), f(tau - h)
+            fv_p, fv_m = f(tau + 1j * h), f(tau - 1j * h)
+        except Exception as exc:
+            raise StencilThroughSingularity(str(exc)) from exc
+        fuu = (fu_p - 2 * fc + fu_m) / h ** 2
+        fvv = (fv_p - 2 * fc + fv_m) / h ** 2
+        fu = (fu_p - fu_m) / (2 * h)
+        fv = (fv_p - fv_m) / (2 * h)
+        v = tau.imag
+        kk = mp.mpf(F(k).numerator) / F(k).denominator
+        return -v * v * (fuu + fvv) + 1j * kk * v * (fu + 1j * fv)
 
-        d1 = stencil(FD_STEP_SECOND)
-        d2 = stencil(FD_STEP_SECOND / 2)
-        return (4 * d2 - d1) / 3
+    d1 = stencil(FD_STEP_SECOND)
+    d2 = stencil(FD_STEP_SECOND / 2)
+    return (4 * d2 - d1) / 3

@@ -257,18 +257,6 @@ class QSeries:
             [(_coerce(c), _scale(exp, self.D), 0, sign) for c, exp, sign in factors], self.order)
         return _assemble(self.D, rows[0], self.order, coef, shift)
 
-    def mul_binomial(self, c, exp: Rat) -> "QSeries":
-        """self * (1 + c*q^exp) for exp > 0, at self's order, in O(N)."""
-        if exp <= 0:
-            raise ValueError("binomial exponent must be positive")
-        return self.binomials([(c, exp, 1)])
-
-    def div_binomial(self, c, exp: Rat) -> "QSeries":
-        """self / (1 + c*q^exp) for exp > 0, at self's order, in O(N)."""
-        if exp <= 0:
-            raise NonExpandableDenominator("binomial exponent must be positive")
-        return self.binomials([(c, exp, -1)])
-
     def pow(self, k: int) -> "QSeries":
         if k < 0:
             return self.invert().pow(-k)

@@ -2,7 +2,9 @@
 default parameters, and a tolerance; runners produce VerificationReport
 records for the CLI and the acceptance suite.  Only the exact layers load
 with this module; each numeric runner imports what it uses from mpmath and the
-numeric modules (kernels, completion, appell, modular) when it first runs.
+numeric modules (kernels, completion, appell, modular) when it first runs, and
+sets its precision with kernels.workprec(prec), the numeric layer's one
+precision boundary.
 
 Every verdict is decided in one of two places: _series_check for exact
 series pairs and _residual_check for numeric residuals.  The only criteria
@@ -86,19 +88,17 @@ def _series_check(pairs) -> Dict:
     return {"ok": True, "witness": None}
 
 
-def _residual_check(residuals, tol, prec=None) -> Dict:
-    """Numeric verdict over (residual, witness) pairs: keeps the worst (the
-    first of equal ones) and passes iff worst < tol; a failure carries the
-    worst's witness.  No residuals at all is a failure, not a pass.  Given
-    prec, the residuals are taken under kernels.workprec(prec)."""
-    if prec is not None:
-        from .kernels import workprec
-        with workprec(prec):
-            return _residual_check(residuals, tol)
+def _residual_check(residuals, tol, prec: int) -> Dict:
+    """Numeric verdict over (residual, witness) pairs, taken under
+    kernels.workprec(prec): keeps the worst (the first of equal ones) and
+    passes iff worst < tol; a failure carries the worst's witness.  No
+    residuals at all is a failure, not a pass."""
+    from .kernels import workprec
     worst = wit = None
-    for res, w in residuals:
-        if worst is None or res > worst:
-            worst, wit = res, w
+    with workprec(prec):
+        for res, w in residuals:
+            if worst is None or res > worst:
+                worst, wit = res, w
     if worst is None:
         return {"ok": False, "worst": None, "witness": {"part": "no residuals"}}
     ok = worst < tol
@@ -167,16 +167,15 @@ BRZ_POINTS = [((0.13, 0.21), (-0.07, 0.11), (0.19, -0.15), (0.11, 0.93)),
 def _run_brz(params) -> Dict:
     from mpmath import mp
     from .completion import F_cone_numeric, F_mu_numeric
-    P = params["prec"]
 
     def residuals():
         for pt in BRZ_POINTS:
             z1, z2, z3, tau = (mp.mpc(*x) for x in pt)
-            a = F_cone_numeric(z1, z2, z3, tau, P)
-            b = F_mu_numeric(z1, z2, z3, tau, P)
+            a = F_cone_numeric(z1, z2, z3, tau)
+            b = F_mu_numeric(z1, z2, z3, tau)
             yield float(abs(a - b)), {"part": "cone-vs-mu"}
 
-    return _residual_check(residuals(), params["tolerance"], P)
+    return _residual_check(residuals(), params["tolerance"], params["prec"])
 
 
 def _run_theta_shifts(params) -> Dict:
@@ -213,7 +212,7 @@ def _run_theta_shifts(params) -> Dict:
 def _run_mu_laws(params) -> Dict:
     from mpmath import mp
     from .appell import mu_hat_transform_check
-    from .kernels import R, mu, muhat, qpow
+    from .kernels import R, mu, muhat, qpow, workprec
     from .modular import GroupElement, laplacian_fd
     P = params["prec"]
     if params["tolerance"] is None:
@@ -253,7 +252,7 @@ def _run_mu_laws(params) -> Dict:
         tau0 = mp.mpc(0.13, 1.1)
         z1, z2 = mp.mpc(0.21, 0.12), mp.mpc(-0.11, 0.31)
         for M in (GroupElement(0, -1, 1, 0), GroupElement(1, 1, 0, 1)):
-            yield (mu_hat_transform_check(M, z1, z2, tau0, P),
+            yield (mu_hat_transform_check(M, z1, z2, tau0),
                    {"part": f"muhat-transform {M}"})
 
     out = _residual_check(residuals(), tol, P)
@@ -264,7 +263,8 @@ def _run_mu_laws(params) -> Dict:
         t = mp.mpc(t)
         return muhat(t / 2, t / 2 + mp.mpf(1) / 4, t)
 
-    lap = laplacian_fd(h, F(1, 2), mp.mpc(0.13, 1.02), P=min(P, 160))
+    with workprec(min(P, 160)):
+        lap = laplacian_fd(h, F(1, 2), mp.mpc(0.13, 1.02))
     lap_ok = abs(lap) < params["laplacian_tolerance"]
     return {"ok": lap_ok, "worst": out["worst"] if lap_ok else float(abs(lap)),
             "witness": None if lap_ok else {"part": "laplacian muhat"}}
@@ -300,46 +300,43 @@ def _run_heine(params) -> Dict:
 def _run_hhat1(params) -> Dict:
     from mpmath import mp
     from .completion import hhat1_numeric
-    return _residual_check(
-        ((float(abs(hhat1_numeric(mp.mpc(*tt), params["prec"]).value)), {"part": "hhat1"})
-         for tt in params["taus"]), params["tolerance"])
+    return _residual_check(((float(abs(hhat1_numeric(mp.mpc(*tt)).value)), {"part": "hhat1"})
+                            for tt in params["taus"]), params["tolerance"], params["prec"])
 
 
 def _run_hhat2(params) -> Dict:
     from mpmath import mp
     from .completion import hhat2_numeric, phat_omega_numeric
     from .kernels import eta
-    P = params["prec"]
 
     def residuals():
         for tt in params.get("taus", DEFAULT_TAUS):
             tau = mp.mpc(*tt)
-            h2 = hhat2_numeric(tau, P)
-            ph = phat_omega_numeric(tau, P)
+            h2 = hhat2_numeric(tau)
+            ph = phat_omega_numeric(tau)
             yield (float(abs(h2.value + 4j * eta(tau) ** 3 * ph.value)),
                    {"part": "hhat2 vs -4i eta^3 phat"})
 
-    return _residual_check(residuals(), params["tolerance"], P)
+    return _residual_check(residuals(), params["tolerance"], params["prec"])
 
 
 def _run_phat_weight1(params) -> Dict:
     from mpmath import mp
     from .completion import phat_omega_numeric
     from .modular import GroupElement
-    P = params["prec"]
 
     def residuals():
         taus = [mp.mpc(*tt) for tt in params.get("taus", DEFAULT_TAUS)]
-        rights = [phat_omega_numeric(tau, P).value for tau in taus]
+        rights = [phat_omega_numeric(tau).value for tau in taus]
         for mat in params["matrices"]:
             M = GroupElement.parse(mat) if isinstance(mat, str) else mat
             for tau, right in zip(taus, rights):
-                left = phat_omega_numeric(M.act(tau), P).value
+                left = phat_omega_numeric(M.act(tau)).value
                 res = abs(left - mp.expjpi(mp.mpf(M.c) / 8) * M.jfactor(tau) * right)
                 yield (float(res / max(abs(left), abs(right))),
                        {"matrix": str(M), "tau": str(tau)})
 
-    return _residual_check(residuals(), params["tolerance"], P)
+    return _residual_check(residuals(), params["tolerance"], params["prec"])
 
 
 def _run_phat_holpart(params) -> Dict:
@@ -349,15 +346,14 @@ def _run_phat_holpart(params) -> Dict:
     from mpmath import mp
     from .completion import holomorphic_part_numeric, nonholo_plateau, phat_omega_numeric
     from .kernels import workprec
-    P = params["prec"]
-    with workprec(P):
+    with workprec(params["prec"]):
         res, res_corr = {}, {}
         for v in (3, 4):
             tau = mp.mpc(0.3, v)
-            ph = phat_omega_numeric(tau, P).value
-            hol = holomorphic_part_numeric(tau, params["order"], P)
+            ph = phat_omega_numeric(tau).value
+            hol = holomorphic_part_numeric(tau, params["order"])
             res[v] = float(abs(ph - hol))
-            res_corr[v] = float(abs(ph - nonholo_plateau(tau, P) - hol))
+            res_corr[v] = float(abs(ph - nonholo_plateau(tau) - hol))
     ok = res[4] < params["tolerance"] and res[3] > 10 * res[4]
     plat = {"plateau_subtracted_v3": res_corr[3], "plateau_subtracted_v4": res_corr[4],
             "plateau_decay_ratio": res_corr[3] / res_corr[4]}
@@ -373,15 +369,14 @@ def _run_phat_lowering(params) -> Dict:
     from .completion import dtaubar_fcal1_closed, fcal_derivs, lowering_rhs, phat_omega_numeric
     from .kernels import workprec
     from .modular import dtaubar_fd, lowering_fd
-    P = params["prec"]
     tol = params["tolerance"]
     tau = mp.mpc(*params.get("taus", DEFAULT_TAUS)[0])
-    with workprec(P):
-        Lfd = lowering_fd(lambda t: phat_omega_numeric(t, P).value, tau, P)
-        printed = float(abs(Lfd - lowering_rhs(tau, P)))
-        corrected = float(abs(Lfd - lowering_rhs(tau, P, corrected=True)))
-        d = dtaubar_fd(lambda t: fcal_derivs(t, P)[1].value, tau)
-        d435 = float(abs(d - dtaubar_fcal1_closed(tau, P)))
+    with workprec(params["prec"]):
+        Lfd = lowering_fd(lambda t: phat_omega_numeric(t).value, tau)
+        printed = float(abs(Lfd - lowering_rhs(tau)))
+        corrected = float(abs(Lfd - lowering_rhs(tau, corrected=True)))
+        d = dtaubar_fd(lambda t: fcal_derivs(t)[1].value, tau)
+        d435 = float(abs(d - dtaubar_fcal1_closed(tau)))
     ok = printed < tol and d435 < tol
     return {"ok": ok, "worst": max(printed, d435),
             "witness": {"part": "original-form lowering combination",
@@ -394,15 +389,14 @@ def _run_f2_shadow(params) -> Dict:
     from mpmath import mp
     from .completion import f2_shadow_closed, f_family_numeric
     from .modular import xi_fd
-    P = params["prec"]
 
     def residuals():
         for tt in params.get("taus", DEFAULT_TAUS)[:2]:
             tau = mp.mpc(*tt)
-            xi = xi_fd(lambda t: f_family_numeric(2, t, P), F(1, 2), tau, P)
-            yield float(abs(xi - f2_shadow_closed(tau, P))), {"part": "xi_{1/2}(f2)"}
+            xi = xi_fd(lambda t: f_family_numeric(2, t), F(1, 2), tau)
+            yield float(abs(xi - f2_shadow_closed(tau))), {"part": "xi_{1/2}(f2)"}
 
-    return _residual_check(residuals(), params["tolerance"], P)
+    return _residual_check(residuals(), params["tolerance"], params["prec"])
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +498,9 @@ def _clean(params: Dict) -> Dict:
     return out
 
 
-def run_suite(filter_glob: Optional[str] = None, jobs: int = 1,
+def run_suite(filter_glob: Optional[str] = None,
               overrides: Optional[Dict] = None) -> List[VerificationReport]:
     import fnmatch
 
-    ids = [i for i in identity_ids()
-           if filter_glob is None or fnmatch.fnmatch(i, filter_glob)]
-    if jobs <= 1:
-        return [run_identity(i, overrides) for i in ids]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {i: pool.submit(run_identity, i, overrides) for i in ids}
-        return [futures[i].result() for i in ids]
+    return [run_identity(i, overrides) for i in identity_ids()
+            if filter_glob is None or fnmatch.fnmatch(i, filter_glob)]

@@ -124,8 +124,9 @@ def test_criterion_06_quarter_point_bundle():
 def test_criterion_07_hhat1_vanishes():
     t0 = time.time()
     worst = 0.0
-    for tau in TAUS5:
-        worst = max(worst, float(abs(completion.hhat1_numeric(tau, 192).value)))
+    with workprec(192):
+        for tau in TAUS5:
+            worst = max(worst, float(abs(completion.hhat1_numeric(tau).value)))
     elapsed = time.time() - t0
     assert report("criterion 7: first combined H-hat vanishes at 5 points < 1e-20",
                   worst < 1e-20, f"(worst {worst:.2e}, {elapsed:.0f}s)")
@@ -138,8 +139,8 @@ def test_criterion_08_weight_one_transformation():
         for mat in ("7,5,4,3", "1,0,8,1", "3,-1,4,-1"):
             M = GroupElement.parse(mat)
             for tau in TAUS:
-                left = completion.phat_omega_numeric(M.act(tau), 192).value
-                right = completion.phat_omega_numeric(tau, 192).value
+                left = completion.phat_omega_numeric(M.act(tau)).value
+                right = completion.phat_omega_numeric(tau).value
                 res = abs(left - mp.expjpi(mp.mpf(M.c) / 8) * M.jfactor(tau) * right)
                 worst = max(worst, float(res / max(abs(left), abs(right))))
     elapsed = time.time() - t0
@@ -156,8 +157,8 @@ def test_criterion_09_holomorphic_part_literal():
         res = {}
         for v in (3, 4):
             tau = mp.mpc(0.3, v)
-            ph = completion.phat_omega_numeric(tau, 160).value
-            hol = completion.holomorphic_part_numeric(tau, 120, 160)
+            ph = completion.phat_omega_numeric(tau).value
+            hol = completion.holomorphic_part_numeric(tau, 120)
             res[v] = float(abs(ph - hol))
     ok = res[4] < 1e-8 and res[3] > 10 * res[4]
     report("criterion 9 (literal): |Phat - holomorphic part| < 1e-8 at v=4",
@@ -170,9 +171,9 @@ def test_criterion_09_holomorphic_part_plateau_subtracted():
         res = {}
         for v in (3, 4):
             tau = mp.mpc(0.3, v)
-            ph = completion.phat_omega_numeric(tau, 160).value
-            hol = completion.holomorphic_part_numeric(tau, 120, 160)
-            res[v] = float(abs(ph - completion.nonholo_plateau(tau, 160) - hol))
+            ph = completion.phat_omega_numeric(tau).value
+            hol = completion.holomorphic_part_numeric(tau, 120)
+            res[v] = float(abs(ph - completion.nonholo_plateau(tau) - hol))
     ok = res[4] < 1e-8 and res[3] > 10 * res[4]
     assert report("criterion 9 (plateau-subtracted): q-series part is "
                   "Pbar + 1/4 - eta(4t)/(2 eta(2t)^2)",
@@ -184,9 +185,8 @@ def test_criterion_09_holomorphic_part_plateau_subtracted():
                    "term (see README); the corrected combination below passes")
 def test_criterion_10_lowering_identity_literal():
     with workprec(160):
-        Lfd = lowering_fd(lambda t: completion.phat_omega_numeric(t, 160).value,
-                          TAUS[0], 160)
-        resid = float(abs(Lfd - completion.lowering_rhs(TAUS[0], 160)))
+        Lfd = lowering_fd(lambda t: completion.phat_omega_numeric(t).value, TAUS[0])
+        resid = float(abs(Lfd - completion.lowering_rhs(TAUS[0])))
     report("criterion 10 (literal): original-form lowering combination to 1e-6",
            resid < 1e-6, f"(residual {resid:.3e})")
     assert resid < 1e-6
@@ -195,13 +195,13 @@ def test_criterion_10_lowering_identity_literal():
 def test_criterion_10_lowering_corrected_shadow_and_435():
     with workprec(160):
         tau = TAUS[0]
-        Lfd = lowering_fd(lambda t: completion.phat_omega_numeric(t, 160).value, tau, 160)
-        r_low = float(abs(Lfd - completion.lowering_rhs(tau, 160, corrected=True)))
-        xi = xi_fd(lambda t: completion.f_family_numeric(2, t, 160), F(1, 2), tau, 160)
-        r_shadow = float(abs(xi - completion.f2_shadow_closed(tau, 160)))
+        Lfd = lowering_fd(lambda t: completion.phat_omega_numeric(t).value, tau)
+        r_low = float(abs(Lfd - completion.lowering_rhs(tau, corrected=True)))
+        xi = xi_fd(lambda t: completion.f_family_numeric(2, t), F(1, 2), tau)
+        r_shadow = float(abs(xi - completion.f2_shadow_closed(tau)))
         from pwomega.modular import dtaubar_fd
-        d = dtaubar_fd(lambda t: completion.fcal_derivs(t, 160)[1].value, tau)
-        r_435 = float(abs(d - completion.dtaubar_fcal1_closed(tau, 160)))
+        d = dtaubar_fd(lambda t: completion.fcal_derivs(t)[1].value, tau)
+        r_435 = float(abs(d - completion.dtaubar_fcal1_closed(tau)))
     ok = r_low < 1e-6 and r_shadow < 1e-6 and r_435 < 1e-6
     assert report("criterion 10: corrected lowering + shadow of f2 + closed "
                   "tau-bar derivative, all to 1e-6",
@@ -214,7 +214,7 @@ def test_criterion_11_property_suites():
     with workprec(160):
         lap = laplacian_fd(
             lambda t: kernels.muhat(mp.mpc(t) / 2, mp.mpc(t) / 2 + mp.mpf(1) / 4, mp.mpc(t)),
-            F(1, 2), mp.mpc(0.13, 1.02), P=160)
+            F(1, 2), mp.mpc(0.13, 1.02))
     ok = ok and abs(lap) < 1e-5
     assert report("criterion 11: mu/mu-hat/R law suite + torsion harmonicity",
                   ok, f"(laplacian {float(abs(lap)):.2e})")

@@ -81,6 +81,14 @@ def test_expand_unknown_object(capsys):
     assert "expandable objects" in err
 
 
+def test_every_listed_object_expands(capsys):
+    from pwomega.cli import EXPANDABLE
+    for name in EXPANDABLE:
+        name = name.replace("<spec>", "q^{-1/8} * eta(2)^2 / eta(4)")
+        assert main(["expand", name, "--order", "6"]) == 0, name
+    capsys.readouterr()
+
+
 def test_oracle_table(capsys):
     code, out, _ = run_cli(capsys, "oracle", "pbar-omega", "--n", "4")
     assert code == 0
@@ -176,20 +184,20 @@ def test_series_check_builds_no_pair_after_a_mismatch():
 
 
 def test_residual_check_fails_at_the_tolerance():
-    assert _residual_check([(1e-3, {"part": "a"})], 1e-3)["ok"] is False
-    assert _residual_check([(1e-3, {"part": "a"})], 2e-3) == {"ok": True, "worst": 1e-3,
-                                                               "witness": None}
+    assert _residual_check([(1e-3, {"part": "a"})], 1e-3, 53)["ok"] is False
+    assert _residual_check([(1e-3, {"part": "a"})], 2e-3, 53) == {"ok": True, "worst": 1e-3,
+                                                                   "witness": None}
 
 
 def test_residual_check_witness_is_the_worst():
     out = _residual_check([(1.0, {"part": "a"}), (3.0, {"part": "b"}),
-                           (2.0, {"part": "c"})], 0.5)
+                           (2.0, {"part": "c"})], 0.5, 53)
     assert out == {"ok": False, "worst": 3.0, "witness": {"part": "b"}}
 
 
 def test_no_residuals_is_a_failure(tmp_path, capsys):
-    assert _residual_check([], 1.0) == {"ok": False, "worst": None,
-                                        "witness": {"part": "no residuals"}}
+    assert _residual_check([], 1.0, 53) == {"ok": False, "worst": None,
+                                            "witness": {"part": "no residuals"}}
     assert run_identity("hhat1-zero", {"taus": []}).status == "fail"
     cfg = tmp_path / "empty-taus.cfg"
     cfg.write_text("taus =\n")
@@ -198,6 +206,12 @@ def test_no_residuals_is_a_failure(tmp_path, capsys):
     report = json.loads(out)
     assert report["worst_residual"] is None
     assert report["witness"] == {"part": "no residuals"}
+
+
+def test_hhat1_zero_computes_at_its_precision():
+    # at the default 53 bits H-hat-1 is nowhere near its 1e-20 tolerance
+    rep = run_identity("hhat1-zero", {"taus": [(0.11, 0.93)]})
+    assert rep.status == "pass" and rep.worst_residual < 1e-60
 
 
 def test_mu_laws_zero_tolerance_fails():
@@ -224,6 +238,7 @@ for ident in exact:
     assert report.status == "pass", report
 assert cli.main(["list"]) == 0
 assert cli.main(["expand", "pbar-omega", "--order", "20"]) == 0
+assert cli.main(["expand", "mu(tau/2,tau/2+1/4)", "--order", "20"]) == 0
 numeric = ["mpmath", "pwomega.kernels", "pwomega.completion", "pwomega.appell",
            "pwomega.modular"]
 loaded = [m for m in numeric if m in sys.modules]

@@ -157,25 +157,24 @@ def test_binomial_multiply_and_divide_match_product_and_invert(D, exp, c):
         top = s.order_exp() - F(min(s.floor_key(), 0), D) + 1
         binomial = QSeries.from_terms(D, [(0, ONE), (exp, c)], top)
         want = s * binomial
-        got = s.mul_binomial(c, exp)
+        got = s.binomials([(c, exp, 1)])
         assert got.order == want.order == s.order
         assert got.coeff == want.coeff
         want = s * binomial.invert()
-        got = s.div_binomial(c, exp)
+        got = s.binomials([(c, exp, -1)])
         assert got.order == want.order == s.order
         assert got.coeff == want.coeff
-        assert got.mul_binomial(c, exp).coeff == s.coeff
+        assert got.binomials([(c, exp, 1)]).coeff == s.coeff
 
 
 def test_binomial_exponent_must_be_positive():
-    from pwomega.errors import NonExpandableDenominator
+    # exponents <= 0 fold into a monomial; what is left to refuse is the zero
+    # factor 1 - q^0 as a divisor and an exponent off the lattice
     s = QSeries.one(2, 5)
-    with pytest.raises(NonExpandableDenominator):
-        s.div_binomial(ONE, 0)
-    with pytest.raises(ValueError):
-        s.mul_binomial(ONE, F(-1, 2))
+    with pytest.raises(NonInvertibleLeadingTerm):
+        s.binomials([(-1, 0, -1)])
     with pytest.raises(LatticeMismatch):
-        s.div_binomial(ONE, F(1, 3))
+        s.binomials([(ONE, F(1, 3), -1)])
 
 
 def test_qpochhammer_with_non_positive_factor_exponents():

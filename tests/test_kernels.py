@@ -362,7 +362,7 @@ def test_oracles_stay_on_mpmath_erfc(monkeypatch):
                 for sign in (1, -1):
                     kernels.sgn_minus_E(sign, mp.mpf("2.5"))
                     kernels.sgn_minus_E(sign, mp.mpf("9.5"))
-                appell.R_quarter_split(tau, P)
+                appell.R_quarter_split(tau)
 
 
 def test_erfc_table_memo_keeps_R_bit_identical():

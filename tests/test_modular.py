@@ -18,6 +18,12 @@ from pwomega.modular import (GroupElement, S_MAT, T_MAT, chi_multiplier,
 F = Fraction
 
 
+@pytest.fixture(autouse=True)
+def _prec():
+    with workprec(128):
+        yield
+
+
 def test_unimodular_enforced():
     with pytest.raises(NotUnimodular):
         GroupElement(1, 1, 1, 1)
@@ -90,8 +96,7 @@ def test_psi_against_eta_on_random_words():
             if rng.random() < 0.3:
                 M = M * GroupElement(1, -1, 0, 1)
         tau = mp.mpc(rng.uniform(-0.8, 0.8), rng.uniform(0.6, 1.6))
-        r = weight_transform_residual(kernels.eta, F(1, 2), psi_multiplier(M),
-                                      M, tau, P=128)
+        r = weight_transform_residual(kernels.eta, F(1, 2), psi_multiplier(M), M, tau)
         assert r < 2.0 ** (-128 + 8), M
 
 
@@ -102,7 +107,7 @@ def test_psi_cocycle_through_eta_products():
         m1, m2 = rng.choice(mats), rng.choice(mats)
         prod = m1 * m2
         r = weight_transform_residual(kernels.eta, F(1, 2), psi_multiplier(prod),
-                                      prod, mp.mpc(0.11, 1.23), P=128)
+                                      prod, mp.mpc(0.11, 1.23))
         assert r < 2.0 ** (-120)
 
 
@@ -126,7 +131,7 @@ MATS_04 = [GroupElement(1, 0, 4, 1), GroupElement(3, 1, 8, 3),
 def test_chi1_is_multiplier_of_eta4_cubed():
     for M in MATS_04:
         r = weight_transform_residual(lambda t: kernels.eta(4 * t) ** 3, F(3, 2),
-                                      chi_multiplier(1, M), M, mp.mpc(0.21, 1.13), P=128)
+                                      chi_multiplier(1, M), M, mp.mpc(0.21, 1.13))
         assert r < 1e-15, M
 
 
@@ -139,9 +144,9 @@ def test_chi3_chi4_are_multipliers_of_their_eta_quotients():
 
     for M in MATS_04:
         assert weight_transform_residual(f3, F(-1, 2), chi_multiplier(3, M), M,
-                                         mp.mpc(0.21, 1.13), P=128) < 1e-15
+                                         mp.mpc(0.21, 1.13)) < 1e-15
         assert weight_transform_residual(g4, F(1, 2), chi_multiplier(4, M), M,
-                                         mp.mpc(0.21, 1.13), P=128) < 1e-15
+                                         mp.mpc(0.21, 1.13)) < 1e-15
 
 
 def test_chi2_domain():
@@ -154,7 +159,7 @@ def test_chi2_domain():
 
 
 def test_lowering_of_holomorphic_function_vanishes():
-    val = lowering_fd(kernels.eta, mp.mpc(0.1, 1.2), P=128)
+    val = lowering_fd(kernels.eta, mp.mpc(0.1, 1.2))
     assert abs(val) < 1e-10
 
 
@@ -167,20 +172,19 @@ def test_xi_consistent_with_lowering():
             t = mp.mpc(t)
             return kernels.muhat(t / 2, t / 2 + mp.mpf(1) / 4, t)
 
-        xi = xi_fd(f, F(1, 2), tau, P=160)
-        low = lowering_fd(f, tau, P=160)
+        xi = xi_fd(f, F(1, 2), tau)
+        low = lowering_fd(f, tau)
         assert abs(xi - tau.imag ** mp.mpf(-1.5) * mp.conj(low)) < 1e-20
 
 
 def test_laplacian_annihilates_eta():
-    val = laplacian_fd(kernels.eta, F(1, 2), mp.mpc(0.1, 1.2), P=128)
+    val = laplacian_fd(kernels.eta, F(1, 2), mp.mpc(0.1, 1.2))
     assert abs(val) < 1e-6
 
 
 def test_weight_transform_residual_eta():
-    assert weight_transform_residual(kernels.eta, F(1, 2),
-                                     psi_multiplier(T_MAT), T_MAT,
-                                     mp.mpc(0.2, 1.0), P=128) < 2.0 ** (-120)
+    assert weight_transform_residual(kernels.eta, F(1, 2), psi_multiplier(T_MAT), T_MAT,
+                                     mp.mpc(0.2, 1.0)) < 2.0 ** (-120)
 
 
 def test_matrix_serialization():
