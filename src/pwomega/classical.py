@@ -16,20 +16,25 @@ from fractions import Fraction
 from typing import List, Tuple, Union
 
 from .cyc8 import Cyc8, ONE
-from .errors import (LatticeMismatch, NonExpandableDenominator,
+from .errors import (BadSpec, LatticeMismatch, NonExpandableDenominator,
                      RootOfUnityOutsideCyc8, SpecializationPole)
 from .jseries import JSeries
-from .qseries import DEFAULT_LATTICE, Monomial, QSeries, geometric, pochhammer_factors
+from .qseries import Monomial, QSeries, geometric, pochhammer_factors
 
 F = Fraction
 Rat = Union[int, Fraction]
+
+# the q-lattices q^(1/D) of eta, eta quotients, theta and mu at torsion
+# points, and of Heine's sides; the finite triple product lives on (q, zeta)
+TORSION_D = 24
+HEINE_D = 2
 
 
 # ---------------------------------------------------------------------------
 # eta and eta quotients
 # ---------------------------------------------------------------------------
 
-def eta_m_series(m: int, N, D: int = DEFAULT_LATTICE) -> QSeries:
+def eta_m_series(m: int, N) -> QSeries:
     """eta(m*tau) = q^(m/24) prod (1 - q^(m n)), via the pentagonal expansion."""
     terms = []
     k = 0
@@ -41,12 +46,12 @@ def eta_m_series(m: int, N, D: int = DEFAULT_LATTICE) -> QSeries:
         if not live and k > 0:
             break
         k += 1
-    return QSeries.from_terms(D, terms, N)
+    return QSeries.from_terms(TORSION_D, terms, N)
 
 
-def eta_series(N, D: int = DEFAULT_LATTICE) -> QSeries:
+def eta_series(N) -> QSeries:
     """eta(tau) = q^(1/24) prod (1 - q^n)."""
-    return eta_m_series(1, N, D)
+    return eta_m_series(1, N)
 
 
 @dataclass
@@ -59,7 +64,7 @@ class EtaQuotient:
     def leading_exponent(self) -> Fraction:
         return sum((F(m * r, 24) for m, r in self.factors), F(0)) + self.prefactor.q_exp
 
-    FORMAT = re.compile(r"eta\((\d+)\)(?:\^(-?\d+))?")
+    FORMAT = re.compile(r"eta\(([1-9]\d*)\)(?:\^(-?\d+))?")
 
     @staticmethod
     def parse(text: str) -> "EtaQuotient":
@@ -71,7 +76,7 @@ class EtaQuotient:
             nonlocal pre
             pre = pre * Monomial(1, F(m.group(1) if m.group(1) is not None else m.group(2)), 0)
             return "1"
-        text = re.sub(r"q\^\{([^}]*)\}|q\^(-?\d+)", grab, text)
+        text = re.sub(r"q\^\{(-?\d+(?:/[1-9]\d*)?)\}|q\^(-?\d+)", grab, text)
         num, _, den = text.partition("/")
         for side, sign in ((num, 1), (den, -1)):
             for piece in side.split("*"):
@@ -80,7 +85,7 @@ class EtaQuotient:
                     continue
                 m = EtaQuotient.FORMAT.fullmatch(piece)
                 if not m:
-                    raise ValueError(f"cannot parse eta-quotient factor {piece!r}")
+                    raise BadSpec(f"cannot parse eta-quotient factor {piece!r}")
                 factors.append((int(m.group(1)), sign * int(m.group(2) or 1)))
         return EtaQuotient(factors, pre)
 
@@ -95,12 +100,12 @@ class EtaQuotient:
         return s
 
 
-def eta_quotient_series(spec: EtaQuotient, N, D: int = DEFAULT_LATTICE) -> QSeries:
+def eta_quotient_series(spec: EtaQuotient, N) -> QSeries:
     # inverted factors each cost 2*m/24 of certified order; pad up front
     pad = sum((F(2 * abs(r) * m, 24) for m, r in spec.factors if r < 0), F(0))
-    out = QSeries.one(D, F(N) + pad + 1)
+    out = QSeries.one(TORSION_D, F(N) + pad + 1)
     for m, r in spec.factors:
-        out = out * eta_m_series(m, out.order_exp() + (0 if r > 0 else F(2 * abs(r) * m, 24)), D).pow(r)
+        out = out * eta_m_series(m, out.order_exp() + (0 if r > 0 else F(2 * abs(r) * m, 24))).pow(r)
     out = out.mul_monomial(spec.prefactor)
     if out.order_exp() < F(N):
         raise LatticeMismatch("internal padding failure in eta_quotient_series")
@@ -126,11 +131,11 @@ class TorsionPoint:
         return TorsionPoint(self.a + lam, self.b + mu)
 
 
-def theta_series_at_torsion(z: TorsionPoint, N, D: int = DEFAULT_LATTICE) -> QSeries:
+def theta_series_at_torsion(z: TorsionPoint, N) -> QSeries:
     """theta(a*tau+b; tau) = sum_{n in 1/2+Z} q^(n^2/2 + n a) e^(2 pi i n (b + 1/2)).
 
     Exact to O(q^N); requires denominator(b) | 4 (roots of unity stay in
-    Q(zeta8)) and the induced exponents on the 1/D lattice.
+    Q(zeta8)) and the induced exponents on the 1/24 lattice.
     """
     if 4 % z.b.denominator != 0:
         raise RootOfUnityOutsideCyc8(f"b = {z.b} needs a root of unity outside Q(zeta8)")
@@ -142,7 +147,7 @@ def theta_series_at_torsion(z: TorsionPoint, N, D: int = DEFAULT_LATTICE) -> QSe
         if e < F(N):
             root = Cyc8.from_root_of_unity(_frac_mod1(n * (z.b + F(1, 2))))
             terms.append((e, root))
-    return QSeries.from_terms(D, terms, N)
+    return QSeries.from_terms(TORSION_D, terms, N)
 
 
 def _frac_mod1(t: Fraction) -> Fraction:
@@ -154,11 +159,10 @@ def _isqrt_ceil(x: Fraction) -> int:
     return math.isqrt(max(0, int(x))) + 1
 
 
-def theta_elliptic_shift_reference(z: TorsionPoint, lam: int, mu: int, N,
-                                   D: int = DEFAULT_LATTICE) -> QSeries:
+def theta_elliptic_shift_reference(z: TorsionPoint, lam: int, mu: int, N) -> QSeries:
     """(-1)^(lam+mu) q^(-lam^2/2) zeta^(-lam) theta(z) for zeta = e^(2 pi i z):
     the right-hand side of the elliptic shift law, as an exact series."""
-    base = theta_series_at_torsion(z, F(N) + F(lam * lam, 2) + lam * z.a + 2, D)
+    base = theta_series_at_torsion(z, F(N) + F(lam * lam, 2) + lam * z.a + 2)
     sign = Cyc8((-1) ** (lam + mu))
     root = Cyc8.from_root_of_unity(_frac_mod1(F(-lam) * z.b))
     shift = -F(lam * lam, 2) - lam * z.a
@@ -169,8 +173,7 @@ def theta_elliptic_shift_reference(z: TorsionPoint, lam: int, mu: int, N,
 # exact mu at torsion points
 # ---------------------------------------------------------------------------
 
-def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N,
-                      D: int = DEFAULT_LATTICE) -> QSeries:
+def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N) -> QSeries:
     """Exact Laurent-Puiseux expansion of mu(a1 tau + b1, a2 tau + b2; tau).
 
     Each bilateral-sum denominator 1 - e^(2 pi i b1) q^(n + a1) is expanded
@@ -182,6 +185,7 @@ def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N,
     # conservative symmetric n-window: exponents grow like n^2/2 - |a2| n - |n + a1|
     n_max = 3 + int(2 * (abs(a2) + 2)) + _isqrt_ceil(2 * (N - min(0, _series_floor_bound(a1, a2)) + 4))
     root_b1 = Cyc8.from_root_of_unity(_frac_mod1(b1))
+    D = TORSION_D
     acc = QSeries.zero(D, N + 8)
     for n in range(-n_max, n_max + 1):
         e0 = F(n * (n + 1), 2) + n * a2
@@ -199,7 +203,7 @@ def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N,
             rinv = root_b1.inverse()
             term = geometric(D, -m, N + 8 - e0 + m, rinv).shift(e0 - m).scale(-(coeff * rinv))
         acc = acc + term.truncate(N + 8)
-    theta2 = theta_series_at_torsion(z2, N + 8, D)
+    theta2 = theta_series_at_torsion(z2, N + 8)
     pref = Monomial(Cyc8.from_root_of_unity(_frac_mod1(b1 / 2)), a1 / 2)
     out = acc * theta2.invert()
     return out.mul_monomial(pref).truncate(N)
@@ -218,7 +222,7 @@ def _series_floor_bound(a1: Fraction, a2: Fraction) -> Fraction:
 # finite Jacobi triple product (two-variable, exact)
 # ---------------------------------------------------------------------------
 
-def finite_jtp_sides(n: int, N, D: int = 1, Dz: int = 1) -> Tuple[JSeries, JSeries]:
+def finite_jtp_sides(n: int, N) -> Tuple[JSeries, JSeries]:
     """Both sides of the finite triple-product identity
 
         (zeta; q)_n (zeta^{-1} q; q)_n / (q)_{2n}
@@ -226,16 +230,16 @@ def finite_jtp_sides(n: int, N, D: int = 1, Dz: int = 1) -> Tuple[JSeries, JSeri
     """
     q = Monomial(1, 1)
     # one chain: / (q)_2n while there is one row, then (zeta, zeta^-1 q)_n
-    lhs = JSeries.one(D, Dz, N).binomials(
+    lhs = JSeries.one(1, 1, N).binomials(
         [(-1, e, 0, -1) for e in range(1, 2 * n + 1)]
         + [(-1, j, 1, 1) for j in range(n)] + [(-1, j + 1, -1, 1) for j in range(n)])
 
-    rhs = JSeries.zero(D, Dz, N)
+    rhs = JSeries.zero(1, 1, N)
     for j in range(-n, n + 1):
-        t = QSeries.one(D, N).binomials(pochhammer_factors(q, n - j, N, sign=-1)
+        t = QSeries.one(1, N).binomials(pochhammer_factors(q, n - j, N, sign=-1)
                                         + pochhammer_factors(q, n + j, N, sign=-1))
         e = F(j * (j - 1), 2)
-        rhs = rhs + JSeries.from_qseries(t, Dz).mul_monomial(
+        rhs = rhs + JSeries.from_qseries(t, 1).mul_monomial(
             Monomial(Cyc8((-1) ** j), e, j)).truncate(N)
     return lhs, rhs
 
@@ -254,8 +258,7 @@ def _neg_floor_of_poch(mono: Monomial) -> Fraction:
     return pad
 
 
-def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N,
-                D: int = 2) -> Tuple[QSeries, QSeries]:
+def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> Tuple[QSeries, QSeries]:
     """Both sides of Heine's transformation
 
         sum_{n>=0} (a)_n (b)_n z^n / ((c)_n (q)_n)
@@ -275,16 +278,16 @@ def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N,
             raise NonExpandableDenominator(
                 f"Heine needs positive q-exponent for {name}, got {mono.q_exp}")
 
-    lhs = _phi21(D, a, b, c, z, N)
-    pref = QSeries.one(D, N).binomials(
+    lhs = _phi21(a, b, c, z, N)
+    pref = QSeries.one(HEINE_D, N).binomials(
         pochhammer_factors(cb, None, N) + pochhammer_factors(bz, None, N)
         + pochhammer_factors(c, None, N, sign=-1) + pochhammer_factors(z, None, N, sign=-1))
-    rhs = pref * _phi21(D, abz_c, b, bz, cb, N)
+    rhs = pref * _phi21(abz_c, b, bz, cb, N)
     common = min(lhs.order_exp(), rhs.order_exp(), N)
     return lhs.truncate(common), rhs.truncate(common)
 
 
-def _phi21(D, a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> QSeries:
+def _phi21(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> QSeries:
     """sum_{n>=0} (a)_n (b)_n z^n / ((c)_n (q)_n) to O(q^N), for z with
     positive q-exponent: the n-th term starts at or above n * z.q_exp plus
     the floors of (a)_n and (b)_n, which ends the sum.
@@ -296,8 +299,8 @@ def _phi21(D, a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> QSeries:
     floor of (c)_n, the order the full products and the inverse of
     (c)_n (q)_n give."""
     neg_pad = _neg_floor_of_poch(a) + _neg_floor_of_poch(b)
-    out = QSeries.zero(D, N)
-    ratio = QSeries.one(D, N)
+    out = QSeries.zero(HEINE_D, N)
+    ratio = QSeries.one(HEINE_D, N)
     zn = Monomial(1)
     n = 0
     while n * z.q_exp + neg_pad < F(N):

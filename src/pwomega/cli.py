@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from .classical import (EtaQuotient, TorsionPoint, eta_quotient_series, eta_series,
                         mu_torsion_series, theta_series_at_torsion)
-from .errors import PwOmegaError, UnknownIdentity, UnknownObject
+from .errors import PwOmegaError, UnknownObject
 from .indefinite import pbar_omega_series
 from .partitions import FAMILIES, genfun
 from .qseries import Monomial, QSeries, qpochhammer
@@ -103,28 +103,16 @@ def cmd_list(args) -> int:
 
 
 def _overrides(args, cfg: Dict) -> Dict:
-    out = dict(cfg)
-    for key in ("order", "prec", "window"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            out[key] = val
-    taus = _parse_taus(getattr(args, "tau", None))
-    if taus:
-        out["taus"] = taus
-    if getattr(args, "tolerance", None) is not None:
-        out["tolerance"] = args.tolerance
-    return out
+    """The config's keys, overridden by the flags given."""
+    flags = {"order": args.order, "prec": args.prec, "window": args.window,
+             "taus": _parse_taus(args.tau) or None, "tolerance": args.tolerance}
+    return dict(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_run(args) -> int:
     from .registry import run_identity
 
-    cfg = load_config(args.config)
-    try:
-        report = run_identity(args.id, _overrides(args, cfg))
-    except UnknownIdentity as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_identity(args.id, _overrides(args, load_config(args.config)))
     print(json.dumps(report.to_dict()))
     return 0 if report.status == "pass" else 1
 
@@ -132,13 +120,10 @@ def cmd_run(args) -> int:
 def cmd_suite(args) -> int:
     from .registry import run_suite
 
-    cfg = load_config(args.config)
-    reports = run_suite(args.filter, _overrides(args, cfg))
-    ok = True
+    reports = run_suite(args.filter, _overrides(args, load_config(args.config)))
     for report in reports:
         print(json.dumps(report.to_dict()))
-        ok = ok and report.status == "pass"
-    return 0 if ok else 1
+    return 0 if all(report.status == "pass" for report in reports) else 1
 
 
 def cmd_expand(args) -> int:
@@ -184,22 +169,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list registered identities")
 
-    p_run = sub.add_parser("run", help="run one identity")
-    p_run.add_argument("id")
-    p_run.add_argument("--order", type=int, default=None)
-    p_run.add_argument("--prec", type=int, default=None)
-    p_run.add_argument("--window", type=int, default=None)
-    p_run.add_argument("--tolerance", type=float, default=None)
-    p_run.add_argument("--tau", action="append", default=None,
-                       metavar="u,v", help="tau point (repeatable)")
+    # the parameter overrides of run and suite
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--order", type=int, default=None)
+    params.add_argument("--prec", type=int, default=None)
+    params.add_argument("--window", type=int, default=None)
+    params.add_argument("--tolerance", type=float, default=None)
+    params.add_argument("--tau", action="append", default=None,
+                        metavar="u,v", help="tau point (repeatable)")
 
-    p_suite = sub.add_parser("suite", help="run the identity suite")
+    p_run = sub.add_parser("run", parents=[params], help="run one identity")
+    p_run.add_argument("id")
+
+    p_suite = sub.add_parser("suite", parents=[params], help="run the identity suite")
     p_suite.add_argument("--filter", default=None, help="glob on identity ids")
-    p_suite.add_argument("--order", type=int, default=None)
-    p_suite.add_argument("--prec", type=int, default=None)
-    p_suite.add_argument("--window", type=int, default=None)
-    p_suite.add_argument("--tolerance", type=float, default=None)
-    p_suite.add_argument("--tau", action="append", default=None, metavar="u,v")
 
     p_exp = sub.add_parser("expand", help="emit a named series")
     p_exp.add_argument("object")
@@ -218,24 +201,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    commands = {"list": cmd_list, "run": cmd_run, "suite": cmd_suite,
+                "expand": cmd_expand, "oracle": cmd_oracle}
     try:
-        if args.command == "list":
-            return cmd_list(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "suite":
-            return cmd_suite(args)
-        if args.command == "expand":
-            return cmd_expand(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PwOmegaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

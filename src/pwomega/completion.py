@@ -33,12 +33,11 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from mpmath import mp
-from mpmath.libmp import to_fixed
 
 from . import kernels
 from .errors import ContourThroughPole, PoleProximity, PrecisionUnreachable
 from .indefinite import cone_points, pbar_omega_series
-from .kernels import GUARD, qpow
+from .kernels import GUARD, _fix, _mul, _to_mpc, qpow
 
 F = Fraction
 
@@ -226,9 +225,10 @@ def F_cone_numeric(z1, z2, z3, tau):
     e = k(k+1)/2 + kl + kn + ln, comes from the one before it on its cone
     line: along n (step s = +-1, the cone's direction) the ratio is
     q^(s(k+l)) zeta3^s, and a line starts from the one before it in l or k.
-    The walk runs on Gaussian integers at scale 2^W from one table of
-    q-powers and three zeta seeds.  With |Im z_j| < v/2 every term and every
-    ratio has modulus below 1, so a step adds at most about
+    The walk runs on the kernels' Gaussian integers at scale 2^W
+    (kernels._mul) from its own table of q-powers and three zeta seeds.
+    With |Im z_j| < v/2 every term and every ratio has modulus below 1, so
+    a step adds at most about
     max |zeta_j| m < e^(pi v) m units of 2^-W to a term (q^m the ratio's
     q-power), and W = prec + 40 + pi v log2(e) keeps the sum's rounding far
     below the working precision.  The cut is the
@@ -251,22 +251,16 @@ def F_cone_numeric(z1, z2, z3, tau):
     def inside(k, l, n):
         return -2 * math.pi * (fv * qexp(k, l, n) + k * y1 + l * y2 + n * y3) > logeps
 
-    def mul(a, b):
-        return (a[0] * b[0] - a[1] * b[1]) >> W, (a[0] * b[1] + a[1] * b[0]) >> W
-
-    def fix(x):
-        return tuple(to_fixed(c, W) for c in x._mpc_)
-
     with mp.workprec(W):
         # zeta1^(+-1) enters with the sign (-1)^k of its term
-        zeta, zinv = ([fix(sign * mp.expjpi(2 * t * z))
+        zeta, zinv = ([_fix(sign * mp.expjpi(2 * t * z), W)
                        for sign, z in zip((-1, 1, 1), (z1, z2, z3))] for t in (1, -1))
-        q = fix(qpow(tau, 1))
+        q = _fix(qpow(tau, 1), W)
     Q = [(1 << W, 0), q]
 
     def qp(m):
         while len(Q) <= m:
-            Q.append(mul(Q[-1], q))
+            Q.append(_mul(Q[-1], q, W))
         return Q[m]
 
     acc0 = acc1 = 0
@@ -274,21 +268,19 @@ def F_cone_numeric(z1, z2, z3, tau):
         if (k, l, n) in ((1, 0, 0), (0, -1, -1)):      # a cone's apex
             s, a = (1, 0) if k else (-1, -1)
             zs = zeta if k else zinv
-            head = line = term = mul(qp(1), zs[0]) if k else mul(mul(qp(1), zs[1]), zs[2])
+            head = line = term = _mul(qp(1), zs[0], W) if k else _mul(_mul(qp(1), zs[1], W), zs[2], W)
         elif l == a and n == a:                         # the next k
-            head = line = term = mul(head, mul(qp(qexp(k, a, a) - qexp(k - s, a, a)), zs[0]))
+            head = line = term = _mul(head, _mul(qp(qexp(k, a, a) - qexp(k - s, a, a)), zs[0], W), W)
         elif n == a:                                    # the next l
-            line = term = mul(line, mul(qp(qexp(k, l, a) - qexp(k, l - s, a)), zs[1]))
+            line = term = _mul(line, _mul(qp(qexp(k, l, a) - qexp(k, l - s, a)), zs[1], W), W)
         else:
-            term = mul(term, ratio)
+            term = _mul(term, ratio, W)
         if n == a:
-            ratio = mul(qp(s * (k + l)), zs[2])
+            ratio = _mul(qp(s * (k + l)), zs[2], W)
         acc0 += term[0]
         acc1 += term[1]
-    with mp.workprec(mp.prec + 20):
-        acc = mp.mpc(mp.mpf((acc0, -W)), mp.mpf((acc1, -W)))
     pref = qpow(tau, -F(1, 8)) * mp.expjpi(-z1 + z2 + z3)
-    return pref * acc
+    return pref * _to_mpc((acc0, acc1), W)
 
 
 def F_mu_numeric(z1, z2, z3, tau):
@@ -431,8 +423,8 @@ def _fhat_center_data(tau, nstar: int):
 
     # R and dR/dz at center - w_g and center - w_g - w_g
     w = [_w_point(tau, g) for g in (0, 1)]
-    R_w, Rdz_w = zip(*(kernels._R_terms(center - w[g], tau) for g in (0, 1)))
-    R_ww, Rdz_ww = zip(*(kernels._R_terms(center - w[g] - w[g], tau) for g in (0, 1)))
+    R_w, Rdz_w, _ = zip(*(kernels._R_terms(center - w[g], tau) for g in (0, 1)))
+    R_ww, Rdz_ww, _ = zip(*(kernels._R_terms(center - w[g] - w[g], tau) for g in (0, 1)))
 
     out = {}
     for (alpha, beta), jet in hol.items():
@@ -576,7 +568,7 @@ def fcal_derivs(tau) -> Tuple[Approx, Approx, Approx]:
     g, theta = _fcal_block(tau)
     f0, f1, f2 = (g.deriv(m) for m in (0, 1, 2))
     thp = theta.deriv(1).value
-    R0, R1 = kernels._R_terms(-_w_point(tau, 0), tau)
+    R0, R1, _ = kernels._R_terms(-_w_point(tau, 0), tau)
     c1 = 0.5j * q18 * thp * R0
     c2 = 0.5j * q18 * (2j * mp.pi * thp * R0 + 2 * thp * R1)
     return (f0, Approx(f1.value + c1, f1.err + _prim_err(c1, mp.prec)),
@@ -663,12 +655,13 @@ def nonholo_plateau(tau):
     difference between the Wirtinger and power-rule-only second derivatives,
 
         e^(-pi i/4) eta(4 tau)/(4 pi^2 eta^3 eta(2 tau)^2)
-            * i q^(-1/8) theta'(0) (R'(-w0) - R'_formal(-w0)),
+            * i q^(-1/8) theta'(0) R'_E(-w0),
 
-    whose magnitude approaches sqrt(2/v) eta(4 tau)/(2 pi eta(2 tau)^2)."""
+    with R'_E the E-factor part of R's Wirtinger derivative
+    (kernels._R_terms).  Its magnitude approaches
+    sqrt(2/v) eta(4 tau)/(2 pi eta(2 tau)^2)."""
     tau = mp.mpc(tau)
-    w0 = _w_point(tau, 0)
-    delta = kernels.R_dz(-w0, tau) - kernels.R_dz(-w0, tau, formal=True)
+    delta = kernels._R_terms(-_w_point(tau, 0), tau)[2]
     return (mp.expjpi(-F(1, 4)) * kernels.eta(4 * tau)
              / (4 * mp.pi ** 2 * kernels.eta(tau) ** 3 * kernels.eta(2 * tau) ** 2)
              * 1j * qpow(tau, -F(1, 8)) * kernels.theta_dz(0, tau) * delta)

@@ -85,3 +85,11 @@ class UnknownIdentity(PwOmegaError):
 
 class UnknownObject(PwOmegaError):
     """No expandable series with this name is registered."""
+
+
+class BadSpec(PwOmegaError, ValueError):
+    """A series specification (an eta quotient) cannot be parsed."""
+
+
+class UndeclaredParameter(PwOmegaError):
+    """An override names a parameter the identity does not declare."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .cyc8 import Cyc8, I, ONE
-from .errors import LatticeMismatch, WindowTooSmall
+from .errors import WindowTooSmall
 from .jseries import JSeries
 from .partitions import census, genfun
 from .qseries import (Monomial, QSeries, _add_root, _add_rows, _binomial_rows, _scale,
@@ -28,6 +28,10 @@ from .qseries import (Monomial, QSeries, _add_root, _add_rows, _binomial_rows, _
 F = Fraction
 
 ORACLE_CAP = 25     # the "oracle" route enumerates coefficients n <= ORACLE_CAP
+# the lattices (q^(1/D), zeta^(1/Dz)) of zeta^(1/2) G(z, tau+1/2, tau+1/2) and
+# the cleared pwz series (zeta on Z); cone sums and P-bar-omega live on Z
+G_HALF_D, G_HALF_DZ = 24, 4
+PWZ_D = 2
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +65,7 @@ def cone_exponent(k: int, l: int, n: int) -> int:
     return k * (k + 1) // 2 + 2 * k * l + 2 * k * n + 4 * l * n + l + n
 
 
-def cone_sum_series(N, D: int = 1, Dz: int = 1) -> JSeries:
+def cone_sum_series(N) -> JSeries:
     """sum over both cones of (-1)^(k+l+n) q^Q(k,l,n) zeta^k to O(q^N)."""
     N = F(N)
     terms: List[Tuple[int, int, Cyc8]] = []
@@ -69,7 +73,7 @@ def cone_sum_series(N, D: int = 1, Dz: int = 1) -> JSeries:
         e = cone_exponent(k, l, n)
         assert e >= 0, f"cone term below zero exponent at {(k, l, n)}"
         terms.append((e, k, Cyc8(-1 if (k + l + n) % 2 else 1)))
-    return JSeries.from_terms(D, Dz, terms, N)
+    return JSeries.from_terms(1, 1, terms, N)
 
 
 def tail_landing_bound(N) -> int:
@@ -96,7 +100,7 @@ def tail_landing_bound(N) -> int:
 # P-bar-omega: three routes
 # ---------------------------------------------------------------------------
 
-def weighted_triple_sum(N, D: int = 1) -> QSeries:
+def weighted_triple_sum(N) -> QSeries:
     """The weighted two-cone sum
 
         C(q) = (sum_{n,j,l>=0} + sum_{n,j,l<0}) j (1-q^j) (-1)^(j+n+l)
@@ -110,30 +114,31 @@ def weighted_triple_sum(N, D: int = 1) -> QSeries:
         e = cone_exponent(k, l, n)
         w = k * (-1) ** (k + l + n)
         terms += [(e, Cyc8(w)), (e + k, Cyc8(-w))]
-    return QSeries.from_terms(D, terms, N)
+    return QSeries.from_terms(1, terms, N)
 
 
-def pbar_omega_series(N, method: str = "definition", D: int = 1) -> QSeries:
+def pbar_omega_series(N, method: str = "definition") -> QSeries:
     """P-bar-omega to O(q^N) by "definition", "triple_sum", or "oracle"."""
     if method == "definition":
-        return genfun("pbar_omega", N, side="definition", D=D)
+        return genfun("pbar_omega", N, side="definition")
     if method == "triple_sum":
         if F(N) <= 1:
-            return QSeries.zero(D, N)   # the series starts at q^1
-        c = over_qpochhammer(weighted_triple_sum(N, D), Monomial(1, 1), None, power=3)
+            return QSeries.zero(1, N)   # the series starts at q^1
+        c = over_qpochhammer(weighted_triple_sum(N), Monomial(1, 1), None, power=3)
         return -c.truncate(N)
     if method == "oracle":
         n_top = min(int(N), ORACLE_CAP + 1)
-        return QSeries.from_terms(D, [(n, Cyc8(census("pbar_omega", n)))
+        return QSeries.from_terms(1, [(n, Cyc8(census("pbar_omega", n)))
                                       for n in range(1, n_top)], n_top)
     raise ValueError("method must be definition | triple_sum | oracle")
 
 
-def g_half_jseries(N, D: int = 24, Dz: int = 4) -> JSeries:
+def g_half_jseries(N) -> JSeries:
     """zeta^(1/2) G(z, tau+1/2, tau+1/2; tau) = 4 i q^(3/8) * kernel,
     as an exact JSeries (integer zeta-powers times the stated prefactor)."""
     kern_order = int(math.ceil(F(N) - F(3, 8)))
-    kern = cone_sum_series(kern_order, 1, 1)
+    kern = cone_sum_series(kern_order)
+    D, Dz = G_HALF_D, G_HALF_DZ
     lifted = JSeries(D, Dz, {r * Dz: row.refine(D) for r, row in kern.rows.items()},
                      kern.order * D)
     return lifted.mul_monomial(Monomial(4 * I, F(3, 8), 0))
@@ -146,26 +151,22 @@ def pbar_from_dzeta_brackets(N) -> QSeries:
 
     with S = zeta^(1/2) G(z, tau+1/2, tau+1/2).  Exercises the two bracket
     operations end to end; equals the triple_sum route exactly."""
-    D = 24
+    D = G_HALF_D
     pad = int(math.isqrt(2 * int(N))) + 6
-    s = g_half_jseries(F(N) + pad, D)
+    s = g_half_jseries(F(N) + pad)
     at_one = s.dzeta_at_one()
     landing = tail_landing_bound(F(N) + pad)
-    at_q = s.zeta_dzeta_at_q(tail_landing=(landing * D + _scale38(D)))
+    at_q = s.zeta_dzeta_at_q(tail_landing=(landing * D + _scale(F(3, 8), D)))
     bracket = at_one - at_q
     out = bracket.mul_monomial(Monomial(I * F(1, 4), F(-3, 8)))
     return over_qpochhammer(out, Monomial(1, 1), None, power=3).truncate(N)
-
-
-def _scale38(D: int) -> int:
-    return (F(3, 8) * D).numerator
 
 
 # ---------------------------------------------------------------------------
 # the cleared two-variable identity (double-sum representation)
 # ---------------------------------------------------------------------------
 
-def pwz_lhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
+def pwz_lhs_cleared(N, W: int) -> JSeries:
     """(zeta, zeta^{-1} q, q)_inf * P-bar-omega(zeta; q), built after clearing
     the infinite products:
 
@@ -175,7 +176,7 @@ def pwz_lhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
     The ratio (zeta, zeta^{-1}q)_n (-q; q^2)_n / (q)_{2n} and the n-sum stay
     component tables across the whole n-loop (five binomial steps and one
     shifted add per n); the sum assembles once, for one product by pref."""
-    N = F(N)
+    N, D = F(N), PWZ_D
     euler = qpochhammer(D, Monomial(1, 1), None, N)
     pref = over_qpochhammer(euler * euler, Monomial(-1, 1), None, step=2)
 
@@ -186,24 +187,23 @@ def pwz_lhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
         # nothing folds (no exponent < 0, no zeta-free q^0); the ratio only
         # enters times q^n, so it is kept below order - n*D
         ratio = _binomial_rows(ratio, [(ONE, (2 * n - 1) * D, 0, 1), (-ONE, (2 * n - 1) * D, 0, -1),
-                                       (-ONE, 2 * n * D, 0, -1), (-ONE, (n - 1) * D, Dz, 1),
-                                       (-ONE, n * D, -Dz, 1)], order - n * D)[0]
+                                       (-ONE, 2 * n * D, 0, -1), (-ONE, (n - 1) * D, 1, 1),
+                                       (-ONE, n * D, -1, 1)], order - n * D)[0]
         _add_rows(acc, ratio, ONE, n * D, 0, order)
-    out = JSeries._from_tables(D, Dz, order, acc) * pref
+    out = JSeries._from_tables(D, 1, order, acc) * pref
     _check_window(out, W)
     return out.truncate(N)
 
 
-def pwz_rhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
+def pwz_rhs_cleared(N, W: int) -> JSeries:
     """sum_{j>=1} sum_{n>=0} (-1)^(j+1) i^n (1 - zeta^j)(1 - zeta^{-j} q^j)
     q^(j(j+1)/2 + n(j+1/2)) / (1 + i q^(j+n+1/2)), geometric denominators.
 
-    Exponents count half-steps h of q^(h/2); each coefficient
-    (-1)^(j+1) i^n (-i)^k (+-1) is one root zeta8^m; D must be even."""
-    if D % 2:
-        raise LatticeMismatch(f"q^(n(j+1/2)) is not on the 1/{D} lattice")
+    Exponents count half-steps h of q^(h/2), the keys on the lattice
+    q^(1/PWZ_D); each coefficient (-1)^(j+1) i^n (-i)^k (+-1) is one root
+    zeta8^m."""
     N = F(N)
-    top, order = math.ceil(2 * N), _scale(N, D)     # int h < 2N iff h < top
+    top, order = math.ceil(2 * N), _scale(N, PWZ_D)     # int h < 2N iff h < top
     rows: Dict[int, tuple] = {}
     for j in range(1, math.isqrt(top) + 1):
         for n, h0 in enumerate(range(j * (j + 1), top, 2 * j + 1)):
@@ -212,8 +212,8 @@ def pwz_rhs_cleared(N, W: int, D: int = 2, Dz: int = 1) -> JSeries:
                 # (1 - zeta^j)(1 - zeta^{-j} q^j) = 1 - zeta^j - zeta^{-j}q^j + q^j
                 for dz, dh, dm in ((0, 0, 0), (j, 0, 4), (-j, 2 * j, 4), (0, 2 * j, 0)):
                     if h + dh < top:
-                        _add_root(rows, dz * Dz, (h + dh) * D // 2, m + dm)
-    out = JSeries._from_tables(D, Dz, order, rows)
+                        _add_root(rows, dz, h + dh, m + dm)
+    out = JSeries._from_tables(PWZ_D, 1, order, rows)
     _check_window(out, W)
     return out
 

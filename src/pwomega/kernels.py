@@ -531,13 +531,14 @@ def _R_window(v, y):
     return kept[0], kept[-1], lbs
 
 
-def _R_terms(z, tau, formal=False):
-    """R(z) and its first z-derivative, from one pass over the terms.
+def _R_terms(z, tau):
+    """R(z), its Wirtinger z-derivative and the E-factor part of that
+    derivative, from one pass over the terms.
 
-    formal=False differentiates in the Wirtinger sense (the E-factor's
-    dependence on y = Im z enters with dy/dz = 1/(2i)); formal=True applies
-    the power rule to the zeta-powers only, treating the E-factors as
-    constants (the derivative along the real z-direction).
+    The derivative is the power rule on the zeta-powers plus the E-part, the
+    E-factors' dependence on y = Im z entering with dy/dz = 1/(2i); the
+    power rule alone (R's derivative along the real z-direction) is the
+    derivative minus the E-part.
 
     R = sum over n in 1/2 + Z of t_n = (sgn(n) - E(w_n)) p_n with
     p_n = (-1)^(n-1/2) e^(-pi i (n^2 tau + 2 n z)) and w_n = (n + a) sqrt(2v),
@@ -618,9 +619,8 @@ def _R_terms(z, tau, formal=False):
             r1 += ti
             n0 += (2 * k + 1) * tr
             n1 += (2 * k + 1) * ti
-            if not formal:
-                w0 += (hf * er) >> W
-                w1 += (hf * ei) >> W
+            w0 += (hf * er) >> W
+            w1 += (hf * ei) >> W
             er, ei = _mul((er, ei), ratio, W)
             ratio = _mul(ratio, estep, W)
     # d/dz: the power rule gives -2 pi i sum n t_n = -pi i (n0 + i n1), and
@@ -628,7 +628,9 @@ def _R_terms(z, tau, formal=False):
     # g_n p_n per term, i sqrt(2/v) (w0 + i w1); both at scale 2^(2W)
     PI = to_fixed(pi, W)
     S = to_fixed(mpf_sqrt(div(ftwo, v), wp, rnd), W)
-    return _to_mpc((r0, r1), W), _to_mpc((PI * n1 - S * w1, S * w0 - PI * n0), 2 * W)
+    epart = (-S * w1, S * w0)
+    return (_to_mpc((r0, r1), W), _to_mpc((PI * n1 + epart[0], epart[1] - PI * n0), 2 * W),
+            _to_mpc(epart, 2 * W))
 
 
 def R(z, tau):
@@ -636,9 +638,9 @@ def R(z, tau):
     return _R_terms(z, tau)[0]
 
 
-def R_dz(z, tau, formal=False):
-    """d/dz of R: Wirtinger by default, power-rule-only with formal=True."""
-    return _R_terms(z, tau, formal)[1]
+def R_dz(z, tau):
+    """The Wirtinger d/dz of R."""
+    return _R_terms(z, tau)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -88,17 +88,17 @@ def _enumerate(n: int, constrained: bool, weight) -> int:
 # generating functions
 # ---------------------------------------------------------------------------
 
-def _sum_n_qn_over_1_minus_qn(D: int, N) -> QSeries:
+def _sum_n_qn_over_1_minus_qn(N) -> QSeries:
     """sum_{n>=1} n q^n / (1-q^n)."""
-    out = QSeries.zero(D, N)
+    out = QSeries.zero(1, N)
     n = 1
     while F(n) < F(N):
-        out = out + geometric(D, n, N).shift(n).scale(n)
+        out = out + geometric(1, n, N).shift(n).scale(n)
         n += 1
     return out
 
 
-def _geom_sq(D: int, exp, N) -> QSeries:
+def _geom_sq(exp, N) -> QSeries:
     """1/(1-q^exp)^2 = sum_k (k+1) q^(k exp)."""
     e = F(exp)
     terms = []
@@ -106,10 +106,10 @@ def _geom_sq(D: int, exp, N) -> QSeries:
     while k * e < F(N):
         terms.append((k * e, Cyc8(k + 1)))
         k += 1
-    return QSeries.from_terms(D, terms, N)
+    return QSeries.from_terms(1, terms, N)
 
 
-def _definition_series(family: str, D: int, N) -> QSeries:
+def _definition_series(family: str, N) -> QSeries:
     """The smallest-part-indexed q-factorial sum defining the family,
 
         sum_{n>=1} q^n R_n / (1-q^n)^p   with
@@ -128,7 +128,7 @@ def _definition_series(family: str, D: int, N) -> QSeries:
     (QSeries.binomials): the series converts to components once and each
     factor costs O(N).
     """
-    one = QSeries.one(D, N)
+    one = QSeries.one(1, N)
     if family == "spt":
         ratio = over_qpochhammer(one, Monomial(1, 1), None)
         def steps(n):
@@ -138,7 +138,7 @@ def _definition_series(family: str, D: int, N) -> QSeries:
         def steps(n):
             return [(-1, n)], [(-1, 2 * n - 1)]
     elif family in ("pbar_omega", "sptbar_omega"):
-        ratio = over_qpochhammer(qpochhammer(D, Monomial(-1, 2), None, N, step=2),
+        ratio = over_qpochhammer(qpochhammer(1, Monomial(-1, 2), None, N, step=2),
                                  Monomial(1, 2), None, step=2)
         def steps(n):
             return [(1, 2 * n - 1), (-1, n)], [(1, n), (-1, 2 * n - 1)]
@@ -151,7 +151,7 @@ def _definition_series(family: str, D: int, N) -> QSeries:
     else:
         raise ValueError(f"unknown family {family!r}")
     power = 1 if family in ("p_omega", "pbar_omega") else 2
-    out = QSeries.zero(D, N)
+    out = QSeries.zero(1, N)
     n = 1
     while n < F(N):
         up, down = steps(n)
@@ -162,37 +162,37 @@ def _definition_series(family: str, D: int, N) -> QSeries:
     return out
 
 
-def _appell_series(family: str, D: int, N) -> QSeries:
+def _appell_series(family: str, N) -> QSeries:
     """The Appell-Lerch-type representation of the family's series."""
     if family in ("spt", "spt_omega"):
         # (q^m; q^m)_inf^-1 (sum_{n>=1} n q^n / (1 - q^n)
         #     + sum_{n>=1} (-1)^n q^(m n(3n+1)/2) (1 + q^(mn)) / (1 - q^(mn))^2)
         # with m = 1 for spt and m = 2 for spt_omega
         m = 1 if family == "spt" else 2
-        s2 = QSeries.zero(D, N)
+        s2 = QSeries.zero(1, N)
         n = 1
         while F(m * n * (3 * n + 1), 2) < F(N):
             e = F(m * n * (3 * n + 1), 2)
-            g = _geom_sq(D, m * n, N)
+            g = _geom_sq(m * n, N)
             s2 = s2 + (g.shift(e) + g.shift(e + m * n)).scale((-1) ** n).truncate(N)
             n += 1
-        s = _sum_n_qn_over_1_minus_qn(D, N) + s2
+        s = _sum_n_qn_over_1_minus_qn(N) + s2
         return over_qpochhammer(s, Monomial(1, m), None, step=m).truncate(N)
     if family == "sptbar_omega":
-        s1 = _sum_n_qn_over_1_minus_qn(D, N)
-        s2 = QSeries.zero(D, N)
+        s1 = _sum_n_qn_over_1_minus_qn(N)
+        s2 = QSeries.zero(1, N)
         n = 1
         while 2 * n * (n + 1) < F(N):
-            s2 = s2 + _geom_sq(D, 2 * n, N).shift(2 * n * (n + 1)).scale(2 * (-1) ** n).truncate(N)
+            s2 = s2 + _geom_sq(2 * n, N).shift(2 * n * (n + 1)).scale(2 * (-1) ** n).truncate(N)
             n += 1
-        s = (s1 + s2) * qpochhammer(D, Monomial(-1, 2), None, N, step=2)
+        s = (s1 + s2) * qpochhammer(1, Monomial(-1, 2), None, N, step=2)
         return over_qpochhammer(s, Monomial(1, 2), None, step=2).truncate(N)
     if family == "p_omega":
         # q * omega(q), omega(q) = sum_{n>=0} q^{2n(n+1)} / (q;q^2)_{n+1}^2
-        out = QSeries.zero(D, N)
+        out = QSeries.zero(1, N)
         n = 0
         while 2 * n * (n + 1) < F(N):
-            t = QSeries.from_terms(D, [(2 * n * (n + 1), ONE)], N)
+            t = QSeries.from_terms(1, [(2 * n * (n + 1), ONE)], N)
             t = over_qpochhammer(t, Monomial(1, 1), n + 1, step=2)
             out = out + over_qpochhammer(t, Monomial(1, 1), n + 1, step=2)
             n += 1
@@ -200,12 +200,12 @@ def _appell_series(family: str, D: int, N) -> QSeries:
     raise ValueError(f"family {family!r} has no Appell-Lerch side")
 
 
-def genfun(family: str, N, side: str = "definition", D: int = 1) -> QSeries:
+def genfun(family: str, N, side: str = "definition") -> QSeries:
     """The family's generating function to O(q^N), by the requested route."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if side == "definition":
-        return _definition_series(family, D, N)
+        return _definition_series(family, N)
     if side == "appell":
-        return _appell_series(family, D, N)
+        return _appell_series(family, N)
     raise ValueError("side must be 'definition' or 'appell'")

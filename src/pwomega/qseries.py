@@ -29,9 +29,6 @@ from .errors import (DivergentProduct, LatticeMismatch,
 
 Rat = Union[int, Fraction]
 
-DEFAULT_LATTICE = 24
-
-
 def _scale(exp: Rat, D: int) -> int:
     if type(exp) is int:
         return exp * D

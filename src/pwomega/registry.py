@@ -19,6 +19,7 @@ diagnostics.  See the package README for the analysis.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -29,7 +30,7 @@ from .classical import (EtaQuotient, TorsionPoint, eta_quotient_series,
                         finite_jtp_sides, heine_sides,
                         theta_elliptic_shift_reference, theta_series_at_torsion)
 from .cyc8 import Cyc8, I
-from .errors import UnknownIdentity
+from .errors import UndeclaredParameter, UnknownIdentity
 from .indefinite import (g_equals_sum_of_f_mismatch, pbar_from_dzeta_brackets,
                          pbar_omega_series, pwz_coefficient_formula_sides,
                          pwz_lhs_cleared, pwz_rhs_cleared)
@@ -144,7 +145,8 @@ def _run_cor_pwrep(params) -> Dict:
         a = pbar_omega_series(N, "definition")
         b = pbar_omega_series(N, "triple_sum")
         yield "definition-vs-triple", a, b
-        yield "enumeration-oracle", a.truncate(26), pbar_omega_series(26, "oracle")
+        top = min(N, 26)
+        yield "enumeration-oracle", a.truncate(top), pbar_omega_series(top, "oracle")
         M = min(N, 40)
         yield "zeta-bracket-route", pbar_from_dzeta_brackets(M), b.truncate(M).refine(24)
 
@@ -197,7 +199,7 @@ def _run_theta_shifts(params) -> Dict:
                        theta_elliptic_shift_reference(z, lam, mu_, 18))
 
     def residuals():
-        for tt in params.get("taus", DEFAULT_TAUS):
+        for tt in params["taus"]:
             tau = mp.mpc(*tt)
             got = R(tau + mp.mpf(1) / 2, tau)
             want = 2j * qpow(tau, F(3, 8))
@@ -310,7 +312,7 @@ def _run_hhat2(params) -> Dict:
     from .kernels import eta
 
     def residuals():
-        for tt in params.get("taus", DEFAULT_TAUS):
+        for tt in params["taus"]:
             tau = mp.mpc(*tt)
             h2 = hhat2_numeric(tau)
             ph = phat_omega_numeric(tau)
@@ -326,7 +328,7 @@ def _run_phat_weight1(params) -> Dict:
     from .modular import GroupElement
 
     def residuals():
-        taus = [mp.mpc(*tt) for tt in params.get("taus", DEFAULT_TAUS)]
+        taus = [mp.mpc(*tt) for tt in params["taus"]]
         rights = [phat_omega_numeric(tau).value for tau in taus]
         for mat in params["matrices"]:
             M = GroupElement.parse(mat) if isinstance(mat, str) else mat
@@ -370,7 +372,7 @@ def _run_phat_lowering(params) -> Dict:
     from .kernels import workprec
     from .modular import dtaubar_fd, lowering_fd
     tol = params["tolerance"]
-    tau = mp.mpc(*params.get("taus", DEFAULT_TAUS)[0])
+    tau = mp.mpc(*params["taus"][0])
     with workprec(params["prec"]):
         Lfd = lowering_fd(lambda t: phat_omega_numeric(t).value, tau)
         printed = float(abs(Lfd - lowering_rhs(tau)))
@@ -391,7 +393,7 @@ def _run_f2_shadow(params) -> Dict:
     from .modular import xi_fd
 
     def residuals():
-        for tt in params.get("taus", DEFAULT_TAUS)[:2]:
+        for tt in params["taus"]:
             tau = mp.mpc(*tt)
             xi = xi_fd(lambda t: f_family_numeric(2, t), F(1, 2), tau)
             yield float(abs(xi - f2_shadow_closed(tau))), {"part": "xi_{1/2}(f2)"}
@@ -433,19 +435,22 @@ REGISTRY: List[Identity] = [
     Identity("hhat1-zero", "the first combined H-hat function vanishes",
              _run_hhat1, {"prec": DEFAULT_PREC, "taus": EXTPTS}, tolerance=1e-20),
     Identity("hhat2-phat", "the second combined H-hat equals -4i eta^3 times the completion",
-             _run_hhat2, {"prec": DEFAULT_PREC}, tolerance=1e-20),
+             _run_hhat2, {"prec": DEFAULT_PREC, "taus": DEFAULT_TAUS}, tolerance=1e-20),
     Identity("phat-weight1", "weight-1 transformation with multiplier e^(pi i c/8)",
-             _run_phat_weight1, {"prec": DEFAULT_PREC, "matrices": GAMMA_MATS},
+             _run_phat_weight1,
+             {"prec": DEFAULT_PREC, "taus": DEFAULT_TAUS, "matrices": GAMMA_MATS},
              tolerance=1e-15),
     Identity("phat-holpart", "literal holomorphic-part decay bound (known failure, see README)",
              _run_phat_holpart, {"prec": 160, "order": 120}, tolerance=1e-8,
              expected="fail"),
     Identity("phat-lowering", "lowering identity, original form + closed tau-bar derivative",
-             _run_phat_lowering, {"prec": 160}, tolerance=1e-6, expected="fail"),
+             _run_phat_lowering, {"prec": 160, "taus": DEFAULT_TAUS[:1]}, tolerance=1e-6,
+             expected="fail"),
     Identity("f2-shadow", "shadow of the weight-1/2 piece is 2 sqrt2 e^(-pi i/4) pi eta(4t)^3",
-             _run_f2_shadow, {"prec": 160}, tolerance=1e-6),
+             _run_f2_shadow, {"prec": 160, "taus": DEFAULT_TAUS[:2]}, tolerance=1e-6),
     Identity("theta-shifts", "torsion theta eta-quotients, elliptic shifts, R(tau+1/2)",
-             _run_theta_shifts, {"order": 30, "prec": DEFAULT_PREC}, tolerance=1e-20),
+             _run_theta_shifts, {"order": 30, "prec": DEFAULT_PREC, "taus": DEFAULT_TAUS},
+             tolerance=1e-20),
     Identity("mu-laws", "mu/mu-hat/R laws, transforms, and torsion harmonicity",
              _run_mu_laws, {"prec": 128, "laplacian_tolerance": 1e-5}, tolerance=None),
     Identity("finite-jtp", "finite triple-product identity for n <= 5",
@@ -461,14 +466,30 @@ def identity_ids() -> List[str]:
     return [ident.id for ident in REGISTRY]
 
 
+def _declared(ident: Identity) -> Dict:
+    """The parameters ident's runner reads, and the only ones an override
+    may set: its defaults and, for a numeric identity (one with a prec),
+    its tolerance."""
+    params = dict(ident.defaults)
+    if "prec" in params:
+        params["tolerance"] = ident.tolerance
+    return params
+
+
 def run_identity(id: str, overrides: Optional[Dict] = None) -> VerificationReport:
+    """Run one identity with its declared parameters and the overrides that
+    are not None; an override of an undeclared key is refused up front."""
     if id not in _BY_ID:
         raise UnknownIdentity(f"unknown identity {id!r}")
     ident = _BY_ID[id]
-    params = dict(ident.defaults)
-    params["tolerance"] = ident.tolerance
-    if overrides:
-        params.update({k: v for k, v in overrides.items() if v is not None})
+    params = _declared(ident)
+    for key, val in (overrides or {}).items():
+        if val is None:
+            continue
+        if key not in params:
+            raise UndeclaredParameter(f"identity {id!r} reads no parameter {key!r} "
+                                      f"(it reads {', '.join(params)})")
+        params[key] = val
     t0 = time.time()
     try:
         result = ident.runner(params)
@@ -479,28 +500,19 @@ def run_identity(id: str, overrides: Optional[Dict] = None) -> VerificationRepor
         status, worst = "error", None
         witness = {"error": type(exc).__name__, "message": str(exc)}
     elapsed = int((time.time() - t0) * 1000)
-    return VerificationReport(id=id, status=status, params=_clean(params),
-                              tolerance=params.get("tolerance"),
+    return VerificationReport(id=id, status=status,
+                              params=json.loads(json.dumps(params, default=str)),
+                              tolerance=params["tolerance"] if "tolerance" in params else None,
                               worst_residual=worst, witness=witness,
                               elapsed_ms=elapsed)
 
 
-def _clean(params: Dict) -> Dict:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, (list, tuple)):
-            out[k] = [str(x) if not isinstance(x, (int, float, str, list, tuple)) else x
-                      for x in v]
-        elif isinstance(v, (int, float, str)) or v is None:
-            out[k] = v
-        else:
-            out[k] = str(v)
-    return out
-
-
 def run_suite(filter_glob: Optional[str] = None,
               overrides: Optional[Dict] = None) -> List[VerificationReport]:
+    """Run the identities matching filter_glob, each with the overrides it declares."""
     import fnmatch
 
-    return [run_identity(i, overrides) for i in identity_ids()
-            if filter_glob is None or fnmatch.fnmatch(i, filter_glob)]
+    return [run_identity(ident.id, {k: v for k, v in (overrides or {}).items()
+                                    if k in _declared(ident)})
+            for ident in REGISTRY
+            if filter_glob is None or fnmatch.fnmatch(ident.id, filter_glob)]

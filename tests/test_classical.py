@@ -7,11 +7,11 @@ import pytest
 
 from pwomega.classical import (EtaQuotient, TorsionPoint, _neg_floor_of_poch, _phi21,
                                eta_quotient_series, eta_series,
-                               finite_jtp_sides, heine_sides,
+                               finite_jtp_sides, heine_sides, mu_torsion_series,
                                theta_elliptic_shift_reference,
                                theta_series_at_torsion)
 from pwomega.cyc8 import Cyc8, I, ONE
-from pwomega.errors import NonExpandableDenominator, RootOfUnityOutsideCyc8
+from pwomega.errors import BadSpec, NonExpandableDenominator, RootOfUnityOutsideCyc8
 from pwomega.jseries import JSeries, jpochhammer
 from pwomega.qseries import Monomial, QSeries, over_qpochhammer, qpochhammer
 
@@ -39,6 +39,27 @@ def test_eta_quotient_text_round_trip():
     again = EtaQuotient.parse(str(spec))
     assert again.factors == spec.factors
     assert again.prefactor.q_exp == spec.prefactor.q_exp
+
+
+@pytest.mark.parametrize("text", ["1^2,2^-1", "eta(0)", "q^{abc} * eta(1)", "q^{1/0}"])
+def test_eta_quotient_parse_refuses_unreadable_specs(text):
+    # eta(0) would be a series with no end; a refusal is a ValueError too
+    with pytest.raises(BadSpec):
+        EtaQuotient.parse(text)
+    assert issubclass(BadSpec, ValueError)
+
+
+def test_builders_live_on_their_lattices():
+    # eta, eta quotients, theta and mu at torsion points on q^(1/24), Heine's
+    # sides on q^(1/2), the finite triple product on (q, zeta)
+    z = TorsionPoint(F(1, 2), F(1, 4))
+    torsion = [eta_series(4), eta_quotient_series(EtaQuotient.parse("eta(4) / eta(2)^2"), 4),
+               theta_series_at_torsion(z, 4), theta_elliptic_shift_reference(z, 1, 0, 4),
+               mu_torsion_series(TorsionPoint(F(1, 2), 0), z, 4)]
+    assert {s.D for s in torsion} == {24}
+    heine = heine_sides(Monomial(1, F(1, 2)), Monomial(1, 1), Monomial(1, 2), Monomial(1, 1), 4)
+    assert {s.D for s in heine} == {2}
+    assert {(s.D, s.Dz) for s in finite_jtp_sides(2, 4)} == {(1, 1)}
 
 
 def test_eta_cubed_jacobi_identity():
@@ -163,7 +184,7 @@ def test_phi21_with_b_equal_c_is_q_binomial_theorem(a, b, z):
     # sum (a)_n z^n / (q)_n = (a z)_inf / (z)_inf, independent of the Heine
     # right-hand side, which runs through the same _phi21 loop
     N = 15
-    lhs = _phi21(2, a, b, b, z, N)
+    lhs = _phi21(a, b, b, z, N)
     rhs = qpochhammer(2, a * z, None, N) * qpochhammer(2, z, None, N).invert()
     assert lhs.order_exp() >= N and rhs.order_exp() >= N
     assert lhs.first_mismatch(rhs) is None
@@ -195,7 +216,7 @@ def test_phi21_matches_full_products_and_inverse(a, b, c, z, order):
         zn = QSeries.one(D, N).mul_monomial(z.pow(n)).truncate(N)
         out = out + (num * zn * den.invert()).truncate(N)
         n += 1
-    got = _phi21(D, a, b, c, z, N)
+    got = _phi21(a, b, c, z, N)
     assert got.order_exp() == out.order_exp() == order
     assert got.coeff == out.coeff
 

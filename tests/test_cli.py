@@ -7,11 +7,15 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from pwomega.cli import main
 from pwomega.cyc8 import Cyc8
+from pwomega.errors import UndeclaredParameter
 from pwomega.jseries import JSeries
 from pwomega.qseries import QSeries
-from pwomega.registry import _residual_check, _series_check, identity_ids, run_identity
+from pwomega.registry import (DEFAULT_TAUS, _residual_check, _series_check, identity_ids,
+                              run_identity)
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +44,41 @@ def test_run_unknown_identity(capsys):
     code, _, err = run_cli(capsys, "run", "nonexistent")
     assert code == 2
     assert "unknown identity" in err
+
+
+def test_undeclared_override_is_refused(capsys):
+    # brz-F reads no order and finite-jtp no prec: refused before the runner
+    # starts, not echoed into a report
+    code, out, err = run_cli(capsys, "run", "brz-F", "--order", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'order'" in err
+    code, out, err = run_cli(capsys, "run", "finite-jtp", "--prec", "10")
+    assert code == 2 and out == "" and "'prec'" in err
+    with pytest.raises(UndeclaredParameter, match="tolerance"):
+        run_identity("heine", {"tolerance": 1.0})
+
+
+def test_suite_passes_each_identity_its_declared_overrides(capsys):
+    code, out, _ = run_cli(capsys, "suite", "--filter", "brz-*", "--order", "10")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "pass" and "order" not in report["params"]
+
+
+@pytest.mark.parametrize("ident, read", [("theta-shifts", 3), ("hhat2-phat", 3),
+                                         ("phat-weight1", 3), ("phat-lowering", 1),
+                                         ("f2-shadow", 2)])
+def test_numeric_identities_report_the_taus_they_read(ident, read):
+    # each reads the first `read` default points; its report lists those
+    rep = run_identity(ident)
+    assert rep.status == ("fail" if ident == "phat-lowering" else "pass")
+    assert rep.params["taus"] == [list(tau) for tau in DEFAULT_TAUS[:read]]
+
+
+def test_cor_pwrep_below_the_oracle_cap(capsys):
+    # the enumeration oracle stops at q^26; at order 20 both sides stop at 20
+    code, out, _ = run_cli(capsys, "run", "cor-pwrep", "--order", "20")
+    assert code == 0 and json.loads(out)["status"] == "pass"
 
 
 def test_suite_filter_selects_one(capsys):
@@ -79,6 +118,12 @@ def test_expand_unknown_object(capsys):
     code, _, err = run_cli(capsys, "expand", "no-such-series", "--order", "5")
     assert code == 2
     assert "expandable objects" in err
+
+
+def test_expand_unreadable_eta_quotient_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "expand", "eta-quotient:1^2,2^-1", "--order", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'1^2,2^-1'" in err
 
 
 def test_every_listed_object_expands(capsys):

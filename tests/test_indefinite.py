@@ -7,7 +7,7 @@ import pytest
 
 from pwomega import indefinite
 from pwomega.cyc8 import Cyc8, ONE
-from pwomega.errors import LatticeMismatch, WindowTooSmall
+from pwomega.errors import WindowTooSmall
 from pwomega.indefinite import (cone_exponent, cone_points, cone_sum_series,
                                 weighted_triple_sum, g_equals_sum_of_f_mismatch,
                                 g_half_jseries,
@@ -122,9 +122,9 @@ def pwz_lhs_reference(N, W, D=2, Dz=1):
     return out.truncate(N)
 
 
-@pytest.mark.parametrize("N, D, Dz", [(25, 2, 1), (12, 4, 2)])
+@pytest.mark.parametrize("N, D, Dz", [(25, 2, 1)])
 def test_pwz_lhs_chain_matches_series_construction(N, D, Dz):
-    got = pwz_lhs_cleared(N, 25, D, Dz)
+    got = pwz_lhs_cleared(N, 25)
     want = pwz_lhs_reference(N, 25, D, Dz)
     assert got.order == want.order
     assert got.rows == want.rows and got == want
@@ -134,12 +134,17 @@ def test_pwz_cleared_identity():
     assert pwz_lhs_cleared(15, 25).first_mismatch(pwz_rhs_cleared(15, 25)) is None
 
 
-def test_pwz_rhs_on_a_finer_lattice_and_an_odd_one_refused():
-    # q^(n(j+1/2)) needs an even D; on D = 4, Dz = 2 both sides still agree
-    lhs, rhs = pwz_lhs_cleared(12, 25, 4, 2), pwz_rhs_cleared(12, 25, 4, 2)
-    assert rhs.order == 48 and lhs.first_mismatch(rhs) is None
-    with pytest.raises(LatticeMismatch):
-        pwz_rhs_cleared(12, 25, 3)
+def test_builders_live_on_their_lattices():
+    # each builder has one lattice: the cleared pwz sides on (q^(1/2), zeta),
+    # the specialized kernel on (q^(1/24), zeta^(1/4)), the cone sums and
+    # P-bar-omega on integer exponents; a finer lattice is a refine away
+    assert {(s.D, s.Dz) for s in (pwz_lhs_cleared(6, 25), pwz_rhs_cleared(6, 25))} == {(2, 1)}
+    assert {(s.D, s.Dz) for s in (g_half_jseries(4),)} == {(24, 4)}
+    assert {(s.D, s.Dz) for s in (cone_sum_series(4),)} == {(1, 1)}
+    routes = [pbar_omega_series(12, m) for m in ("definition", "triple_sum", "oracle")]
+    assert {s.D for s in routes + [weighted_triple_sum(4)]} == {1}
+    assert routes[1].refine(24).order == 12 * 24
+    assert routes[1].refine(24).first_mismatch(routes[0].refine(24)) is None
 
 
 def test_pwz_low_coefficients():

@@ -35,9 +35,10 @@ def theta_reference(z, tau, order=0):
 
 
 def R_reference(z, tau):
-    """[R, its Wirtinger d/dz, its formal d/dz] term by term: one complex
-    exponential, one erf or erfc and one exponential per term, over the
-    kernel's window widened by 2 |Im z| / Im tau + 2 indices on each side."""
+    """[R, its Wirtinger d/dz, the E-factor part of that d/dz] term by term:
+    one complex exponential, one erf or erfc and one exponential per term,
+    over the kernel's window widened by 2 |Im z| / Im tau + 2 indices on
+    each side."""
     z, tau = mp.mpc(z), mp.mpc(tau)
     v, y = tau.imag, z.imag
     s2v = mp.sqrt(2 * v)
@@ -52,7 +53,8 @@ def R_reference(z, tau):
         r += t
         rn += n * t
         rw += mp.exp(-mp.pi * w * w) * phase
-    return r, -2j * mp.pi * rn + 1j * mp.sqrt(2 / v) * rw, -2j * mp.pi * rn
+    rw = 1j * mp.sqrt(2 / v) * rw
+    return r, -2j * mp.pi * rn + rw, rw
 
 
 def eta_reference(tau):
@@ -220,7 +222,7 @@ def _ulps(got, want):
 @pytest.mark.parametrize("im_tau", IM_TAUS_R)
 def test_R_matches_per_term_sum(im_tau):
     # the recurrences and the per-term erfc precision hold every term to
-    # 2^-(prec+TAIL_GUARD) of the largest, so R, R_dz and the formal R_dz
+    # 2^-(prec+TAIL_GUARD) of the largest, so R, R_dz and R_dz's E-part
     # stay within 2 units of the working precision of max(1, |value|)
     # (measured: at most 0.8); without the guard bits R_dz reaches 8.6
     tau = mp.mpc("0.11", im_tau)
@@ -228,7 +230,7 @@ def test_R_matches_per_term_sum(im_tau):
         with mp.workprec(P + GUARD + 100):
             want = R_reference(z, tau)
         with workprec(P):
-            got = (*kernels._R_terms(z, tau), kernels._R_terms(z, tau, formal=True)[1])
+            got = kernels._R_terms(z, tau)
             for g, w in zip(got, want):
                 assert abs(g - w) <= REL_TOL * max(1, abs(w)), (z, g, w)
                 assert _ulps(g, w) <= 2, (z, _ulps(g, w))
@@ -245,7 +247,7 @@ def test_R_window_follows_its_largest_terms():
         with mp.workprec(P + GUARD + 100):
             want = R_reference(z, tau)
         with workprec(P):
-            got = (*kernels._R_terms(z, tau), kernels._R_terms(z, tau, formal=True)[1])
+            got = kernels._R_terms(z, tau)
             for g, w in zip(got, want):
                 assert _ulps(g, w) <= 2, (z, g, w)
 

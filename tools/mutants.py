@@ -105,7 +105,7 @@ MUTANTS = [
      "bundle = plan.mu(z2, z3, z2 + z3)", "bundle = plan.mu(z2, z2 + z3, z3)",
      ["tests/test_completion.py"]),
     ("src/pwomega/completion.py",
-     "ratio = mul(qp(s * (k + l)), zs[2])", "ratio = mul(qp(s * (k + l + 1)), zs[2])",
+     "ratio = _mul(qp(s * (k + l)), zs[2], W)", "ratio = _mul(qp(s * (k + l + 1)), zs[2], W)",
      ["tests/test_completion.py"]),
     ("src/pwomega/completion.py",
      "zip((-1, 1, 1), (z1, z2, z3))", "zip((1, 1, 1), (z1, z2, z3))",
@@ -195,8 +195,8 @@ MUTANTS = [
     # the exact path loads no numeric module: neither the registry nor
     # `expand` of an exact object
     ("src/pwomega/registry.py",
-     "from .errors import UnknownIdentity\n",
-     "from .errors import UnknownIdentity\nfrom . import kernels\n",
+     "from .errors import UndeclaredParameter, UnknownIdentity\n",
+     "from .errors import UndeclaredParameter, UnknownIdentity\nfrom . import kernels\n",
      ["tests/test_cli.py"]),
     ("src/pwomega/cli.py",
      "def _expand_object(name: str, N: int) -> QSeries:\n",
@@ -211,6 +211,22 @@ MUTANTS = [
     ("src/pwomega/registry.py",
      "_residual_check(((float(abs(hhat1_numeric(", "_residual_check(list((float(abs(hhat1_numeric(",
      ["tests/test_cli.py"]),
+    # one home per parameter: an override the identity does not declare
+    # accepted silently, the suite passing every identity every override,
+    # the oracle route compared at its cap whatever the order
+    ("src/pwomega/registry.py",
+     "        if key not in params:\n", "        if False:\n",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/registry.py",
+     "if k in _declared(ident)})", "if True})",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/registry.py",
+     "top = min(N, 26)", "top = 26",
+     ["tests/test_cli.py"]),
+    # R_dz without the E-factor part of its Wirtinger derivative
+    ("src/pwomega/kernels.py",
+     "(PI * n1 + epart[0], epart[1] - PI * n0)", "(PI * n1, -PI * n0)",
+     ["tests/test_kernels.py"]),
     # the jets' rounding allowances taken inside the JET_GUARD context,
     # 2^24 tighter than the working precision's
     ("src/pwomega/completion.py",
