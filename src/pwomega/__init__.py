@@ -17,11 +17,11 @@ Layers:
 
 from .cyc8 import Cyc8
 from .jseries import JSeries, jpochhammer
-from .qseries import Monomial, QSeries, geometric, qpochhammer
+from .qseries import Monomial, QSeries, qpochhammer
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cyc8", "Monomial", "QSeries", "geometric", "qpochhammer",
+    "Cyc8", "Monomial", "QSeries", "qpochhammer",
     "JSeries", "jpochhammer", "__version__",
 ]

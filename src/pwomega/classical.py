@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .cyc8 import Cyc8, ONE
-from .errors import (BadSpec, LatticeMismatch, NonExpandableDenominator,
-                     RootOfUnityOutsideCyc8, SpecializationPole)
+from .cyc8 import Cyc8
+from .errors import (BadSpec, NonExpandableDenominator, RootOfUnityOutsideCyc8,
+                     SpecializationPole)
 from .jseries import JSeries
-from .qseries import Monomial, QSeries, geometric, pochhammer_factors
+from .qseries import Monomial, QSeries, pochhammer_factors
 
 F = Fraction
 Rat = Union[int, Fraction]
@@ -34,12 +34,12 @@ HEINE_D = 2
 # eta and eta quotients
 # ---------------------------------------------------------------------------
 
-def eta_m_series(m: int, N) -> QSeries:
-    """eta(m*tau) = q^(m/24) prod (1 - q^(m n)), via the pentagonal expansion."""
+def eta_series(N) -> QSeries:
+    """eta(tau) = q^(1/24) prod (1 - q^n), via the pentagonal expansion."""
     terms = []
     k = 0
     while True:
-        exps = [m * (F(kk * (3 * kk - 1), 2) + F(1, 24)) for kk in ((k, -k) if k else (0,))]
+        exps = [F(kk * (3 * kk - 1), 2) + F(1, 24) for kk in ((k, -k) if k else (0,))]
         live = [e for e in exps if e < F(N)]
         for e in live:
             terms.append((e, Cyc8((-1) ** k)))
@@ -47,11 +47,6 @@ def eta_m_series(m: int, N) -> QSeries:
             break
         k += 1
     return QSeries.from_terms(TORSION_D, terms, N)
-
-
-def eta_series(N) -> QSeries:
-    """eta(tau) = q^(1/24) prod (1 - q^n)."""
-    return eta_m_series(1, N)
 
 
 @dataclass
@@ -101,15 +96,18 @@ class EtaQuotient:
 
 
 def eta_quotient_series(spec: EtaQuotient, N) -> QSeries:
-    # inverted factors each cost 2*m/24 of certified order; pad up front
-    pad = sum((F(2 * abs(r) * m, 24) for m, r in spec.factors if r < 0), F(0))
-    out = QSeries.one(TORSION_D, F(N) + pad + 1)
+    """The quotient to O(q^N): one binomial chain of the factors of
+    (q^m; q^m)_inf^(sign r), |r| times each, at order N minus the leading
+    exponent, times the prefactor's coefficient and q^(leading exponent)."""
+    lead = spec.leading_exponent()
+    top = F(N) - lead
+    factors = []
     for m, r in spec.factors:
-        out = out * eta_m_series(m, out.order_exp() + (0 if r > 0 else F(2 * abs(r) * m, 24))).pow(r)
-    out = out.mul_monomial(spec.prefactor)
-    if out.order_exp() < F(N):
-        raise LatticeMismatch("internal padding failure in eta_quotient_series")
-    return out.truncate(N)
+        sign = 1 if r > 0 else -1
+        factors += pochhammer_factors(Monomial(1, m), None, top, step=m, sign=sign) * abs(r)
+    pre = spec.prefactor
+    return QSeries.one(TORSION_D, top).binomials(factors).mul_monomial(
+        Monomial(pre.coeff, lead, pre.z_exp))
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +174,13 @@ def theta_elliptic_shift_reference(z: TorsionPoint, lam: int, mu: int, N) -> QSe
 def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N) -> QSeries:
     """Exact Laurent-Puiseux expansion of mu(a1 tau + b1, a2 tau + b2; tau).
 
-    Each bilateral-sum denominator 1 - e^(2 pi i b1) q^(n + a1) is expanded
-    formally: geometric when n + a1 > 0, constant when n + a1 = 0 (pole if
-    b1 is integral), and factored through -e^(2 pi i b1) q^(n+a1) otherwise.
+    Each bilateral-sum term is one quotient step by 1 - e^(2 pi i b1) q^(n + a1)
+    (QSeries.binomials, which folds n + a1 <= 0 into a monomial); the
+    denominator vanishes identically at n = -a1 when a1 and b1 are integers.
     """
     a1, b1, a2, b2 = z1.a, z1.b, z2.a, z2.b
+    if a1.denominator == 1 and b1.denominator == 1:
+        raise SpecializationPole(f"denominator vanishes identically at n={-a1}")
     N = F(N)
     # conservative symmetric n-window: exponents grow like n^2/2 - |a2| n - |n + a1|
     n_max = 3 + int(2 * (abs(a2) + 2)) + _isqrt_ceil(2 * (N - min(0, _series_floor_bound(a1, a2)) + 4))
@@ -190,19 +190,8 @@ def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N) -> QSeries:
     for n in range(-n_max, n_max + 1):
         e0 = F(n * (n + 1), 2) + n * a2
         coeff = Cyc8((-1) ** n) * Cyc8.from_root_of_unity(_frac_mod1(n * b2))
-        m = n + a1
-        if m > 0:
-            term = geometric(D, m, N + 8 - e0, root_b1).shift(e0).scale(coeff)
-        elif m == 0:
-            unit = ONE - root_b1
-            if unit.is_zero():
-                raise SpecializationPole(f"denominator vanishes identically at n={n}")
-            term = QSeries.from_terms(D, [(e0, coeff * unit.inverse())], N + 8)
-        else:
-            # 1/(1 - r q^m) = -r^{-1} q^{-m} / (1 - r^{-1} q^{-m}),  m < 0
-            rinv = root_b1.inverse()
-            term = geometric(D, -m, N + 8 - e0 + m, rinv).shift(e0 - m).scale(-(coeff * rinv))
-        acc = acc + term.truncate(N + 8)
+        acc = acc + QSeries.from_terms(D, [(e0, coeff)], N + 8).binomials(
+            [(-root_b1, n + a1, -1)])
     theta2 = theta_series_at_torsion(z2, N + 8)
     pref = Monomial(Cyc8.from_root_of_unity(_frac_mod1(b1 / 2)), a1 / 2)
     out = acc * theta2.invert()
@@ -279,10 +268,13 @@ def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> Tuple[
                 f"Heine needs positive q-exponent for {name}, got {mono.q_exp}")
 
     lhs = _phi21(a, b, c, z, N)
-    pref = QSeries.one(HEINE_D, N).binomials(
-        pochhammer_factors(cb, None, N) + pochhammer_factors(bz, None, N)
-        + pochhammer_factors(c, None, N, sign=-1) + pochhammer_factors(z, None, N, sign=-1))
-    rhs = pref * _phi21(abz_c, b, bz, cb, N)
+    # the prefactor's factors up to the order minus the floor of the sum it
+    # multiplies, which is below 0 when a or b has a negative q-exponent
+    phi = _phi21(abz_c, b, bz, cb, N)
+    reach = F(phi.order - phi.floor_key(), HEINE_D)
+    rhs = phi.binomials(
+        pochhammer_factors(cb, None, reach) + pochhammer_factors(bz, None, reach)
+        + pochhammer_factors(c, None, reach, sign=-1) + pochhammer_factors(z, None, reach, sign=-1))
     common = min(lhs.order_exp(), rhs.order_exp(), N)
     return lhs.truncate(common), rhs.truncate(common)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -195,10 +196,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_tau_values(argv: List[str]) -> List[str]:
+    """'--tau -0.23,1.07' as '--tau=-0.23,1.07': argparse takes a separate
+    value that starts with '-' for an option."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] == "--tau" and re.match(r"-[\d.]", arg):
+            out[-1] = "--tau=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_tau_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     commands = {"list": cmd_list, "run": cmd_run, "suite": cmd_suite,

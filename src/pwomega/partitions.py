@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .cyc8 import Cyc8, ONE
+from .cyc8 import ONE
 from .errors import NoCombinatorialDefinition, ResourceBound
-from .qseries import Monomial, QSeries, geometric, over_qpochhammer, qpochhammer
+from .qseries import Monomial, QSeries, over_qpochhammer, pochhammer_factors
 
 FAMILIES = ("spt", "p_omega", "spt_omega", "pbar_omega", "sptbar_omega", "spt_g2")
 
@@ -92,21 +92,10 @@ def _sum_n_qn_over_1_minus_qn(N) -> QSeries:
     """sum_{n>=1} n q^n / (1-q^n)."""
     out = QSeries.zero(1, N)
     n = 1
-    while F(n) < F(N):
-        out = out + geometric(1, n, N).shift(n).scale(n)
+    while n < F(N):
+        out = out + QSeries.from_terms(1, [(n, n)], N).binomials([(-1, n, -1)])
         n += 1
     return out
-
-
-def _geom_sq(exp, N) -> QSeries:
-    """1/(1-q^exp)^2 = sum_k (k+1) q^(k exp)."""
-    e = F(exp)
-    terms = []
-    k = 0
-    while k * e < F(N):
-        terms.append((k * e, Cyc8(k + 1)))
-        k += 1
-    return QSeries.from_terms(1, terms, N)
 
 
 def _definition_series(family: str, N) -> QSeries:
@@ -122,35 +111,35 @@ def _definition_series(family: str, N) -> QSeries:
       sptbar_omega     p=2  the same R_n
       spt_g2           p=2  R_n = 1/((q^{n+1};q)_n^2 (q^{2n+2};q^2)_inf (q^{4n+2};q^4)_inf)
 
-    R_0 is built from its products; R_n is R_(n-1) times the binomials
-    1 + c*q^e of R_n / R_(n-1) (lists "up") over those of "down", and the
-    term divides q^n R_n by (1-q^n)^p.  Each is one binomial chain
-    (QSeries.binomials): the series converts to components once and each
-    factor costs O(N).
+    R_0 is one chain of the factors of its products ("start"); R_n is
+    R_(n-1) times the binomials 1 + c*q^e of R_n / R_(n-1) (lists "up") over
+    those of "down", and the term divides q^n R_n by (1-q^n)^p.  Each is one
+    binomial chain (QSeries.binomials): the series converts to components
+    once and each factor costs O(N).
     """
-    one = QSeries.one(1, N)
     if family == "spt":
-        ratio = over_qpochhammer(one, Monomial(1, 1), None)
+        start = pochhammer_factors(Monomial(1, 1), None, N, sign=-1)
         def steps(n):
             return [(-1, n)], []
     elif family in ("p_omega", "spt_omega"):
-        ratio = over_qpochhammer(one, Monomial(1, 2), None, step=2)
+        start = pochhammer_factors(Monomial(1, 2), None, N, step=2, sign=-1)
         def steps(n):
             return [(-1, n)], [(-1, 2 * n - 1)]
     elif family in ("pbar_omega", "sptbar_omega"):
-        ratio = over_qpochhammer(qpochhammer(1, Monomial(-1, 2), None, N, step=2),
-                                 Monomial(1, 2), None, step=2)
+        start = (pochhammer_factors(Monomial(-1, 2), None, N, step=2)
+                 + pochhammer_factors(Monomial(1, 2), None, N, step=2, sign=-1))
         def steps(n):
             return [(1, 2 * n - 1), (-1, n)], [(1, n), (-1, 2 * n - 1)]
     elif family == "spt_g2":
-        ratio = over_qpochhammer(over_qpochhammer(one, Monomial(1, 2), None, step=2),
-                                 Monomial(1, 2), None, step=4)
+        start = (pochhammer_factors(Monomial(1, 2), None, N, step=2, sign=-1)
+                 + pochhammer_factors(Monomial(1, 2), None, N, step=4, sign=-1))
         def steps(n):
             return ([(-1, n), (-1, n), (-1, 4 * n - 2)],
                     [(-1, 2 * n - 1), (-1, 2 * n - 1), (-1, 2 * n)])
     else:
         raise ValueError(f"unknown family {family!r}")
     power = 1 if family in ("p_omega", "pbar_omega") else 2
+    ratio = QSeries.one(1, N).binomials(start)
     out = QSeries.zero(1, N)
     n = 1
     while n < F(N):
@@ -169,32 +158,33 @@ def _appell_series(family: str, N) -> QSeries:
         #     + sum_{n>=1} (-1)^n q^(m n(3n+1)/2) (1 + q^(mn)) / (1 - q^(mn))^2)
         # with m = 1 for spt and m = 2 for spt_omega
         m = 1 if family == "spt" else 2
-        s2 = QSeries.zero(1, N)
+        s = _sum_n_qn_over_1_minus_qn(N)
         n = 1
         while F(m * n * (3 * n + 1), 2) < F(N):
-            e = F(m * n * (3 * n + 1), 2)
-            g = _geom_sq(m * n, N)
-            s2 = s2 + (g.shift(e) + g.shift(e + m * n)).scale((-1) ** n).truncate(N)
+            e, sign = F(m * n * (3 * n + 1), 2), (-1) ** n
+            pair = QSeries.from_terms(1, [(e, sign), (e + m * n, sign)], N)
+            s = s + pair.binomials([(-1, m * n, -1)] * 2)
             n += 1
-        s = _sum_n_qn_over_1_minus_qn(N) + s2
-        return over_qpochhammer(s, Monomial(1, m), None, step=m).truncate(N)
+        return over_qpochhammer(s, Monomial(1, m), None, step=m)
     if family == "sptbar_omega":
-        s1 = _sum_n_qn_over_1_minus_qn(N)
-        s2 = QSeries.zero(1, N)
+        # (-q^2; q^2)_inf (q^2; q^2)_inf^-1 (sum_{n>=1} n q^n / (1 - q^n)
+        #     + 2 sum_{n>=1} (-1)^n q^(2n(n+1)) / (1 - q^(2n))^2)
+        s = _sum_n_qn_over_1_minus_qn(N)
         n = 1
         while 2 * n * (n + 1) < F(N):
-            s2 = s2 + _geom_sq(2 * n, N).shift(2 * n * (n + 1)).scale(2 * (-1) ** n).truncate(N)
+            term = QSeries.from_terms(1, [(2 * n * (n + 1), 2 * (-1) ** n)], N)
+            s = s + term.binomials([(-1, 2 * n, -1)] * 2)
             n += 1
-        s = (s1 + s2) * qpochhammer(1, Monomial(-1, 2), None, N, step=2)
-        return over_qpochhammer(s, Monomial(1, 2), None, step=2).truncate(N)
+        # s has no negative powers, so the factors below N reach its order
+        return s.binomials(pochhammer_factors(Monomial(-1, 2), None, N, step=2)
+                           + pochhammer_factors(Monomial(1, 2), None, N, step=2, sign=-1))
     if family == "p_omega":
         # q * omega(q), omega(q) = sum_{n>=0} q^{2n(n+1)} / (q;q^2)_{n+1}^2
         out = QSeries.zero(1, N)
         n = 0
         while 2 * n * (n + 1) < F(N):
             t = QSeries.from_terms(1, [(2 * n * (n + 1), ONE)], N)
-            t = over_qpochhammer(t, Monomial(1, 1), n + 1, step=2)
-            out = out + over_qpochhammer(t, Monomial(1, 1), n + 1, step=2)
+            out = out + over_qpochhammer(t, Monomial(1, 1), n + 1, step=2, power=2)
             n += 1
         return out.shift(1).truncate(N)
     raise ValueError(f"family {family!r} has no Appell-Lerch side")

@@ -255,8 +255,9 @@ class QSeries:
         return _assemble(self.D, rows[0], self.order, coef, shift)
 
     def pow(self, k: int) -> "QSeries":
+        """self^k for k >= 0; a quotient is a binomial chain or QSeries.invert."""
         if k < 0:
-            return self.invert().pow(-k)
+            raise ValueError("negative power of a series")
         if k == 0:
             return QSeries.one(self.D, self.order_exp())
         result = self
@@ -423,22 +424,6 @@ def _assemble(D: int, tables, order: int, coef: Cyc8 = ONE, shift: int = 0) -> Q
                      for k in keys}
     return out if coef == ONE and not shift else QSeries(
         D, {k + shift: coef * v for k, v in out.coeff.items()}, order + shift)
-
-
-def geometric(D: int, exp: Rat, order_exp: Rat, ratio_coeff=1) -> QSeries:
-    """1/(1 - c*q^exp) = sum_k c^k q^(k*exp), requires exp > 0."""
-    e = Fraction(exp)
-    if e <= 0:
-        raise NonExpandableDenominator("denominator exponent must be positive")
-    out = []
-    c = ONE
-    ratio = ratio_coeff if isinstance(ratio_coeff, Cyc8) else Cyc8(ratio_coeff)
-    k = 0
-    while k * e < Fraction(order_exp):
-        out.append((k * e, c))
-        c = c * ratio
-        k += 1
-    return QSeries.from_terms(D, out, order_exp)
 
 
 def pochhammer_exponents(q_exp: Rat, n: Optional[int], order_exp: Rat,

@@ -156,6 +156,17 @@ def test_mu_torsion_series_symmetry_and_dual_route():
         assert abs(via_series - direct) < mp.mpf(2) ** -40
 
 
+def test_mu_torsion_series_at_a_zero_real_shift():
+    # a1 = 0: the n = 0 denominator is the constant 1 - i and the terms with
+    # n < 0 have negative q-exponents, both folded by the quotient step
+    z1, z2 = TorsionPoint(0, F(1, 4)), TorsionPoint(F(1, 2), F(1, 4))
+    with workprec(200):
+        tau = mp.mpc("0.1", "1.2")
+        via_series = mu_torsion_series(z1, z2, 60).eval_mpc(mp, qpow(tau, 1))
+        direct = kernels.mu(mp.mpf(1) / 4, tau / 2 + mp.mpf(1) / 4, tau)
+        assert abs(via_series - direct) < mp.mpf(2) ** -40
+
+
 def test_mu_torsion_floor_matches_lead_term():
     # leading exponent bookkeeping: the n-sum's minimal exponent
     s = mu_torsion_series(TorsionPoint(F(1, 2), 0), TorsionPoint(F(1, 2), F(1, 4)), 10)

@@ -11,7 +11,8 @@ from pwomega.classical import (EtaQuotient, TorsionPoint, _neg_floor_of_poch, _p
                                theta_elliptic_shift_reference,
                                theta_series_at_torsion)
 from pwomega.cyc8 import Cyc8, I, ONE
-from pwomega.errors import BadSpec, NonExpandableDenominator, RootOfUnityOutsideCyc8
+from pwomega.errors import (BadSpec, LatticeMismatch, NonExpandableDenominator,
+                            RootOfUnityOutsideCyc8)
 from pwomega.jseries import JSeries, jpochhammer
 from pwomega.qseries import Monomial, QSeries, over_qpochhammer, qpochhammer
 
@@ -60,6 +61,29 @@ def test_builders_live_on_their_lattices():
     heine = heine_sides(Monomial(1, F(1, 2)), Monomial(1, 1), Monomial(1, 2), Monomial(1, 1), 4)
     assert {s.D for s in heine} == {2}
     assert {(s.D, s.Dz) for s in finite_jtp_sides(2, 4)} == {(1, 1)}
+
+
+@pytest.mark.parametrize("N", [0, F(1, 24), 7, 30])
+def test_eta_quotient_chain_against_the_pentagonal_series(N):
+    # the (q)_inf chain behind eta quotients against eta_series' pentagonal
+    # expansion: eta^3 as a product of three, eta^-1 as eta's inverse
+    cubed = eta_quotient_series(EtaQuotient.parse("eta(1)^3"), N)
+    assert cubed.order_exp() == N and cubed == eta_series(N).pow(3).truncate(N)
+    inverse = eta_quotient_series(EtaQuotient.parse("eta(1)^-1"), N)
+    product = inverse * eta_series(N)
+    assert product == QSeries.one(24, product.order_exp())
+    assert product.order_exp() >= N - F(1, 24)
+
+
+def test_eta_quotient_takes_any_monomial_prefactor():
+    # q^-3 / eta = q^(-73/24) sum p(n) q^n: the chain runs at order
+    # N + 73/24 and the monomial brings it back to N; a zeta-carrying
+    # prefactor has no place on a QSeries
+    s = eta_quotient_series(EtaQuotient.parse("q^{-3} / eta(1)"), 4)
+    partitions = [1, 1, 2, 3, 5, 7, 11, 15]
+    assert s == QSeries.from_terms(24, [(n - F(73, 24), p) for n, p in enumerate(partitions)], 4)
+    with pytest.raises(LatticeMismatch):
+        eta_quotient_series(EtaQuotient([(1, 1)], Monomial(1, 0, 1)), 4)
 
 
 def test_eta_cubed_jacobi_identity():
@@ -219,6 +243,26 @@ def test_phi21_matches_full_products_and_inverse(a, b, c, z, order):
     got = _phi21(a, b, c, z, N)
     assert got.order_exp() == out.order_exp() == order
     assert got.coeff == out.coeff
+
+
+@pytest.mark.parametrize("a, b, c, z, common", [
+    (Monomial(1, -1), Monomial(1, 1), Monomial(1, 2), Monomial(1, 1), 11),
+    (Monomial(-1, -1), Monomial(1, -1), Monomial(1, 1), Monomial(1, 2), 10),
+    (Monomial(2, F(-3, 2)), Monomial(I, F(1, 2)), Monomial(1, 1), Monomial(-1, F(1, 2)), 10),
+    (Monomial(1, 1), Monomial(-1, -1), Monomial(1, F(1, 2)), Monomial(F(1, 2), 2), 11),
+])
+def test_heine_right_side_with_negative_exponents_matches_the_product_route(a, b, c, z, common):
+    # the prefactor as one chain on the right side's sum, whose floor can be
+    # negative, against the prefactor's own series times that sum
+    N = 12
+    lhs, rhs = heine_sides(a, b, c, z, N)
+    cb, bz = c * b.pow(-1), b * z
+    phi = _phi21(a * b * z * c.pow(-1), b, bz, cb, N)
+    pref = (qpochhammer(2, cb, None, N) * qpochhammer(2, bz, None, N)
+            * (qpochhammer(2, c, None, N) * qpochhammer(2, z, None, N)).invert())
+    assert lhs.order_exp() == rhs.order_exp() == common
+    assert rhs == (pref * phi).truncate(common)
+    assert lhs == rhs
 
 
 def test_heine_rejects_bad_parameters():

@@ -1,5 +1,6 @@
 """CLI harness: commands, exit codes, report schema, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -75,6 +76,27 @@ def test_numeric_identities_report_the_taus_they_read(ident, read):
     assert rep.params["taus"] == [list(tau) for tau in DEFAULT_TAUS[:read]]
 
 
+def test_phat_lowering_reads_every_point():
+    # the second point is the worse one: the report is that point's
+    two = run_identity("phat-lowering", {"taus": [(0.11, 0.93), (-0.23, 1.07)]})
+    second = run_identity("phat-lowering", {"taus": [(-0.23, 1.07)]})
+    first = run_identity("phat-lowering")
+    assert two.status == second.status == first.status == "fail"
+    assert two.worst_residual == second.worst_residual > first.worst_residual
+    assert two.witness == dict(second.witness, tau=[-0.23, 1.07])
+    assert "tau" not in first.witness
+
+
+def test_spaced_negative_tau_is_read_as_a_value(capsys):
+    code, spaced, err = run_cli(capsys, "run", "hhat2-phat", "--tau", "-0.23,1.07")
+    assert code == 0, err
+    code, joined, _ = run_cli(capsys, "run", "hhat2-phat", "--tau=-0.23,1.07")
+    assert code == 0
+    spaced, joined = json.loads(spaced), json.loads(joined)
+    spaced.pop("elapsed_ms"), joined.pop("elapsed_ms")
+    assert spaced == joined and spaced["params"]["taus"] == [[-0.23, 1.07]]
+
+
 def test_cor_pwrep_below_the_oracle_cap(capsys):
     # the enumeration oracle stops at q^26; at order 20 both sides stop at 20
     code, out, _ = run_cli(capsys, "run", "cor-pwrep", "--order", "20")
@@ -126,12 +148,105 @@ def test_expand_unreadable_eta_quotient_is_a_usage_error(capsys):
     assert err.startswith("error:") and "'1^2,2^-1'" in err
 
 
+SAMPLE_SPEC = "q^{-1/8} * eta(2)^2 / eta(4)"
+
+
 def test_every_listed_object_expands(capsys):
     from pwomega.cli import EXPANDABLE
     for name in EXPANDABLE:
-        name = name.replace("<spec>", "q^{-1/8} * eta(2)^2 / eta(4)")
+        name = name.replace("<spec>", SAMPLE_SPEC)
         assert main(["expand", name, "--order", "6"]) == 0, name
     capsys.readouterr()
+
+
+# SHA-256 of `expand NAME --order 20 --format FMT`: every listed object (the
+# sample eta-quotient spec) and three alternative spellings
+EXPAND_DIGESTS = {
+    ("pbar-omega", "json"):
+        "4cf332d28badbaabbf1570e01790d1e7440ab6774764b12283705990fd9375e0",
+    ("pbar-omega", "csv"):
+        "179574e59cc92a3deae37775f73f2e3bfa8a3adb55767421f69aaf2a5232855d",
+    ("pbar-omega-def", "json"):
+        "23295ae68fbf350553acc3b99b8aa5622673aa1a75a64d6af21fe46f8da6cbae",
+    ("pbar-omega-def", "csv"):
+        "179574e59cc92a3deae37775f73f2e3bfa8a3adb55767421f69aaf2a5232855d",
+    ("eta", "json"):
+        "dd7e860db772c43edac3ab7a2cf823711b910bbaf7270375b4db7e1707b7855f",
+    ("eta", "csv"):
+        "87d4193dc37c8510b5c3b82c237e7c8a33fdda4a3413564d8fef6b67b8f7c307",
+    ("eta^3", "json"):
+        "ddc1b97e7ed6ec6c671ead046eec67e7e5db11d66ec2f17a02afab2830eaa597",
+    ("eta^3", "csv"):
+        "1decc999d7ab5533be607facdbb7e65b8a844696d8d8ff841505a629637e2e77",
+    ("euler", "json"):
+        "13f8d6654443c8227b21e6381e63fe2cdb666addb1fc0bd45531c27e90c65bff",
+    ("euler", "csv"):
+        "bfe7b810b98d5537b7ab0c9150137e37ee35d426c217e3153c3907fe608ec433",
+    ("eta-quotient:q^{-1/8} * eta(2)^2 / eta(4)", "json"):
+        "86d176bd2ec755ba235188e13d289daafeb3d3d6d8108314cc4dcaf9ca88f359",
+    ("eta-quotient:q^{-1/8} * eta(2)^2 / eta(4)", "csv"):
+        "7a68b1ef79f9472de6f30711052cafde6da175b4a3db4beea8cd495dfbda7748",
+    ("theta(tau+1/2)", "json"):
+        "b7aac4bd90a77ccc08953b01c7c6e340770c15184bfcf81dde9da2c7849b85a3",
+    ("theta(tau+1/2)", "csv"):
+        "c188ad07c9b4c684d491a7d0c48ab32e2fc30a427a0ef2945aea916596c53476",
+    ("theta(tau/2+1/4)", "json"):
+        "8641d1623a763437a141ee27abc3dc21f030a8d436240f788eae7ccb4ffcccec",
+    ("theta(tau/2+1/4)", "csv"):
+        "4d9207eaf5fec391e71ad6beb7c3edd2911c4270bc1be60748d8994e3bf1c3a3",
+    ("mu(tau/2,tau/2+1/4)", "json"):
+        "d818ed6b41403237cd694a5bc434a901967c98af12a440ec4f3a59c5725c0f0b",
+    ("mu(tau/2,tau/2+1/4)", "csv"):
+        "a8244fd1cbddc473f836fd58c2586c96b09f74d868fa67bacd691fcda761d65e",
+    ("spt", "json"):
+        "9e482adfc80d4f2d4db14512ad71350a7d8027a4e30383a7b603a0515532201d",
+    ("spt", "csv"):
+        "7bab06181b8c7a720ef5ab895ae8216668718b4d5bc7c9bfc6f4928961000032",
+    ("p_omega", "json"):
+        "ce8c3507a9680559db6bce9149bc4127446982f78cf78f17e3227179504a8035",
+    ("p_omega", "csv"):
+        "b7bc98dceb11c6b99f26369ed432860791a947c57225bf5d594b0fe61af6b235",
+    ("spt_omega", "json"):
+        "7a2c893f8a0fa61843e408896ed9a248468e6df075afd47650c36ae6694f8f38",
+    ("spt_omega", "csv"):
+        "1a3d33d88054b7efe708ef052efc07787f9c7bbd28ca6121d9de68036e72a47f",
+    ("pbar_omega", "json"):
+        "419acaa7ba09b0f1b95338c3dd4cb79859df7bd3773f700de2d8552873e865b3",
+    ("pbar_omega", "csv"):
+        "179574e59cc92a3deae37775f73f2e3bfa8a3adb55767421f69aaf2a5232855d",
+    ("sptbar_omega", "json"):
+        "5abc97a0a86aa20d3e997aca841c97461a9488ebe32a6cf0c11eacd6951f4c7d",
+    ("sptbar_omega", "csv"):
+        "7b9076fe9268088b67de5ac0f2f25f3652cc1cf30dfdc2ca869652184d320d41",
+    ("spt_g2", "json"):
+        "858c78cb055b027d57177aff5645e8b044f58393b91de1aab057f9484b59ab12",
+    ("spt_g2", "csv"):
+        "7b9076fe9268088b67de5ac0f2f25f3652cc1cf30dfdc2ca869652184d320d41",
+    ("spt-omega", "json"):
+        "d99ae70b3e586d99b5cca9786a848665c9e24a08cce21428751e9f74d5b5c70f",
+    ("spt-omega", "csv"):
+        "1a3d33d88054b7efe708ef052efc07787f9c7bbd28ca6121d9de68036e72a47f",
+    ("pbar_omega", "json"):
+        "419acaa7ba09b0f1b95338c3dd4cb79859df7bd3773f700de2d8552873e865b3",
+    ("pbar_omega", "csv"):
+        "179574e59cc92a3deae37775f73f2e3bfa8a3adb55767421f69aaf2a5232855d",
+    ("p-omega", "json"):
+        "28c3ac84cb3a68bdb75ab2310d183f7ca910c46bdbb421d6a22d2a3c7629dadc",
+    ("p-omega", "csv"):
+        "b7bc98dceb11c6b99f26369ed432860791a947c57225bf5d594b0fe61af6b235",
+}
+
+
+def test_expand_output_is_pinned_byte_for_byte(capsys):
+    from pwomega.cli import EXPANDABLE
+    names = [name.replace("<spec>", SAMPLE_SPEC) for name in EXPANDABLE]
+    got = {}
+    for name in names + ["spt-omega", "pbar_omega", "p-omega"]:
+        for fmt in ("json", "csv"):
+            code, out, _ = run_cli(capsys, "expand", name, "--order", "20", "--format", fmt)
+            assert code == 0, name
+            got[name, fmt] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == EXPAND_DIGESTS
 
 
 def test_oracle_table(capsys):
@@ -244,6 +359,8 @@ def test_no_residuals_is_a_failure(tmp_path, capsys):
     assert _residual_check([], 1.0, 53) == {"ok": False, "worst": None,
                                             "witness": {"part": "no residuals"}}
     assert run_identity("hhat1-zero", {"taus": []}).status == "fail"
+    lowering = run_identity("phat-lowering", {"taus": []})
+    assert lowering.status == "fail" and lowering.witness == {"part": "no residuals"}
     cfg = tmp_path / "empty-taus.cfg"
     cfg.write_text("taus =\n")
     code, out, _ = run_cli(capsys, "--config", str(cfg), "run", "hhat1-zero")

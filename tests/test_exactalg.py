@@ -9,8 +9,8 @@ from pwomega.cyc8 import Cyc8, I, ONE
 from pwomega.errors import (DivergentProduct, LatticeMismatch, NonExpandableDenominator,
                             NonInvertibleLeadingTerm, PrecisionExhausted)
 from pwomega.jseries import JSeries, jpochhammer
-from pwomega.qseries import (Monomial, QSeries, geometric, over_qpochhammer,
-                             pochhammer_exponents, qpochhammer, sum_of_products)
+from pwomega.qseries import (Monomial, QSeries, over_qpochhammer, pochhammer_exponents,
+                             qpochhammer, sum_of_products)
 
 F = Fraction
 
@@ -268,7 +268,7 @@ def test_pochhammer_chains_with_negative_and_zero_factor_exponents(base, n, step
 def test_geometric_inverse():
     D, N = 1, 30
     one_minus_q = QSeries.from_terms(D, [(0, ONE), (1, Cyc8(-1))], N)
-    geo = geometric(D, 1, N)
+    geo = QSeries.one(D, N).binomials([(-1, 1, -1)])
     assert one_minus_q * geo == QSeries.one(D, N)
     assert one_minus_q.invert() == geo
 

@@ -35,7 +35,19 @@ MUTANTS = [
      "a.q_exp + n - 1, 1)", "a.q_exp + n, 1)",
      ["tests/test_classical.py"]),
     ("src/pwomega/partitions.py",
-     "g.shift(e + m * n)", "g.shift(e + n)",
+     "(e + m * n, sign)", "(e + n, sign)",
+     ["tests/test_partitions.py"]),
+    # the binomial walks of the exact builders: an eta factor one power
+    # short, mu's root with the wrong sign, the squared Appell denominator
+    # taken once
+    ("src/pwomega/classical.py",
+     "* abs(r)", "* (abs(r) - 1)",
+     ["tests/test_classical.py"]),
+    ("src/pwomega/classical.py",
+     "[(-root_b1, n + a1, -1)]", "[(root_b1, n + a1, -1)]",
+     ["tests/test_appell.py"]),
+    ("src/pwomega/partitions.py",
+     "[(-1, m * n, -1)] * 2", "[(-1, m * n, -1)]",
      ["tests/test_partitions.py"]),
     ("src/pwomega/kernels.py",
      "Q[-n], W)", "Q[1 - n], W)",
