@@ -19,7 +19,7 @@ from .cyc8 import Cyc8
 from .errors import (BadSpec, NonExpandableDenominator, RootOfUnityOutsideCyc8,
                      SpecializationPole)
 from .jseries import JSeries
-from .qseries import Monomial, QSeries, pochhammer_factors
+from .qseries import Monomial, QSeries, _scale, pochhammer_factors, sum_of_series
 
 F = Fraction
 Rat = Union[int, Fraction]
@@ -175,8 +175,9 @@ def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N) -> QSeries:
     """Exact Laurent-Puiseux expansion of mu(a1 tau + b1, a2 tau + b2; tau).
 
     Each bilateral-sum term is one quotient step by 1 - e^(2 pi i b1) q^(n + a1)
-    (QSeries.binomials, which folds n + a1 <= 0 into a monomial); the
-    denominator vanishes identically at n = -a1 when a1 and b1 are integers.
+    (QSeries.binomials, which folds n + a1 <= 0 into a monomial), and the
+    terms add in one sum_of_series; the denominator vanishes identically at
+    n = -a1 when a1 and b1 are integers.
     """
     a1, b1, a2, b2 = z1.a, z1.b, z2.a, z2.b
     if a1.denominator == 1 and b1.denominator == 1:
@@ -186,12 +187,15 @@ def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N) -> QSeries:
     n_max = 3 + int(2 * (abs(a2) + 2)) + _isqrt_ceil(2 * (N - min(0, _series_floor_bound(a1, a2)) + 4))
     root_b1 = Cyc8.from_root_of_unity(_frac_mod1(b1))
     D = TORSION_D
-    acc = QSeries.zero(D, N + 8)
-    for n in range(-n_max, n_max + 1):
-        e0 = F(n * (n + 1), 2) + n * a2
-        coeff = Cyc8((-1) ** n) * Cyc8.from_root_of_unity(_frac_mod1(n * b2))
-        acc = acc + QSeries.from_terms(D, [(e0, coeff)], N + 8).binomials(
-            [(-root_b1, n + a1, -1)])
+
+    def terms():
+        for n in range(-n_max, n_max + 1):
+            # (-1)^n e^(2 pi i n b2) q^(n(n+1)/2 + n a2) / (1 - e^(2 pi i b1) q^(n + a1)),
+            # the sign folded into the root: (-1)^n e^(2 pi i n b2) = e^(2 pi i n (b2 + 1/2))
+            root = Cyc8.from_root_of_unity(_frac_mod1(n * (b2 + F(1, 2))))
+            seed = QSeries.from_terms(D, [(F(n * (n + 1), 2) + n * a2, root)], N + 8)
+            yield seed.binomials([(-root_b1, n + a1, -1)])
+    acc = sum_of_series(D, terms(), _scale(N + 8, D))
     theta2 = theta_series_at_torsion(z2, N + 8)
     pref = Monomial(Cyc8.from_root_of_unity(_frac_mod1(b1 / 2)), a1 / 2)
     out = acc * theta2.invert()
@@ -216,20 +220,19 @@ def finite_jtp_sides(n: int, N) -> Tuple[JSeries, JSeries]:
 
         (zeta; q)_n (zeta^{-1} q; q)_n / (q)_{2n}
             = sum_{j=-n}^{n} (-1)^j zeta^j q^(j(j-1)/2) / ((q)_{n-j} (q)_{n+j})
+
+    The left side is one zeta-chain; the right side is its rows, row j one
+    q-chain from the seed (-1)^j q^(j(j-1)/2).
     """
     q = Monomial(1, 1)
     # one chain: / (q)_2n while there is one row, then (zeta, zeta^-1 q)_n
     lhs = JSeries.one(1, 1, N).binomials(
         [(-1, e, 0, -1) for e in range(1, 2 * n + 1)]
         + [(-1, j, 1, 1) for j in range(n)] + [(-1, j + 1, -1, 1) for j in range(n)])
-
-    rhs = JSeries.zero(1, 1, N)
-    for j in range(-n, n + 1):
-        t = QSeries.one(1, N).binomials(pochhammer_factors(q, n - j, N, sign=-1)
-                                        + pochhammer_factors(q, n + j, N, sign=-1))
-        e = F(j * (j - 1), 2)
-        rhs = rhs + JSeries.from_qseries(t, 1).mul_monomial(
-            Monomial(Cyc8((-1) ** j), e, j)).truncate(N)
+    rhs = JSeries(1, 1, {
+        j: QSeries.from_terms(1, [(j * (j - 1) // 2, (-1) ** j)], N).binomials(
+            pochhammer_factors(q, n - j, N, sign=-1) + pochhammer_factors(q, n + j, N, sign=-1))
+        for j in range(-n, n + 1)}, _scale(N, 1))
     return lhs, rhs
 
 
@@ -291,17 +294,17 @@ def _phi21(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> QSeries:
     floor of (c)_n, the order the full products and the inverse of
     (c)_n (q)_n give."""
     neg_pad = _neg_floor_of_poch(a) + _neg_floor_of_poch(b)
-    out = QSeries.zero(HEINE_D, N)
-    ratio = QSeries.one(HEINE_D, N)
-    zn = Monomial(1)
-    n = 0
-    while n * z.q_exp + neg_pad < F(N):
-        if n > 0:
-            ratio = ratio.binomials([(-a.coeff, a.q_exp + n - 1, 1),
-                                     (-b.coeff, b.q_exp + n - 1, 1),
-                                     (-c.coeff, c.q_exp + n - 1, -1), (-1, n, -1)])
-            zn = zn * z
-        out = out + ratio.mul_monomial(zn).truncate(min(F(N), ratio.order_exp()))
-        n += 1
-    return out
+
+    def terms():
+        ratio, zn = QSeries.one(HEINE_D, N), Monomial(1)
+        n = 0
+        while n * z.q_exp + neg_pad < F(N):
+            if n > 0:
+                ratio = ratio.binomials([(-a.coeff, a.q_exp + n - 1, 1),
+                                         (-b.coeff, b.q_exp + n - 1, 1),
+                                         (-c.coeff, c.q_exp + n - 1, -1), (-1, n, -1)])
+                zn = zn * z
+            yield ratio.mul_monomial(zn).truncate(min(F(N), ratio.order_exp()))
+            n += 1
+    return sum_of_series(HEINE_D, terms(), _scale(N, HEINE_D))
 

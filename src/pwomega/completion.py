@@ -449,11 +449,6 @@ def _fhat_center_data(tau, nstar: int):
 # H-hat and its two combinations
 # ---------------------------------------------------------------------------
 
-def Fhat_numeric(z1, z2, z3, tau):
-    """F-hat = F (mu-representation) + R*, at generic z1."""
-    return F_mu_numeric(z1, z2, z3, tau) + Rstar_numeric(z1, z2, z3, tau)
-
-
 def Hhat_numeric(z, tau):
     """H-hat(z;tau) = q^(-1/4) zeta sum_{a,b} i^(-a-b)
                       F-hat(z, tau/2+1/4+a/2, tau/2+1/4+b/2)."""

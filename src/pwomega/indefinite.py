@@ -23,7 +23,7 @@ from .errors import WindowTooSmall
 from .jseries import JSeries
 from .partitions import census, genfun
 from .qseries import (Monomial, QSeries, _add_root, _add_rows, _binomial_rows, _scale,
-                      over_qpochhammer, qpochhammer)
+                      over_qpochhammer, pochhammer_factors)
 
 F = Fraction
 
@@ -177,8 +177,9 @@ def pwz_lhs_cleared(N, W: int) -> JSeries:
     component tables across the whole n-loop (five binomial steps and one
     shifted add per n); the sum assembles once, for one product by pref."""
     N, D = F(N), PWZ_D
-    euler = qpochhammer(D, Monomial(1, 1), None, N)
-    pref = over_qpochhammer(euler * euler, Monomial(-1, 1), None, step=2)
+    pref = QSeries.one(D, N).binomials(         # (q)_inf^2 / (-q; q^2)_inf, one chain
+        pochhammer_factors(Monomial(1, 1), None, N) * 2
+        + pochhammer_factors(Monomial(-1, 1), None, N, step=2, sign=-1))
 
     order = _scale(N, D)
     ratio, acc = {}, {}                 # component tables by zeta-row

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from .cyc8 import Cyc8, ONE, _coerce
 from .errors import LatticeMismatch, PrecisionExhausted
 from .qseries import (Monomial, QSeries, _assemble, _binomial_rows, _component_tables, _scale,
-                      pochhammer_exponents, sum_of_products)
+                      pochhammer_exponents, sum_of_products, sum_of_series)
 
 Rat = Union[int, Fraction]
 
@@ -195,7 +195,7 @@ class JSeries:
     def _land(self, val: Monomial, order: int, weighted: bool = False):
         """The rows with zeta^r := val^r (times r when weighted) summed to a
         QSeries certified to order, and the keys the rows' least terms land on."""
-        out, floors = QSeries(self.D, {}, order), []
+        moved, floors = [], []
         for r, s in self.rows.items():
             rr = Fraction(r, self.Dz)
             if rr.denominator == 1:
@@ -206,10 +206,10 @@ class JSeries:
             else:
                 raise LatticeMismatch(
                     f"cannot substitute a general monomial into zeta^{rr}")
-            moved = s.shift(vc.q_exp).scale(Cyc8(rr) * vc.coeff if weighted else vc.coeff)
+            row = s.shift(vc.q_exp).scale(Cyc8(rr) * vc.coeff if weighted else vc.coeff)
+            moved.append(QSeries(self.D, row.coeff, order))
             floors.append(s.floor_key() + _scale(vc.q_exp, self.D))
-            out = out + QSeries(self.D, moved.coeff, order)
-        return out, floors
+        return sum_of_series(self.D, moved, order), floors
 
     def substitute(self, val: Monomial, tail_landing: Optional[int] = None) -> QSeries:
         """Replace zeta^r by val^r; val must be zeta-free."""

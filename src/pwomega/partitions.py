@@ -20,18 +20,17 @@ normative; the enumerators are validated against them in the test suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+from itertools import chain, count, takewhile
 from typing import Optional
 
-from .cyc8 import ONE
 from .errors import NoCombinatorialDefinition, ResourceBound
-from .qseries import Monomial, QSeries, over_qpochhammer, pochhammer_factors
+from .qseries import (Monomial, QSeries, _scale, over_qpochhammer, pochhammer_factors,
+                      sum_of_series)
 
 FAMILIES = ("spt", "p_omega", "spt_omega", "pbar_omega", "sptbar_omega", "spt_g2")
 
 ENUMERATION_CAP = 50
-
-F = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +87,10 @@ def _enumerate(n: int, constrained: bool, weight) -> int:
 # generating functions
 # ---------------------------------------------------------------------------
 
-def _sum_n_qn_over_1_minus_qn(N) -> QSeries:
-    """sum_{n>=1} n q^n / (1-q^n)."""
-    out = QSeries.zero(1, N)
-    n = 1
-    while n < F(N):
-        out = out + QSeries.from_terms(1, [(n, n)], N).binomials([(-1, n, -1)])
-        n += 1
-    return out
+def _lambert_terms(N):
+    """The terms n q^n / (1-q^n), n >= 1, of sum_{n>=1} n q^n / (1-q^n)."""
+    return (QSeries.from_terms(1, [(n, n)], N).binomials([(-1, n, -1)])
+            for n in range(1, math.ceil(N)))
 
 
 def _definition_series(family: str, N) -> QSeries:
@@ -115,7 +110,7 @@ def _definition_series(family: str, N) -> QSeries:
     R_(n-1) times the binomials 1 + c*q^e of R_n / R_(n-1) (lists "up") over
     those of "down", and the term divides q^n R_n by (1-q^n)^p.  Each is one
     binomial chain (QSeries.binomials): the series converts to components
-    once and each factor costs O(N).
+    once and each factor costs O(N).  The terms add in one sum_of_series.
     """
     if family == "spt":
         start = pochhammer_factors(Monomial(1, 1), None, N, sign=-1)
@@ -139,54 +134,47 @@ def _definition_series(family: str, N) -> QSeries:
     else:
         raise ValueError(f"unknown family {family!r}")
     power = 1 if family in ("p_omega", "pbar_omega") else 2
-    ratio = QSeries.one(1, N).binomials(start)
-    out = QSeries.zero(1, N)
-    n = 1
-    while n < F(N):
-        up, down = steps(n)
-        ratio = ratio.binomials([(c, e, 1) for c, e in up] + [(c, e, -1) for c, e in down])
-        term = ratio.shift(n).binomials([(-1, n, -1)] * power)
-        out = out + term.truncate(N)
-        n += 1
-    return out
+
+    def terms():
+        ratio = QSeries.one(1, N).binomials(start)
+        for n in range(1, math.ceil(N)):
+            up, down = steps(n)
+            ratio = ratio.binomials([(c, e, 1) for c, e in up] + [(c, e, -1) for c, e in down])
+            yield ratio.shift(n).binomials([(-1, n, -1)] * power)
+    return sum_of_series(1, terms(), _scale(N, 1))
 
 
 def _appell_series(family: str, N) -> QSeries:
-    """The Appell-Lerch-type representation of the family's series."""
+    """The Appell-Lerch-type representation of the family's series; each of
+    its sums over n is one sum_of_series."""
+    order = _scale(N, 1)
     if family in ("spt", "spt_omega"):
         # (q^m; q^m)_inf^-1 (sum_{n>=1} n q^n / (1 - q^n)
         #     + sum_{n>=1} (-1)^n q^(m n(3n+1)/2) (1 + q^(mn)) / (1 - q^(mn))^2)
         # with m = 1 for spt and m = 2 for spt_omega
         m = 1 if family == "spt" else 2
-        s = _sum_n_qn_over_1_minus_qn(N)
-        n = 1
-        while F(m * n * (3 * n + 1), 2) < F(N):
-            e, sign = F(m * n * (3 * n + 1), 2), (-1) ** n
-            pair = QSeries.from_terms(1, [(e, sign), (e + m * n, sign)], N)
-            s = s + pair.binomials([(-1, m * n, -1)] * 2)
-            n += 1
+        pairs = (QSeries.from_terms(1, [(e, sign), (e + m * n, sign)], N).binomials(
+                     [(-1, m * n, -1)] * 2)
+                 for n in takewhile(lambda n: m * n * (3 * n + 1) < 2 * N, count(1))
+                 for e, sign in [(m * n * (3 * n + 1) // 2, (-1) ** n)])
+        s = sum_of_series(1, chain(_lambert_terms(N), pairs), order)
         return over_qpochhammer(s, Monomial(1, m), None, step=m)
     if family == "sptbar_omega":
         # (-q^2; q^2)_inf (q^2; q^2)_inf^-1 (sum_{n>=1} n q^n / (1 - q^n)
         #     + 2 sum_{n>=1} (-1)^n q^(2n(n+1)) / (1 - q^(2n))^2)
-        s = _sum_n_qn_over_1_minus_qn(N)
-        n = 1
-        while 2 * n * (n + 1) < F(N):
-            term = QSeries.from_terms(1, [(2 * n * (n + 1), 2 * (-1) ** n)], N)
-            s = s + term.binomials([(-1, 2 * n, -1)] * 2)
-            n += 1
+        terms = (QSeries.from_terms(1, [(2 * n * (n + 1), 2 * (-1) ** n)], N).binomials(
+                     [(-1, 2 * n, -1)] * 2)
+                 for n in takewhile(lambda n: 2 * n * (n + 1) < N, count(1)))
+        s = sum_of_series(1, chain(_lambert_terms(N), terms), order)
         # s has no negative powers, so the factors below N reach its order
         return s.binomials(pochhammer_factors(Monomial(-1, 2), None, N, step=2)
                            + pochhammer_factors(Monomial(1, 2), None, N, step=2, sign=-1))
     if family == "p_omega":
         # q * omega(q), omega(q) = sum_{n>=0} q^{2n(n+1)} / (q;q^2)_{n+1}^2
-        out = QSeries.zero(1, N)
-        n = 0
-        while 2 * n * (n + 1) < F(N):
-            t = QSeries.from_terms(1, [(2 * n * (n + 1), ONE)], N)
-            out = out + over_qpochhammer(t, Monomial(1, 1), n + 1, step=2, power=2)
-            n += 1
-        return out.shift(1).truncate(N)
+        terms = (over_qpochhammer(QSeries.from_terms(1, [(2 * n * (n + 1), 1)], N),
+                                  Monomial(1, 1), n + 1, step=2, power=2)
+                 for n in takewhile(lambda n: 2 * n * (n + 1) < N, count()))
+        return sum_of_series(1, terms, order).shift(1).truncate(N)
     raise ValueError(f"family {family!r} has no Appell-Lerch side")
 
 

@@ -7,10 +7,12 @@ exactly for all exponents strictly below order/D and no key >= order is kept.
 All arithmetic propagates the worst-case order; nothing is silently extended.
 
 Representation and cost: one sparse dictionary {key: Cyc8} per series, zero
-coefficients not stored, Cyc8 components ints unless non-integral.  Products
-(sum_of_products), binomial chains and QSeries.invert work on the
-coefficients' components as plain numbers and build one Cyc8 per output key;
-a rational product or binomial factor touches one component.  A chain of
+coefficients not stored, Cyc8 components ints unless non-integral.  Sums
+(sum_of_series, which + is, and from_terms), products (sum_of_products),
+binomial chains and QSeries.invert work on the coefficients' components as
+plain numbers and build one Cyc8 per output key: a sum of n series adds
+into one set of component tables and assembles once, and a rational
+product or binomial factor touches one component.  A chain of
 binomial factors (1 + c*q^e)^(+-1) (QSeries.binomials) converts the series to
 components once, costs O(N) per factor with e > 0 at the series' order, folds
 the factors with e <= 0 into one monomial, and assembles once; q-Pochhammer
@@ -97,19 +99,19 @@ class QSeries:
         return QSeries(D, {0: ONE}, _scale(order_exp, D))
 
     @staticmethod
-    def from_terms(D: int, terms: Iterable[Tuple[Rat, Cyc8]], order_exp: Rat) -> "QSeries":
-        out: Dict[int, Cyc8] = {}
+    def from_terms(D: int, terms: Iterable[Tuple[Rat, Union[Cyc8, Rat]]],
+                   order_exp: Rat) -> "QSeries":
+        """The sum of c*q^exp over the terms (exp, c), c a Cyc8, int or
+        Fraction: components added into four tables, assembled once."""
         order = _scale(order_exp, D)
+        tables: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
         for exp, c in terms:
             k = _scale(exp, D)
-            if k >= order:
-                continue
-            c = out.get(k, Cyc8(0)) + (c if isinstance(c, Cyc8) else Cyc8(c))
-            if c.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = c
-        return QSeries(D, out, order)
+            if k < order:
+                for t, x in zip(tables, c.components() if isinstance(c, Cyc8) else (c,)):
+                    if x:
+                        t[k] = t.get(k, 0) + x
+        return _assemble(D, tables, order)
 
     # -- inspection ------------------------------------------------------------
 
@@ -170,18 +172,7 @@ class QSeries:
     # -- arithmetic -----------------------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        order = min(self.order, other.order)
-        out = {k: c for k, c in self.coeff.items() if k < order}
-        for k, c in other.coeff.items():
-            if k >= order:
-                continue
-            s = out.get(k, Cyc8(0)) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return QSeries(self.D, out, order)
+        return sum_of_series(self.D, (self, other), self.order)
 
     def __neg__(self) -> "QSeries":
         return QSeries(self.D, {k: -c for k, c in self.coeff.items()}, self.order)
@@ -311,6 +302,20 @@ def sum_of_products(D: int, pairs: Iterable[Tuple[QSeries, QSeries]],
                         k = ka + kb
                         out[k] = out.get(k, 0) + x * y
     return _assemble(D, tables, order)
+
+
+def sum_of_series(D: int, series: Iterable[QSeries], order: int) -> QSeries:
+    """The sum of the series on the 1/D lattice, below the scaled order
+    lowered to the shortest summand's.  Each summand's component tables add
+    into one set (_add_rows), the keys that a later, shorter summand puts
+    past the order are dropped, and one Cyc8 is built per output key."""
+    acc = {0: ({}, {}, {}, {})}
+    for s in series:
+        if s.D != D:
+            raise LatticeMismatch(f"lattice 1/{D} vs 1/{s.D}")
+        order = min(order, s.order)
+        _add_rows(acc, {0: _component_tables(s.coeff)}, ONE, 0, 0, order)
+    return _assemble(D, [{k: v for k, v in t.items() if k < order} for t in acc[0]], order)
 
 
 def _component_tables(coeff: Dict[int, Cyc8]) -> List[Dict[int, Rat]]:

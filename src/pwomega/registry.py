@@ -331,12 +331,12 @@ def _run_phat_weight1(params) -> Dict:
         taus = [mp.mpc(*tt) for tt in params["taus"]]
         rights = [phat_omega_numeric(tau).value for tau in taus]
         for mat in params["matrices"]:
-            M = GroupElement.parse(mat) if isinstance(mat, str) else mat
-            for tau, right in zip(taus, rights):
+            M = GroupElement.parse(mat)
+            for tt, tau, right in zip(params["taus"], taus, rights):
                 left = phat_omega_numeric(M.act(tau)).value
                 res = abs(left - mp.expjpi(mp.mpf(M.c) / 8) * M.jfactor(tau) * right)
                 yield (float(res / max(abs(left), abs(right))),
-                       {"matrix": str(M), "tau": str(tau)})
+                       {"matrix": str(M), "tau": list(tt)})
 
     return _residual_check(residuals(), params["tolerance"], params["prec"])
 
@@ -465,10 +465,6 @@ REGISTRY: List[Identity] = [
 ]
 
 _BY_ID = {ident.id: ident for ident in REGISTRY}
-
-
-def identity_ids() -> List[str]:
-    return [ident.id for ident in REGISTRY]
 
 
 def _declared(ident: Identity) -> Dict:

@@ -155,6 +155,18 @@ def test_finite_jtp_left_chain_matches_pochhammer_products(n):
     assert got.rows == want.rows and got == want
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_finite_jtp_right_rows_are_the_signed_quotients(n):
+    # row j against (-1)^j q^(j(j-1)/2) times the two quotients, shifted and
+    # signed after the quotients rather than seeded before them
+    N, q = 30, Monomial(1, 1)
+    rhs = finite_jtp_sides(n, N)[1]
+    assert rhs.order == N and set(rhs.rows) == set(range(-n, n + 1))
+    for j in range(-n, n + 1):
+        quot = over_qpochhammer(over_qpochhammer(QSeries.one(1, N), q, n - j), q, n + j)
+        assert rhs.zeta_slice(j) == quot.shift(F(j * (j - 1), 2)).scale((-1) ** j).truncate(N)
+
+
 def test_heine_order_zero_coefficient():
     a = Monomial(I, F(1, 2))
     b = Monomial(-I, F(1, 2))

@@ -15,7 +15,7 @@ from pwomega.cyc8 import Cyc8
 from pwomega.errors import UndeclaredParameter
 from pwomega.jseries import JSeries
 from pwomega.qseries import QSeries
-from pwomega.registry import (DEFAULT_TAUS, _residual_check, _series_check, identity_ids,
+from pwomega.registry import (DEFAULT_TAUS, REGISTRY, _residual_check, _series_check,
                               run_identity)
 
 
@@ -85,6 +85,15 @@ def test_phat_lowering_reads_every_point():
     assert two.worst_residual == second.worst_residual > first.worst_residual
     assert two.witness == dict(second.witness, tau=[-0.23, 1.07])
     assert "tau" not in first.witness
+
+
+def test_phat_weight1_witness_names_tau_as_given(capsys):
+    # a failing weight-1 check names its point as the report's params list it
+    code, out, _ = run_cli(capsys, "run", "phat-weight1", "--tolerance", "0", "--tau", "0.11,0.93")
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "fail"
+    assert report["witness"]["tau"] == report["params"]["taus"][0] == [0.11, 0.93]
+    assert report["witness"]["matrix"] in report["params"]["matrices"]
 
 
 def test_spaced_negative_tau_is_read_as_a_value(capsys):
@@ -296,7 +305,7 @@ def test_registry_exposes_documented_ids():
                 "pomega-qomega", "thm-pwz", "cor-pwrep", "brz-F", "hhat1-zero",
                 "hhat2-phat", "phat-weight1", "phat-holpart", "phat-lowering",
                 "f2-shadow", "theta-shifts", "mu-laws", "finite-jtp", "heine"}
-    assert set(identity_ids()) == expected
+    assert {ident.id for ident in REGISTRY} == expected
 
 
 def test_series_check_witness_keys():

@@ -102,7 +102,7 @@ def test_F_removable_at_z1_zero():
 
 def test_fhat_equals_f_plus_rstar_matches_direct_evaluation():
     z1, z2, z3 = Z123
-    got = completion.Fhat_numeric(z1, z2, z3, TAU)
+    got = completion.F_mu_numeric(z1, z2, z3, TAU) + completion.Rstar_numeric(z1, z2, z3, TAU)
     eta3 = kernels.eta(TAU) ** 3
     want = (1j * kernels.theta(z1, TAU) * kernels.muhat(z1, z2, TAU)
             * kernels.muhat(z1, z3, TAU)

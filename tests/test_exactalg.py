@@ -10,7 +10,7 @@ from pwomega.errors import (DivergentProduct, LatticeMismatch, NonExpandableDeno
                             NonInvertibleLeadingTerm, PrecisionExhausted)
 from pwomega.jseries import JSeries, jpochhammer
 from pwomega.qseries import (Monomial, QSeries, over_qpochhammer, pochhammer_exponents,
-                             qpochhammer, sum_of_products)
+                             qpochhammer, sum_of_products, sum_of_series)
 
 F = Fraction
 
@@ -145,6 +145,37 @@ def test_sum_of_products_matches_per_term_products(D):
     a = QSeries(D, {-3: Cyc8(2), 0: ONE, 4: Cyc8(-5)}, 20)
     b = QSeries(D, {1: Cyc8(3), 2: Cyc8(F(1, 2))}, 20)
     assert sum_of_products(D, [(a, b)], 9).coeff == naive_sum_of_products([(a, b)], 9)
+
+
+@pytest.mark.parametrize("D", [1, 2, 24])
+def test_sum_of_series_matches_per_term_adds(D):
+    rng = random.Random(D + 5)
+    for _ in range(12):
+        series = [rand_mixed_series(rng, D, rng.randint(5, 40)) for _ in range(rng.randint(1, 4))]
+        order = rng.randint(-5, 50)
+        # a summand shorter than the order lowers it
+        top = min([order] + [s.order for s in series])
+        want = {}
+        for s in series:
+            for k, c in s.coeff.items():
+                if k < top:
+                    want[k] = want.get(k, Cyc8(0)) + c
+        got = sum_of_series(D, iter(series), order)
+        assert got.order == top
+        assert got.coeff == {k: c for k, c in want.items() if not c.is_zero()}
+    # no summands: zero at the order; summands that cancel leave no key
+    assert sum_of_series(D, [], 7).order == 7 and sum_of_series(D, [], 7).is_zero()
+    s = rand_mixed_series(rng, D, 20)
+    assert sum_of_series(D, [s, -s, s.truncate(F(19, D))], 30).coeff == s.truncate(F(19, D)).coeff
+
+
+def test_from_terms_adds_like_terms_and_drops_zeros_and_keys_past_the_order():
+    s = QSeries.from_terms(2, [(0, ONE), (F(1, 2), 3), (0, Cyc8(-1)), (1, Cyc8(0)), (1, 0),
+                               (F(5, 2), 4), (3, I), (F(1, 2), Cyc8(0, 1))], F(5, 2))
+    assert s.order == 5 and s.coeff == {1: Cyc8(3, 1)}
+    half = QSeries.from_terms(1, [(0, F(1, 2)), (1, F(4, 2)), (2, Cyc8(F(1, 3), 1))], 3)
+    assert half.coeff == {0: Cyc8(F(1, 2)), 1: Cyc8(2), 2: Cyc8(F(1, 3), 1)}
+    assert type(half.coeff[0].c0) is F and type(half.coeff[1].c0) is int
 
 
 @pytest.mark.parametrize("c", [ONE, Cyc8(-1), Cyc8.zeta_pow(1), I], ids=["1", "-1", "z8", "i"])
@@ -316,6 +347,8 @@ def test_lattice_mismatch_is_loud():
     b = QSeries.one(8, 2)
     with pytest.raises(LatticeMismatch):
         _ = a + b
+    with pytest.raises(LatticeMismatch):
+        sum_of_series(24, [a, b], 48)
     with pytest.raises(LatticeMismatch):
         _ = a * b
     assert b.refine(24).D == 24

@@ -197,6 +197,17 @@ MUTANTS = [
     ("src/pwomega/indefinite.py",
      "(-j, 2 * j, 4)", "(-j, 2 * j - 1, 4)",
      ["tests/test_indefinite.py"]),
+    # the one n-ary sum keeping the caller's order past a shorter summand,
+    # the triple product's row exponent, the pwz prefactor's (q)_inf once
+    ("src/pwomega/qseries.py",
+     "order = min(order, s.order)", "order = order",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/classical.py",
+     "j * (j - 1) // 2", "j * (j + 1) // 2",
+     ["tests/test_classical.py"]),
+    ("src/pwomega/indefinite.py",
+     "None, N) * 2", "None, N)",
+     ["tests/test_indefinite.py"]),
     # mu-laws reports the default tolerance as null instead of the one applied
     ("src/pwomega/registry.py",
      "    if params[\"tolerance\"] is None:\n"
