@@ -20,8 +20,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .cyc8 import Cyc8, ONE, _coerce
 from .errors import LatticeMismatch, PrecisionExhausted
-from .qseries import (Monomial, QSeries, _assemble, _binomial_rows, _component_tables, _scale,
-                      pochhammer_exponents, sum_of_products, sum_of_series)
+from .qseries import (Monomial, QSeries, _add_rows, _assemble, _binomial_rows,
+                      _component_tables, _scale, pochhammer_exponents, sum_of_products)
 
 Rat = Union[int, Fraction]
 
@@ -39,10 +39,6 @@ class JSeries:
                                          if not s.is_zero()}
 
     # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def zero(D: int, Dz: int, order_exp: Rat) -> "JSeries":
-        return JSeries(D, Dz, {}, _scale(order_exp, D))
 
     @staticmethod
     def one(D: int, Dz: int, order_exp: Rat) -> "JSeries":
@@ -194,8 +190,10 @@ class JSeries:
 
     def _land(self, val: Monomial, order: int, weighted: bool = False):
         """The rows with zeta^r := val^r (times r when weighted) summed to a
-        QSeries certified to order, and the keys the rows' least terms land on."""
-        moved, floors = [], []
+        QSeries certified to order, and the keys the rows' least terms land on.
+        Each row's component tables add into one accumulator (_add_rows, times
+        the coefficient of val^r at its q-shift), assembled once."""
+        acc, floors = {0: ({}, {}, {}, {})}, []
         for r, s in self.rows.items():
             rr = Fraction(r, self.Dz)
             if rr.denominator == 1:
@@ -206,10 +204,11 @@ class JSeries:
             else:
                 raise LatticeMismatch(
                     f"cannot substitute a general monomial into zeta^{rr}")
-            row = s.shift(vc.q_exp).scale(Cyc8(rr) * vc.coeff if weighted else vc.coeff)
-            moved.append(QSeries(self.D, row.coeff, order))
-            floors.append(s.floor_key() + _scale(vc.q_exp, self.D))
-        return sum_of_series(self.D, moved, order), floors
+            e = _scale(vc.q_exp, self.D)
+            _add_rows(acc, {0: _component_tables(s.coeff)},
+                      Cyc8(rr) * vc.coeff if weighted else vc.coeff, e, 0, order)
+            floors.append(s.floor_key() + e)
+        return _assemble(self.D, acc[0], order), floors
 
     def substitute(self, val: Monomial, tail_landing: Optional[int] = None) -> QSeries:
         """Replace zeta^r by val^r; val must be zeta-free."""

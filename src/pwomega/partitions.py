@@ -25,8 +25,9 @@ from itertools import chain, count, takewhile
 from typing import Optional
 
 from .errors import NoCombinatorialDefinition, ResourceBound
-from .qseries import (Monomial, QSeries, _scale, over_qpochhammer, pochhammer_factors,
-                      sum_of_series)
+from .cyc8 import ONE, _coerce
+from .qseries import (Monomial, QSeries, _add_rows, _assemble, _binomial_rows, _scale,
+                      over_qpochhammer, pochhammer_factors, sum_of_series)
 
 FAMILIES = ("spt", "p_omega", "spt_omega", "pbar_omega", "sptbar_omega", "spt_g2")
 
@@ -108,9 +109,10 @@ def _definition_series(family: str, N) -> QSeries:
 
     R_0 is one chain of the factors of its products ("start"); R_n is
     R_(n-1) times the binomials 1 + c*q^e of R_n / R_(n-1) (lists "up") over
-    those of "down", and the term divides q^n R_n by (1-q^n)^p.  Each is one
-    binomial chain (QSeries.binomials): the series converts to components
-    once and each factor costs O(N).  The terms add in one sum_of_series.
+    those of "down", and the term divides q^n R_n by (1-q^n)^p.  As in
+    indefinite.pwz_lhs_cleared, R_n stays component tables across the n-loop,
+    below order - n as it enters times q^n; each term divides a copy of them
+    and adds, shifted, into one accumulator that assembles once.
     """
     if family == "spt":
         start = pochhammer_factors(Monomial(1, 1), None, N, sign=-1)
@@ -135,13 +137,19 @@ def _definition_series(family: str, N) -> QSeries:
         raise ValueError(f"unknown family {family!r}")
     power = 1 if family in ("p_omega", "pbar_omega") else 2
 
-    def terms():
-        ratio = QSeries.one(1, N).binomials(start)
-        for n in range(1, math.ceil(N)):
-            up, down = steps(n)
-            ratio = ratio.binomials([(c, e, 1) for c, e in up] + [(c, e, -1) for c, e in down])
-            yield ratio.shift(n).binomials([(-1, n, -1)] * power)
-    return sum_of_series(1, terms(), _scale(N, 1))
+    def times(rows, factors, top):      # the factors (c, e, sign), in place below top
+        _binomial_rows(rows, [(_coerce(c), e, 0, sign) for c, e, sign in factors], top)
+
+    order = _scale(N, 1)
+    ratio, acc = {0: ({0: 1}, {}, {}, {})}, {0: ({}, {}, {}, {})}
+    times(ratio, start, order)
+    for n in range(1, math.ceil(N)):
+        up, down = steps(n)
+        times(ratio, [(c, e, 1) for c, e in up] + [(c, e, -1) for c, e in down], order - n)
+        term = {0: [dict(t) for t in ratio[0]]}    # the next n divides the ratio's own tables
+        times(term, [(-1, n, -1)] * power, order - n)
+        _add_rows(acc, term, ONE, n, 0, order)
+    return _assemble(1, acc[0], order)
 
 
 def _appell_series(family: str, N) -> QSeries:

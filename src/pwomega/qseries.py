@@ -14,14 +14,16 @@ plain numbers and build one Cyc8 per output key: a sum of n series adds
 into one set of component tables and assembles once, and a rational
 product or binomial factor touches one component.  A chain of
 binomial factors (1 + c*q^e)^(+-1) (QSeries.binomials) converts the series to
-components once, costs O(N) per factor with e > 0 at the series' order, folds
-the factors with e <= 0 into one monomial, and assembles once; q-Pochhammer
-products and quotients are such chains.  JSeries.binomials runs the same
-chain (_binomial_rows) on tables keyed by zeta-row.
+components once, updates them in place (a quotient with e > 0 from the least
+key + e to the order in steps of gcd(e, keys), O(N - e)), folds the factors
+with e <= 0 into one monomial, and assembles once; q-Pochhammer products and
+quotients are such chains.  JSeries.binomials runs the same chain
+(_binomial_rows) on tables keyed by zeta-row.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -237,9 +239,10 @@ class QSeries:
     def binomials(self, factors: Iterable[Tuple[object, Rat, int]]) -> "QSeries":
         """self times (1 + c*q^exp)^sign over the factors (c, exp, sign),
         sign = +1 or -1: _binomial_rows on self's one row, O(N) per factor
-        with exp > 0 at self's order.  The factors with exp <= 0 fold into one
-        monomial, so a product's order drops by |exp| and a quotient's rises
-        by |exp|, as with the factor's series or its inverse."""
+        with exp > 0 at self's order, O(N - exp) for a quotient.  The factors
+        with exp <= 0 fold into one monomial, so a product's order drops by
+        |exp| and a quotient's rises by |exp|, as with the factor's series or
+        its inverse."""
         rows, coef, shift, _ = _binomial_rows(
             {0: _component_tables(self.coeff)},
             [(_coerce(c), _scale(exp, self.D), 0, sign) for c, exp, sign in factors], self.order)
@@ -357,11 +360,16 @@ def _add_root(rows, r: int, k: int, m: int):
 
 def _binomial_rows(rows, factors, order: int):
     """The factors (c, e, d, sign) = (1 + c*zeta^d*q^e)^sign, scaled int
-    exponents, on component tables keyed by zeta-row, at the order.  Returns
-    the rows and the monomial (coef, e, d) folded from the factors that are
-    no step: e = d = 0 is the scalar 1 + c, and e < 0 is c*zeta^d*q^e times
-    the step 1 + c^-1*zeta^-d*q^-e.  A product step is _add_rows in place;
-    a quotient (d = 0 only) is _divide_tables row by row."""
+    exponents, on component tables keyed by zeta-row, in place at the order:
+    keys at or past it (a lowered order leaves them behind) are dropped
+    first.  Returns the rows and the monomial (coef, e, d) folded from the
+    factors that are no step: e = d = 0 is the scalar 1 + c, and e < 0 is
+    c*zeta^d*q^e times the step 1 + c^-1*zeta^-d*q^-e.  A product step is
+    _add_rows in place; a quotient (d = 0 only) is _divide_tables row by row."""
+    for tables in rows.values():
+        for t in tables:
+            for k in [k for k in t if k >= order]:
+                del t[k]
     coef, shift, dshift = ONE, 0, 0
     for c, e, d, sign in factors:
         if c.is_zero():
@@ -381,38 +389,41 @@ def _binomial_rows(rows, factors, order: int):
         if sign > 0:
             _add_rows(rows, rows, c, e, d, order)
         else:
-            for r, t in rows.items():
-                rows[r] = _divide_tables(t, c, e, order)
+            for t in rows.values():
+                _divide_tables(t, c, e, order)
     return rows, coef, shift, dshift
 
 
 def _divide_tables(tables, c: Cyc8, e: int, order: int):
-    """The component tables of s / (1 + c*q^e) from those of s, for e > 0, at
-    s's order, in O(N): t_k = s_k - c*t_(k-e) along each residue class of
-    keys mod e, from the class's least key of s up to the order.  For a
-    rational c only s's non-empty components can become non-zero, so a
-    rational step is one scalar update per component."""
-    c_parts = [(j, x) for j, x in enumerate(c.components()) if x]
-    t: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
-    live = [i for i in range(4) if tables[i]] if c.is_rational() else range(4)
-    # per output component: its source table, its table of t, and the
-    # signed c_j with the table of t they multiply
-    plan = [(tables[i], t[i], [(x if j + ((i - j) & 3) >= 4 else -x, t[(i - j) & 3])
-                               for j, x in c_parts]) for i in live]
-    # the least key of each residue class: the last one written wins
-    starts = {k % e: k for k in sorted(set().union(*tables), reverse=True)}
-    for k0 in starts.values():
-        for k in range(k0, order, e):
-            p = k - e
-            for s_i, t_i, c_terms in plan:
-                v = s_i.get(k, 0)
-                for x, t_l in c_terms:
-                    y = t_l.get(p)
-                    if y:
-                        v += x * y
+    """s / (1 + c*q^e) in place on s's component tables (keys below the
+    order), for e > 0, in O(N - e): t_k = s_k - c*t_(k-e) by ascending k from
+    the least key + e up to the order, in steps of gcd(e, keys), the only
+    keys the quotient can reach.  A rational c keeps each component apart:
+    one scalar recurrence per non-empty table.  Any other c mixes all four
+    (mul4), read at k - e before any is written at k."""
+    if c.is_rational():
+        x = c.c0
+        for t in tables:
+            for k in range(min(t, default=order) + e, order, math.gcd(e, *t)):
+                y = t.get(k - e)
+                if y:
+                    v = t.get(k, 0) - x * y
+                    if v:
+                        t[k] = v
+                    else:
+                        del t[k]
+        return
+    keys = set().union(*tables)
+    m = (-c).components()
+    for k in range(min(keys, default=order) + e, order, math.gcd(e, *keys)):
+        y = [t.get(k - e, 0) for t in tables]
+        if any(y):
+            for t, d in zip(tables, mul4(m, y)):
+                v = t.get(k, 0) + d
                 if v:
-                    t_i[k] = v
-    return t
+                    t[k] = v
+                else:
+                    t.pop(k, None)
 
 
 def _assemble(D: int, tables, order: int, coef: Cyc8 = ONE, shift: int = 0) -> QSeries:

@@ -9,8 +9,9 @@ from pwomega.cyc8 import Cyc8, I, ONE
 from pwomega.errors import (DivergentProduct, LatticeMismatch, NonExpandableDenominator,
                             NonInvertibleLeadingTerm, PrecisionExhausted)
 from pwomega.jseries import JSeries, jpochhammer
-from pwomega.qseries import (Monomial, QSeries, over_qpochhammer, pochhammer_exponents,
-                             qpochhammer, sum_of_products, sum_of_series)
+from pwomega.qseries import (Monomial, QSeries, _assemble, _binomial_rows, _component_tables,
+                             over_qpochhammer, pochhammer_exponents, qpochhammer, sum_of_products,
+                             sum_of_series)
 
 F = Fraction
 
@@ -294,6 +295,57 @@ def test_pochhammer_chains_with_negative_and_zero_factor_exponents(base, n, step
         want = chain_reference(s, [(-base.coeff, e, -1) for e in exps(reach)])
         got = over_qpochhammer(s, base, n, step)
         assert got.order == want.order and got.coeff == want.coeff
+
+
+def test_chain_at_a_lowered_order_drops_the_keys_past_it():
+    # the pwz pattern: tables kept from a longer chain run again at an order
+    # below keys they already hold
+    D, top, low = 2, 60, 37
+    rng = random.Random(21)
+    for _ in range(6):
+        s = rand_mixed_series(rng, D, top, nterms=20, floor=-6)
+        assert max(s.coeff) >= low
+        factors = [(rng.choice([ONE, Cyc8(-1), I, rand_coeff(rng)]), F(rng.randint(1, 3 * D), D),
+                    rng.choice([1, -1])) for _ in range(rng.randint(1, 4))]
+        rows = {0: _component_tables(s.coeff)}
+        _binomial_rows(rows, [(c, int(exp * D), 0, sign) for c, exp, sign in factors], low)
+        assert all(k < low for t in rows[0] for k in t)
+        want = chain_reference(s.truncate(F(low, D)), factors)
+        assert want.order == low and _assemble(D, rows[0], low).coeff == want.coeff
+
+
+@pytest.mark.parametrize("c", [Cyc8(-1), Cyc8.zeta_pow(1)], ids=["-1", "z8"])
+@pytest.mark.parametrize("exp", [F(12, 24), F(9, 24)], ids=["gcd4", "gcd1"])
+def test_quotient_walks_the_sublattice_of_its_keys(exp, c):
+    # keys on 8Z and e = 12 or 9: the quotient reaches keys on 4Z or on Z,
+    # in three residue classes of keys mod 12
+    D = 24
+    rng = random.Random(31)
+    for _ in range(4):
+        s = QSeries(D, {8 * rng.randint(-2, 20): rand_coeff(rng) for _ in range(10)}, 200)
+        assert {k % 12 for k in s.coeff} == {0, 4, 8}
+        want = chain_reference(s, [(c, exp, -1)])
+        got = s.binomials([(c, exp, -1)])
+        assert got.order == want.order and got.coeff == want.coeff
+
+
+@pytest.mark.parametrize("D", [1, 2, 24])
+def test_same_quotient_three_times_in_one_chain(D):
+    # the (q)_inf^3 pattern: each division reads the tables the last one wrote
+    rng = random.Random(41 + D)
+    for c in (Cyc8(-1), Cyc8(2, 0, -1, 0).inverse()):
+        s = rand_mixed_series(rng, D, 30 + 4 * D, floor=-2 * D)
+        factors = [(c, F(rng.randint(1, 2 * D), D), -1)] * 3
+        want = chain_reference(s, factors)
+        got = s.binomials(factors)
+        assert got.order == want.order and got.coeff == want.coeff
+
+
+def test_quotient_stores_no_cancelled_zero():
+    # (1 - q^e) / (1 - q^e): the quotient cancels the product's key e
+    rows = {0: _component_tables({0: ONE})}
+    _binomial_rows(rows, [(Cyc8(-1), 3, 0, 1), (Cyc8(-1), 3, 0, -1)], 40)
+    assert list(rows[0]) == [{0: 1}, {}, {}, {}]
 
 
 def test_geometric_inverse():

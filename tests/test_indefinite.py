@@ -107,7 +107,8 @@ def pwz_lhs_reference(N, W, D=2, Dz=1):
     N = F(N)
     euler = qpochhammer(D, Monomial(1, 1), None, N)
     pref = over_qpochhammer(euler * euler, Monomial(-1, 1), None, step=2)
-    acc, ratio = JSeries.zero(D, Dz, N), JSeries.one(D, Dz, N)
+    ratio = JSeries.one(D, Dz, N)
+    acc = JSeries(D, Dz, {}, ratio.order)
     n = 1
     while n < N:
         ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n - 1, 1, -ONE)], N)

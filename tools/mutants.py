@@ -132,12 +132,32 @@ MUTANTS = [
     ("src/pwomega/qseries.py",
      "sign = -1 if i + j >= 4 else 1", "sign = -1 if i + j > 4 else 1",
      ["tests/test_exactalg.py"]),
+    # the in-place quotient: the four-component step's sign, the rational
+    # recurrence's read offset and sign, a walk by e that misses the keys of
+    # the other residue classes, the keys past a lowered order kept
     ("src/pwomega/qseries.py",
-     "x if j + ((i - j) & 3) >= 4 else -x", "x if j + ((i - j) & 3) > 4 else -x",
+     "m = (-c).components()", "m = c.components()",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
-     "p = k - e\n", "p = k - e + 1\n",
+     "y = t.get(k - e)\n", "y = t.get(k - e + 1)\n",
      ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "v = t.get(k, 0) - x * y", "v = t.get(k, 0) + x * y",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "order, math.gcd(e, *t))", "order, e)",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "order, math.gcd(e, *keys))", "order, e)",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "for k in [k for k in t if k >= order]:", "for k in []:",
+     ["tests/test_exactalg.py"]),
+    # the q-factorial sum's term divides the ratio's own tables, which the
+    # next n then multiplies on
+    ("src/pwomega/partitions.py",
+     "term = {0: [dict(t) for t in ratio[0]]}", "term = ratio",
+     ["tests/test_partitions.py"]),
     ("src/pwomega/qseries.py",
      "                if k < order:\n", "                if k < order + e:\n",
      ["tests/test_exactalg.py"]),
