@@ -230,7 +230,7 @@ def finite_jtp_sides(n: int, N) -> Tuple[JSeries, JSeries]:
         [(-1, e, 0, -1) for e in range(1, 2 * n + 1)]
         + [(-1, j, 1, 1) for j in range(n)] + [(-1, j + 1, -1, 1) for j in range(n)])
     rhs = JSeries(1, 1, {
-        j: QSeries.from_terms(1, [(j * (j - 1) // 2, (-1) ** j)], N).binomials(
+        j: QSeries.from_terms(1, [(j * (j - 1) // 2, (-1) ** abs(j))], N).binomials(
             pochhammer_factors(q, n - j, N, sign=-1) + pochhammer_factors(q, n + j, N, sign=-1))
         for j in range(-n, n + 1)}, _scale(N, 1))
     return lhs, rhs

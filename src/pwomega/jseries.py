@@ -8,9 +8,10 @@ zeta-side is always finite.  Substituting zeta := 1 (or any zeta-free
 monomial) yields a QSeries, with the truncation order reduced by the worst
 leftward exponent shift the substitution can cause.
 
-Binomial chains (JSeries.binomials, jpochhammer) run on the rows' component
-tables: a zeta-factor c*q^e*zeta^d adds c*q^e times row r - d into row r.
-indefinite.pwz_lhs_cleared keeps such tables across its n-loop, assembled once.
+The rows store component tables and build a Cyc8 only at the boundary, as
+every QSeries does.  Binomial chains (JSeries.binomials, jpochhammer) run on
+copies of them: a zeta-factor c*q^e*zeta^d adds c*q^e times row r - d into
+row r.  indefinite.pwz_lhs_cleared keeps such tables across its n-loop.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .cyc8 import Cyc8, ONE, _coerce
 from .errors import LatticeMismatch, PrecisionExhausted
-from .qseries import (Monomial, QSeries, _add_rows, _assemble, _binomial_rows,
-                      _component_tables, _scale, pochhammer_exponents, sum_of_products)
+from .qseries import (Monomial, QSeries, _add_rows, _assemble, _binomial_rows, _scale,
+                      pochhammer_exponents, sum_of_products)
 
 Rat = Union[int, Fraction]
 
@@ -157,10 +158,10 @@ class JSeries:
 
     def binomials(self, factors: Iterable[Tuple[object, Rat, Rat, int]]) -> "JSeries":
         """self times (1 + c*q^q_exp*zeta^z_exp)^sign over the factors
-        (c, q_exp, z_exp, sign), on component tables converted and assembled
-        once (_binomial_rows); a zeta-quotient raises NonExpandableDenominator."""
+        (c, q_exp, z_exp, sign), on copies of the rows' tables, assembled once
+        (_binomial_rows); a zeta-quotient raises NonExpandableDenominator."""
         return JSeries._from_tables(self.D, self.Dz, self.order, *_binomial_rows(
-            {r: _component_tables(s.coeff) for r, s in self.rows.items()},
+            {r: [dict(t) for t in s.tables] for r, s in self.rows.items()},
             [(_coerce(c), _scale(qe, self.D), _scale(ze, self.Dz), sign)
              for c, qe, ze, sign in factors], self.order))
 
@@ -191,7 +192,7 @@ class JSeries:
     def _land(self, val: Monomial, order: int, weighted: bool = False):
         """The rows with zeta^r := val^r (times r when weighted) summed to a
         QSeries certified to order, and the keys the rows' least terms land on.
-        Each row's component tables add into one accumulator (_add_rows, times
+        Each row's stored tables add into one accumulator (_add_rows, times
         the coefficient of val^r at its q-shift), assembled once."""
         acc, floors = {0: ({}, {}, {}, {})}, []
         for r, s in self.rows.items():
@@ -205,7 +206,7 @@ class JSeries:
                 raise LatticeMismatch(
                     f"cannot substitute a general monomial into zeta^{rr}")
             e = _scale(vc.q_exp, self.D)
-            _add_rows(acc, {0: _component_tables(s.coeff)},
+            _add_rows(acc, {0: s.tables},
                       Cyc8(rr) * vc.coeff if weighted else vc.coeff, e, 0, order)
             floors.append(s.floor_key() + e)
         return _assemble(self.D, acc[0], order), floors
@@ -229,7 +230,7 @@ class JSeries:
         return self._land(q, self._landing_order(q, tail_landing), weighted=True)[0]
 
     def __repr__(self):
-        n = sum(len(s.coeff) for s in self.rows.values())
+        n = sum(len(s.keys()) for s in self.rows.values())
         return f"JSeries[D={self.D}, Dz={self.Dz}, O(q^{self.order_exp()}), {n} terms]"
 
 

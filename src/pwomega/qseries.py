@@ -6,19 +6,19 @@ carries an explicit truncation order (scaled): coefficients are certified
 exactly for all exponents strictly below order/D and no key >= order is kept.
 All arithmetic propagates the worst-case order; nothing is silently extended.
 
-Representation and cost: one sparse dictionary {key: Cyc8} per series, zero
-coefficients not stored, Cyc8 components ints unless non-integral.  Sums
-(sum_of_series, which + is, and from_terms), products (sum_of_products),
-binomial chains and QSeries.invert work on the coefficients' components as
-plain numbers and build one Cyc8 per output key: a sum of n series adds
-into one set of component tables and assembles once, and a rational
-product or binomial factor touches one component.  A chain of
-binomial factors (1 + c*q^e)^(+-1) (QSeries.binomials) converts the series to
-components once, updates them in place (a quotient with e > 0 from the least
-key + e to the order in steps of gcd(e, keys), O(N - e)), folds the factors
-with e <= 0 into one monomial, and assembles once; q-Pochhammer products and
-quotients are such chains.  JSeries.binomials runs the same chain
-(_binomial_rows) on tables keyed by zeta-row.
+Representation and cost: a series stores four component tables, dicts
+{key: non-zero component i of the coefficient}, keys below the order, each
+component an int unless non-integral.  Every walk works on these tables as
+plain numbers and builds fresh ones through _assemble: sums (sum_of_series,
+which + is, and from_terms) add into one set of tables, products
+(sum_of_products) convolve pairs of tables, and a chain of binomial factors
+(1 + c*q^e)^(+-1) (QSeries.binomials) updates a copy in place (a quotient
+with e > 0 from the least key + e to the order in steps of gcd(e, keys),
+O(N - e)) and folds the factors with e <= 0 into one monomial; q-Pochhammer
+products and quotients are such chains, and JSeries.binomials runs the same
+chain (_binomial_rows) on tables keyed by zeta-row.  A stored series is
+never written.  A Cyc8 is built only at the boundary (indexing, terms(),
+coeff, to_pairs, eval_mpc, first_mismatch's witness) and for factors.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ class Monomial:
 
 
 class QSeries:
-    """Sparse truncated Laurent-Puiseux series in q over Q(zeta8)."""
+    """Sparse truncated Laurent-Puiseux series in q over Q(zeta8); the
+    constructor takes the boundary form {key: Cyc8}."""
 
-    __slots__ = ("D", "coeff", "order")
+    __slots__ = ("D", "tables", "order")
 
     def __init__(self, D: int, coeff: Optional[Dict[int, Cyc8]] = None,
                  order: int = 0):
@@ -84,11 +85,12 @@ class QSeries:
             raise ValueError("lattice denominator must be positive")
         self.D = D
         self.order = order          # scaled: exponents k/D with k < order are certified
-        self.coeff = {}
-        if coeff:
-            for k, c in coeff.items():
-                if k < order and not c.is_zero():
-                    self.coeff[k] = c
+        self.tables = ({}, {}, {}, {})
+        for k, c in (coeff or {}).items():
+            if k < order:
+                for t, x in zip(self.tables, c.components()):
+                    if x:
+                        t[k] = x
 
     # -- constructors ---------------------------------------------------------
 
@@ -110,16 +112,30 @@ class QSeries:
         for exp, c in terms:
             k = _scale(exp, D)
             if k < order:
-                for t, x in zip(tables, c.components() if isinstance(c, Cyc8) else (c,)):
+                parts = (c,) if isinstance(c, (int, Fraction)) else _coerce(c).components()
+                for t, x in zip(tables, parts):
                     if x:
                         t[k] = t.get(k, 0) + x
         return _assemble(D, tables, order)
 
     # -- inspection ------------------------------------------------------------
 
+    def keys(self) -> List[int]:
+        """The stored scaled exponents, ascending."""
+        return sorted(set().union(*self.tables))
+
+    def _at(self, k: int) -> Tuple[Rat, Rat, Rat, Rat]:
+        t0, t1, t2, t3 = self.tables
+        return t0.get(k, 0), t1.get(k, 0), t2.get(k, 0), t3.get(k, 0)
+
+    @property
+    def coeff(self) -> Dict[int, Cyc8]:
+        """A read-only view {key: Cyc8} of the stored terms."""
+        return {k: Cyc8(*self._at(k)) for k in self.keys()}
+
     def floor_key(self) -> int:
         """Least stored scaled exponent (order when the series is zero)."""
-        return min(self.coeff) if self.coeff else self.order
+        return min((min(t) for t in self.tables if t), default=self.order)
 
     def order_exp(self) -> Fraction:
         return Fraction(self.order, self.D)
@@ -128,14 +144,14 @@ class QSeries:
         k = _scale(exp, self.D)
         if k >= self.order:
             raise IndexError(f"coefficient of q^{Fraction(exp)} is beyond the truncation order")
-        return self.coeff.get(k, Cyc8(0))
+        return Cyc8(*self._at(k))
 
     def terms(self) -> Iterable[Tuple[Fraction, Cyc8]]:
-        for k in sorted(self.coeff):
-            yield Fraction(k, self.D), self.coeff[k]
+        for k in self.keys():
+            yield Fraction(k, self.D), Cyc8(*self._at(k))
 
     def is_zero(self) -> bool:
-        return not self.coeff
+        return not any(self.tables)
 
     def __eq__(self, other) -> bool:
         """Equal coefficients to one common order; series known to different
@@ -147,16 +163,16 @@ class QSeries:
     __hash__ = None   # mutable container semantics
 
     def first_mismatch(self, other: "QSeries") -> Optional[Tuple[Fraction, Cyc8, Cyc8]]:
-        """Smallest exponent (below the common order) where the two differ."""
+        """Smallest exponent (below the common order) where the two differ,
+        found on the component tables, with both coefficients."""
         self._check(other)
         common = min(self.order, other.order)
-        keys = {k for k in self.coeff if k < common} | {k for k in other.coeff if k < common}
-        for k in sorted(keys):
-            a = self.coeff.get(k, Cyc8(0))
-            b = other.coeff.get(k, Cyc8(0))
-            if a != b:
-                return Fraction(k, self.D), a, b
-        return None
+        diff = [k for a, b in zip(self.tables, other.tables) for k in a.keys() | b.keys()
+                if k < common and a.get(k, 0) != b.get(k, 0)]
+        if not diff:
+            return None
+        k = min(diff)
+        return Fraction(k, self.D), Cyc8(*self._at(k)), Cyc8(*other._at(k))
 
     # -- lattice management ------------------------------------------------------
 
@@ -169,7 +185,7 @@ class QSeries:
         if D2 % self.D != 0:
             raise LatticeMismatch(f"1/{D2} does not refine 1/{self.D}")
         m = D2 // self.D
-        return QSeries(D2, {k * m: c for k, c in self.coeff.items()}, self.order * m)
+        return _assemble(D2, [{k * m: v for k, v in t.items()} for t in self.tables], self.order * m)
 
     # -- arithmetic -----------------------------------------------------------------
 
@@ -177,27 +193,22 @@ class QSeries:
         return sum_of_series(self.D, (self, other), self.order)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.D, {k: -c for k, c in self.coeff.items()}, self.order)
+        return _assemble(self.D, self.tables, self.order, Cyc8(-1))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
     def scale(self, c) -> "QSeries":
-        c = c if isinstance(c, Cyc8) else Cyc8(c)
-        if c.is_zero():
-            return QSeries(self.D, {}, self.order)
-        return QSeries(self.D, {k: c * v for k, v in self.coeff.items()}, self.order)
+        return _assemble(self.D, self.tables, self.order, c if isinstance(c, Cyc8) else Cyc8(c))
 
     def shift(self, exp: Rat) -> "QSeries":
         """Multiply by q^exp."""
-        s = _scale(exp, self.D)
-        return QSeries(self.D, {k + s: c for k, c in self.coeff.items()}, self.order + s)
+        return _assemble(self.D, self.tables, self.order, ONE, _scale(exp, self.D))
 
     def mul_monomial(self, mono: Monomial) -> "QSeries":
         if mono.z_exp != 0:
             raise LatticeMismatch("zeta-carrying monomial on a QSeries")
-        out = self.shift(mono.q_exp)
-        return out if mono.coeff == ONE else out.scale(mono.coeff)
+        return _assemble(self.D, self.tables, self.order, mono.coeff, _scale(mono.q_exp, self.D))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)
@@ -205,8 +216,7 @@ class QSeries:
         return sum_of_products(self.D, [(self, other)], order)
 
     def truncate(self, order_exp: Rat) -> "QSeries":
-        order = min(self.order, _scale(order_exp, self.D))
-        return QSeries(self.D, {k: c for k, c in self.coeff.items() if k < order}, order)
+        return _assemble(self.D, self.tables, min(self.order, _scale(order_exp, self.D)))
 
     def invert(self) -> "QSeries":
         """Laurent inversion.
@@ -215,13 +225,13 @@ class QSeries:
         (order - f), the result q^(-f/D) * U^(-1) is certified to order
         (order - 2f).
         """
-        if not self.coeff:
+        if self.is_zero():
             raise NonInvertibleLeadingTerm("cannot invert the zero series")
         f = self.floor_key()
         n = self.order - f       # available length of the unit part
-        lead_inv = self.coeff[f].inverse()
+        lead_inv = Cyc8(*self._at(f)).inverse()
         m = (-lead_inv).components()
-        terms = [(k - f, c.components()) for k, c in sorted(self.coeff.items()) if k > f]
+        terms = [(k - f, self._at(k)) for k in self.keys() if k > f]
         inv = {0: lead_inv.components()}
         for k in range(1, n):
             s0 = s1 = s2 = s3 = 0
@@ -234,17 +244,17 @@ class QSeries:
                     s0, s1, s2, s3 = s0 + p0, s1 + p1, s2 + p2, s3 + p3
             if s0 or s1 or s2 or s3:
                 inv[k] = mul4(m, (s0, s1, s2, s3))
-        return QSeries(self.D, {k - f: Cyc8(*c) for k, c in inv.items()}, n - f)
+        return _assemble(self.D, [{k - f: c[i] for k, c in inv.items()} for i in range(4)], n - f)
 
     def binomials(self, factors: Iterable[Tuple[object, Rat, int]]) -> "QSeries":
         """self times (1 + c*q^exp)^sign over the factors (c, exp, sign),
-        sign = +1 or -1: _binomial_rows on self's one row, O(N) per factor
-        with exp > 0 at self's order, O(N - exp) for a quotient.  The factors
-        with exp <= 0 fold into one monomial, so a product's order drops by
-        |exp| and a quotient's rises by |exp|, as with the factor's series or
-        its inverse."""
+        sign = +1 or -1: _binomial_rows on a copy of self's tables, O(N) per
+        factor with exp > 0 at self's order, O(N - exp) for a quotient.  The
+        factors with exp <= 0 fold into one monomial, so a product's order
+        drops by |exp| and a quotient's rises by |exp|, as with the factor's
+        series or its inverse."""
         rows, coef, shift, _ = _binomial_rows(
-            {0: _component_tables(self.coeff)},
+            {0: [dict(t) for t in self.tables]},
             [(_coerce(c), _scale(exp, self.D), 0, sign) for c, exp, sign in factors], self.order)
         return _assemble(self.D, rows[0], self.order, coef, shift)
 
@@ -264,17 +274,17 @@ class QSeries:
     def eval_mpc(self, mp, q):
         """Sum the stored terms at a numeric q (mpmath complex)."""
         out = mp.mpc(0)
-        for k in sorted(self.coeff):
-            out += self.coeff[k].to_mpc(mp) * mp.power(q, mp.mpf(k) / self.D)
+        for k in self.keys():
+            out += Cyc8(*self._at(k)).to_mpc(mp) * mp.power(q, mp.mpf(k) / self.D)
         return out
 
     def to_pairs(self):
         """JSON form: ascending [exponent "k/D", coefficient] pairs."""
-        return [[str(Fraction(k, self.D)), str(self.coeff[k])] for k in sorted(self.coeff)]
+        return [[str(e), str(c)] for e, c in self.terms()]
 
     def __repr__(self):
         ts = [f"({c})q^{e}" for e, c in list(self.terms())[:6]]
-        more = " + ..." if len(self.coeff) > 6 else ""
+        more = " + ..." if len(self.keys()) > 6 else ""
         return f"QSeries[D={self.D}, O(q^{self.order_exp()})]: " + " + ".join(ts) + more
 
 
@@ -283,20 +293,20 @@ def sum_of_products(D: int, pairs: Iterable[Tuple[QSeries, QSeries]],
     """sum of a * b over the pairs, kept below the scaled order (which the
     caller certifies).
 
-    Each coefficient is split into its components; every pair of non-empty
-    component tables (i of a, j of b) is one scalar convolution into output
-    component (i + j) mod 4, negated when i + j >= 4 (zeta^4 = -1).  All pairs
-    accumulate into the same four tables of plain numbers, and one Cyc8 is
-    built per output key.  A rational product is a single convolution.
+    Every pair of non-empty stored component tables (i of a, j of b) is one
+    scalar convolution into output component (i + j) mod 4, negated when
+    i + j >= 4 (zeta^4 = -1).  All pairs accumulate into the same four
+    tables of plain numbers, assembled once.  A rational product is a single
+    convolution.
     """
     tables: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
     for a, b in pairs:
-        b_parts = _sorted_components(b.coeff)
-        for i, a_part in _sorted_components(a.coeff):
+        b_parts = [(j, sorted(t.items())) for j, t in enumerate(b.tables) if t]
+        for i, a_part in enumerate(a.tables):
             for j, b_part in b_parts:
                 out = tables[(i + j) & 3]
                 sign = -1 if i + j >= 4 else 1
-                for ka, x in a_part:
+                for ka, x in a_part.items():
                     x = sign * x
                     room = order - ka
                     for kb, y in b_part:
@@ -309,28 +319,16 @@ def sum_of_products(D: int, pairs: Iterable[Tuple[QSeries, QSeries]],
 
 def sum_of_series(D: int, series: Iterable[QSeries], order: int) -> QSeries:
     """The sum of the series on the 1/D lattice, below the scaled order
-    lowered to the shortest summand's.  Each summand's component tables add
-    into one set (_add_rows), the keys that a later, shorter summand puts
-    past the order are dropped, and one Cyc8 is built per output key."""
+    lowered to the shortest summand's.  Each summand's stored tables add into
+    one set (_add_rows), assembled once: the keys that a later, shorter
+    summand puts past the order are dropped there."""
     acc = {0: ({}, {}, {}, {})}
     for s in series:
         if s.D != D:
             raise LatticeMismatch(f"lattice 1/{D} vs 1/{s.D}")
         order = min(order, s.order)
-        _add_rows(acc, {0: _component_tables(s.coeff)}, ONE, 0, 0, order)
-    return _assemble(D, [{k: v for k, v in t.items() if k < order} for t in acc[0]], order)
-
-
-def _component_tables(coeff: Dict[int, Cyc8]) -> List[Dict[int, Rat]]:
-    """The four tables {key: non-zero component i} of a coefficient map."""
-    items = coeff.items()
-    return [{k: c.c0 for k, c in items if c.c0}, {k: c.c1 for k, c in items if c.c1},
-            {k: c.c2 for k, c in items if c.c2}, {k: c.c3 for k, c in items if c.c3}]
-
-
-def _sorted_components(coeff: Dict[int, Cyc8]) -> List[Tuple[int, List[Tuple[int, Rat]]]]:
-    """(i, [(key, component i)] by ascending key) for each non-empty table."""
-    return [(i, sorted(t.items())) for i, t in enumerate(_component_tables(coeff)) if t]
+        _add_rows(acc, {0: s.tables}, ONE, 0, 0, order)
+    return _assemble(D, acc[0], order)
 
 
 def _add_rows(acc, rows, c: Cyc8, e: int, d: int, order: int):
@@ -427,19 +425,20 @@ def _divide_tables(tables, c: Cyc8, e: int, order: int):
 
 
 def _assemble(D: int, tables, order: int, coef: Cyc8 = ONE, shift: int = 0) -> QSeries:
-    """The series whose coefficient at k has components tables[i].get(k, 0),
-    for tables with keys below the order, times coef*q^(shift/D); zero values
-    are dropped here, so the constructor's filter is not run again."""
-    t0, t1, t2, t3 = tables
+    """The series with the component tables times coef*q^(shift/D), to the
+    scaled order + shift: the one way a walk's tables become a series.  The
+    factor goes through _add_rows; fresh tables are then built without zero
+    values or keys at or past the order, each value an int when integral
+    (as Cyc8 stores it).  The tables passed in are read, never kept."""
+    if shift or coef != ONE:
+        order += shift
+        acc: Dict[int, Tuple[Dict[int, Rat], ...]] = {}
+        _add_rows(acc, {0: tables}, coef, shift, 0, order)
+        tables = acc[0]
     out = QSeries(D, None, order)
-    if not (t1 or t2 or t3):
-        out.coeff = {k: Cyc8(v) for k, v in t0.items() if v}
-    else:
-        keys = {k for t in tables for k, v in t.items() if v}
-        out.coeff = {k: Cyc8(t0.get(k, 0), t1.get(k, 0), t2.get(k, 0), t3.get(k, 0))
-                     for k in keys}
-    return out if coef == ONE and not shift else QSeries(
-        D, {k + shift: coef * v for k, v in out.coeff.items()}, order + shift)
+    out.tables = tuple({k: v if type(v) is int or v.denominator > 1 else v.numerator
+                        for k, v in t.items() if v and k < order} for t in tables)
+    return out
 
 
 def pochhammer_exponents(q_exp: Rat, n: Optional[int], order_exp: Rat,

@@ -1,5 +1,6 @@
 """Exact kernel: cyclotomic field, QSeries, JSeries."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -9,9 +10,8 @@ from pwomega.cyc8 import Cyc8, I, ONE
 from pwomega.errors import (DivergentProduct, LatticeMismatch, NonExpandableDenominator,
                             NonInvertibleLeadingTerm, PrecisionExhausted)
 from pwomega.jseries import JSeries, jpochhammer
-from pwomega.qseries import (Monomial, QSeries, _assemble, _binomial_rows, _component_tables,
-                             over_qpochhammer, pochhammer_exponents, qpochhammer, sum_of_products,
-                             sum_of_series)
+from pwomega.qseries import (Monomial, QSeries, _assemble, _binomial_rows, over_qpochhammer,
+                             pochhammer_exponents, qpochhammer, sum_of_products, sum_of_series)
 
 F = Fraction
 
@@ -177,6 +177,8 @@ def test_from_terms_adds_like_terms_and_drops_zeros_and_keys_past_the_order():
     half = QSeries.from_terms(1, [(0, F(1, 2)), (1, F(4, 2)), (2, Cyc8(F(1, 3), 1))], 3)
     assert half.coeff == {0: Cyc8(F(1, 2)), 1: Cyc8(2), 2: Cyc8(F(1, 3), 1)}
     assert type(half.coeff[0].c0) is F and type(half.coeff[1].c0) is int
+    with pytest.raises(TypeError):          # an exact series takes no float
+        QSeries.from_terms(1, [(0, -1.0)], 3)
 
 
 @pytest.mark.parametrize("c", [ONE, Cyc8(-1), Cyc8.zeta_pow(1), I], ids=["1", "-1", "z8", "i"])
@@ -307,7 +309,7 @@ def test_chain_at_a_lowered_order_drops_the_keys_past_it():
         assert max(s.coeff) >= low
         factors = [(rng.choice([ONE, Cyc8(-1), I, rand_coeff(rng)]), F(rng.randint(1, 3 * D), D),
                     rng.choice([1, -1])) for _ in range(rng.randint(1, 4))]
-        rows = {0: _component_tables(s.coeff)}
+        rows = {0: [dict(t) for t in s.tables]}
         _binomial_rows(rows, [(c, int(exp * D), 0, sign) for c, exp, sign in factors], low)
         assert all(k < low for t in rows[0] for k in t)
         want = chain_reference(s.truncate(F(low, D)), factors)
@@ -343,7 +345,7 @@ def test_same_quotient_three_times_in_one_chain(D):
 
 def test_quotient_stores_no_cancelled_zero():
     # (1 - q^e) / (1 - q^e): the quotient cancels the product's key e
-    rows = {0: _component_tables({0: ONE})}
+    rows = {0: [{0: 1}, {}, {}, {}]}
     _binomial_rows(rows, [(Cyc8(-1), 3, 0, 1), (Cyc8(-1), 3, 0, -1)], 40)
     assert list(rows[0]) == [{0: 1}, {}, {}, {}]
 
@@ -418,6 +420,74 @@ def test_qseries_equality_is_agreement_below_common_order():
     assert a != 1
     with pytest.raises(LatticeMismatch):
         _ = a == QSeries.one(2, 5)
+
+
+def _stored(*series):
+    """Deep copies of the tables the series store (a JSeries by row)."""
+    return [copy.deepcopy({r: row.tables for r, row in s.rows.items()}
+                          if isinstance(s, JSeries) else s.tables) for s in series]
+
+
+def test_walks_write_only_tables_they_made():
+    # a stored series is never written, whichever walk reads its tables
+    rng = random.Random(61)
+    D = 2
+    a, b = rand_mixed_series(rng, D, 30, floor=0), rand_mixed_series(rng, D, 24, floor=0)
+    a = a + QSeries.one(D, 15)          # an invertible leading term
+    j = JSeries.from_terms(D, 1, [(F(k, D), r, rand_coeff(rng))
+                                  for k in range(0, 30, 3) for r in (-2, 0, 1)], 15)
+    walks = [
+        (lambda: a.binomials([(ONE, F(1, 2), 1), (I, 1, 1)]), [a]),
+        (lambda: a.binomials([(Cyc8(-1), 1, -1), (Cyc8(F(1, 3)), F(3, 2), -1)]), [a]),
+        (lambda: j.binomials([(ONE, 1, 1, 1), (Cyc8(-1), F(1, 2), 0, -1)]), [j]),
+        (lambda: a + b, [a, b]), (lambda: a - b, [a, b]), (lambda: a * b, [a, b]),
+        (lambda: a.scale(I), [a]), (lambda: a.shift(F(3, 2)), [a]),
+        (lambda: a.mul_monomial(Monomial(Cyc8(2, 0, 1), -1)), [a]),
+        (lambda: a.truncate(5), [a]), (lambda: a.refine(6), [a]), (lambda: a.invert(), [a]),
+        (lambda: j.substitute(Monomial(Cyc8(-1), 1)), [j]), (lambda: j.dzeta_at_one(), [j]),
+    ]
+    for walk, operands in walks:
+        before = _stored(*operands)
+        walk()
+        assert _stored(*operands) == before
+
+
+def _assert_canonical(s):
+    for t in s.tables:
+        for k, v in t.items():
+            assert v != 0 and k < s.order
+            assert type(v) is int or v.denominator > 1
+
+
+def test_stored_tables_are_canonical():
+    # read on the tables: a Cyc8 view would canonicalize the values again
+    halves = QSeries.from_terms(1, [(1, F(1, 2)), (1, F(1, 2)), (2, F(1, 3)), (9, 4)], 5)
+    assert halves.tables == ({1: 1, 2: F(1, 3)}, {}, {}, {})
+    # (2 + 3q)(1 - q/2) / (1 - q/2): the chain's tables hold integral Fractions
+    chain = QSeries.from_terms(1, [(0, 2), (1, 3)], 10).binomials([(F(-1, 2), 1, 1),
+                                                                    (F(-1, 2), 1, -1)])
+    assert chain.tables == ({0: 2, 1: 3}, {}, {}, {})
+    s = rand_mixed_series(random.Random(3), 2, 20)
+    for got in (halves, chain, s.scale(F(1, 2)), s.scale(F(1, 2)).scale(2), s.scale(0)):
+        _assert_canonical(got)
+    assert s.scale(F(1, 2)).scale(2).tables == s.tables
+
+
+def test_first_mismatch_reads_all_four_tables_of_both_sides():
+    a = QSeries.from_terms(1, [(0, ONE), (2, Cyc8(1, 2, 3, 4)), (4, I)], 8)
+    # one component differs where the other three agree
+    b = QSeries.from_terms(1, [(0, ONE), (2, Cyc8(1, 2, 5, 4)), (4, I)], 8)
+    assert a.first_mismatch(b) == (2, Cyc8(1, 2, 3, 4), Cyc8(1, 2, 5, 4))
+    # a key stored on one side only, on either side; the least key is the witness
+    c = QSeries.from_terms(1, [(0, ONE), (1, Cyc8(0, 0, 0, 7)), (2, Cyc8(1, 2, 3, 4)),
+                               (4, I)], 8)
+    assert a.first_mismatch(c) == (1, Cyc8(0), Cyc8(0, 0, 0, 7))
+    assert c.first_mismatch(a) == (1, Cyc8(0, 0, 0, 7), Cyc8(0))
+    assert b.first_mismatch(c) == (1, Cyc8(0), Cyc8(0, 0, 0, 7))
+    # differences at or past the common order are ignored
+    d = QSeries.from_terms(1, [(0, ONE), (2, Cyc8(1, 2, 3, 4)), (4, I), (6, I), (7, ONE)], 8)
+    assert a.truncate(6).first_mismatch(d) is None and d.first_mismatch(a.truncate(6)) is None
+    assert a.first_mismatch(d) == (6, Cyc8(0), I)
 
 
 def test_laurent_inversion_shifts_floor():

@@ -167,7 +167,8 @@ MUTANTS = [
      "x = -x if j + l >= 4 else x", "x = x",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
-     "{k + shift: coef * v", "{k - shift: coef * v",
+     "_add_rows(acc, {0: tables}, coef, shift, 0, order)",
+     "_add_rows(acc, {0: tables}, coef, -shift, 0, order)",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
      "for c, e, d, sign in factors:", "for c, e, d, sign in list(factors)[:-1]:",
@@ -228,6 +229,28 @@ MUTANTS = [
     ("src/pwomega/indefinite.py",
      "None, N) * 2", "None, N)",
      ["tests/test_indefinite.py"]),
+    # stored tables: a chain run on a series' own tables (QSeries and
+    # JSeries), an integral Fraction stored as is, the mismatch walk over
+    # one side's keys only, a float term taken into a table, a row landing
+    # at the wrong zeta-power
+    ("src/pwomega/qseries.py",
+     "{0: [dict(t) for t in self.tables]}", "{0: self.tables}",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/jseries.py",
+     "{r: [dict(t) for t in s.tables] for r, s", "{r: s.tables for r, s",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "{k: v if type(v) is int or v.denominator > 1 else v.numerator", "{k: v",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "for k in a.keys() | b.keys()", "for k in a",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "isinstance(c, (int, Fraction))", "isinstance(c, (int, Fraction, float))",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/jseries.py",
+     "vc = val.pow(rr.numerator)", "vc = val.pow(rr.numerator + 1)",
+     ["tests/test_exactalg.py"]),
     # mu-laws reports the default tolerance as null instead of the one applied
     ("src/pwomega/registry.py",
      "    if params[\"tolerance\"] is None:\n"
