@@ -161,7 +161,7 @@ def theta_elliptic_shift_reference(z: TorsionPoint, lam: int, mu: int, N) -> QSe
     """(-1)^(lam+mu) q^(-lam^2/2) zeta^(-lam) theta(z) for zeta = e^(2 pi i z):
     the right-hand side of the elliptic shift law, as an exact series."""
     base = theta_series_at_torsion(z, F(N) + F(lam * lam, 2) + lam * z.a + 2)
-    sign = Cyc8((-1) ** (lam + mu))
+    sign = Cyc8((-1) ** abs(lam + mu))
     root = Cyc8.from_root_of_unity(_frac_mod1(F(-lam) * z.b))
     shift = -F(lam * lam, 2) - lam * z.a
     return base.mul_monomial(Monomial(sign * root, shift, 0)).truncate(N)

@@ -147,16 +147,20 @@ def cmd_expand(args) -> int:
 
 def cmd_oracle(args) -> int:
     from .errors import NoCombinatorialDefinition, ResourceBound
-    from .partitions import census
+    from .partitions import ENUMERATION_CAP, census
 
     family = args.family.replace("-", "_")
     print("n,count")
-    for n in range(1, args.n + 1):
-        try:
-            print(f"{n},{census(family, n)}")
-        except (NoCombinatorialDefinition, ResourceBound, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    # the rows up to the cap print before the error past it
+    top = min(args.n, ENUMERATION_CAP)
+    try:
+        for n, count in enumerate(census(family, top) if top > 0 else [], 1):
+            print(f"{n},{count}")
+        if args.n > top:
+            census(family, args.n)
+    except (NoCombinatorialDefinition, ResourceBound, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

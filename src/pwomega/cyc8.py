@@ -21,7 +21,11 @@ Rat = Union[int, Fraction]
 
 
 def _canonical(x) -> Rat:
-    """x as an exact rational: an int when integral, else a Fraction."""
+    """x as an exact rational: an int when integral, else a Fraction.  A
+    float is refused (TypeError): it holds a binary approximation, not the
+    value it was written as."""
+    if isinstance(x, float):
+        raise TypeError("an exact value takes no float")
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

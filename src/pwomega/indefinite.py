@@ -68,11 +68,11 @@ def cone_exponent(k: int, l: int, n: int) -> int:
 def cone_sum_series(N) -> JSeries:
     """sum over both cones of (-1)^(k+l+n) q^Q(k,l,n) zeta^k to O(q^N)."""
     N = F(N)
-    terms: List[Tuple[int, int, Cyc8]] = []
+    terms: List[Tuple[int, int, int]] = []
     for k, l, n in cone_points(lambda k, l, n: cone_exponent(k, l, n) < N):
         e = cone_exponent(k, l, n)
         assert e >= 0, f"cone term below zero exponent at {(k, l, n)}"
-        terms.append((e, k, Cyc8(-1 if (k + l + n) % 2 else 1)))
+        terms.append((e, k, -1 if (k + l + n) % 2 else 1))
     return JSeries.from_terms(1, 1, terms, N)
 
 
@@ -108,12 +108,12 @@ def weighted_triple_sum(N) -> QSeries:
 
     so that P-bar-omega = -C(q) / (q)_inf^3."""
     N = F(N)
-    terms: List[Tuple[int, Cyc8]] = []
+    terms: List[Tuple[int, int]] = []
     # the weight's q^k term moves cone-2 exponents (k <= 0) down by |k|
     for k, l, n in cone_points(lambda k, l, n: cone_exponent(k, l, n) < N + abs(k)):
         e = cone_exponent(k, l, n)
-        w = k * (-1) ** (k + l + n)
-        terms += [(e, Cyc8(w)), (e + k, Cyc8(-w))]
+        w = -k if (k + l + n) % 2 else k
+        terms += [(e, w), (e + k, -w)]
     return QSeries.from_terms(1, terms, N)
 
 
@@ -128,8 +128,7 @@ def pbar_omega_series(N, method: str = "definition") -> QSeries:
         return -c.truncate(N)
     if method == "oracle":
         n_top = min(int(N), ORACLE_CAP + 1)
-        return QSeries.from_terms(1, [(n, Cyc8(census("pbar_omega", n)))
-                                      for n in range(1, n_top)], n_top)
+        return QSeries.from_terms(1, enumerate(census("pbar_omega", n_top - 1), 1), n_top)
     raise ValueError("method must be definition | triple_sum | oracle")
 
 
@@ -240,13 +239,13 @@ def g_equals_sum_of_f_mismatch(N: int):
     top = 8 * N
     for k, l, n in cone_points(lambda k, l, n: qg8(k, l, n) < top):
         key = (qg8(k, l, n) - 1, 2 * k - 1, 4 * l + 1, 4 * n + 1)
-        lhs[key] = lhs.get(key, 0) + 4 * (-1) ** k
+        lhs[key] = lhs.get(key, 0) + 4 * (-1) ** abs(k)
     for alpha in (0, 1):
         for beta in (0, 1):
             # i^{-a-b} * (zeta2^{1/4} i^a)(zeta3^{1/4} i^b) = prefactor roots
             for k, l, n in cone_points(lambda k, l, n: qf8(k, l, n) < top):
                 key = (qf8(k, l, n) - 1, 2 * k - 1, 2 * l + 1, 2 * n + 1)
-                rhs[key] = rhs.get(key, 0) + (-1) ** (k + alpha * l + beta * n)
+                rhs[key] = rhs.get(key, 0) + (-1) ** abs(k + alpha * l + beta * n)
     for key in sorted(set(lhs) | set(rhs)):
         if lhs.get(key, 0) != rhs.get(key, 0):
             return key, Cyc8(lhs.get(key, 0)), Cyc8(rhs.get(key, 0))
@@ -281,6 +280,6 @@ def pwz_coefficient_formula_sides(cleared: JSeries, j: int) -> Tuple[QSeries, QS
             terms.append((e0 + k * F(2 * (j + n) + 1, 2), c))
             k += 1
         n += 1
-    rhs = QSeries.from_terms(D, terms, N).scale((-1) ** j).shift(F(j * (j + 1), 2))
+    rhs = QSeries.from_terms(D, terms, N).scale((-1) ** abs(j)).shift(F(j * (j + 1), 2))
     rhs = over_qpochhammer(rhs, q, None).truncate(N)
     return lhs.truncate(rhs.order_exp()), rhs

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, count, takewhile
-from typing import Optional
+from typing import List
 
 from .errors import NoCombinatorialDefinition, ResourceBound
 from .cyc8 import ONE, _coerce
@@ -38,50 +38,50 @@ ENUMERATION_CAP = 50
 # enumeration
 # ---------------------------------------------------------------------------
 
-def census(family: str, n: int) -> int:
-    """Exact count for the family at n, by exhaustive enumeration."""
+def census(family: str, N: int) -> List[int]:
+    """Exact counts for the family at n = 1..N (none for N < 1), by one exhaustive
+    enumeration: every partition of size <= N is visited once and counted
+    at its own size.  The constraints are prefix-closed (a part added above
+    the smallest changes neither the smallest part nor the odd-part bound),
+    so every partial partition of the descent is itself a member."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if family == "spt_g2":
         raise NoCombinatorialDefinition("spt_g2 is defined by its series only")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > ENUMERATION_CAP:
+    if N > ENUMERATION_CAP:
         raise ResourceBound(f"enumeration capped at n <= {ENUMERATION_CAP}")
 
     if family == "spt":
-        return _enumerate(n, constrained=False, weight=lambda m, d: m)
+        return _enumerate(N, constrained=False, weight=lambda m, d: m)
     if family == "p_omega":
-        return _enumerate(n, constrained=True, weight=lambda m, d: 1)
+        return _enumerate(N, constrained=True, weight=lambda m, d: 1)
     if family == "spt_omega":
-        return _enumerate(n, constrained=True, weight=lambda m, d: m)
+        return _enumerate(N, constrained=True, weight=lambda m, d: m)
     if family == "pbar_omega":
-        return _enumerate(n, constrained=True, weight=lambda m, d: 2 ** (d - 1))
+        return _enumerate(N, constrained=True, weight=lambda m, d: 2 ** (d - 1))
     if family == "sptbar_omega":
-        return _enumerate(n, constrained=True, weight=lambda m, d: m * 2 ** (d - 1))
+        return _enumerate(N, constrained=True, weight=lambda m, d: m * 2 ** (d - 1))
     raise AssertionError
 
 
-def _enumerate(n: int, constrained: bool, weight) -> int:
-    acc = [0]
+def _enumerate(N: int, constrained: bool, weight) -> List[int]:
+    counts = [0] * (N + 1)
 
-    def rec(remaining: int, min_part: int, odd_bound: Optional[int],
-            mult_smallest: int, distinct: int):
-        """Smallest-part-first descent; odd_bound = 2*smallest once chosen."""
-        if remaining == 0:
-            acc[0] += weight(mult_smallest, distinct)
-            return
-        for p in range(min_part, remaining + 1):
-            if constrained and odd_bound is not None and p % 2 == 1 and p >= odd_bound:
+    def rec(size: int, min_part: int, odd_bound: int, mult_smallest: int, distinct: int):
+        """Count the partition of this size, then extend it by each larger
+        part p (odd p below odd_bound = 2*smallest) with each multiplicity."""
+        counts[size] += weight(mult_smallest, distinct)
+        for p in range(min_part, N - size + 1):
+            if constrained and p % 2 == 1 and p >= odd_bound:
                 continue
-            for m in range(1, remaining // p + 1):
-                rec(remaining - m * p, p + 1,
-                    odd_bound if odd_bound is not None else 2 * p,
-                    mult_smallest if odd_bound is not None else m,
-                    distinct + 1)
+            for m in range(1, (N - size) // p + 1):
+                rec(size + m * p, p + 1, odd_bound, mult_smallest, distinct + 1)
 
-    rec(n, 1, None, 0, 0)
-    return acc[0]
+    # the smallest part p, taken m times, sets the odd-part bound 2p
+    for p in range(1, N + 1):
+        for m in range(1, N // p + 1):
+            rec(m * p, p + 1, 2 * p, m, 1)
+    return counts[1:]
 
 
 # ---------------------------------------------------------------------------

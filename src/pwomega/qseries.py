@@ -12,13 +12,16 @@ component an int unless non-integral.  Every walk works on these tables as
 plain numbers and builds fresh ones through _assemble: sums (sum_of_series,
 which + is, and from_terms) add into one set of tables, products
 (sum_of_products) convolve pairs of tables, and a chain of binomial factors
-(1 + c*q^e)^(+-1) (QSeries.binomials) updates a copy in place (a quotient
-with e > 0 from the least key + e to the order in steps of gcd(e, keys),
-O(N - e)) and folds the factors with e <= 0 into one monomial; q-Pochhammer
-products and quotients are such chains, and JSeries.binomials runs the same
-chain (_binomial_rows) on tables keyed by zeta-row.  A stored series is
-never written.  A Cyc8 is built only at the boundary (indexing, terms(),
-coeff, to_pairs, eval_mpc, first_mismatch's witness) and for factors.
+(1 + c*q^e)^(+-1) (QSeries.binomials) updates a copy in place and folds the
+factors with e <= 0 into one monomial.  The chain takes each row's span
+(least key lo, gcd G of the keys) once and keeps it across its steps: a
+quotient walks from lo + e to the order in steps of gcd(G, e), O(N - e); a
+product by a rational c walks the stored keys in descending order.
+q-Pochhammer products and quotients are such chains, and JSeries.binomials
+runs the same chain (_binomial_rows) on tables keyed by zeta-row.  A stored
+series is never written.  A Cyc8 is built only at the boundary (indexing,
+terms(), coeff, to_pairs, eval_mpc, first_mismatch's witness) and for
+factors.
 """
 
 from __future__ import annotations
@@ -334,12 +337,15 @@ def sum_of_series(D: int, series: Iterable[QSeries], order: int) -> QSeries:
 def _add_rows(acc, rows, c: Cyc8, e: int, d: int, order: int):
     """acc[r + d] += c*q^e*zeta^d * rows[r] below the order, on component
     tables: component i of c*x collects c_j * x_l over j + l = i mod 4,
-    negated when j + l >= 4 (zeta^4 = -1).  acc may be rows itself: each row
-    is read before it is written, rows taken away from the side written to."""
+    negated when j + l >= 4 (zeta^4 = -1).  acc may be rows itself: rows are
+    taken away from the side written to, so each is read before it is
+    written, straight from its tables; only a row written into itself
+    (d = 0) is read into lists first."""
     c_parts = [(j, x) for j, x in enumerate(c.components()) if x]
     for r in sorted(rows, reverse=d > 0):
-        src = [list(s_l.items()) for s_l in rows[r]]
         t = acc.setdefault(r + d, ({}, {}, {}, {}))
+        src = rows[r]
+        src = [list(s_l.items()) for s_l in src] if src is t else [s_l.items() for s_l in src]
         for l, s_l in enumerate(src):
             for j, x in c_parts:
                 t_i = t[(j + l) & 3]
@@ -356,19 +362,36 @@ def _add_root(rows, r: int, k: int, m: int):
     t[k] = t.get(k, 0) + (-1 if m & 4 else 1)
 
 
+def _spans(rows, order: int):
+    """{r: (lo, G)}: row r's least key (the order when it has none) and the
+    gcd of its keys, so that every key is a multiple of G and none is below
+    lo."""
+    return {r: (min((min(t) for t in tables if t), default=order),
+                math.gcd(*(math.gcd(*t) for t in tables)))
+            for r, tables in rows.items()}
+
+
 def _binomial_rows(rows, factors, order: int):
     """The factors (c, e, d, sign) = (1 + c*zeta^d*q^e)^sign, scaled int
     exponents, on component tables keyed by zeta-row, in place at the order:
     keys at or past it (a lowered order leaves them behind) are dropped
     first.  Returns the rows and the monomial (coef, e, d) folded from the
     factors that are no step: e = d = 0 is the scalar 1 + c, and e < 0 is
-    c*zeta^d*q^e times the step 1 + c^-1*zeta^-d*q^-e.  A product step is
-    _add_rows in place; a quotient (d = 0 only) is _divide_tables row by row."""
+    c*zeta^d*q^e times the step 1 + c^-1*zeta^-d*q^-e.
+
+    A zeta-step (d != 0) is _add_rows from row r into row r + d.  A step with
+    d = 0 works row by row (_multiply_tables, _divide_tables) on the row's
+    span (lo, G) of _spans, taken once and kept across such steps: a step by
+    q^e adds keys only at lo + e or above, on multiples of g = gcd(G, e), so
+    g becomes the row's G and lo stays (a key that cancels only leaves it
+    low).  A zeta-step moves keys between rows; the spans are taken again
+    before the next step with d = 0."""
     for tables in rows.values():
         for t in tables:
             for k in [k for k in t if k >= order]:
                 del t[k]
     coef, shift, dshift = ONE, 0, 0
+    spans = None
     for c, e, d, sign in factors:
         if c.is_zero():
             continue
@@ -384,36 +407,68 @@ def _binomial_rows(rows, factors, order: int):
             if not e:
                 continue
             c, e, d = c.inverse(), -e, -d
-        if sign > 0:
+        if d:
             _add_rows(rows, rows, c, e, d, order)
-        else:
-            for t in rows.values():
-                _divide_tables(t, c, e, order)
+            spans = None
+            continue
+        if spans is None:
+            spans = _spans(rows, order)
+        for r, tables in rows.items():
+            lo, g = spans[r]
+            g = math.gcd(g, e)
+            spans[r] = lo, g
+            if sign > 0:
+                _multiply_tables(tables, c, e, order)
+            else:
+                _divide_tables(tables, c, e, lo, g, order)
     return rows, coef, shift, dshift
 
 
-def _divide_tables(tables, c: Cyc8, e: int, order: int):
+def _multiply_tables(tables, c: Cyc8, e: int, order: int):
+    """s * (1 + c*q^e) in place on s's component tables (keys below the
+    order), for e > 0.  A rational c keeps each component apart: its stored
+    keys by descending k, t_(k+e) += c*t_k, so each key is read before it is
+    written.  Any other c mixes the components (_add_rows of the row into
+    itself)."""
+    if not c.is_rational():
+        _add_rows({0: tables}, {0: tables}, c, e, 0, order)
+        return
+    x = c.c0
+    top = order - e
+    for t in tables:
+        for k in sorted(t, reverse=True):
+            if k < top:
+                j = k + e
+                v = t.get(j, 0) + x * t[k]
+                if v:
+                    t[j] = v
+                else:
+                    t.pop(j, None)
+
+
+def _divide_tables(tables, c: Cyc8, e: int, lo: int, g: int, order: int):
     """s / (1 + c*q^e) in place on s's component tables (keys below the
     order), for e > 0, in O(N - e): t_k = s_k - c*t_(k-e) by ascending k from
-    the least key + e up to the order, in steps of gcd(e, keys), the only
-    keys the quotient can reach.  A rational c keeps each component apart:
-    one scalar recurrence per non-empty table.  Any other c mixes all four
-    (mul4), read at k - e before any is written at k."""
+    lo + e up to the order in steps of g, where no key is below lo and every
+    key and e are multiples of g: the only keys the quotient can reach.  A
+    rational c keeps each component apart: one scalar recurrence per
+    non-empty table.  Any other c mixes all four (mul4), read at k - e before
+    any is written at k."""
     if c.is_rational():
         x = c.c0
         for t in tables:
-            for k in range(min(t, default=order) + e, order, math.gcd(e, *t)):
-                y = t.get(k - e)
-                if y:
-                    v = t.get(k, 0) - x * y
-                    if v:
-                        t[k] = v
-                    else:
-                        del t[k]
+            if t:
+                for k in range(lo + e, order, g):
+                    y = t.get(k - e)
+                    if y:
+                        v = t.get(k, 0) - x * y
+                        if v:
+                            t[k] = v
+                        else:
+                            del t[k]
         return
-    keys = set().union(*tables)
     m = (-c).components()
-    for k in range(min(keys, default=order) + e, order, math.gcd(e, *keys)):
+    for k in range(lo + e, order, g):
         y = [t.get(k - e, 0) for t in tables]
         if any(y):
             for t, d in zip(tables, mul4(m, y)):

@@ -164,7 +164,7 @@ def test_finite_jtp_right_rows_are_the_signed_quotients(n):
     assert rhs.order == N and set(rhs.rows) == set(range(-n, n + 1))
     for j in range(-n, n + 1):
         quot = over_qpochhammer(over_qpochhammer(QSeries.one(1, N), q, n - j), q, n + j)
-        assert rhs.zeta_slice(j) == quot.shift(F(j * (j - 1), 2)).scale((-1) ** j).truncate(N)
+        assert rhs.zeta_slice(j) == quot.shift(F(j * (j - 1), 2)).scale((-1) ** abs(j)).truncate(N)
 
 
 def test_heine_order_zero_coefficient():

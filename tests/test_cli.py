@@ -269,6 +269,34 @@ def test_oracle_rejects_series_only_family(capsys):
     assert code == 2
 
 
+# SHA-256 of the oracle tables (n = 1..25) of the per-n enumeration the
+# one-descent census replaced
+ORACLE_DIGESTS = {
+    "spt": "d338fa52d4f04bea1b0744539eb9b0538913428efe1dc6b3c2478147318f15bf",
+    "p-omega": "91b591c26ccdd82acefd85e24bd96082e07c0da8b76d6690e91991e43c448e41",
+    "spt-omega": "b8bcdd4be7f57ed9e99a9cf04355f92726ed261ab8d1e70e35df66de9a8392d2",
+    "pbar-omega": "a5ab61eada337afafc27cf04483cdbe1c4f31b808155a29e71b27263b33a8547",
+    "sptbar-omega": "912e0ea101c9741126fc07cd623af1c3b36122197075fd066a118e04f5903556",
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_DIGESTS))
+def test_oracle_table_is_pinned_byte_for_byte(capsys, family):
+    code, out, err = run_cli(capsys, "oracle", family, "--n", "25")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGESTS[family]
+
+
+def test_oracle_past_the_cap_prints_the_rows_below_it_first(capsys):
+    # rows 1..50 as before, then the error for n = 51
+    code, out, err = run_cli(capsys, "oracle", "pbar-omega", "--n", "53")
+    assert code == 2 and err == "error: enumeration capped at n <= 50\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "973059934d0fe7ebb5eeab3eef90ff2b368a5152ce5ed0fc488412c56065fe6d")
+    for n in ("0", "-1"):
+        assert run_cli(capsys, "oracle", "spt-g2", "--n", n) == (0, "n,count\n", "")
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["expand"]) == 2
     assert main([]) == 2

@@ -47,6 +47,17 @@ def test_inverse_times_self_reduces_to_canonical_one():
         assert (y.c0, y.c1, y.c2, y.c3) == (1, 0, 0, 0)
 
 
+def test_exact_values_refuse_floats():
+    # 0.1 is a binary approximation: taken as a Fraction it would become a
+    # wrong exact value
+    with pytest.raises(TypeError):
+        Cyc8(0.1)
+    with pytest.raises(TypeError):
+        Monomial(0.5)
+    with pytest.raises(TypeError):
+        QSeries.one(1, 5).scale(0.5)
+
+
 def test_zero_division_raises():
     with pytest.raises(ZeroDivisionError):
         Cyc8(0).inverse()
@@ -331,6 +342,34 @@ def test_quotient_walks_the_sublattice_of_its_keys(exp, c):
         assert got.order == want.order and got.coeff == want.coeff
 
 
+@pytest.mark.parametrize("c", [Cyc8(-1), Cyc8.zeta_pow(1), Cyc8(F(1, 2))], ids=["-1", "z8", "1/2"])
+@pytest.mark.parametrize("e", [9, 12])
+def test_product_steps_read_the_keys_an_earlier_factor_wrote(e, c):
+    # (1 + c*q^e)^3 on keys on 8Z: each factor reads keys the one before it
+    # wrote, and moves them off the lattice the chain started on; a quotient
+    # after the products walks the lattice they reached
+    D = 24
+    rng = random.Random(51 + e)
+    for _ in range(4):
+        s = QSeries(D, {8 * rng.randint(-2, 20): rand_coeff(rng) for _ in range(10)}, 200)
+        cube = [(c, F(e, D), 1)] * 3
+        for factors in (cube, cube + [(Cyc8(-1), F(21 - e, D), -1)]):
+            want = chain_reference(s, factors)
+            got = s.binomials(factors)
+            assert got.order == want.order and got.coeff == want.coeff
+
+
+def test_chain_on_a_laurent_table_walks_from_its_negative_least_key():
+    # least key -9, keys on 3Z: quotients and products start from below zero
+    D = 1
+    s = QSeries(D, {-9: Cyc8(2), -3: Cyc8.zeta_pow(1), 6: Cyc8(F(1, 2)), 12: ONE}, 40)
+    for factors in ([(Cyc8(-1), 6, -1)], [(Cyc8(-1), 3, -1), (I, 2, 1), (Cyc8(3), 4, -1)],
+                    [(Cyc8(F(1, 2)), 5, 1), (Cyc8(-1), 5, -1), (Cyc8.zeta_pow(3), 6, -1)]):
+        want = chain_reference(s, factors)
+        got = s.binomials(factors)
+        assert got.order == want.order and got.coeff == want.coeff
+
+
 @pytest.mark.parametrize("D", [1, 2, 24])
 def test_same_quotient_three_times_in_one_chain(D):
     # the (q)_inf^3 pattern: each division reads the tables the last one wrote
@@ -539,7 +578,7 @@ def test_pentagonal_support_to_50():
     for k in range(-6, 7):
         e = k * (3 * k - 1) // 2
         if e < 50:
-            assert got[e] == Cyc8((-1) ** k)
+            assert got[e] == Cyc8((-1) ** abs(k))
 
 
 def test_divergent_product_raises():
@@ -710,6 +749,20 @@ def test_jseries_binomials_match_products_of_binomials(D, Dz):
         assert got.rows == want.rows and got == want
     with pytest.raises(NonExpandableDenominator):
         s.binomials([(-1, 1, 0, -1), (I, 1, 1, -1)])
+
+
+def test_jseries_quotient_after_a_zeta_step_walks_the_rows_it_moved():
+    # row 0 on 10Z and row 1 at q^3: the zeta-step puts q^4 and its
+    # multiples into row 0 and makes row -1, so the quotient after it walks
+    # row 0 from 4 + 5 in steps of 1, not from 10 + 5 in steps of 5
+    s = JSeries(1, 1, {0: QSeries(1, {10: ONE, 20: Cyc8(2)}, 40), 1: QSeries(1, {3: I}, 40)}, 40)
+    for c in (Cyc8(-1), Cyc8.zeta_pow(1)):
+        factors = [(Cyc8(-1), 10, 0, -1), (c, 1, -1, 1), (Cyc8(-1), 5, 0, -1), (c, 2, 1, 1),
+                   (Cyc8(F(1, 2)), 7, 0, 1)]
+        got = s.binomials(factors)
+        want = jseries_chain_reference(s, factors)
+        assert got.order == want.order
+        assert got.rows == want.rows and got == want
 
 
 def jpochhammer_reference(D, Dz, base, n, order_exp, step=1):

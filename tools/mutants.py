@@ -134,7 +134,8 @@ MUTANTS = [
      ["tests/test_exactalg.py"]),
     # the in-place quotient: the four-component step's sign, the rational
     # recurrence's read offset and sign, a walk by e that misses the keys of
-    # the other residue classes, the keys past a lowered order kept
+    # the other residue classes (rational and four-component), the keys past
+    # a lowered order kept
     ("src/pwomega/qseries.py",
      "m = (-c).components()", "m = c.components()",
      ["tests/test_exactalg.py"]),
@@ -145,10 +146,40 @@ MUTANTS = [
      "v = t.get(k, 0) - x * y", "v = t.get(k, 0) + x * y",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
-     "order, math.gcd(e, *t))", "order, e)",
+     "                for k in range(lo + e, order, g):", "                for k in range(lo + e, order, e):",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
-     "order, math.gcd(e, *keys))", "order, e)",
+     "\n    for k in range(lo + e, order, g):", "\n    for k in range(lo + e, order, e):",
+     ["tests/test_exactalg.py"]),
+    # the chain's spans and its in-place product: a product walking its keys
+    # ascending (reading keys it already wrote), a span keeping G after a
+    # step by q^e, spans kept across a zeta-step that moved keys between rows
+    ("src/pwomega/qseries.py",
+     "for k in sorted(t, reverse=True):", "for k in sorted(t):",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "spans[r] = lo, g", "spans[r] = lo, spans[r][1]",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "            spans = None\n            continue\n", "            continue\n",
+     ["tests/test_exactalg.py"]),
+    # one enumeration per census: counted only at size N, the odd-part bound
+    # applied before the smallest part is chosen; the oracle's error past the
+    # cap dropped after its rows
+    ("src/pwomega/partitions.py",
+     "counts[size] += weight(mult_smallest, distinct)",
+     "counts[size] += weight(mult_smallest, distinct) if size == N else 0",
+     ["tests/test_partitions.py"]),
+    ("src/pwomega/partitions.py",
+     "    for p in range(1, N + 1):\n",
+     "    for p in range(1, N + 1):\n        if constrained and p % 2 == 1 and p >= 2:\n            continue\n",
+     ["tests/test_partitions.py"]),
+    ("src/pwomega/cli.py",
+     "        if args.n > top:\n", "        if False:\n",
+     ["tests/test_cli.py"]),
+    # a float taken as the Fraction of its binary value
+    ("src/pwomega/cyc8.py",
+     "    if isinstance(x, float):\n", "    if False:\n",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
      "for k in [k for k in t if k >= order]:", "for k in []:",
