@@ -4,16 +4,16 @@ functions, the generating kernel FF(z) = q^(-1/8) zeta^(1/2) theta(z)
 mu-hat(z, tau/2 + 1/4), and the completed weight-1 object built from its
 first two z-derivatives at 0.
 
-All z-differentiation at the removable points 0 and tau splits each
-quantity into a holomorphic block and the R-block.  A holomorphic block is
-a product of theta, mu and exponentials; each factor's truncated Laurent
-jet at the center comes from one kernel pass (kernels.TauPlan.theta_taylor,
-kernels.MuPlan.laurent), and the block is assembled once at the center in
-jet arithmetic (Jet).  Its coefficients below delta^0 must cancel within
-their rounding budget, which is what removability means numerically.  The
-R-block is differentiated termwise through the explicit Wirtinger sums in
-kernels.  Composite results are returned as Approx(value, err) with a
-conservative absolute-error estimate.
+All z-differentiation at the removable points 0 and tau goes through one
+jet per block (Jet).  A block is a product of theta, mu-hat = mu + (i/2) R
+and exponentials; each factor's truncated jet at the center comes from one
+kernel pass (kernels.TauPlan.theta_taylor, kernels.MuPlan.laurent, and
+kernels._R_terms for R and its Wirtinger z-derivative), and the block is
+assembled once at the center in jet arithmetic.  Its coefficients below
+delta^0 must cancel within their rounding budget, which is what
+removability means numerically.  Composite results are returned as
+Approx(value, err), err a conservative absolute-error estimate carried by
+the jets from the kernels' allowances.
 
 Every function computes at the working precision in effect, which the caller
 sets with kernels.workprec.  Only the jets raise it, by JET_GUARD bits, and
@@ -75,11 +75,13 @@ def _conv(a, b, n: int):
 @dataclass
 class Jet:
     """The truncated Laurent series sum c[i] delta^(val + i), delta = z -
-    center, of a function at a center: every coefficient through
-    delta^exact is known (len(c) = exact - val + 1), c[i] to within the
-    absolute rounding bound err[i].  Products and sums carry the bounds
-    forward to first order, so a coefficient's bound covers whatever
-    cancelled in it."""
+    center, of a function at a center: c[i] is d_z^k f / k! at k = val + i,
+    d_z the Wirtinger z-derivative, which obeys Leibniz's rule, so products
+    hold for the non-holomorphic R as well (R is known through delta^1).
+    Every coefficient through delta^exact is known (len(c) = exact - val +
+    1), c[i] to within the absolute rounding bound err[i].  Products and
+    sums carry the bounds forward to first order, so a coefficient's bound
+    covers whatever cancelled in it."""
     val: int
     exact: int
     c: List
@@ -367,6 +369,17 @@ def _w_point(tau, g: int):
     return tau / 2 + mp.mpf(1) / 4 + mp.mpf(g) / 2
 
 
+def _R_jet(z, tau) -> Jet:
+    """R(z + delta) through delta^1: R and its Wirtinger d/dz, at the working
+    precision (R, the costliest kernel at the cusp, gets no JET_GUARD)."""
+    return Jet.kernel(kernels._R_terms(z, tau)[:2], 0, mp.prec)
+
+
+def _muhat_jet(mu: Jet, R: Jet) -> Jet:
+    """mu-hat = mu + (i/2) R, from the jets of mu(., w) and R(. - w)."""
+    return mu + R.scale(0.5j)
+
+
 def _center_jets(plan, mus, nstar: int, bits: int):
     """At the removable center c = -nstar tau (nstar in (0, -1)): theta's
     jet from delta^1 on (theta(c) = 0) through delta^3, and the Laurent jet
@@ -376,73 +389,54 @@ def _center_jets(plan, mus, nstar: int, bits: int):
     return theta, [Jet.kernel(a, -1, bits) for a in mus.laurent(nstar)]
 
 
-def _fhat_blocks(tau, nstar: int):
-    """The holomorphic blocks of F-hat(z, w_a, w_b) at the center
-    c = -nstar tau as jets through delta^1:
-
-        p_g  = theta(z) mu(z, w_g),                                g = 0, 1
-        h_ab = i theta mu(z, w_a) mu(z, w_b) + c2_ab mu(z, w_a + w_a)  (a = b)
-                                             + c2_ab e^(-2 pi i z) / theta  (a != b)
-
-    Returns (p, h, theta jet, th_w, th_ww, eta^3) with h keyed by (a, b),
-    all computed JET_GUARD bits above the working precision, with the
-    primitive allowances at the working precision."""
-    bits = mp.prec
-    with mp.workprec(bits + JET_GUARD):
-        eta3 = kernels.eta(tau) ** 3
-        plan = kernels.TauPlan(tau)
-        w = [_w_point(tau, g) for g in (0, 1)]
-        # mu(., w_g) and mu(., w_g + w_g), with w_0 + w_0 = tau + 1/2 and
-        # w_1 + w_1 = tau + 3/2, in one bundle
-        mus = plan.mu(w[0], w[1], tau + mp.mpf(1) / 2, tau + mp.mpf(3) / 2)
-        th_w, th_ww = mus.theta_w[:2], mus.theta_w[2:]
-        theta, mu = _center_jets(plan, mus, nstar, bits)
-        e_over_theta = (Jet.exp(-2j * mp.pi, 3, bits).scale(mp.expjpi(2 * nstar * tau))
-                        * theta.recip())
-        p = [(theta * mu[g]).regular(f"theta mu(w{g})") for g in (0, 1)]
-        h = {}
-        for a in (0, 1):
-            for b in (0, 1):
-                if a == b:
-                    second = mu[2 + a].scale(-eta3 * th_ww[a] / (th_w[a] * th_w[b]))
-                else:
-                    second = e_over_theta.scale(1j * eta3 * eta3 / (th_w[a] * th_w[b]))
-                h[a, b] = ((p[a] * mu[b]).scale(1j) + second).regular(f"F-hat block ({a}, {b})")
-        return p, h, theta, th_w, th_ww, eta3
-
-
-def _fhat_center_data(tau, nstar: int):
-    """For each (alpha, beta), (Fhat(c), dz Fhat(c)) at the center
-    c = -nstar tau: the holomorphic blocks from their jets, the R-blocks
-    from closed-form values."""
-    tau = mp.mpc(tau)
-    center = -nstar * tau
-    p, hol, theta, th_w, th_ww, eta3 = _fhat_blocks(tau, nstar)
-    p = [(jet.deriv(0), jet.deriv(1)) for jet in p]
-    thp_center = theta.deriv(1).value
-
-    # R and dR/dz at center - w_g and center - w_g - w_g
+def _fhat_kernels(tau, nstar: int, bits: int):
+    """At the center c = -nstar tau, with the primitive allowances at bits:
+    theta's jet, mu's jets for w = w_0, w_1, w_0 + w_0 = tau + 1/2 and
+    w_1 + w_1 = tau + 3/2 (one bundle), the second terms' coefficients
+    diag_a = -eta^3 theta(w_a + w_a) / theta(w_a)^2, and the jet of the
+    second term i eta^6 e^(-2 pi i z) / (theta(w_0) theta(w_1) theta(z))."""
+    eta3 = kernels.eta(tau) ** 3
+    plan = kernels.TauPlan(tau)
     w = [_w_point(tau, g) for g in (0, 1)]
-    R_w, Rdz_w, _ = zip(*(kernels._R_terms(center - w[g], tau) for g in (0, 1)))
-    R_ww, Rdz_ww, _ = zip(*(kernels._R_terms(center - w[g] - w[g], tau) for g in (0, 1)))
+    mus = plan.mu(w[0], w[1], tau + mp.mpf(1) / 2, tau + mp.mpf(3) / 2)
+    th_w, th_ww = mus.theta_w[:2], mus.theta_w[2:]
+    theta, mu = _center_jets(plan, mus, nstar, bits)
+    diag = [-eta3 * th_ww[a] / (th_w[a] * th_w[a]) for a in (0, 1)]
+    cross = Jet.exp(-2j * mp.pi, 3, bits).scale(mp.expjpi(2 * nstar * tau)) * theta.recip()
+    return theta, mu, diag, cross.scale(1j * eta3 * eta3 / (th_w[0] * th_w[1]))
 
-    out = {}
-    for (alpha, beta), jet in hol.items():
-        h, pa, pb = (jet.deriv(0), jet.deriv(1)), p[alpha], p[beta]
-        c_ab = th_ww[alpha] / (th_w[alpha] * th_w[beta]) if alpha == beta else 0
-        rstar = (-mp.mpf(1) / 2 * (pa[0].value * R_w[beta] + pb[0].value * R_w[alpha]))
-        drstar = (-mp.mpf(1) / 2 * (pa[1].value * R_w[beta] + pa[0].value * Rdz_w[beta]
-                                    + pb[1].value * R_w[alpha] + pb[0].value * Rdz_w[alpha])
-                  - 0.25j * thp_center * R_w[alpha] * R_w[beta])
-        if alpha == beta:
-            rstar += -0.5j * eta3 * c_ab * R_ww[alpha]
-            drstar += -0.5j * eta3 * c_ab * Rdz_ww[alpha]
-        val = Approx(h[0].value + rstar,
-                     h[0].err + pa[0].err + pb[0].err + _prim_err(rstar, mp.prec))
-        dval = Approx(h[1].value + drstar,
-                      h[1].err + pa[1].err + pb[1].err + _prim_err(drstar, mp.prec))
-        out[(alpha, beta)] = (val, dval)
-    return out
+
+def _fhat_blocks(theta, mu, diag, cross):
+    """F-hat(z, w_a, w_b) at a center as jets through delta^1, keyed by
+    (a, b), from the kernel jets of _fhat_kernels with the mu-type jets mu
+    (mu-hat's for F-hat, mu's for its holomorphic part F):
+
+        i theta m(w_a) m(w_b) + diag_a m(w_a + w_a)   (a = b)
+                              + cross                 (a != b)
+
+    Their delta^-1 coefficients must cancel."""
+    p = [theta * mu[g] for g in (0, 1)]
+    h = {}
+    for a in (0, 1):
+        for b in (0, 1):
+            second = mu[2 + a].scale(diag[a]) if a == b else cross
+            h[a, b] = ((p[a] * mu[b]).scale(1j) + second).regular(f"F-hat block ({a}, {b})")
+    return h
+
+
+def _fhat_center_jets(tau, nstar: int):
+    """F-hat(z, w_a, w_b) at c = -nstar tau as jets through delta^1, keyed
+    by (a, b): the blocks of mu-hat's jets, JET_GUARD bits above the
+    working precision, with the primitive allowances at the working
+    precision."""
+    bits = mp.prec
+    center = -nstar * tau
+    w = [_w_point(tau, g) for g in (0, 1)]
+    R = ([_R_jet(center - w[g], tau) for g in (0, 1)]
+         + [_R_jet(center - w[g] - w[g], tau) for g in (0, 1)])
+    with mp.workprec(bits + JET_GUARD):
+        theta, mu, diag, cross = _fhat_kernels(tau, nstar, bits)
+        return _fhat_blocks(theta, [_muhat_jet(m, r) for m, r in zip(mu, R)], diag, cross)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +447,7 @@ def Hhat_numeric(z, tau):
     """H-hat(z;tau) = q^(-1/4) zeta sum_{a,b} i^(-a-b)
                       F-hat(z, tau/2+1/4+a/2, tau/2+1/4+b/2)."""
     z, tau = mp.mpc(z), mp.mpc(tau)
-    acc = mp.mpc(0)
-    for alpha in (0, 1):
-        for beta in (0, 1):
-            weight = (-1j) ** (alpha + beta)
-            f = _fhat_generic(z, alpha, beta, tau)
-            acc += weight * f
+    acc = sum((-1j) ** (a + b) * _fhat_generic(z, a, b, tau) for a in (0, 1) for b in (0, 1))
     return qpow(tau, -F(1, 4)) * mp.expjpi(2 * z) * acc
 
 
@@ -477,51 +466,34 @@ def _fhat_generic(z, alpha, beta, tau):
     return t1 + t2
 
 
+def _hhat_sums(tau):
+    """The quarter-shift sum sum_{a,b} i^(-a-b) F-hat(z, w_a, w_b) as one
+    jet at each removable center, 0 and tau, and q^(1/4)."""
+    tau = mp.mpc(tau)
+    sums = []
+    for nstar in (0, -1):
+        jets = [h.scale((-1j) ** (a + b)) for (a, b), h in _fhat_center_jets(tau, nstar).items()]
+        sums.append(jets[0] + jets[1] + jets[2] + jets[3])
+    return sums, qpow(tau, F(1, 4))
+
+
 def hhat1_numeric(tau) -> Approx:
     """H-hat-1 = -(H-hat(0) + q^(-1/2) H-hat(tau)) / 2, via the removable-center
     assembly; the target identity is H-hat-1 = 0."""
-    tau = mp.mpc(tau)
-    d0 = _fhat_center_data(tau, 0)
-    dt = _fhat_center_data(tau, -1)
-    h11 = mp.mpc(0)
-    h12 = mp.mpc(0)
-    err = 0.0
-    for (alpha, beta), (f0, _) in d0.items():
-        weight = (-1j) ** (alpha + beta)
-        h11 += weight * f0.value
-        err += abs(weight) * f0.err
-    for (alpha, beta), (ft, _) in dt.items():
-        weight = (-1j) ** (alpha + beta)
-        h12 += weight * ft.value
-        err += abs(weight) * ft.err
-    q14 = qpow(tau, F(1, 4))
-    val = -(h11 / q14 + h12 * q14) / 2
-    err *= float(max(abs(q14), abs(1 / q14)))
-    return Approx(val, err)
+    (s0, st), q14 = _hhat_sums(tau)
+    f0, ft = s0.deriv(0), st.deriv(0)
+    val = -(f0.value / q14 + ft.value * q14) / 2
+    return Approx(val, (f0.err + ft.err) * float(max(abs(q14), abs(1 / q14))))
 
 
 def hhat2_numeric(tau) -> Approx:
     """H-hat-2 = [d/dzeta H-hat(z)]_{zeta=1}
                - [d/dzeta (q^(-1/2) zeta^{-1} H-hat(z+tau))]_{zeta=1}."""
-    tau = mp.mpc(tau)
-    d0 = _fhat_center_data(tau, 0)
-    dt = _fhat_center_data(tau, -1)
+    (s0, st), q14 = _hhat_sums(tau)
+    f0, df0, dft = s0.deriv(0), s0.deriv(1), st.deriv(1)
     two_pi_i = 2j * mp.pi
-    h21 = mp.mpc(0)
-    h22 = mp.mpc(0)
-    err = 0.0
-    for (alpha, beta), (f0, df0) in d0.items():
-        weight = (-1j) ** (alpha + beta)
-        h21 += weight * (f0.value + df0.value / two_pi_i)
-        err += f0.err + df0.err
-    for (alpha, beta), (ft, dft) in dt.items():
-        weight = (-1j) ** (alpha + beta)
-        h22 += weight * dft.value / two_pi_i
-        err += dft.err
-    q14 = qpow(tau, F(1, 4))
-    val = h21 / q14 - h22 * q14
-    err *= float(max(abs(q14), abs(1 / q14)))
-    return Approx(val, err)
+    val = (f0.value + df0.value / two_pi_i) / q14 - dft.value / two_pi_i * q14
+    return Approx(val, (f0.err + df0.err + dft.err) * float(max(abs(q14), abs(1 / q14))))
 
 
 # ---------------------------------------------------------------------------
@@ -535,39 +507,25 @@ def fcal_numeric(z, tau):
              * kernels.muhat(z, _w_point(tau, 0), tau))
 
 
-def _fcal_block(tau):
-    """The holomorphic block q^(-1/8) e^(pi i z) theta(z) mu(z, w0) of FF
-    as a jet at 0 through delta^2, and theta's jet there, computed
-    JET_GUARD bits above the working precision, with the primitive
-    allowances at the working precision."""
-    bits = mp.prec
-    with mp.workprec(bits + JET_GUARD):
-        plan = kernels.TauPlan(tau)
-        theta, (mu,) = _center_jets(plan, plan.mu(_w_point(tau, 0)), 0, bits)
-        block = (Jet.exp(1j * mp.pi, 3, bits) * theta * mu).scale(qpow(tau, -F(1, 8)))
-        return block.regular("FF"), theta
+def _fcal_block(tau, theta, mu, bits: int) -> Jet:
+    """q^(-1/8) e^(pi i z) theta(z) m(z) at 0 through delta^2, from theta's
+    jet and the jet of a mu-type m (mu-hat(., w0) for FF), with the
+    primitive allowances at bits."""
+    return (Jet.exp(1j * mp.pi, 3, bits) * theta * mu).scale(qpow(tau, -F(1, 8))).regular("FF")
 
 
 def fcal_derivs(tau) -> Tuple[Approx, Approx, Approx]:
-    """(FF(0), FF'(0), FF''(0)): the holomorphic block q^(-1/8) e^(pi i z)
-    theta(z) mu(z, w0) is differentiated through its jet at 0; the R-block
-    contributes
-
-        FF'(0)  += (i/2) q^(-1/8) theta'(0) R(-w0)
-        FF''(0) += (i/2) q^(-1/8) (2 pi i theta'(0) R(-w0) + 2 theta'(0) R'(-w0))
-
-    using theta(0) = 0 and theta''(0) = 0.
-    """
+    """(FF(0), FF'(0), FF''(0)) from FF's jet at 0, JET_GUARD bits above the
+    working precision.  R's jet stops at delta^1, but theta(0) = 0 keeps
+    FF's through delta^2."""
     tau = mp.mpc(tau)
-    q18 = qpow(tau, -F(1, 8))
-    g, theta = _fcal_block(tau)
-    f0, f1, f2 = (g.deriv(m) for m in (0, 1, 2))
-    thp = theta.deriv(1).value
-    R0, R1, _ = kernels._R_terms(-_w_point(tau, 0), tau)
-    c1 = 0.5j * q18 * thp * R0
-    c2 = 0.5j * q18 * (2j * mp.pi * thp * R0 + 2 * thp * R1)
-    return (f0, Approx(f1.value + c1, f1.err + _prim_err(c1, mp.prec)),
-            Approx(f2.value + c2, f2.err + _prim_err(c2, mp.prec)))
+    bits = mp.prec
+    R = _R_jet(-_w_point(tau, 0), tau)
+    with mp.workprec(bits + JET_GUARD):
+        plan = kernels.TauPlan(tau)
+        theta, (mu,) = _center_jets(plan, plan.mu(_w_point(tau, 0)), 0, bits)
+        ff = _fcal_block(tau, theta, _muhat_jet(mu, R), bits)
+    return tuple(ff.deriv(m) for m in (0, 1, 2))
 
 
 def phat_omega_numeric(tau) -> Approx:

@@ -36,10 +36,18 @@ from .errors import (DivergentProduct, LatticeMismatch,
 
 Rat = Union[int, Fraction]
 
+def _exact(exp) -> Fraction:
+    """exp as a Fraction.  A float is refused (TypeError), as Cyc8 refuses
+    one: it holds a binary approximation, not the exponent it was written as."""
+    if isinstance(exp, float):
+        raise TypeError("an exact exponent takes no float")
+    return Fraction(exp)
+
+
 def _scale(exp: Rat, D: int) -> int:
     if type(exp) is int:
         return exp * D
-    e = Fraction(exp) * D
+    e = _exact(exp) * D
     if e.denominator != 1:
         raise LatticeMismatch(f"exponent {Fraction(exp)} not on the 1/{D} lattice")
     return e.numerator
@@ -52,8 +60,8 @@ class Monomial:
 
     def __init__(self, coeff=1, q_exp: Rat = 0, z_exp: Rat = 0):
         self.coeff = coeff if isinstance(coeff, Cyc8) else Cyc8(coeff)
-        self.q_exp = Fraction(q_exp)
-        self.z_exp = Fraction(z_exp)
+        self.q_exp = _exact(q_exp)
+        self.z_exp = _exact(z_exp)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.coeff * other.coeff, self.q_exp + other.q_exp,
@@ -62,7 +70,7 @@ class Monomial:
     def pow(self, r: Rat) -> "Monomial":
         """Raise to an exact power; the coefficient must be a known root times
         a rational for fractional r, so we only allow integer r here."""
-        r = Fraction(r)
+        r = _exact(r)
         if r.denominator != 1:
             raise ValueError("fractional powers of general monomials are not defined")
         k = r.numerator

@@ -210,6 +210,19 @@ def test_jet_products_track_valuation_and_exact_order():
     assert prod.regular("prod").deriv(1).value == 2
 
 
+def _holomorphic_blocks(tau, nstar):
+    """F's blocks at c = -nstar tau, and FF's holomorphic block at 0: the
+    jet assembly of F-hat and FF fed mu's jets instead of mu-hat's, at the
+    jets' guard precision as in the package."""
+    bits = mp.prec
+    with mp.workprec(bits + completion.JET_GUARD):
+        theta, mu, diag, cross = completion._fhat_kernels(tau, nstar, bits)
+        plan = kernels.TauPlan(tau)
+        theta0, (mu0,) = completion._center_jets(plan, plan.mu(completion._w_point(tau, 0)), 0, bits)
+        return (completion._fhat_blocks(theta, mu, diag, cross),
+                completion._fcal_block(tau, theta0, mu0, bits))
+
+
 @pytest.mark.parametrize("im_tau", ["1.36", "0.93", "0.1", "0.0104"])
 def test_jets_match_contour_quadrature(im_tau):
     # every holomorphic block against trapezoidal quadrature of its own
@@ -219,7 +232,7 @@ def test_jets_match_contour_quadrature(im_tau):
     plan = kernels.TauPlan(tau)
     q18 = qpow(tau, -F(1, 8))
     mu_w0 = plan.mu(completion._w_point(tau, 0))
-    ff, _ = completion._fcal_block(tau)
+    _, ff = _holomorphic_blocks(tau, 0)
     want, = completion.contour_derivs(
         lambda z: (q18 * mp.expjpi(z) * plan.theta(z) * mu_w0(z)[0],), 0, r, (0, 1, 2))
     for m in (0, 1, 2):
@@ -233,7 +246,7 @@ def test_jets_match_contour_quadrature(im_tau):
 
     def blocks(z):
         t, mu = plan.theta(z), mus(z)
-        out = [t * mu[0], t * mu[1]]
+        out = []
         for a in (0, 1):
             for b in (0, 1):
                 second = (-eta3 * th[2 + a] / (th[a] * th[b]) * mu[2 + a] if a == b
@@ -242,12 +255,41 @@ def test_jets_match_contour_quadrature(im_tau):
         return out
 
     for nstar in (0, -1):
-        p, h, *_ = completion._fhat_blocks(tau, nstar)
-        jets = p + [h[a, b] for a in (0, 1) for b in (0, 1)]
+        h, _ = _holomorphic_blocks(tau, nstar)
         wants = completion.contour_derivs(blocks, -nstar * tau, r, (0, 1))
-        for i, (jet, want) in enumerate(zip(jets, wants)):
+        for (ab, jet), want in zip(h.items(), wants):
             for m in (0, 1):
-                assert abs(jet.deriv(m).value - want[m].value) <= want[m].err, (nstar, i, m)
+                assert abs(jet.deriv(m).value - want[m].value) <= want[m].err, (nstar, ab, m)
+
+
+def test_R_part_of_the_center_jets_is_the_rstar_closed_form():
+    # F-hat's block from mu-hat's jets minus F's from mu's, at delta^0, is
+    # R*(c, w_a, w_b) at c = 0 and c = tau, by the closed forms' own route
+    for nstar in (0, -1):
+        c = -nstar * TAU
+        fhat = completion._fhat_center_jets(TAU, nstar)
+        f, _ = _holomorphic_blocks(TAU, nstar)
+        for (a, b), jet in fhat.items():
+            got = jet.deriv(0).value - f[a, b].deriv(0).value
+            want = completion.Rstar_numeric(c, completion._w_point(TAU, a),
+                                            completion._w_point(TAU, b), TAU)
+            assert abs(got - want) < 1e-40, (nstar, a, b)
+
+
+def test_jet_exactness_guards_R_missing_second_derivative():
+    # R's jet stops at delta^1; FF's jet still reaches delta^2 because
+    # theta(0) = 0, but a product of mu-hat and R without theta does not
+    w0 = completion._w_point(TAU, 0)
+    R = completion._R_jet(-w0, TAU)
+    assert (R.val, R.exact) == (0, 1)
+    plan = kernels.TauPlan(TAU)
+    theta, (mu,) = completion._center_jets(plan, plan.mu(w0), 0, mp.prec)
+    mu_hat = completion._muhat_jet(mu, R)
+    ff = completion._fcal_block(TAU, theta, mu_hat, mp.prec)
+    assert ff.exact == 2
+    assert abs(ff.deriv(2).value - completion.fcal_derivs(TAU)[2].value) < 1e-40
+    with pytest.raises(ValueError):
+        (mu_hat * R).deriv(2)
 
 
 def test_non_removable_block_is_refused():
@@ -264,15 +306,17 @@ def test_non_removable_block_is_refused():
             theta.recip().regular("1/theta")
 
 
-def test_jet_allowances_are_taken_at_the_working_precision():
+def test_jet_allowances_are_taken_at_the_working_precision(monkeypatch):
     # the jets are assembled JET_GUARD bits up, but a kernel coefficient's
     # allowance is (|x| + 1) 2^(16 - prec) at the caller's prec, so the
     # blocks' bounds stay far above that allowance taken JET_GUARD bits up
     floor = 2.0 ** (16 - mp.prec - completion.JET_GUARD // 2)
     assert completion.fcal_derivs(TAU)[0].err > floor
+    # with R's jet an exact zero, F-hat's blocks keep only the allowances of
+    # the holomorphic kernels
+    monkeypatch.setattr(completion, "_R_jet", lambda z, tau: completion.Jet(0, 1, [0, 0], [0.0, 0.0]))
     for nstar in (0, -1):
-        p, h, *_ = completion._fhat_blocks(TAU, nstar)
-        assert min(jet.err[0] for jet in p + list(h.values())) > floor
+        assert min(jet.err[0] for jet in completion._fhat_center_jets(TAU, nstar).values()) > floor
 
 
 def test_hhat1_vanishes():
@@ -341,6 +385,13 @@ def test_error_budgets_are_honest():
     p192 = at(192, completion.phat_omega_numeric, t)
     p320 = at(320, completion.phat_omega_numeric, t)
     assert abs(p192.value - p320.value) < p192.err
+    # H-hat-2's R-part budget comes from the jets too
+    lo2 = at(96, completion.hhat2_numeric, TAU)
+    hi2 = at(192, completion.hhat2_numeric, TAU)
+    assert abs(lo2.value - hi2.value) < lo2.err
+    h192 = at(192, completion.hhat2_numeric, t)
+    h320 = at(320, completion.hhat2_numeric, t)
+    assert abs(h192.value - h320.value) < h192.err
 
 
 def test_f3_dual_route():

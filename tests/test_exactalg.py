@@ -58,6 +58,23 @@ def test_exact_values_refuse_floats():
         QSeries.one(1, 5).scale(0.5)
 
 
+def test_exact_exponents_refuse_floats():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10: a float
+    # exponent is refused, whether or not its binary value is on the lattice
+    with pytest.raises(TypeError):
+        Monomial(1, 0.1)
+    with pytest.raises(TypeError):
+        Monomial(1, 0, 0.5)
+    with pytest.raises(TypeError):
+        Monomial(1, 1).pow(2.0)
+    with pytest.raises(TypeError):
+        QSeries.one(2, 5).shift(0.5)
+    with pytest.raises(TypeError):
+        QSeries.one(10, 5).shift(0.1)
+    assert Monomial(1, F(1, 10)).q_exp == F(1, 10)
+    assert QSeries.one(2, 5).shift(F(1, 2)) == QSeries.one(2, 5).mul_monomial(Monomial(1, F(1, 2)))
+
+
 def test_zero_division_raises():
     with pytest.raises(ZeroDivisionError):
         Cyc8(0).inverse()

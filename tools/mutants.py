@@ -327,12 +327,27 @@ MUTANTS = [
     # the jets' rounding allowances taken inside the JET_GUARD context,
     # 2^24 tighter than the working precision's
     ("src/pwomega/completion.py",
-     "JET_GUARD):\n        eta3 = kernels.eta(tau) ** 3\n",
-     "JET_GUARD):\n        bits = mp.prec\n        eta3 = kernels.eta(tau) ** 3\n",
+     "JET_GUARD):\n        theta, mu, diag, cross",
+     "JET_GUARD):\n        bits = mp.prec\n        theta, mu, diag, cross",
      ["tests/test_completion.py"]),
     ("src/pwomega/completion.py",
      "JET_GUARD):\n        plan = kernels.TauPlan(tau)\n",
      "JET_GUARD):\n        bits = mp.prec\n        plan = kernels.TauPlan(tau)\n",
+     ["tests/test_completion.py"]),
+    # mu-hat's jet with -(i/2) R, the quarter-shift weight i^(a+b) for
+    # i^(-a-b), H-hat-2 without F-hat's z-derivative at 0, R's jet cut to
+    # its value
+    ("src/pwomega/completion.py",
+     "return mu + R.scale(0.5j)", "return mu + R.scale(-0.5j)",
+     ["tests/test_completion.py"]),
+    ("src/pwomega/completion.py",
+     "h.scale((-1j) ** (a + b))", "h.scale(1j ** (a + b))",
+     ["tests/test_completion.py"]),
+    ("src/pwomega/completion.py",
+     "val = (f0.value + df0.value / two_pi_i) / q14", "val = f0.value / q14",
+     ["tests/test_completion.py"]),
+    ("src/pwomega/completion.py",
+     "kernels._R_terms(z, tau)[:2]", "kernels._R_terms(z, tau)[:1]",
      ["tests/test_completion.py"]),
 ]
 
