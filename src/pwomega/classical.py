@@ -10,12 +10,14 @@ stays inside Q(zeta8) exactly when the denominator of b divides 4.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, count, repeat, takewhile
 from typing import List, Tuple, Union
 
-from .cyc8 import Cyc8
+from .cyc8 import Cyc8, ONE
 from .errors import (BadSpec, NonExpandableDenominator, RootOfUnityOutsideCyc8,
                      SpecializationPole)
 from .jseries import JSeries
@@ -153,7 +155,6 @@ def _frac_mod1(t: Fraction) -> Fraction:
 
 
 def _isqrt_ceil(x: Fraction) -> int:
-    import math
     return math.isqrt(max(0, int(x))) + 1
 
 
@@ -241,13 +242,8 @@ def finite_jtp_sides(n: int, N) -> Tuple[JSeries, JSeries]:
 # ---------------------------------------------------------------------------
 
 def _neg_floor_of_poch(mono: Monomial) -> Fraction:
-    """Lower bound for the floor of (mono; q)_n, uniform in n."""
-    pad = F(0)
-    j = 0
-    while mono.q_exp + j < 0:
-        pad += mono.q_exp + j
-        j += 1
-    return pad
+    """A floor bound for (mono; q)_n uniform in n: its negative factor exponents summed."""
+    return sum((mono.q_exp + j for j in range(math.ceil(-mono.q_exp))), F(0))
 
 
 def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> Tuple[QSeries, QSeries]:
@@ -283,28 +279,13 @@ def heine_sides(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> Tuple[
 
 
 def _phi21(a: Monomial, b: Monomial, c: Monomial, z: Monomial, N) -> QSeries:
-    """sum_{n>=0} (a)_n (b)_n z^n / ((c)_n (q)_n) to O(q^N), for z with
-    positive q-exponent: the n-th term starts at or above n * z.q_exp plus
-    the floors of (a)_n and (b)_n, which ends the sum.
-
-    The ratio (a)_n (b)_n / ((c)_n (q)_n) is carried from n - 1 to n by one
-    chain of two binomial products and two binomial quotients, O(N) each.
-    A factor with exponent e < 0 is a monomial q^e times a binomial, so the
-    ratio is certified to N plus the floors of (a)_n and (b)_n minus the
-    floor of (c)_n, the order the full products and the inverse of
-    (c)_n (q)_n give."""
+    """sum_{n>=0} (a)_n (b)_n z^n / ((c)_n (q)_n) to O(q^N) as one ratio_sum,
+    for z with positive q-exponent: the n-th term starts at or above
+    n * z.q_exp plus the floors of (a)_n and (b)_n, which ends the sum."""
     neg_pad = _neg_floor_of_poch(a) + _neg_floor_of_poch(b)
-
-    def terms():
-        ratio, zn = QSeries.one(HEINE_D, N), Monomial(1)
-        n = 0
-        while n * z.q_exp + neg_pad < F(N):
-            if n > 0:
-                ratio = ratio.binomials([(-a.coeff, a.q_exp + n - 1, 1),
-                                         (-b.coeff, b.q_exp + n - 1, 1),
-                                         (-c.coeff, c.q_exp + n - 1, -1), (-1, n, -1)])
-                zn = zn * z
-            yield ratio.mul_monomial(zn).truncate(min(F(N), ratio.order_exp()))
-            n += 1
-    return sum_of_series(HEINE_D, terms(), _scale(N, HEINE_D))
-
+    return QSeries.one(HEINE_D, N).ratio_sum(
+        ((zc, n * z.q_exp),
+         [(-a.coeff, a.q_exp + n - 1, 1), (-b.coeff, b.q_exp + n - 1, 1),
+          (-c.coeff, c.q_exp + n - 1, -1), (-1, n, -1)] if n else [], [])
+        for n, zc in zip(takewhile(lambda n: n * z.q_exp + neg_pad < F(N), count()),
+                         accumulate(repeat(z.coeff), Cyc8.__mul__, initial=ONE)))

@@ -18,12 +18,12 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from .cyc8 import Cyc8, I, ONE
+from .cyc8 import Cyc8, I
 from .errors import WindowTooSmall
 from .jseries import JSeries
 from .partitions import census, genfun
-from .qseries import (Monomial, QSeries, _add_root, _add_rows, _binomial_rows, _scale,
-                      over_qpochhammer, pochhammer_factors)
+from .qseries import (Monomial, QSeries, _add_root, _scale, over_qpochhammer,
+                      pochhammer_factors)
 
 F = Fraction
 
@@ -172,25 +172,16 @@ def pwz_lhs_cleared(N, W: int) -> JSeries:
         (q)_inf^2 / (-q; q^2)_inf * sum_{n>=1} (zeta, zeta^{-1}q)_n
                                      (-q; q^2)_n q^n / (q)_{2n}.
 
-    The ratio (zeta, zeta^{-1}q)_n (-q; q^2)_n / (q)_{2n} and the n-sum stay
-    component tables across the whole n-loop (five binomial steps and one
-    shifted add per n); the sum assembles once, for one product by pref."""
+    The n-sum is one ratio_sum with the ratio
+    (zeta, zeta^{-1}q)_n (-q; q^2)_n / (q)_{2n}, times pref."""
     N, D = F(N), PWZ_D
     pref = QSeries.one(D, N).binomials(         # (q)_inf^2 / (-q; q^2)_inf, one chain
         pochhammer_factors(Monomial(1, 1), None, N) * 2
         + pochhammer_factors(Monomial(-1, 1), None, N, step=2, sign=-1))
-
-    order = _scale(N, D)
-    ratio, acc = {}, {}                 # component tables by zeta-row
-    _add_root(ratio, 0, 0, 0)           # the ratio starts at 1
-    for n in range(1, math.ceil(N)):
-        # nothing folds (no exponent < 0, no zeta-free q^0); the ratio only
-        # enters times q^n, so it is kept below order - n*D
-        ratio = _binomial_rows(ratio, [(ONE, (2 * n - 1) * D, 0, 1), (-ONE, (2 * n - 1) * D, 0, -1),
-                                       (-ONE, 2 * n * D, 0, -1), (-ONE, (n - 1) * D, 1, 1),
-                                       (-ONE, n * D, -1, 1)], order - n * D)[0]
-        _add_rows(acc, ratio, ONE, n * D, 0, order)
-    out = JSeries._from_tables(D, 1, order, acc) * pref
+    out = JSeries.one(D, 1, N).ratio_sum(
+        ((1, n, 0), [(1, 2 * n - 1, 0, 1), (-1, 2 * n - 1, 0, -1), (-1, 2 * n, 0, -1),
+                     (-1, n - 1, 1, 1), (-1, n, -1, 1)], [])
+        for n in range(1, math.ceil(N))) * pref
     _check_window(out, W)
     return out.truncate(N)
 

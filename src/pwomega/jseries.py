@@ -9,9 +9,9 @@ monomial) yields a QSeries, with the truncation order reduced by the worst
 leftward exponent shift the substitution can cause.
 
 The rows store component tables and build a Cyc8 only at the boundary, as
-every QSeries does.  Binomial chains (JSeries.binomials, jpochhammer) run on
-copies of them: a zeta-factor c*q^e*zeta^d adds c*q^e times row r - d into
-row r.  indefinite.pwz_lhs_cleared keeps such tables across its n-loop.
+every QSeries does.  Binomial chains (JSeries.binomials, jpochhammer) and the
+carried-ratio walk (JSeries.ratio_sum) run on copies of them: a zeta-factor
+c*q^e*zeta^d adds c*q^e times row r - d into row r.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .cyc8 import Cyc8, ONE, _coerce
 from .errors import LatticeMismatch, PrecisionExhausted
-from .qseries import (Monomial, QSeries, _add_rows, _assemble, _binomial_rows, _scale,
-                      pochhammer_exponents, sum_of_products)
+from .qseries import (Monomial, QSeries, _add_rows, _assemble, _binomial_rows, _copy,
+                      _ratio_rows, _scale, pochhammer_exponents, sum_of_products)
 
 Rat = Union[int, Fraction]
 
@@ -156,14 +156,23 @@ class JSeries:
                        {r: sum_of_products(self.D, p, order) for r, p in pairs.items()},
                        order)
 
+    def _factors(self, factors):
+        return [(_coerce(c), _scale(q, self.D), _scale(z, self.Dz), s) for c, q, z, s in factors]
+
+    def _monomial(self, c, qe, ze):
+        return _coerce(c), _scale(qe, self.D), _scale(ze, self.Dz)
+
     def binomials(self, factors: Iterable[Tuple[object, Rat, Rat, int]]) -> "JSeries":
         """self times (1 + c*q^q_exp*zeta^z_exp)^sign over the factors
         (c, q_exp, z_exp, sign), on copies of the rows' tables, assembled once
         (_binomial_rows); a zeta-quotient raises NonExpandableDenominator."""
         return JSeries._from_tables(self.D, self.Dz, self.order, *_binomial_rows(
-            {r: [dict(t) for t in s.tables] for r, s in self.rows.items()},
-            [(_coerce(c), _scale(qe, self.D), _scale(ze, self.Dz), sign)
-             for c, qe, ze, sign in factors], self.order))
+            _copy({r: s.tables for r, s in self.rows.items()}), self._factors(factors), self.order))
+
+    def ratio_sum(self, steps: Iterable[tuple]) -> "JSeries":
+        """QSeries.ratio_sum on the rows; m_n = (c, q_exp, z_exp) is c*q^q_exp*zeta^z_exp."""
+        acc, order = _ratio_rows(self, {r: s.tables for r, s in self.rows.items()}, steps)
+        return JSeries._from_tables(self.D, self.Dz, order, acc)
 
     def truncate(self, order_exp: Rat) -> "JSeries":
         order = min(self.order, _scale(order_exp, self.D))

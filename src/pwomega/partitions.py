@@ -25,9 +25,8 @@ from itertools import chain, count, takewhile
 from typing import List
 
 from .errors import NoCombinatorialDefinition, ResourceBound
-from .cyc8 import ONE, _coerce
-from .qseries import (Monomial, QSeries, _add_rows, _assemble, _binomial_rows, _scale,
-                      over_qpochhammer, pochhammer_factors, sum_of_series)
+from .qseries import (Monomial, QSeries, _scale, over_qpochhammer, pochhammer_factors,
+                      sum_of_series)
 
 FAMILIES = ("spt", "p_omega", "spt_omega", "pbar_omega", "sptbar_omega", "spt_g2")
 
@@ -107,49 +106,30 @@ def _definition_series(family: str, N) -> QSeries:
       sptbar_omega     p=2  the same R_n
       spt_g2           p=2  R_n = 1/((q^{n+1};q)_n^2 (q^{2n+2};q^2)_inf (q^{4n+2};q^4)_inf)
 
-    R_0 is one chain of the factors of its products ("start"); R_n is
-    R_(n-1) times the binomials 1 + c*q^e of R_n / R_(n-1) (lists "up") over
-    those of "down", and the term divides q^n R_n by (1-q^n)^p.  As in
-    indefinite.pwz_lhs_cleared, R_n stays component tables across the n-loop,
-    below order - n as it enters times q^n; each term divides a copy of them
-    and adds, shifted, into one accumulator that assembles once.
+    as one ratio_sum: R_0 is one chain of the factors of its products
+    ("start"), R_n / R_(n-1) the binomials (1 + c*q^(a*n + b))^sign over the
+    (c, a, b, sign) of "ratio", and (1-q^n)^-p the extra factors of term n.
     """
     if family == "spt":
         start = pochhammer_factors(Monomial(1, 1), None, N, sign=-1)
-        def steps(n):
-            return [(-1, n)], []
+        ratio = [(-1, 1, 0, 1)]
     elif family in ("p_omega", "spt_omega"):
         start = pochhammer_factors(Monomial(1, 2), None, N, step=2, sign=-1)
-        def steps(n):
-            return [(-1, n)], [(-1, 2 * n - 1)]
+        ratio = [(-1, 1, 0, 1), (-1, 2, -1, -1)]
     elif family in ("pbar_omega", "sptbar_omega"):
         start = (pochhammer_factors(Monomial(-1, 2), None, N, step=2)
                  + pochhammer_factors(Monomial(1, 2), None, N, step=2, sign=-1))
-        def steps(n):
-            return [(1, 2 * n - 1), (-1, n)], [(1, n), (-1, 2 * n - 1)]
+        ratio = [(1, 2, -1, 1), (-1, 1, 0, 1), (1, 1, 0, -1), (-1, 2, -1, -1)]
     elif family == "spt_g2":
         start = (pochhammer_factors(Monomial(1, 2), None, N, step=2, sign=-1)
                  + pochhammer_factors(Monomial(1, 2), None, N, step=4, sign=-1))
-        def steps(n):
-            return ([(-1, n), (-1, n), (-1, 4 * n - 2)],
-                    [(-1, 2 * n - 1), (-1, 2 * n - 1), (-1, 2 * n)])
+        ratio = [(-1, 1, 0, 1)] * 2 + [(-1, 4, -2, 1)] + [(-1, 2, -1, -1)] * 2 + [(-1, 2, 0, -1)]
     else:
         raise ValueError(f"unknown family {family!r}")
     power = 1 if family in ("p_omega", "pbar_omega") else 2
-
-    def times(rows, factors, top):      # the factors (c, e, sign), in place below top
-        _binomial_rows(rows, [(_coerce(c), e, 0, sign) for c, e, sign in factors], top)
-
-    order = _scale(N, 1)
-    ratio, acc = {0: ({0: 1}, {}, {}, {})}, {0: ({}, {}, {}, {})}
-    times(ratio, start, order)
-    for n in range(1, math.ceil(N)):
-        up, down = steps(n)
-        times(ratio, [(c, e, 1) for c, e in up] + [(c, e, -1) for c, e in down], order - n)
-        term = {0: [dict(t) for t in ratio[0]]}    # the next n divides the ratio's own tables
-        times(term, [(-1, n, -1)] * power, order - n)
-        _add_rows(acc, term, ONE, n, 0, order)
-    return _assemble(1, acc[0], order)
+    return QSeries.one(1, N).binomials(start).ratio_sum(
+        ((1, n), [(c, a * n + b, sign) for c, a, b, sign in ratio], [(-1, n, -1)] * power)
+        for n in range(1, math.ceil(N)))
 
 
 def _appell_series(family: str, N) -> QSeries:

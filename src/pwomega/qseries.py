@@ -12,16 +12,17 @@ component an int unless non-integral.  Every walk works on these tables as
 plain numbers and builds fresh ones through _assemble: sums (sum_of_series,
 which + is, and from_terms) add into one set of tables, products
 (sum_of_products) convolve pairs of tables, and a chain of binomial factors
-(1 + c*q^e)^(+-1) (QSeries.binomials) updates a copy in place and folds the
-factors with e <= 0 into one monomial.  The chain takes each row's span
-(least key lo, gcd G of the keys) once and keeps it across its steps: a
-quotient walks from lo + e to the order in steps of gcd(G, e), O(N - e); a
-product by a rational c walks the stored keys in descending order.
-q-Pochhammer products and quotients are such chains, and JSeries.binomials
-runs the same chain (_binomial_rows) on tables keyed by zeta-row.  A stored
-series is never written.  A Cyc8 is built only at the boundary (indexing,
-terms(), coeff, to_pairs, eval_mpc, first_mismatch's witness) and for
-factors.
+(1 + c*q^e)^(+-1) (QSeries.binomials, _binomial_rows) updates a copy in
+place, O(N) per product and O(N - e) per quotient, and folds the factors
+with e <= 0 into one monomial.  q-Pochhammer products and quotients are such
+chains; JSeries.binomials runs them on tables keyed by zeta-row.  A
+q-factorial sum sum_n m_n R_n E_n (ratio_sum, _ratio_rows) carries its ratio
+R_n as one chain's tables across the n-loop, below the order minus the shift
+of m_n, applies the extra factors E_n to a copy, and adds every term into
+one accumulator, assembled once; folded monomials lower its order, never
+raise it.  A stored series is never written.  A Cyc8 is built only at the
+boundary (indexing, terms(), coeff, to_pairs, eval_mpc, first_mismatch's
+witness) and for factors.
 """
 
 from __future__ import annotations
@@ -257,6 +258,12 @@ class QSeries:
                 inv[k] = mul4(m, (s0, s1, s2, s3))
         return _assemble(self.D, [{k - f: c[i] for k, c in inv.items()} for i in range(4)], n - f)
 
+    def _monomial(self, c, exp):
+        return _coerce(c), _scale(exp, self.D), 0
+
+    def _factors(self, factors):
+        return [(_coerce(c), _scale(exp, self.D), 0, sign) for c, exp, sign in factors]
+
     def binomials(self, factors: Iterable[Tuple[object, Rat, int]]) -> "QSeries":
         """self times (1 + c*q^exp)^sign over the factors (c, exp, sign),
         sign = +1 or -1: _binomial_rows on a copy of self's tables, O(N) per
@@ -264,10 +271,16 @@ class QSeries:
         factors with exp <= 0 fold into one monomial, so a product's order
         drops by |exp| and a quotient's rises by |exp|, as with the factor's
         series or its inverse."""
-        rows, coef, shift, _ = _binomial_rows(
-            {0: [dict(t) for t in self.tables]},
-            [(_coerce(c), _scale(exp, self.D), 0, sign) for c, exp, sign in factors], self.order)
+        rows, coef, shift, _ = _binomial_rows(_copy({0: self.tables}), self._factors(factors),
+                                              self.order)
         return _assemble(self.D, rows[0], self.order, coef, shift)
+
+    def ratio_sum(self, steps: Iterable[tuple]) -> "QSeries":
+        """sum_n m_n R_n E_n over the steps (m_n, carried, extra), m_n = (c, exp)
+        for c*q^exp, the factors as binomials takes them: R_n is R_(n-1) (R_0 =
+        self) times the carried ones, E_n the extra ones (_ratio_rows)."""
+        acc, order = _ratio_rows(self, {0: self.tables}, steps)
+        return _assemble(self.D, acc.get(0, ({}, {}, {}, {})), order)
 
     def pow(self, k: int) -> "QSeries":
         """self^k for k >= 0; a quotient is a binomial chain or QSeries.invert."""
@@ -379,13 +392,15 @@ def _spans(rows, order: int):
             for r, tables in rows.items()}
 
 
-def _binomial_rows(rows, factors, order: int):
+def _binomial_rows(rows, factors, order: int, coef: Cyc8 = ONE, shift: int = 0,
+                   dshift: int = 0):
     """The factors (c, e, d, sign) = (1 + c*zeta^d*q^e)^sign, scaled int
     exponents, on component tables keyed by zeta-row, in place at the order:
     keys at or past it (a lowered order leaves them behind) are dropped
-    first.  Returns the rows and the monomial (coef, e, d) folded from the
-    factors that are no step: e = d = 0 is the scalar 1 + c, and e < 0 is
-    c*zeta^d*q^e times the step 1 + c^-1*zeta^-d*q^-e.
+    first, from the tables whose greatest key is.  Returns the rows and
+    coef*q^shift*zeta^dshift times the monomial folded from the factors that
+    are no step: e = d = 0 is the scalar 1 + c, and e < 0 is c*zeta^d*q^e
+    times the step 1 + c^-1*zeta^-d*q^-e.
 
     A zeta-step (d != 0) is _add_rows from row r into row r + d.  A step with
     d = 0 works row by row (_multiply_tables, _divide_tables) on the row's
@@ -394,11 +409,9 @@ def _binomial_rows(rows, factors, order: int):
     g becomes the row's G and lo stays (a key that cancels only leaves it
     low).  A zeta-step moves keys between rows; the spans are taken again
     before the next step with d = 0."""
-    for tables in rows.values():
-        for t in tables:
-            for k in [k for k in t if k >= order]:
-                del t[k]
-    coef, shift, dshift = ONE, 0, 0
+    for t in [t for tables in rows.values() for t in tables if t and max(t) >= order]:
+        for k in [k for k in t if k >= order]:
+            del t[k]
     spans = None
     for c, e, d, sign in factors:
         if c.is_zero():
@@ -430,6 +443,27 @@ def _binomial_rows(rows, factors, order: int):
             else:
                 _divide_tables(tables, c, e, lo, g, order)
     return rows, coef, shift, dshift
+
+
+def _copy(rows):
+    """Fresh component tables for a walk that writes them."""
+    return {r: [dict(t) for t in tables] for r, tables in rows.items()}
+
+
+def _ratio_rows(series, rows, steps):
+    """ratio_sum on a copy of the series' rows of tables, the ratio kept below
+    order - e for m_n = c*q^e*zeta^d.  Returns the sum's rows and order."""
+    rows, order = _copy(rows), series.order
+    acc, top, low, mono = {}, order, order, (ONE, 0, 0)
+    for m, carried, extra in steps:
+        c, e, d = series._monomial(*m)
+        top = min(top, order - e)
+        mono = _binomial_rows(rows, series._factors(carried), top, *mono)[1:]
+        term, tc, ts, td = (_binomial_rows(_copy(rows), series._factors(extra), top, *mono)
+                            if extra else (rows, *mono))
+        low = min(low, top + e + ts)
+        _add_rows(acc, term, c * tc, e + ts, d + td, low)
+    return acc, low
 
 
 def _multiply_tables(tables, c: Cyc8, e: int, order: int):

@@ -78,15 +78,20 @@ def _series_check(pairs) -> Dict:
     any iterable: the pairs after the first mismatch are never built.
     Returns ok and the first mismatch's witness.  Two sides truncated at
     different orders are a mismatch (witness: both orders), since comparing
-    them would check only the shorter one's coefficients."""
+    them would check only the shorter one's coefficients.  A part whose two
+    sides are both zero compared nothing and fails, as do no parts at all."""
+    label = None
     for label, a, b in pairs:
         if a.order_exp() != b.order_exp():
             return {"ok": False, "witness": {"part": label, "orders": [
                 str(a.order_exp()), str(b.order_exp())]}}
+        if a.is_zero() and b.is_zero():
+            return {"ok": False, "witness": {"part": label, "compared": "nothing"}}
         mm = a.first_mismatch(b)
         if mm is not None:
             return {"ok": False, "witness": _mismatch_witness(label, mm)}
-    return {"ok": True, "witness": None}
+    ok = label is not None
+    return {"ok": ok, "witness": None if ok else {"part": "no parts"}}
 
 
 def _residual_check(residuals, tol, prec: int) -> Dict:

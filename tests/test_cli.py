@@ -380,6 +380,30 @@ def test_series_check_builds_no_pair_after_a_mismatch():
     assert _series_check(pairs())["witness"]["part"] == "differ"
 
 
+@pytest.mark.parametrize("argv, part", [
+    (("cor-pwrep", "--order", "0"), "definition-vs-triple"),
+    (("finite-jtp", "--order", "0"), "n=0"),
+    (("heine", "--order", "0"), "quarter-root family j=0"),
+    (("thm-pwz", "--order", "0"), "cleared-identity"),
+    (("spt-andrews", "--order", "1"), "spt"),
+])
+def test_exact_check_that_compared_nothing_fails(capsys, argv, part):
+    # every coefficient these runs compare is zero on both sides
+    code, out, _ = run_cli(capsys, "run", *argv)
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "fail"
+    assert report["witness"] == {"part": part, "compared": "nothing"}
+
+
+def test_series_check_fails_with_no_parts_and_passes_a_nonzero_coefficient():
+    assert _series_check([]) == {"ok": False, "witness": {"part": "no parts"}}
+    zero = QSeries.zero(1, 5)
+    assert _series_check([("z", zero, zero)])["witness"] == {"part": "z", "compared": "nothing"}
+    # a part with one non-zero coefficient compared is a check
+    assert run_identity("heine", {"order": 1}).status == "pass"
+    assert run_identity("sptG2-equiv", {"order": 2}).status == "pass"
+
+
 def test_residual_check_fails_at_the_tolerance():
     assert _residual_check([(1e-3, {"part": "a"})], 1e-3, 53)["ok"] is False
     assert _residual_check([(1e-3, {"part": "a"})], 2e-3, 53) == {"ok": True, "worst": 1e-3,

@@ -1,11 +1,14 @@
 """Exact kernel: cyclotomic field, QSeries, JSeries."""
 
+import ast
 import copy
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pwomega
 from pwomega.cyc8 import Cyc8, I, ONE
 from pwomega.errors import (DivergentProduct, LatticeMismatch, NonExpandableDenominator,
                             NonInvertibleLeadingTerm, PrecisionExhausted)
@@ -327,6 +330,48 @@ def test_pochhammer_chains_with_negative_and_zero_factor_exponents(base, n, step
         assert got.order == want.order and got.coeff == want.coeff
 
 
+def ratio_sum_reference(s, steps, chain):
+    """sum_n m_n R_n E_n by one chain (chain_reference or
+    jseries_chain_reference) per ratio step and per term, each term known to
+    s's order plus the order its factors lower or raise, capped at s's."""
+    ratio, out = s, None
+    for m, carried, extra in steps:
+        ratio = chain(ratio, carried)
+        t = chain(ratio, extra)
+        term = t.mul_monomial(Monomial(*m)).truncate(min(s.order_exp(), t.order_exp()))
+        out = term if out is None else out + term
+    return out
+
+
+@pytest.mark.parametrize("D", [1, 2])
+def test_ratio_sum_matches_a_chain_per_term(D):
+    # the ratio carried across the steps, the extra factors on a copy, the
+    # monomials folded from either in the terms and in the order
+    rng = random.Random(700 + D)
+    coeffs = [ONE, Cyc8(-1), Cyc8(3), I, Cyc8(2, 0, -1, 0).inverse()]
+
+    def factors(k):
+        out = []
+        for _ in range(k):
+            c = rng.choice(coeffs)
+            exp = F(rng.choice([rng.randint(1, 3 * D)] * 3 + [rng.randint(-D, -1), 0]), D)
+            if not (exp == 0 and (ONE + c).is_zero()):
+                out.append((c, exp, rng.choice([1, -1])))
+        return out
+
+    for _ in range(8):
+        s = QSeries(D, {0: ONE, **rand_mixed_series(rng, D, 14 * D, floor=0).coeff}, 14 * D)
+        steps, e = [], F(0)
+        for _ in range(rng.randint(1, 5)):
+            e += F(rng.randint(0, 2 * D), D)
+            steps.append(((rng.choice(coeffs), e), factors(rng.randint(0, 3)),
+                          factors(rng.randint(0, 2))))
+        got = s.ratio_sum(steps)
+        want = ratio_sum_reference(s, steps, chain_reference)
+        assert got.order == want.order and got.coeff == want.coeff
+    assert s.ratio_sum([]) == QSeries.zero(D, s.order_exp())
+
+
 def test_chain_at_a_lowered_order_drops_the_keys_past_it():
     # the pwz pattern: tables kept from a longer chain run again at an order
     # below keys they already hold
@@ -496,6 +541,8 @@ def test_walks_write_only_tables_they_made():
         (lambda: a.binomials([(ONE, F(1, 2), 1), (I, 1, 1)]), [a]),
         (lambda: a.binomials([(Cyc8(-1), 1, -1), (Cyc8(F(1, 3)), F(3, 2), -1)]), [a]),
         (lambda: j.binomials([(ONE, 1, 1, 1), (Cyc8(-1), F(1, 2), 0, -1)]), [j]),
+        (lambda: a.ratio_sum([((1, 1), [(I, 1, -1)], [(ONE, 1, 1)])] * 2), [a]),
+        (lambda: j.ratio_sum([((1, 1, 1), [(I, 1, -1, 1)], [(ONE, 1, 0, -1)])]), [j]),
         (lambda: a + b, [a, b]), (lambda: a - b, [a, b]), (lambda: a * b, [a, b]),
         (lambda: a.scale(I), [a]), (lambda: a.shift(F(3, 2)), [a]),
         (lambda: a.mul_monomial(Monomial(Cyc8(2, 0, 1), -1)), [a]),
@@ -782,6 +829,25 @@ def test_jseries_quotient_after_a_zeta_step_walks_the_rows_it_moved():
         assert got.rows == want.rows and got == want
 
 
+def test_jseries_ratio_sum_matches_a_chain_per_term():
+    # zeta-steps in the carried ratio, zeta-carrying monomials
+    rng = random.Random(800)
+    D, Dz = 2, 1
+    for _ in range(4):
+        s, steps = JSeries.one(D, Dz, 9), []
+        for n in range(1, 6):
+            carried = [(rand_coeff(rng), F(rng.randint(0, 2 * D), D), rng.choice([-1, 1]), 1)
+                       for _ in range(2)]
+            carried.append((rng.choice([ONE, Cyc8(-1), I]), F(rng.randint(1, 2 * D), D), 0,
+                            rng.choice([1, -1])))
+            extra = [(Cyc8(-1), n, 0, -1)] * rng.randint(0, 2)
+            steps.append(((rand_coeff(rng), n, rng.randint(-1, 1)), carried, extra))
+        got = s.ratio_sum(steps)
+        want = ratio_sum_reference(s, steps, jseries_chain_reference)
+        assert got.order == want.order
+        assert got.rows == want.rows and got == want
+
+
 def jpochhammer_reference(D, Dz, base, n, order_exp, step=1):
     """(a; q^step)_n as one JSeries product per factor 1 - a*q^e."""
     out = JSeries.one(D, Dz, order_exp)
@@ -819,3 +885,21 @@ def test_output_order_meets_contract():
         b = rand_series(rng, order=70, floor=-5)
         prod = a * b
         assert prod.order >= min(a.order + b.floor_key(), b.order + a.floor_key())
+
+
+TABLE_HELPERS = {"_add_rows", "_binomial_rows", "_ratio_rows", "_assemble", "_multiply_tables",
+                 "_divide_tables", "_spans", "_add_root"}
+
+
+def test_component_tables_stay_behind_the_exact_kernel():
+    # outside qseries and jseries no module imports a table helper; the one
+    # exception is indefinite's _add_root, which builds pwz_rhs_cleared's
+    # root tables
+    found = set()
+    for path in Path(pwomega.__file__).parent.glob("*.py"):
+        if path.stem in ("qseries", "jseries"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("qseries"):
+                found |= {(path.stem, a.name) for a in node.names if a.name in TABLE_HELPERS}
+    assert found <= {("indefinite", "_add_root")}
