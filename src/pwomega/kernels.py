@@ -7,7 +7,7 @@ Conventions:
     truncates tails below 2^-(prec+TAIL_GUARD) relative to the largest term,
     so callers get full working accuracy.  workprec(P), which sets P + GUARD
     working bits, is the numeric layer's one precision boundary: the
-    registry's numeric runners and the tests open it.
+    registry's one check (_check) and the tests open it.
   * R and its z-derivatives treat z as a real-analytic variable: the
     derivative is the Wirtinger d/dz, with the E-factor's dependence on
     y = Im z entering through dy/dz = 1/(2i).

@@ -249,8 +249,10 @@ def weight_transform_residual(f: Callable, k: Fraction, mult, M: GroupElement, t
 # finite-difference differential operators
 # ---------------------------------------------------------------------------
 
-FD_STEP_FIRST = mp.mpf(10) ** -4
-FD_STEP_SECOND = mp.mpf(10) ** -3
+# the steps are the doubles nearest 1e-4 and 1e-3, whatever the precision
+# in effect when this module is first imported
+FD_STEP_FIRST = mp.mpf(1e-4)
+FD_STEP_SECOND = mp.mpf(1e-3)
 
 
 def _dtaubar_fd(f: Callable, tau, h):

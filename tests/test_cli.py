@@ -15,8 +15,8 @@ from pwomega.cyc8 import Cyc8
 from pwomega.errors import UndeclaredParameter
 from pwomega.jseries import JSeries
 from pwomega.qseries import QSeries
-from pwomega.registry import (DEFAULT_TAUS, REGISTRY, _residual_check, _series_check,
-                              run_identity)
+from pwomega import registry
+from pwomega.registry import DEFAULT_TAUS, REGISTRY, _check, run_identity
 
 
 def run_cli(capsys, *argv):
@@ -48,7 +48,7 @@ def test_run_unknown_identity(capsys):
 
 
 def test_undeclared_override_is_refused(capsys):
-    # brz-F reads no order and finite-jtp no prec: refused before the runner
+    # brz-F reads no order and finite-jtp no prec: refused before the check
     # starts, not echoed into a report
     code, out, err = run_cli(capsys, "run", "brz-F", "--order", "10")
     assert code == 2 and out == ""
@@ -339,16 +339,16 @@ def test_registry_exposes_documented_ids():
 def test_series_check_witness_keys():
     q1 = QSeries.from_terms(1, [(0, Cyc8(1)), (2, Cyc8(3))], 5)
     q2 = QSeries.from_terms(1, [(0, Cyc8(1)), (2, Cyc8(4))], 5)
-    out = _series_check([("same", q1, q1), ("q", q1, q2)])
+    out = _check([("same", q1, q1), ("q", q1, q2)], None, None)
     assert out == {"ok": False, "witness": {"part": "q", "exponent": "2",
                                             "lhs": str(Cyc8(3)), "rhs": str(Cyc8(4))}}
     j1 = JSeries.from_terms(1, 1, [(1, -2, Cyc8(1))], 5)
     j2 = JSeries.from_terms(1, 1, [(1, -2, Cyc8(2))], 5)
-    out = _series_check([("j", j1, j2)])
+    out = _check([("j", j1, j2)], None, None)
     assert out == {"ok": False, "witness": {"part": "j", "q_exponent": "1",
                                             "zeta_exponent": "-2",
                                             "lhs": str(Cyc8(1)), "rhs": str(Cyc8(2))}}
-    assert _series_check([("q", q1, q1), ("j", j1, j1)]) == {"ok": True, "witness": None}
+    assert _check([("q", q1, q1), ("j", j1, j1)], None, None) == {"ok": True, "witness": None}
 
 
 def test_series_check_fails_sides_of_different_orders():
@@ -356,28 +356,33 @@ def test_series_check_fails_sides_of_different_orders():
     # both are cut there
     a, b = QSeries(1, {0: Cyc8(1)}, 0), QSeries(1, {0: Cyc8(2)}, 5)
     assert a != b and a == b.truncate(0)
-    out = _series_check([("q", a, b)])
+    out = _check([("q", a, b)], None, None)
     assert out == {"ok": False, "witness": {"part": "q", "orders": ["0", "5"]}}
     j1 = JSeries.from_terms(1, 1, [(0, 1, Cyc8(1)), (4, -1, Cyc8(3))], 3)
     j2 = JSeries.from_terms(1, 1, [(0, 1, Cyc8(1))], 5)
     assert j1 != j2 and j1 == j2.truncate(3)
-    out = _series_check([("j", j1, j2)])
+    out = _check([("j", j1, j2)], None, None)
     assert out == {"ok": False, "witness": {"part": "j", "orders": ["3", "5"]}}
-    assert _series_check([("j", j1, j2.truncate(3))]) == {"ok": True, "witness": None}
+    assert _check([("j", j1, j2.truncate(3))], None, None) == {"ok": True, "witness": None}
     half = QSeries.from_terms(2, [(0, Cyc8(1))], F(5, 2))
-    assert _series_check([("h", half, half.truncate(2))])["witness"]["orders"] == ["5/2", "2"]
+    assert _check([("h", half, half.truncate(2))], None, None)["witness"]["orders"] == ["5/2", "2"]
 
 
 def test_series_check_builds_no_pair_after_a_mismatch():
     q1 = QSeries.from_terms(1, [(0, Cyc8(1))], 5)
     q2 = QSeries.from_terms(1, [(0, Cyc8(2))], 5)
 
-    def pairs():
+    def pairs(*after):
         yield "same", q1, q1
         yield "differ", q1, q2
+        yield from after
         raise AssertionError("a pair was built after the first mismatch")
 
-    assert _series_check(pairs())["witness"]["part"] == "differ"
+    assert _check(pairs(), None, None)["witness"]["part"] == "differ"
+    # nor is a numeric part after the failing pair
+    assert _check(pairs((0.0, {"part": "numeric"})), 1.0, 53) == {
+        "ok": False, "worst": None, "witness": {"part": "differ", "exponent": "0",
+                                                "lhs": str(Cyc8(1)), "rhs": str(Cyc8(2))}}
 
 
 @pytest.mark.parametrize("argv, part", [
@@ -396,29 +401,37 @@ def test_exact_check_that_compared_nothing_fails(capsys, argv, part):
 
 
 def test_series_check_fails_with_no_parts_and_passes_a_nonzero_coefficient():
-    assert _series_check([]) == {"ok": False, "witness": {"part": "no parts"}}
+    assert _check([], None, None) == {"ok": False, "witness": {"part": "no parts"}}
     zero = QSeries.zero(1, 5)
-    assert _series_check([("z", zero, zero)])["witness"] == {"part": "z", "compared": "nothing"}
+    assert _check([("z", zero, zero)], None, None)["witness"] == {"part": "z",
+                                                                  "compared": "nothing"}
     # a part with one non-zero coefficient compared is a check
     assert run_identity("heine", {"order": 1}).status == "pass"
     assert run_identity("sptG2-equiv", {"order": 2}).status == "pass"
 
 
 def test_residual_check_fails_at_the_tolerance():
-    assert _residual_check([(1e-3, {"part": "a"})], 1e-3, 53)["ok"] is False
-    assert _residual_check([(1e-3, {"part": "a"})], 2e-3, 53) == {"ok": True, "worst": 1e-3,
-                                                                   "witness": None}
+    assert _check([(1e-3, {"part": "a"})], 1e-3, 53)["ok"] is False
+    assert _check([(1e-3, {"part": "a"})], 2e-3, 53) == {"ok": True, "worst": 1e-3,
+                                                          "witness": None}
 
 
 def test_residual_check_witness_is_the_worst():
-    out = _residual_check([(1.0, {"part": "a"}), (3.0, {"part": "b"}),
-                           (2.0, {"part": "c"})], 0.5, 53)
+    out = _check([(1.0, {"part": "a"}), (3.0, {"part": "b"}),
+                  (2.0, {"part": "c"})], 0.5, 53)
     assert out == {"ok": False, "worst": 3.0, "witness": {"part": "b"}}
 
 
+@pytest.mark.parametrize("parts", [[(1e-30, {"part": "a"}), (float("nan"), {"part": "nan"})],
+                                   [(float("nan"), {"part": "nan"}), (1e-30, {"part": "a"})]])
+def test_check_takes_a_nan_residual_as_the_worst(parts):
+    out = _check(parts, 1e-20, 53)
+    assert out["ok"] is False and out["witness"] == {"part": "nan"}
+
+
 def test_no_residuals_is_a_failure(tmp_path, capsys):
-    assert _residual_check([], 1.0, 53) == {"ok": False, "worst": None,
-                                            "witness": {"part": "no residuals"}}
+    assert _check([], 1.0, 53) == {"ok": False, "worst": None,
+                                   "witness": {"part": "no residuals"}}
     assert run_identity("hhat1-zero", {"taus": []}).status == "fail"
     lowering = run_identity("phat-lowering", {"taus": []})
     assert lowering.status == "fail" and lowering.witness == {"part": "no residuals"}
@@ -449,6 +462,33 @@ def test_mu_laws_reports_the_tolerance_it_applied():
     assert rep.status == "pass"
     assert rep.tolerance == 2.0 ** -118 and rep.params["tolerance"] == 2.0 ** -118
     assert rep.to_dict()["tolerance"] == 2.0 ** -118
+
+
+def test_mu_laws_laplacian_is_a_stage_after_the_laws():
+    rep = run_identity("mu-laws", {"laplacian_tolerance": 0.0})
+    assert rep.status == "fail" and rep.witness == {"part": "laplacian muhat"}
+    assert 0 < rep.worst_residual < 1e-5
+    # the laws are decided before the Laplacian: they fail first
+    rep = run_identity("mu-laws", {"tolerance": 0.0, "laplacian_tolerance": 0.0})
+    assert rep.status == "fail" and rep.witness == {"part": "mu-symmetry"}
+
+
+def test_phat_holpart_fails_on_its_decay_criterion():
+    # below a tolerance of 1 the v = 4 residual passes; it does not decay
+    # tenfold from v = 3, so the report is the v = 4 residual's
+    rep = run_identity("phat-holpart", {"tolerance": 1.0})
+    assert rep.status == "fail"
+    assert rep.worst_residual == rep.witness["residual_v4"] < 1.0
+    assert rep.witness["part"] == "literal holomorphic-part criterion"
+
+
+def test_cor_pwrep_fails_on_a_g_mismatch(monkeypatch):
+    monkeypatch.setattr(registry, "g_equals_sum_of_f_mismatch",
+                        lambda N: ((7, 1, 1, 1), Cyc8(0), Cyc8(-4)))
+    rep = run_identity("cor-pwrep", {"order": 20})
+    assert rep.status == "fail"
+    assert rep.witness == {"part": "G=sum F", "exponent": "(7, 1, 1, 1)",
+                           "lhs": str(Cyc8(0)), "rhs": str(Cyc8(-4))}
 
 
 # Runs in a fresh interpreter: this one has long since imported mpmath.

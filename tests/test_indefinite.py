@@ -168,7 +168,7 @@ def test_pwz_coefficient_formula_reports_shifted_series():
 
 
 def test_pwz_cleared_series_truncates_to_lower_order():
-    # the thm-pwz runner checks the per-j formula on the order-25 series cut at 20
+    # the thm-pwz parts check the per-j formula on the order-25 series cut at 20
     cut = pwz_lhs_cleared(25, 25).truncate(20)
     direct = pwz_lhs_cleared(20, 25)
     assert cut.order == direct.order

@@ -1,7 +1,11 @@
 """Group membership, multiplier systems, and finite-difference operators."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -180,6 +184,25 @@ def test_xi_consistent_with_lowering():
 def test_laplacian_annihilates_eta():
     val = laplacian_fd(kernels.eta, F(1, 2), mp.mpc(0.1, 1.2))
     assert abs(val) < 1e-6
+
+
+# Runs in a fresh interpreter: this one has long since imported modular.
+FD_STEP_SCRIPT = """
+from mpmath import mp
+from pwomega.kernels import workprec
+with workprec(160):
+    from pwomega import modular
+assert modular.FD_STEP_FIRST == mp.mpf(1e-4), modular.FD_STEP_FIRST
+assert modular.FD_STEP_SECOND == mp.mpf(1e-3), modular.FD_STEP_SECOND
+"""
+
+
+def test_fd_steps_do_not_depend_on_the_import_precision():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", FD_STEP_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_weight_transform_residual_eta():

@@ -231,17 +231,46 @@ MUTANTS = [
      ["tests/test_cli.py"]),
     # an exact check that compared nothing passing
     ("src/pwomega/registry.py",
-     "        if a.is_zero() and b.is_zero():\n", "        if False:\n",
+     "    elif a.is_zero() and b.is_zero():\n", "    elif False:\n",
      ["tests/test_cli.py"]),
     ("src/pwomega/registry.py",
-     "if a.order_exp() != b.order_exp():", "if False:",
+     "elif a.order_exp() != b.order_exp():", "elif False:",
      ["tests/test_cli.py"]),
     ("src/pwomega/registry.py",
-     "res > worst", "res < worst",
+     "part[0] > worst or", "part[0] < worst or",
      ["tests/test_cli.py"]),
     ("src/pwomega/registry.py",
-     "ok = worst < tol", "ok = worst <= tol",
+     "_result(worst < tol, worst, wit, tol)", "_result(worst <= tol, worst, wit, tol)",
      ["tests/test_cli.py"]),
+    # the check: a NaN residual passing after a finite one, or a finite one
+    # replacing a NaN; the worst so far not decided before a part with its
+    # own tolerance; a route's own mismatch ignored
+    ("src/pwomega/registry.py",
+     "part[0] > worst or part[0] != part[0]:", "part[0] > worst:",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/registry.py",
+     "part[0] > worst or part[0] != part[0]:", "not part[0] <= worst:",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/registry.py",
+     "                if worst is not None and not worst < tol:\n"
+     "                    return _result(False, worst, wit, tol)\n", "",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/registry.py",
+     "    if b is None:\n        mm = a\n", "    if b is None:\n        mm = None\n",
+     ["tests/test_cli.py"]),
+    # the criteria that are parts: phat-holpart's decay factor 10 taken as 1,
+    # mu-laws' Laplacian dropped
+    ("src/pwomega/registry.py",
+     "yield res[4], witness, res[3] / 10", "yield res[4], witness, res[3] / 1",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/registry.py",
+     "    yield float(abs(lap)), {\"part\": \"laplacian muhat\"}, params[\"laplacian_tolerance\"]\n",
+     "",
+     ["tests/test_cli.py"]),
+    # the finite-difference steps rounded at the precision of modular's import
+    ("src/pwomega/modular.py",
+     "FD_STEP_FIRST = mp.mpf(1e-4)", "FD_STEP_FIRST = mp.mpf(10) ** -4",
+     ["tests/test_modular.py"]),
     # the zeta-steps of the two-variable chains: the target row, the
     # q-shift, the order rows are taken in; the cleared pwz series' shifted
     # add and the walk's ratio one step short; G = sum F's and
@@ -303,10 +332,17 @@ MUTANTS = [
      ["tests/test_exactalg.py"]),
     # mu-laws reports the default tolerance as null instead of the one applied
     ("src/pwomega/registry.py",
-     "    if params[\"tolerance\"] is None:\n"
-     "        params[\"tolerance\"] = 2.0 ** (-P + 10)      # reported as the one applied\n"
-     "    tol = params[\"tolerance\"]\n",
-     "    tol = params[\"tolerance\"] if params[\"tolerance\"] is not None else 2.0 ** (-P + 10)\n",
+     "        params[\"tolerance\"] = 2.0 ** (10 - params[\"prec\"])   # registered with none\n"
+     "    t0 = time.time()\n"
+     "    try:\n"
+     "        result = _check(ident.parts(params), params.get(\"tolerance\"), params.get(\"prec\"))\n",
+     "        pass\n"
+     "    t0 = time.time()\n"
+     "    try:\n"
+     "        tol = params.get(\"tolerance\")\n"
+     "        if \"prec\" in params and tol is None:\n"
+     "            tol = 2.0 ** (10 - params[\"prec\"])\n"
+     "        result = _check(ident.parts(params), tol, params.get(\"prec\"))\n",
      ["tests/test_cli.py"]),
     # the exact path loads no numeric module: neither the registry nor
     # `expand` of an exact object
@@ -318,14 +354,20 @@ MUTANTS = [
      "def _expand_object(name: str, N: int) -> QSeries:\n",
      "def _expand_object(name: str, N: int) -> QSeries:\n    from . import appell\n",
      ["tests/test_cli.py"]),
-    # numeric residuals taken at the default 53 bits, not at the runner's
-    # prec: in _residual_check, or by a runner that computes them before
-    # _residual_check opens the precision
+    # numeric residuals taken at the default 53 bits, not at the identity's
+    # prec: by _check, by a parts function that computes them before _check
+    # opens the precision, or by every part built before the first is taken
     ("src/pwomega/registry.py",
-     "    with workprec(prec):\n", "    if True:\n",
+     "        scope = workprec(prec)\n", "        scope = nullcontext()\n",
      ["tests/test_acceptance.py"]),
     ("src/pwomega/registry.py",
-     "_residual_check(((float(abs(hhat1_numeric(", "_residual_check(list((float(abs(hhat1_numeric(",
+     "    for tt in params[\"taus\"]:\n"
+     "        yield float(abs(hhat1_numeric(mp.mpc(*tt)).value)), {\"part\": \"hhat1\"}\n",
+     "    return [(float(abs(hhat1_numeric(mp.mpc(*tt)).value)), {\"part\": \"hhat1\"})\n"
+     "            for tt in params[\"taus\"]]\n",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/registry.py",
+     "_check(ident.parts(params),", "_check(list(ident.parts(params)),",
      ["tests/test_cli.py"]),
     # one home per parameter: an override the identity does not declare
     # accepted silently, the suite passing every identity every override,
