@@ -61,8 +61,8 @@ def theta_transform_check(M: GroupElement, z, tau) -> float:
 
 def _conj_theta(a, b, tau):
     """a, v = Im tau, e^(-2 pi a^2 v), and theta, d/dz theta at modulus
-    -tau-bar and z = -(a tau-bar + b).  With n over 1/2 + Z and
-    x_n = e^(-pi i n^2 tau-bar - 2 pi i n (a tau-bar + b)),
+    -tau-bar and z = -(a tau-bar + b), from one pass (TauPlan.theta_taylor).
+    With n over 1/2 + Z and x_n = e^(-pi i n^2 tau-bar - 2 pi i n (a tau-bar + b)),
 
         sum (-1)^(n-1/2) x_n = -i theta,   sum (-1)^(n-1/2) n x_n = -theta'/(2 pi).
     """
@@ -72,7 +72,7 @@ def _conj_theta(a, b, tau):
     plan = kernels.TauPlan(-tb)
     z = -(aa * tb + mp.mpf(b.numerator) / b.denominator)
     v = -tb.imag
-    return aa, v, mp.exp(-2 * mp.pi * aa * aa * v), plan.theta(z), plan.theta_dz(z)
+    return aa, v, mp.exp(-2 * mp.pi * aa * aa * v), *plan.theta_taylor(z, 1)
 
 
 def dtaubar_R_numeric(a, b, tau):

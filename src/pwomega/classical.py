@@ -145,13 +145,9 @@ def theta_series_at_torsion(z: TorsionPoint, N) -> QSeries:
         n = F(2 * k + 1, 2)
         e = n * n / 2 + n * z.a
         if e < F(N):
-            root = Cyc8.from_root_of_unity(_frac_mod1(n * (z.b + F(1, 2))))
+            root = Cyc8.from_root_of_unity(n * (z.b + F(1, 2)))
             terms.append((e, root))
     return QSeries.from_terms(TORSION_D, terms, N)
-
-
-def _frac_mod1(t: Fraction) -> Fraction:
-    return t - (t.numerator // t.denominator)
 
 
 def _isqrt_ceil(x: Fraction) -> int:
@@ -163,7 +159,7 @@ def theta_elliptic_shift_reference(z: TorsionPoint, lam: int, mu: int, N) -> QSe
     the right-hand side of the elliptic shift law, as an exact series."""
     base = theta_series_at_torsion(z, F(N) + F(lam * lam, 2) + lam * z.a + 2)
     sign = Cyc8((-1) ** abs(lam + mu))
-    root = Cyc8.from_root_of_unity(_frac_mod1(F(-lam) * z.b))
+    root = Cyc8.from_root_of_unity(F(-lam) * z.b)
     shift = -F(lam * lam, 2) - lam * z.a
     return base.mul_monomial(Monomial(sign * root, shift, 0)).truncate(N)
 
@@ -186,19 +182,19 @@ def mu_torsion_series(z1: TorsionPoint, z2: TorsionPoint, N) -> QSeries:
     N = F(N)
     # conservative symmetric n-window: exponents grow like n^2/2 - |a2| n - |n + a1|
     n_max = 3 + int(2 * (abs(a2) + 2)) + _isqrt_ceil(2 * (N - min(0, _series_floor_bound(a1, a2)) + 4))
-    root_b1 = Cyc8.from_root_of_unity(_frac_mod1(b1))
+    root_b1 = Cyc8.from_root_of_unity(b1)
     D = TORSION_D
 
     def terms():
         for n in range(-n_max, n_max + 1):
             # (-1)^n e^(2 pi i n b2) q^(n(n+1)/2 + n a2) / (1 - e^(2 pi i b1) q^(n + a1)),
             # the sign folded into the root: (-1)^n e^(2 pi i n b2) = e^(2 pi i n (b2 + 1/2))
-            root = Cyc8.from_root_of_unity(_frac_mod1(n * (b2 + F(1, 2))))
+            root = Cyc8.from_root_of_unity(n * (b2 + F(1, 2)))
             seed = QSeries.from_terms(D, [(F(n * (n + 1), 2) + n * a2, root)], N + 8)
             yield seed.binomials([(-root_b1, n + a1, -1)])
     acc = sum_of_series(D, terms(), _scale(N + 8, D))
     theta2 = theta_series_at_torsion(z2, N + 8)
-    pref = Monomial(Cyc8.from_root_of_unity(_frac_mod1(b1 / 2)), a1 / 2)
+    pref = Monomial(Cyc8.from_root_of_unity(b1 / 2), a1 / 2)
     out = acc * theta2.invert()
     return out.mul_monomial(pref).truncate(N)
 

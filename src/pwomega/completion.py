@@ -52,9 +52,6 @@ class Approx:
     value: object          # mpmath complex
     err: float             # conservative absolute error estimate
 
-    def __abs__(self):
-        return abs(self.value)
-
 
 def _prim_err(scale, bits: int) -> float:
     """Coarse absolute-error allowance for one primitive evaluated at bits

@@ -23,7 +23,7 @@ from .errors import WindowTooSmall
 from .jseries import JSeries
 from .partitions import census, genfun
 from .qseries import (Monomial, QSeries, _add_root, _scale, over_qpochhammer,
-                      pochhammer_factors)
+                      pochhammer_factors, sum_of_series)
 
 F = Fraction
 
@@ -255,22 +255,16 @@ def pwz_coefficient_formula_sides(cleared: JSeries, j: int) -> Tuple[QSeries, QS
 
         (-1)^j q^(j(j+1)/2) / (q)_inf * sum_{n>=0} i^n q^(n(j+1/2)) / (1 + i q^(j+1/2+n))
 
-    both to the order of the cleared series."""
+    both to the order of the cleared series.  Term n of the sum is the
+    one-term series i^n q^(n(j+1/2)) divided by its binomial
+    (QSeries.binomials); the terms add in one sum_of_series."""
     N = cleared.order_exp()
     D = cleared.D
     q = Monomial(1, 1)
     lhs = over_qpochhammer(cleared.zeta_slice(j), q, None)
-
-    terms = []
-    n = 0
-    while n * F(2 * j + 1, 2) < N:
-        e0 = n * F(2 * j + 1, 2)
-        k = 0
-        while e0 + k * F(2 * (j + n) + 1, 2) < N:
-            c = Cyc8.zeta_pow(2 * n) * Cyc8.zeta_pow(-2 * k)
-            terms.append((e0 + k * F(2 * (j + n) + 1, 2), c))
-            k += 1
-        n += 1
-    rhs = QSeries.from_terms(D, terms, N).scale((-1) ** abs(j)).shift(F(j * (j + 1), 2))
+    e = F(2 * j + 1, 2)
+    terms = (QSeries.from_terms(D, [(n * e, Cyc8.zeta_pow(2 * n))], N).binomials([(I, e + n, -1)])
+             for n in range(math.ceil(N / e)))
+    rhs = sum_of_series(D, terms, _scale(N, D)).scale((-1) ** abs(j)).shift(F(j * (j + 1), 2))
     rhs = over_qpochhammer(rhs, q, None).truncate(N)
     return lhs.truncate(rhs.order_exp()), rhs

@@ -5,9 +5,11 @@ Conventions:
   * q^x means e^(2 pi i tau x); zeta = e^(2 pi i z); tau = u + i v with v > 0.
   * every function computes at the CURRENT mpmath working precision and
     truncates tails below 2^-(prec+TAIL_GUARD) relative to the largest term,
-    so callers get full working accuracy.  workprec(P), which sets P + GUARD
-    working bits, is the numeric layer's one precision boundary: the
-    registry's one check (_check) and the tests open it.
+    so callers get full working accuracy.  A sum whose window would take
+    more than MAX_TERMS terms raises PrecisionUnreachable before any table
+    is built (_check_terms).  workprec(P), which sets P + GUARD working
+    bits, is the numeric layer's one precision boundary: the registry's one
+    check (_check) and the tests open it.
   * R and its z-derivatives treat z as a real-analytic variable: the
     derivative is the Wirtinger d/dz, with the E-factor's dependence on
     y = Im z entering through dy/dz = 1/(2i).
@@ -60,11 +62,22 @@ TAIL_GUARD = 10     # tail cut at 2^-(prec+TAIL_GUARD) * max_term
 # policy), 7 bits short of one unit of the working precision
 FIXED_GUARD = 24
 ERFC_GUARD = 16     # fixed-point bits of ErfcTable above the bits it serves
+# the most terms one sum may take: far above the few hundred of any window
+# at Im tau >= 0.009, below the ~1e5 of a window at Im tau = 1e-9
+MAX_TERMS = 1 << 16
 
 
 def workprec(P: int):
     """The context that computes P-bit results, at P + GUARD working bits."""
     return mp.workprec(P + GUARD)
+
+
+def _check_terms(v, terms):
+    """Refuse a sum at Im(tau) = v of more than MAX_TERMS terms, before it
+    builds a table; terms is an int or an mpf, never a float, which underflows."""
+    if terms > MAX_TERMS:
+        raise PrecisionUnreachable(f"a sum at Im(tau) = {mp.nstr(v, 3)} would take "
+                                   f"{mp.nstr(mp.mpf(terms), 3)} terms, over the limit {MAX_TERMS}")
 
 
 def qpow(tau, e):
@@ -86,6 +99,7 @@ def eta(tau):
         raise PrecisionUnreachable("eta needs Im(tau) > 0")
     # |q|^(k(3k-1)/2) is below the tail cut once pi*v*k^2 > prec*ln2 roughly
     kmax = int(mp.sqrt((mp.prec + TAIL_GUARD + 8) * mp.ln(2) / (3 * mp.pi * v))) + 3
+    _check_terms(v, 2 * kmax + 1)
     # every value has modulus at most 1; a_k and its partner carry at most
     # about 5k^2 units of 2^-W, so the sum carries under 2 kmax^3
     W = mp.prec + 3 * kmax.bit_length() + 2
@@ -137,7 +151,8 @@ def _to_mpc(x, e: int):
 def _halfint_window(v, y):
     """Index window (over n = k + 1/2) outside which
     exp(-pi v n^2 - 2 pi n y) is below the tail cut, widened by 4 indices
-    on each side."""
+    on each side; one longer than MAX_TERMS is refused."""
+    _check_terms(v, 2 * mp.sqrt(y * y + v * (mp.prec + TAIL_GUARD + 8) * math.log(2) / math.pi) / v)
     v, y = float(v), float(y)
     root = math.sqrt(y * y + v * (mp.prec + TAIL_GUARD + 8) * math.log(2) / math.pi)
     return math.floor((-y - root) / v) - 4, math.ceil((-y + root) / v) + 4
@@ -229,10 +244,6 @@ class TauPlan:
         """Jacobi theta: sum over n in 1/2+Z of e^(pi i n^2 tau + 2 pi i n (z+1/2))."""
         return self._halfint_sums(z, 0)[0]
 
-    def theta_dz(self, z):
-        """d/dz of theta (holomorphic derivative)."""
-        return 1j * mp.pi * self._halfint_sums(z, 1)[1]
-
     def theta_taylor(self, z, K: int):
         """[theta^(k)(z) / k! for k = 0..K], from one pass over the terms:
         the k-th derivative weights each term by (2 pi i n)^k."""
@@ -291,7 +302,9 @@ class MuPlan:
             self._c0 += len(down)
 
     def _window(self, y):
-        return self.plan._mu_A0 + int((abs(y) + self._wy) / self.plan.v) + 6
+        A = self.plan._mu_A0 + int((abs(y) + self._wy) / self.plan.v) + 6
+        _check_terms(self.plan.v, 2 * A + 1)
+        return A
 
     def _sides(self, s: int, A: int, t, tq, m0: int, jet: bool):
         """Both sides of the sum over -A <= n <= A split at s (see _side),
@@ -400,7 +413,7 @@ def theta(z, tau):
 
 def theta_dz(z, tau):
     """d/dz of theta (holomorphic derivative)."""
-    return TauPlan(tau).theta_dz(z)
+    return TauPlan(tau).theta_taylor(z, 1)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ of m_n, applies the extra factors E_n to a copy, and adds every term into
 one accumulator, assembled once; folded monomials lower its order, never
 raise it.  A stored series is never written.  A Cyc8 is built only at the
 boundary (indexing, terms(), coeff, to_pairs, eval_mpc, first_mismatch's
-witness) and for factors.
+witness) and for factors.  Exponents are made exact by cyc8._canonical, the
+package's one float refusal: a Monomial's are ints when integral, as Cyc8's
+components are.
 """
 
 from __future__ import annotations
@@ -37,18 +39,10 @@ from .errors import (DivergentProduct, LatticeMismatch,
 
 Rat = Union[int, Fraction]
 
-def _exact(exp) -> Fraction:
-    """exp as a Fraction.  A float is refused (TypeError), as Cyc8 refuses
-    one: it holds a binary approximation, not the exponent it was written as."""
-    if isinstance(exp, float):
-        raise TypeError("an exact exponent takes no float")
-    return Fraction(exp)
-
-
 def _scale(exp: Rat, D: int) -> int:
     if type(exp) is int:
         return exp * D
-    e = _exact(exp) * D
+    e = _canonical(exp) * D
     if e.denominator != 1:
         raise LatticeMismatch(f"exponent {Fraction(exp)} not on the 1/{D} lattice")
     return e.numerator
@@ -61,8 +55,8 @@ class Monomial:
 
     def __init__(self, coeff=1, q_exp: Rat = 0, z_exp: Rat = 0):
         self.coeff = coeff if isinstance(coeff, Cyc8) else Cyc8(coeff)
-        self.q_exp = _exact(q_exp)
-        self.z_exp = _exact(z_exp)
+        self.q_exp = _canonical(q_exp)
+        self.z_exp = _canonical(z_exp)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.coeff * other.coeff, self.q_exp + other.q_exp,
@@ -71,10 +65,9 @@ class Monomial:
     def pow(self, r: Rat) -> "Monomial":
         """Raise to an exact power; the coefficient must be a known root times
         a rational for fractional r, so we only allow integer r here."""
-        r = _exact(r)
-        if r.denominator != 1:
+        k = _canonical(r)
+        if type(k) is not int:
             raise ValueError("fractional powers of general monomials are not defined")
-        k = r.numerator
         base = self.coeff if k >= 0 else self.coeff.inverse()
         c = ONE
         for _ in range(abs(k)):

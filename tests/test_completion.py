@@ -33,6 +33,12 @@ def test_cone_vs_mu_representation():
     a = completion.F_cone_numeric(*Z123, TAU)
     b = completion.F_mu_numeric(*Z123, TAU)
     assert abs(a - b) < 1e-40
+    # the cone sum is refused where it needs |Im z_j| < v/2
+    for j, y in enumerate((TAU.imag / 2, -TAU.imag / 2, TAU.imag)):
+        z = list(Z123)
+        z[j] = mp.mpc(0.1, y)
+        with pytest.raises(PoleProximity):
+            completion.F_cone_numeric(*z, TAU)
 
 
 @pytest.mark.parametrize("pt", BRZ_POINTS)

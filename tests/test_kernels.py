@@ -5,6 +5,11 @@ R's erfc at the precision each term needs) against their per-term sums at
 100 more bits, and R's trapezoid and asymptotic erfc (kernels.ErfcTable)
 against mpmath's erfc at 100 more bits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from contour_oracle import contour_radius
 from mpmath import mp
@@ -109,9 +114,9 @@ def test_planned_theta_matches_per_term_sum(im_tau):
             want = theta_reference(z, tau)
             assert _close(plan.theta(z), want), z
             assert _close(kernels.theta(z, tau), want), z
-            assert _close(plan.theta_dz(z), theta_reference(z, tau, order=1)), z
+            assert _close(plan.theta_taylor(z, 1)[1], theta_reference(z, tau, order=1)), z
         for z in (mp.mpc(0), tau):
-            assert _close(plan.theta_dz(z), theta_reference(z, tau, order=1))
+            assert _close(plan.theta_taylor(z, 1)[1], theta_reference(z, tau, order=1))
             # the weighted pass; theta vanishes at 0 and tau, so its k = 0
             # term is held to the absolute allowance
             got = plan.theta_taylor(z, 3)
@@ -385,3 +390,37 @@ def test_erfc_table_memo_keeps_R_bit_identical():
     kernels.erfc_table.cache_clear()
     assert [values(prec) for prec in (128, 192, 128)] == [cold[128], cold[192], cold[128]]
     assert kernels.erfc_table.cache_info().misses == 2
+
+
+# Runs in a child process under a 1 GiB address-space limit: without the
+# window check these calls fill memory or loop for ~1e150 steps.
+TINY_IM_TAU_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mpmath import mp
+from pwomega import kernels
+from pwomega.errors import PrecisionUnreachable
+from pwomega.registry import run_identity
+
+calls = {"R": lambda t: kernels.R(t + mp.mpf(1) / 2, t), "theta": lambda t: kernels.theta(0.3, t),
+         "mu": lambda t: kernels.mu(0.3, 0.1, t), "eta": kernels.eta}
+for v in ("1e-9", "1e-300", "1e-400", "0", "-0.5"):
+    tau = mp.mpc(mp.mpf("0.1"), mp.mpf(v))
+    for name, call in calls.items():
+        try:
+            call(tau)
+        except PrecisionUnreachable:
+            continue
+        raise SystemExit(f"{name} at Im tau = {v} raised no PrecisionUnreachable")
+report = run_identity("theta-shifts", {"taus": [(0.1, 1e-300)]})
+assert report.status == "error", report
+assert report.witness["error"] == "PrecisionUnreachable", report
+"""
+
+
+def test_tiny_im_tau_is_refused_before_any_table():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", TINY_IM_TAU_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

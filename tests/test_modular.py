@@ -11,13 +11,13 @@ import pytest
 from mpmath import mp
 
 from pwomega import kernels
-from pwomega.errors import DomainViolation, NotUnimodular
+from pwomega.errors import DomainViolation, NotUnimodular, StencilThroughSingularity
 from pwomega.kernels import workprec
-from pwomega.modular import (GroupElement, S_MAT, T_MAT, chi_multiplier,
-                             epsilon_d, group_membership, in_gamma, kronecker,
-                             laplacian_fd, lowering_fd, psi_multiplier,
-                             shimura_multiplier, weight_transform_residual,
-                             xi_fd)
+from pwomega.modular import (FD_STEP_FIRST, FD_STEP_SECOND, GroupElement, S_MAT, T_MAT,
+                             chi_multiplier, dtaubar_fd, epsilon_d, group_membership,
+                             in_gamma, kronecker, laplacian_fd, lowering_fd,
+                             psi_multiplier, shimura_multiplier,
+                             weight_transform_residual, xi_fd)
 
 F = Fraction
 
@@ -184,6 +184,24 @@ def test_xi_consistent_with_lowering():
 def test_laplacian_annihilates_eta():
     val = laplacian_fd(kernels.eta, F(1, 2), mp.mpc(0.1, 1.2))
     assert abs(val) < 1e-6
+
+
+@pytest.mark.parametrize("op, h", [
+    (dtaubar_fd, FD_STEP_FIRST),
+    (lowering_fd, FD_STEP_FIRST),
+    (lambda f, tau: xi_fd(f, F(1, 2), tau), FD_STEP_FIRST),
+    (lambda f, tau: laplacian_fd(f, F(1, 2), tau), FD_STEP_SECOND),
+])
+def test_stencil_through_a_pole_is_refused(op, h):
+    # f has a pole at one point of the Richardson level with step h/2
+    tau = mp.mpc(0.1, 1.2)
+    pole = tau - 1j * (h / 2)
+
+    def f(t):
+        return 1 / (t - pole)
+
+    with pytest.raises(StencilThroughSingularity):
+        op(f, tau)
 
 
 # Runs in a fresh interpreter: this one has long since imported modular.

@@ -410,6 +410,28 @@ MUTANTS = [
     ("src/pwomega/completion.py",
      "kernels._R_terms(z, tau)[:2]", "kernels._R_terms(z, tau)[:1]",
      ["tests/test_completion.py"]),
+    # one stencil and one Richardson step for the FD operators: the level
+    # dropped, the wrong divisor, a failure at a stencil point left untyped;
+    # the per-j coefficient formula's root with the wrong sign; theta and
+    # theta' swapped at -tau-bar; a sum's window not held to MAX_TERMS
+    ("src/pwomega/modular.py",
+     "    return (4 * d(h / 2) - d1) / 3\n", "    return d1\n",
+     ["tests/test_modular.py", "tests/test_appell.py"]),
+    ("src/pwomega/modular.py",
+     "(4 * d(h / 2) - d1) / 3", "(4 * d(h / 2) - d1) / 4",
+     ["tests/test_modular.py", "tests/test_appell.py", "tests/test_completion.py"]),
+    ("src/pwomega/modular.py",
+     "        raise StencilThroughSingularity(str(exc)) from exc\n", "        raise\n",
+     ["tests/test_modular.py"]),
+    ("src/pwomega/indefinite.py",
+     "binomials([(I, e + n, -1)])", "binomials([(-I, e + n, -1)])",
+     ["tests/test_indefinite.py"]),
+    ("src/pwomega/appell.py",
+     "*plan.theta_taylor(z, 1)", "*plan.theta_taylor(z, 1)[::-1]",
+     ["tests/test_appell.py"]),
+    ("src/pwomega/kernels.py",
+     "    if terms > MAX_TERMS:\n", "    if False:\n",
+     ["tests/test_kernels.py"]),
 ]
 
 
