@@ -16,6 +16,7 @@ from mpmath import mp
 
 from . import kernels
 from .cyc8 import Cyc8
+from .errors import PrecisionUnreachable
 from .kernels import workprec
 from .modular import GroupElement, psi_multiplier
 from .qseries import Monomial
@@ -114,8 +115,11 @@ def R_quarter_split(tau) -> Tuple[Monomial, "mp.mpc"]:
     holo = Monomial(Cyc8.zeta_pow(1), F(1, 8))
     tau = mp.mpc(tau)
     v = tau.imag
-    s2v = mp.sqrt(2 * v)
-    nmax = int(mp.sqrt((mp.prec + 16) * mp.ln(2) / (2 * mp.pi * v))) + 3
+    if v <= 0:
+        raise PrecisionUnreachable("R_quarter_split needs Im(tau) > 0")
+    root = mp.sqrt((mp.prec + 16) * mp.ln(2) / (2 * mp.pi * v))
+    kernels._check_terms(v, 2 * root + 7)      # the 2 nmax + 1 terms, in mpf
+    nmax, s2v = int(root) + 3, mp.sqrt(2 * v)
     acc = mp.mpc(0)
     for n in range(-nmax, nmax + 1):
         m = 2 * n + 1

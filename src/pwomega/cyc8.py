@@ -213,9 +213,11 @@ def _coerce(x) -> Cyc8:
     if isinstance(x, Cyc8):
         return x
     if isinstance(x, (int, Fraction)):
-        return Cyc8(x)
+        return _SMALL.get(x) or Cyc8(x)
     raise TypeError(f"cannot coerce {type(x).__name__} into Cyc8")
 
 
-ONE = Cyc8(1)
+# shared constants, _coerce's small ints among them: no Cyc8 is written after __init__
+_SMALL = {k: Cyc8(k) for k in range(-8, 9)}
+ONE = _SMALL[1]
 I = Cyc8.i()

@@ -19,6 +19,10 @@ class DivergentProduct(PwOmegaError):
     """Infinite product whose factor exponents do not increase."""
 
 
+class UncertifiedOrder(PwOmegaError):
+    """A series would claim an order past the one its data is certified to."""
+
+
 class PrecisionExhausted(PwOmegaError):
     """A substitution pushed all certified coefficients past the floor."""
 

@@ -138,7 +138,7 @@ def g_half_jseries(N) -> JSeries:
     kern_order = int(math.ceil(F(N) - F(3, 8)))
     kern = cone_sum_series(kern_order)
     D, Dz = G_HALF_D, G_HALF_DZ
-    lifted = JSeries(D, Dz, {r * Dz: row.refine(D) for r, row in kern.rows.items()},
+    lifted = JSeries(D, Dz, {r * Dz: kern.zeta_slice(r).refine(D) for r in kern.rows},
                      kern.order * D)
     return lifted.mul_monomial(Monomial(4 * I, F(3, 8), 0))
 

@@ -146,7 +146,7 @@ class MultiplierValue:
     sign: int = 1          # extra +-1 from a Legendre symbol
 
     def __post_init__(self):
-        object.__setattr__(self, "turns", F(self.turns) - (F(self.turns).numerator // F(self.turns).denominator))
+        object.__setattr__(self, "turns", F(self.turns) % 1)
 
     def value(self):
         return self.sign * mp.expjpi(2 * mp.mpf(self.turns.numerator) / self.turns.denominator) \

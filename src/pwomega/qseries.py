@@ -6,21 +6,24 @@ carries an explicit truncation order (scaled): coefficients are certified
 exactly for all exponents strictly below order/D and no key >= order is kept.
 All arithmetic propagates the worst-case order; nothing is silently extended.
 
-Representation and cost: a series stores four component tables, dicts
-{key: non-zero component i of the coefficient}, keys below the order, each
-component an int unless non-integral.  Every walk works on these tables as
-plain numbers and builds fresh ones through _assemble: sums (sum_of_series,
-which + is, and from_terms) add into one set of tables, products
-(sum_of_products) convolve pairs of tables, and a chain of binomial factors
-(1 + c*q^e)^(+-1) (QSeries.binomials, _binomial_rows) updates a copy in
-place, O(N) per product and O(N - e) per quotient, and folds the factors
-with e <= 0 into one monomial.  q-Pochhammer products and quotients are such
-chains; JSeries.binomials runs them on tables keyed by zeta-row.  A
-q-factorial sum sum_n m_n R_n E_n (ratio_sum, _ratio_rows) carries its ratio
-R_n as one chain's tables across the n-loop, below the order minus the shift
-of m_n, applies the extra factors E_n to a copy, and adds every term into
-one accumulator, assembled once; folded monomials lower its order, never
-raise it.  A stored series is never written.  A Cyc8 is built only at the
+Representation and cost: a series stores rows {zeta-row r: four component
+tables}, the tables dicts {key: non-zero component i of the coefficient},
+keys below the order, each component an int unless non-integral; a row with
+no key is not kept.  A QSeries is the row-0 case; a JSeries (jseries) keys
+its rows by zeta-exponent.  Each operation the two share is written once
+over the rows (_Series), and every walk works on the tables as plain numbers
+and builds fresh ones through _assemble: sums (_sum, which + and
+sum_of_series are, and _from_terms) add into one set of rows, products
+(sum_of_products) convolve pairs of tables, row ra with row rb into row
+ra + rb, and a chain of binomial factors (1 + c*q^e*zeta^d)^(+-1)
+(binomials, _binomial_rows) updates a copy in place, O(N) per product and
+O(N - e) per quotient, and folds the factors with e <= 0 into one monomial.
+q-Pochhammer products and quotients are such chains.  A q-factorial sum
+sum_n m_n R_n E_n (ratio_sum, _ratio_rows) carries its ratio R_n as one
+chain's tables across the n-loop, below the order minus the shift of m_n,
+applies the extra factors E_n to a copy, and adds every term into one
+accumulator, assembled once; folded monomials lower its order, never raise
+it.  A stored series is never written.  A Cyc8 is built only at the
 boundary (indexing, terms(), coeff, to_pairs, eval_mpc, first_mismatch's
 witness) and for factors.  Exponents are made exact by cyc8._canonical, the
 package's one float refusal: a Monomial's are ints when integral, as Cyc8's
@@ -30,6 +33,7 @@ components are.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -54,7 +58,7 @@ class Monomial:
     __slots__ = ("coeff", "q_exp", "z_exp")
 
     def __init__(self, coeff=1, q_exp: Rat = 0, z_exp: Rat = 0):
-        self.coeff = coeff if isinstance(coeff, Cyc8) else Cyc8(coeff)
+        self.coeff = _coerce(coeff)
         self.q_exp = _canonical(q_exp)
         self.z_exp = _canonical(z_exp)
 
@@ -78,24 +82,131 @@ class Monomial:
         return f"Monomial({self.coeff!r}, q_exp={self.q_exp}, z_exp={self.z_exp})"
 
 
-class QSeries:
-    """Sparse truncated Laurent-Puiseux series in q over Q(zeta8); the
-    constructor takes the boundary form {key: Cyc8}."""
+class _Series:
+    """The stored form of QSeries and JSeries: on the lattices (1/D in q, 1/Dz
+    in zeta), rows {zeta-row r: four component tables} below one scaled
+    order.  The operations both types have are written here, once, over the
+    rows.  Each type keeps its own constructor, and its own one-line __mul__
+    and first_mismatch, which perfbench/spans.py wraps in each class body."""
 
-    __slots__ = ("D", "tables", "order")
+    __slots__ = ("D", "Dz", "rows", "order")
+
+    # -- inspection ------------------------------------------------------------
+
+    def floor_key(self) -> int:
+        """Least stored scaled q-exponent over all rows (order when zero)."""
+        return min((min(t) for tables in self.rows.values() for t in tables if t),
+                   default=self.order)
+
+    def order_exp(self) -> Fraction:
+        return Fraction(self.order, self.D)
+
+    def is_zero(self) -> bool:
+        return not self.rows
+
+    def _at(self, k: int, r: int = 0) -> Tuple[Rat, Rat, Rat, Rat]:
+        t0, t1, t2, t3 = self.rows.get(r, _NO_TABLES)
+        return t0.get(k, 0), t1.get(k, 0), t2.get(k, 0), t3.get(k, 0)
+
+    def _check(self, other: "_Series"):
+        if type(other) is not type(self) or (self.D, self.Dz) != (other.D, other.Dz):
+            raise LatticeMismatch(f"{type(self).__name__} on 1/{self.D}, zeta 1/{self.Dz} vs "
+                                  f"{type(other).__name__} on 1/{other.D}, zeta 1/{other.Dz}")
+
+    def __eq__(self, other) -> bool:
+        """Equal coefficients to one common order; series known to different
+        orders are not equal."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.first_mismatch(other) is None and self.order == other.order
+
+    __hash__ = None   # mutable container semantics
+
+    def _witness(self, other: "_Series"):
+        """(q-exponent, zeta-exponent, self's, other's coefficient) at the least
+        q-exponent, then least zeta-row, below the common order where the two
+        differ, found on both sides' tables; None when they agree."""
+        self._check(other)
+        common = min(self.order, other.order)
+        diff = [(k, r) for r in self.rows.keys() | other.rows.keys()
+                for a, b in zip(self.rows.get(r, _NO_TABLES), other.rows.get(r, _NO_TABLES))
+                for k in a.keys() | b.keys() if k < common and a.get(k, 0) != b.get(k, 0)]
+        if not diff:
+            return None
+        k, r = min(diff)
+        return (Fraction(k, self.D), Fraction(r, self.Dz),
+                Cyc8(*self._at(k, r)), Cyc8(*other._at(k, r)))
+
+    # -- arithmetic -----------------------------------------------------------------
+
+    def __add__(self, other):
+        return _sum(self, (self, other), self.order)
+
+    def __neg__(self):
+        return _assemble(self, self.rows, self.order, _coerce(-1))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return _assemble(self, self.rows, self.order, _coerce(c))
+
+    def mul_monomial(self, mono: Monomial):
+        return _assemble(self, self.rows, self.order,
+                         *self._monomial(mono.coeff, mono.q_exp, mono.z_exp))
+
+    def truncate(self, order_exp: Rat):
+        return _assemble(self, self.rows, min(self.order, _scale(order_exp, self.D)))
+
+    def _product(self, other):
+        # the order contract over all rows at once: a per-row-pair order would
+        # certify terms that a product of other rows could still reach
+        self._check(other)
+        order = min(self.order + other.floor_key(), other.order + self.floor_key())
+        return sum_of_products(self, [(self, other)], order)
+
+    def binomials(self, factors: Iterable[tuple]):
+        """self times (1 + c*q^q_exp*zeta^z_exp)^sign over the factors
+        (c, q_exp, sign) of a QSeries or (c, q_exp, z_exp, sign) of a JSeries,
+        sign = +1 or -1: _binomial_rows on a copy of self's rows, O(N) per
+        factor with q_exp > 0 at self's order, O(N - q_exp) for a quotient,
+        assembled once.  The factors with q_exp <= 0 fold into one monomial,
+        so a product's order drops by |q_exp| and a quotient's rises by
+        |q_exp|, as with the factor's series or its inverse; a zeta-quotient
+        raises NonExpandableDenominator."""
+        rows, *mono = _binomial_rows(_copy(self.rows), self._factors(factors), self.order)
+        return _assemble(self, rows, self.order, *mono)
+
+    def ratio_sum(self, steps: Iterable[tuple]):
+        """sum_n m_n R_n E_n over the steps (m_n, carried, extra), m_n =
+        (c, q_exp) or (c, q_exp, z_exp) for c*q^q_exp*zeta^z_exp, the factors
+        as binomials takes them: R_n is R_(n-1) (R_0 = self) times the carried
+        ones, E_n the extra ones (_ratio_rows)."""
+        return _assemble(self, *_ratio_rows(self, steps))
+
+
+_NO_TABLES = ({}, {}, {}, {})   # the tables of an absent row; read, never written
+
+
+class QSeries(_Series):
+    """Sparse truncated Laurent-Puiseux series in q over Q(zeta8), the row-0
+    case of _Series; the constructor takes the boundary form {key: Cyc8}."""
+
+    __slots__ = ()
 
     def __init__(self, D: int, coeff: Optional[Dict[int, Cyc8]] = None,
                  order: int = 0):
         if D <= 0:
             raise ValueError("lattice denominator must be positive")
-        self.D = D
+        self.D, self.Dz = D, 1
         self.order = order          # scaled: exponents k/D with k < order are certified
-        self.tables = ({}, {}, {}, {})
+        tables = ({}, {}, {}, {})
         for k, c in (coeff or {}).items():
             if k < order:
-                for t, x in zip(self.tables, c.components()):
+                for t, x in zip(tables, c.components()):
                     if x:
                         t[k] = x
+        self.rows = {0: tables} if any(tables) else {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -111,39 +222,24 @@ class QSeries:
     def from_terms(D: int, terms: Iterable[Tuple[Rat, Union[Cyc8, Rat]]],
                    order_exp: Rat) -> "QSeries":
         """The sum of c*q^exp over the terms (exp, c), c a Cyc8, int or
-        Fraction: components added into four tables, assembled once."""
-        order = _scale(order_exp, D)
-        tables: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
-        for exp, c in terms:
-            k = _scale(exp, D)
-            if k < order:
-                parts = (c,) if isinstance(c, (int, Fraction)) else _coerce(c).components()
-                for t, x in zip(tables, parts):
-                    if x:
-                        t[k] = t.get(k, 0) + x
-        return _assemble(D, tables, order)
+        Fraction (_from_terms)."""
+        return _from_terms(QSeries(D), ((exp, 0, c) for exp, c in terms), order_exp)
 
     # -- inspection ------------------------------------------------------------
+
+    @property
+    def tables(self) -> Tuple[Dict[int, Rat], ...]:
+        """The four component tables of row 0."""
+        return self.rows.get(0, _NO_TABLES)
 
     def keys(self) -> List[int]:
         """The stored scaled exponents, ascending."""
         return sorted(set().union(*self.tables))
 
-    def _at(self, k: int) -> Tuple[Rat, Rat, Rat, Rat]:
-        t0, t1, t2, t3 = self.tables
-        return t0.get(k, 0), t1.get(k, 0), t2.get(k, 0), t3.get(k, 0)
-
     @property
     def coeff(self) -> Dict[int, Cyc8]:
         """A read-only view {key: Cyc8} of the stored terms."""
         return {k: Cyc8(*self._at(k)) for k in self.keys()}
-
-    def floor_key(self) -> int:
-        """Least stored scaled exponent (order when the series is zero)."""
-        return min((min(t) for t in self.tables if t), default=self.order)
-
-    def order_exp(self) -> Fraction:
-        return Fraction(self.order, self.D)
 
     def __getitem__(self, exp: Rat) -> Cyc8:
         k = _scale(exp, self.D)
@@ -155,73 +251,38 @@ class QSeries:
         for k in self.keys():
             yield Fraction(k, self.D), Cyc8(*self._at(k))
 
-    def is_zero(self) -> bool:
-        return not any(self.tables)
-
-    def __eq__(self, other) -> bool:
-        """Equal coefficients to one common order; series known to different
-        orders are not equal."""
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.first_mismatch(other) is None and self.order == other.order
-
-    __hash__ = None   # mutable container semantics
-
     def first_mismatch(self, other: "QSeries") -> Optional[Tuple[Fraction, Cyc8, Cyc8]]:
         """Smallest exponent (below the common order) where the two differ,
-        found on the component tables, with both coefficients."""
-        self._check(other)
-        common = min(self.order, other.order)
-        diff = [k for a, b in zip(self.tables, other.tables) for k in a.keys() | b.keys()
-                if k < common and a.get(k, 0) != b.get(k, 0)]
-        if not diff:
-            return None
-        k = min(diff)
-        return Fraction(k, self.D), Cyc8(*self._at(k)), Cyc8(*other._at(k))
+        with both coefficients (_Series._witness)."""
+        w = self._witness(other)
+        return None if w is None else (w[0], w[2], w[3])
 
     # -- lattice management ------------------------------------------------------
-
-    def _check(self, other: "QSeries"):
-        if self.D != other.D:
-            raise LatticeMismatch(f"lattice 1/{self.D} vs 1/{other.D}")
 
     def refine(self, D2: int) -> "QSeries":
         """Re-express on a finer lattice (D2 must be a multiple of D)."""
         if D2 % self.D != 0:
             raise LatticeMismatch(f"1/{D2} does not refine 1/{self.D}")
         m = D2 // self.D
-        return _assemble(D2, [{k * m: v for k, v in t.items()} for t in self.tables], self.order * m)
+        return _assemble(QSeries(D2), {0: [{k * m: v for k, v in t.items()} for t in self.tables]},
+                         self.order * m)
 
     # -- arithmetic -----------------------------------------------------------------
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        return sum_of_series(self.D, (self, other), self.order)
-
-    def __neg__(self) -> "QSeries":
-        return _assemble(self.D, self.tables, self.order, Cyc8(-1))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def scale(self, c) -> "QSeries":
-        return _assemble(self.D, self.tables, self.order, c if isinstance(c, Cyc8) else Cyc8(c))
-
     def shift(self, exp: Rat) -> "QSeries":
         """Multiply by q^exp."""
-        return _assemble(self.D, self.tables, self.order, ONE, _scale(exp, self.D))
+        return _assemble(self, self.rows, self.order, ONE, _scale(exp, self.D))
 
-    def mul_monomial(self, mono: Monomial) -> "QSeries":
-        if mono.z_exp != 0:
+    def _monomial(self, c, exp, z_exp=0):
+        if z_exp:
             raise LatticeMismatch("zeta-carrying monomial on a QSeries")
-        return _assemble(self.D, self.tables, self.order, mono.coeff, _scale(mono.q_exp, self.D))
+        return _coerce(c), _scale(exp, self.D), 0
+
+    def _factors(self, factors):
+        return [(_coerce(c), _scale(exp, self.D), 0, sign) for c, exp, sign in factors]
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        self._check(other)
-        order = min(self.order + other.floor_key(), other.order + self.floor_key())
-        return sum_of_products(self.D, [(self, other)], order)
-
-    def truncate(self, order_exp: Rat) -> "QSeries":
-        return _assemble(self.D, self.tables, min(self.order, _scale(order_exp, self.D)))
+        return self._product(other)
 
     def invert(self) -> "QSeries":
         """Laurent inversion.
@@ -249,31 +310,8 @@ class QSeries:
                     s0, s1, s2, s3 = s0 + p0, s1 + p1, s2 + p2, s3 + p3
             if s0 or s1 or s2 or s3:
                 inv[k] = mul4(m, (s0, s1, s2, s3))
-        return _assemble(self.D, [{k - f: c[i] for k, c in inv.items()} for i in range(4)], n - f)
-
-    def _monomial(self, c, exp):
-        return _coerce(c), _scale(exp, self.D), 0
-
-    def _factors(self, factors):
-        return [(_coerce(c), _scale(exp, self.D), 0, sign) for c, exp, sign in factors]
-
-    def binomials(self, factors: Iterable[Tuple[object, Rat, int]]) -> "QSeries":
-        """self times (1 + c*q^exp)^sign over the factors (c, exp, sign),
-        sign = +1 or -1: _binomial_rows on a copy of self's tables, O(N) per
-        factor with exp > 0 at self's order, O(N - exp) for a quotient.  The
-        factors with exp <= 0 fold into one monomial, so a product's order
-        drops by |exp| and a quotient's rises by |exp|, as with the factor's
-        series or its inverse."""
-        rows, coef, shift, _ = _binomial_rows(_copy({0: self.tables}), self._factors(factors),
-                                              self.order)
-        return _assemble(self.D, rows[0], self.order, coef, shift)
-
-    def ratio_sum(self, steps: Iterable[tuple]) -> "QSeries":
-        """sum_n m_n R_n E_n over the steps (m_n, carried, extra), m_n = (c, exp)
-        for c*q^exp, the factors as binomials takes them: R_n is R_(n-1) (R_0 =
-        self) times the carried ones, E_n the extra ones (_ratio_rows)."""
-        acc, order = _ratio_rows(self, {0: self.tables}, steps)
-        return _assemble(self.D, acc.get(0, ({}, {}, {}, {})), order)
+        return _assemble(self, {0: [{k - f: c[i] for k, c in inv.items()} for i in range(4)]},
+                         n - f)
 
     def pow(self, k: int) -> "QSeries":
         """self^k for k >= 0; a quotient is a binomial chain or QSeries.invert."""
@@ -305,47 +343,68 @@ class QSeries:
         return f"QSeries[D={self.D}, O(q^{self.order_exp()})]: " + " + ".join(ts) + more
 
 
-def sum_of_products(D: int, pairs: Iterable[Tuple[QSeries, QSeries]],
-                    order: int) -> QSeries:
-    """sum of a * b over the pairs, kept below the scaled order (which the
-    caller certifies).
-
-    Every pair of non-empty stored component tables (i of a, j of b) is one
-    scalar convolution into output component (i + j) mod 4, negated when
-    i + j >= 4 (zeta^4 = -1).  All pairs accumulate into the same four
-    tables of plain numbers, assembled once.  A rational product is a single
-    convolution.
-    """
-    tables: Tuple[Dict[int, Rat], ...] = ({}, {}, {}, {})
+def sum_of_products(like: _Series, pairs: Iterable[tuple], order: int):
+    """The sum of a * b over the pairs, of like's type and lattices, kept below
+    the scaled order (which the caller certifies): row ra of a with row rb of
+    b into row ra + rb.  Every pair of non-empty component tables (i of a's
+    row, j of b's) is one scalar convolution into output component (i + j)
+    mod 4, negated when i + j >= 4 (zeta^4 = -1).  All pairs accumulate into
+    one set of rows of plain numbers, assembled once.  A rational product is
+    a single convolution."""
+    acc = {}
     for a, b in pairs:
-        b_parts = [(j, sorted(t.items())) for j, t in enumerate(b.tables) if t]
-        for i, a_part in enumerate(a.tables):
-            for j, b_part in b_parts:
-                out = tables[(i + j) & 3]
-                sign = -1 if i + j >= 4 else 1
-                for ka, x in a_part.items():
-                    x = sign * x
-                    room = order - ka
-                    for kb, y in b_part:
-                        if kb >= room:
-                            break
-                        k = ka + kb
-                        out[k] = out.get(k, 0) + x * y
-    return _assemble(D, tables, order)
+        b_rows = [(rb, [(j, sorted(t.items())) for j, t in enumerate(tables) if t])
+                  for rb, tables in b.rows.items()]
+        for ra, a_tables in a.rows.items():
+            for rb, b_parts in b_rows:
+                tables = acc.setdefault(ra + rb, ({}, {}, {}, {}))
+                for i, a_part in enumerate(a_tables):
+                    for j, b_part in b_parts:
+                        out = tables[(i + j) & 3]
+                        sign = -1 if i + j >= 4 else 1
+                        for ka, x in a_part.items():
+                            x = sign * x
+                            room = order - ka
+                            for kb, y in b_part:
+                                if kb >= room:
+                                    break
+                                k = ka + kb
+                                out[k] = out.get(k, 0) + x * y
+    return _assemble(like, acc, order)
 
 
 def sum_of_series(D: int, series: Iterable[QSeries], order: int) -> QSeries:
-    """The sum of the series on the 1/D lattice, below the scaled order
-    lowered to the shortest summand's.  Each summand's stored tables add into
+    """The sum of the series on the 1/D lattice (_sum)."""
+    return _sum(QSeries(D), series, order)
+
+
+def _sum(like: _Series, series, order: int):
+    """The sum of the series, of like's type and lattices, below the scaled
+    order lowered to the shortest summand's.  Each summand's rows add into
     one set (_add_rows), assembled once: the keys that a later, shorter
     summand puts past the order are dropped there."""
-    acc = {0: ({}, {}, {}, {})}
+    acc = {}
     for s in series:
-        if s.D != D:
-            raise LatticeMismatch(f"lattice 1/{D} vs 1/{s.D}")
+        like._check(s)
         order = min(order, s.order)
-        _add_rows(acc, {0: s.tables}, ONE, 0, 0, order)
-    return _assemble(D, acc[0], order)
+        _add_rows(acc, s.rows, ONE, 0, 0, order)
+    return _assemble(like, acc, order)
+
+
+def _from_terms(like: _Series, terms, order_exp: Rat):
+    """The sum of c*q^q_exp*zeta^z_exp over the terms (q_exp, z_exp, c), c a
+    Cyc8, int or Fraction, of like's type and lattices: components added into
+    one set of rows, assembled once."""
+    order = _scale(order_exp, like.D)
+    rows = defaultdict(lambda: ({}, {}, {}, {}))
+    for qe, ze, c in terms:
+        k, r = _scale(qe, like.D), _scale(ze, like.Dz)
+        if k < order:
+            parts = (c,) if isinstance(c, (int, Fraction)) else _coerce(c).components()
+            for t, x in zip(rows[r], parts):
+                if x:
+                    t[k] = t.get(k, 0) + x
+    return _assemble(like, rows, order)
 
 
 def _add_rows(acc, rows, c: Cyc8, e: int, d: int, order: int):
@@ -443,10 +502,10 @@ def _copy(rows):
     return {r: [dict(t) for t in tables] for r, tables in rows.items()}
 
 
-def _ratio_rows(series, rows, steps):
-    """ratio_sum on a copy of the series' rows of tables, the ratio kept below
-    order - e for m_n = c*q^e*zeta^d.  Returns the sum's rows and order."""
-    rows, order = _copy(rows), series.order
+def _ratio_rows(series, steps):
+    """ratio_sum on a copy of the series' rows, the ratio kept below order - e
+    for m_n = c*q^e*zeta^d.  Returns the sum's rows and order."""
+    rows, order = _copy(series.rows), series.order
     acc, top, low, mono = {}, order, order, (ONE, 0, 0)
     for m, carried, extra in steps:
         c, e, d = series._monomial(*m)
@@ -514,20 +573,27 @@ def _divide_tables(tables, c: Cyc8, e: int, lo: int, g: int, order: int):
                     t.pop(k, None)
 
 
-def _assemble(D: int, tables, order: int, coef: Cyc8 = ONE, shift: int = 0) -> QSeries:
-    """The series with the component tables times coef*q^(shift/D), to the
-    scaled order + shift: the one way a walk's tables become a series.  The
-    factor goes through _add_rows; fresh tables are then built without zero
-    values or keys at or past the order, each value an int when integral
-    (as Cyc8 stores it).  The tables passed in are read, never kept."""
-    if shift or coef != ONE:
+def _assemble(like: _Series, rows, order: int, coef: Cyc8 = ONE, shift: int = 0,
+              dshift: int = 0):
+    """The series of like's type and lattices with the rows of component
+    tables times coef*q^(shift/D)*zeta^(dshift/Dz), to the scaled order +
+    shift: the one way a walk's tables become a series.  The factor goes
+    through _add_rows; fresh tables are then built without zero values or
+    keys at or past the order, each value an int when integral (as Cyc8
+    stores it), and a row left with no key is dropped.  The tables passed in
+    are read, never kept."""
+    if shift or dshift or coef != ONE:
         order += shift
         acc: Dict[int, Tuple[Dict[int, Rat], ...]] = {}
-        _add_rows(acc, {0: tables}, coef, shift, 0, order)
-        tables = acc[0]
-    out = QSeries(D, None, order)
-    out.tables = tuple({k: v if type(v) is int or v.denominator > 1 else v.numerator
+        _add_rows(acc, rows, coef, shift, dshift, order)
+        rows = acc
+    out = object.__new__(type(like))
+    out.D, out.Dz, out.order, out.rows = like.D, like.Dz, order, {}
+    for r, tables in rows.items():
+        tables = tuple({k: v if type(v) is int or v.denominator > 1 else v.numerator
                         for k, v in t.items() if v and k < order} for t in tables)
+        if any(tables):
+            out.rows[r] = tables
     return out
 
 

@@ -148,8 +148,8 @@ def test_finite_jtp(n, N):
 def test_finite_jtp_left_chain_matches_pochhammer_products(n):
     N = 25
     prod = jpochhammer(1, 1, Monomial(1, 0, 1), n, N) * jpochhammer(1, 1, Monomial(1, 1, -1), n, N)
-    want = JSeries(1, 1, {r: over_qpochhammer(row, Monomial(1, 1), 2 * n)
-                          for r, row in prod.rows.items()}, prod.order)
+    want = JSeries(1, 1, {r: over_qpochhammer(prod.zeta_slice(r), Monomial(1, 1), 2 * n)
+                          for r in prod.rows}, prod.order)
     got = finite_jtp_sides(n, N)[0]
     assert got.order == want.order
     assert got.rows == want.rows and got == want

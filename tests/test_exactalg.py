@@ -11,7 +11,7 @@ import pytest
 import pwomega
 from pwomega.cyc8 import Cyc8, I, ONE
 from pwomega.errors import (DivergentProduct, LatticeMismatch, NonExpandableDenominator,
-                            NonInvertibleLeadingTerm, PrecisionExhausted)
+                            NonInvertibleLeadingTerm, PrecisionExhausted, UncertifiedOrder)
 from pwomega.jseries import JSeries, jpochhammer
 from pwomega.qseries import (Monomial, QSeries, _assemble, _binomial_rows, over_qpochhammer,
                              pochhammer_exponents, qpochhammer, sum_of_products, sum_of_series)
@@ -170,13 +170,13 @@ def test_sum_of_products_matches_per_term_products(D):
                   rand_mixed_series(rng, D, rng.randint(5, 40)))
                  for _ in range(rng.randint(1, 3))]
         order = rng.randint(-5, 50)
-        got = sum_of_products(D, pairs, order)
+        got = sum_of_products(QSeries(D), pairs, order)
         assert got.order == order
         assert got.coeff == naive_sum_of_products(pairs, order)
     # a rational pair alone takes the one-component path
     a = QSeries(D, {-3: Cyc8(2), 0: ONE, 4: Cyc8(-5)}, 20)
     b = QSeries(D, {1: Cyc8(3), 2: Cyc8(F(1, 2))}, 20)
-    assert sum_of_products(D, [(a, b)], 9).coeff == naive_sum_of_products([(a, b)], 9)
+    assert sum_of_products(QSeries(D), [(a, b)], 9).coeff == naive_sum_of_products([(a, b)], 9)
 
 
 @pytest.mark.parametrize("D", [1, 2, 24])
@@ -386,7 +386,7 @@ def test_chain_at_a_lowered_order_drops_the_keys_past_it():
         _binomial_rows(rows, [(c, int(exp * D), 0, sign) for c, exp, sign in factors], low)
         assert all(k < low for t in rows[0] for k in t)
         want = chain_reference(s.truncate(F(low, D)), factors)
-        assert want.order == low and _assemble(D, rows[0], low).coeff == want.coeff
+        assert want.order == low and _assemble(QSeries(D), rows, low).coeff == want.coeff
 
 
 @pytest.mark.parametrize("c", [Cyc8(-1), Cyc8.zeta_pow(1)], ids=["-1", "z8"])
@@ -524,9 +524,8 @@ def test_qseries_equality_is_agreement_below_common_order():
 
 
 def _stored(*series):
-    """Deep copies of the tables the series store (a JSeries by row)."""
-    return [copy.deepcopy({r: row.tables for r, row in s.rows.items()}
-                          if isinstance(s, JSeries) else s.tables) for s in series]
+    """Deep copies of the rows of tables the series store."""
+    return [copy.deepcopy(s.rows) for s in series]
 
 
 def test_walks_write_only_tables_they_made():
@@ -537,6 +536,8 @@ def test_walks_write_only_tables_they_made():
     a = a + QSeries.one(D, 15)          # an invertible leading term
     j = JSeries.from_terms(D, 1, [(F(k, D), r, rand_coeff(rng))
                                   for k in range(0, 30, 3) for r in (-2, 0, 1)], 15)
+    j2 = JSeries.from_terms(D, 1, [(F(k, D), r, rand_coeff(rng))
+                                   for k in range(1, 30, 4) for r in (-1, 0, 2)], 12)
     walks = [
         (lambda: a.binomials([(ONE, F(1, 2), 1), (I, 1, 1)]), [a]),
         (lambda: a.binomials([(Cyc8(-1), 1, -1), (Cyc8(F(1, 3)), F(3, 2), -1)]), [a]),
@@ -548,6 +549,10 @@ def test_walks_write_only_tables_they_made():
         (lambda: a.mul_monomial(Monomial(Cyc8(2, 0, 1), -1)), [a]),
         (lambda: a.truncate(5), [a]), (lambda: a.refine(6), [a]), (lambda: a.invert(), [a]),
         (lambda: j.substitute(Monomial(Cyc8(-1), 1)), [j]), (lambda: j.dzeta_at_one(), [j]),
+        (lambda: j + j2, [j, j2]), (lambda: j - j2, [j, j2]), (lambda: j * j2, [j, j2]),
+        (lambda: j * a, [j, a]), (lambda: j.scale(I), [j]), (lambda: j.truncate(5), [j]),
+        (lambda: j.mul_monomial(Monomial(Cyc8(2, 0, 1), -1, 2)), [j]),
+        (lambda: j.zeta_slice(-2), [j]),
     ]
     for walk, operands in walks:
         before = _stored(*operands)
@@ -726,7 +731,7 @@ def test_substitution_is_multiplicative():
 
 def _jterms(j):
     return {(F(k, j.D), F(r, j.Dz)): c
-            for r, row in j.rows.items() for k, c in row.coeff.items()}
+            for r in j.rows for k, c in j.zeta_slice(F(r, j.Dz)).coeff.items()}
 
 
 def test_jseries_product_order_and_terms_match_brute_force():
@@ -738,7 +743,7 @@ def test_jseries_product_order_and_terms_match_brute_force():
     assert (a.floor_key(), b.floor_key()) == (-3, -2)
     p = a * b
     assert p.order == min(a.order + b.floor_key(), b.order + a.floor_key()) == 8
-    assert all(row.order == p.order for row in p.rows.values())
+    assert all(k < p.order for tables in p.rows.values() for t in tables for k in t)
     brute = {}
     for (qa, za), ca in _jterms(a).items():
         for (qb, zb), cb in _jterms(b).items():
@@ -746,6 +751,52 @@ def test_jseries_product_order_and_terms_match_brute_force():
                 key = (qa + qb, za + zb)
                 brute[key] = brute.get(key, Cyc8(0)) + ca * cb
     assert _jterms(p) == {key: c for key, c in brute.items() if not c.is_zero()}
+
+
+def test_jseries_rows_are_held_to_the_series_order():
+    # a row known only to O(q^3) cannot stand in a series claimed to O(q^10):
+    # it would compare equal to one that differs at q^5
+    with pytest.raises(UncertifiedOrder):
+        JSeries(1, 1, {0: QSeries(1, {1: Cyc8(1)}, 3)}, 10)
+    # a row known past the order keeps no key at or past it; a row left
+    # with none is not stored
+    j = JSeries(1, 1, {0: QSeries(1, {1: ONE, 12: ONE}, 20), 1: QSeries(1, {10: I}, 10)}, 10)
+    assert j.rows == {0: ({1: 1}, {}, {}, {})}
+    assert j == JSeries.from_terms(1, 1, [(1, 0, ONE)], 10)
+    with pytest.raises(LatticeMismatch):
+        JSeries(2, 1, {0: QSeries.one(1, 10)}, 20)
+
+
+@pytest.mark.parametrize("D, Dz", [(1, 1), (2, 2)])
+def test_jseries_arithmetic_matches_per_row_qseries(D, Dz):
+    # every operation of the shared rows against QSeries arithmetic on the
+    # zeta-slices, on every zeta-exponent the operands or results can reach
+    rng = random.Random(900 + 10 * D + Dz)
+    zs = [F(r, Dz) for r in range(-7, 8)]
+    for _ in range(6):
+        a, b = (JSeries(D, Dz, {r: rand_mixed_series(rng, D, order, nterms=4, floor=-2 * D)
+                                for r in rng.sample(range(-3, 4), 3)}, order)
+                for order in (rng.randint(8, 14) * D, rng.randint(8, 14) * D))
+        s = rand_mixed_series(rng, D, rng.randint(8, 14) * D, nterms=4, floor=-D)
+        c, qe, ze = rand_coeff(rng), F(rng.randint(-2 * D, 2 * D), D), F(rng.choice([-2, 1]), Dz)
+        cut = F(rng.randint(2, 10) * D - 1, D)
+        for got, row in ((a + b, lambda z: a.zeta_slice(z) + b.zeta_slice(z)),
+                         (a - b, lambda z: a.zeta_slice(z) - b.zeta_slice(z)),
+                         (-a, lambda z: -a.zeta_slice(z)),
+                         (a.scale(c), lambda z: a.zeta_slice(z).scale(c)),
+                         (a.truncate(cut), lambda z: a.zeta_slice(z).truncate(cut))):
+            assert all(got.zeta_slice(z) == row(z) for z in zs)
+        shifted = a.mul_monomial(Monomial(c, qe, ze))
+        assert shifted.order == a.order + qe * D
+        assert all(shifted.zeta_slice(z + ze) == a.zeta_slice(z).mul_monomial(Monomial(c, qe))
+                   for z in zs)
+        # the product's order is one over all rows, at most each row's own
+        p = a * s
+        assert p.order == min(a.order + s.floor_key(), s.order + a.floor_key())
+        for z in zs:
+            want = a.zeta_slice(z) * s
+            assert p.order <= want.order
+            assert p.zeta_slice(z) == want.truncate(p.order_exp())
 
 
 def test_jseries_first_mismatch_is_least_q_then_least_zeta():

@@ -113,9 +113,9 @@ def pwz_lhs_reference(N, W, D=2, Dz=1):
     while n < N:
         ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n - 1, 1, -ONE)], N)
         ratio = ratio * JSeries.from_terms(D, Dz, [(0, 0, ONE), (n, -1, -ONE)], N)
-        ratio = JSeries(D, Dz, {r: row.binomials([(1, 2 * n - 1, 1), (-1, 2 * n - 1, -1),
-                                                  (-1, 2 * n, -1)])
-                                for r, row in ratio.rows.items()}, ratio.order)
+        ratio = JSeries(D, Dz, {r: ratio.zeta_slice(F(r, Dz)).binomials(
+                                    [(1, 2 * n - 1, 1), (-1, 2 * n - 1, -1), (-1, 2 * n, -1)])
+                                for r in ratio.rows}, ratio.order)
         acc = acc + ratio.mul_monomial(Monomial(1, n, 0)).truncate(N)
         n += 1
     out = acc * pref

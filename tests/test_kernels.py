@@ -398,12 +398,13 @@ TINY_IM_TAU_SCRIPT = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from mpmath import mp
-from pwomega import kernels
+from pwomega import appell, kernels
 from pwomega.errors import PrecisionUnreachable
 from pwomega.registry import run_identity
 
 calls = {"R": lambda t: kernels.R(t + mp.mpf(1) / 2, t), "theta": lambda t: kernels.theta(0.3, t),
-         "mu": lambda t: kernels.mu(0.3, 0.1, t), "eta": kernels.eta}
+         "mu": lambda t: kernels.mu(0.3, 0.1, t), "eta": kernels.eta,
+         "R_quarter_split": appell.R_quarter_split}
 for v in ("1e-9", "1e-300", "1e-400", "0", "-0.5"):
     tau = mp.mpc(mp.mpf("0.1"), mp.mpf(v))
     for name, call in calls.items():

@@ -194,7 +194,7 @@ MUTANTS = [
      "_binomial_rows(rows, series._factors(extra), top, *mono)",
      ["tests/test_partitions.py", "tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
-     "rows, order = _copy(rows), series.order", "rows, order = rows, series.order",
+     "rows, order = _copy(series.rows), series.order", "rows, order = series.rows, series.order",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
      "top = min(top, order - e)", "top = min(top, order - e - mono[1])",
@@ -211,8 +211,8 @@ MUTANTS = [
      "x = -x if j + l >= 4 else x", "x = x",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
-     "_add_rows(acc, {0: tables}, coef, shift, 0, order)",
-     "_add_rows(acc, {0: tables}, coef, -shift, 0, order)",
+     "_add_rows(acc, rows, coef, shift, dshift, order)",
+     "_add_rows(acc, rows, coef, -shift, dshift, order)",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
      "for c, e, d, sign in factors:", "for c, e, d, sign in list(factors)[:-1]:",
@@ -307,16 +307,11 @@ MUTANTS = [
     ("src/pwomega/indefinite.py",
      "None, N) * 2", "None, N)",
      ["tests/test_indefinite.py"]),
-    # stored tables: a chain run on a series' own tables (QSeries and
-    # JSeries), an integral Fraction stored as is, the mismatch walk over
-    # one side's keys only, a float term taken into a table, a row landing
-    # at the wrong zeta-power
+    # stored tables: a chain run on a series' own rows, an integral
+    # Fraction stored as is, the mismatch walk over one side's keys only, a
+    # float term taken into a table, a row landing at the wrong zeta-power
     ("src/pwomega/qseries.py",
-     "_copy({0: self.tables})", "{0: self.tables}",
-     ["tests/test_exactalg.py"]),
-    ("src/pwomega/jseries.py",
-     "_copy({r: s.tables for r, s in self.rows.items()})",
-     "{r: s.tables for r, s in self.rows.items()}",
+     "_binomial_rows(_copy(self.rows),", "_binomial_rows(self.rows,",
      ["tests/test_exactalg.py"]),
     ("src/pwomega/qseries.py",
      "{k: v if type(v) is int or v.denominator > 1 else v.numerator", "{k: v",
@@ -329,6 +324,26 @@ MUTANTS = [
      ["tests/test_exactalg.py"]),
     ("src/pwomega/jseries.py",
      "vc = val.pow(rr.numerator)", "vc = val.pow(rr.numerator + 1)",
+     ["tests/test_exactalg.py"]),
+    # the shared rows: a JSeries row certified below the series' order
+    # taken, or its keys past the order kept; a zeta-shift ignored on
+    # assembly; product rows paired into ra - rb; the mismatch scan over
+    # self's rows only
+    ("src/pwomega/jseries.py",
+     "            if s.order < order:\n", "            if False:\n",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/jseries.py",
+     "{k: v for k, v in t.items() if k < order}", "dict(t)",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "_add_rows(acc, rows, coef, shift, dshift, order)",
+     "_add_rows(acc, rows, coef, shift, 0, order)",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "acc.setdefault(ra + rb,", "acc.setdefault(ra - rb,",
+     ["tests/test_exactalg.py"]),
+    ("src/pwomega/qseries.py",
+     "for r in self.rows.keys() | other.rows.keys()", "for r in self.rows",
      ["tests/test_exactalg.py"]),
     # mu-laws reports the default tolerance as null instead of the one applied
     ("src/pwomega/registry.py",
