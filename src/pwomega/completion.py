@@ -11,7 +11,10 @@ kernel pass (kernels.TauPlan.theta_taylor, kernels.MuPlan.laurent, and
 kernels._R_terms for R and its Wirtinger z-derivative), and the block is
 assembled once at the center in jet arithmetic.  Its coefficients below
 delta^0 must cancel within their rounding budget, which is what
-removability means numerically.  Composite results are returned as
+removability means numerically.  The H-hat composites build one kernel
+bundle per tau (the plan, the four-point mu bundle, the theta(w)'s and
+eta^3) for both centers, and two R passes per center, each serving a
+shift of z by 1/2 or 1 (kernels._R_terms).  Composite results are returned as
 Approx(value, err), err a conservative absolute-error estimate carried by
 the jets from the kernels' allowances.
 
@@ -366,10 +369,11 @@ def _w_point(tau, g: int):
     return tau / 2 + mp.mpf(1) / 4 + mp.mpf(g) / 2
 
 
-def _R_jet(z, tau) -> Jet:
-    """R(z + delta) through delta^1: R and its Wirtinger d/dz, at the working
+def _R_jets(z, tau, shifts=(0,)) -> List[Jet]:
+    """[R(z + s + delta) through delta^1 for s in shifts]: R and its
+    Wirtinger d/dz from one pass (kernels._R_terms), at the working
     precision (R, the costliest kernel at the cusp, gets no JET_GUARD)."""
-    return Jet.kernel(kernels._R_terms(z, tau)[:2], 0, mp.prec)
+    return [Jet.kernel(t[:2], 0, mp.prec) for t in kernels._R_terms(z, tau, shifts)]
 
 
 def _muhat_jet(mu: Jet, R: Jet) -> Jet:
@@ -386,21 +390,30 @@ def _center_jets(plan, mus, nstar: int, bits: int):
     return theta, [Jet.kernel(a, -1, bits) for a in mus.laurent(nstar)]
 
 
-def _fhat_kernels(tau, nstar: int, bits: int):
-    """At the center c = -nstar tau, with the primitive allowances at bits:
-    theta's jet, mu's jets for w = w_0, w_1, w_0 + w_0 = tau + 1/2 and
-    w_1 + w_1 = tau + 3/2 (one bundle), the second terms' coefficients
-    diag_a = -eta^3 theta(w_a + w_a) / theta(w_a)^2, and the jet of the
-    second term i eta^6 e^(-2 pi i z) / (theta(w_0) theta(w_1) theta(z))."""
+def _fhat_bundle(tau):
+    """What F-hat's kernel jets at both centers share, built once per tau:
+    the plan, the mu bundle over w_0, w_1, w_0 + w_0 = tau + 1/2 and
+    w_1 + w_1 = tau + 3/2, the second terms' coefficients
+    diag_a = -eta^3 theta(w_a + w_a) / theta(w_a)^2, and the cross term's
+    i eta^6 / (theta(w_0) theta(w_1))."""
     eta3 = kernels.eta(tau) ** 3
     plan = kernels.TauPlan(tau)
     w = [_w_point(tau, g) for g in (0, 1)]
     mus = plan.mu(w[0], w[1], tau + mp.mpf(1) / 2, tau + mp.mpf(3) / 2)
     th_w, th_ww = mus.theta_w[:2], mus.theta_w[2:]
-    theta, mu = _center_jets(plan, mus, nstar, bits)
     diag = [-eta3 * th_ww[a] / (th_w[a] * th_w[a]) for a in (0, 1)]
-    cross = Jet.exp(-2j * mp.pi, 3, bits).scale(mp.expjpi(2 * nstar * tau)) * theta.recip()
-    return theta, mu, diag, cross.scale(1j * eta3 * eta3 / (th_w[0] * th_w[1]))
+    return plan, mus, diag, 1j * eta3 * eta3 / (th_w[0] * th_w[1])
+
+
+def _fhat_kernels(bundle, nstar: int, bits: int):
+    """At the center c = -nstar tau, from _fhat_bundle's bundle, with the
+    primitive allowances at bits: theta's jet, the mu bundle's jets, diag,
+    and the jet of the second term i eta^6 e^(-2 pi i z) / (theta(w_0)
+    theta(w_1) theta(z))."""
+    plan, mus, diag, cross = bundle
+    theta, mu = _center_jets(plan, mus, nstar, bits)
+    jet = Jet.exp(-2j * mp.pi, 3, bits).scale(mp.expjpi(2 * nstar * plan.tau)) * theta.recip()
+    return theta, mu, diag, jet.scale(cross)
 
 
 def _fhat_blocks(theta, mu, diag, cross):
@@ -421,19 +434,29 @@ def _fhat_blocks(theta, mu, diag, cross):
     return h
 
 
-def _fhat_center_jets(tau, nstar: int):
-    """F-hat(z, w_a, w_b) at c = -nstar tau as jets through delta^1, keyed
-    by (a, b): the blocks of mu-hat's jets, JET_GUARD bits above the
-    working precision, with the primitive allowances at the working
-    precision."""
+def _fhat_center_jets(tau):
+    """{nstar: F-hat(z, w_a, w_b) at c = -nstar tau as jets through delta^1,
+    keyed by (a, b)} for both centers: the blocks of mu-hat's jets,
+    JET_GUARD bits above the working precision, with the primitive
+    allowances at the working precision.  One kernel bundle serves both
+    centers, and two R passes serve each: w_1 = w_0 + 1/2, so R at c - w_0
+    and c - w_1 come from one pass, and R at c - 2 w_0 and c - 2 w_1 from
+    another."""
     bits = mp.prec
-    center = -nstar * tau
-    w = [_w_point(tau, g) for g in (0, 1)]
-    R = ([_R_jet(center - w[g], tau) for g in (0, 1)]
-         + [_R_jet(center - w[g] - w[g], tau) for g in (0, 1)])
+    w0 = _w_point(tau, 0)
+    R = {}
+    for nstar in (0, -1):
+        center = -nstar * tau
+        R[nstar] = (_R_jets(center - w0, tau, (0, -F(1, 2)))
+                    + _R_jets(center - w0 - w0, tau, (0, -1)))
     with mp.workprec(bits + JET_GUARD):
-        theta, mu, diag, cross = _fhat_kernels(tau, nstar, bits)
-        return _fhat_blocks(theta, [_muhat_jet(m, r) for m, r in zip(mu, R)], diag, cross)
+        bundle = _fhat_bundle(tau)
+        out = {}
+        for nstar in (0, -1):
+            theta, mu, diag, cross = _fhat_kernels(bundle, nstar, bits)
+            out[nstar] = _fhat_blocks(theta, [_muhat_jet(m, r) for m, r in zip(mu, R[nstar])],
+                                      diag, cross)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +491,8 @@ def _hhat_sums(tau):
     jet at each removable center, 0 and tau, and q^(1/4)."""
     tau = mp.mpc(tau)
     sums = []
-    for nstar in (0, -1):
-        jets = [h.scale((-1j) ** (a + b)) for (a, b), h in _fhat_center_jets(tau, nstar).items()]
+    for blocks in _fhat_center_jets(tau).values():
+        jets = [h.scale((-1j) ** (a + b)) for (a, b), h in blocks.items()]
         sums.append(jets[0] + jets[1] + jets[2] + jets[3])
     return sums, qpow(tau, F(1, 4))
 
@@ -517,7 +540,7 @@ def fcal_derivs(tau) -> Tuple[Approx, Approx, Approx]:
     FF's through delta^2."""
     tau = mp.mpc(tau)
     bits = mp.prec
-    R = _R_jet(-_w_point(tau, 0), tau)
+    R, = _R_jets(-_w_point(tau, 0), tau)
     with mp.workprec(bits + JET_GUARD):
         plan = kernels.TauPlan(tau)
         theta, (mu,) = _center_jets(plan, plan.mu(_w_point(tau, 0)), 0, bits)

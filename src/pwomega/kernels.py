@@ -35,8 +35,14 @@ Conventions:
     on a side's tail, which needs h_n alone, in fixed point), and
     erfc(x_n) m_n at the bits the term needs: mpmath's below x_n = 2, else
     ErfcTable's, on weights built once per precision, with an exponential
-    only for the trapezoid's pole term.  eta costs two exponentials, then
-    five fixed-point products per pentagonal index.
+    only for the trapezoid's pole term.  Shifts of z by multiples of 1/2
+    leave every x_n and erfc as they are, so one pass serves them all: a
+    shift multiplies each term by a unit (-i)^j (-1)^(jk), which costs a
+    second set of sums over odd k only when some shift is an odd multiple
+    of 1/2, and nothing per term otherwise.  The window's ends come from a
+    walk inward from theta's window, and its length check is taken in
+    floats.  eta costs two exponentials, then five fixed-point products per
+    pentagonal index.
   * the rounding bounds of theta, mu, R and eta are derived once, in the
     README's numerical error policy; each sum stays within a few units of the
     working precision of its largest term (tests/test_kernels.py measures
@@ -65,6 +71,9 @@ ERFC_GUARD = 16     # fixed-point bits of ErfcTable above the bits it serves
 # the most terms one sum may take: far above the few hundred of any window
 # at Im tau >= 0.009, below the ~1e5 of a window at Im tau = 1e-9
 MAX_TERMS = 1 << 16
+# below this Im tau a half-integer window takes over 4 sqrt(ln 2 / (pi v))
+# > MAX_TERMS terms at any precision, so its length is refused in mpf
+FLOAT_V_MIN = mp.mpf(2) ** -30
 
 
 def workprec(P: int):
@@ -74,7 +83,8 @@ def workprec(P: int):
 
 def _check_terms(v, terms):
     """Refuse a sum at Im(tau) = v of more than MAX_TERMS terms, before it
-    builds a table; terms is an int or an mpf, never a float, which underflows."""
+    builds a table; terms is an int or an mpf, or a float when v is at least
+    FLOAT_V_MIN (below it, a float v underflows)."""
     if terms > MAX_TERMS:
         raise PrecisionUnreachable(f"a sum at Im(tau) = {mp.nstr(v, 3)} would take "
                                    f"{mp.nstr(mp.mpf(terms), 3)} terms, over the limit {MAX_TERMS}")
@@ -151,11 +161,16 @@ def _to_mpc(x, e: int):
 def _halfint_window(v, y):
     """Index window (over n = k + 1/2) outside which
     exp(-pi v n^2 - 2 pi n y) is below the tail cut, widened by 4 indices
-    on each side; one longer than MAX_TERMS is refused."""
-    _check_terms(v, 2 * mp.sqrt(y * y + v * (mp.prec + TAIL_GUARD + 8) * math.log(2) / math.pi) / v)
-    v, y = float(v), float(y)
-    root = math.sqrt(y * y + v * (mp.prec + TAIL_GUARD + 8) * math.log(2) / math.pi)
-    return math.floor((-y - root) / v) - 4, math.ceil((-y + root) / v) + 4
+    on each side; one longer than MAX_TERMS is refused.  Below Im tau =
+    FLOAT_V_MIN every window is longer than MAX_TERMS at any precision, and
+    the length is taken in mpf, since v would underflow a float; above it,
+    in floats."""
+    if v < FLOAT_V_MIN:
+        _check_terms(v, 2 * mp.sqrt(y * y + v * (mp.prec + TAIL_GUARD + 8) * math.log(2) / math.pi) / v)
+    fv, fy = float(v), float(y)
+    root = math.sqrt(fy * fy + fv * (mp.prec + TAIL_GUARD + 8) * math.log(2) / math.pi)
+    _check_terms(v, 2 * root / fv)
+    return math.floor((-fy - root) / fv) - 4, math.ceil((-fy + root) / fv) + 4
 
 
 class TauPlan:
@@ -530,23 +545,42 @@ def erfc_table(bits: int) -> ErfcTable:
 
 def _R_window(v, y):
     """R's index window lo..hi (n = k + 1/2) at the working precision and
-    {k: log2 B_n} on it, B_n the a-priori bound on |t_n| of the README's
-    numerical error policy: each term left out has B_n, and the derivative
-    sum's |2k+1| B_n, below 2^-(prec+TAIL_GUARD) B_max."""
-    lo, hi = _halfint_window(v, y)   # wider than needed; B_n peaks at n = -y/v
+    [log2 B_n for k = lo..hi], B_n the a-priori bound on |t_n| of the
+    README's numerical error policy: each term left out has B_n, and the
+    derivative sum's |2k+1| B_n, below 2^-(prec+TAIL_GUARD) B_max.  The
+    ends are found by walking inward from theta's window, which holds B_max."""
+    lo, hi = _halfint_window(v, y)   # wider than needed
     fa, cv = float(y / v), math.pi * float(v) / math.log(2)
-    lbs = {}
-    for k in range(lo, hi + 1):
+
+    def lb(k):
         na = k + 0.5 + fa
-        lbs[k] = 1 + cv * (na * na - fa * fa) if (na >= 0) != (k >= 0) else -cv * (na * na + fa * fa)
-    cut = max(lbs.values()) - mp.prec - TAIL_GUARD
-    kept = [k for k, lb in lbs.items() if lb + math.log2(abs(2 * k + 1)) >= cut]
-    return kept[0], kept[-1], lbs
+        return 1 + cv * (na * na - fa * fa) if (na >= 0) != (k >= 0) else -cv * (na * na + fa * fa)
+
+    # log2 B_n is a quadratic in k on each stretch where the signs of n and
+    # n + a are fixed, concave (vertex at n + a = 0) where they agree and
+    # convex where they differ, so its largest value on lo..hi is at a
+    # stretch end or next to n + a = 0
+    kb = math.ceil(-0.5 - fa)
+    top = max(lb(k) for k in (lo, hi, -1, 0, kb - 2, kb - 1, kb, kb + 1) if lo <= k <= hi)
+    cut = top - mp.prec - TAIL_GUARD
+    while lb(lo) + math.log2(abs(2 * lo + 1)) < cut:
+        lo += 1
+    while lb(hi) + math.log2(abs(2 * hi + 1)) < cut:
+        hi -= 1
+    return lo, hi, [lb(k) for k in range(lo, hi + 1)]
 
 
-def _R_terms(z, tau):
+def _times_unit(x, j: int):
+    """(-i)^j x for a Gaussian integer x."""
+    a, b = x
+    return ((a, b), (b, -a), (-a, -b), (-b, a))[j % 4]
+
+
+def _R_terms(z, tau, shifts=None):
     """R(z), its Wirtinger z-derivative and the E-factor part of that
-    derivative, from one pass over the terms.
+    derivative, from one pass over the terms; with shifts, a list of those
+    three for R(z + s), one per s in shifts, every s a multiple of 1/2,
+    from the same pass.
 
     The derivative is the power rule on the zeta-powers plus the E-part, the
     E-factors' dependence on y = Im z entering with dy/dz = 1/(2i); the
@@ -564,13 +598,23 @@ def _R_terms(z, tau):
     prec + TAIL_GUARD - floor(log2(B_max/B_n)) bits, at least 53, with B_n
     the a-priori bound on |t_n| (_R_window).  The bounds, and the rounding
     they allow, are derived once, in the README's numerical error policy.
+
+    A shift s = j/2 leaves Im z, and so every x_n, m_n and erfc, as they
+    are: it multiplies t_n by e^(-2 pi i n s) = (-i)^j (-1)^(jk).  With T
+    the sum over every k and O the sum over odd k, R(z + s) is (-i)^j T for
+    even j and (-i)^j (T - 2 O) for odd j, and likewise both derivatives;
+    so R(z - 1) = -R(z) exactly, and O is summed only when some j is odd.
     """
+    js = [0] if shifts is None else [int(2 * s) for s in shifts]
+    if shifts is not None and any(j != 2 * s for j, s in zip(js, shifts)):
+        raise ValueError(f"R's shifts must be multiples of 1/2, not {list(shifts)}")
+    alt = any(j & 1 for j in js)
     z, tau = mp.mpc(z), mp.mpc(tau)
     if tau.imag <= 0:
         raise PrecisionUnreachable("R needs Im(tau) > 0")
     (u, v), (x, y) = tau._mpc_, z._mpc_
     lo, hi, lbs = _R_window(tau.imag, z.imag)
-    top, prec = max(lbs.values()), mp.prec
+    top, prec = max(lbs), mp.prec
     # a value j steps from its seed carries at most about j^2/2 + 3j + 3
     # units of 2^-wp (of 2^-W for e_n) from its recurrence
     wp = prec + TAIL_GUARD + 2 * max(hi, -lo).bit_length()
@@ -603,11 +647,12 @@ def _R_terms(z, tau):
     mstep, hstep = mq, div(fone, mq)
     table = erfc_table(max(53, prec + TAIL_GUARD))
     r0 = r1 = n0 = n1 = w0 = w1 = 0
+    odd = (0,) * 6      # the six sums over odd k
     for k0, stop, step, (er, ei), ratio, m, mr, h, hr in sides:
         H = None        # h_n at scale 2^W on the side's tail
         for k in range(k0, stop, step):
             nw = ((2 * k + 1) << W) + A2                    # 2(n + a) at scale 2^W
-            bits = max(53, prec + TAIL_GUARD - int(top - lbs[k]))
+            bits = max(53, prec + TAIL_GUARD - int(top - lbs[k - lo]))
             X = (C * abs(nw)) >> (W + 1)
             xf, hf = X >> W, to_fixed(h, W) if H is None else H
             if xf < 2:
@@ -628,12 +673,16 @@ def _R_terms(z, tau):
             if k < 0:
                 fm = -fm                                    # t_n / e_n at scale 2^W
             tr, ti = (fm * er) >> W, (fm * ei) >> W
+            gr, gi = (hf * er) >> W, (hf * ei) >> W
             r0 += tr
             r1 += ti
             n0 += (2 * k + 1) * tr
             n1 += (2 * k + 1) * ti
-            w0 += (hf * er) >> W
-            w1 += (hf * ei) >> W
+            w0 += gr
+            w1 += gi
+            if alt and k & 1:
+                odd = tuple(a + b for a, b in zip(odd, (tr, ti, (2 * k + 1) * tr,
+                                                        (2 * k + 1) * ti, gr, gi)))
             er, ei = _mul((er, ei), ratio, W)
             ratio = _mul(ratio, estep, W)
     # d/dz: the power rule gives -2 pi i sum n t_n = -pi i (n0 + i n1), and
@@ -641,9 +690,16 @@ def _R_terms(z, tau):
     # g_n p_n per term, i sqrt(2/v) (w0 + i w1); both at scale 2^(2W)
     PI = to_fixed(pi, W)
     S = to_fixed(mpf_sqrt(div(ftwo, v), wp, rnd), W)
-    epart = (-S * w1, S * w0)
-    return (_to_mpc((r0, r1), W), _to_mpc((PI * n1 + epart[0], epart[1] - PI * n0), 2 * W),
-            _to_mpc(epart, 2 * W))
+    total = (r0, r1, n0, n1, w0, w1)
+    out = []
+    for j in js:
+        sums = [t - 2 * o for t, o in zip(total, odd)] if j & 1 else total
+        (r0, r1), (n0, n1), (w0, w1) = (_times_unit(sums[i:i + 2], j) for i in (0, 2, 4))
+        epart = (-S * w1, S * w0)
+        out.append((_to_mpc((r0, r1), W),
+                    _to_mpc((PI * n1 + epart[0], epart[1] - PI * n0), 2 * W),
+                    _to_mpc(epart, 2 * W)))
+    return out[0] if shifts is None else out
 
 
 def R(z, tau):

@@ -4,7 +4,7 @@ finite-difference checkers.
 
 The operators share one stencil (_stencil: a failure at any point raises
 StencilThroughSingularity) and one Richardson step (_richardson); d/d(tau-bar),
-which lowering and xi are built on, takes 8 evaluations of f, the Laplacian 10.
+which lowering and xi are built on, takes 8 evaluations of f, the Laplacian 9.
 
 The eta-multiplier psi is implemented from its explicit two-case formula
 (Jacobi/Kronecker symbols extended to negative arguments in Shimura's
@@ -295,11 +295,13 @@ def xi_fd(f: Callable, k: Fraction, tau):
 
 def laplacian_fd(f: Callable, k: Fraction, tau):
     """Weight-k hyperbolic Laplacian by central second differences:
-    -v^2 (f_uu + f_vv) + i k v (f_u + i f_v), one Richardson level."""
+    -v^2 (f_uu + f_vv) + i k v (f_u + i f_v), one Richardson level; f(tau)
+    is taken once for both levels."""
     tau = mp.mpc(tau)
+    fc, = _stencil(f, tau)
 
     def d(h):
-        fc, fu_p, fu_m, fv_p, fv_m = _stencil(f, tau, tau + h, tau - h, tau + 1j * h, tau - 1j * h)
+        fu_p, fu_m, fv_p, fv_m = _stencil(f, tau + h, tau - h, tau + 1j * h, tau - 1j * h)
         fuu = (fu_p - 2 * fc + fu_m) / h ** 2
         fvv = (fv_p - 2 * fc + fv_m) / h ** 2
         fu = (fu_p - fu_m) / (2 * h)

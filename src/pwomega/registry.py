@@ -214,10 +214,19 @@ def _theta_shifts_parts(params):
 def _mu_laws_parts(params):
     """The mu/mu-hat/R laws at random points and mu-hat's S and T laws, then
     a stage: mu-hat's weight-1/2 Laplacian at torsion data against
-    laplacian_tolerance (step-limited, at min(prec, 160) bits)."""
+    laplacian_tolerance (step-limited, at min(prec, 160) bits).
+
+    Each distinct kernel value of a trial is computed once and read by
+    every law that needs it, its mu sums through one TauPlan: mu(z2, z1)
+    serves mu-symmetry and muhat-swap, R(z2 - z1) serves muhat-swap and
+    muhat-negate, and mu(z1, z2) and R(z1) serve the laws that read them.
+    No pass, MuPlan or value is shared by the two sides of one law: mh
+    comes from kernels.muhat itself, so muhat-minus-mu tests it against mu
+    and R summed apart; R-shift-1 sums R at z1 + 1 and at z1; mu-elliptic's
+    two mu sums have their own MuPlans.  Nothing outlives the trial."""
     from mpmath import mp
     from .appell import mu_hat_transform_check
-    from .kernels import R, mu, muhat, qpow, workprec
+    from .kernels import R, TauPlan, muhat, qpow, workprec
     from .modular import GroupElement, laplacian_fd
     rng = random.Random(20260)
     for trial in range(10):
@@ -226,21 +235,21 @@ def _mu_laws_parts(params):
         z2 = mp.mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
         if abs(z1) < 0.05 or abs(z2) < 0.05 or abs(z1 - z2) < 0.05:
             continue
-        # mh comes from kernels.muhat itself, so muhat-minus-mu tests it;
-        # mu(z1, z2) and R(z1) are evaluated once for the checks they share
+        plan = TauPlan(tau)
         mh = muhat(z1, z2, tau)
-        m12 = mu(z1, z2, tau)
-        r1 = R(z1, tau)
+        m12, = plan.mu(z2)(z1)
+        m21, = plan.mu(z1)(z2)
+        r1, r21 = R(z1, tau), R(z2 - z1, tau)
         checks = {
-            "mu-symmetry": abs(m12 - mu(z2, z1, tau)),
-            "muhat-swap": abs(mh - muhat(z2, z1, tau)),
-            "muhat-negate": abs(mh - muhat(-z1, -z2, tau)),
+            "mu-symmetry": abs(m12 - m21),
+            "muhat-swap": abs(mh - (m21 + 0.5j * r21)),
+            "muhat-negate": abs(mh - (plan.mu(-z2)(-z1)[0] + 0.5j * r21)),
             "muhat-minus-mu": abs(mh - m12 - 0.5j * R(z1 - z2, tau)),
             "R-shift-1": abs(R(z1 + 1, tau) + r1),
             "R-shift-tau": abs(R(z1 + tau, tau)
                                + mp.expjpi(2 * z1) * qpow(tau, F(1, 2)) * r1
                                - 2 * mp.expjpi(z1) * qpow(tau, F(3, 8))),
-            "mu-elliptic": abs(mu(z1 + tau, z2, tau)
+            "mu-elliptic": abs(plan.mu(z2)(z1 + tau)[0]
                                + mp.expjpi(2 * (z1 - z2) + tau) * m12
                                + 1j * mp.expjpi(z1 - z2 + 3 * tau / 4)),
         }

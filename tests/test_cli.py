@@ -473,6 +473,61 @@ def test_mu_laws_laplacian_is_a_stage_after_the_laws():
     assert rep.status == "fail" and rep.witness == {"part": "mu-symmetry"}
 
 
+# the kernel values of mu-laws' trial 0 that a fault is planted in, and the
+# trial-0 laws that read each one
+MU_LAWS_READERS = {
+    "none": set(),
+    "mu(z2, z1)": {"mu-symmetry", "muhat-swap"},
+    "R(z2 - z1)": {"muhat-swap", "muhat-negate"},
+    "mu(-z1, -z2)": {"muhat-negate"},
+    "mu(z1 + tau, z2)": {"mu-elliptic"},
+    "R(z1 + 1)": {"R-shift-1"},
+}
+
+
+@pytest.mark.parametrize("value", list(MU_LAWS_READERS))
+def test_mu_laws_each_law_reads_its_own_sides(monkeypatch, value):
+    # a 2^-40 relative fault in one kernel value of trial 0 lifts exactly
+    # the laws that read that value above 2^-50; a law whose two sides
+    # shared one pass or value would stay below, and still pass
+    import random
+    from itertools import islice
+    from mpmath import mp
+    from pwomega import kernels
+
+    ident = registry._BY_ID["mu-laws"]
+    fault = 1 + mp.mpf(2) ** -40
+    with kernels.workprec(ident.defaults["prec"]):
+        rng = random.Random(20260)
+        tau = mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.8, 1.4))
+        z1 = mp.mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
+        z2 = mp.mpc(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
+        mu_at = {"mu(z2, z1)": (z2, z1), "mu(-z1, -z2)": (-z1, -z2),
+                 "mu(z1 + tau, z2)": (z1 + tau, z2)}.get(value)
+        R_at = {"R(z2 - z1)": z2 - z1, "R(z1 + 1)": z1 + 1}.get(value)
+        mu_call, R_terms = kernels.MuPlan.__call__, kernels._R_terms
+
+        def faulty_mu(plan, z):
+            out = mu_call(plan, z)
+            if mu_at is not None and (z, plan.ws) == (mu_at[0], [mu_at[1]]):
+                out = [x * fault for x in out]
+            return out
+
+        def faulty_R(z, tau, *shifts):
+            out = R_terms(z, tau, *shifts)
+            if not shifts and z == R_at:
+                out = (out[0] * fault, *out[1:])
+            return out
+
+        monkeypatch.setattr(kernels.MuPlan, "__call__", faulty_mu)
+        monkeypatch.setattr(kernels, "_R_terms", faulty_R)
+        parts = list(islice(ident.parts(ident.defaults), 7))
+    assert [w["part"] for _, w in parts] == ["mu-symmetry", "muhat-swap", "muhat-negate",
+                                            "muhat-minus-mu", "R-shift-1", "R-shift-tau",
+                                            "mu-elliptic"]
+    assert {w["part"] for res, w in parts if res > 2.0 ** -50} == MU_LAWS_READERS[value]
+
+
 def test_phat_holpart_fails_on_its_decay_criterion():
     # below a tolerance of 1 the v = 4 residual passes; it does not decay
     # tenfold from v = 3, so the report is the v = 4 residual's

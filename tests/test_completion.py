@@ -222,7 +222,8 @@ def _holomorphic_blocks(tau, nstar):
     jets' guard precision as in the package."""
     bits = mp.prec
     with mp.workprec(bits + completion.JET_GUARD):
-        theta, mu, diag, cross = completion._fhat_kernels(tau, nstar, bits)
+        bundle = completion._fhat_bundle(tau)
+        theta, mu, diag, cross = completion._fhat_kernels(bundle, nstar, bits)
         plan = kernels.TauPlan(tau)
         theta0, (mu0,) = completion._center_jets(plan, plan.mu(completion._w_point(tau, 0)), 0, bits)
         return (completion._fhat_blocks(theta, mu, diag, cross),
@@ -271,9 +272,8 @@ def test_jets_match_contour_quadrature(im_tau):
 def test_R_part_of_the_center_jets_is_the_rstar_closed_form():
     # F-hat's block from mu-hat's jets minus F's from mu's, at delta^0, is
     # R*(c, w_a, w_b) at c = 0 and c = tau, by the closed forms' own route
-    for nstar in (0, -1):
+    for nstar, fhat in completion._fhat_center_jets(TAU).items():
         c = -nstar * TAU
-        fhat = completion._fhat_center_jets(TAU, nstar)
         f, _ = _holomorphic_blocks(TAU, nstar)
         for (a, b), jet in fhat.items():
             got = jet.deriv(0).value - f[a, b].deriv(0).value
@@ -286,7 +286,7 @@ def test_jet_exactness_guards_R_missing_second_derivative():
     # R's jet stops at delta^1; FF's jet still reaches delta^2 because
     # theta(0) = 0, but a product of mu-hat and R without theta does not
     w0 = completion._w_point(TAU, 0)
-    R = completion._R_jet(-w0, TAU)
+    R, = completion._R_jets(-w0, TAU)
     assert (R.val, R.exact) == (0, 1)
     plan = kernels.TauPlan(TAU)
     theta, (mu,) = completion._center_jets(plan, plan.mu(w0), 0, mp.prec)
@@ -320,9 +320,10 @@ def test_jet_allowances_are_taken_at_the_working_precision(monkeypatch):
     assert completion.fcal_derivs(TAU)[0].err > floor
     # with R's jet an exact zero, F-hat's blocks keep only the allowances of
     # the holomorphic kernels
-    monkeypatch.setattr(completion, "_R_jet", lambda z, tau: completion.Jet(0, 1, [0, 0], [0.0, 0.0]))
-    for nstar in (0, -1):
-        assert min(jet.err[0] for jet in completion._fhat_center_jets(TAU, nstar).values()) > floor
+    monkeypatch.setattr(completion, "_R_jets", lambda z, tau, shifts=(0,):
+                        [completion.Jet(0, 1, [0, 0], [0.0, 0.0]) for _ in shifts])
+    for blocks in completion._fhat_center_jets(TAU).values():
+        assert min(jet.err[0] for jet in blocks.values()) > floor
 
 
 def test_hhat1_vanishes():

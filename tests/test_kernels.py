@@ -5,9 +5,11 @@ R's erfc at the precision each term needs) against their per-term sums at
 100 more bits, and R's trapezoid and asymptotic erfc (kernels.ErfcTable)
 against mpmath's erfc at 100 more bits."""
 
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -280,6 +282,71 @@ def test_R_window_ends_at_the_weighted_tail_cut(im_tau):
                 assert abs(2 * k + 1) * bound(k, a) < cut, (z, k)
             for k in (lo, hi):
                 assert abs(2 * k + 1) * bound(k, a) >= cut * (1 - mp.mpf(10) ** -9), (z, k)
+
+
+def _old_halfint_window(v, y):
+    """_halfint_window as first written: the length in mpf, then the window
+    in floats."""
+    terms = 2 * mp.sqrt(y * y + v * (mp.prec + TAIL_GUARD + 8) * math.log(2) / math.pi) / v
+    assert terms <= kernels.MAX_TERMS
+    v, y = float(v), float(y)
+    root = math.sqrt(y * y + v * (mp.prec + TAIL_GUARD + 8) * math.log(2) / math.pi)
+    return math.floor((-y - root) / v) - 4, math.ceil((-y + root) / v) + 4
+
+
+def _old_R_window(v, y):
+    """_R_window as first written: {k: log2 B_n} over theta's whole window,
+    its peak, and the first and last k whose weighted bound reaches the cut."""
+    lo, hi = _old_halfint_window(v, y)
+    fa, cv = float(y / v), math.pi * float(v) / math.log(2)
+    lbs = {}
+    for k in range(lo, hi + 1):
+        na = k + 0.5 + fa
+        lbs[k] = 1 + cv * (na * na - fa * fa) if (na >= 0) != (k >= 0) else -cv * (na * na + fa * fa)
+    cut = max(lbs.values()) - mp.prec - TAIL_GUARD
+    kept = [k for k, lb in lbs.items() if lb + math.log2(abs(2 * k + 1)) >= cut]
+    return kept[0], kept[-1], lbs
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_windows_match_their_first_formulas(prec):
+    # the float length check and the inward walk give the windows, and every
+    # term's log2 B_n, of the per-index formulas, from Im tau = 0.0104 up and
+    # out to |Im z| = 6 Im tau
+    with workprec(prec):
+        for im_tau in ("0.0104", "0.03", "0.1", "0.5", "0.93", "1.36"):
+            v = mp.mpf(im_tau)
+            for a in ("-6", "-2.5", "-1", "-0.51", "-0.5", "-0.49", "-0.1", "0", "0.3", "0.5",
+                      "1", "3.7", "6"):
+                y = mp.mpf(a) * v
+                assert _halfint_window(v, y) == _old_halfint_window(v, y), (im_tau, a)
+                lo, hi, lbs = kernels._R_window(v, y)
+                want_lo, want_hi, want = _old_R_window(v, y)
+                assert (lo, hi) == (want_lo, want_hi), (im_tau, a)
+                assert lbs == [want[k] for k in range(lo, hi + 1)], (im_tau, a)
+                assert max(lbs) == max(want.values()), (im_tau, a)
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS_R)
+def test_R_shift_pass_matches_one_shift_passes(im_tau):
+    # one pass serves R(z + s) for s in (0, -1/2) and (0, -1): each within
+    # 2 units of the working precision of max(1, |value|) of its own pass at
+    # z + s, shift 0 bit for bit, and shift -1 the exact negation of shift 0;
+    # the points carry 53 bits, so z + s is exact
+    tau = mp.mpc("0.11", im_tau)
+    points = _R_points(tau)
+    with workprec(P):
+        for z in points:
+            for shifts in ((0, -F(1, 2)), (0, -1)):
+                got = kernels._R_terms(z, tau, shifts)
+                assert got[0] == kernels._R_terms(z, tau)
+                for s, terms in zip(shifts, got):
+                    for g, w in zip(terms, kernels._R_terms(z + s, tau)):
+                        assert _ulps(g, w) <= 2, (z, s, g, w)
+            zero, minus_one = kernels._R_terms(z, tau, (0, -1))
+            assert all(a == -b for a, b in zip(zero, minus_one)), z
+        with pytest.raises(ValueError):
+            kernels._R_terms(points[0], tau, (0, F(1, 4)))
 
 
 @pytest.mark.parametrize("im_tau", IM_TAUS_R)

@@ -101,7 +101,7 @@ MUTANTS = [
      "for g, k2 in self._terms:", "for g, k2 in self._terms[:-2]:",
      ["tests/test_kernels.py"]),
     ("src/pwomega/kernels.py",
-     "lb + math.log2(abs(2 * k + 1)) >= cut", "lb >= cut",
+     "    while lb(hi) + math.log2(abs(2 * hi + 1)) < cut:\n", "    while lb(hi) < cut:\n",
      ["tests/test_kernels.py"]),
     # the asymptotic erfc on h_n stopped early (dropping only its last
     # nonzero term moves S by under 2^-(bits+4): no 1-ulp test can see it),
@@ -403,8 +403,8 @@ MUTANTS = [
     # the jets' rounding allowances taken inside the JET_GUARD context,
     # 2^24 tighter than the working precision's
     ("src/pwomega/completion.py",
-     "JET_GUARD):\n        theta, mu, diag, cross",
-     "JET_GUARD):\n        bits = mp.prec\n        theta, mu, diag, cross",
+     "JET_GUARD):\n        bundle = _fhat_bundle(tau)\n",
+     "JET_GUARD):\n        bits = mp.prec\n        bundle = _fhat_bundle(tau)\n",
      ["tests/test_completion.py"]),
     ("src/pwomega/completion.py",
      "JET_GUARD):\n        plan = kernels.TauPlan(tau)\n",
@@ -423,7 +423,7 @@ MUTANTS = [
      "val = (f0.value + df0.value / two_pi_i) / q14", "val = f0.value / q14",
      ["tests/test_completion.py"]),
     ("src/pwomega/completion.py",
-     "kernels._R_terms(z, tau)[:2]", "kernels._R_terms(z, tau)[:1]",
+     "Jet.kernel(t[:2], 0, mp.prec)", "Jet.kernel(t[:1], 0, mp.prec)",
      ["tests/test_completion.py"]),
     # one stencil and one Richardson step for the FD operators: the level
     # dropped, the wrong divisor, a failure at a stencil point left untyped;
@@ -446,6 +446,31 @@ MUTANTS = [
      ["tests/test_appell.py"]),
     ("src/pwomega/kernels.py",
      "    if terms > MAX_TERMS:\n", "    if False:\n",
+     ["tests/test_kernels.py"]),
+    # one kernel pass per distinct value and tau: the half-shift phase of
+    # R's shift pass with the wrong sign, muhat-swap's right side built from
+    # mu(z1, z2) and R(z1 - z2), the Laplacian's centre value taken at
+    # tau + h, mu-laws' plan kept from the first trial (a stale tau), R's
+    # window walk stopping one index early at either end
+    ("src/pwomega/kernels.py",
+     "((a, b), (b, -a), (-a, -b), (-b, a))", "((a, b), (-b, a), (-a, -b), (b, -a))",
+     ["tests/test_completion.py"]),
+    ("src/pwomega/registry.py",
+     "abs(mh - (m21 + 0.5j * r21))", "abs(mh - (m12 + 0.5j * R(z1 - z2, tau)))",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/modular.py",
+     "    fc, = _stencil(f, tau)\n", "    fc, = _stencil(f, tau + FD_STEP_SECOND)\n",
+     ["tests/test_modular.py"]),
+    ("src/pwomega/registry.py",
+     "        plan = TauPlan(tau)\n", "        plan = TauPlan(tau) if trial == 0 else plan\n",
+     ["tests/test_cli.py"]),
+    ("src/pwomega/kernels.py",
+     "    while lb(lo) + math.log2(abs(2 * lo + 1)) < cut:\n",
+     "    while lb(lo + 1) + math.log2(abs(2 * lo + 3)) < cut:\n",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "    while lb(hi) + math.log2(abs(2 * hi + 1)) < cut:\n",
+     "    while lb(hi - 1) + math.log2(abs(2 * hi - 1)) < cut:\n",
      ["tests/test_kernels.py"]),
 ]
 
