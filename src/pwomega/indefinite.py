@@ -122,8 +122,6 @@ def pbar_omega_series(N, method: str = "definition") -> QSeries:
     if method == "definition":
         return genfun("pbar_omega", N, side="definition")
     if method == "triple_sum":
-        if F(N) <= 1:
-            return QSeries.zero(1, N)   # the series starts at q^1
         c = over_qpochhammer(weighted_triple_sum(N), Monomial(1, 1), None, power=3)
         return -c.truncate(N)
     if method == "oracle":

@@ -5,9 +5,9 @@ non-zero coefficient, the four component tables of [zeta^(r/Dz)] under
 rows[r], below its one truncation order: the stored form of qseries._Series,
 of which a QSeries is the row-0 case, so the q-side has the QSeries order
 contract and every operation the two share is written once.  The zeta-side
-is always finite.  Substituting zeta := 1 (or any zeta-free monomial) yields
-a QSeries, with the truncation order reduced by the worst leftward exponent
-shift the substitution can cause.
+is always finite.  Substituting zeta := 1 (or any zeta-free constant) yields
+a QSeries at the same order; substituting a zeta-free monomial with a q-power
+needs the caller's bound on where the unknown tail lands.
 """
 
 from __future__ import annotations
@@ -103,19 +103,18 @@ class JSeries(_Series):
     def _landing_order(self, val: Monomial, tail_landing: Optional[int]) -> int:
         """Certified scaled q-order after zeta := val.
 
-        Unknown terms (q-exponent >= order) can land left of the order when
-        val carries a positive q-exponent and negative zeta-exponents occur;
-        callers with cone-structure knowledge pass an exact tail_landing bound,
-        otherwise the stored zeta-floor is used as the tail's assumed floor.
+        Unknown terms (q-exponent >= order) land left of the order when val
+        carries a q-exponent and the tail has zeta-exponents of the opposite
+        sign.  Nothing stored bounds the tail's zeta-exponents, so such a
+        substitution needs the caller's tail_landing bound (UncertifiedOrder
+        without one); a zeta-free constant keeps the order.
         """
         if tail_landing is not None:
             return min(self.order, tail_landing)
-        e = _scale(val.q_exp, self.D)
-        if e == 0:
-            return self.order
-        zmin, zmax = self.zeta_support()
-        worst = min(0, min(_scale(zmin * e, self.D), _scale(zmax * e, self.D)))
-        return self.order + worst
+        if val.q_exp != 0:
+            raise UncertifiedOrder(f"zeta := q^{val.q_exp} lands the unknown tail at an "
+                                   "unknown order: pass its tail_landing bound")
+        return self.order
 
     def _land(self, val: Monomial, order: int, weighted: bool = False):
         """The rows with zeta^r := val^r (times r when weighted) summed to a
@@ -139,7 +138,8 @@ class JSeries(_Series):
         return _assemble(QSeries(self.D), acc, order), floors
 
     def substitute(self, val: Monomial, tail_landing: Optional[int] = None) -> QSeries:
-        """Replace zeta^r by val^r; val must be zeta-free."""
+        """Replace zeta^r by val^r; val must be zeta-free, and tail_landing
+        (scaled) bounds where the unknown terms land when val has a q-power."""
         if val.z_exp != 0:
             raise LatticeMismatch("substitution value must be zeta-free")
         out, floors = self._land(val, self._landing_order(val, tail_landing))

@@ -74,17 +74,8 @@ def in_gamma(M: GroupElement) -> bool:
     return (M.c // 4) % 2 == ((M.d - 1) // 2) % 2 == M.b % 2
 
 
-def group_membership(M: GroupElement) -> str:
-    """Strictest of {"Gamma", "Gamma0_4", "SL2Z"} containing M."""
-    if in_gamma(M):
-        return "Gamma"
-    if M.c % 4 == 0:
-        return "Gamma0_4"
-    return "SL2Z"
-
-
 # ---------------------------------------------------------------------------
-# Kronecker / Legendre symbols and epsilon_d
+# Kronecker / Legendre symbols
 # ---------------------------------------------------------------------------
 
 def kronecker(a: int, n: int) -> int:
@@ -116,22 +107,6 @@ def kronecker(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
-
-
-def epsilon_d(d: int) -> complex:
-    """1 if d = 1 (mod 4), i if d = 3 (mod 4)."""
-    if d % 2 == 0:
-        raise DomainViolation("epsilon_d needs odd d")
-    return mp.mpc(1) if d % 4 == 1 else mp.mpc(0, 1)
-
-
-def shimura_multiplier(M: GroupElement, k: Fraction):
-    """The half-integer-weight automorphy multiplier (c/d) epsilon_d^(-2k)."""
-    k = F(k)
-    if (2 * k).denominator != 1:
-        raise DomainViolation("k must be a half-integer")
-    e = epsilon_d(M.d)
-    return kronecker(M.c, M.d) * e ** int(-2 * k % 4)
 
 
 # ---------------------------------------------------------------------------

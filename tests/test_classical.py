@@ -102,31 +102,6 @@ def test_theta_at_zero_vanishes():
     assert theta_series_at_torsion(TorsionPoint(0, 0), 20).is_zero()
 
 
-def test_theta_tau_plus_half_eta_quotient():
-    # theta(tau + 1/2) = -2 q^{-1/2} eta(2tau)^2 / eta(tau), exact to O(q^30)
-    lhs = theta_series_at_torsion(TorsionPoint(1, F(1, 2)), 30)
-    rhs = eta_quotient_series(
-        EtaQuotient([(2, 2), (1, -1)], Monomial(-2, F(-1, 2))), 30)
-    assert lhs == rhs
-
-
-def test_theta_half_tau_plus_quarter_eta_quotient():
-    # theta(tau/2 + 1/4) = e^{-3 pi i/4} q^{-1/8} eta(2tau)^2 / eta(4tau)
-    lhs = theta_series_at_torsion(TorsionPoint(F(1, 2), F(1, 4)), 30)
-    root = Cyc8.zeta_pow(-3)
-    rhs = eta_quotient_series(EtaQuotient([(2, 2), (4, -1)], Monomial(root, F(-1, 8))), 30)
-    assert lhs == rhs
-
-
-def test_theta_elliptic_shifts_exact():
-    z = TorsionPoint(F(1, 2), F(1, 4))
-    for lam in (-1, 0, 1):
-        for mu in (-1, 0, 1):
-            shifted = theta_series_at_torsion(z.shifted(lam, mu), 18)
-            reference = theta_elliptic_shift_reference(z, lam, mu, 18)
-            assert shifted == reference, (lam, mu)
-
-
 def test_theta_rejects_large_denominator():
     with pytest.raises(RootOfUnityOutsideCyc8):
         theta_series_at_torsion(TorsionPoint(0, F(1, 3)), 10)
@@ -174,17 +149,6 @@ def test_heine_order_zero_coefficient():
     z = Monomial(1, 1)
     lhs, rhs = heine_sides(a, b, c, z, 10)
     assert lhs[0] == ONE and rhs[0] == ONE
-
-
-@pytest.mark.parametrize("j", [0, 1, 2])
-def test_heine_paper_parameter_family(j):
-    # a = i q^{j+1/2}, b = -i q^{j+1/2}, c = q^{2j+1}, z = q
-    a = Monomial(I, F(2 * j + 1, 2))
-    b = Monomial(-I, F(2 * j + 1, 2))
-    c = Monomial(1, 2 * j + 1)
-    z = Monomial(1, 1)
-    lhs, rhs = heine_sides(a, b, c, z, 25)
-    assert lhs.first_mismatch(rhs) is None
 
 
 def test_heine_sides_share_one_order():

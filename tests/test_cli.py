@@ -16,7 +16,7 @@ from pwomega.errors import UndeclaredParameter
 from pwomega.jseries import JSeries
 from pwomega.qseries import QSeries
 from pwomega import registry
-from pwomega.registry import DEFAULT_TAUS, REGISTRY, _check, run_identity
+from pwomega.registry import _check, run_identity
 
 
 def run_cli(capsys, *argv):
@@ -64,16 +64,6 @@ def test_suite_passes_each_identity_its_declared_overrides(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["status"] == "pass" and "order" not in report["params"]
-
-
-@pytest.mark.parametrize("ident, read", [("theta-shifts", 3), ("hhat2-phat", 3),
-                                         ("phat-weight1", 3), ("phat-lowering", 1),
-                                         ("f2-shadow", 2)])
-def test_numeric_identities_report_the_taus_they_read(ident, read):
-    # each reads the first `read` default points; its report lists those
-    rep = run_identity(ident)
-    assert rep.status == ("fail" if ident == "phat-lowering" else "pass")
-    assert rep.params["taus"] == [list(tau) for tau in DEFAULT_TAUS[:read]]
 
 
 def test_phat_lowering_reads_every_point():
@@ -326,14 +316,6 @@ def test_reports_deterministic_modulo_elapsed():
     b = run_identity("heine", {"order": 18}).to_dict()
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     assert a == b
-
-
-def test_registry_exposes_documented_ids():
-    expected = {"spt-andrews", "spt-omega", "sptbar-omega", "sptG2-equiv",
-                "pomega-qomega", "thm-pwz", "cor-pwrep", "brz-F", "hhat1-zero",
-                "hhat2-phat", "phat-weight1", "phat-holpart", "phat-lowering",
-                "f2-shadow", "theta-shifts", "mu-laws", "finite-jtp", "heine"}
-    assert {ident.id for ident in REGISTRY} == expected
 
 
 def test_series_check_witness_keys():

@@ -548,7 +548,7 @@ def test_walks_write_only_tables_they_made():
         (lambda: a.scale(I), [a]), (lambda: a.shift(F(3, 2)), [a]),
         (lambda: a.mul_monomial(Monomial(Cyc8(2, 0, 1), -1)), [a]),
         (lambda: a.truncate(5), [a]), (lambda: a.refine(6), [a]), (lambda: a.invert(), [a]),
-        (lambda: j.substitute(Monomial(Cyc8(-1), 1)), [j]), (lambda: j.dzeta_at_one(), [j]),
+        (lambda: j.substitute(Monomial(Cyc8(-1), 1), 26), [j]), (lambda: j.dzeta_at_one(), [j]),
         (lambda: j + j2, [j, j2]), (lambda: j - j2, [j, j2]), (lambda: j * j2, [j, j2]),
         (lambda: j * a, [j, a]), (lambda: j.scale(I), [j]), (lambda: j.truncate(5), [j]),
         (lambda: j.mul_monomial(Monomial(Cyc8(2, 0, 1), -1, 2)), [j]),
@@ -686,12 +686,13 @@ def test_jsubstitute_single_term():
 
 def test_jsubstitute_zeta_equals_q():
     # zeta + zeta^{-1} q  at zeta = q  ->  q + 1
+    # (finite series: past O(q^10), zeta^-1 at most lands on q^9)
     j = JSeries.from_terms(1, 1, [(0, 1, ONE), (1, -1, ONE)], 10)
-    got = j.substitute(Monomial(1, 1, 0))
+    got = j.substitute(Monomial(1, 1, 0), 9)
     assert got[1] == ONE and got[0] == ONE
     # zeta + zeta^{-1} q^2 at zeta = q -> 2q
     j2 = JSeries.from_terms(1, 1, [(0, 1, ONE), (2, -1, ONE)], 10)
-    assert j2.substitute(Monomial(1, 1, 0))[1] == Cyc8(2)
+    assert j2.substitute(Monomial(1, 1, 0), 9)[1] == Cyc8(2)
 
 
 def test_dzeta_at_one_power_rule():
@@ -705,7 +706,7 @@ def test_dzeta_at_one_power_rule():
 def test_zeta_dzeta_at_q_power_rule():
     for r in range(-2, 3):
         j = JSeries.from_terms(1, 1, [(0, r, ONE)], 9)
-        got = j.zeta_dzeta_at_q()
+        got = j.zeta_dzeta_at_q(9 + min(r, 0))
         if r == 0:
             assert got.is_zero()
         else:
@@ -722,9 +723,11 @@ def test_substitution_is_multiplicative():
               for _ in range(4)]
         a = JSeries.from_terms(1, 1, t1, 14)
         b = JSeries.from_terms(1, 1, t2, 14)
-        for val in (Monomial(1, 0, 0), Monomial(1, 1, 0)):
-            lhs = (a * b).substitute(val)
-            rhs = a.substitute(val) * b.substitute(val)
+        # zeta-exponents of a, b and a * b are at least -6: at zeta = q
+        # nothing past O(q^14) lands below q^8
+        for val, landing in ((Monomial(1, 0, 0), None), (Monomial(1, 1, 0), 8)):
+            lhs = (a * b).substitute(val, landing)
+            rhs = a.substitute(val, landing) * b.substitute(val, landing)
             common = min(lhs.order_exp(), rhs.order_exp())
             assert lhs.truncate(common) == rhs.truncate(common)
 
@@ -816,15 +819,29 @@ def test_substitution_raises_when_nothing_is_certified():
     # zeta^2 q^3 + zeta q^4 at zeta = q lands at q^5, the certified order
     j = JSeries.from_terms(1, 1, [(3, 2, ONE), (4, 1, ONE)], 5)
     with pytest.raises(PrecisionExhausted):
-        j.substitute(q)
+        j.substitute(q, tail_landing=5)
     with pytest.raises(PrecisionExhausted):
         JSeries.from_terms(1, 1, [(1, 1, ONE)], 10).substitute(q, tail_landing=2)
     half = JSeries.from_terms(2, 2, [(0, F(1, 2), ONE)], 5)
-    assert half.substitute(Monomial(1, 1, 0)) == QSeries.from_terms(2, [(F(1, 2), ONE)], 5)
+    assert half.substitute(Monomial(1, 1, 0), 10) == QSeries.from_terms(2, [(F(1, 2), ONE)], 5)
     with pytest.raises(LatticeMismatch):
-        half.substitute(Monomial(2, 1, 0))
+        half.substitute(Monomial(2, 1, 0), 10)
     with pytest.raises(LatticeMismatch):
         j.substitute(Monomial(1, 0, 1))
+
+
+def test_substitution_with_a_q_power_needs_the_tail_bound():
+    # sum_k q^(2k) zeta^(-k) to O(q^10): at zeta = q the unstored
+    # q^10 zeta^-5 lands on q^5, below any order the stored terms suggest
+    j = JSeries.from_terms(1, 1, [(2 * k, -k, ONE) for k in range(5)], 10)
+    q = Monomial(1, 1, 0)
+    with pytest.raises(UncertifiedOrder):
+        j.substitute(q)
+    with pytest.raises(UncertifiedOrder):
+        j.zeta_dzeta_at_q()
+    assert j.substitute(q, 5) == QSeries.from_terms(1, [(k, ONE) for k in range(5)], 5)
+    # zeta := -1 moves no term: the order stays
+    assert j.substitute(Monomial(-1)).order_exp() == 10
 
 
 def jseries_chain_reference(s, factors):

@@ -14,9 +14,8 @@ from pwomega import kernels
 from pwomega.errors import DomainViolation, NotUnimodular, StencilThroughSingularity
 from pwomega.kernels import workprec
 from pwomega.modular import (FD_STEP_FIRST, FD_STEP_SECOND, GroupElement, S_MAT, T_MAT,
-                             chi_multiplier, dtaubar_fd, epsilon_d, group_membership,
-                             in_gamma, kronecker, laplacian_fd, lowering_fd,
-                             psi_multiplier, shimura_multiplier,
+                             chi_multiplier, dtaubar_fd, in_gamma, kronecker,
+                             laplacian_fd, lowering_fd, psi_multiplier,
                              weight_transform_residual, xi_fd)
 
 F = Fraction
@@ -34,14 +33,13 @@ def test_unimodular_enforced():
 
 
 def test_group_membership():
-    assert group_membership(GroupElement(1, 0, 0, 1)) == "Gamma"
-    assert group_membership(GroupElement(7, 5, 4, 3)) == "Gamma"
-    assert group_membership(GroupElement(3, -1, 4, -1)) == "Gamma"
-    assert group_membership(GroupElement(1, 0, 8, 1)) == "Gamma"
-    # T has c = 0 = 0 mod 4 but fails the finer congruence (b odd)
-    assert group_membership(GroupElement(1, 1, 0, 1)) == "Gamma0_4"
-    assert group_membership(GroupElement(0, -1, 1, 0)) == "SL2Z"
-    assert group_membership(GroupElement(1, 0, 2, 1)) == "SL2Z"
+    for M in (GroupElement(1, 0, 0, 1), GroupElement(7, 5, 4, 3),
+              GroupElement(3, -1, 4, -1), GroupElement(1, 0, 8, 1)):
+        assert in_gamma(M)
+    # T has c = 0 = 0 mod 4 but fails the finer congruence (b odd); S and
+    # (1, 0, 2, 1) are not even in Gamma0(4)
+    for M in (GroupElement(1, 1, 0, 1), GroupElement(0, -1, 1, 0), GroupElement(1, 0, 2, 1)):
+        assert not in_gamma(M)
 
 
 def test_gamma_closed_under_products():
@@ -68,21 +66,6 @@ def test_kronecker_small_table():
         n = rng.choice([3, 5, 7, 9, 11, 15])
         a, b = rng.randint(-20, 20), rng.randint(-20, 20)
         assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
-
-
-def test_epsilon_d():
-    assert epsilon_d(1) == 1 and epsilon_d(5) == 1
-    assert epsilon_d(3) == mp.mpc(0, 1) and epsilon_d(-1) == mp.mpc(0, 1)
-    with pytest.raises(DomainViolation):
-        epsilon_d(2)
-
-
-def test_shimura_multiplier_weight_half():
-    # epsilon_d^{-2k} with k = 1/2 is epsilon_d^{-1}
-    m = shimura_multiplier(GroupElement(1, 0, 4, 1), F(1, 2))
-    assert abs(m - 1) < 1e-12
-    m = shimura_multiplier(GroupElement(3, 1, 8, 3), F(1, 2))
-    assert abs(m - kronecker(8, 3) * (-1j)) < 1e-12
 
 
 def test_psi_at_generators():

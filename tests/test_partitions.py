@@ -1,5 +1,4 @@
-"""Counting families: enumerators against generating functions and the
-classical smallest-parts identities."""
+"""Counting families: enumerators against their generating functions."""
 
 import pytest
 
@@ -60,23 +59,3 @@ def test_enumeration_cap():
         with pytest.raises(ResourceBound):
             census(family, ENUMERATION_CAP + 1)
 
-
-def test_spt_identity_exact_to_40():
-    # smallest-parts series equals its Appell-Lerch representation
-    assert genfun("spt", 41) == genfun("spt", 41, side="appell")
-
-
-def test_spt_omega_identity_exact_to_40():
-    assert genfun("spt_omega", 41) == genfun("spt_omega", 41, side="appell")
-
-
-def test_sptbar_omega_identity_exact_to_40():
-    assert genfun("sptbar_omega", 41) == genfun("sptbar_omega", 41, side="appell")
-
-
-def test_spt_g2_equals_sptbar_omega_to_40():
-    assert genfun("spt_g2", 41) == genfun("sptbar_omega", 41)
-
-
-def test_p_omega_equals_q_omega_to_40():
-    assert genfun("p_omega", 41) == genfun("p_omega", 41, side="appell")

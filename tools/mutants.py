@@ -36,7 +36,7 @@ MUTANTS = [
      ["tests/test_classical.py"]),
     ("src/pwomega/partitions.py",
      "(e + m * n, sign)", "(e + n, sign)",
-     ["tests/test_partitions.py"]),
+     ["tests/test_acceptance.py"]),
     # the binomial walks of the exact builders: an eta factor one power
     # short, mu's root with the wrong sign, the squared Appell denominator
     # taken once
@@ -48,7 +48,7 @@ MUTANTS = [
      ["tests/test_appell.py"]),
     ("src/pwomega/partitions.py",
      "[(-1, m * n, -1)] * 2", "[(-1, m * n, -1)]",
-     ["tests/test_partitions.py"]),
+     ["tests/test_acceptance.py"]),
     ("src/pwomega/kernels.py",
      "Q[-n], W)", "Q[1 - n], W)",
      ["tests/test_kernels.py"]),
@@ -472,6 +472,36 @@ MUTANTS = [
      "    while lb(hi) + math.log2(abs(2 * hi + 1)) < cut:\n",
      "    while lb(hi - 1) + math.log2(abs(2 * hi - 1)) < cut:\n",
      ["tests/test_kernels.py"]),
+    # the contract's parameters: a registered default weakened to a lower
+    # order or precision, fewer tau-points or matrices, a looser tolerance
+    ("src/pwomega/registry.py",
+     "_cor_pwrep_parts, {\"order\": 61}", "_cor_pwrep_parts, {\"order\": 31}",
+     ["tests/test_acceptance.py"]),
+    ("src/pwomega/registry.py",
+     "_family_parts(\"spt\", p), {\"order\": 41}", "_family_parts(\"spt\", p), {\"order\": 11}",
+     ["tests/test_acceptance.py"]),
+    ("src/pwomega/registry.py",
+     "_pwz_parts, {\"order\": 25,", "_pwz_parts, {\"order\": 9,",
+     ["tests/test_acceptance.py"]),
+    ("src/pwomega/registry.py",
+     "\"taus\": EXTPTS}", "\"taus\": EXTPTS[:1]}",
+     ["tests/test_acceptance.py"]),
+    ("src/pwomega/registry.py",
+     "\"matrices\": GAMMA_MATS}", "\"matrices\": GAMMA_MATS[:1]}",
+     ["tests/test_acceptance.py"]),
+    ("src/pwomega/registry.py",
+     "tolerance=1e-15)", "tolerance=1e-5)",
+     ["tests/test_acceptance.py"]),
+    ("src/pwomega/registry.py",
+     "_hhat2_parts, {\"prec\": DEFAULT_PREC,", "_hhat2_parts, {\"prec\": 96,",
+     ["tests/test_acceptance.py"]),
+    ("src/pwomega/registry.py",
+     "_brz_parts, {\"prec\": DEFAULT_PREC}, tolerance=1e-20)",
+     "_brz_parts, {\"prec\": DEFAULT_PREC}, tolerance=1e-12)",
+     ["tests/test_acceptance.py"]),
+    ("src/pwomega/registry.py",
+     "\"laplacian_tolerance\": 1e-5}", "\"laplacian_tolerance\": 1e-3}",
+     ["tests/test_acceptance.py"]),
 ]
 
 
