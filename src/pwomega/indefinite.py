@@ -27,7 +27,6 @@ from .qseries import (Monomial, QSeries, _add_root, _scale, over_qpochhammer,
 
 F = Fraction
 
-ORACLE_CAP = 25     # the "oracle" route enumerates coefficients n <= ORACLE_CAP
 # the lattices (q^(1/D), zeta^(1/Dz)) of zeta^(1/2) G(z, tau+1/2, tau+1/2) and
 # the cleared pwz series (zeta on Z); cone sums and P-bar-omega live on Z
 G_HALF_D, G_HALF_DZ = 24, 4
@@ -125,8 +124,7 @@ def pbar_omega_series(N, method: str = "definition") -> QSeries:
         c = over_qpochhammer(weighted_triple_sum(N), Monomial(1, 1), None, power=3)
         return -c.truncate(N)
     if method == "oracle":
-        n_top = min(int(N), ORACLE_CAP + 1)
-        return QSeries.from_terms(1, enumerate(census("pbar_omega", n_top - 1), 1), n_top)
+        return QSeries.from_terms(1, enumerate(census("pbar_omega", int(N) - 1), 1), int(N))
     raise ValueError("method must be definition | triple_sum | oracle")
 
 

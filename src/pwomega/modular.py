@@ -6,14 +6,15 @@ The operators share one stencil (_stencil: a failure at any point raises
 StencilThroughSingularity) and one Richardson step (_richardson); d/d(tau-bar),
 which lowering and xi are built on, takes 8 evaluations of f, the Laplacian 9.
 
-The eta-multiplier psi is implemented from its explicit two-case formula
-(Jacobi/Kronecker symbols extended to negative arguments in Shimura's
-convention) and validated numerically against eta in the test suite.  The
-half-integer automorphy factor uses the principal branch of (c tau + d)^(1/2).
+The eta-multiplier psi comes from Rademacher's formula (a Dedekind sum, summed
+directly; no Kronecker symbols), and every other multiplier from psi; the test
+suite checks each against eta and its eta-quotients.  The half-integer
+automorphy factor uses the principal branch of (c tau + d)^(1/2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -75,82 +76,54 @@ def in_gamma(M: GroupElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker / Legendre symbols
-# ---------------------------------------------------------------------------
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n); for odd n this is the Jacobi symbol extended to
-    negative n by (a/-1) = sign-of-a, matching Shimura's convention."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    # factor out twos of n
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if abs(a) % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol by reciprocity
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
-# ---------------------------------------------------------------------------
 # multiplier values
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MultiplierValue:
-    """A root of unity e^(2 pi i turns) with exact rational 'turns'."""
+    """A root of unity e^(2 pi i turns) with exact rational 'turns' mod 1."""
 
     turns: Fraction
-    sign: int = 1          # extra +-1 from a Legendre symbol
 
     def __post_init__(self):
         object.__setattr__(self, "turns", F(self.turns) % 1)
 
     def value(self):
-        return self.sign * mp.expjpi(2 * mp.mpf(self.turns.numerator) / self.turns.denominator) \
-            if self.turns else mp.mpc(self.sign)
+        return mp.expjpi(2 * mp.mpf(self.turns.numerator) / self.turns.denominator) \
+            if self.turns else mp.mpc(1)
 
     def __mul__(self, other: "MultiplierValue") -> "MultiplierValue":
-        return MultiplierValue(self.turns + other.turns, self.sign * other.sign)
+        return MultiplierValue(self.turns + other.turns)
 
     def inverse(self) -> "MultiplierValue":
-        return MultiplierValue(-self.turns, self.sign)
+        return MultiplierValue(-self.turns)
 
     def pow(self, k: int) -> "MultiplierValue":
-        return MultiplierValue(self.turns * k, self.sign ** (k % 2) if self.sign < 0 else 1)
+        return MultiplierValue(self.turns * k)
+
+
+def _saw(x: Fraction) -> Fraction:
+    """The sawtooth ((x)) = x - floor(x) - 1/2 at a non-integer x: psi takes
+    it only at k/c and dk/c with 0 < k < c and gcd(d, c) = 1."""
+    return x - math.floor(x) - F(1, 2)
 
 
 def psi_multiplier(M: GroupElement) -> MultiplierValue:
     """The eta multiplier: eta(M tau) = psi(M) (c tau + d)^(1/2) eta(tau).
 
-    Two-case closed formula with the symbol (d/|c|) for odd c and Shimura's
-    (c/d) for even c.
+    Rademacher's formula: for c > 0, psi = e^(2 pi i t) with
+    t = (a+d)/(24c) - s(d,c)/2 - 1/8 and s the Dedekind sum; for c = 0,
+    d = 1, t = b/24.  Any other M acts as -M, and the principal root of
+    c tau + d differs from that of -(c tau + d) by i (c < 0) or -i (c = 0).
     """
     a, b, c, d = M.a, M.b, M.c, M.d
-    if c % 2 != 0:
-        sym = kronecker(d, abs(c))
-        exponent = F((a + d) * c - b * d * (c * c - 1) - 3 * c, 24)
-    else:
-        sym = kronecker(c, d)
-        exponent = F(a * c * (1 - d * d) + d * (b - c + 3) - 3, 24)
-    return MultiplierValue(exponent, sym)
+    if c < 0 or (c == 0 and d < 0):
+        quarter = F(1, 4) if c else F(-1, 4)
+        return psi_multiplier(GroupElement(-a, -b, -c, -d)) * MultiplierValue(quarter)
+    if c == 0:
+        return MultiplierValue(F(b, 24))
+    dedekind = sum((_saw(F(k, c)) * _saw(F(d * k, c)) for k in range(1, c)), F(0))
+    return MultiplierValue(F(a + d, 24 * c) - dedekind / 2 - F(1, 8))
 
 
 def _conjugated_psi(M: GroupElement, m: int) -> MultiplierValue:
@@ -166,27 +139,19 @@ def chi_multiplier(k: int, M: GroupElement) -> MultiplierValue:
 
     chi1 is the multiplier of eta(4 tau)^3 (the cube of the conjugated eta
     multiplier); chi3 and chi4 are the multipliers of eta(4t)/eta(2t)^2 and
-    eta(2t)^5/(eta(t)^2 eta(4t)^2); chi2 is the two-case eighth-root formula
-    on the paper group, split by 8|c versus 4||c.
+    eta(2t)^5/(eta(t)^2 eta(4t)^2).  chi2 = chi1^(-1): xi_(1/2) maps f2 to a
+    nonzero multiple of eta(4 tau)^3 (the f2-shadow identity) and conjugates
+    the multiplier, so chi2 is defined wherever chi1 is (4 | c).
     """
     if k == 1:
         return _conjugated_psi(M, 4).pow(3)
+    if k == 2:
+        return chi_multiplier(1, M).inverse()
     if k == 3:
         return _conjugated_psi(M, 4) * _conjugated_psi(M, 2).pow(2).inverse()
     if k == 4:
         return _conjugated_psi(M, 2).pow(5) * (
             psi_multiplier(M).pow(2) * _conjugated_psi(M, 4).pow(2)).inverse()
-    if k == 2:
-        c, d = M.c, M.d
-        if c % 4 != 0:
-            raise DomainViolation("chi2 needs 4 | c")
-        if c % 8 == 0:
-            if (d - 1) % 4 != 0:
-                raise DomainViolation("chi2 with 8|c needs d = 1 (mod 4)")
-            # i^(c/8) (-1)^((d-1)/4)
-            return MultiplierValue(F(c // 8, 4) + F((d - 1) // 4, 2))
-        # i e^(-pi i c/16)
-        return MultiplierValue(F(1, 4) - F(c, 32))
     raise ValueError("k must be in {1, 2, 3, 4}")
 
 

@@ -143,7 +143,7 @@ def _family_parts(family: str, params):
     N = params["order"]
     yield family, genfun(family, N), genfun(family, N, side="appell")
     if family == "spt":
-        spt = genfun("spt", 22).truncate(21)
+        spt = genfun("spt", 21)
         yield "census", spt, QSeries.from_terms(spt.D, enumerate(census("spt", 20), 1), 21)
 
 

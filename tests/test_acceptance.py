@@ -106,6 +106,7 @@ def test_criterion(reports, row):
     report(row.criterion, rep.status == "pass",
            f"({rep.id}: worst {rep.worst_residual}, {rep.elapsed_ms} ms)")
     assert rep.params == row.params
+    assert rep.tolerance == row.params.get("tolerance")
     assert rep.status == row.status, rep.witness
     if row.status == "pass" and "tolerance" in row.params:
         assert rep.worst_residual < row.params["tolerance"]

@@ -113,7 +113,7 @@ def test_finite_jtp_n0_trivial():
     assert lhs.zeta_slice(0) == QSeries.one(1, 20)
 
 
-@pytest.mark.parametrize("n,N", [(1, 20), (2, 25), (3, 25), (4, 30), (5, 30)])
+@pytest.mark.parametrize("n,N", [(1, 20), (2, 25), (3, 25)])
 def test_finite_jtp(n, N):
     lhs, rhs = finite_jtp_sides(n, N)
     assert lhs.first_mismatch(rhs) is None

@@ -97,7 +97,7 @@ def test_spaced_negative_tau_is_read_as_a_value(capsys):
 
 
 def test_cor_pwrep_below_the_oracle_cap(capsys):
-    # the enumeration oracle stops at q^26; at order 20 both sides stop at 20
+    # cor-pwrep compares with the enumeration oracle to q^26; at order 20, to q^20
     code, out, _ = run_cli(capsys, "run", "cor-pwrep", "--order", "20")
     assert code == 0 and json.loads(out)["status"] == "pass"
 
@@ -437,13 +437,6 @@ def test_mu_laws_zero_tolerance_fails():
     rep = run_identity("mu-laws", {"tolerance": 0.0})
     assert rep.status == "fail"
     assert rep.tolerance == 0.0 and rep.params["tolerance"] == 0.0
-
-
-def test_mu_laws_reports_the_tolerance_it_applied():
-    rep = run_identity("mu-laws")
-    assert rep.status == "pass"
-    assert rep.tolerance == 2.0 ** -118 and rep.params["tolerance"] == 2.0 ** -118
-    assert rep.to_dict()["tolerance"] == 2.0 ** -118
 
 
 def test_mu_laws_laplacian_is_a_stage_after_the_laws():

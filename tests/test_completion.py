@@ -419,12 +419,13 @@ def test_f1_f4_reality_structure():
 
 
 def test_chi2_matches_f2_transform():
-    # f2 transforms with weight 1/2 and multiplier chi2 on the paper group,
-    # in both branch cases (8|c and 4||c) and with negative entries
+    # f2 transforms with weight 1/2 and multiplier chi2 wherever 4 | c: on the
+    # paper group (8|c and 4||c, c of both signs) and outside it
     from pwomega.modular import chi_multiplier, in_gamma
-    for mat in ("1,0,8,1", "1,2,0,1", "7,5,4,3", "3,-1,4,-1"):
+    paper_group = ("1,0,8,1", "1,2,0,1", "7,5,4,3", "3,-1,4,-1", "-1,1,-4,3", "1,0,-8,1")
+    for mat in paper_group + ("1,1,0,1", "3,1,8,3"):
         M = GroupElement.parse(mat)
-        assert in_gamma(M)
+        assert in_gamma(M) == (mat in paper_group)
         left = completion.f_family_numeric(2, M.act(TAU))
         right = completion.f_family_numeric(2, TAU)
         ratio = left / (power_principal(M.jfactor(TAU), F(1, 2)) * right)

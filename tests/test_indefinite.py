@@ -61,9 +61,10 @@ def test_routes_agree_to_30():
 
 
 def test_oracle_route_matches():
-    b = pbar_omega_series(26, "triple_sum")
-    c = pbar_omega_series(26, "oracle")
-    assert b.truncate(26).first_mismatch(c) is None
+    # exactly O(q^N), also past the registry's comparison depth of 26
+    b = pbar_omega_series(40, "triple_sum")
+    c = pbar_omega_series(40, "oracle")
+    assert c.order_exp() == 40 and b.first_mismatch(c) is None
     assert c[7] == Cyc8(census("pbar_omega", 7)[6])
 
 

@@ -14,8 +14,8 @@ from pwomega import kernels
 from pwomega.errors import DomainViolation, NotUnimodular, StencilThroughSingularity
 from pwomega.kernels import workprec
 from pwomega.modular import (FD_STEP_FIRST, FD_STEP_SECOND, GroupElement, S_MAT, T_MAT,
-                             chi_multiplier, dtaubar_fd, in_gamma, kronecker,
-                             laplacian_fd, lowering_fd, psi_multiplier,
+                             chi_multiplier, dtaubar_fd, in_gamma, laplacian_fd,
+                             lowering_fd, psi_multiplier,
                              weight_transform_residual, xi_fd)
 
 F = Fraction
@@ -51,37 +51,27 @@ def test_gamma_closed_under_products():
         assert in_gamma(a * b)
 
 
-def test_kronecker_small_table():
-    # classical values
-    assert kronecker(2, 7) == 1 and kronecker(3, 7) == -1
-    assert kronecker(2, 3) == -1 and kronecker(0, 1) == 1
-    assert kronecker(0, -1) == 1 and kronecker(4, 9) == 1
-    assert kronecker(6, 9) == 0
-    # Shimura's negative-denominator convention
-    assert kronecker(3, -5) == kronecker(3, 5)
-    assert kronecker(-3, -5) == -kronecker(-3, 5)
-    # multiplicativity in the top argument (odd positive denominator)
-    rng = random.Random(2)
-    for _ in range(50):
-        n = rng.choice([3, 5, 7, 9, 11, 15])
-        a, b = rng.randint(-20, 20), rng.randint(-20, 20)
-        assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
-
-
 def test_psi_at_generators():
     assert psi_multiplier(T_MAT).turns == F(1, 24)
     assert psi_multiplier(S_MAT).turns == F(7, 8)   # e^{-pi i/4}
-    assert psi_multiplier(T_MAT).sign == psi_multiplier(S_MAT).sign == 1
 
 
 def test_psi_against_eta_on_random_words():
     rng = random.Random(31337)
-    for _ in range(25):
-        M = GroupElement(1, 0, 0, 1)
-        for _ in range(rng.randint(1, 9)):
-            M = M * (T_MAT if rng.random() < 0.5 else S_MAT)
-            if rng.random() < 0.3:
-                M = M * GroupElement(1, -1, 0, 1)
+
+    def words():
+        for _ in range(25):
+            M = GroupElement(1, 0, 0, 1)
+            for _ in range(rng.randint(1, 9)):
+                M = M * (T_MAT if rng.random() < 0.5 else S_MAT)
+                if rng.random() < 0.3:
+                    M = M * GroupElement(1, -1, 0, 1)
+            yield M
+        # -I = S^2 and (-1, -3, 0, -1) take the c = 0, d = -1 branch, and
+        # (2, -1, -1, 1) the c < 0 branch, whatever the random words reach
+        yield from (S_MAT * S_MAT, GroupElement(-1, -3, 0, -1), GroupElement(2, -1, -1, 1))
+
+    for M in words():
         tau = mp.mpc(rng.uniform(-0.8, 0.8), rng.uniform(0.6, 1.6))
         r = weight_transform_residual(kernels.eta, F(1, 2), psi_multiplier(M), M, tau)
         assert r < 2.0 ** (-128 + 8), M

@@ -271,6 +271,21 @@ MUTANTS = [
     ("src/pwomega/modular.py",
      "FD_STEP_FIRST = mp.mpf(1e-4)", "FD_STEP_FIRST = mp.mpf(10) ** -4",
      ["tests/test_modular.py"]),
+    # every multiplier from psi, and psi from Rademacher's formula: its
+    # -1/8 turn added, the c < 0 quarter turn with its sign flipped, the
+    # sawtooth without its -1/2, chi2 taken as chi1 itself
+    ("src/pwomega/modular.py",
+     "- F(1, 8)", "+ F(1, 8)",
+     ["tests/test_modular.py"]),
+    ("src/pwomega/modular.py",
+     "quarter = F(1, 4) if c", "quarter = F(-1, 4) if c",
+     ["tests/test_modular.py"]),
+    ("src/pwomega/modular.py",
+     "- math.floor(x) - F(1, 2)", "- math.floor(x)",
+     ["tests/test_modular.py"]),
+    ("src/pwomega/modular.py",
+     "return chi_multiplier(1, M).inverse()", "return chi_multiplier(1, M)",
+     ["tests/test_completion.py"]),
     # the zeta-steps of the two-variable chains: the target row, the
     # q-shift, the order rows are taken in; the cleared pwz series' shifted
     # add and the walk's ratio one step short; G = sum F's and
@@ -358,7 +373,7 @@ MUTANTS = [
      "        if \"prec\" in params and tol is None:\n"
      "            tol = 2.0 ** (10 - params[\"prec\"])\n"
      "        result = _check(ident.parts(params), tol, params.get(\"prec\"))\n",
-     ["tests/test_cli.py"]),
+     ["tests/test_acceptance.py"]),
     # the exact path loads no numeric module: neither the registry nor
     # `expand` of an exact object
     ("src/pwomega/registry.py",
