@@ -14,9 +14,13 @@ delta^0 must cancel within their rounding budget, which is what
 removability means numerically.  The H-hat composites build one kernel
 bundle per tau (the plan, the four-point mu bundle, the theta(w)'s and
 eta^3) for both centers, and two R passes per center, each serving a
-shift of z by 1/2 or 1 (kernels._R_terms).  Composite results are returned as
-Approx(value, err), err a conservative absolute-error estimate carried by
-the jets from the kernels' allowances.
+shift of z by 1/2 or 1 (kernels._R_terms).  Every kernel pass here is at a
+mirror point, where half of its terms repeat the other half: each R has
+2 Im z / Im tau an integer and takes one erfc per mirror pair, theta's
+Taylor pass at 0 or tau sums one side and folds in the other, and the mu
+Laurent passes of both centers read one table of reciprocals on the plan.
+Composite results are returned as Approx(value, err), err a conservative
+absolute-error estimate carried by the jets from the kernels' allowances.
 
 Every function computes at the working precision in effect, which the caller
 sets with kernels.workprec.  Only the jets raise it, by JET_GUARD bits, and

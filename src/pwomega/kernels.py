@@ -28,7 +28,11 @@ Conventions:
     integer reciprocal and one squared-modulus pole check shared by the
     bundle, plus one complex multiply-add per w; jets at the centers 0 and
     tau (TauPlan.theta_taylor, MuPlan.laurent), one more multiply-add per
-    term and derivative.
+    term and derivative.  At the centers the terms come in mirror pairs:
+    theta's pass sums one side and adds the other as a fixed-point fold
+    (at any z with 2 Im z / v and 2 Im z Re tau / v - 2 Re z integers), and
+    a Laurent pass takes no reciprocal of its own: both its sides read the
+    plan's table of 1/(1 - q^m) and q^m/(1 - q^m)^2, built once per tau.
   * R (_R_terms): a window's seeds cost two unit phases and four real
     exponentials; per term, one fixed-point unit-phase step, two complex
     multiply-adds, four mpf products for the m_n and h_n recurrences (none
@@ -39,7 +43,10 @@ Conventions:
     leave every x_n and erfc as they are, so one pass serves them all: a
     shift multiplies each term by a unit (-i)^j (-1)^(jk), which costs a
     second set of sums over odd k only when some shift is an odd multiple
-    of 1/2, and nothing per term otherwise.  The window's ends come from a
+    of 1/2, and nothing per term otherwise.  Where 2 Im z / Im tau is an
+    integer J (every R the completion takes), the terms n and -n - J share
+    x_n, m_n and h_n, and their erfc(x_n) m_n is taken once.  The window's
+    ends come from a
     walk inward from theta's window, and its length check is taken in
     floats.  eta costs two exponentials, then five fixed-point products per
     pentagonal index.
@@ -55,9 +62,9 @@ import functools
 import math
 
 from mpmath import mp
-from mpmath.libmp import (fone, from_man_exp, ftwo, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_erfc,
-                          mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub,
-                          round_nearest, to_fixed)
+from mpmath.libmp import (fone, from_int, from_man_exp, ftwo, mpf_add, mpf_cos_sin_pi, mpf_div,
+                          mpf_erfc, mpf_exp, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sqrt,
+                          mpf_sub, round_nearest, to_fixed, to_int)
 
 from .errors import PoleProximity, PrecisionUnreachable
 
@@ -179,8 +186,9 @@ class TauPlan:
     every point evaluated through the plan.
 
     The tables are the powers q^m and the Gaussian weights
-    g_j = q^(j(j-1)/2), m, j >= 0, from g_(j+1) = g_j q^j; all have modulus at
-    most 1.  They grow on demand, so each point is summed over exactly its
+    g_j = q^(j(j-1)/2), m, j >= 0, from g_(j+1) = g_j q^j, all of modulus at
+    most 1, and the Laurent reciprocals 1/(1 - q^m) and q^m/(1 - q^m)^2,
+    m >= 1.  They grow on demand, so each point is summed over exactly its
     own tail-cut window.
 
     A plan computes at the working precision in effect when it is built and
@@ -201,6 +209,7 @@ class TauPlan:
             self._q_mpc = mp.expjpi(2 * tau)
         self._q = [(1 << W, 0), _fix(self._q_mpc, W)]     # q^m
         self._g = [(1 << W, 0), (1 << W, 0)]             # q^(j(j-1)/2)
+        self._lr, self._lx = [], []                      # r_m, q^m r_m^2 (m >= 1)
 
     def _qpowers(self, m: int):
         """The table q^0 .. q^m (at least)."""
@@ -217,6 +226,41 @@ class TauPlan:
             g.append(_mul(g[-1], Q[len(g) - 1], self.W))
         return g
 
+    def _reciprocals(self, t, m0: int, m1: int, n0: int, step: int):
+        """[r_m = 1/(1 - x_m) for m0 <= m < m1], x_m = t q^m, as Gaussian
+        integers at scale 2^W.  Raises PoleProximity when a denominator is
+        below 2^(-(prec-28)/2) max(1, |x_m|); term m is term n = n0 + step m
+        of a mu sum."""
+        W = self.W
+        Q = self._qpowers(m1)
+        cut = self.prec - GUARD // 2
+        one, one2, num = 1 << W, 1 << (2 * W), 1 << (3 * W)
+        near = 1 << (2 * W + 2 - cut)      # |den|^2 2^cut >= 4 rules out a pole
+        tr0, ti0 = t
+        out = []
+        for m in range(m0, m1):
+            qr, qi = Q[m]
+            tr = (tr0 * qr - ti0 * qi) >> W
+            ti = (tr0 * qi + ti0 * qr) >> W
+            dr, di = one - tr, -ti
+            M = dr * dr + di * di
+            if M < near and (M << cut) < max(one2, tr * tr + ti * ti):
+                raise PoleProximity(f"mu denominator at n={n0 + step * m} has modulus "
+                                    f"{mp.sqrt(mp.mpf(M)) / 2 ** W}")
+            k = num // M
+            out.append(((dr * k) >> W, -(di * k) >> W))
+        return out
+
+    def _laurent_table(self, m: int):
+        """The tables [r_m] and [x_m r_m^2] for m = 1 .. m (at least),
+        x_m = q^m and r_m = 1/(1 - x_m): the reciprocals of MuPlan.laurent."""
+        R, X, W = self._lr, self._lx, self.W
+        for rr, ri in self._reciprocals((1 << W, 0), len(R) + 1, m + 1, 0, 1):
+            R.append((rr, ri))
+            # x r^2 = r^2 - r, since x r = r - 1
+            X.append((((rr * rr - ri * ri) >> W) - rr, ((2 * rr * ri) >> W) - ri))
+        return R, X
+
     def _halfint_sums(self, z, K: int):
         """[sum over k in z's window of (2n)^j T_k for j = 0..K], where
         T_k = a_k e^(2 pi i n z), n = k + 1/2.
@@ -225,21 +269,32 @@ class TauPlan:
         index, T_(k*+j) = T_k* a^j g_j and T_(k*-j) = T_k* b^j g_j, where
         a = -q^(k*+1) e^(2 pi i z) and b = -q^(-k*) e^(-2 pi i z) both have
         modulus at most 1; each side is summed by Horner's rule in a or b,
-        one accumulator per power of the weight 2n."""
+        one accumulator per power of the weight 2n.
+
+        At a mirror, J = 2 Im z / v and L = J Re tau - 2 Re z both exact
+        integers (z = 0 and z = tau among them), T_(-n-J) = r T_n with
+        r = (-1)^((L-1)(J+1)), and -n - J is term k* - j or k* - 1 - j for
+        n = k* + j + 1/2 as J is odd or even: the a-side alone is summed,
+        over the longer half, and the mirror added as
+        r (-2n - 2J)^j = r (-1)^j sum_i C(j, i) (2J)^(j-i) (2n)^i."""
         z = mp.mpc(z)
         lo, hi = _halfint_window(self.v, z.imag)
         k0 = int(mp.floor(-z.imag / self.v))
         W, tau = self.W, self.tau
+        J = 2 * z.imag / self.v
+        L = J * tau.real - 2 * z.real
+        mirror = J == int(J) and L == int(L)
         with mp.workprec(W):
             n0 = mp.mpf(2 * k0 + 1) / 2
             peak = mp.expjpi(n0 * (n0 * tau + 2 * z + 1))
             a = -mp.expjpi(2 * ((k0 + 1) * tau + z))
             a, b = _fix(a, W), _fix(self._q_mpc / a, W)
         g = self._gauss(max(hi - k0, k0 - lo))
+        sides = ((a, max(hi - k0, k0 - lo), 2),) if mirror else ((a, hi - k0, 2), (b, k0 - lo, -2))
         totals = [[0, 0] for _ in range(K + 1)]
-        for (ar, ai), J, step in ((a, hi - k0, 2), (b, k0 - lo, -2)):
+        for (ar, ai), top, step in sides:
             accs = [[0, 0] for _ in range(K + 1)]
-            for j in range(J, -1, -1):
+            for j in range(top, -1, -1):
                 gr, gi = g[j]
                 wt = 2 * k0 + 1 + step * j
                 for acc in accs:
@@ -250,9 +305,16 @@ class TauPlan:
             for total, acc in zip(totals, accs):
                 total[0] += acc[0]
                 total[1] += acc[1]
-        # the peak term was summed by both sides
-        for j, total in enumerate(totals):
-            total[0] -= (2 * k0 + 1) ** j << W
+        if mirror:
+            J, L = int(J), int(L)
+            r = -1 if (L - 1) * (J + 1) & 1 else 1
+            totals = [[s + r * (-1) ** j * sum(math.comb(j, i) * (2 * J) ** (j - i) * totals[i][c]
+                                               for i in range(j + 1))
+                       for c, s in enumerate(totals[j])] for j in range(K + 1)]
+        if not mirror or J & 1:
+            # the peak term was summed twice: by both sides, or as its own mirror
+            for j, total in enumerate(totals):
+                total[0] -= (2 * k0 + 1) ** j << W
         return [peak * _to_mpc(total, W) for total in totals]
 
     def theta(self, z):
@@ -321,14 +383,12 @@ class MuPlan:
         _check_terms(self.plan.v, 2 * A + 1)
         return A
 
-    def _sides(self, s: int, A: int, t, tq, m0: int, jet: bool):
-        """Both sides of the sum over -A <= n <= A split at s (see _side),
-        the t-side from m = m0."""
+    def _rows(self, s: int, A: int):
+        """The numerators of both sides of the sum over -A <= n <= A split at
+        s: [c_(s+m) for m >= 0] and [c_(s-2-m) for m >= 0]."""
         self._numerators(-A - 1, A)
         c, c0 = self._c, self._c0
-        pos = self._side(t, c[c0 + s:c0 + A + 1], m0, s, 1, jet)
-        neg = self._side(tq, c[c0 - A - 1:c0 + s - 1][::-1], 0, s - 1, -1, jet)
-        return pos, neg
+        return c[c0 + s:c0 + A + 1], c[c0 - A - 1:c0 + s - 1][::-1]
 
     def __call__(self, z):
         """[mu(z, w; tau) for each w of the bundle] by the defining
@@ -342,9 +402,11 @@ class MuPlan:
             zinv = 1 / (h * h)
             t = h * h * plan._q_mpc ** s
             tq = plan._q_mpc / t
-        (pos, _), (neg, _) = self._sides(s, self._window(z.imag), _fix(t, W), _fix(tq, W), 0, False)
+        pos, neg = self._rows(s, self._window(z.imag))
+        psum = self._side(pos, plan._reciprocals(_fix(t, W), 0, len(pos), s, 1))
+        nsum = self._side(neg, plan._reciprocals(_fix(tq, W), 0, len(neg), s - 1, -1))
         return [h / th * (_to_mpc(p, 2 * W) + zinv * e * _to_mpc(n, 2 * W))
-                for th, e, p, n in zip(self.theta_w, self._ew, pos, neg)]
+                for th, e, p, n in zip(self.theta_w, self._ew, psum, nsum)]
 
     def laurent(self, nstar: int):
         """[[a_-1, a_0, a_1] for each w of the bundle]: the Laurent
@@ -353,22 +415,26 @@ class MuPlan:
 
         The pass splits at s = nstar, where t = 1 and t' = q exactly.  The
         singular term n = nstar (m = 0 on the t-side) is left out of the
-        sum and of its pole check, and enters in closed form,
-        1/(1 - e^x) = -1/x + 1/2 - x/12 + O(x^3) with x = 2 pi i delta; every
-        other term 1/(1 - x_m e^(+-x)) contributes r + (+-x) x_m r^2, with
-        r = 1/(1 - x_m)."""
+        sum, and enters in closed form, 1/(1 - e^x) = -1/x + 1/2 - x/12 +
+        O(x^3) with x = 2 pi i delta; every other term 1/(1 - x_m e^(+-x))
+        contributes r + (+-x) x_m r^2, with r = 1/(1 - x_m) and x_m = q^m on
+        the t-side, q^(m+1) on the q-side: both read the plan's table of
+        1/(1 - q^m) and q^m/(1 - q^m)^2 (TauPlan._laurent_table)."""
         if nstar not in (0, -1):
             raise ValueError("the Laurent pass is centred at 0 or tau")
         plan = self.plan
         W = plan.W
         c = -nstar * plan.tau
-        (pos, pos1), (neg, neg1) = self._sides(nstar, self._window(c.imag),
-                                              (1 << W, 0), plan._q[1], 1, True)
+        pos, neg = self._rows(nstar, self._window(c.imag))
+        recips, jets = plan._laurent_table(max(len(pos) - 1, len(neg)))
+        # entry m of the table is recips[m - 1]: the t-side term m >= 1 reads
+        # entry m, the q-side term m >= 0 entry m + 1
+        tsum, tjet = self._side(pos[1:], recips), self._side(pos[1:], jets)
+        qsum, qjet = self._side(neg, recips), self._side(neg, jets)
         x = 2j * mp.pi
         hc = mp.expjpi(c)
         out = []
-        for th, e, p, p1, n, n1, row in zip(self.theta_w, self._ew, pos, pos1, neg, neg1,
-                                            self._c[self._c0 + nstar]):
+        for th, e, p, p1, n, n1, row in zip(self.theta_w, self._ew, tsum, tjet, qsum, qjet, pos[0]):
             a = _to_mpc(row, W)
             t_side = [-a / x, _to_mpc(p, 2 * W) + a / 2, x * (_to_mpc(p1, 2 * W) - a / 12)]
             q_side = [0, _to_mpc(n, 2 * W), -x * _to_mpc(n1, 2 * W)]
@@ -377,41 +443,15 @@ class MuPlan:
                         zip(_times_exp(t_side, 1j * mp.pi), _times_exp(q_side, -1j * mp.pi))])
         return out
 
-    def _side(self, t, rows, m0: int, n0: int, step: int, jet: bool):
-        """[sum over m0 <= m < len(rows) of rows[m][i] r_m for each w_i] and,
-        with jet, [the same sum of rows[m][i] x_m r_m^2], where x_m = t q^m
-        and r_m = 1/(1 - x_m), as Gaussian integers at scale 2^(2W).  Raises
-        PoleProximity when a denominator is below 2^(-(prec-28)/2)
-        max(1, |x_m|); term m is term n = n0 + step m of the sum."""
-        W = self.plan.W
-        Q = self.plan._qpowers(len(rows))
-        cut = self.plan.prec - GUARD // 2
-        one, one2, num = 1 << W, 1 << (2 * W), 1 << (3 * W)
-        near = 1 << (2 * W + 2 - cut)      # |den|^2 2^cut >= 4 rules out a pole
-        tr0, ti0 = t
+    def _side(self, rows, recips):
+        """[sum over m of rows[m][i] recips[m] for each w_i], as Gaussian
+        integers at scale 2^(2W)."""
         sums = [[0, 0] for _ in self.ws]
-        sums1 = [[0, 0] for _ in self.ws]
-        for m in range(m0, len(rows)):
-            qr, qi = Q[m]
-            tr = (tr0 * qr - ti0 * qi) >> W
-            ti = (tr0 * qi + ti0 * qr) >> W
-            dr, di = one - tr, -ti
-            M = dr * dr + di * di
-            if M < near and (M << cut) < max(one2, tr * tr + ti * ti):
-                raise PoleProximity(f"mu denominator at n={n0 + step * m} has modulus "
-                                    f"{mp.sqrt(mp.mpf(M)) / 2 ** W}")
-            k = num // M
-            rr, ri = (dr * k) >> W, -(di * k) >> W        # 1/(1 - x_m)
-            for acc, (cr, ci) in zip(sums, rows[m]):
+        for row, (rr, ri) in zip(rows, recips):
+            for acc, (cr, ci) in zip(sums, row):
                 acc[0] += cr * rr - ci * ri
                 acc[1] += cr * ri + ci * rr
-            if jet:
-                # x r^2 = r^2 - r, since x r = r - 1
-                xr, xi = ((rr * rr - ri * ri) >> W) - rr, ((2 * rr * ri) >> W) - ri
-                for acc, (cr, ci) in zip(sums1, rows[m]):
-                    acc[0] += cr * xr - ci * xi
-                    acc[1] += cr * xi + ci * xr
-        return sums, sums1
+        return sums
 
 
 def _times_exp(coeffs, a):
@@ -599,6 +639,16 @@ def _R_terms(z, tau, shifts=None):
     the a-priori bound on |t_n| (_R_window).  The bounds, and the rounding
     they allow, are derived once, in the README's numerical error policy.
 
+    Where 2a is an exact integer J (checked on the mpf a), the terms n and
+    n' = -n - J have n' + a = -(n + a) and the same m_n and h_n, so the
+    pass keys erfc(x_n) m_n by |2(n + a)| = |2k + 1 + J| and takes it once
+    per pair, before the sign and sgn-differs transforms.  The pair's value
+    is at the larger of its terms' bits: their bits differ only when one
+    term's signs differ (|n| < |a|, the larger B_n), and that term's partner
+    lies on the same side further out, so the walk meets it first.  Each
+    term keeps its own route, and so its own switch to the fixed-point h_n
+    tail.
+
     A shift s = j/2 leaves Im z, and so every x_n, m_n and erfc, as they
     are: it multiplies t_n by e^(-2 pi i n s) = (-i)^j (-1)^(jk).  With T
     the sum over every k and O the sum over odd k, R(z + s) is (-i)^j T for
@@ -628,6 +678,9 @@ def _R_terms(z, tau, shifts=None):
     pv, py, a = mul(pi, v), mul(pi, y), div(y, v)
     C = to_fixed(mpf_sqrt(mpf_shift(pv, 1), wp, rnd), W)    # x_n = C |2(n + a)| / 2^(W+1)
     A2 = to_fixed(a, W + 1)                                  # 2a at scale 2^W
+    J = to_int(mpf_shift(a, 1), rnd)
+    paired = mpf_shift(a, 1) == from_int(J)                  # 2a = J exactly
+    seen = {}       # erfc(x_n) m_n by |2(n + a)|, when paired
     eq, ex = ((to_fixed(c, G), to_fixed(s, G)) for c, s in
               (mpf_cos_sin_pi(mpf_neg(t), wp + 8) for t in (mpf_shift(u, -2), x)))
     e0, ex = _mul(eq, ex, G), _mul(ex, ex, G)               # e_(1/2), e^(-2 pi i x)
@@ -655,15 +708,21 @@ def _R_terms(z, tau, shifts=None):
             bits = max(53, prec + TAIL_GUARD - int(top - lbs[k - lo]))
             X = (C * abs(nw)) >> (W + 1)
             xf, hf = X >> W, to_fixed(h, W) if H is None else H
-            if xf < 2:
-                fm = to_fixed(mpf_mul(mpf_erfc(from_man_exp(X, -W), bits, rnd), m), W)
-            elif ErfcTable.covers(xf, bits):
-                fm = table.erfc_times(X, W, bits, m, hf)
-            else:
-                fm = table.asymptotic_times(X, W, bits, hf)
-                if H is None and (nw >= 0) == (k >= 0):
-                    # x_n only grows from here on and the bits only fall
-                    H, HR, HSTEP = hf, to_fixed(hr, W), to_fixed(hstep, W)
+            key = abs(2 * k + 1 + J)                        # |2(n + a)| when paired
+            fm = seen.get(key) if paired else None
+            asymptotic = xf >= 2 and not ErfcTable.covers(xf, bits)
+            if fm is None:
+                if xf < 2:
+                    fm = to_fixed(mpf_mul(mpf_erfc(from_man_exp(X, -W), bits, rnd), m), W)
+                elif asymptotic:
+                    fm = table.asymptotic_times(X, W, bits, hf)
+                else:
+                    fm = table.erfc_times(X, W, bits, m, hf)
+                if paired:
+                    seen[key] = fm
+            if asymptotic and H is None and (nw >= 0) == (k >= 0):
+                # x_n only grows from here on and the bits only fall
+                H, HR, HSTEP = hf, to_fixed(hr, W), to_fixed(hstep, W)
             if (nw >= 0) != (k >= 0):
                 fm = 2 * to_fixed(m, W) - fm
             if H is None:

@@ -112,7 +112,8 @@ def test_planned_theta_matches_per_term_sum(im_tau):
     with workprec(P):
         tau = mp.mpc("0.11", im_tau)
         plan = kernels.TauPlan(tau)
-        for z in _contour_points(tau) + _w_points(tau):
+        # -tau/2 and tau/2 + 1/2 are mirrors whose peak term is its own mirror
+        for z in _contour_points(tau) + _w_points(tau) + [-tau / 2, tau / 2 + mp.mpf(1) / 2]:
             want = theta_reference(z, tau)
             assert _close(plan.theta(z), want), z
             assert _close(kernels.theta(z, tau), want), z
@@ -123,6 +124,9 @@ def test_planned_theta_matches_per_term_sum(im_tau):
             # term is held to the absolute allowance
             got = plan.theta_taylor(z, 3)
             assert abs(got[0]) <= REL_TOL
+            if z == 0:
+                # the fold pairs n with -n, and T_(-n) = -T_n: theta is odd
+                assert got[0] == got[2] == 0
             for k in (1, 2, 3):
                 want = theta_reference(z, tau, order=k)
                 assert abs(got[k] - want) <= REL_TOL * (abs(want) + 1), (z, k)
@@ -211,6 +215,61 @@ def test_mu_laurent_pass_matches_point_evaluations(im_tau):
                 assert abs((plus - minus) / 2 * d - am) < tol, (nstar, w)
                 assert abs((plus + minus) / 2 - a0) < tol, (nstar, w)
                 assert abs(((plus - minus) / 2 - am / d) / d - a1) < tol, (nstar, w)
+
+
+def _old_side(plan, t, rows, m0):
+    """MuPlan._side as first written, each side of a Laurent pass taking its
+    own reciprocals: [sum over m0 <= m < len(rows) of rows[m][i] r_m] and
+    [the same sum of rows[m][i] x_m r_m^2], x_m = t q^m, r_m = 1/(1 - x_m)."""
+    W = plan.W
+    Q = plan._qpowers(len(rows))
+    (tr0, ti0), width = t, len(rows[0])
+    sums, sums1 = [[0, 0] for _ in range(width)], [[0, 0] for _ in range(width)]
+    for m in range(m0, len(rows)):
+        qr, qi = Q[m]
+        tr, ti = (tr0 * qr - ti0 * qi) >> W, (tr0 * qi + ti0 * qr) >> W
+        dr, di = (1 << W) - tr, -ti
+        k = (1 << (3 * W)) // (dr * dr + di * di)
+        rr, ri = (dr * k) >> W, -(di * k) >> W
+        xr, xi = ((rr * rr - ri * ri) >> W) - rr, ((2 * rr * ri) >> W) - ri
+        for acc, acc1, (cr, ci) in zip(sums, sums1, rows[m]):
+            acc[0] += cr * rr - ci * ri
+            acc[1] += cr * ri + ci * rr
+            acc1[0] += cr * xr - ci * xi
+            acc1[1] += cr * xi + ci * xr
+    return sums, sums1
+
+
+def _laurent_two_sided(bundle, nstar):
+    """MuPlan.laurent as first written: the t-side's x_m = q^m (m >= 1) and
+    the q-side's x_m = q^(m+1) (m >= 0) each from its own pass (_old_side)."""
+    plan = bundle.plan
+    W = plan.W
+    c = -nstar * plan.tau
+    pos, neg = bundle._rows(nstar, bundle._window(c.imag))
+    (ps, p1s), (ns, n1s) = _old_side(plan, (1 << W, 0), pos, 1), _old_side(plan, plan._q[1], neg, 0)
+    x = 2j * mp.pi
+    hc = mp.expjpi(c)
+    to_mpc, times_exp = kernels._to_mpc, kernels._times_exp
+    out = []
+    for th, e, p, p1, n, n1, row in zip(bundle.theta_w, bundle._ew, ps, p1s, ns, n1s, pos[0]):
+        a = to_mpc(row, W)
+        t_side = [-a / x, to_mpc(p, 2 * W) + a / 2, x * (to_mpc(p1, 2 * W) - a / 12)]
+        q_side = [0, to_mpc(n, 2 * W), -x * to_mpc(n1, 2 * W)]
+        out.append([(hc * u + e / hc * d) / th for u, d in
+                    zip(times_exp(t_side, 1j * mp.pi), times_exp(q_side, -1j * mp.pi))])
+    return out
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS)
+def test_mu_laurent_table_keeps_the_two_sided_pass(im_tau):
+    # both sides of a Laurent pass read the plan's one table of 1/(1 - q^m)
+    # and q^m/(1 - q^m)^2, bit for bit what each side took on its own
+    with workprec(P):
+        tau = mp.mpc("0.11", im_tau)
+        bundle = kernels.TauPlan(tau).mu(*_w_points(tau))
+        for nstar in (0, -1):
+            assert bundle.laurent(nstar) == _laurent_two_sided(bundle, nstar), nstar
 
 
 def _R_points(tau):
@@ -347,6 +406,73 @@ def test_R_shift_pass_matches_one_shift_passes(im_tau):
             assert all(a == -b for a, b in zip(zero, minus_one)), z
         with pytest.raises(ValueError):
             kernels._R_terms(points[0], tau, (0, F(1, 4)))
+
+
+# Im z / Im tau = a at the mirror points (2a an integer), and the near miss
+# a = -1/2 + 2^-30, which pairs nothing
+MIRROR_AS = [mp.mpf(a) for a in ("-6", "-1.5", "-1", "-0.5", "0", "0.5", "1", "1.5", "6")]
+NEAR_MISS_A = mp.mpf("-0.5") + mp.mpf(2) ** -30
+
+
+def _mirror_points(tau):
+    """z = 0.17 + i a Im tau, Im z exact, for a in MIRROR_AS and NEAR_MISS_A."""
+    return [mp.mpc(mp.mpf("0.17"), mp.fmul(a, tau.imag, exact=True))
+            for a in MIRROR_AS + [NEAR_MISS_A]]
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS_R)
+def test_R_mirror_pairs_match_per_term_sum(im_tau):
+    # where 2 Im z / Im tau = J is an integer, the terms n and -n - J share
+    # one erfc; R, R_dz and R_dz's E-part, unshifted and from the shift
+    # passes (0, -1/2) and (0, -1), stay within 2 units of the working
+    # precision of max(1, |value|), as they do at the near miss
+    tau = mp.mpc("0.11", im_tau)
+    for z in _mirror_points(tau):
+        with mp.workprec(P + GUARD + 100):
+            want = {0: R_reference(z, tau), -F(1, 2): R_reference(z - mp.mpf(1) / 2, tau)}
+            want[-1] = [-w for w in want[0]]
+        with workprec(P):
+            for shifts in (None, (0, -F(1, 2)), (0, -1)):
+                got = kernels._R_terms(z, tau, shifts)
+                for s, terms in zip(shifts, got) if shifts else [(0, got)]:
+                    for g, w in zip(terms, want[s]):
+                        assert _ulps(g, w) <= 2, (z, s, _ulps(g, w))
+
+
+def _record_erfc_bits(monkeypatch):
+    """[the bits of each erfc R takes], through all three of its routes."""
+    calls = []
+    for name in ("erfc_times", "asymptotic_times"):
+        route = getattr(kernels.ErfcTable, name)
+        monkeypatch.setattr(kernels.ErfcTable, name, lambda self, X, W, bits, *rest, route=route:
+                            calls.append(bits) or route(self, X, W, bits, *rest))
+    monkeypatch.setattr(kernels, "mpf_erfc", lambda x, bits, rnd, route=kernels.mpf_erfc:
+                        calls.append(bits) or route(x, bits, rnd))
+    return calls
+
+
+@pytest.mark.parametrize("im_tau", IM_TAUS_R)
+def test_R_takes_one_erfc_per_mirror_pair(im_tau, monkeypatch):
+    # at z = -w_0 and -2 w_0 (a = -1/2 and -1) a pass takes one erfc per
+    # distinct |2(n + a)| = |2k + 1 + 2a| in its window, at the larger of
+    # the two terms' bits; at a generic a and at the near miss, one per term
+    # at its own bits
+    tau = mp.mpc("0.11", im_tau)
+    w0 = _w_point(tau, 0)
+    calls = _record_erfc_bits(monkeypatch)
+    with workprec(P):
+        for z, J in ((-w0, -1), (-w0 - w0, -2), (_R_points(tau)[0], None),
+                     (_mirror_points(tau)[-1], None)):
+            lo, hi, lbs = kernels._R_window(tau.imag, z.imag)
+            want = {}
+            for k in range(lo, hi + 1):
+                key = k if J is None else abs(2 * k + 1 + J)
+                bits = max(53, mp.prec + TAIL_GUARD - int(max(lbs) - lbs[k - lo]))
+                want[key] = max(want.get(key, 0), bits)
+            calls.clear()
+            kernels.R(z, tau)
+            assert sorted(calls) == sorted(want.values()), (z, len(calls), len(want))
+            assert J is None or len(calls) < (hi - lo + 1) * 3 // 4
 
 
 @pytest.mark.parametrize("im_tau", IM_TAUS_R)

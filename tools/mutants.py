@@ -72,11 +72,36 @@ MUTANTS = [
      "(_to_mpc(p1, 2 * W) - a / 12)", "(_to_mpc(p1, 2 * W) + a / 12)",
      ["tests/test_kernels.py", "tests/test_completion.py"]),
     ("src/pwomega/kernels.py",
-     "self._sides(nstar, self._window(c.imag),", "self._sides(0, self._window(c.imag),",
+     "self._rows(nstar, self._window(c.imag))", "self._rows(0, self._window(c.imag))",
      ["tests/test_kernels.py", "tests/test_completion.py"]),
     ("src/pwomega/kernels.py",
-     "xr, xi = ((rr * rr - ri * ri) >> W) - rr,", "xr, xi = ((rr * rr - ri * ri) >> W) + rr,",
+     "X.append((((rr * rr - ri * ri) >> W) - rr,", "X.append((((rr * rr - ri * ri) >> W) + rr,",
      ["tests/test_kernels.py", "tests/test_completion.py"]),
+    # each mirrored term once: R's erfc keyed by the signed 2(n + a), so no
+    # pair shares it; the shared value stored after the sgn-differs
+    # transform; pairing taken at a 2a merely near an integer; theta's fold
+    # with the wrong sign, or with its self-mirrored peak counted twice; the
+    # Laurent q-side term m reading the table's entry m, not m + 1
+    ("src/pwomega/kernels.py",
+     "key = abs(2 * k + 1 + J)", "key = 2 * k + 1 + J",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "seen[key] = fm", "seen[key] = 2 * to_fixed(m, W) - fm",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "paired = mpf_shift(a, 1) == from_int(J)",
+     "paired = abs(mp.mpf(mpf_shift(a, 1)) - J) < mp.mpf(2) ** -20",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "r = -1 if (L - 1) * (J + 1) & 1 else 1", "r = 1 if (L - 1) * (J + 1) & 1 else -1",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "if not mirror or J & 1:", "if not mirror:",
+     ["tests/test_kernels.py"]),
+    ("src/pwomega/kernels.py",
+     "qsum, qjet = self._side(neg, recips), self._side(neg, jets)",
+     "qsum, qjet = self._side(neg[1:], recips), self._side(neg[1:], jets)",
+     ["tests/test_kernels.py"]),
     # R and eta by ratio recurrence, the cone walk along its lines
     ("src/pwomega/kernels.py",
      "bits = max(53, prec + TAIL_GUARD - int(", "bits = max(53, prec - int(",
