@@ -35,14 +35,19 @@ def mu_hat_numeric(z1, z2, tau, P: int):
         return kernels.muhat(z1, z2, tau)
 
 
-def mu_hat_transform_check(M: GroupElement, z1, z2, tau) -> float:
-    """Residual of the weight-1/2 modular law for the completed mu."""
+def mu_hat_transform_check(Ms, z1, z2, tau) -> list:
+    """Residuals of the weight-1/2 modular law for the completed mu, one per
+    matrix in Ms, every right side from one mu-hat(z1, z2; tau)."""
     z1, z2, tau = mp.mpc(z1), mp.mpc(z2), mp.mpc(tau)
-    j = M.jfactor(tau)
-    left = kernels.muhat(z1 / j, z2 / j, M.act(tau))
-    right = (psi_multiplier(M).pow(-3).value() * mp.sqrt(j)
-             * mp.expjpi(-M.c * (z1 - z2) ** 2 / j) * kernels.muhat(z1, z2, tau))
-    return float(abs(left - right) / max(abs(left), abs(right)))
+    mh = kernels.muhat(z1, z2, tau)
+    out = []
+    for M in Ms:
+        j = M.jfactor(tau)
+        left = kernels.muhat(z1 / j, z2 / j, M.act(tau))
+        right = (psi_multiplier(M).pow(-3).value() * mp.sqrt(j)
+                 * mp.expjpi(-M.c * (z1 - z2) ** 2 / j) * mh)
+        out.append(float(abs(left - right) / max(abs(left), abs(right))))
+    return out
 
 
 def theta_transform_check(M: GroupElement, z, tau) -> float:

@@ -595,26 +595,21 @@ def f_family_numeric(k: int, tau):
     raise ValueError("k must be 1..4")
 
 
-def lowering_rhs(tau, corrected: bool = False):
-    """Right side of the lowering identity.
-
-    corrected=False is the printed combination
+def lowering_rhs(tau):
+    """The right side of the lowering identity as (printed, corrected), both
+    from one f1, f2 and f3.  printed is the combination
         e^(3 pi i/4) sqrt(2)/pi f1 f2 - e^(pi i/4)/(2 sqrt(2) pi) f3 f4;
-    corrected=True replaces the second term by the one following from the
-    closed tau-bar derivative of FF''(0),
+    corrected replaces its second term by the one following from the closed
+    tau-bar derivative of FF''(0),
         - 1/(2 sqrt(2) pi) f3 * v^(1/2) eta(-2 conj tau)^2 / eta(-4 conj tau).
     """
     tau = mp.mpc(tau)
-    f1 = f_family_numeric(1, tau)
-    f2 = f_family_numeric(2, tau)
-    f3 = f_family_numeric(3, tau)
+    f1, f2, f3, f4 = (f_family_numeric(k, tau) for k in (1, 2, 3, 4))
     first = mp.expjpi(F(3, 4)) * mp.sqrt(2) / mp.pi * f1 * f2
-    if corrected:
-        tb = mp.conj(tau)
-        g4 = mp.sqrt(tau.imag) * kernels.eta(-2 * tb) ** 2 / kernels.eta(-4 * tb)
-        return first - f3 * g4 / (2 * mp.sqrt(2) * mp.pi)
-    f4 = f_family_numeric(4, tau)
-    return first - mp.expjpi(F(1, 4)) / (2 * mp.sqrt(2) * mp.pi) * f3 * f4
+    tb = mp.conj(tau)
+    g4 = mp.sqrt(tau.imag) * kernels.eta(-2 * tb) ** 2 / kernels.eta(-4 * tb)
+    return (first - mp.expjpi(F(1, 4)) / (2 * mp.sqrt(2) * mp.pi) * f3 * f4,
+            first - f3 * g4 / (2 * mp.sqrt(2) * mp.pi))
 
 
 def dtaubar_fcal2_closed(tau):
@@ -638,7 +633,7 @@ def nonholo_plateau(tau):
     (kernels._R_terms).  Its magnitude approaches
     sqrt(2/v) eta(4 tau)/(2 pi eta(2 tau)^2)."""
     tau = mp.mpc(tau)
-    delta = kernels._R_terms(-_w_point(tau, 0), tau)[2]
+    delta = kernels._R_terms(-_w_point(tau, 0), tau)[0][2]
     return (mp.expjpi(-F(1, 4)) * kernels.eta(4 * tau)
              / (4 * mp.pi ** 2 * kernels.eta(tau) ** 3 * kernels.eta(2 * tau) ** 2)
              * 1j * qpow(tau, -F(1, 8)) * kernels.theta_dz(0, tau) * delta)

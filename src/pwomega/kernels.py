@@ -616,11 +616,10 @@ def _times_unit(x, j: int):
     return ((a, b), (b, -a), (-a, -b), (-b, a))[j % 4]
 
 
-def _R_terms(z, tau, shifts=None):
-    """R(z), its Wirtinger z-derivative and the E-factor part of that
-    derivative, from one pass over the terms; with shifts, a list of those
-    three for R(z + s), one per s in shifts, every s a multiple of 1/2,
-    from the same pass.
+def _R_terms(z, tau, shifts=(0,)):
+    """[(R, its Wirtinger z-derivative, the E-factor part of that
+    derivative) at z + s for s in shifts], every s a multiple of 1/2, from
+    one pass over the terms.
 
     The derivative is the power rule on the zeta-powers plus the E-part, the
     E-factors' dependence on y = Im z entering with dy/dz = 1/(2i); the
@@ -655,8 +654,8 @@ def _R_terms(z, tau, shifts=None):
     even j and (-i)^j (T - 2 O) for odd j, and likewise both derivatives;
     so R(z - 1) = -R(z) exactly, and O is summed only when some j is odd.
     """
-    js = [0] if shifts is None else [int(2 * s) for s in shifts]
-    if shifts is not None and any(j != 2 * s for j, s in zip(js, shifts)):
+    js = [int(2 * s) for s in shifts]
+    if any(j != 2 * s for j, s in zip(js, shifts)):
         raise ValueError(f"R's shifts must be multiples of 1/2, not {list(shifts)}")
     alt = any(j & 1 for j in js)
     z, tau = mp.mpc(z), mp.mpc(tau)
@@ -758,17 +757,17 @@ def _R_terms(z, tau, shifts=None):
         out.append((_to_mpc((r0, r1), W),
                     _to_mpc((PI * n1 + epart[0], epart[1] - PI * n0), 2 * W),
                     _to_mpc(epart, 2 * W)))
-    return out[0] if shifts is None else out
+    return out
 
 
 def R(z, tau):
     """Zwegers' non-holomorphic R-function."""
-    return _R_terms(z, tau)[0]
+    return _R_terms(z, tau)[0][0]
 
 
 def R_dz(z, tau):
     """The Wirtinger d/dz of R."""
-    return _R_terms(z, tau)[1]
+    return _R_terms(z, tau)[0][1]
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def _theta_shifts_parts(params):
 def _mu_laws_parts(params):
     """The mu/mu-hat/R laws at random points and mu-hat's S and T laws, then
     a stage: mu-hat's weight-1/2 Laplacian at torsion data against
-    laplacian_tolerance (step-limited, at min(prec, 160) bits).
+    laplacian_tolerance (step-limited).
 
     Each distinct kernel value of a trial is computed once and read by
     every law that needs it, its mu sums through one TauPlan: mu(z2, z1)
@@ -223,10 +223,12 @@ def _mu_laws_parts(params):
     No pass, MuPlan or value is shared by the two sides of one law: mh
     comes from kernels.muhat itself, so muhat-minus-mu tests it against mu
     and R summed apart; R-shift-1 sums R at z1 + 1 and at z1; mu-elliptic's
-    two mu sums have their own MuPlans.  Nothing outlives the trial."""
+    two mu sums have their own MuPlans.  Nothing outlives the trial.  The S
+    and T laws read one mu-hat(z1, z2; tau0): they are two laws, not the
+    two sides of one."""
     from mpmath import mp
     from .appell import mu_hat_transform_check
-    from .kernels import R, TauPlan, muhat, qpow, workprec
+    from .kernels import R, TauPlan, muhat, qpow
     from .modular import GroupElement, laplacian_fd
     rng = random.Random(20260)
     for trial in range(10):
@@ -259,15 +261,15 @@ def _mu_laws_parts(params):
     # modular law under S and T at a fixed generic point
     tau0 = mp.mpc(0.13, 1.1)
     z1, z2 = mp.mpc(0.21, 0.12), mp.mpc(-0.11, 0.31)
-    for M in (GroupElement(0, -1, 1, 0), GroupElement(1, 1, 0, 1)):
-        yield mu_hat_transform_check(M, z1, z2, tau0), {"part": f"muhat-transform {M}"}
+    Ms = (GroupElement(0, -1, 1, 0), GroupElement(1, 1, 0, 1))
+    for M, res in zip(Ms, mu_hat_transform_check(Ms, z1, z2, tau0)):
+        yield res, {"part": f"muhat-transform {M}"}
 
     def h(t):
         t = mp.mpc(t)
         return muhat(t / 2, t / 2 + mp.mpf(1) / 4, t)
 
-    with workprec(min(params["prec"], 160)):
-        lap = laplacian_fd(h, F(1, 2), mp.mpc(0.13, 1.02))
+    lap = laplacian_fd(h, F(1, 2), mp.mpc(0.13, 1.02))
     yield float(abs(lap)), {"part": "laplacian muhat"}, params["laplacian_tolerance"]
 
 
@@ -361,8 +363,7 @@ def _phat_lowering_parts(params):
     for tt in params["taus"]:
         tau = mp.mpc(*tt)
         Lfd = lowering_fd(lambda t: phat_omega_numeric(t).value, tau)
-        printed = float(abs(Lfd - lowering_rhs(tau)))
-        corrected = float(abs(Lfd - lowering_rhs(tau, corrected=True)))
+        printed, corrected = (float(abs(Lfd - rhs)) for rhs in lowering_rhs(tau))
         d = dtaubar_fd(lambda t: fcal_derivs(t)[1].value, tau)
         d435 = float(abs(d - dtaubar_fcal1_closed(tau)))
         witness = {"part": "original-form lowering combination",
@@ -435,7 +436,7 @@ REGISTRY: List[Identity] = [
              _theta_shifts_parts, {"order": 30, "prec": DEFAULT_PREC, "taus": DEFAULT_TAUS},
              tolerance=1e-20),
     Identity("mu-laws", "mu/mu-hat/R laws, transforms, and torsion harmonicity",
-             _mu_laws_parts, {"prec": 128, "laplacian_tolerance": 1e-5}, tolerance=None),
+             _mu_laws_parts, {"prec": 128, "laplacian_tolerance": 1e-5}, tolerance=2.0 ** -118),
     Identity("finite-jtp", "finite triple-product identity for n <= 5",
              _finite_jtp_parts, {"order": 30}),
     Identity("heine", "Heine transformation: quarter-root family and random monomials",
@@ -469,8 +470,6 @@ def run_identity(id: str, overrides: Optional[Dict] = None) -> VerificationRepor
             raise UndeclaredParameter(f"identity {id!r} reads no parameter {key!r} "
                                       f"(it reads {', '.join(params)})")
         params[key] = val
-    if "prec" in params and params["tolerance"] is None:
-        params["tolerance"] = 2.0 ** (10 - params["prec"])   # registered with none
     t0 = time.time()
     try:
         result = _check(ident.parts(params), params.get("tolerance"), params.get("prec"))

@@ -433,10 +433,30 @@ def test_hhat1_zero_computes_at_its_precision():
 
 
 def test_mu_laws_zero_tolerance_fails():
-    # a tolerance of 0 is a tolerance, not "use the default 2^(10 - prec)"
+    # a tolerance of 0 is applied as given, like any other
     rep = run_identity("mu-laws", {"tolerance": 0.0})
     assert rep.status == "fail"
     assert rep.tolerance == 0.0 and rep.params["tolerance"] == 0.0
+
+
+def test_mu_laws_tolerance_does_not_follow_prec():
+    # the registered 2^-118 holds at every prec: at 1 and 8 bits the laws fail it
+    for prec in (1, 8):
+        rep = run_identity("mu-laws", {"prec": prec})
+        assert rep.status == "fail" and rep.tolerance == 2.0 ** -118
+
+
+def test_mu_laws_transform_laws_read_one_muhat(monkeypatch):
+    # the S and T laws share mu-hat(z1, z2; tau0): one evaluation per run
+    from mpmath import mp
+    from pwomega import kernels
+
+    at = (mp.mpc(0.21, 0.12), mp.mpc(-0.11, 0.31), mp.mpc(0.13, 1.1))
+    calls = []
+    muhat = kernels.muhat
+    monkeypatch.setattr(kernels, "muhat", lambda *args: calls.append(args) or muhat(*args))
+    assert run_identity("mu-laws").status == "pass"
+    assert calls.count(at) == 1
 
 
 def test_mu_laws_laplacian_is_a_stage_after_the_laws():
@@ -488,10 +508,10 @@ def test_mu_laws_each_law_reads_its_own_sides(monkeypatch, value):
                 out = [x * fault for x in out]
             return out
 
-        def faulty_R(z, tau, *shifts):
-            out = R_terms(z, tau, *shifts)
-            if not shifts and z == R_at:
-                out = (out[0] * fault, *out[1:])
+        def faulty_R(z, tau, shifts=(0,)):
+            out = R_terms(z, tau, shifts)
+            if shifts == (0,) and z == R_at:
+                out = [(out[0][0] * fault, *out[0][1:])]
             return out
 
         monkeypatch.setattr(kernels.MuPlan, "__call__", faulty_mu)

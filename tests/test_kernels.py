@@ -296,7 +296,7 @@ def test_R_matches_per_term_sum(im_tau):
         with mp.workprec(P + GUARD + 100):
             want = R_reference(z, tau)
         with workprec(P):
-            got = kernels._R_terms(z, tau)
+            got, = kernels._R_terms(z, tau)
             for g, w in zip(got, want):
                 assert abs(g - w) <= REL_TOL * max(1, abs(w)), (z, g, w)
                 assert _ulps(g, w) <= 2, (z, _ulps(g, w))
@@ -313,7 +313,7 @@ def test_R_window_follows_its_largest_terms():
         with mp.workprec(P + GUARD + 100):
             want = R_reference(z, tau)
         with workprec(P):
-            got = kernels._R_terms(z, tau)
+            got, = kernels._R_terms(z, tau)
             for g, w in zip(got, want):
                 assert _ulps(g, w) <= 2, (z, g, w)
 
@@ -398,9 +398,9 @@ def test_R_shift_pass_matches_one_shift_passes(im_tau):
         for z in points:
             for shifts in ((0, -F(1, 2)), (0, -1)):
                 got = kernels._R_terms(z, tau, shifts)
-                assert got[0] == kernels._R_terms(z, tau)
+                assert got[0] == kernels._R_terms(z, tau)[0]
                 for s, terms in zip(shifts, got):
-                    for g, w in zip(terms, kernels._R_terms(z + s, tau)):
+                    for g, w in zip(terms, kernels._R_terms(z + s, tau)[0]):
                         assert _ulps(g, w) <= 2, (z, s, g, w)
             zero, minus_one = kernels._R_terms(z, tau, (0, -1))
             assert all(a == -b for a, b in zip(zero, minus_one)), z
@@ -432,9 +432,9 @@ def test_R_mirror_pairs_match_per_term_sum(im_tau):
             want = {0: R_reference(z, tau), -F(1, 2): R_reference(z - mp.mpf(1) / 2, tau)}
             want[-1] = [-w for w in want[0]]
         with workprec(P):
-            for shifts in (None, (0, -F(1, 2)), (0, -1)):
+            for shifts in ((0,), (0, -F(1, 2)), (0, -1)):
                 got = kernels._R_terms(z, tau, shifts)
-                for s, terms in zip(shifts, got) if shifts else [(0, got)]:
+                for s, terms in zip(shifts, got):
                     for g, w in zip(terms, want[s]):
                         assert _ulps(g, w) <= 2, (z, s, _ulps(g, w))
 

@@ -2,10 +2,10 @@
 """Mutation gate: each entry below is a deliberate one-line bug together with
 the test files that must catch it.
 
-For every entry the script copies src/, tests/ and pyproject.toml into a
-fresh temporary directory, replaces the entry's text (which must occur exactly
-once in its file), runs the named test files there with pytest, and counts the
-mutant as killed when pytest fails.  It prints one line per mutant and the
+For every entry the script copies src/, tests/, pyproject.toml and README.md
+into a fresh temporary directory, replaces the entry's text (which must occur
+exactly once in its file), runs the named test files there with pytest, and
+counts the mutant as killed when pytest fails.  It prints one line per mutant and the
 survivors, and exits 1 when any mutant survives.  Run it from any directory
 on a tree whose own tests pass:
 
@@ -385,19 +385,9 @@ MUTANTS = [
     ("src/pwomega/qseries.py",
      "for r in self.rows.keys() | other.rows.keys()", "for r in self.rows",
      ["tests/test_exactalg.py"]),
-    # mu-laws reports the default tolerance as null instead of the one applied
+    # mu-laws registered with no tolerance
     ("src/pwomega/registry.py",
-     "        params[\"tolerance\"] = 2.0 ** (10 - params[\"prec\"])   # registered with none\n"
-     "    t0 = time.time()\n"
-     "    try:\n"
-     "        result = _check(ident.parts(params), params.get(\"tolerance\"), params.get(\"prec\"))\n",
-     "        pass\n"
-     "    t0 = time.time()\n"
-     "    try:\n"
-     "        tol = params.get(\"tolerance\")\n"
-     "        if \"prec\" in params and tol is None:\n"
-     "            tol = 2.0 ** (10 - params[\"prec\"])\n"
-     "        result = _check(ident.parts(params), tol, params.get(\"prec\"))\n",
+     "tolerance=2.0 ** -118)", "tolerance=None)",
      ["tests/test_acceptance.py"]),
     # the exact path loads no numeric module: neither the registry nor
     # `expand` of an exact object
@@ -542,6 +532,26 @@ MUTANTS = [
     ("src/pwomega/registry.py",
      "\"laplacian_tolerance\": 1e-5}", "\"laplacian_tolerance\": 1e-3}",
      ["tests/test_acceptance.py"]),
+    # each shared value computed once, and each reader handed its own: the
+    # first matrix's multiplier on every mu-hat right side, the lowering
+    # forms swapped, R's shift triples in reverse order
+    ("src/pwomega/appell.py",
+     "psi_multiplier(M).pow(-3)", "psi_multiplier(Ms[0]).pow(-3)",
+     ["tests/test_appell.py"]),
+    ("src/pwomega/completion.py",
+     "    return (first - mp.expjpi(F(1, 4)) / (2 * mp.sqrt(2) * mp.pi) * f3 * f4,\n"
+     "            first - f3 * g4 / (2 * mp.sqrt(2) * mp.pi))\n",
+     "    return (first - f3 * g4 / (2 * mp.sqrt(2) * mp.pi),\n"
+     "            first - mp.expjpi(F(1, 4)) / (2 * mp.sqrt(2) * mp.pi) * f3 * f4)\n",
+     ["tests/test_acceptance.py"]),
+    ("src/pwomega/kernels.py",
+     "_to_mpc(epart, 2 * W)))\n    return out\n", "_to_mpc(epart, 2 * W)))\n    return out[::-1]\n",
+     ["tests/test_kernels.py"]),
+    # the README's map of the checks: a registry id renamed in the registry
+    # but not in the README
+    ("src/pwomega/registry.py",
+     "Identity(\"heine\",", "Identity(\"heine-transform\",",
+     ["tests/test_readme.py"]),
 ]
 
 
@@ -549,7 +559,8 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def run_mutant(path: str, old: str, new: str, tests) -> bool:
